@@ -45,7 +45,6 @@ from .construction import (
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
 from .field import Field, gauss_sum
 from .ring import RingElem, lee_weight, scale
-from .ring import uv as uv_gen
 
 #: Default ceiling on exhaustive work, in entry-operations
 #: (codeword count times coordinate count).
@@ -184,10 +183,18 @@ def _all_codeword_rows(q: int) -> np.ndarray:
 
 
 def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("TRACECODES_WORK_BUDGET")
-    return int(env) if env else DEFAULT_WORK_BUDGET
+    if budget is None:
+        env = os.environ.get("TRACECODES_WORK_BUDGET")
+        if not env:
+            return DEFAULT_WORK_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ParameterError(
+                f"TRACECODES_WORK_BUDGET must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise ParameterError(f"work budget must be >= 0, got {budget}")
+    return budget
 
 
 def distribution_exhaustive(params: CodeParams | DerivedParams,
@@ -256,6 +263,10 @@ def distribution_by_class(params: CodeParams | DerivedParams,
     seeded random members; any disagreement raises WeightConstancyError
     with the witness element.
     """
+    if samples_per_class < 1:
+        raise ParameterError(
+            f"samples per class must be >= 1, got {samples_per_class}: the class "
+            "method validates every class on seeded samples")
     dp = derive_params(params)
     reps = class_representatives(dp)
     rep_rows = [r.coords() for _, r, _ in reps]
@@ -269,12 +280,11 @@ def distribution_by_class(params: CodeParams | DerivedParams,
         for _ in range(samples_per_class):
             samples.append(_sample_class(name, j, dp, rng))
             owners.append(i)
-    if samples:
-        got = lee_weights_bulk(dp, [s.coords() for s in samples], threads=threads)
-        for s, owner, w in zip(samples, owners, got):
-            if w != rep_weights[owner]:
-                raise WeightConstancyError(reps[owner][0], s,
-                                           int(rep_weights[owner]), int(w))
+    got = lee_weights_bulk(dp, [s.coords() for s in samples], threads=threads)
+    for s, owner, w in zip(samples, owners, got):
+        if w != rep_weights[owner]:
+            raise WeightConstancyError(reps[owner][0], s,
+                                       int(rep_weights[owner]), int(w))
 
     entries: dict[int, int] = {0: 1}
     for (name, _, size), w in zip(reps, rep_weights):

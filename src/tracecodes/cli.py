@@ -20,6 +20,7 @@ from .construction import (
     DEFAULT_SEED,
     CodeParams,
     Variant,
+    check_codeword_count_guard,
     derive_params,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
@@ -60,6 +61,7 @@ class RunConfig:
 
 
 def _build_params(cfg: RunConfig) -> CodeParams:
+    check_codeword_count_guard(cfg.p, cfg.m)
     modulus = parse_modulus(cfg.modulus) if cfg.modulus else None
     field = Field(cfg.p, cfg.m, modulus=modulus)
     return CodeParams(field, cfg.N, Variant(cfg.variant))
@@ -102,9 +104,9 @@ def _rows_section(dist: analysis.WeightDistribution) -> list[dict]:
 
 
 def cmd_analyze(cfg: RunConfig) -> tuple[dict, int]:
+    budget = analysis._resolve_budget(cfg.budget)
     params = _build_params(cfg)
     dp = derive_params(params)
-    budget = cfg.budget if cfg.budget is not None else analysis._resolve_budget(None)
 
     method = cfg.method
     if method == "auto":
@@ -280,6 +282,8 @@ def main(argv=None) -> int:
                        or k in ("modulus", "out", "budget")})
     start = time.monotonic()
     try:
+        if cfg.threads < 1:
+            raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
         report, code = _HANDLERS[cfg.command](cfg)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

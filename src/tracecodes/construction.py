@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field
+from .field import Field, power_exceeds
 from .ring import RingElem, big_trace, is_unit, random_element
 
 #: Everything is counted in native 64-bit integers; parameter sets whose
@@ -110,6 +110,20 @@ def coset_representatives(field: Field, N: int, n: int) -> tuple[int, ...]:
     return reps
 
 
+def check_codeword_count_guard(p: int, m: int) -> None:
+    """Refuse (p, m) whose codeword count p^(4m) overflows the 64-bit counters.
+
+    Depends on (p, m) alone, so a caller can run it before building the
+    field and its modulus search.  Its bound, q < 2^15.75, is tighter than
+    the field's table range, which Field checks before its own search.
+    Invalid p or m are left to Field to reject.
+    """
+    if p >= 2 and m >= 1 and power_exceeds(p, 4 * m, CODEWORD_COUNT_GUARD - 1):
+        raise ParameterError(
+            "codeword count p^(4m) exceeds the 64-bit counting guard"
+        )
+
+
 def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
     if isinstance(params, DerivedParams):
         return params
@@ -120,10 +134,7 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
         raise ParameterError("N must be a positive integer")
     if (q - 1) % N != 0:
         raise ParameterError(f"N does not divide p^m - 1 ({N} does not divide {q - 1})")
-    if q**4 >= CODEWORD_COUNT_GUARD:
-        raise ParameterError(
-            "codeword count p^(4m) exceeds the 64-bit counting guard"
-        )
+    check_codeword_count_guard(p, m)
     k = (q - 1) // (p - 1)
     N1 = math.lcm(N, k)
     N2 = math.gcd(N, k)
@@ -178,8 +189,7 @@ def coord_index(params: CodeParams | DerivedParams, x: RingElem) -> int:
     pos0 = {int(c): i for i, c in enumerate(x0s)}
     if x.a not in pos0:
         raise ValueError("element is not in the coordinate set")
-    lex_rank = np.empty(q, dtype=np.int64)
-    lex_rank[dp.field.lex_codes] = np.arange(q)
+    lex_rank = dp.field.lex_rank
     return ((pos0[x.a] * q + int(lex_rank[x.b])) * q + int(lex_rank[x.c])) * q \
         + int(lex_rank[x.d])
 

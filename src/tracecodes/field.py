@@ -175,19 +175,60 @@ def _x_class_order_is_full(poly: list[int], p: int, m: int) -> bool:
     return True
 
 
+def power_exceeds(p: int, m: int, limit: int) -> bool:
+    """p**m > limit for p >= 2, without building p**m when m is huge."""
+    power = 1
+    for _ in range(m):
+        power *= p
+        if power > limit:
+            return True
+    return False
+
+
+def _has_root(poly: list[int], p: int) -> bool:
+    """Whether the constant-first polynomial vanishes at some nonzero residue."""
+    for a in range(1, p):
+        value = 0
+        for c in reversed(poly):
+            value = (value * a + c) % p
+        if value == 0:
+            return True
+    return False
+
+
+def _sieved_candidates(p: int, m: int):
+    """Monic degree-m polynomials in search order, minus those that fail a
+    cheap necessary condition for primitivity: x divides f when c0 = 0; a
+    root of f has norm (-1)^m * c0, which must generate F_p^*; and for
+    m >= 2 a root in F_p makes f reducible."""
+    group = p - 1
+    generators = {g for g in range(1, p)
+                  if all(pow(g, group // ell, p) != 1
+                         for ell in _distinct_prime_factors(group))}
+    sign = -1 if m % 2 else 1
+    for c0 in range(1, p):
+        if (sign * c0) % p not in generators:
+            continue
+        for rest in range(p ** (m - 1)):
+            poly = [c0] + [(rest // p ** (m - 1 - i)) % p for i in range(1, m)] + [1]
+            if m >= 2 and _has_root(poly, p):
+                continue
+            yield poly
+
+
 def first_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically first monic degree-m primitive polynomial over F_p.
 
     Candidates are ordered by their non-leading coefficient vector
-    (c0, ..., c_{m-1}), constant term compared first.  Deterministic, so
-    repeated builds agree bit for bit.
+    (c0, ..., c_{m-1}), constant term compared first.  Candidates that fail
+    a necessary condition (c0 = 0; (-1)^m * c0, the norm of a root, not a
+    primitive root mod p; for m >= 2 a root in F_p) are skipped before the
+    full irreducibility and order tests, which every other candidate gets,
+    so the first modulus found is the same as an unsieved scan's.
+    Deterministic, so repeated builds agree bit for bit.
     """
-    for idx in range(p**m):
-        coeffs = [(idx // p ** (m - 1 - i)) % p for i in range(m)]
-        poly = coeffs + [1]
-        if not is_irreducible(poly, p):
-            continue
-        if _x_class_order_is_full(poly, p, m):
+    for poly in _sieved_candidates(p, m):
+        if is_irreducible(poly, p) and _x_class_order_is_full(poly, p, m):
             return tuple(poly)
     raise ParameterError(f"no primitive polynomial found for p={p}, m={m}")
 
@@ -202,8 +243,9 @@ class Field:
     irreducible; if its indeterminate class is not primitive, xi falls back
     to the smallest code of full multiplicative order.
 
-    p must be an odd prime and m >= 1.  For m = 1 the trace is the
-    identity and codes coincide with residues mod p.
+    p must be an odd prime, m >= 1 and p^m at most DLOG_TABLE_LIMIT; all
+    three are checked before any modulus search.  For m = 1 the trace is
+    the identity and codes coincide with residues mod p.
     """
 
     def __init__(self, p: int, m: int,
@@ -215,6 +257,11 @@ class Field:
             raise ParameterError(f"p = {p} is not prime")
         if m < 1:
             raise ParameterError("extension degree m must be >= 1")
+        if power_exceeds(p, m, DLOG_TABLE_LIMIT):
+            raise ParameterError(
+                f"field size {p}^{m} exceeds the supported table range "
+                f"({DLOG_TABLE_LIMIT}); desk-scale parameters only"
+            )
         self.p = int(p)
         self.m = int(m)
         self.q = p**m
@@ -236,46 +283,34 @@ class Field:
         self._pow_weights = tuple(p**i for i in range(m))
         x_class = _poly_mod([0, 1], list(self.modulus), p)
         x_code = self._encode_list(x_class)
+        self.xi = x_code if xi_is_x else self._find_primitive_code(x_code)
 
-        if self.q > DLOG_TABLE_LIMIT:
-            raise ParameterError(
-                f"field size {self.q} exceeds the supported table range "
-                f"({DLOG_TABLE_LIMIT}); desk-scale parameters only"
-            )
-
-        # exp/log tables: exp[k] = code of xi^k.  Multiplication by the
-        # x-class is a shift-and-reduce, so the primitive-modulus path is
-        # linear per step.
-        if xi_is_x:
-            self.xi = x_code
-            exp = [0] * max(self.order, 1)
-            val = [1] + [0] * (m - 1)
-            for k in range(self.order):
-                exp[k] = self._encode_list(val)
-                val = _poly_mod([0] + val, list(self.modulus), p)
-        else:
-            self.xi = self._find_primitive_code(x_code)
-            xi_list = self._decode_list(self.xi)
-            exp = [0] * max(self.order, 1)
-            val = [1] + [0] * (m - 1)
-            for k in range(self.order):
-                exp[k] = self._encode_list(val)
-                val = _poly_mulmod(val, xi_list, list(self.modulus), p)
-        self._exp = exp
-        log = [-1] * self.q
-        for k, code in enumerate(exp):
-            log[code] = k
-        self._log = log
-
-        self._exp_np = np.asarray(exp, dtype=np.int64)
-        self._log_np = np.asarray(log, dtype=np.int64)
+        # exp/log tables: exp[k] = code of xi^k.  Row i of `step` is the
+        # coefficient vector of x^i * xi, so a row vector times `step` is
+        # that element times xi; powers come by doubling, about log2(q)
+        # matrix products mod p.
+        mod = list(self.modulus)
+        xi_list = self._decode_list(self.xi)
+        step = np.array([_poly_mulmod([0] * i + [1], xi_list, mod, p) for i in range(m)],
+                        dtype=np.int64)
+        powers = np.zeros((1, m), dtype=np.int64)
+        powers[0, 0] = 1
+        while len(powers) < self.order:
+            more = powers[:self.order - len(powers)] @ step % p
+            powers = np.concatenate([powers, more])
+            step = step @ step % p
+        weights = np.asarray(self._pow_weights, dtype=np.int64)
+        self._exp_np = powers @ weights
+        self._log_np = np.full(self.q, -1, dtype=np.int64)
+        self._log_np[self._exp_np] = np.arange(self.order)
+        self._exp = self._exp_np.tolist()
+        self._log = self._log_np.tolist()
 
         codes = np.arange(self.q, dtype=np.int64)
         digits = np.empty((self.q, m), dtype=np.int64)
         for i in range(m):
             digits[:, i] = (codes // p**i) % p
         self._digits_np = digits
-        weights = np.asarray(self._pow_weights, dtype=np.int64)
         self._neg_np = ((p - digits) % p) @ weights
         self._neg = self._neg_np.tolist()
 
@@ -304,6 +339,7 @@ class Field:
         self._mul_table_np: np.ndarray | None = None
         self._trmul_flat_np: np.ndarray | None = None
         self._lex_codes_np: np.ndarray | None = None
+        self._lex_rank_np: np.ndarray | None = None
         self._prime_subfield: Field | None = None
 
     # -- identification ----------------------------------------------------
@@ -441,11 +477,19 @@ class Field:
         return self._prime_subfield
 
     @property
+    def lex_rank(self) -> np.ndarray:
+        """Position of each code in the order of `lex_codes`: the code with
+        its digits reversed, so the constant term is the most significant."""
+        if self._lex_rank_np is None:
+            reversed_weights = np.asarray(self._pow_weights[::-1], dtype=np.int64)
+            self._lex_rank_np = self._digits_np @ reversed_weights
+        return self._lex_rank_np
+
+    @property
     def lex_codes(self) -> np.ndarray:
         """All codes sorted by coefficient vector, constant term compared first."""
         if self._lex_codes_np is None:
-            order = sorted(range(self.q), key=self.coeffs)
-            self._lex_codes_np = np.asarray(order, dtype=np.int64)
+            self._lex_codes_np = np.argsort(self.lex_rank)
         return self._lex_codes_np
 
     @property
@@ -543,11 +587,6 @@ class MultChar:
             raise ValueError("multiplicative characters are undefined at zero")
         k = self.field.dlog(x)
         return cmath.exp(2j * cmath.pi * self.index * k / self.order)
-
-
-def additive_char_values(field: Field) -> np.ndarray:
-    """eta^trace(x) for every code x, with eta = exp(2*pi*i/p)."""
-    return np.exp(2j * np.pi * field.trace_table.astype(np.float64) / field.p)
 
 
 def gauss_sum(field: Field, j: int, order: int) -> complex:

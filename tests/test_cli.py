@@ -174,3 +174,31 @@ def test_prediction_mismatch_exit_code(tmp_path, monkeypatch):
     )
     assert code == 1
     assert report["comparison"]["ok"] is False
+
+
+@pytest.mark.parametrize("extra,env", [
+    (["--threads", "0"], None),
+    (["--budget", "-1"], None),
+    (["--method", "class", "--samples", "0"], None),
+    ([], "abc"),
+])
+def test_bad_input_exits_two_with_one_line_error(extra, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("TRACECODES_WORK_BUDGET", env)
+    code = main(["analyze", "-p", "3", "-m", "2", "-N", "1", "--threads", "1", *extra])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("p,m", [(5, 7), (3, 13)])
+def test_size_guard_refuses_before_any_search(p, m, monkeypatch, capsys):
+    from tracecodes import field
+
+    def no_search(*args):
+        raise AssertionError("modulus search ran before the size guard")
+
+    monkeypatch.setattr(field, "first_primitive_modulus", no_search)
+    code = main(["analyze", "-p", str(p), "-m", str(m), "--threads", "1"])
+    assert code == 2
+    assert "exceeds the 64-bit counting guard" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from tracecodes import (
     gauss_sum,
     parse_modulus,
 )
-from tracecodes.field import first_primitive_modulus, is_irreducible
+from tracecodes.field import _x_class_order_is_full, first_primitive_modulus, is_irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +78,90 @@ def test_first_primitive_modulus_search_is_exactly_first():
     found = first_primitive_modulus(3, 2)
     assert found == (2, 1, 1)
     assert is_irreducible(list(found), 3)
+
+
+def _unsieved_first_primitive(p, m):
+    # Reference: every candidate in search order gets the full tests.
+    for idx in range(p**m):
+        poly = [(idx // p ** (m - 1 - i)) % p for i in range(m)] + [1]
+        if is_irreducible(poly, p) and _x_class_order_is_full(poly, p, m):
+            return tuple(poly)
+    raise AssertionError("no primitive polynomial")
+
+
+SEARCH_GRID = [(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, 8) if p**m <= 2200]
+
+
+@pytest.mark.parametrize("p,m", SEARCH_GRID)
+def test_sieved_search_equals_unsieved_scan(p, m):
+    assert first_primitive_modulus(p, m) == _unsieved_first_primitive(p, m)
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 9, (1, 0, 0, 0, 0, 0, 2, 1, 0, 1)),
+    (5, 6, (2, 0, 0, 0, 0, 1, 1)),
+    (5, 7, (2, 0, 0, 0, 0, 0, 1, 1)),
+    (3, 10, (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)),
+])
+def test_pinned_moduli(p, m, modulus):
+    assert first_primitive_modulus(p, m) == modulus
+
+
+def _mulmod(a, b, mod, p):
+    m = len(mod) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(len(prod) - 1, m - 1, -1):
+        c = prod[i] % p
+        for j in range(m + 1):
+            prod[i - m + j] -= c * mod[j]
+    return [c % p for c in prod[:m]]
+
+
+def _reference_tables(f):
+    """exp, log, trace and lex tables by plain polynomial arithmetic."""
+    p, m, q, mod = f.p, f.m, f.q, list(f.modulus)
+
+    def code(poly):
+        return sum(c * p**i for i, c in enumerate(poly))
+
+    exp, val = [], [1] + [0] * (m - 1)
+    for _ in range(q - 1):
+        exp.append(code(val))
+        val = _mulmod(val, list(f.coeffs(f.xi)), mod, p)
+    log = [-1] * q
+    for k, c in enumerate(exp):
+        log[c] = k
+    trace = []
+    for x in range(q):
+        conj = list(f.coeffs(x))
+        total = conj
+        for _ in range(m - 1):
+            power = [1] + [0] * (m - 1)
+            for _ in range(p):
+                power = _mulmod(power, conj, mod, p)
+            conj = power
+            total = [(s + c) % p for s, c in zip(total, conj)]
+        assert not any(total[1:])
+        trace.append(total[0])
+    lex = sorted(range(q), key=f.coeffs)
+    return exp, log, trace, lex
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 1, None), (11, 1, None), (3, 2, None), (5, 2, None), (3, 3, None),
+    (7, 2, None), (3, 4, None), (5, 3, None), (3, 2, (1, 0, 1)),
+])
+def test_tables_match_python_reference(p, m, modulus):
+    f = Field(p, m, modulus=modulus)
+    exp, log, trace, lex = _reference_tables(f)
+    assert f._exp == exp
+    assert f._log == log
+    assert f.trace_table.tolist() == trace
+    assert f.lex_codes.tolist() == lex
+    assert f.lex_rank[f.lex_codes].tolist() == list(range(f.q))
 
 
 def test_modulus_record_roundtrip(f9):
