@@ -1,13 +1,15 @@
 """Exact Lee-weight distributions, table predictions and character-sum checks.
 
-Weights are always computed by exact counting: one pass over the coordinate
-stream per codeword, accumulating the number of nonzero Gray symbols.  The
-vectorized kernel reduces each coordinate to the four traces
-(t1, t2, t3, t4) of the product coordinates and looks the Gray nonzero
-count up in a table indexed by them; it is bit-identical to streaming
-symbols one by one (the tests pin this).  Character sums (theta, Gaussian
+Weights are always computed by exact counting of the zero Gray symbols.
+The coordinate set is a product X0 x F_q x F_q x F_q and each Gray symbol
+is a sum of one trace term per axis, so the kernel counts residues along
+each axis and combines the four counts by cyclic convolution over Z/p,
+O(n0 + q + p^2) work per codeword for n0 * q^3 coordinates.  It
+is bit-identical to a per-coordinate count and to streaming symbols one by
+one (the tests keep both as oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
-floating point.
+floating point, and the Gray symbol histograms behind them are counted
+coordinate by coordinate, independently of the kernel.
 
 Three ways to obtain a distribution:
 
@@ -28,7 +30,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,61 +51,70 @@ from .ring import RingElem, lee_weight, scale
 #: (codeword count times coordinate count).
 DEFAULT_WORK_BUDGET = 10**10
 
-_R_CHUNK = 512
-_COORD_BLOCK = 4096
+#: Rows per kernel chunk are chosen so that no temporary exceeds about this
+#: many entries (the largest are rows x p x p and rows x q).
+_CHUNK_ENTRIES = 2**21
 
 
 # ---------------------------------------------------------------------------
 # Weight kernel
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gray_nonzero_table(p: int):
-    """Nonzero-symbol count of the Gray image, indexed by the four raw
-    (unreduced) trace sums; returns (flat table, strides)."""
-    s1, s2, s3, s4 = p, 2 * p - 1, 2 * p - 1, 4 * p - 3
-    t1, t2, t3, t4 = np.ogrid[0:s1, 0:s2, 0:s3, 0:s4]
-    g1 = t4 % p
-    g2 = (t3 + t4) % p
-    g3 = (t2 + t4) % p
-    g4 = (t1 + t2 + t3 + t4) % p
-    nz = ((g1 != 0).astype(np.int8) + (g2 != 0) + (g3 != 0) + (g4 != 0))
-    return np.ascontiguousarray(nz, dtype=np.int8).ravel(), (s2 * s3 * s4, s3 * s4, s4)
+def _residue_counts(values: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise counts of each residue mod p: (rows, k) -> (rows, p) int64."""
+    offsets = np.arange(len(values), dtype=np.int64)[:, None] * p
+    flat = (values % p + offsets).ravel()
+    return np.bincount(flat, minlength=len(values) * p).reshape(-1, p)
 
 
-def _weights_serial(dp: DerivedParams, rows: np.ndarray,
-                    r_chunk: int = _R_CHUNK,
-                    coord_block: int = _COORD_BLOCK) -> np.ndarray:
-    """Exact Lee weights for each codeword row (a, b, c, d); int64 array."""
-    field = dp.field
-    q = dp.q
-    T = field.trmul_flat
-    nz, (sa, sb, sc) = _gray_nonzero_table(dp.p)
+def _cyclic_convolve(h: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise cyclic convolution over Z/p of two (rows, p) count arrays:
+    out[r, s] counts the pairs (i, j) with i + j = s mod p."""
+    k = np.arange(p)
+    shifted = g[:, (k[:, None] - k[None, :]) % p]  # shifted[r, s, i] = g[r, s - i]
+    return np.einsum("ri,rsi->rs", h, shifted)
+
+
+def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
+    """Exact Lee weights for each codeword row (a, b, c, d); int64 array.
+
+    A coordinate is x = x0 + x1*u + x2*v + x3*uv with x0 in the base set
+    (or all units) and x1, x2, x3 free in F_q, and each Gray symbol of
+    Tr(r*x) is, mod p, a sum of one trace term per axis:
+
+        symbol        x0 term            x1 term        x2 term        x3
+        t4            Tr(d x0)           Tr(c x1)       Tr(b x2)       Tr(a x3)
+        t3+t4         Tr((c+d) x0)       Tr(c x1)       Tr((a+b) x2)   Tr(a x3)
+        t2+t4         Tr((b+d) x0)       Tr((a+c) x1)   Tr(b x2)       Tr(a x3)
+        t1+t2+t3+t4   Tr((a+b+c+d) x0)   Tr((a+c) x1)   Tr((a+b) x2)   Tr(a x3)
+
+    Over the product set the symbol's value counts are the cyclic
+    convolution of the four per-axis residue counts, which are counted from
+    the trace table, so each row costs O(n0 + q + p^2).  The weight is
+    4 * length minus the zero symbols.
+    """
+    p, q = dp.p, dp.q
+    tr_mul = dp.field.trmul_flat.reshape(q, q)  # tr_mul[y, x] = Tr(y*x)
+    base = dp.x0_codes()
+    negate = (-np.arange(p)) % p
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     out = np.empty(len(rows), dtype=np.int64)
-    for lo in range(0, len(rows), r_chunk):
-        chunk = rows[lo:lo + r_chunk] * q
-        r0 = chunk[:, 0:1]
-        r1 = chunk[:, 1:2]
-        r2 = chunk[:, 2:3]
-        r3 = chunk[:, 3:4]
-        acc = np.zeros(len(chunk), dtype=np.int64)
-        for x0, x1, x2, x3 in coord_blocks(dp, block_size=coord_block):
-            t1 = T[r0 + x0]
-            t2 = T[r0 + x1] + T[r1 + x0]
-            t3 = T[r0 + x2] + T[r2 + x0]
-            t4 = T[r0 + x3] + T[r1 + x2] + T[r2 + x1] + T[r3 + x0]
-            idx = t1.astype(np.int32)
-            idx *= sa
-            tmp = t2.astype(np.int32)
-            tmp *= sb
-            idx += tmp
-            tmp = t3.astype(np.int32)
-            tmp *= sc
-            idx += tmp
-            idx += t4
-            acc += nz[idx].sum(axis=1, dtype=np.int64)
-        out[lo:lo + len(chunk)] = acc
+    chunk_rows = max(1, _CHUNK_ENTRIES // max(p * p, q))
+    for lo in range(0, len(rows), chunk_rows):
+        chunk = rows[lo:lo + chunk_rows]
+        ta0, tb0, tc0, td0 = (tr_mul[chunk[:, i:i + 1], base] for i in range(4))
+        ta, tb, tc = (tr_mul[chunk[:, i]] for i in range(3))
+        h3 = _residue_counts(ta, p)[:, negate]
+        h1_c, h1_ac = _residue_counts(tc, p), _residue_counts(ta + tc, p)
+        h2_b, h2_ab = _residue_counts(tb, p), _residue_counts(ta + tb, p)
+        zeros = np.zeros(len(chunk), dtype=np.int64)
+        for t0, h1, h2 in ((td0, h1_c, h2_b),
+                           (tc0 + td0, h1_c, h2_ab),
+                           (tb0 + td0, h1_ac, h2_b),
+                           (ta0 + tb0 + tc0 + td0, h1_ac, h2_ab)):
+            h012 = _cyclic_convolve(_cyclic_convolve(_residue_counts(t0, p), h1, p), h2, p)
+            zeros += (h012 * h3).sum(axis=1)
+        out[lo:lo + len(chunk)] = 4 * dp.length - zeros
     return out
 
 

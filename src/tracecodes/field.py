@@ -328,14 +328,10 @@ class Field:
         if m > 1 and acc[:, 1:].any():
             raise AssertionError("trace escaped the prime subfield")
         self._frob_np = frob
-        self._trace_np = acc[:, 0].astype(np.int8)
+        self._trace_np = acc[:, 0].astype(np.int32)
         self._trace = self._trace_np.tolist()
 
         self._add_flat: list[int] | None = None
-        if self.q <= _ADD_TABLE_LIMIT:
-            sums = (digits[:, None, :] + digits[None, :, :]) % p
-            self._add_flat = (sums @ weights).ravel().tolist()
-
         self._mul_table_np: np.ndarray | None = None
         self._trmul_flat_np: np.ndarray | None = None
         self._lex_codes_np: np.ndarray | None = None
@@ -383,7 +379,12 @@ class Field:
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_flat is not None:
+        if self.q <= _ADD_TABLE_LIMIT:
+            if self._add_flat is None:
+                digits = self._digits_np
+                sums = (digits[:, None, :] + digits[None, :, :]) % self.p
+                weights = np.asarray(self._pow_weights, dtype=np.int64)
+                self._add_flat = (sums @ weights).ravel().tolist()
             return self._add_flat[a * self.q + b]
         p = self.p
         out = 0

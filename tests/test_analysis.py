@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,9 @@ from tracecodes import (
     theta_of_vector,
     verify_identities,
 )
-from tracecodes import analysis, ring
+from tracecodes import Field, analysis, ring
 from tracecodes.analysis import lee_weight_by_streaming, lee_weights_bulk
+from tracecodes.construction import coord_blocks
 from tracecodes.ring import random_element, scale
 
 
@@ -55,6 +58,73 @@ def test_kernel_matches_streamed_reference(f9):
         for _ in range(4):
             r = random_element(f9, rng)
             assert codeword_lee_weight(r, cp) == lee_weight_by_streaming(r, cp)
+
+
+# ---------------------------------------------------------------------------
+# the factored kernel against the per-coordinate oracle
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _gray_nonzero_table(p):
+    """Nonzero-symbol count of the Gray image, indexed by the four raw
+    (unreduced) trace sums; returns (flat table, strides)."""
+    s1, s2, s3, s4 = p, 2 * p - 1, 2 * p - 1, 4 * p - 3
+    t1, t2, t3, t4 = np.ogrid[0:s1, 0:s2, 0:s3, 0:s4]
+    g1 = t4 % p
+    g2 = (t3 + t4) % p
+    g3 = (t2 + t4) % p
+    g4 = (t1 + t2 + t3 + t4) % p
+    nz = ((g1 != 0).astype(np.int8) + (g2 != 0) + (g3 != 0) + (g4 != 0))
+    return np.ascontiguousarray(nz, dtype=np.int8).ravel(), (s2 * s3 * s4, s3 * s4, s4)
+
+
+def _reference_weights(dp, rows):
+    """Oracle: visit every coordinate of every codeword, reduce it to the
+    four traces (t1, t2, t3, t4) and look its Gray nonzero count up."""
+    q = dp.q
+    T = dp.field.trmul_flat.astype(np.int32)
+    nz, (sa, sb, sc) = _gray_nonzero_table(dp.p)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+    out = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), 512):
+        chunk = rows[lo:lo + 512] * q
+        r0, r1, r2, r3 = (chunk[:, i:i + 1] for i in range(4))
+        acc = np.zeros(len(chunk), dtype=np.int64)
+        for x0, x1, x2, x3 in coord_blocks(dp, block_size=4096):
+            t1 = T[r0 + x0]
+            t2 = T[r0 + x1] + T[r1 + x0]
+            t3 = T[r0 + x2] + T[r2 + x0]
+            t4 = T[r0 + x3] + T[r1 + x2] + T[r2 + x1] + T[r3 + x0]
+            acc += nz[t1 * sa + t2 * sb + t3 * sc + t4].sum(axis=1, dtype=np.int64)
+        out[lo:lo + len(chunk)] = acc
+    return out
+
+
+def _grid_rows(q, count, seed):
+    """Every codeword row when count is None; otherwise `count` seeded rows,
+    half of them in the maximal ideal and a quarter on the uv-line."""
+    if count is None:
+        return analysis._all_codeword_rows(q)
+    rows = np.random.default_rng(seed).integers(0, q, size=(count, 4))
+    rows[:count // 2, 0] = 0
+    rows[:count // 4, 1:3] = 0
+    rows[0] = 0
+    return rows
+
+
+@pytest.mark.parametrize("p,m,N,variant,count", [
+    (3, 1, 1, "lift", None), (3, 1, 1, "units", None), (5, 1, 1, "lift", None),
+    (5, 1, 2, "units", None), (7, 1, 3, "lift", None),
+    (3, 2, 1, "lift", None), (3, 2, 2, "lift", None), (3, 2, 4, "lift", None),
+    (3, 2, 1, "units", 1000), (11, 1, 1, "lift", 3000), (11, 1, 1, "units", 500),
+    (5, 2, 3, "lift", 24), (5, 2, 3, "units", 12), (3, 3, 1, "lift", 24),
+    (3, 3, 13, "lift", 60), (7, 2, 4, "lift", 24),
+])
+def test_kernel_matches_per_coordinate_oracle(p, m, N, variant, count):
+    dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
+    rows = _grid_rows(dp.q, count, seed=p * 100 + m * 10 + N)
+    assert np.array_equal(analysis._weights_serial(dp, rows),
+                          _reference_weights(dp, rows))
 
 
 def test_bulk_weights_parallel_merge(f9):
@@ -216,6 +286,17 @@ def test_identity_suite_passes(f9):
     assert rep.residuals["full_additive_sum"] < 1e-9
     assert rep.residuals["gauss_sum_trivial"] < 1e-6
     assert rep.residuals["real_part_collapse"] < 1e-6  # p = 3 mod 4 branch
+
+
+def test_identity_suite_measures_the_kernel(f9, monkeypatch):
+    # the character-sum side must not share the kernel, or a wrong kernel
+    # would agree with itself
+    real = analysis._weights_serial
+    monkeypatch.setattr(analysis, "_weights_serial",
+                        lambda dp, rows: real(dp, rows) + 4)
+    rep = verify_identities(CodeParams(f9, 1), trials=5)
+    assert not rep.ok
+    assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
 
 
 def test_identity_suite_skips_real_part_for_p_one_mod_four(f25):

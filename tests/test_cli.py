@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +207,26 @@ def test_size_guard_refuses_before_any_search(p, m, monkeypatch, capsys):
     code = main(["analyze", "-p", str(p), "-m", str(m), "--threads", "1"])
     assert code == 2
     assert "exceeds the 64-bit counting guard" in capsys.readouterr().err
+
+
+def test_large_prime_stays_within_one_gib():
+    """analyze at p = 131 in a child limited to 1 GiB of address space: no
+    table may grow with p^4 (an earlier kernel asked for 34.6 GiB here)."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    # single-threaded BLAS, so its per-thread buffers do not scale with the host
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-m", "tracecodes.cli", "analyze", "-p", "131", "-m", "1",
+         "--threads", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=limit_address_space)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    report = json.loads(out.stdout)
+    rows = {r["weight"]: r["frequency"] for r in report["rows"]}
+    assert rows == {0: 1, 8923720: 294499790, 8992364: 130}
+    assert report["comparison"]["ok"] is True

@@ -219,6 +219,14 @@ def test_trace_identity_for_prime_field(f3):
     assert [f3.trace(x) for x in range(3)] == [0, 1, 2]
 
 
+def test_trace_does_not_wrap_above_p_127():
+    f = Field(131, 1)
+    assert f.trace(130) == 130
+    assert f.trace_table.tolist() == list(range(131))
+    tm = f.trmul_flat
+    assert tm.min() == 0 and tm.max() == 130
+
+
 # ---------------------------------------------------------------------------
 # discrete logs
 # ---------------------------------------------------------------------------
@@ -361,6 +369,14 @@ def test_count_matches_character_expansion(f9):
         phi = MultChar(f9, order=2)
         rhs = dp.n + (gsums[0] + gsums[1] * phi(b)) / 2
         assert abs(lhs - rhs) < 1e-6
+
+
+def test_addition_table_is_built_on_first_add():
+    f = Field(3, 6)
+    assert f._add_flat is None
+    codes = np.arange(f.q)
+    assert [f.add(int(x), 5) for x in codes] == f.add_codes(codes, 5).tolist()
+    assert f._add_flat is not None
 
 
 def test_vectorized_addition_matches_scalar(f25):
