@@ -74,7 +74,6 @@ from .ring import (
     is_unit,
     lee_weight,
     ring_inv,
-    ring_mul,
 )
 
 __version__ = "0.1.0"

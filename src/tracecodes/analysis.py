@@ -9,7 +9,8 @@ is bit-identical to a per-coordinate count and to streaming symbols one by
 one (the tests keep both as oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
 floating point, and the Gray symbol histograms behind them are counted
-coordinate by coordinate, independently of the kernel.
+coordinate by coordinate from construction.gray_symbols, independently of
+the kernel.
 
 Three ways to obtain a distribution:
 
@@ -38,13 +39,13 @@ from .construction import (
     CodeParams,
     DerivedParams,
     Variant,
-    coord_blocks,
     derive_params,
     evaluate,
+    gray_symbols,
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
-from .field import Field, gauss_sum
+from .field import Field, count_zero_traces, gauss_sum
 from .ring import RingElem, lee_weight, scale
 
 #: Default ceiling on exhaustive work, in entry-operations
@@ -390,18 +391,9 @@ def gray_symbol_histogram(r: RingElem, params: CodeParams | DerivedParams) -> np
     """Counts of each prime-field value among the Gray symbols of the
     codeword of r; length-p int64 array summing to the Gray length."""
     dp = derive_params(params)
-    field = dp.field
-    p, q = dp.p, dp.q
-    T = field.trmul_flat
-    r0, r1, r2, r3 = (np.int64(c) * q for c in r.coords())
-    hist = np.zeros(p, dtype=np.int64)
-    for x0, x1, x2, x3 in coord_blocks(dp, block_size=1 << 14):
-        t1 = T[r0 + x0]
-        t2 = T[r0 + x1] + T[r1 + x0]
-        t3 = T[r0 + x2] + T[r2 + x0]
-        t4 = T[r0 + x3] + T[r1 + x2] + T[r2 + x1] + T[r3 + x0]
-        for g in (t4 % p, (t3 + t4) % p, (t2 + t4) % p, (t1 + t2 + t3 + t4) % p):
-            hist += np.bincount(g, minlength=p)
+    hist = np.zeros(dp.p, dtype=np.int64)
+    for block in gray_symbols(r, dp):
+        hist += np.bincount(block.ravel(), minlength=dp.p)
     return hist
 
 
@@ -421,8 +413,11 @@ def theta(r: RingElem, params: CodeParams | DerivedParams) -> complex:
     return complex(hist @ eta_pow)
 
 
-def lee_weight_from_theta(r: RingElem, params: CodeParams | DerivedParams) -> float:
-    """Cross-check value ((p-1)*s - sum over tau of theta(tau*r)) / p."""
+def lee_weight_from_theta(r: RingElem,
+                          params: CodeParams | DerivedParams) -> tuple[float, float]:
+    """Cross-check value ((p-1)*s - sum over tau of theta(tau*r)) / p,
+    returned with the absolute imaginary part of the tau sum (0 up to
+    rounding) as (value, imag)."""
     dp = derive_params(params)
     p, s = dp.p, dp.gray_length
     tau_sum = sum(theta(scale(r, tau), dp) for tau in range(1, p))
@@ -474,12 +469,8 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
 
     # zero-trace count vs Gaussian-sum expansion, every nonzero b
     gsums = [gauss_sum(field, j, dp.N2) for j in range(dp.N2)]
-    tr = field.trace_table
     for b in range(1, q):
-        count = 0
-        for d in dp.base_set:
-            if tr[field.mul(b, d)] == 0:
-                count += 1
+        count = count_zero_traces(field, b, dp.base_set)
         k = field.dlog(b)
         rhs = dp.n + sum(
             gsums[j] * np.exp(2j * np.pi * j * k / dp.N2) for j in range(dp.N2)
@@ -511,6 +502,7 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
         record("weight_vs_character_sum", abs(w - value) + imag, {"r": r.coords()})
 
     # the full additive sum vanishes for every nonzero multiplier
+    tr = field.trace_table
     mul_table = field.mul_table
     eta_pow = np.exp(2j * np.pi * np.arange(p) / p)
     for z in range(1, q):

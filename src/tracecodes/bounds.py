@@ -9,8 +9,14 @@ base ring is orthogonal to every codeword exactly when the ring sum of
 y_x * x over the coordinate set is zero.  (The coordinatewise trace is
 linear over the base ring and nondegenerate, so orthogonality to every
 evaluation collapses to one ring equation.)  Weight 1 is impossible
-outright because every coordinate is a unit; weight 2 is searched by
-solving the two-coordinate syndrome equation.
+outright because every coordinate is a unit.  Weight 2 is always reached at
+coordinate 0: a pair alpha*x + beta*x' has zero syndrome exactly when
+x' = lam*x with lam = -beta^-1*alpha, and the first coordinate x always
+has such an x' in the coordinate set.  For the lift, alpha and beta with
+Gray images (1, 0, 0, 0) and (0, 1, 0, 0) give lam = 1 - u, which keeps
+the constant coordinate of x; for the units, alpha = beta gives lam = -1.
+So the dual Lee distance is 2 for both variants, and the witness is built
+at coordinate 0 instead of searched for.
 """
 
 from __future__ import annotations
@@ -21,12 +27,10 @@ from dataclasses import dataclass
 from .construction import (
     CodeParams,
     DerivedParams,
-    Variant,
     contains,
     coord_at,
     coord_index,
     derive_params,
-    enumerate_coords,
 )
 from .errors import ParameterError
 from .ring import (
@@ -170,11 +174,13 @@ def dual_lee_distance(params: CodeParams | DerivedParams, cap: int = 3) -> DualD
     Weight 1 (and the single-coordinate slice of weight 2) is impossible:
     every coordinate is a unit, and a unit times a unit is a unit, which
     the search certifies by checking all 4(p-1) Lee-weight-1 values are
-    units.  The weight-2 search walks coordinates x and ordered pairs
-    (alpha, beta) of Lee-weight-1 values, testing whether
-    x' = -beta^-1 * alpha * x stays in the coordinate set.  A returned
-    witness is re-verified: its syndrome is recomputed and must vanish, and
-    its Lee weight must equal the reported distance.
+    units.  Weight 2 needs no search over coordinates: with x the
+    coordinate at index 0, the ordered pairs (alpha, beta) of Lee-weight-1
+    values are scanned for the first one whose x' = -beta^-1 * alpha * x
+    is a second coordinate.  One always exists (see the module docstring),
+    so failing to find it is an AssertionError.  The witness is
+    re-verified: its syndrome is recomputed and must vanish, and its Lee
+    weight must equal 2.
     """
     if cap not in (2, 3):
         raise ParameterError("only caps 2 and 3 are supported")
@@ -191,29 +197,26 @@ def dual_lee_distance(params: CodeParams | DerivedParams, cap: int = 3) -> DualD
         return DualDistanceResult(distance=None, lower_bound=2, witness=None,
                                   verified=False)
 
-    lift_base = set(dp.base_set)
-    pair_data = []
+    x = coord_at(dp, 0)
     for alpha, beta in itertools.product(ones, repeat=2):
         lam = -(ring_inv(_embed(field, beta)) * _embed(field, alpha))
         if lam.coords() == (1, 0, 0, 0):
             continue  # collapses both coordinates onto one
-        pair_data.append((alpha, beta, lam))
-
-    for x in enumerate_coords(dp):
-        for alpha, beta, lam in pair_data:
-            x_prime = lam * x
-            if dp.variant is Variant.LIFT and x_prime.a not in lift_base:
-                continue
-            support = ((coord_index(dp, x), alpha), (coord_index(dp, x_prime), beta))
-            sigma = syndrome(dp, support)
-            weight = lee_weight(alpha) + lee_weight(beta)
-            if sigma or weight != 2:
-                raise AssertionError("weight-2 witness failed re-verification")
-            witness = tuple((idx, val.coords()) for idx, val in support)
-            return DualDistanceResult(distance=2, lower_bound=2,
-                                      witness=witness, verified=True)
-    return DualDistanceResult(distance=None, lower_bound=3, witness=None,
-                              verified=False)
+        x_prime = lam * x
+        if not contains(dp, x_prime):
+            continue
+        support = ((0, alpha), (coord_index(dp, x_prime), beta))
+        sigma = syndrome(dp, support)
+        weight = lee_weight(alpha) + lee_weight(beta)
+        if sigma or weight != 2:
+            raise AssertionError("weight-2 witness failed re-verification")
+        witness = tuple((idx, val.coords()) for idx, val in support)
+        return DualDistanceResult(distance=2, lower_bound=2,
+                                  witness=witness, verified=True)
+    raise AssertionError(
+        "no Lee-weight-2 dual witness at coordinate 0: a scaling lam = 1 - u "
+        "(lift) or lam = -1 (units) should keep it in the coordinate set"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,12 @@ def minimality_check(dist, p: int, dual_distance: int | None = None) -> SssVerdi
     """Ratio test p*w_min > (p-1)*w_max on the nonzero weights; when it
     passes, the access structure is read off the companion dual distance
     (2 means every user sits in every coalition, >= 3 means users are
-    interchangeable)."""
+    interchangeable).
+
+    For these codes dual_lee_distance always returns 2 (see the module
+    docstring), so with that distance the verdict is "dictatorial" whenever
+    the ratio test passes and "undetermined" otherwise.
+    """
     entries = dist.nonzero() if hasattr(dist, "nonzero") else {
         w: f for w, f in dict(dist).items() if w != 0
     }

@@ -14,9 +14,7 @@ ring symbol per coordinate.  Coordinates are streamed in a fixed order
 (constant coordinate first through D or through xi-powers, then each
 nilpotent coordinate ascending in coefficient-vector lexicographic order)
 so exports are reproducible; weight data never depends on the order.
-
-Streams are restartable and partitionable: worker k of w takes the k-th
-contiguous stripe of the fixed order, and all consumers merge associatively.
+Streams are restartable: blocks are decoded from flat stream positions.
 """
 
 from __future__ import annotations
@@ -204,25 +202,18 @@ def contains(params: CodeParams | DerivedParams, x: RingElem) -> bool:
     return x.a in set(dp.base_set)
 
 
-def coord_blocks(params: CodeParams | DerivedParams,
-                 block_size: int = 1 << 14,
-                 part: tuple[int, int] = (0, 1)):
-    """Yield (X0, X1, X2, X3) int64 code arrays covering one worker's stripe.
+def coord_blocks(params: CodeParams | DerivedParams, block_size: int = 1 << 14):
+    """Yield (X0, X1, X2, X3) int64 code arrays covering the stream in order.
 
-    part = (k, w) selects the k-th of w contiguous stripes of the stream;
-    blocks are decoded from flat positions, so nothing is materialized
+    Blocks are decoded from flat positions, so nothing is materialized
     beyond one block.
     """
     dp = derive_params(params)
     q = dp.q
-    k, w = part
-    lo = dp.length * k // w
-    hi = dp.length * (k + 1) // w
     x0s = dp.x0_codes()
     lex = dp.field.lex_codes
-    for start in range(lo, hi, block_size):
-        stop = min(start + block_size, hi)
-        flat = np.arange(start, stop, dtype=np.int64)
+    for start in range(0, dp.length, block_size):
+        flat = np.arange(start, min(start + block_size, dp.length), dtype=np.int64)
         i0, rest = np.divmod(flat, q**3)
         i1, rest = np.divmod(rest, q**2)
         i2, i3 = np.divmod(rest, q)
@@ -240,42 +231,44 @@ def evaluate(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[RingEl
         yield big_trace(r * x)
 
 
-def gray_symbols(r: RingElem, params: CodeParams | DerivedParams,
-                 block_size: int = 1 << 14) -> Iterator[np.ndarray]:
-    """Stream the Gray image of the codeword of r as (block, 4) uint8 arrays.
+def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np.ndarray]:
+    """Stream the Gray image of the codeword of r as (block, 4) integer
+    arrays with entries in [0, p).
 
     Symbol order inside a coordinate follows the Gray map output
-    (d, c+d, b+d, a+b+c+d) applied to the traced entry.
+    (d, c+d, b+d, a+b+c+d) applied to the traced entry.  This is the one
+    place that evaluates the four trace terms coordinate by coordinate.
     """
     dp = derive_params(params)
-    field = dp.field
     p, q = dp.p, dp.q
-    T = field.trmul_flat
-    r0, r1, r2, r3 = (np.int64(c) * q for c in r.coords())
-    for X0, X1, X2, X3 in coord_blocks(dp, block_size=block_size):
-        t1 = T[r0 + X0].astype(np.int16)
-        t2 = T[r0 + X1] + T[r1 + X0]
-        t3 = T[r0 + X2] + T[r2 + X0]
-        t4 = T[r0 + X3] + T[r1 + X2] + T[r2 + X1] + T[r3 + X0]
-        out = np.empty((len(X0), 4), dtype=np.uint8)
-        out[:, 0] = t4 % p
-        out[:, 1] = (t3 + t4) % p
-        out[:, 2] = (t2 + t4) % p
-        out[:, 3] = (t1 + t2 + t3 + t4) % p
-        yield out
+    # row c of the trace-product table is x -> trace(c*x)
+    T0, T1, T2, T3 = (dp.field.trmul_flat.reshape(q, q)[c] for c in r.coords())
+    for X0, X1, X2, X3 in coord_blocks(dp):
+        t1 = T0[X0]
+        t2 = T0[X1] + T1[X0]
+        t3 = T0[X2] + T2[X0]
+        t4 = T0[X3] + T1[X2] + T2[X1] + T3[X0]
+        yield np.stack([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4], axis=1) % p
 
 
 def export_gray_words(params: CodeParams | DerivedParams, rs, path) -> tuple[str, str]:
     """Write Gray-mapped codewords as flat binary (one byte per symbol, one
     row per codeword) plus a JSON sidecar pinning the parameters and the
-    ordering version tag.  Returns (data_path, sidecar_path)."""
+    ordering version tag.  Returns (data_path, sidecar_path).
+
+    A byte holds symbols up to 255, so p > 256 is refused.
+    """
     dp = derive_params(params)
+    if dp.p > 256:
+        raise ParameterError(
+            "Gray-word export writes one byte per symbol; p > 256 does not fit"
+        )
     rs = list(rs)
     path = str(path)
     with open(path, "wb") as fh:
         for r in rs:
             for block in gray_symbols(r, dp):
-                fh.write(block.tobytes())
+                fh.write(block.astype(np.uint8).tobytes())
     sidecar = {
         "p": dp.p,
         "m": dp.m,

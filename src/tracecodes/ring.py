@@ -110,10 +110,6 @@ def uv(field: Field) -> RingElem:
     return RingElem(field, 0, 0, 0, 1)
 
 
-def ring_mul(x: RingElem, y: RingElem) -> RingElem:
-    return x * y
-
-
 def scale(r: RingElem, lam: int) -> RingElem:
     """Multiply by a field scalar (code lam), i.e. by lam embedded as a unit."""
     f = r.field
@@ -207,7 +203,7 @@ def gray_word(symbols) -> np.ndarray:
     out = []
     for s in symbols:
         out.extend(gray(s))
-    return np.asarray(out, dtype=np.uint8)
+    return np.asarray(out, dtype=np.int64)
 
 
 def lee_weight_word(symbols) -> int:

@@ -3,6 +3,7 @@ import pytest
 
 from tracecodes import (
     CodeParams,
+    Field,
     ParameterError,
     Variant,
     derive_params,
@@ -124,6 +125,38 @@ def test_dual_distance_units(f9):
 def test_dual_distance_other_parameters(f9, f27):
     for cp in (CodeParams(f9, 2), CodeParams(f27, 1)):
         assert dual_lee_distance(cp).distance == 2
+
+
+@pytest.mark.parametrize("p, m, N, variant, witness", [
+    (3, 2, 1, Variant.LIFT, [[0, [1, 2, 2, 1]], [486, [2, 0, 1, 0]]]),
+    (3, 2, 1, Variant.UNITS, [[0, [1, 2, 2, 1]], [2916, [1, 2, 2, 1]]]),
+    (3, 9, 1, Variant.LIFT, [[0, [1, 2, 2, 1]], [5083731656658, [2, 0, 1, 0]]]),
+    (5, 2, 3, Variant.LIFT, [[0, [1, 4, 4, 1]], [12500, [4, 0, 1, 0]]]),
+    (131, 1, 1, Variant.LIFT, [[0, [1, 130, 130, 1]], [2230930, [130, 0, 1, 0]]]),
+    (131, 1, 1, Variant.UNITS, [[0, [1, 130, 130, 1]], [146125915, [1, 130, 130, 1]]]),
+])
+def test_dual_witnesses_pinned(p, m, N, variant, witness):
+    # the witnesses the coordinate-walking search reported, found at index 0
+    dp = derive_params(CodeParams(Field(p, m), N, variant))
+    result = dual_lee_distance(dp)
+    assert result.as_dict() == {"distance": 2, "lower_bound": 2,
+                                "witness": witness, "verified": True}
+    base = dp.field.prime_subfield()
+    support = [(idx, ring.RingElem(base, *coords)) for idx, coords in witness]
+    assert not syndrome(dp, support)
+    assert orthogonality_direct(dp, support)
+
+
+@pytest.mark.parametrize("variant", [Variant.LIFT, Variant.UNITS])
+def test_dual_witness_needs_no_pair_table(monkeypatch, variant):
+    # the witness is built from the first working pair at coordinate 0, so
+    # at most one inversion per Lee-weight-1 value, not one per ordered pair
+    calls = []
+    inverse = bounds.ring_inv
+    monkeypatch.setattr(bounds, "ring_inv", lambda x: calls.append(x) or inverse(x))
+    p = 131
+    assert dual_lee_distance(CodeParams(Field(p, 1), 1, variant)).distance == 2
+    assert 1 <= len(calls) <= 4 * (p - 1)
 
 
 def test_dual_cap_two_gives_lower_bound(f9):

@@ -138,15 +138,6 @@ def test_blocks_match_stream(f9):
     assert streamed == from_blocks
 
 
-def test_partitions_cover_stream(f9):
-    dp = derive_params(CodeParams(f9, 2))
-    whole = []
-    for k in range(3):
-        for x0, x1, x2, x3 in coord_blocks(dp, block_size=999, part=(k, 3)):
-            whole.extend(zip(x0.tolist(), x1.tolist(), x2.tolist(), x3.tolist()))
-    assert whole == [(x.a, x.b, x.c, x.d) for x in enumerate_coords(dp)]
-
-
 def test_coord_at_index_roundtrip(f9):
     dp = derive_params(CodeParams(f9, 1))
     for idx in (0, 1, 17, 2915):
@@ -217,6 +208,22 @@ def test_gray_symbols_match_streamed_evaluation(f3):
         fast = np.concatenate([b.ravel() for b in gray_symbols(r, dp)])
         slow = gray_word(evaluate(r, dp))
         assert (fast == slow).all()
+
+
+@pytest.fixture(scope="module")
+def f257():
+    return Field(257, 1)
+
+
+def test_gray_symbols_hold_symbols_past_a_byte(f257):
+    # at p = 257 a Gray symbol can be 256, which a byte would wrap to 0
+    dp = derive_params(CodeParams(f257, 256))
+    r = ring.one(f257)
+    fast = next(gray_symbols(r, dp))[:1000].ravel()
+    slow = gray_word(big_trace(r * x)
+                     for x in itertools.islice(enumerate_coords(dp), 1000))
+    assert (slow == 256).any()
+    assert (fast == slow).all()
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +307,10 @@ def test_export_gray_words(tmp_path, f3):
     # deterministic: exporting again gives identical bytes
     export_gray_words(dp, rs, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == blob
+
+
+def test_export_refuses_symbols_past_a_byte(tmp_path, f257):
+    dp = derive_params(CodeParams(f257, 256))
+    with pytest.raises(ParameterError, match="one byte per symbol"):
+        export_gray_words(dp, [ring.one(f257)], tmp_path / "words.bin")
+    assert not (tmp_path / "words.bin").exists()
