@@ -8,9 +8,10 @@ O(n0 + q + p^2) work per codeword for n0 * q^3 coordinates.  It
 is bit-identical to a per-coordinate count and to streaming symbols one by
 one (the tests keep both as oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
-floating point, and the Gray symbol histograms behind them are counted
-coordinate by coordinate from construction.gray_symbols, independently of
-the kernel.
+floating point, and the Gray symbol histograms behind them count every
+coordinate's symbols in the blocks of construction.gray_symbols (one block
+per x0 and run of (x1, x2) pairs, times the full x3 axis), independently
+of the kernel.
 
 Three ways to obtain a distribution:
 
@@ -490,7 +491,7 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
         for _ in range(trials):
             r = RingElem(field, *(int(x) for x in rng.integers(0, q, size=4)))
             th = theta(r, dp)
-            tau_sum = sum(theta(scale(r, tau), dp) for tau in range(1, p))
+            tau_sum = th + sum(theta(scale(r, tau), dp) for tau in range(2, p))
             record("real_part_collapse", abs(tau_sum - (p - 1) * th.real),
                    {"r": r.coords()})
 

@@ -14,7 +14,8 @@ ring symbol per coordinate.  Coordinates are streamed in a fixed order
 (constant coordinate first through D or through xi-powers, then each
 nilpotent coordinate ascending in coefficient-vector lexicographic order)
 so exports are reproducible; weight data never depends on the order.
-Streams are restartable: blocks are decoded from flat stream positions.
+Streams are restartable: each block is decoded from its own stream
+position, so nothing is materialized beyond one block.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -36,6 +38,10 @@ from .ring import RingElem, big_trace, is_unit, random_element
 CODEWORD_COUNT_GUARD = 2**63
 
 ORDERING_TAG = "x0-major/lex-v1"
+
+#: Stream positions per block of coord_blocks and (rounded down to whole
+#: x3 axes) of gray_symbols.
+_BLOCK_POSITIONS = 1 << 14
 
 DEFAULT_SEED = 2024
 
@@ -95,6 +101,11 @@ class DerivedParams:
         if self.variant is Variant.UNITS:
             return self.field.unit_codes()
         return np.asarray(self.base_set, dtype=np.int64)
+
+    @cached_property
+    def x0_position(self) -> dict[int, int]:
+        """Stream position of each constant coordinate in x0_codes()."""
+        return {int(c): i for i, c in enumerate(self.x0_codes())}
 
 
 def coset_representatives(field: Field, N: int, n: int) -> tuple[int, ...]:
@@ -183,8 +194,7 @@ def coord_index(params: CodeParams | DerivedParams, x: RingElem) -> int:
     """Flat stream position of a coordinate element; inverse of coord_at."""
     dp = derive_params(params)
     q = dp.q
-    x0s = dp.x0_codes()
-    pos0 = {int(c): i for i, c in enumerate(x0s)}
+    pos0 = dp.x0_position
     if x.a not in pos0:
         raise ValueError("element is not in the coordinate set")
     lex_rank = dp.field.lex_rank
@@ -193,20 +203,22 @@ def coord_index(params: CodeParams | DerivedParams, x: RingElem) -> int:
 
 
 def contains(params: CodeParams | DerivedParams, x: RingElem) -> bool:
-    """Membership test for the coordinate set (O(1) via a hashed base set)."""
+    """Membership test for the coordinate set (O(1) via the hashed x0 map)."""
     dp = derive_params(params)
     if not is_unit(x):
         return False
     if dp.variant is Variant.UNITS:
         return True
-    return x.a in set(dp.base_set)
+    return x.a in dp.x0_position
 
 
-def coord_blocks(params: CodeParams | DerivedParams, block_size: int = 1 << 14):
+def coord_blocks(params: CodeParams | DerivedParams,
+                 block_size: int = _BLOCK_POSITIONS):
     """Yield (X0, X1, X2, X3) int64 code arrays covering the stream in order.
 
     Blocks are decoded from flat positions, so nothing is materialized
-    beyond one block.
+    beyond one block.  This is the flat-position decoder the tests use as
+    the oracle for gray_symbols, which decodes only (x1, x2) pairs.
     """
     dp = derive_params(params)
     q = dp.q
@@ -232,23 +244,43 @@ def evaluate(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[RingEl
 
 
 def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np.ndarray]:
-    """Stream the Gray image of the codeword of r as (block, 4) integer
+    """Stream the Gray image of the codeword of r as (block, 4) int16
     arrays with entries in [0, p).
 
     Symbol order inside a coordinate follows the Gray map output
     (d, c+d, b+d, a+b+c+d) applied to the traced entry.  This is the one
-    place that evaluates the four trace terms coordinate by coordinate.
+    place that writes out the Gray symbols of every coordinate.
+
+    x3 is the innermost axis of the stream and its trace term
+    trace(r0*x3) enters every slot, so for fixed (x0, x1, x2) slot k is
+    (c_k + trace(r0*x3)) mod p over the whole x3 axis, with c_k a per-pair
+    residue.  Each block covers one x0 and a run of consecutive (x1, x2)
+    pairs, times the full x3 axis, and each of its slots is a row gather
+    from the (p, q) table of those shifted x3 traces; only the pairs are
+    decoded, never flat positions.
     """
     dp = derive_params(params)
     p, q = dp.p, dp.q
+    lex = dp.field.lex_codes
     # row c of the trace-product table is x -> trace(c*x)
     T0, T1, T2, T3 = (dp.field.trmul_flat.reshape(q, q)[c] for c in r.coords())
-    for X0, X1, X2, X3 in coord_blocks(dp):
-        t1 = T0[X0]
-        t2 = T0[X1] + T1[X0]
-        t3 = T0[X2] + T2[X0]
-        t4 = T0[X3] + T1[X2] + T2[X1] + T3[X0]
-        yield np.stack([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4], axis=1) % p
+    # shifted[c, i] = (c + trace(r0*x3)) mod p, x3 the i-th element in lex order
+    shifted = (np.arange(p, dtype=T0.dtype)[:, None] + T0[lex]) % p
+    L0, L1, L2 = (T[lex].astype(np.int64) for T in (T0, T1, T2))
+    pairs = max(1, _BLOCK_POSITIONS // q)
+    for x0 in dp.x0_codes():
+        a0, a1, a2, a3 = (int(T[x0]) for T in (T0, T1, T2, T3))
+        for start in range(0, q * q, pairs):
+            i1, i2 = np.divmod(np.arange(start, min(start + pairs, q * q)), q)
+            t2 = L0[i1] + a1
+            t3 = L0[i2] + a2
+            c0 = L1[i2] + L2[i1] + a3
+            block = np.empty((len(i1), q, 4), dtype=np.int16)
+            block[:, :, 0] = shifted[c0 % p]
+            block[:, :, 1] = shifted[(c0 + t3) % p]
+            block[:, :, 2] = shifted[(c0 + t2) % p]
+            block[:, :, 3] = shifted[(c0 + t2 + t3 + a0) % p]
+            yield block.reshape(-1, 4)
 
 
 def export_gray_words(params: CodeParams | DerivedParams, rs, path) -> tuple[str, str]:

@@ -299,6 +299,24 @@ def test_identity_suite_measures_the_kernel(f9, monkeypatch):
     assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
 
 
+def test_identity_suite_measures_the_histograms(f9, monkeypatch):
+    # the other side: a wrong Gray stream (slot 2 reduced mod p - 1, which
+    # turns the symbol p - 1 into 0) must breach against the kernel weights
+    gray_symbols = analysis.gray_symbols
+
+    def mutant(r, params):
+        p = derive_params(params).p
+        for block in gray_symbols(r, params):
+            block[:, 2] %= p - 1
+            yield block
+    monkeypatch.setattr(analysis, "gray_symbols", mutant)
+    rep = verify_identities(CodeParams(f9, 1), trials=5)
+    assert not rep.ok
+    breached = {b["identity"] for b in rep.breaches}
+    assert "weight_vs_character_sum" in breached
+    assert breached <= {"weight_vs_character_sum", "real_part_collapse"}
+
+
 def test_identity_suite_skips_real_part_for_p_one_mod_four(f25):
     rep = verify_identities(CodeParams(f25, 3), trials=10)
     assert rep.ok

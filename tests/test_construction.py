@@ -25,6 +25,7 @@ from tracecodes import (
 )
 from tracecodes import ring
 from tracecodes.construction import (
+    DerivedParams,
     contains,
     coord_blocks,
     gray_symbols,
@@ -144,6 +145,21 @@ def test_coord_at_index_roundtrip(f9):
         assert coord_index(dp, coord_at(dp, idx)) == idx
 
 
+@pytest.mark.parametrize("variant", [Variant.LIFT, Variant.UNITS])
+def test_x0_map_built_once_per_params(monkeypatch, f9, variant):
+    dp = derive_params(CodeParams(f9, 2, variant))
+    xs = [coord_at(dp, idx) for idx in (0, 100, dp.length - 1)]
+    builds = []
+    x0_codes = DerivedParams.x0_codes
+    monkeypatch.setattr(DerivedParams, "x0_codes",
+                        lambda self: builds.append(1) or x0_codes(self))
+    for _ in range(100):
+        for idx, x in zip((0, 100, dp.length - 1), xs):
+            assert coord_index(dp, x) == idx
+            assert contains(dp, x)
+    assert len(builds) == 1
+
+
 def test_membership(f9):
     dp = derive_params(CodeParams(f9, 1))
     assert contains(dp, ring.one(f9))
@@ -224,6 +240,86 @@ def test_gray_symbols_hold_symbols_past_a_byte(f257):
                      for x in itertools.islice(enumerate_coords(dp), 1000))
     assert (slow == 256).any()
     assert (fast == slow).all()
+
+
+def _reference_gray_symbols(r, dp):
+    """Oracle: decode every flat stream position with coord_blocks and
+    gather the four trace terms coordinate by coordinate."""
+    p, q = dp.p, dp.q
+    T0, T1, T2, T3 = (dp.field.trmul_flat.reshape(q, q)[c] for c in r.coords())
+    for X0, X1, X2, X3 in coord_blocks(dp):
+        t1 = T0[X0]
+        t2 = T0[X1] + T1[X0]
+        t3 = T0[X2] + T2[X0]
+        t4 = T0[X3] + T1[X2] + T2[X1] + T3[X0]
+        yield np.stack([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4], axis=1) % p
+
+
+def _leading_symbols(blocks, count):
+    """The first `count` coordinates of a block stream, as one (count, 4) array."""
+    taken, have = [], 0
+    for block in blocks:
+        taken.append(block)
+        have += len(block)
+        if have >= count:
+            break
+    return np.concatenate(taken)[:count]
+
+
+def _codeword_rows(q, count, seed):
+    """Every codeword row when count is None; otherwise `count` seeded rows,
+    half of them in the maximal ideal and a quarter on the uv-line."""
+    if count is None:
+        return list(itertools.product(range(q), repeat=4))
+    rows = np.random.default_rng(seed).integers(0, q, size=(count, 4))
+    rows[:count // 2, 0] = 0
+    rows[:count // 4, 1:3] = 0
+    rows[0] = 0
+    return rows.tolist()
+
+
+@pytest.mark.parametrize("p,m,N,variant,count", [
+    (3, 1, 1, "lift", None), (3, 1, 1, "units", None),
+    (3, 2, 1, "lift", 40), (3, 2, 2, "lift", 40), (3, 2, 4, "lift", 40),
+    (5, 2, 3, "lift", 16), (5, 2, 3, "units", 8), (7, 1, 3, "lift", 40),
+    (3, 3, 1, "lift", 8), (3, 3, 13, "lift", 16),
+])
+def test_gray_symbols_match_flat_decoding_oracle(p, m, N, variant, count):
+    field = Field(p, m)
+    dp = derive_params(CodeParams(field, N, Variant(variant)))
+    for coords in _codeword_rows(field.q, count, seed=p * 100 + m * 10 + N):
+        r = RingElem(field, *coords)
+        blocks = list(gray_symbols(r, dp))
+        assert all(b.dtype == np.int16 and b.shape[1] == 4 for b in blocks)
+        fast = np.concatenate(blocks)
+        slow = np.concatenate(list(_reference_gray_symbols(r, dp)))
+        assert fast.shape == (dp.length, 4)
+        assert np.array_equal(fast, slow)
+
+
+def test_gray_symbols_ragged_last_block_matches_oracle(f27):
+    # q = 27: a block holds 2^14 // 27 = 606 (x1, x2) pairs, which do not
+    # divide the 729 pairs of one x0, so each x0 ends in a shorter block
+    dp = derive_params(CodeParams(f27, 1))
+    r = RingElem(f27, 5, 11, 17, 23)
+    sizes = [len(b) for b in gray_symbols(r, dp)]
+    assert sizes[:2] == [606 * 27, 123 * 27]
+    assert len(sizes) == 2 * dp.n
+    fast = np.concatenate(list(gray_symbols(r, dp)))
+    assert np.array_equal(fast, np.concatenate(list(_reference_gray_symbols(r, dp))))
+
+
+@pytest.mark.parametrize("p,N", [(131, 1), (257, 256)])
+def test_gray_symbols_past_a_byte_match_oracle(p, N):
+    field = Field(p, 1)
+    dp = derive_params(CodeParams(field, N))
+    count = 3 * 2**14
+    for coords in ((1, 0, 0, 0), (0, 0, 0, p - 1), (p - 2, 3, p - 5, 7)):
+        r = RingElem(field, *coords)
+        fast = _leading_symbols(gray_symbols(r, dp), count)
+        slow = _leading_symbols(_reference_gray_symbols(r, dp), count)
+        assert np.array_equal(fast, slow)
+    assert fast.max() == p - 1
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +403,28 @@ def test_export_gray_words(tmp_path, f3):
     # deterministic: exporting again gives identical bytes
     export_gray_words(dp, rs, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == blob
+
+
+@pytest.mark.parametrize("p,m,N,variant,data_digest,sidecar_digest", [
+    (3, 2, 1, "lift", "9e67f631b785a7dfd7a78be12ef8247ad835e32fcf7c9e46986137eb4acf0474",
+     "cc51b0b42b192735107c4ea8a0540fa12c950ffa5bc960cbe07355c04c0ac709"),
+    (5, 2, 3, "units", "b8706bf8045d1f1ac380ff6c83961d921836021e531b583f529506ae6679edd9",
+     "441ed4a3029df0a8467bd7b3091098ecbb20805cec716561719074ae7589a497"),
+    (7, 1, 3, "lift", "18c1dadcbf76be8d191add1e5a3ea23a4a7dcf1093dab0d834a826b447ae1dd3",
+     "7c796f6895469a9ee3edbbeb59910df197f1d7e494abf91313769835eecb5136"),
+], ids=["3-2-1-lift", "5-2-3-units", "7-1-3-lift"])
+def test_export_digests_pinned(tmp_path, p, m, N, variant, data_digest, sidecar_digest):
+    # digests of the exports written by the flat-position decoder
+    field = Field(p, m)
+    dp = derive_params(CodeParams(field, N, Variant(variant)))
+    rng = np.random.default_rng(3)
+    rs = [RingElem(field, *(int(x) for x in rng.integers(0, field.q, 4)))
+          for _ in range(5)]
+    data_path, sidecar_path = export_gray_words(dp, rs, tmp_path / "words.bin")
+    with open(data_path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == data_digest
+    with open(sidecar_path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == sidecar_digest
 
 
 def test_export_refuses_symbols_past_a_byte(tmp_path, f257):
