@@ -4,8 +4,7 @@
 Full enumeration of all 5^8 codewords times 31250 coordinates is past the
 work budget, so the protocol is: enumerate the 15625-element maximal ideal
 exhaustively, sample the units, and check the outcome against the
-three-weight prediction with its corrected middle frequency.  Takes around
-fifteen seconds.
+three-weight prediction with its corrected middle frequency.
 """
 
 from tracecodes import (

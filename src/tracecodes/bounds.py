@@ -147,11 +147,6 @@ def syndrome(params: CodeParams | DerivedParams, support) -> RingElem:
     return total
 
 
-def is_dual_vector(params: CodeParams | DerivedParams, support) -> bool:
-    """Membership in the dual via the syndrome characterization."""
-    return not syndrome(params, support)
-
-
 def orthogonality_direct(params: CodeParams | DerivedParams, support) -> bool:
     """Direct check against a generating set of codewords: orthogonal to
     every evaluation iff orthogonal to the evaluations of the m field-basis

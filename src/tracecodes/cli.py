@@ -3,7 +3,9 @@
 Identical configurations (including the seed) produce byte-identical
 reports apart from the runtime_ms field.  Exit codes: 0 all executed
 checks passed, 1 mathematical mismatch or residual breach, 2 parameter or
-usage error, 3 work-budget refusal.
+usage error, 3 work-budget refusal.  An analyze run that no prediction
+applies to compares nothing: its comparison reads "ok": null with status
+"no-applicable-prediction", and it exits 0.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .construction import (
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
 from .field import Field, parse_modulus
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -103,6 +105,13 @@ def _rows_section(dist: analysis.WeightDistribution) -> list[dict]:
     return [{"weight": w, "frequency": f} for w, f in dist.rows()]
 
 
+def _comparison_section(comparison: analysis.ComparisonReport) -> dict:
+    section = {"ok": comparison.ok, "details": comparison.details}
+    if comparison.ok is None:
+        section["status"] = "no-applicable-prediction"
+    return section
+
+
 def cmd_analyze(cfg: RunConfig) -> tuple[dict, int]:
     budget = analysis._resolve_budget(cfg.budget)
     params = _build_params(cfg)
@@ -139,7 +148,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple[dict, int]:
         "rows": _rows_section(dist),
         "detail": dist.detail,
         "predictions": [_prediction_section(p) for p in preds],
-        "comparison": {"ok": comparison.ok, "details": comparison.details},
+        "comparison": _comparison_section(comparison),
         "griesmer": {
             "n": verdict.n, "k": verdict.k, "d": verdict.d, "p": verdict.p,
             "sum_at_d": verdict.sum_at_d,
@@ -151,8 +160,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple[dict, int]:
         "sss": sss.as_dict(),
         "erratum_flags": sorted(flags),
     }
-    ok = comparison.ok
-    return report, EXIT_OK if ok else EXIT_MISMATCH
+    return report, EXIT_MISMATCH if comparison.ok is False else EXIT_OK
 
 
 def cmd_dual(cfg: RunConfig) -> tuple[dict, int]:

@@ -344,12 +344,6 @@ def subcode_distribution(params: CodeParams | DerivedParams) -> dict[int, int]:
     return out
 
 
-def subcode_is_injective(params: CodeParams | DerivedParams) -> bool:
-    dp = derive_params(params)
-    words = {eval_field_subcode(b, dp) for b in dp.field.elements()}
-    return len(words) == dp.q
-
-
 # ---------------------------------------------------------------------------
 # Group action spot check
 # ---------------------------------------------------------------------------

@@ -430,13 +430,6 @@ class Field:
         """Code of xi^k."""
         return self._exp[k % self.order] if self.order else 1
 
-    def multiplicative_order(self, a: int) -> int:
-        """Order of a nonzero element, computed over the divisors of q - 1."""
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        k = self._log[a]
-        return self.order // math.gcd(self.order, k) if self.order else 1
-
     # -- discrete logarithms ---------------------------------------------------
 
     def dlog(self, x: int) -> int:
@@ -577,10 +570,6 @@ class MultChar:
             raise ParameterError(
                 f"character order {self.order} does not divide q - 1 = {self.field.q - 1}"
             )
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.index % self.order == 0
 
     def __call__(self, x: int) -> complex:
         if x == 0:

@@ -214,10 +214,3 @@ def random_element(field: Field, rng: np.random.Generator) -> RingElem:
     q = field.q
     a, b, c, d = (int(x) for x in rng.integers(0, q, size=4))
     return RingElem(field, a, b, c, d)
-
-
-def random_unit(field: Field, rng: np.random.Generator) -> RingElem:
-    q = field.q
-    a = int(rng.integers(1, q))
-    b, c, d = (int(x) for x in rng.integers(0, q, size=3))
-    return RingElem(field, a, b, c, d)

@@ -61,7 +61,7 @@ def test_kernel_matches_streamed_reference(f9):
 
 
 # ---------------------------------------------------------------------------
-# the factored kernel against the per-coordinate oracle
+# the closed-form kernel against the per-coordinate oracle
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -125,6 +125,18 @@ def test_kernel_matches_per_coordinate_oracle(p, m, N, variant, count):
     rows = _grid_rows(dp.q, count, seed=p * 100 + m * 10 + N)
     assert np.array_equal(analysis._weights_serial(dp, rows),
                           _reference_weights(dp, rows))
+
+
+@pytest.mark.parametrize("p,N", [(131, 1), (257, 256)])
+def test_kernel_matches_gray_histogram_past_p_13(p, N):
+    # the closed form against an explicit count of the Gray symbols, at
+    # primes where the per-coordinate oracle's p^4 table does not fit
+    dp = derive_params(CodeParams(Field(p, 1), N))
+    a, b, c, d = (int(x) for x in np.random.default_rng(p).integers(1, p, size=4))
+    rows = [(0, 0, 0, d), (0, b, 0, 0), (0, b, c, d), (a, 0, 0, 0), (a, b, c, d)]
+    counted = [dp.gray_length - gray_symbol_histogram(RingElem(dp.field, *r), dp)[0]
+               for r in rows]
+    assert analysis._weights_serial(dp, rows).tolist() == counted
 
 
 def test_bulk_weights_parallel_merge(f9):
@@ -442,6 +454,12 @@ def test_compare_bounds(f9):
     cp = CodeParams(f9, 2)
     comparison = compare_with_predictions(distribution_exhaustive(cp), predict(cp))
     assert comparison.ok
+
+
+def test_compare_without_predictions_is_no_verdict(f9):
+    comparison = compare_with_predictions(distribution_exhaustive(CodeParams(f9, 1)), [])
+    assert comparison.ok is None
+    assert comparison.details == []
 
 
 def test_compare_reports_mismatches(f9):

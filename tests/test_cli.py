@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,18 @@ def test_prediction_mismatch_exit_code(tmp_path, monkeypatch):
     assert report["comparison"]["ok"] is False
 
 
+@pytest.mark.parametrize("variant", ["lift", "units"])
+def test_analyze_without_prediction_reports_no_verdict(tmp_path, variant):
+    # m odd and p = 1 (mod 4): no closed form applies, so nothing is compared
+    code, report = run_json(tmp_path, "analyze", "-p", "5", "-m", "1",
+                            "--variant", variant, "--threads", "1")
+    assert code == 0
+    assert report["report_version"] == 2
+    assert report["predictions"] == []
+    assert report["comparison"] == {"ok": None, "details": [],
+                                    "status": "no-applicable-prediction"}
+
+
 @pytest.mark.parametrize("extra,env", [
     (["--threads", "0"], None),
     (["--budget", "-1"], None),
@@ -209,9 +222,8 @@ def test_size_guard_refuses_before_any_search(p, m, monkeypatch, capsys):
     assert "exceeds the 64-bit counting guard" in capsys.readouterr().err
 
 
-def test_large_prime_stays_within_one_gib():
-    """analyze at p = 131 in a child limited to 1 GiB of address space: no
-    table may grow with p^4 (an earlier kernel asked for 34.6 GiB here)."""
+def _analyze_within_one_gib(*argv):
+    """Run `tracecodes analyze` in a child limited to 1 GiB of address space."""
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -219,14 +231,38 @@ def test_large_prime_stays_within_one_gib():
     # single-threaded BLAS, so its per-thread buffers do not scale with the host
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-m", "tracecodes.cli", "analyze", "-p", "131", "-m", "1",
-         "--threads", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "tracecodes.cli", "analyze", *argv],
         env=env, capture_output=True, text=True, timeout=300,
         preexec_fn=limit_address_space)
+
+
+def test_large_prime_stays_within_one_gib():
+    """analyze at p = 131 in a child limited to 1 GiB of address space: no
+    table may grow with p^4 (an earlier kernel asked for 34.6 GiB here)."""
+    out = _analyze_within_one_gib("-p", "131", "-m", "1", "--threads", "1")
     assert out.returncode == 0, out.stderr
     assert "Traceback" not in out.stderr
     report = json.loads(out.stdout)
     rows = {r["weight"]: r["frequency"] for r in report["rows"]}
     assert rows == {0: 1, 8923720: 294499790, 8992364: 130}
     assert report["comparison"]["ok"] is True
+
+
+def test_largest_table_prime_finishes_within_one_gib():
+    """analyze at p = 4093, the largest prime under the product-table limit,
+    in a child limited to 1 GiB: the kernel costs O(1) per row off the
+    uv-line (an earlier kernel spent 2.8 s per row and did not finish in
+    600 s).  No prediction applies, and the report says so."""
+    start = time.monotonic()
+    out = _analyze_within_one_gib("-p", "4093", "-m", "1", "-N", "1", "--threads", "1")
+    elapsed = time.monotonic() - start
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    report = json.loads(out.stdout)
+    rows = {r["weight"]: r["frequency"] for r in report["rows"]}
+    assert rows == {0: 1, 274207358832: 280651248513108, 274274369428: 4092}
+    assert report["predictions"] == []
+    assert report["comparison"] == {"ok": None, "details": [],
+                                    "status": "no-applicable-prediction"}
+    assert elapsed < 10
