@@ -737,13 +737,14 @@ def compare_with_predictions(dist: WeightDistribution,
 
 
 def subcode_report(params: CodeParams | DerivedParams) -> dict:
-    """Brute-force field-subcode distribution next to its predictions."""
+    """Brute-force field-subcode distribution next to its predictions;
+    "ok" is None when no prediction applies, so nothing was compared."""
     dp = derive_params(params)
     measured = subcode_distribution(dp)
     preds = predict_subcode(dp)
     nonzero = {w: f for w, f in measured.items() if w != 0}
     detail = []
-    ok = True
+    ok = True if preds else None
     for pred in preds:
         matched = pred.rows_dict() == nonzero
         ok = ok and matched

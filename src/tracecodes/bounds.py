@@ -4,7 +4,7 @@ Griesmer verdicts use exact integer ceilings only; "optimal" always means
 "no code with the same length and dimension and distance d+1 can exist by
 the Griesmer inequality" and nothing stronger.
 
-The dual search rests on a syndrome characterization: a vector y over the
+The dual distance rests on a syndrome characterization: a vector y over the
 base ring is orthogonal to every codeword exactly when the ring sum of
 y_x * x over the coordinate set is zero.  (The coordinatewise trace is
 linear over the base ring and nondegenerate, so orthogonality to every
@@ -21,12 +21,12 @@ at coordinate 0 instead of searched for.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .construction import (
     CodeParams,
     DerivedParams,
+    Variant,
     contains,
     coord_at,
     coord_index,
@@ -36,6 +36,7 @@ from .errors import ParameterError
 from .ring import (
     RingElem,
     big_trace,
+    gray_inverse,
     is_unit,
     lee_weight,
     ring_inv,
@@ -85,15 +86,13 @@ def griesmer_optimal(n: int, k: int, d: int, p: int) -> GriesmerVerdict:
                            sum_at_d_plus_1=griesmer_sum(k, d + 1, p))
 
 
-def sphere_packing_excludes(n: int, k: int, p: int, target_d: int = 3) -> bool:
+def sphere_packing_excludes(n: int, k: int, p: int) -> bool:
     """Whether packing spheres of radius 1 rules out dual distance >= 3.
 
     For a length-n image code whose dual has p^k codewords less than the
     ambient, distance >= 3 forces p^k >= 1 + n(p-1); returns True when that
     inequality fails.
     """
-    if target_d != 3:
-        raise ParameterError("only the radius-1 exclusion (target_d = 3) is supported")
     return p**k < 1 + n * (p - 1)
 
 
@@ -104,23 +103,22 @@ def sphere_packing_excludes(n: int, k: int, p: int, target_d: int = 3) -> bool:
 
 @dataclass
 class DualDistanceResult:
-    distance: int | None
+    distance: int
     lower_bound: int
-    witness: tuple[tuple[int, tuple[int, int, int, int]], ...] | None
+    witness: tuple[tuple[int, tuple[int, int, int, int]], ...]
     verified: bool
 
     def as_dict(self) -> dict:
         return {
             "distance": self.distance,
             "lower_bound": self.lower_bound,
-            "witness": [[i, list(c)] for i, c in self.witness] if self.witness else None,
+            "witness": [[i, list(c)] for i, c in self.witness],
             "verified": self.verified,
         }
 
 
 def lee_one_elements(base_field) -> list[RingElem]:
     """The 4(p-1) base ring elements of Lee weight 1 (all of them units)."""
-    from .ring import gray_inverse
     p = base_field.p
     out = []
     for slot in range(4):
@@ -163,55 +161,46 @@ def orthogonality_direct(params: CodeParams | DerivedParams, support) -> bool:
     return True
 
 
-def dual_lee_distance(params: CodeParams | DerivedParams, cap: int = 3) -> DualDistanceResult:
-    """Exact dual Lee distance below `cap`, or the lower bound `cap`.
+def dual_lee_distance(params: CodeParams | DerivedParams) -> DualDistanceResult:
+    """Exact dual Lee distance, which is 2, with a witness at coordinate 0.
 
     Weight 1 (and the single-coordinate slice of weight 2) is impossible:
     every coordinate is a unit, and a unit times a unit is a unit, which
-    the search certifies by checking all 4(p-1) Lee-weight-1 values are
-    units.  Weight 2 needs no search over coordinates: with x the
-    coordinate at index 0, the ordered pairs (alpha, beta) of Lee-weight-1
-    values are scanned for the first one whose x' = -beta^-1 * alpha * x
-    is a second coordinate.  One always exists (see the module docstring),
-    so failing to find it is an AssertionError.  The witness is
-    re-verified: its syndrome is recomputed and must vanish, and its Lee
-    weight must equal 2.
+    is certified by checking that all 4(p-1) Lee-weight-1 values are units.
+    The weight-2 witness is the closed form of the module docstring: alpha
+    is the Lee-weight-1 value with Gray image (1, 0, 0, 0), beta has Gray
+    image (0, 1, 0, 0) for the lift and equals alpha for the units, and
+    x' = -beta^-1 * alpha * x with x the coordinate at index 0.  x' must be
+    a coordinate, its syndrome must vanish and its Lee weight must equal 2;
+    each failure is an AssertionError.
     """
-    if cap not in (2, 3):
-        raise ParameterError("only caps 2 and 3 are supported")
     dp = derive_params(params)
     field = dp.field
     base = field.prime_subfield()
-    ones = lee_one_elements(base)
 
     # Weight-1 phase: certify emptiness through unit-ness of every value.
-    for alpha in ones:
+    for alpha in lee_one_elements(base):
         if not is_unit(_embed(field, alpha)):
             raise AssertionError("a Lee-weight-1 value failed to be a unit")
-    if cap == 2:
-        return DualDistanceResult(distance=None, lower_bound=2, witness=None,
-                                  verified=False)
 
     x = coord_at(dp, 0)
-    for alpha, beta in itertools.product(ones, repeat=2):
-        lam = -(ring_inv(_embed(field, beta)) * _embed(field, alpha))
-        if lam.coords() == (1, 0, 0, 0):
-            continue  # collapses both coordinates onto one
-        x_prime = lam * x
-        if not contains(dp, x_prime):
-            continue
-        support = ((0, alpha), (coord_index(dp, x_prime), beta))
-        sigma = syndrome(dp, support)
-        weight = lee_weight(alpha) + lee_weight(beta)
-        if sigma or weight != 2:
-            raise AssertionError("weight-2 witness failed re-verification")
-        witness = tuple((idx, val.coords()) for idx, val in support)
-        return DualDistanceResult(distance=2, lower_bound=2,
-                                  witness=witness, verified=True)
-    raise AssertionError(
-        "no Lee-weight-2 dual witness at coordinate 0: a scaling lam = 1 - u "
-        "(lift) or lam = -1 (units) should keep it in the coordinate set"
-    )
+    alpha = gray_inverse(base, (1, 0, 0, 0))
+    beta = alpha if dp.variant is Variant.UNITS else gray_inverse(base, (0, 1, 0, 0))
+    lam = -(ring_inv(_embed(field, beta)) * _embed(field, alpha))
+    x_prime = lam * x
+    if not contains(dp, x_prime):
+        raise AssertionError(
+            "no Lee-weight-2 dual witness at coordinate 0: a scaling lam = 1 - u "
+            "(lift) or lam = -1 (units) should keep it in the coordinate set"
+        )
+    support = ((0, alpha), (coord_index(dp, x_prime), beta))
+    sigma = syndrome(dp, support)
+    weight = lee_weight(alpha) + lee_weight(beta)
+    if sigma or weight != 2:
+        raise AssertionError("weight-2 witness failed re-verification")
+    witness = tuple((idx, val.coords()) for idx, val in support)
+    return DualDistanceResult(distance=2, lower_bound=2,
+                              witness=witness, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +252,6 @@ def ratio_condition_margin(p: int, m: int) -> int:
     """Exact margin p*w_min - (p-1)*w_max for the two-weight family,
     which equals 4p^(4m-1) - 4p^(3m), positive for m > 1."""
     return 4 * p ** (4 * m - 1) - 4 * p ** (3 * m)
-
-
-def sufficient_condition_holds(p: int, m: int, n2: int) -> bool:
-    """Whether n2*p < p^(m/2) + 1, the hypothesis under which the ratio
-    test is guaranteed for the three-weight family (integer-exact for odd m)."""
-    return (n2 * p - 1) ** 2 < p**m
 
 
 BRUTE_FORCE_LIMIT = 10_000

@@ -5,17 +5,18 @@ reports apart from the runtime_ms field.  Exit codes: 0 all executed
 checks passed, 1 mathematical mismatch or residual breach, 2 parameter or
 usage error, 3 work-budget refusal.  An analyze run that no prediction
 applies to compares nothing: its comparison reads "ok": null with status
-"no-applicable-prediction", and it exits 0.
+"no-applicable-prediction", and it exits 0.  The same holds for the
+subcode section of verify --subcode.  Handlers read the parsed
+argparse.Namespace directly; the parser is the one list of options and
+defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import analysis, bounds
 from .construction import (
@@ -28,7 +29,7 @@ from .construction import (
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
 from .field import Field, parse_modulus
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -42,27 +43,7 @@ FLAG_FREQ = "three-weight-middle-frequency-corrected"
 FLAG_CEIL = "griesmer-exact-ceilings"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int
-    m: int
-    N: int = 1
-    variant: str = "lift"
-    modulus: str | None = None
-    method: str = "auto"
-    samples: int = 500
-    seed: int = DEFAULT_SEED
-    budget: int | None = None
-    threads: int = 1
-    out: str | None = None
-    fmt: str = "json"
-    cap: int = 3
-    trials: int = 100
-    subcode: bool = False
-
-
-def _build_params(cfg: RunConfig) -> CodeParams:
+def _build_params(cfg: argparse.Namespace) -> CodeParams:
     check_codeword_count_guard(cfg.p, cfg.m)
     modulus = parse_modulus(cfg.modulus) if cfg.modulus else None
     field = Field(cfg.p, cfg.m, modulus=modulus)
@@ -112,7 +93,7 @@ def _comparison_section(comparison: analysis.ComparisonReport) -> dict:
     return section
 
 
-def cmd_analyze(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
     budget = analysis._resolve_budget(cfg.budget)
     params = _build_params(cfg)
     dp = derive_params(params)
@@ -131,7 +112,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple[dict, int]:
 
     d_min = dist.min_nonzero_weight
     verdict = bounds.griesmer_optimal(dp.gray_length, 4 * dp.m, d_min, dp.p)
-    dual = bounds.dual_lee_distance(dp, cap=3)
+    dual = bounds.dual_lee_distance(dp)
     sss = bounds.minimality_check(dist, dp.p, dual_distance=dual.distance)
 
     flags = [FLAG_LEE, FLAG_CEIL]
@@ -163,10 +144,10 @@ def cmd_analyze(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_MISMATCH if comparison.ok is False else EXIT_OK
 
 
-def cmd_dual(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
     params = _build_params(cfg)
     dp = derive_params(params)
-    result = bounds.dual_lee_distance(dp, cap=cfg.cap)
+    result = bounds.dual_lee_distance(dp)
     excluded = bounds.sphere_packing_excludes(dp.gray_length, 4 * dp.m, dp.p)
     report = {
         "report_version": REPORT_VERSION,
@@ -181,7 +162,7 @@ def cmd_dual(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
     params = _build_params(cfg)
     dp = derive_params(params)
     identities = analysis.verify_identities(dp, trials=cfg.trials, seed=cfg.seed)
@@ -210,11 +191,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             "predictions": sub["predictions"],
             "ok": sub["ok"],
         }
-        ok = ok and sub["ok"]
+        if sub["ok"] is None:
+            report["subcode"]["status"] = "no-applicable-prediction"
+        ok = ok and sub["ok"] is not False
     return report, EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _emit(report: dict, cfg: RunConfig, runtime_ms: int) -> None:
+def _emit(report: dict, cfg: argparse.Namespace, runtime_ms: int) -> None:
     report["runtime_ms"] = runtime_ms
     if cfg.fmt == "csv":
         lines = ["weight,frequency"]
@@ -241,8 +224,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                          "for reproducing third-party computations")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help=f"PRNG seed (default {DEFAULT_SEED})")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker processes for the enumeration engine")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes for the enumeration engine (default 1)")
     sp.add_argument("-o", "--out", help="write the report here instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
 
@@ -268,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dual", help="dual Lee distance with witness")
     _add_common(sp)
-    sp.add_argument("--cap", type=int, default=3, choices=[2, 3],
-                    help="search weights strictly below this cap")
 
     sp = sub.add_parser("verify", help="character-sum identity suite")
     _add_common(sp)
@@ -285,9 +266,7 @@ _HANDLERS = {"analyze": cmd_analyze, "dual": cmd_dual, "verify": cmd_verify}
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if v is not None
-                       or k in ("modulus", "out", "budget")})
+    cfg = parser.parse_args(argv)
     start = time.monotonic()
     try:
         if cfg.threads < 1:

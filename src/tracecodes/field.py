@@ -14,14 +14,13 @@ inputs and safe under concurrent use.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 
-#: Discrete logs are table-backed up to this field size, baby-step/giant-step above.
+#: Largest q a Field accepts; every Field builds exp/log tables, so dlog is a lookup.
 DLOG_TABLE_LIMIT = 2**20
 
 #: Full q*q product tables (needed by the vectorized enumeration engine) are
@@ -248,8 +247,7 @@ class Field:
     """
 
     def __init__(self, p: int, m: int,
-                 modulus: list[int] | tuple[int, ...] | None = None,
-                 dlog_table_limit: int = DLOG_TABLE_LIMIT):
+                 modulus: list[int] | tuple[int, ...] | None = None):
         if p == 2:
             raise ParameterError("p must be odd")
         if not _is_prime(p):
@@ -265,7 +263,6 @@ class Field:
         self.m = int(m)
         self.q = p**m
         self.order = self.q - 1
-        self.dlog_table_limit = dlog_table_limit
 
         if modulus is None:
             self.modulus = first_primitive_modulus(p, m)
@@ -433,32 +430,10 @@ class Field:
     # -- discrete logarithms ---------------------------------------------------
 
     def dlog(self, x: int) -> int:
-        """Exponent k in [0, q-1) with xi^k = x.
-
-        Table-backed while q stays at or below the configured limit,
-        baby-step/giant-step above it.
-        """
+        """Exponent k in [0, q-1) with xi^k = x, read from the log table."""
         if x == 0:
             raise ValueError("discrete log of zero is undefined")
-        if self.q <= self.dlog_table_limit:
-            return self._log[x]
-        return self._dlog_bsgs(x)
-
-    def _dlog_bsgs(self, x: int) -> int:
-        n = self.order
-        step = math.isqrt(n - 1) + 1
-        baby = {}
-        cur = 1
-        for j in range(step):
-            baby.setdefault(cur, j)
-            cur = self.mul(cur, self.xi)
-        factor = self.inv(self.pow_(self.xi, step))
-        cur = x
-        for i in range(step + 1):
-            if cur in baby:
-                return (i * step + baby[cur]) % n
-            cur = self.mul(cur, factor)
-        raise ValueError("element not in the cyclic group")  # unreachable for valid x
+        return self._log[x]
 
     # -- derived structures ------------------------------------------------
 

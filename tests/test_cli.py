@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import resource
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from tracecodes.cli import main
+from tracecodes import Field, bounds
+from tracecodes.cli import build_parser, main
+from tracecodes.construction import DEFAULT_SEED
 
 
 def run(tmp_path, *argv):
@@ -116,8 +120,28 @@ def test_dual_command_both_variants(tmp_path):
 
 
 def test_dual_cap_usage_error(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as excinfo:
         main(["dual", "-p", "3", "-m", "2", "--cap", "5"])
+    assert excinfo.value.code == 2
+
+
+def test_option_inventory_is_pinned():
+    # every settable knob, with its default: a new one shows up in this diff
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    inventory = {name: {"/".join(a.option_strings): a.default for a in sp._actions}
+                 for name, sp in sub.choices.items()}
+    common = {"-h/--help": argparse.SUPPRESS, "-p": None, "-m": None, "-N": 1,
+              "--variant": "lift", "--modulus": None, "--seed": DEFAULT_SEED,
+              "--threads": 1, "-o/--out": None, "--format": "json"}
+    assert inventory == {
+        "analyze": {**common, "--method": "auto", "--samples": 500, "--budget": None},
+        "dual": common,
+        "verify": {**common, "--trials": 100, "--subcode": False},
+    }
+    assert list(inspect.signature(Field.__init__).parameters) == ["self", "p", "m", "modulus"]
+    assert list(inspect.signature(bounds.dual_lee_distance).parameters) == ["params"]
+    assert list(inspect.signature(bounds.sphere_packing_excludes).parameters) == ["n", "k", "p"]
 
 
 def test_verify_command(tmp_path):
@@ -139,6 +163,34 @@ def test_verify_subcode(tmp_path):
     rows = {r["weight"]: r["frequency"] for r in report["subcode"]["rows"]}
     assert rows == {0: 1, 6: 60, 9: 20}
     assert report["subcode"]["ok"] is True
+
+
+def test_verify_subcode_without_prediction_reports_no_verdict(tmp_path):
+    # m = 2 with N2 = 1: no subcode closed form applies, so nothing is compared
+    code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "2", "-N", "1",
+                            "--trials", "2", "--threads", "1", "--subcode")
+    assert code == 0
+    assert report["report_version"] == 3
+    sub = report["subcode"]
+    assert sub["predictions"] == []
+    assert sub["ok"] is None
+    assert sub["status"] == "no-applicable-prediction"
+
+
+def test_verify_subcode_mismatch_exit_code(tmp_path, monkeypatch):
+    from tracecodes import analysis
+    from tracecodes.analysis import Prediction
+
+    def wrong_prediction(params):
+        return [Prediction(regime="subcode_two_weight_general",
+                           rows=((6, 61), (9, 19)), side_conditions=())]
+
+    monkeypatch.setattr(analysis, "predict_subcode", wrong_prediction)
+    code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "4", "-N", "4",
+                            "--trials", "2", "--threads", "1", "--subcode")
+    assert code == 1
+    assert report["subcode"]["ok"] is False
+    assert "status" not in report["subcode"]
 
 
 def test_explicit_modulus_accepted(tmp_path):
@@ -188,7 +240,7 @@ def test_analyze_without_prediction_reports_no_verdict(tmp_path, variant):
     code, report = run_json(tmp_path, "analyze", "-p", "5", "-m", "1",
                             "--variant", variant, "--threads", "1")
     assert code == 0
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
     assert report["predictions"] == []
     assert report["comparison"] == {"ok": None, "details": [],
                                     "status": "no-applicable-prediction"}

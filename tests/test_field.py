@@ -247,14 +247,6 @@ def test_dlog_of_zero_rejected(f9):
         f9.dlog(0)
 
 
-def test_bsgs_agrees_with_table():
-    table = Field(3, 4)
-    bsgs = Field(3, 4, dlog_table_limit=1)
-    for k in (0, 1, 5, 17, 40, 79):
-        x = table.exp_code(k)
-        assert bsgs.dlog(x) == table.dlog(x) == k
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic classes
 # ---------------------------------------------------------------------------
