@@ -6,9 +6,9 @@ codeword d*uv has 4*q^3 times the number of x0 with Tr(d*x0) != 0.  The
 tests pin it bit for bit against a per-coordinate count and a
 symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
-floating point.  The Gray symbol histograms behind them count every
-coordinate's symbols in the blocks of construction.gray_symbols (one
-block per x0 and run of (x1, x2) pairs, times the full x3 axis), so
+floating point.  The Gray symbol histograms behind them fold the x3 axis:
+construction.gray_slot_counts convolves explicit counts of the (x0, x1,
+x2) residues with the count of Tr(r0*x3), never the theorem, so
 weight_vs_character_sum checks the theorem against an explicit count.
 
 Three ways to obtain a distribution:
@@ -40,7 +40,7 @@ from .construction import (
     Variant,
     derive_params,
     evaluate,
-    gray_symbols,
+    gray_slot_counts,
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
@@ -76,17 +76,16 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     set, so it is zero on exactly length/p coordinates and the weight is
     4*(p-1)*length/p, the same for every such row.  On the uv-line
     (a = b = c = 0) all four slots are Tr(d*x0), repeated q^3 times, so
-    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}.  Those rows are read once
-    per distinct d: a gather of at most q*n0 <= q^2 traces, no more than
-    the table it reads.
+    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}, counted once per distinct d
+    from the exp/log tables: O(n0) memory, and no q*q table.
     """
-    q = dp.q
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     out = np.full(len(rows), 4 * (dp.p - 1) * (dp.length // dp.p), dtype=np.int64)
     on_line = ~rows[:, :3].any(axis=1)
     ds, which = np.unique(rows[on_line, 3], return_inverse=True)
-    traces = dp.field.trmul_flat.reshape(q, q)[ds[:, None], dp.x0_codes()]
-    out[on_line] = (4 * q**3 * np.count_nonzero(traces, axis=1))[which]
+    x0s = dp.x0_codes()
+    nonzero = [np.count_nonzero(dp.field.trace_products(d, x0s)) for d in ds]
+    out[on_line] = (4 * dp.q**3 * np.array(nonzero, dtype=np.int64))[which]
     return out
 
 
@@ -366,12 +365,9 @@ def survey_ideal_and_units(params: CodeParams | DerivedParams,
 
 def gray_symbol_histogram(r: RingElem, params: CodeParams | DerivedParams) -> np.ndarray:
     """Counts of each prime-field value among the Gray symbols of the
-    codeword of r; length-p int64 array summing to the Gray length."""
-    dp = derive_params(params)
-    hist = np.zeros(dp.p, dtype=np.int64)
-    for block in gray_symbols(r, dp):
-        hist += np.bincount(block.ravel(), minlength=dp.p)
-    return hist
+    codeword of r; length-p int64 array summing to the Gray length: the
+    four slot counts of construction.gray_slot_counts, added."""
+    return gray_slot_counts(r, derive_params(params)).sum(axis=0)
 
 
 def theta_of_vector(y, p: int) -> complex:
@@ -431,9 +427,12 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     and multiplicative-character orthogonality.  Breaches are reported with
     witnesses, never raised.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     dp = derive_params(params)
     field = dp.field
     p, q, m = dp.p, dp.q, dp.m
+    mul_table = field.mul_table  # built first: q past its limit is refused at once
     rng = np.random.default_rng(seed)
     residuals: dict[str, float] = {}
     breaches: list[dict] = []
@@ -480,7 +479,6 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
 
     # the full additive sum vanishes for every nonzero multiplier
     tr = field.trace_table
-    mul_table = field.mul_table
     eta_pow = np.exp(2j * np.pi * np.arange(p) / p)
     for z in range(1, q):
         hist = np.bincount(tr[mul_table[z]], minlength=p)

@@ -40,7 +40,7 @@ CODEWORD_COUNT_GUARD = 2**63
 ORDERING_TAG = "x0-major/lex-v1"
 
 #: Stream positions per block of coord_blocks and (rounded down to whole
-#: x3 axes) of gray_symbols.
+#: x3 axes) of gray_symbols; (x1, x2) pairs per block of gray_slot_counts.
 _BLOCK_POSITIONS = 1 << 14
 
 DEFAULT_SEED = 2024
@@ -243,31 +243,20 @@ def evaluate(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[RingEl
         yield big_trace(r * x)
 
 
-def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np.ndarray]:
-    """Stream the Gray image of the codeword of r as (block, 4) int16
-    arrays with entries in [0, p).
+def _slot_residues(r: RingElem, dp: DerivedParams, pairs: int) -> Iterator[np.ndarray]:
+    """Yield (block, 4) int64 residues c_k in [0, p), one row per (x1, x2)
+    pair: Gray slot k of (x0, x1, x2, x3) is (c_k + trace(r0*x3)) mod p.
 
-    Symbol order inside a coordinate follows the Gray map output
-    (d, c+d, b+d, a+b+c+d) applied to the traced entry.  This is the one
-    place that writes out the Gray symbols of every coordinate.
-
-    x3 is the innermost axis of the stream and its trace term
-    trace(r0*x3) enters every slot, so for fixed (x0, x1, x2) slot k is
-    (c_k + trace(r0*x3)) mod p over the whole x3 axis, with c_k a per-pair
-    residue.  Each block covers one x0 and a run of consecutive (x1, x2)
-    pairs, times the full x3 axis, and each of its slots is a row gather
-    from the (p, q) table of those shifted x3 traces; only the pairs are
-    decoded, never flat positions.
+    This is the one place that writes the Gray map (d, c+d, b+d, a+b+c+d)
+    of the traced entry.  A block covers one x0 and at most `pairs`
+    consecutive pairs in stream order; only the pairs are decoded.
     """
-    dp = derive_params(params)
     p, q = dp.p, dp.q
     lex = dp.field.lex_codes
-    # row c of the trace-product table is x -> trace(c*x)
-    T0, T1, T2, T3 = (dp.field.trmul_flat.reshape(q, q)[c] for c in r.coords())
-    # shifted[c, i] = (c + trace(r0*x3)) mod p, x3 the i-th element in lex order
-    shifted = (np.arange(p, dtype=T0.dtype)[:, None] + T0[lex]) % p
+    # row c of T is x -> trace(c*x)
+    T0, T1, T2, T3 = dp.field.trace_products(np.array(r.coords())[:, None], np.arange(q))
     L0, L1, L2 = (T[lex].astype(np.int64) for T in (T0, T1, T2))
-    pairs = max(1, _BLOCK_POSITIONS // q)
+    fold = np.arange(8 * p) % p  # every sum below is under 8p
     for x0 in dp.x0_codes():
         a0, a1, a2, a3 = (int(T[x0]) for T in (T0, T1, T2, T3))
         for start in range(0, q * q, pairs):
@@ -275,12 +264,46 @@ def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np
             t2 = L0[i1] + a1
             t3 = L0[i2] + a2
             c0 = L1[i2] + L2[i1] + a3
-            block = np.empty((len(i1), q, 4), dtype=np.int16)
-            block[:, :, 0] = shifted[c0 % p]
-            block[:, :, 1] = shifted[(c0 + t3) % p]
-            block[:, :, 2] = shifted[(c0 + t2) % p]
-            block[:, :, 3] = shifted[(c0 + t2 + t3 + a0) % p]
-            yield block.reshape(-1, 4)
+            yield fold[np.stack([c0, c0 + t3, c0 + t2, c0 + t2 + t3 + a0], axis=1)]
+
+
+def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np.ndarray]:
+    """Stream the Gray image of the codeword of r as (block, 4) int16
+    arrays in [0, p): the export path and the oracle of gray_slot_counts.
+
+    x3 is the innermost stream axis, so a block is one x0 and a run of
+    (x1, x2) pairs times the full x3 axis, each slot a row gather, by the
+    pair's residue, from the (p, q) table of shifted x3 traces.
+    """
+    dp = derive_params(params)
+    p, q = dp.p, dp.q
+    x3 = dp.field.trace_products(r.a, dp.field.lex_codes)
+    # shifted[c, i] = (c + trace(r0*x3)) mod p, x3 the i-th element in lex order
+    shifted = ((np.arange(p)[:, None] + x3) % p).astype(np.int16)
+    for res in _slot_residues(r, dp, max(1, _BLOCK_POSITIONS // q)):
+        yield shifted[res].transpose(0, 2, 1).reshape(-1, 4)
+
+
+def gray_slot_counts(r: RingElem, params: CodeParams | DerivedParams) -> np.ndarray:
+    """(4, p) int64 counts of each value of F_p in each Gray slot of the
+    codeword of r; each row sums to the code length.
+
+    Slot k is (c_k + trace(r0*x3)) mod p, so its count is the cyclic
+    convolution over Z/p of the counts of c_k over every (x0, x1, x2) and
+    of trace(r0*x3) over the x3 axis, both counted, neither assumed
+    uniform, so the weight kernel's theorem is never used.  Exact integers,
+    one shifted copy per value the x3 axis takes.
+    """
+    dp = derive_params(params)
+    p = dp.p
+    residues = np.zeros(4 * p, dtype=np.int64)  # slot k at [k*p, (k+1)*p)
+    for res in _slot_residues(r, dp, _BLOCK_POSITIONS):
+        residues += np.bincount((res + p * np.arange(4)).ravel(), minlength=4 * p)
+    x3 = np.bincount(dp.field.trace_products(r.a, np.arange(dp.q)), minlength=p)
+    counts = np.zeros((4, p), dtype=np.int64)
+    for s in np.flatnonzero(x3):
+        counts += x3[s] * np.roll(residues.reshape(4, p), s, axis=1)
+    return counts
 
 
 def export_gray_words(params: CodeParams | DerivedParams, rs, path) -> tuple[str, str]:

@@ -23,8 +23,8 @@ from .errors import ParameterError
 #: Largest q a Field accepts; every Field builds exp/log tables, so dlog is a lookup.
 DLOG_TABLE_LIMIT = 2**20
 
-#: Full q*q product tables (needed by the vectorized enumeration engine) are
-#: only built up to this q; beyond it exhaustive work is out of desk scale anyway.
+#: Full q*q product tables (read by the identity suite and the test oracles)
+#: are only built up to this q; the weight kernel and Gray streams need none.
 COORD_TABLE_LIMIT = 4096
 
 _ADD_TABLE_LIMIT = 1024
@@ -481,7 +481,7 @@ class Field:
 
     @property
     def trmul_flat(self) -> np.ndarray:
-        """Flattened q*q table of trace(a*b) (int16); the enumeration kernel."""
+        """Flattened q*q table of trace(a*b) (int16); the tests' oracle."""
         if self._trmul_flat_np is None:
             self._trmul_flat_np = (
                 self._trace_np[self.mul_table].astype(np.int16).ravel()
@@ -491,6 +491,13 @@ class Field:
     @property
     def trace_table(self) -> np.ndarray:
         return self._trace_np
+
+    def trace_products(self, a, b) -> np.ndarray:
+        """trace(a*b) (int32) for broadcastable arrays of codes, read through
+        the exp/log tables as in mul, so no q*q table is built."""
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self._exp_np[(self._log_np[a] + self._log_np[b]) % self.order]
+        return np.where((a == 0) | (b == 0), 0, self._trace_np[prod])
 
     # -- text record ---------------------------------------------------------
 

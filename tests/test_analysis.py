@@ -24,7 +24,7 @@ from tracecodes import (
     theta_of_vector,
     verify_identities,
 )
-from tracecodes import Field, analysis, ring
+from tracecodes import Field, analysis, construction, ring
 from tracecodes.analysis import lee_weight_by_streaming, lee_weights_bulk
 from tracecodes.construction import coord_blocks
 from tracecodes.ring import random_element, scale
@@ -125,6 +125,16 @@ def test_kernel_matches_per_coordinate_oracle(p, m, N, variant, count):
     rows = _grid_rows(dp.q, count, seed=p * 100 + m * 10 + N)
     assert np.array_equal(analysis._weights_serial(dp, rows),
                           _reference_weights(dp, rows))
+
+
+def test_kernel_matches_oracle_with_non_primitive_modulus():
+    # x has order 4 modulo x^2 + 1, so xi is not the class of x
+    field = Field(3, 2, modulus=(1, 0, 1))
+    for N, variant in ((1, "lift"), (2, "lift"), (1, "units")):
+        dp = derive_params(CodeParams(field, N, Variant(variant)))
+        rows = _grid_rows(dp.q, 600, seed=N)
+        assert np.array_equal(analysis._weights_serial(dp, rows),
+                              _reference_weights(dp, rows))
 
 
 @pytest.mark.parametrize("p,N", [(131, 1), (257, 256)])
@@ -312,21 +322,36 @@ def test_identity_suite_measures_the_kernel(f9, monkeypatch):
 
 
 def test_identity_suite_measures_the_histograms(f9, monkeypatch):
-    # the other side: a wrong Gray stream (slot 2 reduced mod p - 1, which
-    # turns the symbol p - 1 into 0) must breach against the kernel weights
-    gray_symbols = analysis.gray_symbols
+    # the other side: wrong Gray slot counts (slot 2 reduced mod p - 1, so
+    # its count at the symbol p - 1 moves onto 0) must breach against the
+    # kernel weights
+    real = analysis.gray_slot_counts
 
     def mutant(r, params):
-        p = derive_params(params).p
-        for block in gray_symbols(r, params):
-            block[:, 2] %= p - 1
-            yield block
-    monkeypatch.setattr(analysis, "gray_symbols", mutant)
+        counts = real(r, params)
+        counts[2, 0] += counts[2, -1]
+        counts[2, -1] = 0
+        return counts
+    monkeypatch.setattr(analysis, "gray_slot_counts", mutant)
     rep = verify_identities(CodeParams(f9, 1), trials=5)
     assert not rep.ok
     breached = {b["identity"] for b in rep.breaches}
     assert "weight_vs_character_sum" in breached
     assert breached <= {"weight_vs_character_sum", "real_part_collapse"}
+
+
+def test_identity_suite_reads_no_symbol_stream(f9, monkeypatch):
+    # the histograms fold the x3 axis into slot counts; none walks the stream
+    calls = []
+    real = construction.gray_symbols
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for module in (construction, analysis):
+        monkeypatch.setattr(module, "gray_symbols", counted, raising=False)
+    assert verify_identities(CodeParams(f9, 1), trials=5).ok
+    assert calls == []
 
 
 def test_identity_suite_skips_real_part_for_p_one_mod_four(f25):

@@ -318,3 +318,51 @@ def test_largest_table_prime_finishes_within_one_gib():
     assert report["comparison"] == {"ok": None, "details": [],
                                     "status": "no-applicable-prediction"}
     assert elapsed < 10
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_refuses_trials_below_one(trials, capsys):
+    # with no trials the real-part and weight-from-theta checks never run
+    code = main(["verify", "-p", "3", "-m", "2", "--threads", "1", "--trials", trials])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_largest_table_prime_builds_no_product_table(monkeypatch, capsys):
+    # the uv-line traces come from the exp/log tables, not a q*q table
+    def no_table(self):
+        raise AssertionError("a q*q product table was built")
+    for name in ("mul_table", "trmul_flat"):
+        monkeypatch.setattr(Field, name, property(no_table))
+    code = main(["analyze", "-p", "4093", "-m", "1", "-N", "1", "--threads", "1"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = {r["weight"]: r["frequency"] for r in report["rows"]}
+    assert rows == {0: 1, 274207358832: 280651248513108, 274274369428: 4092}
+
+
+def test_analyze_past_product_table_limit(capsys):
+    # q = 6561 > COORD_TABLE_LIMIT: the kernel reads no q*q table, so the
+    # class method answers, and the two-weight prediction matches
+    code = main(["analyze", "-p", "3", "-m", "8", "--threads", "1"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = {r["weight"]: r["frequency"] for r in report["rows"]}
+    assert rows == {0: 1, 2470317012420480: 1853020188845280, 2470693585135788: 6560}
+    assert report["comparison"]["ok"] is True
+
+
+def test_verify_past_product_table_limit_refuses_before_any_check(monkeypatch, capsys):
+    from tracecodes import analysis
+
+    def no_histogram(*args):
+        raise AssertionError("a Gray histogram ran before the refusal")
+    monkeypatch.setattr(analysis, "gray_slot_counts", no_histogram)
+    monkeypatch.setattr(analysis, "count_zero_traces", no_histogram)
+    code = main(["verify", "-p", "3", "-m", "8", "--threads", "1"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: product tables need q <= 4096, got 6561"]

@@ -28,6 +28,7 @@ from tracecodes.construction import (
     DerivedParams,
     contains,
     coord_blocks,
+    gray_slot_counts,
     gray_symbols,
 )
 from tracecodes.field import count_zero_traces
@@ -319,6 +320,41 @@ def test_gray_symbols_past_a_byte_match_oracle(p, N):
         slow = _leading_symbols(_reference_gray_symbols(r, dp), count)
         assert np.array_equal(fast, slow)
     assert fast.max() == p - 1
+
+
+def _slot_bincount(blocks, p):
+    """Per-slot value counts of a stream of (block, 4) Gray-symbol arrays."""
+    counts = np.zeros((4, p), dtype=np.int64)
+    for block in blocks:
+        for k in range(4):
+            counts[k] += np.bincount(block[:, k], minlength=p)
+    return counts
+
+
+@pytest.mark.parametrize("p,m,N,variant,rows", [
+    (3, 1, 1, "lift", None), (3, 1, 1, "units", None),
+    (3, 2, 1, "lift", 16), (3, 2, 2, "lift", 16), (3, 2, 4, "lift", 16),
+    (5, 2, 3, "lift", 8), (5, 2, 3, "units", 8), (7, 1, 3, "units", 16),
+    (3, 3, 1, "lift", 8), (3, 3, 13, "lift", 8), (3, 4, 4, "lift", 8),
+    # q^2 > _BLOCK_POSITIONS: the one x0 splits into runs of pairs
+    (131, 1, 1, "lift", [(1, 0, 0, 0), (0, 0, 0, 130), (0, 3, 126, 7), (129, 3, 126, 7)]),
+    (257, 1, 256, "lift", [(0, 3, 0, 5), (255, 3, 252, 7)]),
+])
+def test_gray_slot_counts_match_symbol_bincount(p, m, N, variant, rows):
+    # rows cover r0 = 0, the uv-line, the off-line ideal and the units
+    field = Field(p, m)
+    dp = derive_params(CodeParams(field, N, Variant(variant)))
+    if not isinstance(rows, list):
+        rows = _codeword_rows(field.q, rows, seed=p * 100 + m * 10 + N)
+    for coords in rows:
+        r = RingElem(field, *coords)
+        counts = gray_slot_counts(r, dp)
+        assert counts.dtype == np.int64 and counts.shape == (4, p)
+        assert np.array_equal(counts, _slot_bincount(gray_symbols(r, dp), p))
+        if dp.length <= 2**16:
+            # the flat decoder shares no residue arithmetic with either side
+            flat = _slot_bincount(_reference_gray_symbols(r, dp), p)
+            assert np.array_equal(counts, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,19 @@ def test_trace_does_not_wrap_above_p_127():
     assert tm.min() == 0 and tm.max() == 130
 
 
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 2, None), (3, 2, (1, 0, 1)), (5, 2, None), (3, 4, None), (131, 1, None),
+])
+def test_trace_products_match_product_table(p, m, modulus):
+    # exp/log arithmetic as in mul, including a non-primitive modulus
+    f = Field(p, m, modulus=modulus)
+    codes = np.arange(f.q)
+    got = f.trace_products(codes[:, None], codes)
+    assert got.dtype == np.int32
+    assert np.array_equal(got.ravel(), f.trmul_flat)
+    assert all(got[a, b] == f.trace(f.mul(a, b)) for a in (0, 1, f.q - 1) for b in codes)
+
+
 # ---------------------------------------------------------------------------
 # discrete logs
 # ---------------------------------------------------------------------------
