@@ -6,10 +6,10 @@ codeword d*uv has 4*q^3 times the number of x0 with Tr(d*x0) != 0.  The
 tests pin it bit for bit against a per-coordinate count and a
 symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
-floating point.  The Gray symbol histograms behind them fold the x3 axis:
-construction.gray_slot_counts convolves explicit counts of the (x0, x1,
-x2) residues with the count of Tr(r0*x3), never the theorem, so
-weight_vs_character_sum checks the theorem against an explicit count.
+floating point.  The Gray symbol histograms behind them fold every axis:
+construction.gray_slot_counts convolves explicit counts of each axis's
+trace terms, never the theorem, so weight_vs_character_sum checks the
+theorem against an explicit count.
 
 Three ways to obtain a distribution:
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +107,8 @@ def lee_weights_bulk(params: CodeParams | DerivedParams, rows,
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     if threads <= 1 or len(rows) < 4 * threads:
         return _weights_serial(dp, rows)
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
     stripes = np.array_split(rows, threads)
     spec = (dp.p, dp.m, dp.field.modulus, dp.params.N, dp.variant.value)
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -382,19 +383,10 @@ def theta(r: RingElem, params: CodeParams | DerivedParams) -> complex:
     """Sum of eta^symbol over the Gray image of the codeword of r."""
     dp = derive_params(params)
     hist = gray_symbol_histogram(r, dp)
+    # the p-th roots of unity sum to 0: dropping the least count first
+    # keeps the Gray length's size out of the float rounding
     eta_pow = np.exp(2j * np.pi * np.arange(dp.p) / dp.p)
-    return complex(hist @ eta_pow)
-
-
-def lee_weight_from_theta(r: RingElem,
-                          params: CodeParams | DerivedParams) -> tuple[float, float]:
-    """Cross-check value ((p-1)*s - sum over tau of theta(tau*r)) / p,
-    returned with the absolute imaginary part of the tau sum (0 up to
-    rounding) as (value, imag)."""
-    dp = derive_params(params)
-    p, s = dp.p, dp.gray_length
-    tau_sum = sum(theta(scale(r, tau), dp) for tau in range(1, p))
-    return ((p - 1) * s - tau_sum.real) / p, abs(tau_sum.imag)
+    return complex((hist - hist.min()) @ eta_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +462,14 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
             record("real_part_collapse", abs(tau_sum - (p - 1) * th.real),
                    {"r": r.coords()})
 
-    # weight from theta
+    # weight from theta: p*w = (p-1)*s - sum over tau of theta(tau*r), the
+    # integer side formed exactly before the float tau sum is added
     for _ in range(min(trials, 100)):
         r = RingElem(field, *(int(x) for x in rng.integers(0, q, size=4)))
-        w = codeword_lee_weight(r, dp)
-        value, imag = lee_weight_from_theta(r, dp)
-        record("weight_vs_character_sum", abs(w - value) + imag, {"r": r.coords()})
+        exact = p * codeword_lee_weight(r, dp) - (p - 1) * dp.gray_length
+        tau_sum = sum(theta(scale(r, tau), dp) for tau in range(1, p))
+        record("weight_vs_character_sum",
+               abs(exact + tau_sum.real) / p + abs(tau_sum.imag), {"r": r.coords()})
 
     # the full additive sum vanishes for every nonzero multiplier
     tr = field.trace_table

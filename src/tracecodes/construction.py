@@ -40,7 +40,7 @@ CODEWORD_COUNT_GUARD = 2**63
 ORDERING_TAG = "x0-major/lex-v1"
 
 #: Stream positions per block of coord_blocks and (rounded down to whole
-#: x3 axes) of gray_symbols; (x1, x2) pairs per block of gray_slot_counts.
+#: x3 axes) of gray_symbols.
 _BLOCK_POSITIONS = 1 << 14
 
 DEFAULT_SEED = 2024
@@ -243,28 +243,26 @@ def evaluate(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[RingEl
         yield big_trace(r * x)
 
 
-def _slot_residues(r: RingElem, dp: DerivedParams, pairs: int) -> Iterator[np.ndarray]:
-    """Yield (block, 4) int64 residues c_k in [0, p), one row per (x1, x2)
-    pair: Gray slot k of (x0, x1, x2, x3) is (c_k + trace(r0*x3)) mod p.
+def _axis_terms(r: RingElem, dp: DerivedParams) -> list[np.ndarray]:
+    """Per-axis terms of the four Gray slots of the codeword of r: int64
+    arrays of shape (4, n0) over x0_codes() and (4, q) over lex_codes for
+    the x1, x2 and x3 axes, in [0, p).  Slot k of (x0, x1, x2, x3) is the
+    sum of the four axes' k-th terms, mod p.
 
-    This is the one place that writes the Gray map (d, c+d, b+d, a+b+c+d)
-    of the traced entry.  A block covers one x0 and at most `pairs`
-    consecutive pairs in stream order; only the pairs are decoded.
+    The traced entry Tr(r*x) = t1 + t2 u + t3 v + t4 uv, r = (a, b, c, d),
+    splits by axis: x0 gives (Tr(a x0), Tr(b x0), Tr(c x0), Tr(d x0)), x1
+    gives (0, Tr(a x1), 0, Tr(c x1)), x2 (0, 0, Tr(a x2), Tr(b x2)) and x3
+    (0, 0, 0, Tr(a x3)).  The Gray map is linear, so each axis's part goes
+    through it on its own; this is the one place that writes it.
     """
-    p, q = dp.p, dp.q
-    lex = dp.field.lex_codes
-    # row c of T is x -> trace(c*x)
-    T0, T1, T2, T3 = dp.field.trace_products(np.array(r.coords())[:, None], np.arange(q))
-    L0, L1, L2 = (T[lex].astype(np.int64) for T in (T0, T1, T2))
-    fold = np.arange(8 * p) % p  # every sum below is under 8p
-    for x0 in dp.x0_codes():
-        a0, a1, a2, a3 = (int(T[x0]) for T in (T0, T1, T2, T3))
-        for start in range(0, q * q, pairs):
-            i1, i2 = np.divmod(np.arange(start, min(start + pairs, q * q)), q)
-            t2 = L0[i1] + a1
-            t3 = L0[i2] + a2
-            c0 = L1[i2] + L2[i1] + a3
-            yield fold[np.stack([c0, c0 + t3, c0 + t2, c0 + t2 + t3 + a0], axis=1)]
+    p = dp.p
+    coords = np.array(r.coords())[:, None]
+    x0 = dp.field.trace_products(coords, dp.x0_codes()).astype(np.int64)
+    a, b, c = dp.field.trace_products(coords[:3], dp.field.lex_codes).astype(np.int64)
+
+    def gray(t1, t2, t3, t4):  # (d, c+d, b+d, a+b+c+d)
+        return np.array([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4]) % p
+    return [gray(*x0), gray(0, a, 0, c), gray(0, 0, a, b), gray(0, 0, 0, a)]
 
 
 def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np.ndarray]:
@@ -277,32 +275,39 @@ def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np
     """
     dp = derive_params(params)
     p, q = dp.p, dp.q
-    x3 = dp.field.trace_products(r.a, dp.field.lex_codes)
+    X0, X1, X2, X3 = _axis_terms(r, dp)
     # shifted[c, i] = (c + trace(r0*x3)) mod p, x3 the i-th element in lex order
-    shifted = ((np.arange(p)[:, None] + x3) % p).astype(np.int16)
-    for res in _slot_residues(r, dp, max(1, _BLOCK_POSITIONS // q)):
-        yield shifted[res].transpose(0, 2, 1).reshape(-1, 4)
+    shifted = ((np.arange(p)[:, None] + X3[0]) % p).astype(np.int16)
+    pairs = max(1, _BLOCK_POSITIONS // q)
+    for t0 in X0.T:
+        for start in range(0, q * q, pairs):
+            i1, i2 = np.divmod(np.arange(start, min(start + pairs, q * q)), q)
+            res = (t0[:, None] + X1[:, i1] + X2[:, i2]) % p
+            yield shifted[res.T].transpose(0, 2, 1).reshape(-1, 4)
 
 
 def gray_slot_counts(r: RingElem, params: CodeParams | DerivedParams) -> np.ndarray:
     """(4, p) int64 counts of each value of F_p in each Gray slot of the
     codeword of r; each row sums to the code length.
 
-    Slot k is (c_k + trace(r0*x3)) mod p, so its count is the cyclic
-    convolution over Z/p of the counts of c_k over every (x0, x1, x2) and
-    of trace(r0*x3) over the x3 axis, both counted, neither assumed
-    uniform, so the weight kernel's theorem is never used.  Exact integers,
-    one shifted copy per value the x3 axis takes.
+    Slot k is a sum mod p of one term per axis (_axis_terms), so its count
+    is the cyclic convolution over Z/p of the four axes' term counts: x0
+    counted over x0_codes(), x1, x2 and x3 over F_q.  Every count is
+    explicit, none assumed uniform, so the weight kernel's theorem is never
+    used.  Exact int64, one shifted copy of a doubled (4, 2p) array per
+    value an axis takes: O(n0 + q + p^2) per codeword.
     """
     dp = derive_params(params)
     p = dp.p
-    residues = np.zeros(4 * p, dtype=np.int64)  # slot k at [k*p, (k+1)*p)
-    for res in _slot_residues(r, dp, _BLOCK_POSITIONS):
-        residues += np.bincount((res + p * np.arange(4)).ravel(), minlength=4 * p)
-    x3 = np.bincount(dp.field.trace_products(r.a, np.arange(dp.q)), minlength=p)
-    counts = np.zeros((4, p), dtype=np.int64)
-    for s in np.flatnonzero(x3):
-        counts += x3[s] * np.roll(residues.reshape(4, p), s, axis=1)
+    offsets = p * np.arange(4)[:, None]
+    counts, *axes = (np.bincount((t + offsets).ravel(), minlength=4 * p).reshape(4, p)
+                     for t in _axis_terms(r, dp))
+    for axis in axes:
+        # doubled[:, p - s + j] = counts[:, (j - s) % p]
+        doubled = np.concatenate([counts, counts], axis=1)
+        counts = np.zeros_like(counts)
+        for s in np.flatnonzero(axis.any(axis=0)):
+            counts += axis[:, s, None] * doubled[:, p - s:2 * p - s]
     return counts
 
 

@@ -340,8 +340,30 @@ def test_identity_suite_measures_the_histograms(f9, monkeypatch):
     assert breached <= {"weight_vs_character_sum", "real_part_collapse"}
 
 
+def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
+    # gray length 4 * 121 * 243^3 = 6.9e9, whose float64 ulp is near the
+    # 1e-6 tolerance: the exact integer side must not hide a wrong kernel
+    # or wrong counts
+    dp = derive_params(CodeParams(Field(3, 5), 1))
+    real_kernel, real_counts = analysis._weights_serial, analysis.gray_slot_counts
+    monkeypatch.setattr(analysis, "_weights_serial",
+                        lambda dp, rows: real_kernel(dp, rows) + 4)
+    rep = verify_identities(dp, trials=5)
+    assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
+    monkeypatch.setattr(analysis, "_weights_serial", real_kernel)
+
+    def mutant(r, params):
+        counts = real_counts(r, params)
+        counts[2, 0] += counts[2, -1]
+        counts[2, -1] = 0
+        return counts
+    monkeypatch.setattr(analysis, "gray_slot_counts", mutant)
+    rep = verify_identities(dp, trials=5)
+    assert "weight_vs_character_sum" in {b["identity"] for b in rep.breaches}
+
+
 def test_identity_suite_reads_no_symbol_stream(f9, monkeypatch):
-    # the histograms fold the x3 axis into slot counts; none walks the stream
+    # the histograms fold every axis into slot counts; none walks the stream
     calls = []
     real = construction.gray_symbols
 

@@ -154,6 +154,19 @@ def test_verify_command(tmp_path):
     assert all(v < 1e-6 for v in report["residuals"].values())
 
 
+@pytest.mark.parametrize("m", [5, 6])
+def test_verify_large_gray_length_is_clean_and_fast(tmp_path, m):
+    # gray lengths 6.9e9 and 1.7e12: the float tau sums stay within the
+    # tolerance, and the folded slot counts keep the run short
+    start = time.perf_counter()
+    code, report = run_json(tmp_path, "verify", "-p", "3", "-m", str(m), "-N", "1",
+                            "--seed", "7", "--threads", "1")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert report["breaches"] == []
+    assert all(v < 1e-9 for v in report["residuals"].values())
+
+
 def test_verify_subcode(tmp_path):
     code, report = run_json(
         tmp_path, "verify", "-p", "3", "-m", "4", "-N", "4",

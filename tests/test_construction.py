@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -355,6 +356,19 @@ def test_gray_slot_counts_match_symbol_bincount(p, m, N, variant, rows):
             # the flat decoder shares no residue arithmetic with either side
             flat = _slot_bincount(_reference_gray_symbols(r, dp), p)
             assert np.array_equal(counts, flat)
+
+
+def test_gray_slot_counts_at_the_largest_table_prime():
+    # O(n0 + q + p^2) per codeword: a unit row at p = 4093 counts in under
+    # 2 s; a != 0 puts a nonzero coefficient on the x3 axis of
+    # every slot, so each slot takes every value length/p times
+    field = Field(4093, 1)
+    dp = derive_params(CodeParams(field, 1))
+    start = time.perf_counter()
+    counts = gray_slot_counts(RingElem(field, 1, 2, 3, 4), dp)
+    assert time.perf_counter() - start < 2
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.full((4, 4093), dp.length // 4093))
 
 
 # ---------------------------------------------------------------------------
