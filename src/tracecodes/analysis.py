@@ -8,8 +8,8 @@ symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
 floating point.  The Gray symbol histograms behind them fold every axis:
 construction.gray_slot_counts convolves explicit counts of each axis's
-trace terms, never the theorem, so weight_vs_character_sum checks the
-theorem against an explicit count.
+trace terms for a batch of rows, never the theorem, so
+weight_vs_character_sum checks the theorem against an explicit count.
 
 Three ways to obtain a distribution:
 
@@ -26,6 +26,7 @@ Work partitions across processes by r-blocks; merges are associative.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -40,11 +41,12 @@ from .construction import (
     derive_params,
     evaluate,
     gray_slot_counts,
+    slot_batch_rows,
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
 from .field import Field, count_zero_traces, gauss_sum
-from .ring import RingElem, lee_weight, scale
+from .ring import RingElem, lee_weight
 
 #: Default ceiling on exhaustive work, in entry-operations
 #: (codeword count times coordinate count).
@@ -337,8 +339,8 @@ def survey_ideal_and_units(params: CodeParams | DerivedParams,
     zero_mask = (b == 0) & (c == 0) & (d == 0)
     om_mask = ~(uv_mask | zero_mask)
 
-    def hist(mask) -> dict[int, int]:
-        vals, counts = np.unique(weights[mask], return_counts=True)
+    def hist(ws) -> dict[int, int]:
+        vals, counts = np.unique(ws, return_counts=True)
         return {int(wv): int(cv) for wv, cv in zip(vals, counts)}
 
     rng = np.random.default_rng(seed)
@@ -348,13 +350,11 @@ def survey_ideal_and_units(params: CodeParams | DerivedParams,
         rng.integers(0, q, size=unit_samples),
         rng.integers(0, q, size=unit_samples),
     ], axis=1)
-    unit_weights = lee_weights_bulk(dp, unit_rows, threads=threads)
-    uvals, ucounts = np.unique(unit_weights, return_counts=True)
 
     return IdealSurvey(
-        uv_line=hist(uv_mask),
-        other_maximal=hist(om_mask),
-        units_sampled={int(wv): int(cv) for wv, cv in zip(uvals, ucounts)},
+        uv_line=hist(weights[uv_mask]),
+        other_maximal=hist(weights[om_mask]),
+        units_sampled=hist(lee_weights_bulk(dp, unit_rows, threads=threads)),
         unit_samples=unit_samples,
         seed=seed,
     )
@@ -364,11 +364,11 @@ def survey_ideal_and_units(params: CodeParams | DerivedParams,
 # Character sums over codewords
 # ---------------------------------------------------------------------------
 
-def gray_symbol_histogram(r: RingElem, params: CodeParams | DerivedParams) -> np.ndarray:
-    """Counts of each prime-field value among the Gray symbols of the
-    codeword of r; length-p int64 array summing to the Gray length: the
-    four slot counts of construction.gray_slot_counts, added."""
-    return gray_slot_counts(r, derive_params(params)).sum(axis=0)
+def gray_symbol_histogram(rows, params: CodeParams | DerivedParams) -> np.ndarray:
+    """(K, p) int64 counts of each prime-field value among the Gray symbols
+    of the codewords of the K rows (a, b, c, d); each row sums to the Gray
+    length: the four slot counts of construction.gray_slot_counts, added."""
+    return gray_slot_counts(rows, derive_params(params)).sum(axis=1)
 
 
 def theta_of_vector(y, p: int) -> complex:
@@ -379,14 +379,18 @@ def theta_of_vector(y, p: int) -> complex:
     return complex(hist @ eta_pow)
 
 
+def thetas(rows, params: CodeParams | DerivedParams) -> np.ndarray:
+    """(K,) complex128 sums of eta^symbol over the Gray images of the K rows'
+    codewords, each on its own: the p-th roots of unity sum to 0, so dropping
+    a row's least count first keeps the Gray length out of the float rounding."""
+    dp = derive_params(params)
+    eta_pow = np.exp(2j * np.pi * np.arange(dp.p) / dp.p)
+    return np.array([(h - h.min()) @ eta_pow for h in gray_symbol_histogram(rows, dp)])
+
+
 def theta(r: RingElem, params: CodeParams | DerivedParams) -> complex:
     """Sum of eta^symbol over the Gray image of the codeword of r."""
-    dp = derive_params(params)
-    hist = gray_symbol_histogram(r, dp)
-    # the p-th roots of unity sum to 0: dropping the least count first
-    # keeps the Gray length's size out of the float rounding
-    eta_pow = np.exp(2j * np.pi * np.arange(dp.p) / dp.p)
-    return complex((hist - hist.min()) @ eta_pow)
+    return complex(thetas([r.coords()], params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +421,22 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     weight-from-theta formula on random codewords; the vanishing full
     additive sum for every nonzero multiplier; Gaussian sum normalization
     and multiplicative-character orthogonality.  Breaches are reported with
-    witnesses, never raised.
+    witnesses, never raised; a run past the work budget is refused before any check.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     dp = derive_params(params)
     field = dp.field
-    p, q, m = dp.p, dp.q, dp.m
-    mul_table = field.mul_table  # built first: q past its limit is refused at once
+    p, q, n0 = dp.p, dp.q, dp.length // dp.q**3
+    def work(t: int) -> int:  # histogram rows, partial sums, zero traces, full sums
+        rows = min(t, 100) + (t if p % 4 == 3 else 0)
+        return (p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p)) + q * (n0 + q)
+    field.check_table_limit()  # q past the table limit is refused at once
+    if work(trials) > (budget := _resolve_budget(None)):
+        fits = bisect.bisect_right(range(1, trials + 1), budget, key=work)
+        raise WorkBudgetExceeded(
+            f"identity suite needs {work(trials)} entry-operations, over the budget of {budget}; "
+            + (f"the largest --trials that fits is {fits}" if fits else "no --trials value fits"))
     rng = np.random.default_rng(seed)
     residuals: dict[str, float] = {}
     breaches: list[dict] = []
@@ -437,8 +449,9 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
 
     # zero-trace count vs Gaussian-sum expansion, every nonzero b
     gsums = [gauss_sum(field, j, dp.N2) for j in range(dp.N2)]
+    base = np.asarray(dp.base_set, dtype=np.int64)
     for b in range(1, q):
-        count = count_zero_traces(field, b, dp.base_set)
+        count = count_zero_traces(field, b, base)
         k = field.dlog(b)
         rhs = dp.n + sum(
             gsums[j] * np.exp(2j * np.pi * j * k / dp.N2) for j in range(dp.N2)
@@ -453,29 +466,28 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
         rhs = (p - 1) * length - p * int(np.count_nonzero(y % p))
         record("partial_sums_vs_hamming", abs(lhs - rhs), {"y": y.tolist()})
 
-    # real-part collapse on codewords (p = 3 mod 4 branch)
-    if p % 4 == 3:
-        for _ in range(trials):
-            r = RingElem(field, *(int(x) for x in rng.integers(0, q, size=4)))
-            th = theta(r, dp)
-            tau_sum = th + sum(theta(scale(r, tau), dp) for tau in range(2, p))
-            record("real_part_collapse", abs(tau_sum - (p - 1) * th.real),
-                   {"r": r.coords()})
-
-    # weight from theta: p*w = (p-1)*s - sum over tau of theta(tau*r), the
-    # integer side formed exactly before the float tau sum is added
-    for _ in range(min(trials, 100)):
-        r = RingElem(field, *(int(x) for x in rng.integers(0, q, size=4)))
-        exact = p * codeword_lee_weight(r, dp) - (p - 1) * dp.gray_length
-        tau_sum = sum(theta(scale(r, tau), dp) for tau in range(1, p))
-        record("weight_vs_character_sum",
-               abs(exact + tau_sum.real) / p + abs(tau_sum.imag), {"r": r.coords()})
+    # codewords r drawn a block at a time, each tau*r (tau = 1..p-1) multiplied and
+    # counted on its own: the first `real` check the real-part collapse (p = 3 mod 4
+    # only), the rest p*w = (p-1)*s - sum of theta(tau*r), integer side formed first
+    real = trials if p % 4 == 3 else 0
+    total, block = real + min(trials, 100), max(1, slot_batch_rows(dp) // (p - 1))
+    for start in range(0, total, block):
+        rows = rng.integers(0, q, size=(min(block, total - start), 4))
+        split = max(0, real - start)
+        taus = field.products(np.arange(1, p)[:, None], rows[:, None, :]).reshape(-1, 4)
+        sums = thetas(taus, dp).reshape(-1, p - 1).tolist()
+        for row, (th, *rest) in zip(rows[:split], sums):
+            record("real_part_collapse", abs(th + sum(rest) - (p - 1) * th.real),
+                   {"r": row.tolist()})
+        for row, w, tau in zip(rows[split:], lee_weights_bulk(dp, rows[split:]), sums[split:]):
+            exact, tau_sum = p * int(w) - (p - 1) * dp.gray_length, sum(tau)
+            record("weight_vs_character_sum",
+                   abs(exact + tau_sum.real) / p + abs(tau_sum.imag), {"r": row.tolist()})
 
     # the full additive sum vanishes for every nonzero multiplier
-    tr = field.trace_table
-    eta_pow = np.exp(2j * np.pi * np.arange(p) / p)
+    eta_pow, mul_table = np.exp(2j * np.pi * np.arange(p) / p), field.mul_table
     for z in range(1, q):
-        hist = np.bincount(tr[mul_table[z]], minlength=p)
+        hist = np.bincount(field.trace_table[mul_table[z]], minlength=p)
         record("full_additive_sum", abs(complex(hist @ eta_pow)), {"z": z})
 
     # Gaussian sum normalization

@@ -243,11 +243,11 @@ def evaluate(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[RingEl
         yield big_trace(r * x)
 
 
-def _axis_terms(r: RingElem, dp: DerivedParams) -> list[np.ndarray]:
-    """Per-axis terms of the four Gray slots of the codeword of r: int64
-    arrays of shape (4, n0) over x0_codes() and (4, q) over lex_codes for
-    the x1, x2 and x3 axes, in [0, p).  Slot k of (x0, x1, x2, x3) is the
-    sum of the four axes' k-th terms, mod p.
+def _axis_terms(rows, dp: DerivedParams) -> list[np.ndarray]:
+    """Per-axis terms of the four Gray slots of the codewords of (K, 4)
+    rows (a, b, c, d): int64 arrays of shape (K, 4, n0) over x0_codes() and
+    (K, 4, q) over lex_codes for the x1, x2 and x3 axes, in [0, p).  Slot k
+    of (x0, x1, x2, x3) is the sum of the four axes' k-th terms, mod p.
 
     The traced entry Tr(r*x) = t1 + t2 u + t3 v + t4 uv, r = (a, b, c, d),
     splits by axis: x0 gives (Tr(a x0), Tr(b x0), Tr(c x0), Tr(d x0)), x1
@@ -256,12 +256,12 @@ def _axis_terms(r: RingElem, dp: DerivedParams) -> list[np.ndarray]:
     through it on its own; this is the one place that writes it.
     """
     p = dp.p
-    coords = np.array(r.coords())[:, None]
+    coords = np.asarray(rows, dtype=np.int64).T[:, :, None]
     x0 = dp.field.trace_products(coords, dp.x0_codes()).astype(np.int64)
     a, b, c = dp.field.trace_products(coords[:3], dp.field.lex_codes).astype(np.int64)
 
     def gray(t1, t2, t3, t4):  # (d, c+d, b+d, a+b+c+d)
-        return np.array([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4]) % p
+        return np.stack([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4], axis=1) % p
     return [gray(*x0), gray(0, a, 0, c), gray(0, 0, a, b), gray(0, 0, 0, a)]
 
 
@@ -275,7 +275,7 @@ def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np
     """
     dp = derive_params(params)
     p, q = dp.p, dp.q
-    X0, X1, X2, X3 = _axis_terms(r, dp)
+    X0, X1, X2, X3 = (t[0] for t in _axis_terms([r.coords()], dp))
     # shifted[c, i] = (c + trace(r0*x3)) mod p, x3 the i-th element in lex order
     shifted = ((np.arange(p)[:, None] + X3[0]) % p).astype(np.int16)
     pairs = max(1, _BLOCK_POSITIONS // q)
@@ -286,28 +286,37 @@ def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np
             yield shifted[res.T].transpose(0, 2, 1).reshape(-1, 4)
 
 
-def gray_slot_counts(r: RingElem, params: CodeParams | DerivedParams) -> np.ndarray:
-    """(4, p) int64 counts of each value of F_p in each Gray slot of the
-    codeword of r; each row sums to the code length.
+def slot_batch_rows(dp: DerivedParams) -> int:
+    """Rows gray_slot_counts counts at once: its widest array, (rows, 4,
+    max(n0, q, 2p)), holds at most _BLOCK_POSITIONS entries."""
+    return max(1, _BLOCK_POSITIONS // (4 * max(dp.length // dp.q**3, dp.q, 2 * dp.p)))
+
+
+def gray_slot_counts(rows, params: CodeParams | DerivedParams) -> np.ndarray:
+    """(K, 4, p) int64 counts of each value of F_p in each Gray slot of the
+    codewords of the K rows (a, b, c, d); each slot sums to the code length.
 
     Slot k is a sum mod p of one term per axis (_axis_terms), so its count
     is the cyclic convolution over Z/p of the four axes' term counts: x0
     counted over x0_codes(), x1, x2 and x3 over F_q.  Every count is
     explicit, none assumed uniform, so the weight kernel's theorem is never
-    used.  Exact int64, one shifted copy of a doubled (4, 2p) array per
-    value an axis takes: O(n0 + q + p^2) per codeword.
-    """
+    used.  Exact int64, one shifted copy of a doubled (rows, 4, 2p) array
+    per value an axis takes in any row: O(n0 + q + p^2) work per row, and
+    numpy calls per batch of slot_batch_rows rows, not per row."""
     dp = derive_params(params)
-    p = dp.p
-    offsets = p * np.arange(4)[:, None]
-    counts, *axes = (np.bincount((t + offsets).ravel(), minlength=4 * p).reshape(4, p)
-                     for t in _axis_terms(r, dp))
+    p, rows, step = dp.p, np.asarray(rows, dtype=np.int64).reshape(-1, 4), slot_batch_rows(dp)
+    if len(rows) > step:
+        return np.concatenate([gray_slot_counts(rows[i:i + step], dp)
+                               for i in range(0, len(rows), step)])
+    offsets = p * np.arange(4 * len(rows)).reshape(-1, 4, 1)
+    counts, *axes = (np.bincount((t + offsets).ravel(), minlength=offsets.size * p)
+                     .reshape(-1, 4, p) for t in _axis_terms(rows, dp))
     for axis in axes:
-        # doubled[:, p - s + j] = counts[:, (j - s) % p]
-        doubled = np.concatenate([counts, counts], axis=1)
+        # doubled[..., p - s + j] = counts[..., (j - s) % p]
+        doubled = np.concatenate([counts, counts], axis=2)
         counts = np.zeros_like(counts)
-        for s in np.flatnonzero(axis.any(axis=0)):
-            counts += axis[:, s, None] * doubled[:, p - s:2 * p - s]
+        for s in np.flatnonzero(axis.any(axis=(0, 1))):
+            counts += axis[:, :, s, None] * doubled[:, :, p - s:2 * p - s]
     return counts
 
 

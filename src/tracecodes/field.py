@@ -460,14 +460,16 @@ class Field:
             self._lex_codes_np = np.argsort(self.lex_rank)
         return self._lex_codes_np
 
+    def check_table_limit(self) -> None:
+        """Refuse a q past COORD_TABLE_LIMIT before any q*q table is built."""
+        if self.q > COORD_TABLE_LIMIT:
+            raise ParameterError(f"product tables need q <= {COORD_TABLE_LIMIT}, got {self.q}")
+
     @property
     def mul_table(self) -> np.ndarray:
         """Full q*q product table (int32), for vectorized consumers."""
         if self._mul_table_np is None:
-            if self.q > COORD_TABLE_LIMIT:
-                raise ParameterError(
-                    f"product tables need q <= {COORD_TABLE_LIMIT}, got {self.q}"
-                )
+            self.check_table_limit()
             q = self.q
             table = np.zeros((q, q), dtype=np.int32)
             if self.order:
@@ -492,12 +494,16 @@ class Field:
     def trace_table(self) -> np.ndarray:
         return self._trace_np
 
-    def trace_products(self, a, b) -> np.ndarray:
-        """trace(a*b) (int32) for broadcastable arrays of codes, read through
-        the exp/log tables as in mul, so no q*q table is built."""
+    def products(self, a, b) -> np.ndarray:
+        """a*b (int64) for broadcastable arrays of codes through the exp/log
+        tables as in mul, 0 wherever a factor is 0; no q*q table is built."""
         a, b = np.asarray(a), np.asarray(b)
         prod = self._exp_np[(self._log_np[a] + self._log_np[b]) % self.order]
-        return np.where((a == 0) | (b == 0), 0, self._trace_np[prod])
+        return np.where((a == 0) | (b == 0), 0, prod)
+
+    def trace_products(self, a, b) -> np.ndarray:
+        """trace(a*b) (int32) for broadcastable arrays of codes, via `products`."""
+        return self._trace_np[self.products(a, b)]
 
     # -- text record ---------------------------------------------------------
 
@@ -589,6 +595,4 @@ def count_zero_traces(field: Field, b: int, points) -> int:
     """Exact count of points d with trace(b*d) = 0."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    tr = field._trace
-    mul = field.mul
-    return sum(1 for d in points if tr[mul(b, d)] == 0)
+    return int(np.count_nonzero(field.trace_products(b, points) == 0))

@@ -144,9 +144,8 @@ def test_kernel_matches_gray_histogram_past_p_13(p, N):
     dp = derive_params(CodeParams(Field(p, 1), N))
     a, b, c, d = (int(x) for x in np.random.default_rng(p).integers(1, p, size=4))
     rows = [(0, 0, 0, d), (0, b, 0, 0), (0, b, c, d), (a, 0, 0, 0), (a, b, c, d)]
-    counted = [dp.gray_length - gray_symbol_histogram(RingElem(dp.field, *r), dp)[0]
-               for r in rows]
-    assert analysis._weights_serial(dp, rows).tolist() == counted
+    counted = dp.gray_length - gray_symbol_histogram(rows, dp)[:, 0]
+    assert analysis._weights_serial(dp, rows).tolist() == counted.tolist()
 
 
 def test_bulk_weights_parallel_merge(f9):
@@ -282,8 +281,16 @@ def test_theta_of_vector_root_sum():
 
 def test_symbol_histogram_total(f9):
     dp = derive_params(CodeParams(f9, 2))
-    hist = gray_symbol_histogram(ring.uv(f9), dp)
-    assert hist.sum() == dp.gray_length
+    hist = gray_symbol_histogram([ring.uv(f9).coords()], dp)
+    assert hist.shape == (1, 3) and hist.sum() == dp.gray_length
+    assert np.array_equal(gray_symbol_histogram(ring.uv(f9).coords(), dp), hist)
+
+
+def test_thetas_equal_one_row_theta(f9):
+    dp = derive_params(CodeParams(f9, 2))
+    rows = np.random.default_rng(3).integers(0, f9.q, size=(20, 4))
+    got = analysis.thetas(rows, dp).tolist()
+    assert got == [theta(RingElem(f9, *map(int, r)), dp) for r in rows]
 
 
 def test_weight_from_theta_formula(f9):
@@ -327,10 +334,10 @@ def test_identity_suite_measures_the_histograms(f9, monkeypatch):
     # kernel weights
     real = analysis.gray_slot_counts
 
-    def mutant(r, params):
-        counts = real(r, params)
-        counts[2, 0] += counts[2, -1]
-        counts[2, -1] = 0
+    def mutant(rows, params):
+        counts = real(rows, params)
+        counts[:, 2, 0] += counts[:, 2, -1]
+        counts[:, 2, -1] = 0
         return counts
     monkeypatch.setattr(analysis, "gray_slot_counts", mutant)
     rep = verify_identities(CodeParams(f9, 1), trials=5)
@@ -352,14 +359,90 @@ def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
     assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
     monkeypatch.setattr(analysis, "_weights_serial", real_kernel)
 
-    def mutant(r, params):
-        counts = real_counts(r, params)
-        counts[2, 0] += counts[2, -1]
-        counts[2, -1] = 0
+    def mutant(rows, params):
+        counts = real_counts(rows, params)
+        counts[:, 2, 0] += counts[:, 2, -1]
+        counts[:, 2, -1] = 0
         return counts
     monkeypatch.setattr(analysis, "gray_slot_counts", mutant)
     rep = verify_identities(dp, trials=5)
     assert "weight_vs_character_sum" in {b["identity"] for b in rep.breaches}
+
+
+@pytest.mark.parametrize("p,m,trials", [(3, 3, 100), (131, 1, 3)])
+def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monkeypatch):
+    # every tau*r is multiplied and counted on its own, never derived from
+    # r's counts, in several batches whose largest array stays within the
+    # block bound
+    dp = derive_params(CodeParams(Field(p, m), 1))
+    real_hist, real_terms = analysis.gray_symbol_histogram, construction._axis_terms
+    batches, counted = [], []
+
+    def recorded(rows, params):
+        batches.append(np.array(rows))
+        return real_hist(rows, params)
+
+    def terms(rows, dp):
+        counted.append(len(rows))
+        return real_terms(rows, dp)
+    monkeypatch.setattr(analysis, "gray_symbol_histogram", recorded)
+    monkeypatch.setattr(construction, "_axis_terms", terms)
+    assert verify_identities(dp, trials=trials).ok
+    assert len(counted) > 1 and max(counted) <= construction.slot_batch_rows(dp)
+    # each codeword's p - 1 multiples, tau = 1 first, are ring.scale's
+    for group in np.concatenate(batches).reshape(-1, p - 1, 4).tolist():
+        r = RingElem(dp.field, *group[0])
+        assert [list(scale(r, tau).coords()) for tau in range(1, p)] == group
+
+
+@pytest.mark.parametrize("trials", [1, 37, 120])
+def test_identity_suite_weighs_each_weight_trial_once(trials, monkeypatch):
+    # 120 at (3,3,1): the last block of 75 codewords starts past the
+    # real-part rows and holds 70 weight rows, all of which are weighed
+    dp = derive_params(CodeParams(Field(3, 3), 1))
+    assert construction.slot_batch_rows(dp) // 2 == 75
+    real = analysis.lee_weights_bulk
+    weighed = []
+
+    def recorded(params, rows, threads=1):
+        weighed.extend(np.asarray(rows).reshape(-1, 4).tolist())
+        return real(params, rows, threads)
+    monkeypatch.setattr(analysis, "lee_weights_bulk", recorded)
+    assert verify_identities(dp, trials=trials).ok
+    assert len(weighed) == min(trials, 100)
+
+
+def test_identity_suite_memory_does_not_grow_with_trials():
+    # the real-part rows are drawn and counted a block at a time, so ten
+    # times the trials keep the peak of traced allocations (all of them at
+    # once would add about 0.6 MB here)
+    import tracemalloc
+
+    dp = derive_params(CodeParams(Field(3, 1), 1))
+    verify_identities(dp, trials=1)  # lazy tables built before any peak is read
+    peaks = []
+    for trials in (400, 4000):
+        tracemalloc.start()
+        try:
+            assert verify_identities(dp, trials=trials).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 200_000
+
+
+def test_identity_suite_makes_no_scalar_products(monkeypatch):
+    # the zero-trace check and the tau multiples go through array products
+    dp = derive_params(CodeParams(Field(3, 4), 4))
+    calls = []
+    real = Field.mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+    monkeypatch.setattr(Field, "mul", counted)
+    assert verify_identities(dp, trials=5).ok
+    assert calls == []
 
 
 def test_identity_suite_reads_no_symbol_stream(f9, monkeypatch):

@@ -379,3 +379,81 @@ def test_verify_past_product_table_limit_refuses_before_any_check(monkeypatch, c
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: product tables need q <= 4096, got 6561"]
+
+
+def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
+    # about 4e5 histograms of O(p^2) each: refused from the estimate alone,
+    # before any table, zero-trace count or histogram
+    from tracecodes import analysis
+
+    def no_work(*args):
+        raise AssertionError("identity-suite work ran before the refusal")
+    monkeypatch.setattr(Field, "mul_table", property(no_work))
+    monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
+    monkeypatch.setattr(analysis, "count_zero_traces", no_work)
+    start = time.perf_counter()
+    code = main(["verify", "-p", "4093", "-m", "1", "-N", "1", "--threads", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "refused: identity suite needs 82284025354742 entry-operations, over the "
+        "budget of 10000000000; no --trials value fits"]
+
+
+def test_verify_just_past_the_table_limit_keeps_the_table_refusal(monkeypatch, capsys):
+    # q = 4099 > COORD_TABLE_LIMIT: the hard table limit is checked before
+    # the work estimate, so no budget could make this run
+    from tracecodes import analysis
+
+    def no_work(*args):
+        raise AssertionError("identity-suite work ran before the refusal")
+    monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
+    monkeypatch.setattr(analysis, "count_zero_traces", no_work)
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", str(10**20))
+    code = main(["verify", "-p", "4099", "-m", "1", "--threads", "1"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: product tables need q <= 4096, got 4099"]
+
+
+def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
+    import re
+
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "100000")
+    argv = ["verify", "-p", "3", "-m", "3", "-N", "1", "--threads", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("refused: identity suite needs ")
+    fits = int(re.search(r"the largest --trials that fits is (\d+)$", err[0]).group(1))
+    assert fits == 47
+    assert main([*argv, "--trials", str(fits)]) == 0
+    assert main([*argv, "--trials", str(fits + 1)]) == 3
+
+
+@pytest.mark.parametrize("argv,residuals", [
+    (["-p", "3", "-m", "3", "-N", "1"], {
+        "character_orthogonality": 3.575164062904719e-14,
+        "full_additive_sum": 3.4684476073050936e-15,
+        "gauss_sum_modulus": 3.907985046680551e-14,
+        "gauss_sum_trivial": 3.2023728339893768e-15,
+        "partial_sums_vs_hamming": 1.7763568394002505e-14,
+        "real_part_collapse": 0.0,
+        "weight_vs_character_sum": 0.0,
+        "zero_trace_count_vs_character_sum": 3.2023728339893768e-15}),
+    (["-p", "5", "-m", "2", "-N", "3", "--subcode"], {
+        "character_orthogonality": 3.2704754528109486e-13,
+        "full_additive_sum": 1.1102230246251565e-15,
+        "gauss_sum_modulus": 2.1316282072803006e-14,
+        "gauss_sum_trivial": 1.047382306668854e-15,
+        "partial_sums_vs_hamming": 1.432144669219779e-14,
+        "weight_vs_character_sum": 0.0,
+        "zero_trace_count_vs_character_sum": 2.40368684806686e-14}),
+])
+def test_verify_residuals_pinned(tmp_path, argv, residuals):
+    # every residual of the identity suite, bit for bit, at seed 7: the
+    # trial codewords, their multiples and the float sums keep their order
+    code, report = run_json(tmp_path, "verify", *argv, "--seed", "7", "--threads", "1")
+    assert code == 0
+    assert report["residuals"] == residuals

@@ -31,6 +31,7 @@ from tracecodes.construction import (
     coord_blocks,
     gray_slot_counts,
     gray_symbols,
+    slot_batch_rows,
 )
 from tracecodes.field import count_zero_traces
 from tracecodes.ring import gray_word, random_element
@@ -347,15 +348,34 @@ def test_gray_slot_counts_match_symbol_bincount(p, m, N, variant, rows):
     dp = derive_params(CodeParams(field, N, Variant(variant)))
     if not isinstance(rows, list):
         rows = _codeword_rows(field.q, rows, seed=p * 100 + m * 10 + N)
-    for coords in rows:
+    batch = gray_slot_counts(rows, dp)
+    assert batch.dtype == np.int64 and batch.shape == (len(rows), 4, p)
+    for coords, counts in zip(rows, batch):
         r = RingElem(field, *coords)
-        counts = gray_slot_counts(r, dp)
-        assert counts.dtype == np.int64 and counts.shape == (4, p)
         assert np.array_equal(counts, _slot_bincount(gray_symbols(r, dp), p))
         if dp.length <= 2**16:
             # the flat decoder shares no residue arithmetic with either side
             flat = _slot_bincount(_reference_gray_symbols(r, dp), p)
             assert np.array_equal(counts, flat)
+
+
+@pytest.mark.parametrize("p,m,count", [(3, 3, 460), (131, 1, 50)])
+def test_gray_slot_counts_batch_equals_single_rows(p, m, count):
+    # a batch counted in several chunks equals one call per row
+    field = Field(p, m)
+    dp = derive_params(CodeParams(field, 1))
+    assert count > 2 * slot_batch_rows(dp)
+    rows = _codeword_rows(field.q, count, seed=p + m)
+    batch = gray_slot_counts(rows, dp)
+    assert batch.shape == (count, 4, p)
+    assert np.array_equal(batch, np.concatenate([gray_slot_counts([r], dp) for r in rows]))
+
+
+def test_gray_slot_counts_reads_a_flat_row_as_one_row():
+    dp = derive_params(CodeParams(Field(3, 2), 1))
+    counts = gray_slot_counts((1, 2, 0, 5), dp)
+    assert counts.shape == (1, 4, 3)
+    assert np.array_equal(counts, gray_slot_counts([(1, 2, 0, 5)], dp))
 
 
 def test_gray_slot_counts_at_the_largest_table_prime():
@@ -365,10 +385,10 @@ def test_gray_slot_counts_at_the_largest_table_prime():
     field = Field(4093, 1)
     dp = derive_params(CodeParams(field, 1))
     start = time.perf_counter()
-    counts = gray_slot_counts(RingElem(field, 1, 2, 3, 4), dp)
+    counts = gray_slot_counts([(1, 2, 3, 4)], dp)
     assert time.perf_counter() - start < 2
     assert counts.dtype == np.int64
-    assert np.array_equal(counts, np.full((4, 4093), dp.length // 4093))
+    assert np.array_equal(counts, np.full((1, 4, 4093), dp.length // 4093))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,17 @@ def test_trace_products_match_product_table(p, m, modulus):
     assert all(got[a, b] == f.trace(f.mul(a, b)) for a in (0, 1, f.q - 1) for b in codes)
 
 
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 2, None), (3, 2, (1, 0, 1)), (5, 2, None), (131, 1, None),
+])
+def test_products_match_scalar_mul_on_every_pair(p, m, modulus):
+    f = Field(p, m, modulus=modulus)
+    codes = np.arange(f.q)
+    got = f.products(codes[:, None], codes)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
+
+
 # ---------------------------------------------------------------------------
 # discrete logs
 # ---------------------------------------------------------------------------
@@ -358,6 +369,17 @@ def test_zero_trace_count_scaling_invariant(f9):
         base = count_zero_traces(f9, b, dp.base_set)
         for lam in (1, 2):
             assert count_zero_traces(f9, f9.mul(lam, b), dp.base_set) == base
+
+
+def test_zero_trace_count_matches_scalar_loop():
+    # the array count against the scalar reference, every nonzero b
+    from tracecodes import CodeParams, derive_params
+    f = Field(3, 4)
+    for N in (1, 4):
+        points = derive_params(CodeParams(f, N)).base_set
+        for b in range(1, f.q):
+            expected = sum(1 for d in points if f.trace(f.mul(b, d)) == 0)
+            assert count_zero_traces(f, b, points) == expected
 
 
 def test_zero_trace_count_rejects_zero(f9):
