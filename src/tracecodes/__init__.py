@@ -13,7 +13,6 @@ from .analysis import (
     IdentityReport,
     Prediction,
     WeightDistribution,
-    codeword_lee_weight,
     compare_with_predictions,
     distribution_by_class,
     distribution_exhaustive,
@@ -24,7 +23,6 @@ from .analysis import (
     semiprimitive_exponent,
     subcode_report,
     survey_ideal_and_units,
-    theta,
     theta_of_vector,
     verify_identities,
 )
@@ -51,7 +49,6 @@ from .construction import (
     eval_field_subcode,
     evaluate,
     export_gray_words,
-    group_action_spotcheck,
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded

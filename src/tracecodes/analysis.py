@@ -39,14 +39,13 @@ from .construction import (
     DerivedParams,
     Variant,
     derive_params,
-    evaluate,
     gray_slot_counts,
     slot_batch_rows,
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
 from .field import Field, count_zero_traces, gauss_sum
-from .ring import RingElem, lee_weight
+from .ring import RingElem
 
 #: Default ceiling on exhaustive work, in entry-operations
 #: (codeword count times coordinate count).
@@ -77,16 +76,17 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     set, so it is zero on exactly length/p coordinates and the weight is
     4*(p-1)*length/p, the same for every such row.  On the uv-line
     (a = b = c = 0) all four slots are Tr(d*x0), repeated q^3 times, so
-    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}, counted once per distinct d
-    from the exp/log tables: O(n0) memory, and no q*q table.
+    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}, counted once per distinct
+    nonzero d by field.count_zero_traces (the zero row d = 0 weighs 0).
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     out = np.full(len(rows), 4 * (dp.p - 1) * (dp.length // dp.p), dtype=np.int64)
     on_line = ~rows[:, :3].any(axis=1)
     ds, which = np.unique(rows[on_line, 3], return_inverse=True)
-    x0s = dp.x0_codes()
-    nonzero = [np.count_nonzero(dp.field.trace_products(d, x0s)) for d in ds]
-    out[on_line] = (4 * dp.q**3 * np.array(nonzero, dtype=np.int64))[which]
+    x0s, live = dp.x0_codes(), ds != 0
+    nonzero = np.zeros(len(ds), dtype=np.int64)
+    nonzero[live] = len(x0s) - count_zero_traces(dp.field, ds[live], x0s)
+    out[on_line] = (4 * dp.q**3 * nonzero)[which]
     return out
 
 
@@ -101,12 +101,14 @@ def lee_weights_bulk(params: CodeParams | DerivedParams, rows,
                      threads: int = 1) -> np.ndarray:
     """Exact Lee weights of the codewords given by coordinate rows (a,b,c,d).
 
-    With threads > 1 the r-block is partitioned across worker processes and
-    the results concatenated; each worker rebuilds its tables from the
-    parameter record, so results are independent of the split.
+    With threads > 1 the r-block is partitioned across at most
+    min(threads, os.cpu_count()) worker processes and the results
+    concatenated; each worker rebuilds its tables from the parameter record,
+    so results are independent of the split.
     """
     dp = derive_params(params)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+    threads = min(threads, os.cpu_count() or 1)  # the pool forks every worker at once
     if threads <= 1 or len(rows) < 4 * threads:
         return _weights_serial(dp, rows)
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
@@ -116,18 +118,6 @@ def lee_weights_bulk(params: CodeParams | DerivedParams, rows,
     with ProcessPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(_bulk_worker, [spec + (s,) for s in stripes]))
     return np.concatenate(parts)
-
-
-def codeword_lee_weight(r: RingElem, params: CodeParams | DerivedParams) -> int:
-    """Exact Lee weight of the codeword of r."""
-    dp = derive_params(params)
-    return int(lee_weights_bulk(dp, [r.coords()])[0])
-
-
-def lee_weight_by_streaming(r: RingElem, params: CodeParams | DerivedParams) -> int:
-    """Reference path: stream the codeword symbol by symbol and add Lee
-    weights.  Slow; exists to pin the vectorized kernel."""
-    return sum(lee_weight(s) for s in evaluate(r, params))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +378,6 @@ def thetas(rows, params: CodeParams | DerivedParams) -> np.ndarray:
     return np.array([(h - h.min()) @ eta_pow for h in gray_symbol_histogram(rows, dp)])
 
 
-def theta(r: RingElem, params: CodeParams | DerivedParams) -> complex:
-    """Sum of eta^symbol over the Gray image of the codeword of r."""
-    return complex(thetas([r.coords()], params)[0])
-
-
 # ---------------------------------------------------------------------------
 # Identity suite
 # ---------------------------------------------------------------------------
@@ -449,9 +434,8 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
 
     # zero-trace count vs Gaussian-sum expansion, every nonzero b
     gsums = [gauss_sum(field, j, dp.N2) for j in range(dp.N2)]
-    base = np.asarray(dp.base_set, dtype=np.int64)
-    for b in range(1, q):
-        count = count_zero_traces(field, b, base)
+    counts = count_zero_traces(field, np.arange(1, q), dp.base_set).tolist()
+    for b, count in zip(range(1, q), counts):
         k = field.dlog(b)
         rhs = dp.n + sum(
             gsums[j] * np.exp(2j * np.pi * j * k / dp.N2) for j in range(dp.N2)
@@ -552,19 +536,31 @@ def semiprimitive_exponent(p: int, n2: int) -> int | None:
     return order // 2 if pow(p, order // 2, n2) == n2 - 1 else None
 
 
-def _exact_three_weight_rows(dp: DerivedParams, sign: int):
-    p, m, q, n2 = dp.p, dp.m, dp.q, dp.N2
-    half = p ** (m // 2)
-    base = 4 * p ** (3 * m - 1)
-    w_rare = base * (q + sign * (n2 - 1) * half) // n2
-    w_mid = base * (q - 1) // n2
-    w_bulk = base * (q - sign * half) // n2
-    rows = [
-        (w_rare, (q - 1) // n2),
-        (w_mid, q**4 - q),  # units plus the off-line maximal ideal
-        (w_bulk, (n2 - 1) * (q - 1) // n2),
-    ]
-    return tuple(sorted(rows))
+def _semiprimitive_case(dp: DerivedParams) -> tuple | None:
+    """The semiprimitive case analysis behind the three-weight and the
+    subcode tables: (l, t, sign, half, special, side conditions) when m is
+    even, N2 > 2, p^l = -1 modulo N2 and p^(m/2) + (-1)^t (N2-1) > 0;
+    None otherwise.  sign = (-1)^t and half = p^(m/2).  The special case
+    (N2 even, t odd, (p^l+1)/N2 odd) has sign -1, so its window is stated
+    as N2 < p^(m/2) + 1 and its rows are the general ones at sign -1."""
+    p, m, n2 = dp.p, dp.m, dp.N2
+    l = semiprimitive_exponent(p, n2) if m % 2 == 0 else None
+    if l is None:
+        return None
+    t = m // (2 * l)
+    sign, half = -1 if t % 2 else 1, p ** (m // 2)
+    if half + sign * (n2 - 1) <= 0:
+        return None
+    special = n2 % 2 == 0 and t % 2 == 1 and ((p**l + 1) // n2) % 2 == 1
+    conds = (
+        ("m even", True),
+        ("N2 > 2", True),
+        ("some power of p is -1 modulo N2", True),
+        ("N2 even, t odd, (p^l+1)/N2 odd", special),
+        ("N2 < p^(m/2) + 1", True) if special
+        else ("p^(m/2) + (-1)^t (N2-1) > 0", True),
+    )
+    return l, t, sign, half, special, conds
 
 
 def predict(params: CodeParams | DerivedParams) -> list[Prediction]:
@@ -600,34 +596,18 @@ def predict(params: CodeParams | DerivedParams) -> list[Prediction]:
             side_conditions=(("N2 = 1", True), parity_cond),
         ))
 
-    if n2 > 2 and m % 2 == 0:
-        l = semiprimitive_exponent(p, n2)
-        if l is not None:
-            t = m // (2 * l)
-            sign = -1 if t % 2 else 1
-            half = p ** (m // 2)
-            special = (n2 % 2 == 0 and t % 2 == 1
-                       and ((p**l + 1) // n2) % 2 == 1)
-            conds = (
-                ("m even", True),
-                ("N2 > 2", True),
-                ("some power of p is -1 modulo N2", True),
-                ("N2 even, t odd, (p^l+1)/N2 odd", special),
-            )
-            if special and n2 < half + 1:
-                preds.append(Prediction(
-                    regime="three_weight_special",
-                    rows=_exact_three_weight_rows(dp, -1),
-                    side_conditions=conds + (("N2 < p^(m/2) + 1", True),),
-                    l=l, t=t,
-                ))
-            elif not special and half + sign * (n2 - 1) > 0:
-                preds.append(Prediction(
-                    regime="three_weight_general",
-                    rows=_exact_three_weight_rows(dp, sign),
-                    side_conditions=conds + (("p^(m/2) + (-1)^t (N2-1) > 0", True),),
-                    l=l, t=t,
-                ))
+    if (case := _semiprimitive_case(dp)) is not None:
+        l, t, sign, half, special, conds = case
+        base = 4 * p ** (3 * m - 1)
+        rows = [
+            (base * (q + sign * (n2 - 1) * half) // n2, (q - 1) // n2),
+            (base * (q - 1) // n2, q**4 - q),  # units plus the off-line maximal ideal
+            (base * (q - sign * half) // n2, (n2 - 1) * (q - 1) // n2),
+        ]
+        preds.append(Prediction(
+            regime="three_weight_special" if special else "three_weight_general",
+            rows=tuple(sorted(rows)), side_conditions=conds, l=l, t=t,
+        ))
 
     if not preds and 1 < n2 and (n2 - 1) ** 2 < q and parity_ok:
         base = 4 * p ** (3 * m - 1)
@@ -650,23 +630,10 @@ def predict(params: CodeParams | DerivedParams) -> list[Prediction]:
 def predict_subcode(params: CodeParams | DerivedParams) -> list[Prediction]:
     """Predicted Hamming rows for the length-n field subcode."""
     dp = derive_params(params)
-    p, m, q, n2 = dp.p, dp.m, dp.q, dp.N2
-    preds: list[Prediction] = []
-    if not (m % 2 == 0 and n2 > 2):
-        return preds
-    l = semiprimitive_exponent(p, n2)
-    if l is None:
-        return preds
-    t = m // (2 * l)
-    sign = -1 if t % 2 else 1
-    half = p ** (m // 2)
-    special = (n2 % 2 == 0 and t % 2 == 1 and ((p**l + 1) // n2) % 2 == 1)
-    conds = (
-        ("m even", True),
-        ("N2 > 2", True),
-        ("some power of p is -1 modulo N2", True),
-        ("N2 even, t odd, (p^l+1)/N2 odd", special),
-    )
+    if (case := _semiprimitive_case(dp)) is None:
+        return []
+    l, t, sign, half, special, conds = case
+    p, q, n2 = dp.p, dp.q, dp.N2
 
     def exact_div(num: int) -> int:
         quot, rem = divmod(num, p * n2)
@@ -674,27 +641,14 @@ def predict_subcode(params: CodeParams | DerivedParams) -> list[Prediction]:
             raise AssertionError("subcode weight formula produced a non-integer")
         return quot
 
-    if special and n2 < half + 1:
-        rows = tuple(sorted([
-            (exact_div(q - (n2 - 1) * half), (q - 1) // n2),
-            (exact_div(q + half), (n2 - 1) * (q - 1) // n2),
-        ]))
-        preds.append(Prediction(
-            regime="subcode_two_weight_special", rows=rows,
-            side_conditions=conds + (("N2 < p^(m/2) + 1", True),),
-            scope="subcode", l=l, t=t,
-        ))
-    elif not special and half + sign * (n2 - 1) > 0:
-        rows = tuple(sorted([
-            (exact_div(q + sign * (n2 - 1) * half), (q - 1) // n2),
-            (exact_div(q - sign * half), (n2 - 1) * (q - 1) // n2),
-        ]))
-        preds.append(Prediction(
-            regime="subcode_two_weight_general", rows=rows,
-            side_conditions=conds + (("p^(m/2) + (-1)^t (N2-1) > 0", True),),
-            scope="subcode", l=l, t=t,
-        ))
-    return preds
+    rows = tuple(sorted([
+        (exact_div(q + sign * (n2 - 1) * half), (q - 1) // n2),
+        (exact_div(q - sign * half), (n2 - 1) * (q - 1) // n2),
+    ]))
+    return [Prediction(
+        regime="subcode_two_weight_special" if special else "subcode_two_weight_general",
+        rows=rows, side_conditions=conds, scope="subcode", l=l, t=t,
+    )]
 
 
 @dataclass
@@ -741,7 +695,7 @@ def compare_with_predictions(dist: WeightDistribution,
 
 
 def subcode_report(params: CodeParams | DerivedParams) -> dict:
-    """Brute-force field-subcode distribution next to its predictions;
+    """The field-subcode distribution next to its predictions;
     "ok" is None when no prediction applies, so nothing was compared."""
     dp = derive_params(params)
     measured = subcode_distribution(dp)

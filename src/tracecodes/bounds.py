@@ -35,7 +35,6 @@ from .construction import (
 from .errors import ParameterError
 from .ring import (
     RingElem,
-    big_trace,
     gray_inverse,
     is_unit,
     lee_weight,
@@ -145,22 +144,6 @@ def syndrome(params: CodeParams | DerivedParams, support) -> RingElem:
     return total
 
 
-def orthogonality_direct(params: CodeParams | DerivedParams, support) -> bool:
-    """Direct check against a generating set of codewords: orthogonal to
-    every evaluation iff orthogonal to the evaluations of the m field-basis
-    elements (base ring coefficients factor out of the trace)."""
-    dp = derive_params(params)
-    field = dp.field
-    for i in range(dp.m):
-        gen = RingElem(field, field.encode([0] * i + [1]), 0, 0, 0)
-        total = ring_zero(field.prime_subfield())
-        for index, value in support:
-            total = total + value * big_trace(gen * coord_at(dp, index))
-        if total:
-            return False
-    return True
-
-
 def dual_lee_distance(params: CodeParams | DerivedParams) -> DualDistanceResult:
     """Exact dual Lee distance, which is 2, with a witness at coordinate 0.
 
@@ -246,12 +229,6 @@ def minimality_check(dist, p: int, dual_distance: int | None = None) -> SssVerdi
         classification = "democratic"
     return SssVerdict(w_min=w_min, w_max=w_max, all_minimal=all_minimal,
                       classification=classification)
-
-
-def ratio_condition_margin(p: int, m: int) -> int:
-    """Exact margin p*w_min - (p-1)*w_max for the two-weight family,
-    which equals 4p^(4m-1) - 4p^(3m), positive for m > 1."""
-    return 4 * p ** (4 * m - 1) - 4 * p ** (3 * m)
 
 
 BRUTE_FORCE_LIMIT = 10_000

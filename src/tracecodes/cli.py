@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--subcode", action="store_true",
-                    help="also brute-force the field subcode and compare")
+                    help="also count the field subcode and compare")
 
     return parser
 
@@ -271,6 +271,8 @@ def main(argv=None) -> int:
     try:
         if cfg.threads < 1:
             raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
+        if cfg.seed < 0:
+            raise ParameterError(f"--seed must be >= 0, got {cfg.seed}")
         report, code = _HANDLERS[cfg.command](cfg)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -282,7 +284,11 @@ def main(argv=None) -> int:
         print(f"mathematical violation: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     runtime_ms = int((time.monotonic() - start) * 1000)
-    _emit(report, cfg, runtime_ms)
+    try:
+        _emit(report, cfg, runtime_ms)
+    except OSError as exc:  # -o names a path that cannot be written
+        print(f"error: cannot write the report to {cfg.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

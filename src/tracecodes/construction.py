@@ -30,8 +30,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, power_exceeds
-from .ring import RingElem, big_trace, is_unit, random_element
+from .field import Field, count_zero_traces, power_exceeds
+from .ring import RingElem, big_trace, is_unit
 
 #: Everything is counted in native 64-bit integers; parameter sets whose
 #: codeword count would overflow them are rejected outright.
@@ -360,7 +360,8 @@ def export_gray_words(params: CodeParams | DerivedParams, rs, path) -> tuple[str
 # ---------------------------------------------------------------------------
 
 def eval_field_subcode(b: int, params: CodeParams | DerivedParams) -> tuple[int, ...]:
-    """The length-n prime-field word (trace(b*d))_{d in base set}.
+    """The length-n prime-field word (trace(b*d))_{d in base set}, one
+    scalar Field.mul per point: the scalar oracle of subcode_distribution.
 
     Its Hamming weight is n minus the number of zero traces of b over the
     base set.
@@ -371,67 +372,11 @@ def eval_field_subcode(b: int, params: CodeParams | DerivedParams) -> tuple[int,
 
 
 def subcode_distribution(params: CodeParams | DerivedParams) -> dict[int, int]:
-    """Brute-force Hamming weight distribution of the field subcode over
-    all q inputs."""
+    """Exact Hamming weight distribution of the field subcode over all q
+    inputs: b = 0 gives the zero word, and every nonzero b has weight n
+    minus its zero-trace count over the base set, all counted by one
+    field.count_zero_traces call."""
     dp = derive_params(params)
-    out: dict[int, int] = {}
-    for b in dp.field.elements():
-        w = sum(1 for s in eval_field_subcode(b, dp) if s)
-        out[w] = out.get(w, 0) + 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Group action spot check
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SpotcheckReport:
-    trials: int
-    failures: list
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-SPOTCHECK_LIMIT = 10_000
-
-
-def group_action_spotcheck(params: CodeParams | DerivedParams, trials: int = 50,
-                           seed: int = DEFAULT_SEED,
-                           g: RingElem | None = None) -> SpotcheckReport:
-    """Check that pulling a codeword back along x -> g*x lands on the
-    codeword of r*g, entrywise over the whole coordinate stream.
-
-    Failures are collected in the report, not raised.  Restricted to small
-    coordinate sets; a supplied g must belong to the coordinate set.
-    """
-    dp = derive_params(params)
-    if dp.length > SPOTCHECK_LIMIT:
-        raise ParameterError(
-            f"spot check restricted to coordinate sets of size <= {SPOTCHECK_LIMIT}"
-        )
-    if g is not None and not contains(dp, g):
-        raise ParameterError("g is not in the coordinate set")
-    rng = np.random.default_rng(seed)
-    field = dp.field
-    x0s = dp.x0_codes()
-    failures = []
-    for trial in range(trials):
-        if g is None:
-            gx0 = int(x0s[rng.integers(0, len(x0s))])
-            g_trial = RingElem(field, gx0, *(int(c) for c in rng.integers(0, dp.q, size=3)))
-        else:
-            g_trial = g
-        r = random_element(field, rng)
-        rg = r * g_trial
-        for x in enumerate_coords(dp):
-            lhs = big_trace(r * (g_trial * x))
-            rhs = big_trace(rg * x)
-            if lhs != rhs:
-                failures.append({"trial": trial, "g": g_trial, "r": r, "x": x,
-                                 "pulled_back": lhs, "expected": rhs})
-                break
-    return SpotcheckReport(trials=trials, failures=failures, seed=seed)
+    zeros = count_zero_traces(dp.field, np.arange(1, dp.q), dp.base_set)
+    weights, counts = np.unique(np.append(dp.n - zeros, 0), return_counts=True)
+    return {int(w): int(c) for w, c in zip(weights, counts)}

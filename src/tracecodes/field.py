@@ -591,8 +591,20 @@ def cyclotomic_class(field: Field, i: int, order: int) -> frozenset[int]:
     return frozenset(field.exp_code(i + order * k) for k in range(size))
 
 
-def count_zero_traces(field: Field, b: int, points) -> int:
-    """Exact count of points d with trace(b*d) = 0."""
-    if b == 0:
+def count_zero_traces(field: Field, b, points):
+    """Exact counts of points d with trace(b*d) = 0, one per nonzero
+    multiplier: b is a code or an array of codes, and the int64 result has
+    b's shape.  The one zero-trace counter of the package: the weight
+    kernel's uv-line rows, the field subcode and the identity suite read it.
+    Multipliers are counted max(1, 2^16 // len(points)) at a time, so memory
+    stays O(len(points) + 2^16)."""
+    b = np.asarray(b, dtype=np.int64)
+    if not b.all():
         raise ValueError("b must be nonzero")
-    return int(np.count_nonzero(field.trace_products(b, points) == 0))
+    flat, points = b.ravel(), np.asarray(points, dtype=np.int64)
+    step = max(1, 2**16 // max(1, points.size))
+    out = np.empty(flat.size, dtype=np.int64)
+    for i in range(0, flat.size, step):
+        out[i:i + step] = np.count_nonzero(
+            field.trace_products(flat[i:i + step, None], points) == 0, axis=1)
+    return out.reshape(b.shape)[()]

@@ -110,13 +110,6 @@ def uv(field: Field) -> RingElem:
     return RingElem(field, 0, 0, 0, 1)
 
 
-def scale(r: RingElem, lam: int) -> RingElem:
-    """Multiply by a field scalar (code lam), i.e. by lam embedded as a unit."""
-    f = r.field
-    return RingElem(f, f.mul(lam, r.a), f.mul(lam, r.b),
-                    f.mul(lam, r.c), f.mul(lam, r.d))
-
-
 def frobenius(r: RingElem) -> RingElem:
     """Coordinatewise p-th power; a ring automorphism of order m."""
     f = r.field

@@ -1,0 +1,99 @@
+"""Brute-force oracles that state paper claims in the tests.
+
+Each one is slow and exists to pin a fast path of the package, named in
+its docstring; none of them is called from ``src/``.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from tracecodes import ParameterError, RingElem, big_trace, derive_params, evaluate
+from tracecodes.construction import (
+    DEFAULT_SEED,
+    CodeParams,
+    DerivedParams,
+    contains,
+    coord_at,
+    enumerate_coords,
+)
+from tracecodes.ring import lee_weight, random_element, zero as ring_zero
+
+
+def lee_weight_by_streaming(r: RingElem, params: CodeParams | DerivedParams) -> int:
+    """Reference path: stream the codeword symbol by symbol and add Lee
+    weights.  Slow; the oracle of the weight kernel
+    (analysis.lee_weights_bulk)."""
+    return sum(lee_weight(s) for s in evaluate(r, params))
+
+
+def orthogonality_direct(params: CodeParams | DerivedParams, support) -> bool:
+    """Direct check against a generating set of codewords: orthogonal to
+    every evaluation iff orthogonal to the evaluations of the m field-basis
+    elements (base ring coefficients factor out of the trace).  The oracle
+    of the one-equation syndrome test (bounds.syndrome) behind
+    bounds.dual_lee_distance."""
+    dp = derive_params(params)
+    field = dp.field
+    for i in range(dp.m):
+        gen = RingElem(field, field.encode([0] * i + [1]), 0, 0, 0)
+        total = ring_zero(field.prime_subfield())
+        for index, value in support:
+            total = total + value * big_trace(gen * coord_at(dp, index))
+        if total:
+            return False
+    return True
+
+
+@dataclass
+class SpotcheckReport:
+    trials: int
+    failures: list
+    seed: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+SPOTCHECK_LIMIT = 10_000
+
+
+def group_action_spotcheck(params: CodeParams | DerivedParams, trials: int = 50,
+                           seed: int = DEFAULT_SEED,
+                           g: RingElem | None = None) -> SpotcheckReport:
+    """Check that pulling a codeword back along x -> g*x lands on the
+    codeword of r*g, entrywise over the whole coordinate stream: the oracle
+    of the class method (analysis.distribution_by_class), whose weight
+    classes rest on this invariance.
+
+    Failures are collected in the report, not raised.  Restricted to small
+    coordinate sets; a supplied g must belong to the coordinate set.
+    """
+    dp = derive_params(params)
+    if dp.length > SPOTCHECK_LIMIT:
+        raise ParameterError(
+            f"spot check restricted to coordinate sets of size <= {SPOTCHECK_LIMIT}"
+        )
+    if g is not None and not contains(dp, g):
+        raise ParameterError("g is not in the coordinate set")
+    rng = np.random.default_rng(seed)
+    field = dp.field
+    x0s = dp.x0_codes()
+    failures = []
+    for trial in range(trials):
+        if g is None:
+            gx0 = int(x0s[rng.integers(0, len(x0s))])
+            g_trial = RingElem(field, gx0, *(int(c) for c in rng.integers(0, dp.q, size=3)))
+        else:
+            g_trial = g
+        r = random_element(field, rng)
+        rg = r * g_trial
+        for x in enumerate_coords(dp):
+            lhs = big_trace(r * (g_trial * x))
+            rhs = big_trace(rg * x)
+            if lhs != rhs:
+                failures.append({"trial": trial, "g": g_trial, "r": r, "x": x,
+                                 "pulled_back": lhs, "expected": rhs})
+                break
+    return SpotcheckReport(trials=trials, failures=failures, seed=seed)

@@ -9,7 +9,6 @@ from tracecodes import (
     Variant,
     WeightConstancyError,
     WorkBudgetExceeded,
-    codeword_lee_weight,
     compare_with_predictions,
     derive_params,
     distribution_by_class,
@@ -20,14 +19,15 @@ from tracecodes import (
     semiprimitive_exponent,
     subcode_report,
     survey_ideal_and_units,
-    theta,
     theta_of_vector,
     verify_identities,
 )
 from tracecodes import Field, analysis, construction, ring
-from tracecodes.analysis import lee_weight_by_streaming, lee_weights_bulk
+from tracecodes.analysis import lee_weights_bulk
 from tracecodes.construction import coord_blocks
-from tracecodes.ring import random_element, scale
+from tracecodes.ring import random_element
+
+from oracles import lee_weight_by_streaming
 
 
 # ---------------------------------------------------------------------------
@@ -35,20 +35,20 @@ from tracecodes.ring import random_element, scale
 # ---------------------------------------------------------------------------
 
 def test_zero_codeword_weight(f9):
-    assert codeword_lee_weight(ring.zero(f9), CodeParams(f9, 1)) == 0
+    assert lee_weights_bulk(CodeParams(f9, 1), [ring.zero(f9).coords()])[0] == 0
 
 
 def test_uv_codeword_weight(f9):
-    assert codeword_lee_weight(ring.uv(f9), CodeParams(f9, 1)) == 8748
+    assert lee_weights_bulk(CodeParams(f9, 1), [ring.uv(f9).coords()])[0] == 8748
 
 
 def test_unit_codeword_weight(f9):
-    assert codeword_lee_weight(ring.one(f9), CodeParams(f9, 1)) == 7776
+    assert lee_weights_bulk(CodeParams(f9, 1), [ring.one(f9).coords()])[0] == 7776
 
 
 def test_uv_codeword_weight_units_variant(f9):
     cp = CodeParams(f9, 1, Variant.UNITS)
-    assert codeword_lee_weight(ring.uv(f9), cp) == 17496
+    assert lee_weights_bulk(cp, [ring.uv(f9).coords()])[0] == 17496
 
 
 def test_kernel_matches_streamed_reference(f9):
@@ -57,7 +57,7 @@ def test_kernel_matches_streamed_reference(f9):
         cp = CodeParams(f9, N)
         for _ in range(4):
             r = random_element(f9, rng)
-            assert codeword_lee_weight(r, cp) == lee_weight_by_streaming(r, cp)
+            assert lee_weights_bulk(cp, [r.coords()])[0] == lee_weight_by_streaming(r, cp)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_scaling_invariance_on_uv_line(f9, f25):
 
 def test_theta_of_zero_codeword(f9):
     dp = derive_params(CodeParams(f9, 1))
-    assert abs(theta(ring.zero(f9), dp) - dp.gray_length) < 1e-9
+    assert abs(analysis.thetas([ring.zero(f9).coords()], dp)[0] - dp.gray_length) < 1e-9
 
 
 def test_theta_of_vector_root_sum():
@@ -290,7 +290,7 @@ def test_thetas_equal_one_row_theta(f9):
     dp = derive_params(CodeParams(f9, 2))
     rows = np.random.default_rng(3).integers(0, f9.q, size=(20, 4))
     got = analysis.thetas(rows, dp).tolist()
-    assert got == [theta(RingElem(f9, *map(int, r)), dp) for r in rows]
+    assert got == [analysis.thetas([r], dp)[0] for r in rows]
 
 
 def test_weight_from_theta_formula(f9):
@@ -298,8 +298,9 @@ def test_weight_from_theta_formula(f9):
     rng = np.random.default_rng(22)
     for _ in range(100):
         r = random_element(f9, rng)
-        w = codeword_lee_weight(r, dp)
-        tau_sum = sum(theta(scale(r, tau), dp) for tau in range(1, 3))
+        w = lee_weights_bulk(dp, [r.coords()])[0]
+        taus = [(RingElem(f9, tau, 0, 0, 0) * r).coords() for tau in range(1, 3)]
+        tau_sum = sum(analysis.thetas(taus, dp))
         value = (2 * dp.gray_length - tau_sum) / 3
         assert abs(w - value) < 1e-6
 
@@ -389,10 +390,12 @@ def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monk
     monkeypatch.setattr(construction, "_axis_terms", terms)
     assert verify_identities(dp, trials=trials).ok
     assert len(counted) > 1 and max(counted) <= construction.slot_batch_rows(dp)
-    # each codeword's p - 1 multiples, tau = 1 first, are ring.scale's
+    # each codeword's p - 1 multiples, tau = 1 first, are its products with
+    # the embedded units tau
     for group in np.concatenate(batches).reshape(-1, p - 1, 4).tolist():
         r = RingElem(dp.field, *group[0])
-        assert [list(scale(r, tau).coords()) for tau in range(1, p)] == group
+        taus = [RingElem(dp.field, tau, 0, 0, 0) * r for tau in range(1, p)]
+        assert [list(t.coords()) for t in taus] == group
 
 
 @pytest.mark.parametrize("trials", [1, 37, 120])
@@ -560,6 +563,19 @@ def test_predict_subcode_quartic(f81):
 
 def test_predict_subcode_inapplicable(f9):
     assert predict_subcode(CodeParams(f9, 1)) == []
+
+
+@pytest.mark.parametrize("p,m,N", [(3, 2, 4), (3, 4, 10)])
+def test_semiprimitive_tables_stop_at_the_window(p, m, N):
+    # special semiprimitive points with N2 >= p^(m/2) + 1: the table's rare
+    # weight would be 0, and the subcode has nonzero words of weight 0, so
+    # neither the three-weight nor the subcode table is emitted
+    dp = derive_params(CodeParams(Field(p, m), N))
+    assert semiprimitive_exponent(p, dp.N2) is not None
+    assert dp.N2 >= p ** (m // 2) + 1
+    assert not [pred for pred in predict(dp) if pred.regime.startswith("three_weight")]
+    assert predict_subcode(dp) == []
+    assert construction.subcode_distribution(dp)[0] == p ** (m // 2)
 
 
 def test_subcode_report_matches(f81):

@@ -16,13 +16,10 @@ from tracecodes import (
     sphere_packing_excludes,
 )
 from tracecodes import bounds, ring
-from tracecodes.bounds import (
-    lee_one_elements,
-    orthogonality_direct,
-    ratio_condition_margin,
-    syndrome,
-)
+from tracecodes.bounds import lee_one_elements, syndrome
 from tracecodes.ring import lee_weight
+
+from oracles import orthogonality_direct
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +222,8 @@ def test_margin_identity(f9):
     from tracecodes import distribution_exhaustive
     dist = distribution_exhaustive(CodeParams(f9, 1))
     lhs = 3 * dist.min_nonzero_weight - 2 * dist.max_nonzero_weight
-    assert lhs == ratio_condition_margin(3, 2)
+    # the two-weight family's margin 4p^(4m-1) - 4p^(3m), at p = 3, m = 2
+    assert lhs == 4 * 3 ** (4 * 2 - 1) - 4 * 3 ** (3 * 2)
     assert lhs > 0
 
 

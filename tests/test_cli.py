@@ -457,3 +457,60 @@ def test_verify_residuals_pinned(tmp_path, argv, residuals):
     code, report = run_json(tmp_path, "verify", *argv, "--seed", "7", "--threads", "1")
     assert code == 0
     assert report["residuals"] == residuals
+
+
+def test_unwritable_output_path_exits_two(tmp_path, capsys):
+    # a report that cannot be written is a usage error, not a mismatch
+    out = tmp_path / "missing" / "r.json"
+    code = main(["analyze", "-p", "3", "-m", "1", "--threads", "1", "-o", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write the report to {out}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--method", "class"],
+    ["analyze", "--method", "exhaustive"],
+    ["dual"],
+    ["verify"],
+])
+def test_negative_seed_exits_two_with_one_line_error(argv, capsys):
+    code = main([*argv, "-p", "3", "-m", "2", "--threads", "1", "--seed", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --seed must be >= 0, got -1"]
+
+
+def test_pool_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # the pool forks every worker at once, so a large --threads must not ask
+    # for that many; a serial stand-in pool records the request and starts
+    # no process, the report keeps the requested value, and the rows do not
+    # depend on the split
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["analyze", "-p", "3", "-m", "2", "--method", "exhaustive"]
+    code, report = run_json(tmp_path, *argv, "--threads", "3000")
+    assert code == 0
+    assert requested == [3]
+    assert report["threads"] == 3000
+    assert report["rows"] == run_json(tmp_path, *argv, "--threads", "1")[1]["rows"]

@@ -20,7 +20,6 @@ from tracecodes import (
     eval_field_subcode,
     evaluate,
     export_gray_words,
-    group_action_spotcheck,
     is_unit,
     subcode_distribution,
 )
@@ -35,6 +34,8 @@ from tracecodes.construction import (
 )
 from tracecodes.field import count_zero_traces
 from tracecodes.ring import gray_word, random_element
+
+from oracles import group_action_spotcheck
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def test_scalar_multiples_leave_the_lift(f9):
         idx = int(rng.integers(0, dp.length))
         x = coord_at(dp, idx)
         for lam in (1, 2):
-            lx = ring.scale(x, lam)
+            lx = RingElem(f9, lam, 0, 0, 0) * x
             assert contains(dpu, lx)
             assert contains(dp, lx) == (lam == 1)
 
@@ -420,6 +421,31 @@ def test_subcode_at_quartic_parameters(f81):
     assert len(words) == 81
     assert all(len(w) == 10 for w in words)
     assert subcode_distribution(dp) == {0: 1, 6: 60, 9: 20}
+
+
+def test_subcode_counts_agree_on_the_grid():
+    # the field subcode three ways at every lift point with odd p <= 13,
+    # q <= 729 and N | q - 1: subcode_distribution (one zero-trace call),
+    # the scalar eval_field_subcode words, and the kernel's uv-line rows
+    # divided by 4q^3 together with the zero row
+    from collections import Counter
+
+    from tracecodes import analysis
+
+    points = 0
+    for p in (3, 5, 7, 11, 13):
+        for m in itertools.takewhile(lambda m: p**m <= 729, itertools.count(1)):
+            field = Field(p, m)
+            q = field.q
+            for N in (N for N in range(1, q) if (q - 1) % N == 0):
+                dp = derive_params(CodeParams(field, N))
+                scalar = Counter(sum(1 for s in eval_field_subcode(b, dp) if s)
+                                 for b in range(q))
+                uv_rows = [(0, 0, 0, d) for d in range(q)]
+                kernel = Counter((analysis._weights_serial(dp, uv_rows) // (4 * q**3)).tolist())
+                assert subcode_distribution(dp) == scalar == kernel, (p, m, N)
+                points += 1
+    assert points == 147
 
 
 # ---------------------------------------------------------------------------

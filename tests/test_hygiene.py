@@ -1,11 +1,15 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level private name is defined that nothing refers to.
+no module-level private name is defined that nothing refers to, and no
+public function or class exists only for the tests.
 
 ``__init__.py`` is exempt from the import check, because its imports are
 the public re-exports.  A private name counts as referred to when it
 appears, outside its own definition, in any Python file under ``src/``,
 ``tests/``, ``bench/`` or ``demos/`` (the benchmark tracer binds some of
-them by name, as strings).
+them by name, as strings).  A public name counts as used when the package
+refers to it outside its own definition and ``__init__.py``, or a file
+under ``demos/`` or ``bench/`` does; test-only oracles live in
+``tests/oracles.py``.
 """
 
 import ast
@@ -83,3 +87,68 @@ def test_detector_flags_an_unreferenced_private_name():
 def test_module_private_names_are_all_referenced(path):
     corpus = [f.read_text() for d in CORPUS_DIRS for f in (REPO_DIR / d).rglob("*.py")]
     assert unreferenced_private_names(path.read_text(), corpus) == []
+
+
+#: Public names that only the tests call, each with the reason it stays.
+TEST_ONLY_PUBLIC = {
+    "construction.evaluate": "the evaluation map that defines a codeword; "
+                             "the streaming oracle and the tests read it",
+    "ring.frobenius": "tests state that Frobenius is a ring automorphism of order m",
+    "ring.classify": "tests state the partition of the ring into its four classes",
+}
+
+
+def identifiers(tree, skip=None) -> set[str]:
+    """Names, attributes, imported names and string constants in `tree`,
+    leaving out the subtree `skip`."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced_public_names(modules: dict[str, str], outside: list[str]) -> list[str]:
+    """"module.name" for each public module-level function or class of the
+    `modules` sources (module name -> source) that neither those modules,
+    outside its own definition, nor the `outside` sources refer to."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used_outside = set().union(*(identifiers(ast.parse(text)) for text in outside))
+    flagged = []
+    for module, tree in trees.items():
+        used = used_outside.union(*(identifiers(other) for name, other in trees.items()
+                                    if name != module))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in used
+                    and node.name not in identifiers(tree, skip=node)):
+                flagged.append(f"{module}.{node.name}")
+    return sorted(flagged)
+
+
+def test_detector_flags_a_test_only_public_name():
+    modules = {
+        "a": ("def used():\n    pass\n\ndef spare(n):\n    return spare(n - 1)\n\n"
+              "def bound():\n    pass\n\nclass Report:\n    pass\n\n"
+              "def _private():\n    pass\n"),
+        "b": "from .a import used\n\ndef run():\n    return used()\n",
+    }
+    outside = ['wrap(module, "bound")\n', "print(b.run, a.Report)\n"]
+    assert unreferenced_public_names(modules, outside) == ["a.spare"]
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    modules = {path.stem: path.read_text() for path in MODULES}
+    outside = [f.read_text() for d in ("demos", "bench") for f in (REPO_DIR / d).rglob("*.py")]
+    assert unreferenced_public_names(modules, outside) == sorted(TEST_ONLY_PUBLIC)
