@@ -20,8 +20,6 @@ Three ways to obtain a distribution:
   members check the class sampler and the cyclotomic split of the uv-line;
 * ideal survey: the whole maximal ideal exhaustively plus sampled units,
   whose uv-line histogram is the subcode weight count times 4*q^3.
-
-Work partitions across processes by r-blocks; merges are associative.
 """
 
 from __future__ import annotations
@@ -90,6 +88,7 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+# No caller in the package: bench/tracer.py binds it by name; it goes with bench/'s next change.
 def _bulk_worker(args):
     p, m, modulus, N, variant_value, rows = args
     field = Field(p, m, modulus=modulus)
@@ -97,27 +96,10 @@ def _bulk_worker(args):
     return _weights_serial(dp, rows)
 
 
-def lee_weights_bulk(params: CodeParams | DerivedParams, rows,
-                     threads: int = 1) -> np.ndarray:
-    """Exact Lee weights of the codewords given by coordinate rows (a,b,c,d).
-
-    With threads > 1 the r-block is partitioned across at most
-    min(threads, os.cpu_count()) worker processes and the results
-    concatenated; each worker rebuilds its tables from the parameter record,
-    so results are independent of the split.
-    """
-    dp = derive_params(params)
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-    threads = min(threads, os.cpu_count() or 1)  # the pool forks every worker at once
-    if threads <= 1 or len(rows) < 4 * threads:
-        return _weights_serial(dp, rows)
-    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
-
-    stripes = np.array_split(rows, threads)
-    spec = (dp.p, dp.m, dp.field.modulus, dp.params.N, dp.variant.value)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_bulk_worker, [spec + (s,) for s in stripes]))
-    return np.concatenate(parts)
+def lee_weights_bulk(params: CodeParams | DerivedParams, rows) -> np.ndarray:
+    """Exact Lee weights of the codewords given by coordinate rows (a,b,c,d),
+    all counted in the calling process by the closed form of _weights_serial."""
+    return _weights_serial(derive_params(params), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +154,7 @@ def _resolve_budget(budget: int | None) -> int:
 
 
 def distribution_exhaustive(params: CodeParams | DerivedParams,
-                            budget: int | None = None,
-                            threads: int = 1) -> WeightDistribution:
+                            budget: int | None = None) -> WeightDistribution:
     """Iterate every codeword; exact counts.
 
     Refuses jobs beyond the work budget (entry-operations = codeword count
@@ -187,7 +168,7 @@ def distribution_exhaustive(params: CodeParams | DerivedParams,
             f"exhaustive enumeration needs {work} entry-operations, over the "
             f"budget of {budget}; use the class-based method"
         )
-    weights = lee_weights_bulk(dp, _all_codeword_rows(dp.q), threads=threads)
+    weights = lee_weights_bulk(dp, _all_codeword_rows(dp.q))
     values, counts = np.unique(weights, return_counts=True)
     entries = {int(w): int(c) for w, c in zip(values, counts)}
     return WeightDistribution(entries=entries, method="exhaustive",
@@ -229,8 +210,7 @@ def _sample_class(name: str, j: int, dp: DerivedParams, rng) -> RingElem:
 
 def distribution_by_class(params: CodeParams | DerivedParams,
                           samples_per_class: int = 500,
-                          seed: int = DEFAULT_SEED,
-                          threads: int = 1) -> WeightDistribution:
+                          seed: int = DEFAULT_SEED) -> WeightDistribution:
     """Exact weights of class representatives scaled by class sizes.
 
     Constancy on the off-line and unit classes follows from the theorem in
@@ -248,7 +228,7 @@ def distribution_by_class(params: CodeParams | DerivedParams,
     dp = derive_params(params)
     reps = class_representatives(dp)
     rep_rows = [r.coords() for _, r, _ in reps]
-    rep_weights = lee_weights_bulk(dp, rep_rows, threads=threads)
+    rep_weights = lee_weights_bulk(dp, rep_rows)
 
     rng = np.random.default_rng(seed)
     samples: list[RingElem] = []
@@ -258,7 +238,7 @@ def distribution_by_class(params: CodeParams | DerivedParams,
         for _ in range(samples_per_class):
             samples.append(_sample_class(name, j, dp, rng))
             owners.append(i)
-    got = lee_weights_bulk(dp, [s.coords() for s in samples], threads=threads)
+    got = lee_weights_bulk(dp, [s.coords() for s in samples])
     for s, owner, w in zip(samples, owners, got):
         if w != rep_weights[owner]:
             raise WeightConstancyError(reps[owner][0], s,
@@ -301,8 +281,7 @@ class IdealSurvey:
 def survey_ideal_and_units(params: CodeParams | DerivedParams,
                            unit_samples: int = 1000,
                            seed: int = DEFAULT_SEED,
-                           budget: int | None = None,
-                           threads: int = 1) -> IdealSurvey:
+                           budget: int | None = None) -> IdealSurvey:
     """Enumerate the whole maximal ideal exactly and sample the units.
 
     The uv-line histogram is exact: every uv-line subcode count
@@ -323,7 +302,7 @@ def survey_ideal_and_units(params: CodeParams | DerivedParams,
     b, rest = np.divmod(flat, q**2)
     c, d = np.divmod(rest, q)
     rows = np.stack([np.zeros_like(b), b, c, d], axis=1)
-    weights = lee_weights_bulk(dp, rows, threads=threads)
+    weights = lee_weights_bulk(dp, rows)
 
     uv_mask = (b == 0) & (c == 0) & (d != 0)
     zero_mask = (b == 0) & (c == 0) & (d == 0)
@@ -344,7 +323,7 @@ def survey_ideal_and_units(params: CodeParams | DerivedParams,
     return IdealSurvey(
         uv_line=hist(weights[uv_mask]),
         other_maximal=hist(weights[om_mask]),
-        units_sampled=hist(lee_weights_bulk(dp, unit_rows, threads=threads)),
+        units_sampled=hist(lee_weights_bulk(dp, unit_rows)),
         unit_samples=unit_samples,
         seed=seed,
     )
@@ -628,9 +607,10 @@ def predict(params: CodeParams | DerivedParams) -> list[Prediction]:
 
 
 def predict_subcode(params: CodeParams | DerivedParams) -> list[Prediction]:
-    """Predicted Hamming rows for the length-n field subcode."""
+    """Predicted Hamming rows for the length-n field subcode of the lift;
+    the units variant's subcode has no table."""
     dp = derive_params(params)
-    if (case := _semiprimitive_case(dp)) is None:
+    if dp.variant is Variant.UNITS or (case := _semiprimitive_case(dp)) is None:
         return []
     l, t, sign, half, special, conds = case
     p, q, n2 = dp.p, dp.q, dp.N2
@@ -708,5 +688,5 @@ def subcode_report(params: CodeParams | DerivedParams) -> dict:
         ok = ok and matched
         detail.append({"regime": pred.regime, "matched": matched,
                        "rows": [list(r) for r in pred.rows]})
-    return {"length": dp.n, "distribution": measured, "predictions": detail,
+    return {"length": len(dp.x0_codes()), "distribution": measured, "predictions": detail,
             "ok": ok}

@@ -116,18 +116,6 @@ class DualDistanceResult:
         }
 
 
-def lee_one_elements(base_field) -> list[RingElem]:
-    """The 4(p-1) base ring elements of Lee weight 1 (all of them units)."""
-    p = base_field.p
-    out = []
-    for slot in range(4):
-        for val in range(1, p):
-            word = [0, 0, 0, 0]
-            word[slot] = val
-            out.append(gray_inverse(base_field, tuple(word)))
-    return out
-
-
 def _embed(field, base_elem: RingElem) -> RingElem:
     """Base ring element as a degree-m element with constant coordinates."""
     return RingElem(field, base_elem.a, base_elem.b, base_elem.c, base_elem.d)
@@ -148,8 +136,11 @@ def dual_lee_distance(params: CodeParams | DerivedParams) -> DualDistanceResult:
     """Exact dual Lee distance, which is 2, with a witness at coordinate 0.
 
     Weight 1 (and the single-coordinate slice of weight 2) is impossible:
-    every coordinate is a unit, and a unit times a unit is a unit, which
-    is certified by checking that all 4(p-1) Lee-weight-1 values are units.
+    every coordinate is a unit, and a unit times a unit is a unit.  The
+    4(p-1) Lee-weight-1 values are the s*e_k for the Gray basis words e_k
+    and s in F_p*; gray_inverse is F_p-linear, so the constant coordinate
+    of s*e_k is s times that of e_k, and checking that the four e_k are
+    units certifies all of them.
     The weight-2 witness is the closed form of the module docstring: alpha
     is the Lee-weight-1 value with Gray image (1, 0, 0, 0), beta has Gray
     image (0, 1, 0, 0) for the lift and equals alpha for the units, and
@@ -161,9 +152,9 @@ def dual_lee_distance(params: CodeParams | DerivedParams) -> DualDistanceResult:
     field = dp.field
     base = field.prime_subfield()
 
-    # Weight-1 phase: certify emptiness through unit-ness of every value.
-    for alpha in lee_one_elements(base):
-        if not is_unit(_embed(field, alpha)):
+    # Weight-1 phase: certify emptiness through unit-ness of the Gray basis words.
+    for k in range(4):
+        if not is_unit(gray_inverse(base, tuple(int(i == k) for i in range(4)))):
             raise AssertionError("a Lee-weight-1 value failed to be a unit")
 
     x = coord_at(dp, 0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -102,10 +103,10 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
     if method == "auto":
         method = "exhaustive" if dp.codeword_count * dp.length <= budget else "class"
     if method == "exhaustive":
-        dist = analysis.distribution_exhaustive(dp, budget=budget, threads=cfg.threads)
+        dist = analysis.distribution_exhaustive(dp, budget=budget)
     else:
         dist = analysis.distribution_by_class(dp, samples_per_class=cfg.samples,
-                                              seed=cfg.seed, threads=cfg.threads)
+                                              seed=cfg.seed)
 
     preds = analysis.predict(dp)
     comparison = analysis.compare_with_predictions(dist, preds)
@@ -225,7 +226,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help=f"PRNG seed (default {DEFAULT_SEED})")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes for the enumeration engine (default 1)")
+                    help="accepted, checked (>= 1) and recorded in the report; "
+                         "all counting runs in this process (default 1)")
     sp.add_argument("-o", "--out", help="write the report here instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
 
@@ -273,6 +275,9 @@ def main(argv=None) -> int:
             raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
         if cfg.seed < 0:
             raise ParameterError(f"--seed must be >= 0, got {cfg.seed}")
+        if cfg.out and not os.access(os.path.dirname(cfg.out) or ".", os.W_OK):
+            raise ParameterError(f"cannot write the report to {cfg.out}: "
+                                 "its directory is missing or not writable")
         report, code = _HANDLERS[cfg.command](cfg)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -360,23 +360,26 @@ def export_gray_words(params: CodeParams | DerivedParams, rs, path) -> tuple[str
 # ---------------------------------------------------------------------------
 
 def eval_field_subcode(b: int, params: CodeParams | DerivedParams) -> tuple[int, ...]:
-    """The length-n prime-field word (trace(b*d))_{d in base set}, one
+    """The prime-field word (trace(b*d)) over the constant coordinates d
+    in x0_codes() (the base set, or every unit for the units variant), one
     scalar Field.mul per point: the scalar oracle of subcode_distribution.
 
-    Its Hamming weight is n minus the number of zero traces of b over the
-    base set.
+    Its Hamming weight is its length minus the number of zero traces of b
+    over those points.
     """
     dp = derive_params(params)
     field = dp.field
-    return tuple(field.trace(field.mul(b, d)) for d in dp.base_set)
+    return tuple(field.trace(field.mul(b, int(d))) for d in dp.x0_codes())
 
 
 def subcode_distribution(params: CodeParams | DerivedParams) -> dict[int, int]:
     """Exact Hamming weight distribution of the field subcode over all q
-    inputs: b = 0 gives the zero word, and every nonzero b has weight n
-    minus its zero-trace count over the base set, all counted by one
-    field.count_zero_traces call."""
+    inputs, on the constant coordinates x0_codes() (length n for the lift,
+    q - 1 for the units): b = 0 gives the zero word, and every nonzero b
+    has weight the length minus its zero-trace count over those points,
+    all counted by one field.count_zero_traces call."""
     dp = derive_params(params)
-    zeros = count_zero_traces(dp.field, np.arange(1, dp.q), dp.base_set)
-    weights, counts = np.unique(np.append(dp.n - zeros, 0), return_counts=True)
+    x0s = dp.x0_codes()
+    zeros = count_zero_traces(dp.field, np.arange(1, dp.q), x0s)
+    weights, counts = np.unique(np.append(len(x0s) - zeros, 0), return_counts=True)
     return {int(w): int(c) for w, c in zip(weights, counts)}

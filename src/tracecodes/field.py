@@ -467,17 +467,16 @@ class Field:
 
     @property
     def mul_table(self) -> np.ndarray:
-        """Full q*q product table (int32), for vectorized consumers."""
+        """Full q*q product table (int32), for vectorized consumers.  Rows
+        are filled through `products` about 2^16 entries at a time, so the
+        int64 temporaries stay small next to the table."""
         if self._mul_table_np is None:
             self.check_table_limit()
-            q = self.q
-            table = np.zeros((q, q), dtype=np.int32)
-            if self.order:
-                nz = np.arange(1, q)
-                lg = self._log_np[nz]
-                table[np.ix_(nz, nz)] = self._exp_np[
-                    (lg[:, None] + lg[None, :]) % self.order
-                ]
+            codes = np.arange(self.q)
+            table = np.empty((self.q, self.q), dtype=np.int32)
+            step = max(1, 2**16 // self.q)
+            for lo in range(0, self.q, step):
+                table[lo:lo + step] = self.products(codes[lo:lo + step, None], codes)
             self._mul_table_np = table
         return self._mul_table_np
 

@@ -17,7 +17,7 @@ from tracecodes.construction import (
     coord_at,
     enumerate_coords,
 )
-from tracecodes.ring import lee_weight, random_element, zero as ring_zero
+from tracecodes.ring import gray_inverse, lee_weight, random_element, zero as ring_zero
 
 
 def lee_weight_by_streaming(r: RingElem, params: CodeParams | DerivedParams) -> int:
@@ -43,6 +43,20 @@ def orthogonality_direct(params: CodeParams | DerivedParams, support) -> bool:
         if total:
             return False
     return True
+
+
+def lee_one_elements(base_field) -> list[RingElem]:
+    """The 4(p-1) base ring elements of Lee weight 1, the Gray preimages of
+    s*e_k for s in F_p* and the Gray basis words e_k.  The oracle of the
+    weight-1 phase of bounds.dual_lee_distance, which checks only the e_k."""
+    p = base_field.p
+    out = []
+    for slot in range(4):
+        for val in range(1, p):
+            word = [0, 0, 0, 0]
+            word[slot] = val
+            out.append(gray_inverse(base_field, tuple(word)))
+    return out
 
 
 @dataclass

@@ -149,11 +149,14 @@ def test_kernel_matches_gray_histogram_past_p_13(p, N):
 
 
 def test_bulk_weights_parallel_merge(f9):
+    # the bulk count holds no state across rows: weights counted over split
+    # batches and merged equal the weights of the whole batch
     dp = derive_params(CodeParams(f9, 2))
     rows = analysis._all_codeword_rows(9)[:600]
-    serial = lee_weights_bulk(dp, rows, threads=1)
-    parallel = lee_weights_bulk(dp, rows, threads=2)
-    assert np.array_equal(serial, parallel)
+    whole = lee_weights_bulk(dp, rows)
+    merged = np.concatenate([lee_weights_bulk(dp, rows[:250]),
+                             lee_weights_bulk(dp, rows[250:])])
+    assert np.array_equal(whole, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +234,8 @@ def test_constancy_violation_raises_with_witness(f9, monkeypatch):
     real = analysis.lee_weights_bulk
     calls = {"n": 0}
 
-    def corrupting(params, rows, threads=1):
-        out = real(params, rows, threads=threads)
+    def corrupting(params, rows):
+        out = real(params, rows)
         calls["n"] += 1
         if calls["n"] == 2:  # the validation batch
             out = out.copy()
@@ -407,9 +410,9 @@ def test_identity_suite_weighs_each_weight_trial_once(trials, monkeypatch):
     real = analysis.lee_weights_bulk
     weighed = []
 
-    def recorded(params, rows, threads=1):
+    def recorded(params, rows):
         weighed.extend(np.asarray(rows).reshape(-1, 4).tolist())
-        return real(params, rows, threads)
+        return real(params, rows)
     monkeypatch.setattr(analysis, "lee_weights_bulk", recorded)
     assert verify_identities(dp, trials=trials).ok
     assert len(weighed) == min(trials, 100)

@@ -16,10 +16,10 @@ from tracecodes import (
     sphere_packing_excludes,
 )
 from tracecodes import bounds, ring
-from tracecodes.bounds import lee_one_elements, syndrome
-from tracecodes.ring import lee_weight
+from tracecodes.bounds import syndrome
+from tracecodes.ring import gray_inverse, lee_weight
 
-from oracles import orthogonality_direct
+from oracles import lee_one_elements, orthogonality_direct
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +90,18 @@ def test_sphere_packing_exclusions():
 # dual distance
 # ---------------------------------------------------------------------------
 
-def test_lee_one_elements_are_units(f3):
-    ones = lee_one_elements(f3)
-    assert len(ones) == 4 * 2
+def test_lee_one_elements_are_units(f5):
+    # the dual's weight-1 phase checks only the four Gray basis words e_k:
+    # every Lee-weight-1 value is s*e_k, whose constant coordinate is s
+    # times that of e_k, so the four words certify all 4(p-1) values
+    ones = lee_one_elements(f5)
+    assert len(ones) == 4 * 4
     assert all(lee_weight(x) == 1 for x in ones)
     assert all(ring.is_unit(x) for x in ones)
+    basis = [gray_inverse(f5, tuple(int(i == k) for i in range(4))) for k in range(4)]
+    assert all(ring.is_unit(e) for e in basis)
+    assert ones == [ring.RingElem(f5, s, 0, 0, 0) * e for e in basis for s in range(1, 5)]
+    assert [x.a for x in ones] == [s * e.a % 5 for e in basis for s in range(1, 5)]
 
 
 def test_dual_distance_lift(f9):

@@ -190,6 +190,24 @@ def test_verify_subcode_without_prediction_reports_no_verdict(tmp_path):
     assert sub["status"] == "no-applicable-prediction"
 
 
+def test_verify_subcode_units_counts_every_unit(tmp_path):
+    # the units code's constant coordinates are all q - 1 units, whatever N
+    # is: every nonzero b has weight q - q/p on them, and no table applies
+    sections = []
+    for N in ("3", "1"):
+        code, report = run_json(tmp_path, "verify", "-p", "5", "-m", "2", "-N", N,
+                                "--variant", "units", "--trials", "2", "--threads", "1",
+                                "--subcode")
+        assert code == 0
+        sections.append(report["subcode"])
+    sub = sections[0]
+    assert sub["length"] == 24
+    assert {r["weight"]: r["frequency"] for r in sub["rows"]} == {0: 1, 20: 24}
+    assert sub["predictions"] == [] and sub["ok"] is None
+    assert sub["status"] == "no-applicable-prediction"
+    assert sections[1] == sub
+
+
 def test_verify_subcode_mismatch_exit_code(tmp_path, monkeypatch):
     from tracecodes import analysis
     from tracecodes.analysis import Prediction
@@ -459,8 +477,13 @@ def test_verify_residuals_pinned(tmp_path, argv, residuals):
     assert report["residuals"] == residuals
 
 
-def test_unwritable_output_path_exits_two(tmp_path, capsys):
-    # a report that cannot be written is a usage error, not a mismatch
+def test_unwritable_output_path_exits_two(tmp_path, capsys, monkeypatch):
+    # a report that cannot be written is a usage error, not a mismatch, and
+    # it is refused before any work: no field is built
+    def no_field(*args, **kwargs):
+        raise AssertionError("the run started before the output was checked")
+
+    monkeypatch.setattr(Field, "__init__", no_field)
     out = tmp_path / "missing" / "r.json"
     code = main(["analyze", "-p", "3", "-m", "1", "--threads", "1", "-o", str(out)])
     assert code == 2
@@ -485,32 +508,49 @@ def test_negative_seed_exits_two_with_one_line_error(argv, capsys):
 
 
 def test_pool_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
-    # the pool forks every worker at once, so a large --threads must not ask
-    # for that many; a serial stand-in pool records the request and starts
-    # no process, the report keeps the requested value, and the rows do not
-    # depend on the split
+    # a large --threads must not start that many processes: a stand-in pool
+    # records every request and none is made, the report keeps the requested
+    # value, and the rows do not depend on it
     import concurrent.futures
 
     requested = []
 
-    class SerialPool:
+    class RecordingPool:
         def __init__(self, max_workers):
             requested.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ["analyze", "-p", "3", "-m", "2", "--method", "exhaustive"]
     code, report = run_json(tmp_path, *argv, "--threads", "3000")
     assert code == 0
-    assert requested == [3]
+    assert requested == []
     assert report["threads"] == 3000
     assert report["rows"] == run_json(tmp_path, *argv, "--threads", "1")[1]["rows"]
+
+
+def test_threads_option_starts_no_process(tmp_path):
+    # --threads is checked and recorded but selects no code path: every
+    # weight is counted in the calling process, so a fresh interpreter that
+    # runs both methods at --threads 4 never imports a process pool
+    script = (
+        "import json, sys\n"
+        "from tracecodes.cli import main\n"
+        "for method in ('class', 'exhaustive'):\n"
+        "    for threads in ('4', '1'):\n"
+        "        assert main(['analyze', '-p', '3', '-m', '2', '--method', method,\n"
+        "                     '--threads', threads, '-o', f'{sys.argv[1]}/{method}-{threads}.json']) == 0\n"
+        "print(json.dumps(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+        "                        if m in sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
+    for method in ("class", "exhaustive"):
+        four, one = (json.loads((tmp_path / f"{method}-{t}.json").read_text())
+                     for t in ("4", "1"))
+        assert four["threads"] == 4 and one["threads"] == 1
+        assert four["method"] == method
+        assert four["rows"] == one["rows"]

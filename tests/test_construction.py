@@ -425,9 +425,10 @@ def test_subcode_at_quartic_parameters(f81):
 
 def test_subcode_counts_agree_on_the_grid():
     # the field subcode three ways at every lift point with odd p <= 13,
-    # q <= 729 and N | q - 1: subcode_distribution (one zero-trace call),
-    # the scalar eval_field_subcode words, and the kernel's uv-line rows
-    # divided by 4q^3 together with the zero row
+    # q <= 729 and N | q - 1, and at the units variant of each field (its
+    # constant coordinates are all q - 1 units): subcode_distribution (one
+    # zero-trace call), the scalar eval_field_subcode words, and the
+    # kernel's uv-line rows divided by 4q^3 together with the zero row
     from collections import Counter
 
     from tracecodes import analysis
@@ -437,15 +438,16 @@ def test_subcode_counts_agree_on_the_grid():
         for m in itertools.takewhile(lambda m: p**m <= 729, itertools.count(1)):
             field = Field(p, m)
             q = field.q
-            for N in (N for N in range(1, q) if (q - 1) % N == 0):
-                dp = derive_params(CodeParams(field, N))
+            lifts = [(N, Variant.LIFT) for N in range(1, q) if (q - 1) % N == 0]
+            for N, variant in lifts + [(1, Variant.UNITS)]:
+                dp = derive_params(CodeParams(field, N, variant))
                 scalar = Counter(sum(1 for s in eval_field_subcode(b, dp) if s)
                                  for b in range(q))
                 uv_rows = [(0, 0, 0, d) for d in range(q)]
                 kernel = Counter((analysis._weights_serial(dp, uv_rows) // (4 * q**3)).tolist())
-                assert subcode_distribution(dp) == scalar == kernel, (p, m, N)
+                assert subcode_distribution(dp) == scalar == kernel, (p, m, N, variant)
                 points += 1
-    assert points == 147
+    assert points == 147 + 17
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,25 @@ def test_products_match_scalar_mul_on_every_pair(p, m, modulus):
     assert got.tolist() == [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
 
 
+def test_product_table_is_built_in_row_blocks():
+    # at (3,7) the int32 table holds 19 MB; int64 temporaries over the whole
+    # table would take the build's peak to several times that
+    import tracemalloc
+
+    f = Field(3, 7)
+    tracemalloc.start()
+    try:
+        table = f.mul_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int32 and table.shape == (f.q, f.q)
+    assert peak < 2 * table.nbytes
+    pairs = np.random.default_rng(7).integers(0, f.q, size=(500, 2)).tolist()
+    for a, b in pairs + [[0, 5], [5, 0], [1, f.q - 1], [f.q - 1, f.q - 1]]:
+        assert table[a, b] == f.mul(a, b)
+
+
 # ---------------------------------------------------------------------------
 # discrete logs
 # ---------------------------------------------------------------------------
