@@ -20,6 +20,10 @@ Three ways to obtain a distribution:
   members check the class sampler and the cyclotomic split of the uv-line;
 * ideal survey: the whole maximal ideal exhaustively plus sampled units,
   whose uv-line histogram is the subcode weight count times 4*q^3.
+
+Every seeded draw (class samples, identity-suite trials, survey units)
+comes from one stdlib random.Random(seed) per call, as exact-uniform
+randrange values; no path here imports numpy.random.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,20 +197,20 @@ def class_representatives(params: CodeParams | DerivedParams):
     return reps
 
 
-def _sample_class(name: str, j: int, dp: DerivedParams, rng) -> RingElem:
-    field = dp.field
+def _sample_class(name: str, j: int, dp: DerivedParams,
+                  rng: random.Random) -> tuple[int, int, int, int]:
+    """One uniform member (a, b, c, d) of the named class; j is the
+    cyclotomic index of a uv-line class and is ignored otherwise."""
     q = dp.q
     if name.startswith("uv-line"):
-        k = int(rng.integers(0, (q - 1) // dp.N2))
-        return RingElem(field, 0, 0, 0, field.exp_code(j + dp.N2 * k))
+        k = rng.randrange((q - 1) // dp.N2)
+        return 0, 0, 0, dp.field.exp_code(j + dp.N2 * k)
     if name.startswith("off-line"):
         while True:
-            b, c, d = (int(x) for x in rng.integers(0, q, size=3))
+            b, c, d = rng.randrange(q), rng.randrange(q), rng.randrange(q)
             if b or c:
-                return RingElem(field, 0, b, c, d)
-    a = int(rng.integers(1, q))
-    b, c, d = (int(x) for x in rng.integers(0, q, size=3))
-    return RingElem(field, a, b, c, d)
+                return 0, b, c, d
+    return rng.randrange(1, q), rng.randrange(q), rng.randrange(q), rng.randrange(q)
 
 
 def distribution_by_class(params: CodeParams | DerivedParams,
@@ -215,11 +220,13 @@ def distribution_by_class(params: CodeParams | DerivedParams,
 
     Constancy on the off-line and unit classes follows from the theorem in
     _weights_serial (pinned by its oracle tests), not from these samples.
-    The `samples_per_class` seeded members of each class check what the
-    theorem does not: that the sampler draws members of the class it
-    names, and that every uv-line member d of a cyclotomic class gives the
-    same subcode count #{x0 : Tr(d*x0) != 0} as its representative.  Any
-    disagreement raises WeightConstancyError with the witness element.
+    The `samples_per_class` members of each class, drawn from
+    random.Random(seed), check what the theorem does not: that the sampler
+    draws members of the class it names, and that every uv-line member d
+    of a cyclotomic class gives the same subcode count
+    #{x0 : Tr(d*x0) != 0} as its representative.  All samples are weighed
+    in one kernel call; the first disagreement raises WeightConstancyError
+    with that sample as its witness element.
     """
     if samples_per_class < 1:
         raise ParameterError(
@@ -230,19 +237,17 @@ def distribution_by_class(params: CodeParams | DerivedParams,
     rep_rows = [r.coords() for _, r, _ in reps]
     rep_weights = lee_weights_bulk(dp, rep_rows)
 
-    rng = np.random.default_rng(seed)
-    samples: list[RingElem] = []
-    owners: list[int] = []
-    for i, (name, _, _) in enumerate(reps):
-        j = i if name.startswith("uv-line") else -1
-        for _ in range(samples_per_class):
-            samples.append(_sample_class(name, j, dp, rng))
-            owners.append(i)
-    got = lee_weights_bulk(dp, [s.coords() for s in samples])
-    for s, owner, w in zip(samples, owners, got):
-        if w != rep_weights[owner]:
-            raise WeightConstancyError(reps[owner][0], s,
-                                       int(rep_weights[owner]), int(w))
+    rng = random.Random(seed)
+    samples = np.array([_sample_class(name, i, dp, rng)
+                        for i, (name, _, _) in enumerate(reps)
+                        for _ in range(samples_per_class)], dtype=np.int64)
+    got = lee_weights_bulk(dp, samples)
+    expected = np.repeat(rep_weights, samples_per_class)
+    if (bad := np.flatnonzero(got != expected)).size:
+        i = int(bad[0])
+        raise WeightConstancyError(reps[i // samples_per_class][0],
+                                   RingElem(dp.field, *samples[i].tolist()),
+                                   int(expected[i]), int(got[i]))
 
     entries: dict[int, int] = {0: 1}
     for (name, _, size), w in zip(reps, rep_weights):
@@ -312,13 +317,9 @@ def survey_ideal_and_units(params: CodeParams | DerivedParams,
         vals, counts = np.unique(ws, return_counts=True)
         return {int(wv): int(cv) for wv, cv in zip(vals, counts)}
 
-    rng = np.random.default_rng(seed)
-    unit_rows = np.stack([
-        rng.integers(1, q, size=unit_samples),
-        rng.integers(0, q, size=unit_samples),
-        rng.integers(0, q, size=unit_samples),
-        rng.integers(0, q, size=unit_samples),
-    ], axis=1)
+    rng = random.Random(seed)
+    unit_rows = np.array([_sample_class("units", -1, dp, rng) for _ in range(unit_samples)],
+                         dtype=np.int64).reshape(-1, 4)
 
     return IdealSurvey(
         uv_line=hist(weights[uv_mask]),
@@ -384,8 +385,10 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     random vectors; the real-part collapse (p = 3 mod 4 only) and the
     weight-from-theta formula on random codewords; the vanishing full
     additive sum for every nonzero multiplier; Gaussian sum normalization
-    and multiplicative-character orthogonality.  Breaches are reported with
-    witnesses, never raised; a run past the work budget is refused before any check.
+    and multiplicative-character orthogonality.  The random vectors and
+    codewords are randrange draws from one random.Random(seed).  Breaches
+    are reported with witnesses, never raised; a run past the work budget
+    is refused before any check.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -401,7 +404,7 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
         raise WorkBudgetExceeded(
             f"identity suite needs {work(trials)} entry-operations, over the budget of {budget}; "
             + (f"the largest --trials that fits is {fits}" if fits else "no --trials value fits"))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     residuals: dict[str, float] = {}
     breaches: list[dict] = []
 
@@ -423,10 +426,9 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
 
     # partial sums vs Hamming weight, random prime-field vectors
     for _ in range(trials):
-        length = int(rng.integers(1, 64))
-        y = rng.integers(0, p, size=length)
+        y = np.array([rng.randrange(p) for _ in range(rng.randrange(1, 64))])
         lhs = sum(theta_of_vector(tau * y, p) for tau in range(1, p))
-        rhs = (p - 1) * length - p * int(np.count_nonzero(y % p))
+        rhs = (p - 1) * len(y) - p * int(np.count_nonzero(y % p))
         record("partial_sums_vs_hamming", abs(lhs - rhs), {"y": y.tolist()})
 
     # codewords r drawn a block at a time, each tau*r (tau = 1..p-1) multiplied and
@@ -435,7 +437,8 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     real = trials if p % 4 == 3 else 0
     total, block = real + min(trials, 100), max(1, slot_batch_rows(dp) // (p - 1))
     for start in range(0, total, block):
-        rows = rng.integers(0, q, size=(min(block, total - start), 4))
+        rows = np.array([rng.randrange(q) for _ in range(4 * min(block, total - start))],
+                        dtype=np.int64).reshape(-1, 4)
         split = max(0, real - start)
         taus = field.products(np.arange(1, p)[:, None], rows[:, None, :]).reshape(-1, 4)
         sums = thetas(taus, dp).reshape(-1, p - 1).tolist()

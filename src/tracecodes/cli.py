@@ -275,6 +275,8 @@ def main(argv=None) -> int:
             raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
         if cfg.seed < 0:
             raise ParameterError(f"--seed must be >= 0, got {cfg.seed}")
+        if cfg.out and os.path.isdir(cfg.out):
+            raise ParameterError(f"cannot write the report to {cfg.out}: it is a directory")
         if cfg.out and not os.access(os.path.dirname(cfg.out) or ".", os.W_OK):
             raise ParameterError(f"cannot write the report to {cfg.out}: "
                                  "its directory is missing or not writable")

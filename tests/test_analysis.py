@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -228,6 +229,31 @@ def test_budget_env_override(f9, monkeypatch):
 def test_class_method_seed_recorded(f9):
     dist = distribution_by_class(CodeParams(f9, 1), samples_per_class=10, seed=77)
     assert dist.detail["seed"] == 77
+
+
+@pytest.mark.parametrize("p,m,N", [(5, 2, 3), (3, 2, 4)])
+def test_class_sampler_draws_members_of_its_class(p, m, N):
+    # N2 > 1 at both points, so the uv-line splits into several classes
+    dp = derive_params(CodeParams(Field(p, m), N))
+    assert dp.N2 > 1
+    names = [name for name, _, _ in analysis.class_representatives(dp)]
+
+    def draw(seed):
+        rng = random.Random(seed)
+        return [[analysis._sample_class(name, j, dp, rng) for _ in range(200)]
+                for j, name in enumerate(names)]
+
+    rows = draw(1)
+    for j, (name, members) in enumerate(zip(names, rows)):
+        for a, b, c, d in members:
+            if name.startswith("uv-line"):
+                assert (a, b, c) == (0, 0, 0) and dp.field.dlog(d) % dp.N2 == j
+            elif name.startswith("off-line"):
+                assert a == 0 and (b, c) != (0, 0)
+            else:
+                assert a != 0
+    assert draw(1) == rows
+    assert draw(2) != rows
 
 
 def test_constancy_violation_raises_with_witness(f9, monkeypatch):
