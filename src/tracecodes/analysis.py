@@ -28,7 +28,6 @@ randrange values; no path here imports numpy.random.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import random
@@ -400,7 +399,12 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
         return (p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p)) + q * (n0 + q)
     field.check_table_limit()  # q past the table limit is refused at once
     if work(trials) > (budget := _resolve_budget(None)):
-        fits = bisect.bisect_right(range(1, trials + 1), budget, key=work)
+        # the largest t with work(t) <= budget, by bisection over integers:
+        # --trials may be past what a range() can index
+        fits, over = 0, trials
+        while over - fits > 1:
+            mid = (fits + over) // 2
+            fits, over = (mid, over) if work(mid) <= budget else (fits, mid)
         raise WorkBudgetExceeded(
             f"identity suite needs {work(trials)} entry-operations, over the budget of {budget}; "
             + (f"the largest --trials that fits is {fits}" if fits else "no --trials value fits"))

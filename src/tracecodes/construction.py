@@ -98,25 +98,36 @@ class DerivedParams:
         return self.q**4
 
     def x0_codes(self) -> np.ndarray:
-        if self.variant is Variant.UNITS:
-            return self.field.unit_codes()
-        return np.asarray(self.base_set, dtype=np.int64)
+        """The constant coordinates in stream order: the base set, or every
+        unit for the units variant (one cached read-only int64 array)."""
+        return self._x0_array
 
     @cached_property
-    def x0_position(self) -> dict[int, int]:
-        """Stream position of each constant coordinate in x0_codes()."""
-        return {int(c): i for i, c in enumerate(self.x0_codes())}
+    def _x0_array(self) -> np.ndarray:
+        if self.variant is Variant.UNITS:
+            return self.field.unit_codes()
+        x0s = np.array(self.base_set, dtype=np.int64)
+        x0s.flags.writeable = False
+        return x0s
+
+    @cached_property
+    def x0_position(self) -> np.ndarray:
+        """Stream position of each code in x0_codes(), -1 off the set (int64,
+        length q)."""
+        x0s = self.x0_codes()
+        position = np.full(self.q, -1, dtype=np.int64)
+        position[x0s] = np.arange(len(x0s))
+        return position
 
 
 def coset_representatives(field: Field, N: int, n: int) -> tuple[int, ...]:
     """The base set {xi^(N*j) : j = 0..n-1}, verified pairwise inequivalent
     modulo F_p* (their discrete logs are distinct mod (q-1)/(p-1))."""
-    reps = tuple(field.exp_code(N * j) for j in range(n))
-    k = (field.q - 1) // (field.p - 1)
-    residues = {field.dlog(d) % k for d in reps}
-    if len(residues) != n:
+    logs = N * np.arange(n) % (field.q - 1)
+    residues = np.sort(logs % ((field.q - 1) // (field.p - 1)))
+    if (residues[1:] == residues[:-1]).any():
         raise AssertionError("coset representatives collapse modulo F_p*")
-    return reps
+    return tuple(field.unit_codes()[logs].tolist())
 
 
 def check_codeword_count_guard(p: int, m: int) -> None:
@@ -194,22 +205,22 @@ def coord_index(params: CodeParams | DerivedParams, x: RingElem) -> int:
     """Flat stream position of a coordinate element; inverse of coord_at."""
     dp = derive_params(params)
     q = dp.q
-    pos0 = dp.x0_position
-    if x.a not in pos0:
+    pos0 = int(dp.x0_position[x.a])
+    if pos0 < 0:
         raise ValueError("element is not in the coordinate set")
     lex_rank = dp.field.lex_rank
-    return ((pos0[x.a] * q + int(lex_rank[x.b])) * q + int(lex_rank[x.c])) * q \
+    return ((pos0 * q + int(lex_rank[x.b])) * q + int(lex_rank[x.c])) * q \
         + int(lex_rank[x.d])
 
 
 def contains(params: CodeParams | DerivedParams, x: RingElem) -> bool:
-    """Membership test for the coordinate set (O(1) via the hashed x0 map)."""
+    """Membership test for the coordinate set (O(1) via the x0 position table)."""
     dp = derive_params(params)
     if not is_unit(x):
         return False
     if dp.variant is Variant.UNITS:
         return True
-    return x.a in dp.x0_position
+    return bool(dp.x0_position[x.a] >= 0)
 
 
 def coord_blocks(params: CodeParams | DerivedParams,

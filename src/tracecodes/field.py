@@ -6,6 +6,15 @@ constant term first, has code c0 + c1*p + ... + c_{m-1}*p^(m-1).  All
 scalar operations take and return codes; vectorized consumers read the
 numpy lookup tables exposed by :class:`Field`.
 
+A Field keeps three q-sized tables, all read-only: exp (int64, code of
+xi^k for k < q - 1), log (int64, -1 at code 0) and trace (int32).  That is
+20 bytes per element; no q x m digit table and no Python-list copy is
+kept.  Scalar operations index memoryviews of these arrays, which return
+Python ints and hold no second copy.  Negation and Frobenius come from
+the same two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and
+a^p = xi^(p log a).  Addition, add_codes and lex_rank work on the base-p
+digits of the codes, computed when needed.
+
 A Field instance is immutable after construction (lazy caches are built
 once and read-only thereafter); every operation is a pure function of its
 inputs and safe under concurrent use.
@@ -28,6 +37,9 @@ DLOG_TABLE_LIMIT = 2**20
 COORD_TABLE_LIMIT = 4096
 
 _ADD_TABLE_LIMIT = 1024
+
+#: Rows of the exp-table build handled per int64 matrix product.
+_BUILD_ROWS = 2**15
 
 
 def _is_prime(n: int) -> bool:
@@ -173,6 +185,24 @@ def _x_class_order_is_full(poly: list[int], p: int, m: int) -> bool:
     return True
 
 
+def _basis_traces(mod: list[int], p: int) -> np.ndarray:
+    """trace(x^i) for i < m (int64), each the sum of the Frobenius orbit of
+    x^i: row i of `frob` is (x^i)^p, so row i of frob^j is (x^i)^(p^j), and
+    frob^m is the identity, so the orbit sums are the rows of frob + ... +
+    frob^m."""
+    m = len(mod) - 1
+    xp = _poly_powmod([0, 1], p, mod, p)
+    frob = np.array([_poly_powmod(xp, i, mod, p) for i in range(m)], dtype=np.int64)
+    power = orbit = frob
+    for _ in range(m - 1):
+        power = power @ frob % p
+        orbit = orbit + power
+    orbit = orbit % p
+    if orbit[:, 1:].any():
+        raise AssertionError("trace escaped the prime subfield")
+    return orbit[:, 0]
+
+
 def power_exceeds(p: int, m: int, limit: int) -> bool:
     """p**m > limit for p >= 2, without building p**m when m is huge."""
     power = 1
@@ -244,6 +274,13 @@ class Field:
     p must be an odd prime, m >= 1 and p^m at most DLOG_TABLE_LIMIT; all
     three are checked before any modulus search.  For m = 1 the trace is
     the identity and codes coincide with residues mod p.
+
+    The build takes O(q) memory: the digit rows of the powers of xi are
+    filled by doubling into one array of the narrowest dtype that holds
+    p - 1, and the trace, which is F_p-linear, is each row times the traces
+    of the basis x^i, each the sum of its Frobenius orbit.  Two whole-table
+    checks follow: the powers of xi are every nonzero code once, and the
+    trace is constant on Frobenius orbits.
     """
 
     def __init__(self, p: int, m: int,
@@ -281,51 +318,53 @@ class Field:
         x_code = self._encode_list(x_class)
         self.xi = x_code if xi_is_x else self._find_primitive_code(x_code)
 
-        # exp/log tables: exp[k] = code of xi^k.  Row i of `step` is the
-        # coefficient vector of x^i * xi, so a row vector times `step` is
-        # that element times xi; powers come by doubling, about log2(q)
-        # matrix products mod p.
+        # exp table: row k of `digits` is the coefficient vector of xi^k.
+        # Rows [0, L) times `step`, the matrix of multiplication by xi^L,
+        # give rows [L, 2L): about log2(q) doubling passes into one array in
+        # the narrowest dtype that holds p - 1, each pass in blocks of
+        # _BUILD_ROWS rows so the int64 products stay small.  The trace is
+        # F_p-linear, so the trace of xi^k is its row times the basis traces.
         mod = list(self.modulus)
         xi_list = self._decode_list(self.xi)
         step = np.array([_poly_mulmod([0] * i + [1], xi_list, mod, p) for i in range(m)],
                         dtype=np.int64)
-        powers = np.zeros((1, m), dtype=np.int64)
-        powers[0, 0] = 1
-        while len(powers) < self.order:
-            more = powers[:self.order - len(powers)] @ step % p
-            powers = np.concatenate([powers, more])
-            step = step @ step % p
         weights = np.asarray(self._pow_weights, dtype=np.int64)
-        self._exp_np = powers @ weights
-        self._log_np = np.full(self.q, -1, dtype=np.int64)
-        self._log_np[self._exp_np] = np.arange(self.order)
-        self._exp = self._exp_np.tolist()
-        self._log = self._log_np.tolist()
+        basis_traces = _basis_traces(mod, p)
+        digits = np.zeros((self.order, m), dtype=np.min_scalar_type(p - 1))
+        digits[0, 0] = 1
+        exp = np.empty(self.order, dtype=np.int64)
+        exp[0] = 1
+        tr = np.empty(self.order, dtype=np.int32)  # tr[k] = trace(xi^k)
+        tr[0] = basis_traces[0]
+        filled = 1
+        while filled < self.order:
+            count = min(filled, self.order - filled)
+            for lo in range(0, count, _BUILD_ROWS):
+                hi = min(lo + _BUILD_ROWS, count)
+                block = digits[lo:hi] @ step % p
+                digits[filled + lo:filled + hi] = block
+                exp[filled + lo:filled + hi] = block @ weights
+                tr[filled + lo:filled + hi] = block @ basis_traces % p
+            filled += count
+            step = step @ step % p
+        del digits
 
-        codes = np.arange(self.q, dtype=np.int64)
-        digits = np.empty((self.q, m), dtype=np.int64)
-        for i in range(m):
-            digits[:, i] = (codes // p**i) % p
-        self._digits_np = digits
-        self._neg_np = ((p - digits) % p) @ weights
-        self._neg = self._neg_np.tolist()
+        # whole-table checks: xi^k runs through every nonzero code once, and
+        # the trace is constant on Frobenius orbits, frob(xi^k) = xi^(pk)
+        log = np.full(self.q, -1, dtype=np.int64)
+        log[exp] = np.arange(self.order)
+        if np.flatnonzero(log < 0).tolist() != [0]:
+            raise AssertionError("the powers of xi are not the nonzero codes")
+        if (tr[np.arange(self.order) * p % self.order] != tr).any():
+            raise AssertionError("trace is not constant on Frobenius orbits")
+        trace = np.zeros(self.q, dtype=np.int32)
+        trace[exp] = tr
 
-        # trace table: sum of the Frobenius orbit, which must land in the
-        # prime subfield.
-        frob = np.zeros(self.q, dtype=np.int64)
-        if self.order:
-            frob[self._exp_np] = self._exp_np[(np.arange(self.order) * p) % self.order]
-        acc = digits.copy()
-        cur = codes
-        for _ in range(m - 1):
-            cur = frob[cur]
-            acc += digits[cur]
-        acc %= p
-        if m > 1 and acc[:, 1:].any():
-            raise AssertionError("trace escaped the prime subfield")
-        self._frob_np = frob
-        self._trace_np = acc[:, 0].astype(np.int32)
-        self._trace = self._trace_np.tolist()
+        for table in (exp, log, trace):
+            table.flags.writeable = False
+        self._exp_np, self._log_np, self._trace_np = exp, log, trace
+        # scalar lookups read memoryviews: Python ints, no second copy
+        self._exp, self._log, self._trace = (memoryview(t) for t in (exp, log, trace))
 
         self._add_flat: list[int] | None = None
         self._mul_table_np: np.ndarray | None = None
@@ -369,18 +408,16 @@ class Field:
         return range(self.q)
 
     def unit_codes(self) -> np.ndarray:
-        """All nonzero codes in xi-power order: xi^0, xi^1, ..."""
-        return self._exp_np.copy()
+        """All nonzero codes in xi-power order: xi^0, xi^1, ... (a read-only view)."""
+        return self._exp_np.view()
 
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.q <= _ADD_TABLE_LIMIT:
             if self._add_flat is None:
-                digits = self._digits_np
-                sums = (digits[:, None, :] + digits[None, :, :]) % self.p
-                weights = np.asarray(self._pow_weights, dtype=np.int64)
-                self._add_flat = (sums @ weights).ravel().tolist()
+                codes = np.arange(self.q)
+                self._add_flat = self.add_codes(codes[:, None], codes).ravel().tolist()
             return self._add_flat[a * self.q + b]
         p = self.p
         out = 0
@@ -389,15 +426,21 @@ class Field:
         return out
 
     def add_codes(self, a, b) -> np.ndarray:
-        """Vectorized addition on arrays of codes."""
-        d = (self._digits_np[np.asarray(a)] + self._digits_np[np.asarray(b)]) % self.p
-        return d @ np.asarray(self._pow_weights, dtype=np.int64)
+        """Vectorized addition on arrays of codes, one digit at a time."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for w in self._pow_weights:
+            out += (a // w + b // w) % self.p * w
+        return out
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        """-a = xi^(log a + (q-1)/2), since -1 = xi^((q-1)/2)."""
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] + self.order // 2) % self.order]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -421,11 +464,14 @@ class Field:
         return self._trace[a]
 
     def frobenius_code(self, a: int) -> int:
-        return int(self._frob_np[a])
+        """a^p = xi^(p log a)."""
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] * self.p % self.order]
 
     def exp_code(self, k: int) -> int:
         """Code of xi^k."""
-        return self._exp[k % self.order] if self.order else 1
+        return self._exp[k % self.order]
 
     # -- discrete logarithms ---------------------------------------------------
 
@@ -449,8 +495,11 @@ class Field:
         """Position of each code in the order of `lex_codes`: the code with
         its digits reversed, so the constant term is the most significant."""
         if self._lex_rank_np is None:
-            reversed_weights = np.asarray(self._pow_weights[::-1], dtype=np.int64)
-            self._lex_rank_np = self._digits_np @ reversed_weights
+            rank, rest = np.zeros(self.q, dtype=np.int64), np.arange(self.q)
+            for _ in range(self.m):
+                rank = rank * self.p + rest % self.p
+                rest //= self.p
+            self._lex_rank_np = rank
         return self._lex_rank_np
 
     @property

@@ -1,10 +1,12 @@
 import argparse
+import functools
 import inspect
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -556,23 +558,43 @@ def test_threads_option_starts_no_process(tmp_path):
         assert four["rows"] == one["rows"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "-p", "3", "-m", "3", "--method", "class"],
-    ["analyze", "-p", "3", "-m", "2", "--method", "exhaustive"],
-    ["verify", "-p", "5", "-m", "2", "-N", "3", "--subcode"],
-    ["dual", "-p", "3", "-m", "3"],
-])
-def test_no_cli_run_imports_numpy_random(tmp_path, argv):
-    # every seeded draw comes from random.Random; the pytest process has
-    # numpy.random loaded already, so each run gets a fresh interpreter
+@functools.lru_cache(maxsize=None)
+def _modules_after_fresh_run(argv: tuple[str, ...]) -> list[str]:
+    """Which of numpy.random and numpy.ma a fresh interpreter holds after
+    main(argv) exits 0 (the pytest process has both loaded already)."""
     script = (
         "import json, sys\n"
         "from tracecodes.cli import main\n"
         "assert main(json.loads(sys.argv[1])) == 0\n"
-        "assert 'numpy.random' not in sys.modules\n"
+        "print(json.dumps([m for m in ('numpy.random', 'numpy.ma') if m in sys.modules]))\n"
     )
-    argv = [*argv, "--threads", "1", "-o", str(tmp_path / "r.json")]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
-                         capture_output=True, text=True, timeout=120)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [*argv, "--threads", "1", "-o", str(Path(tmp) / "r.json")]
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+                             capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-p", "3", "-m", "3", "--method", "class"),
+    ("analyze", "-p", "3", "-m", "2", "--method", "exhaustive"),
+    ("verify", "-p", "5", "-m", "2", "-N", "3", "--subcode"),
+    ("dual", "-p", "3", "-m", "3"),
+])
+def test_no_cli_run_imports_numpy_random(argv):
+    # every seeded draw comes from random.Random
+    assert "numpy.random" not in _modules_after_fresh_run(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-p", "3", "-m", "3", "--method", "class"),
+    ("analyze", "-p", "3", "-m", "2", "--method", "exhaustive"),
+    ("verify", "-p", "5", "-m", "2", "-N", "3", "--subcode"),
+    ("dual", "-p", "3", "-m", "9"),
+])
+def test_no_cli_run_imports_numpy_ma(argv):
+    # a plain np.unique(x) imports numpy.ma, about 1.4 MB of RSS per process;
+    # np.unique(x, return_counts=True) and sorted-difference checks do not
+    assert "numpy.ma" not in _modules_after_fresh_run(argv)

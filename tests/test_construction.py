@@ -163,6 +163,20 @@ def test_x0_map_built_once_per_params(monkeypatch, f9, variant):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("variant", [Variant.LIFT, Variant.UNITS])
+def test_x0_codes_is_one_read_only_array(f9, variant):
+    dp = derive_params(CodeParams(f9, 2, variant))
+    x0s = dp.x0_codes()
+    assert x0s is dp.x0_codes()
+    assert x0s.dtype == np.int64 and not x0s.flags.writeable
+    expected = dp.base_set if variant is Variant.LIFT else f9.unit_codes().tolist()
+    assert x0s.tolist() == list(expected)
+    position = dp.x0_position
+    assert position.shape == (f9.q,)
+    assert position[x0s].tolist() == list(range(len(x0s)))
+    assert (np.delete(position, x0s) == -1).all()
+
+
 def test_membership(f9):
     dp = derive_params(CodeParams(f9, 1))
     assert contains(dp, ring.one(f9))

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_builds_are_reproducible(f9):
     again = Field(3, 2)
     assert again == f9
     assert again.xi == f9.xi
-    assert again._exp == f9._exp
+    assert again._exp.tolist() == f9._exp.tolist()
 
 
 def test_supplied_irreducible_non_primitive_modulus():
@@ -122,11 +123,18 @@ def _mulmod(a, b, mod, p):
 
 
 def _reference_tables(f):
-    """exp, log, trace and lex tables by plain polynomial arithmetic."""
+    """exp, log, trace, lex, neg and Frobenius tables by plain polynomial
+    arithmetic."""
     p, m, q, mod = f.p, f.m, f.q, list(f.modulus)
 
     def code(poly):
         return sum(c * p**i for i, c in enumerate(poly))
+
+    def frobenius(poly):
+        power = [1] + [0] * (m - 1)
+        for _ in range(p):
+            power = _mulmod(power, poly, mod, p)
+        return power
 
     exp, val = [], [1] + [0] * (m - 1)
     for _ in range(q - 1):
@@ -135,20 +143,19 @@ def _reference_tables(f):
     log = [-1] * q
     for k, c in enumerate(exp):
         log[c] = k
-    trace = []
+    trace, frob = [], []
     for x in range(q):
         conj = list(f.coeffs(x))
+        frob.append(code(frobenius(conj)))
         total = conj
         for _ in range(m - 1):
-            power = [1] + [0] * (m - 1)
-            for _ in range(p):
-                power = _mulmod(power, conj, mod, p)
-            conj = power
+            conj = frobenius(conj)
             total = [(s + c) % p for s, c in zip(total, conj)]
         assert not any(total[1:])
         trace.append(total[0])
     lex = sorted(range(q), key=f.coeffs)
-    return exp, log, trace, lex
+    neg = [code([-c % p for c in f.coeffs(x)]) for x in range(q)]
+    return exp, log, trace, lex, neg, frob
 
 
 @pytest.mark.parametrize("p,m,modulus", [
@@ -157,12 +164,62 @@ def _reference_tables(f):
 ])
 def test_tables_match_python_reference(p, m, modulus):
     f = Field(p, m, modulus=modulus)
-    exp, log, trace, lex = _reference_tables(f)
-    assert f._exp == exp
-    assert f._log == log
+    exp, log, trace, lex, neg, frob = _reference_tables(f)
+    assert f._exp.tolist() == exp
+    assert f._log.tolist() == log
     assert f.trace_table.tolist() == trace
     assert f.lex_codes.tolist() == lex
     assert f.lex_rank[f.lex_codes].tolist() == list(range(f.q))
+    assert [f.neg(x) for x in range(f.q)] == neg
+    assert [f.frobenius_code(x) for x in range(f.q)] == frob
+
+
+#: sha256 prefixes of the int64 little-endian bytes of each table, taken
+#: from the tables built through full q x m digit arrays and per-element
+#: Frobenius orbit sums.
+TABLE_DIGESTS = {
+    (3, 9, None): ("ecb87d68e02335f8", "3f0eb7f931dab025", "db0a82d4e985bbb7",
+                   "42a68dba3c11cd83", "69454ef47287ad96", "8455ad7f13271f7c"),
+    (5, 6, None): ("7bf1cd0f2dfd4cf6", "1f32ce91b838abdf", "b51b2fa1d3983000",
+                   "9f14fbea37be344f", "d8924fdbccf65dfc", "ac884dfaf6187409"),
+    (7, 5, None): ("212afb0ada7207d7", "1336ac592c4beca7", "2f3970ee23737a8e",
+                   "fd323aef3eb15f35", "e14f73aac5b471fe", "7a65459852f890e8"),
+    (13, 4, None): ("6350328726be2ed6", "b2b9e2ab378dcdc6", "cc8c53c4ae7f6ed6",
+                    "7a23e17597a2342b", "f013a3eb0d1ce132", "6de87efbcd7c87bc"),
+    (4093, 1, None): ("fac67291129e5795", "a6238f2687af48c8", "358f72e3e73f046b",
+                      "358f72e3e73f046b", "3ea2a609f6714bac", "358f72e3e73f046b"),
+    (3, 2, (1, 0, 1)): ("107beef16789fe21", "da0d10ec35bfa438", "8cc825d972544d25",
+                        "37fcb2c479ef6533", "0b567cf282f27d20", "4c940919d756c6bb"),
+}
+
+
+@pytest.mark.parametrize("p,m,modulus", list(TABLE_DIGESTS))
+def test_tables_are_pinned_bit_for_bit(p, m, modulus):
+    f = Field(p, m, modulus=modulus)
+    tables = (f._exp, f._log, f.trace_table, f.lex_rank,
+              [f.neg(x) for x in range(f.q)], [f.frobenius_code(x) for x in range(f.q)])
+    digests = tuple(hashlib.sha256(np.asarray(t, dtype="<i8").tobytes()).hexdigest()[:16]
+                    for t in tables)
+    assert digests == TABLE_DIGESTS[p, m, modulus]
+
+
+def test_field_tables_are_built_in_o_q_memory():
+    # at (3,12) a q x m int64 digit table alone would take 51 MB; the three
+    # kept tables take 10.6 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        f = Field(3, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+    assert [name for name, value in vars(f).items()
+            if isinstance(value, list) and len(value) >= f.q] == []
+    for table in (f._exp_np, f._log_np, f._trace_np):
+        assert not table.flags.writeable
+    assert not f.unit_codes().flags.writeable
 
 
 def test_modulus_record_roundtrip(f9):
