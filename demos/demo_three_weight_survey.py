@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Three-weight regime at (5, 2, N = 3): survey the maximal ideal exactly.
+"""Three-weight regime at (5, 2, N = 3): the maximal ideal, class by class.
 
 Full enumeration of all 5^8 codewords times 31250 coordinates is past the
-work budget, so the protocol is: enumerate the 15625-element maximal ideal
-exhaustively, sample the units, and check the outcome against the
-three-weight prediction with its corrected middle frequency.
+work budget, so the protocol is: read the uv-line off the field subcode
+(the codeword d*uv weighs 4*q^3 times the subcode weight of d), weigh one
+representative of the rest of the maximal ideal and one of the units,
+and check the outcome against the three-weight prediction with its
+corrected middle frequency.
 """
 
 from tracecodes import (
@@ -13,7 +15,7 @@ from tracecodes import (
     derive_params,
     distribution_by_class,
     predict,
-    survey_ideal_and_units,
+    subcode_distribution,
 )
 
 field = Field(5, 2)
@@ -31,37 +33,36 @@ for w, f in pred.rows:
     print(f"  weight {w:>7}: frequency {f}")
 
 # ----------------------------------------------------------------------
-# 2. the survey: exhaustive ideal, sampled units
+# 2. the uv-line from the lifted subcode, the other classes from their
+#    representatives (checked on seeded class members)
 # ----------------------------------------------------------------------
-survey = survey_ideal_and_units(dp, unit_samples=1000)
-print("\nuv-line (exhaustive):")
-for w, f in sorted(survey.uv_line.items()):
+uv_line = {4 * dp.q**3 * w: f for w, f in subcode_distribution(dp).items() if w}
+print("\nuv-line (the field subcode, each weight times 4*q^3):")
+for w, f in sorted(uv_line.items()):
     print(f"  weight {w:>7}: {f} elements")
-print("off-line maximal ideal (exhaustive):")
-for w, f in sorted(survey.other_maximal.items()):
-    print(f"  weight {w:>7}: {f} elements")
-print(f"units ({survey.unit_samples} samples): weights {sorted(survey.units_sampled)}")
+dist = distribution_by_class(dp, samples_per_class=200)
+reps = {r["class"]: r for r in dist.detail["representatives"]}
+off_line, units = reps["off-line maximal ideal"], reps["units"]
+print(f"off-line maximal ideal: {off_line['size']} elements of weight {off_line['weight']}")
+print(f"units: {units['size']} elements of weight {units['weight']}")
 
 # ----------------------------------------------------------------------
 # 3. reconcile with the prediction
 # ----------------------------------------------------------------------
-unit_weight = next(iter(survey.units_sampled))
-om_weight = next(iter(survey.other_maximal))
-print(f"\noff-line ideal weight equals the unit weight: {om_weight == unit_weight}")
-rare, bulk = sorted(survey.uv_line.items())
+unit_weight = units["weight"]
+print(f"\noff-line ideal weight equals the unit weight: {off_line['weight'] == unit_weight}")
+rare, bulk = sorted(uv_line.items())
 print(f"uv-line split: {rare[1]} at {rare[0]}, {bulk[1]} at {bulk[0]}")
 
-middle_frequency = (survey.other_maximal[om_weight]
-                    + (field.q - 1) * field.q**3)  # off-line ideal + all units
-print(f"middle frequency (ideal part measured + unit count): {middle_frequency}")
-print(f"prediction's corrected middle frequency:            "
+middle_frequency = off_line["size"] + units["size"]  # off-line ideal + all units
+print(f"middle frequency (off-line ideal + units): {middle_frequency}")
+print(f"prediction's corrected middle frequency:   "
       f"{pred.rows_dict()[unit_weight]}")
 assert middle_frequency == pred.rows_dict()[unit_weight]
 
 # ----------------------------------------------------------------------
 # 4. the class-based distribution packages the same facts
 # ----------------------------------------------------------------------
-dist = distribution_by_class(dp, samples_per_class=200)
 print("\nclass-based distribution:")
 for w, f in dist.rows():
     print(f"  weight {w:>7}: frequency {f}")

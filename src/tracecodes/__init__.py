@@ -2,14 +2,13 @@
 F_p + uF_p + vF_p + uvF_p, via the Gray isometry onto F_p^4.
 
 The package builds the evaluation codes, computes exact Lee-weight
-distributions by enumeration, mirrors the closed-form weight tables as
+distributions from a closed form, mirrors the closed-form weight tables as
 predictions, and certifies optimality (Griesmer), dual distance and
 secret-sharing structure.
 """
 
 from .analysis import (
     DEFAULT_WORK_BUDGET,
-    IdealSurvey,
     IdentityReport,
     Prediction,
     WeightDistribution,
@@ -22,7 +21,6 @@ from .analysis import (
     predict_subcode,
     semiprimitive_exponent,
     subcode_report,
-    survey_ideal_and_units,
     theta_of_vector,
     verify_identities,
 )

@@ -11,19 +11,21 @@ construction.gray_slot_counts convolves explicit counts of each axis's
 trace terms for a batch of rows, never the theorem, so
 weight_vs_character_sum checks the theorem against an explicit count.
 
-Three ways to obtain a distribution:
+Two ways to obtain a distribution:
 
-* exhaustive: every codeword, guarded by a work budget in entry-operations;
+* exhaustive: the weight of every codeword by the closed form, guarded by
+  a work budget in entry-operations: the field subcode's distribution over
+  all q inputs d, each weight times 4*q^3, gives the q uv-line rows d*uv,
+  and the other q^4 - q rows share the bulk weight.  The tests check it
+  against every one of the q^4 rows weighed on its own (tests/oracles.py);
 * class-based: one representative per weight class (the uv-line splits
   into cyclotomic classes, the rest of the maximal ideal forms one class,
   the units another), exact weights scaled by class sizes; seeded class
-  members check the class sampler and the cyclotomic split of the uv-line;
-* ideal survey: the whole maximal ideal exhaustively plus sampled units,
-  whose uv-line histogram is the subcode weight count times 4*q^3.
+  members check the class sampler and the cyclotomic split of the uv-line.
 
-Every seeded draw (class samples, identity-suite trials, survey units)
-comes from one stdlib random.Random(seed) per call, as exact-uniform
-randrange values; no path here imports numpy.random.
+Every seeded draw (class samples, identity-suite trials) comes from one
+stdlib random.Random(seed) per call, as exact-uniform randrange values;
+no path here imports numpy.random.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     nonzero d by field.count_zero_traces (the zero row d = 0 weighs 0).
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-    out = np.full(len(rows), 4 * (dp.p - 1) * (dp.length // dp.p), dtype=np.int64)
+    out = np.full(len(rows), _bulk_weight(dp), dtype=np.int64)
     on_line = ~rows[:, :3].any(axis=1)
     ds, which = np.unique(rows[on_line, 3], return_inverse=True)
     x0s, live = dp.x0_codes(), ds != 0
@@ -90,6 +92,12 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     nonzero[live] = len(x0s) - count_zero_traces(dp.field, ds[live], x0s)
     out[on_line] = (4 * dp.q**3 * nonzero)[which]
     return out
+
+
+def _bulk_weight(dp: DerivedParams) -> int:
+    """The one weight of every codeword off the uv-line, 4*(p-1)*length/p
+    (the theorem in _weights_serial)."""
+    return 4 * (dp.p - 1) * (dp.length // dp.p)
 
 
 # No caller in the package: bench/tracer.py binds it by name; it goes with bench/'s next change.
@@ -115,7 +123,7 @@ class WeightDistribution:
     """Exact weight -> frequency map with provenance."""
 
     entries: dict[int, int]
-    method: str  # "exhaustive" | "class" | "sampled"
+    method: str  # "exhaustive" | "class"
     total: int
     detail: dict | None = None
 
@@ -132,14 +140,6 @@ class WeightDistribution:
     @property
     def max_nonzero_weight(self) -> int:
         return max(self.nonzero())
-
-
-def _all_codeword_rows(q: int) -> np.ndarray:
-    flat = np.arange(q**4, dtype=np.int64)
-    a, rest = np.divmod(flat, q**3)
-    b, rest = np.divmod(rest, q**2)
-    c, d = np.divmod(rest, q)
-    return np.stack([a, b, c, d], axis=1)
 
 
 def _resolve_budget(budget: int | None) -> int:
@@ -159,7 +159,13 @@ def _resolve_budget(budget: int | None) -> int:
 
 def distribution_exhaustive(params: CodeParams | DerivedParams,
                             budget: int | None = None) -> WeightDistribution:
-    """Iterate every codeword; exact counts.
+    """The weight of every codeword, exact, by the theorem in _weights_serial.
+
+    The uv-line codeword d*uv weighs 4*q^3 times the weight of d in the
+    field subcode, so subcode_distribution over all q inputs d, scaled,
+    gives the q uv-line rows; a subcode word of weight 0 (d = 0, and the
+    nonzero d whose traces vanish on every x0 of a degenerate lift) lands
+    in the zero row.  The other q^4 - q codewords share the bulk weight.
 
     Refuses jobs beyond the work budget (entry-operations = codeword count
     times coordinate count) and points the caller at the class-based method.
@@ -172,10 +178,10 @@ def distribution_exhaustive(params: CodeParams | DerivedParams,
             f"exhaustive enumeration needs {work} entry-operations, over the "
             f"budget of {budget}; use the class-based method"
         )
-    weights = lee_weights_bulk(dp, _all_codeword_rows(dp.q))
-    values, counts = np.unique(weights, return_counts=True)
-    entries = {int(w): int(c) for w, c in zip(values, counts)}
-    return WeightDistribution(entries=entries, method="exhaustive",
+    entries = {4 * dp.q**3 * w: f for w, f in subcode_distribution(dp).items()}
+    bulk = _bulk_weight(dp)
+    entries[bulk] = entries.get(bulk, 0) + dp.codeword_count - dp.q
+    return WeightDistribution(entries=dict(sorted(entries.items())), method="exhaustive",
                               total=dp.codeword_count)
 
 
@@ -223,9 +229,10 @@ def distribution_by_class(params: CodeParams | DerivedParams,
     random.Random(seed), check what the theorem does not: that the sampler
     draws members of the class it names, and that every uv-line member d
     of a cyclotomic class gives the same subcode count
-    #{x0 : Tr(d*x0) != 0} as its representative.  All samples are weighed
-    in one kernel call; the first disagreement raises WeightConstancyError
-    with that sample as its witness element.
+    #{x0 : Tr(d*x0) != 0} as its representative.  Samples are drawn, class
+    by class, and weighed 4096 at a time, so memory does not grow with
+    their number; the first disagreement raises WeightConstancyError with
+    that sample as its witness element.
     """
     if samples_per_class < 1:
         raise ParameterError(
@@ -237,16 +244,17 @@ def distribution_by_class(params: CodeParams | DerivedParams,
     rep_weights = lee_weights_bulk(dp, rep_rows)
 
     rng = random.Random(seed)
-    samples = np.array([_sample_class(name, i, dp, rng)
-                        for i, (name, _, _) in enumerate(reps)
-                        for _ in range(samples_per_class)], dtype=np.int64)
-    got = lee_weights_bulk(dp, samples)
-    expected = np.repeat(rep_weights, samples_per_class)
-    if (bad := np.flatnonzero(got != expected)).size:
-        i = int(bad[0])
-        raise WeightConstancyError(reps[i // samples_per_class][0],
-                                   RingElem(dp.field, *samples[i].tolist()),
-                                   int(expected[i]), int(got[i]))
+    total, step = len(reps) * samples_per_class, 4096
+    for start in range(0, total, step):
+        classes = np.arange(start, min(start + step, total)) // samples_per_class
+        samples = np.array([_sample_class(reps[j][0], j, dp, rng) for j in classes.tolist()],
+                           dtype=np.int64)
+        got, expected = lee_weights_bulk(dp, samples), rep_weights[classes]
+        if (bad := np.flatnonzero(got != expected)).size:
+            i = int(bad[0])
+            raise WeightConstancyError(reps[int(classes[i])][0],
+                                       RingElem(dp.field, *samples[i].tolist()),
+                                       int(expected[i]), int(got[i]))
 
     entries: dict[int, int] = {0: 1}
     for (name, _, size), w in zip(reps, rep_weights):
@@ -263,70 +271,6 @@ def distribution_by_class(params: CodeParams | DerivedParams,
     }
     return WeightDistribution(entries=entries, method="class",
                               total=dp.codeword_count, detail=detail)
-
-
-@dataclass
-class IdealSurvey:
-    """Exhaustive maximal-ideal weights plus sampled unit weights."""
-
-    uv_line: dict[int, int]
-    other_maximal: dict[int, int]
-    units_sampled: dict[int, int]
-    unit_samples: int
-    seed: int
-
-    @property
-    def weights_seen(self) -> set[int]:
-        out = set(self.uv_line) | set(self.other_maximal) | set(self.units_sampled)
-        out.discard(0)
-        return out
-
-
-def survey_ideal_and_units(params: CodeParams | DerivedParams,
-                           unit_samples: int = 1000,
-                           seed: int = DEFAULT_SEED,
-                           budget: int | None = None) -> IdealSurvey:
-    """Enumerate the whole maximal ideal exactly and sample the units.
-
-    The uv-line histogram is exact: every uv-line subcode count
-    #{x0 : Tr(d*x0) != 0}, scaled by 4*q^3, the rows that the class method
-    splits into cyclotomic classes.  The off-line histogram and the unit
-    samples land on the single weight 4*(p-1)*length/p by the theorem in
-    _weights_serial, so they restate it rather than validate the kernel.
-    """
-    dp = derive_params(params)
-    budget = _resolve_budget(budget)
-    q = dp.q
-    work = (q**3 + unit_samples) * dp.length
-    if work > budget:
-        raise WorkBudgetExceeded(
-            f"ideal survey needs {work} entry-operations, over the budget of {budget}"
-        )
-    flat = np.arange(q**3, dtype=np.int64)
-    b, rest = np.divmod(flat, q**2)
-    c, d = np.divmod(rest, q)
-    rows = np.stack([np.zeros_like(b), b, c, d], axis=1)
-    weights = lee_weights_bulk(dp, rows)
-
-    uv_mask = (b == 0) & (c == 0) & (d != 0)
-    zero_mask = (b == 0) & (c == 0) & (d == 0)
-    om_mask = ~(uv_mask | zero_mask)
-
-    def hist(ws) -> dict[int, int]:
-        vals, counts = np.unique(ws, return_counts=True)
-        return {int(wv): int(cv) for wv, cv in zip(vals, counts)}
-
-    rng = random.Random(seed)
-    unit_rows = np.array([_sample_class("units", -1, dp, rng) for _ in range(unit_samples)],
-                         dtype=np.int64).reshape(-1, 4)
-
-    return IdealSurvey(
-        uv_line=hist(weights[uv_mask]),
-        other_maximal=hist(weights[om_mask]),
-        units_sampled=hist(lee_weights_bulk(dp, unit_rows)),
-        unit_samples=unit_samples,
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +341,6 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     def work(t: int) -> int:  # histogram rows, partial sums, zero traces, full sums
         rows = min(t, 100) + (t if p % 4 == 3 else 0)
         return (p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p)) + q * (n0 + q)
-    field.check_table_limit()  # q past the table limit is refused at once
     if work(trials) > (budget := _resolve_budget(None)):
         # the largest t with work(t) <= budget, by bisection over integers:
         # --trials may be past what a range() can index
@@ -455,9 +398,9 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
                    abs(exact + tau_sum.real) / p + abs(tau_sum.imag), {"r": row.tolist()})
 
     # the full additive sum vanishes for every nonzero multiplier
-    eta_pow, mul_table = np.exp(2j * np.pi * np.arange(p) / p), field.mul_table
+    eta_pow, codes = np.exp(2j * np.pi * np.arange(p) / p), np.arange(q)
     for z in range(1, q):
-        hist = np.bincount(field.trace_table[mul_table[z]], minlength=p)
+        hist = np.bincount(field.trace_products(z, codes), minlength=p)
         record("full_additive_sum", abs(complex(hist @ eta_pow)), {"z": z})
 
     # Gaussian sum normalization

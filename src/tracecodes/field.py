@@ -32,11 +32,10 @@ from .errors import ParameterError
 #: Largest q a Field accepts; every Field builds exp/log tables, so dlog is a lookup.
 DLOG_TABLE_LIMIT = 2**20
 
-#: Full q*q product tables (read by the identity suite and the test oracles)
-#: are only built up to this q; the weight kernel and Gray streams need none.
+#: The test oracles' full q*q product tables (mul_table, trmul_flat) are
+#: only built up to this q; no computation in the package reads them, and
+#: bench/tracer.py binds them by name.
 COORD_TABLE_LIMIT = 4096
-
-_ADD_TABLE_LIMIT = 1024
 
 #: Rows of the exp-table build handled per int64 matrix product.
 _BUILD_ROWS = 2**15
@@ -366,7 +365,6 @@ class Field:
         # scalar lookups read memoryviews: Python ints, no second copy
         self._exp, self._log, self._trace = (memoryview(t) for t in (exp, log, trace))
 
-        self._add_flat: list[int] | None = None
         self._mul_table_np: np.ndarray | None = None
         self._trmul_flat_np: np.ndarray | None = None
         self._lex_codes_np: np.ndarray | None = None
@@ -414,11 +412,7 @@ class Field:
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.q <= _ADD_TABLE_LIMIT:
-            if self._add_flat is None:
-                codes = np.arange(self.q)
-                self._add_flat = self.add_codes(codes[:, None], codes).ravel().tolist()
-            return self._add_flat[a * self.q + b]
+        """a + b, one base-p digit at a time; no addition table is built."""
         p = self.p
         out = 0
         for w in self._pow_weights:
@@ -509,18 +503,16 @@ class Field:
             self._lex_codes_np = np.argsort(self.lex_rank)
         return self._lex_codes_np
 
-    def check_table_limit(self) -> None:
-        """Refuse a q past COORD_TABLE_LIMIT before any q*q table is built."""
-        if self.q > COORD_TABLE_LIMIT:
-            raise ParameterError(f"product tables need q <= {COORD_TABLE_LIMIT}, got {self.q}")
-
     @property
     def mul_table(self) -> np.ndarray:
-        """Full q*q product table (int32), for vectorized consumers.  Rows
+        """Full q*q product table (int32), a table of the test oracles that
+        bench/tracer.py binds by name; refused past COORD_TABLE_LIMIT.  Rows
         are filled through `products` about 2^16 entries at a time, so the
         int64 temporaries stay small next to the table."""
         if self._mul_table_np is None:
-            self.check_table_limit()
+            if self.q > COORD_TABLE_LIMIT:
+                raise ParameterError(
+                    f"product tables need q <= {COORD_TABLE_LIMIT}, got {self.q}")
             codes = np.arange(self.q)
             table = np.empty((self.q, self.q), dtype=np.int32)
             step = max(1, 2**16 // self.q)
@@ -531,7 +523,8 @@ class Field:
 
     @property
     def trmul_flat(self) -> np.ndarray:
-        """Flattened q*q table of trace(a*b) (int16); the tests' oracle."""
+        """Flattened q*q table of trace(a*b) (int16), a table of the test
+        oracles that bench/tracer.py binds by name."""
         if self._trmul_flat_np is None:
             self._trmul_flat_np = (
                 self._trace_np[self.mul_table].astype(np.int16).ravel()

@@ -8,7 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tracecodes import ParameterError, RingElem, big_trace, derive_params, evaluate
+from tracecodes import (
+    ParameterError,
+    RingElem,
+    big_trace,
+    derive_params,
+    evaluate,
+    lee_weights_bulk,
+)
 from tracecodes.construction import (
     DEFAULT_SEED,
     CodeParams,
@@ -25,6 +32,27 @@ def lee_weight_by_streaming(r: RingElem, params: CodeParams | DerivedParams) -> 
     weights.  Slow; the oracle of the weight kernel
     (analysis.lee_weights_bulk)."""
     return sum(lee_weight(s) for s in evaluate(r, params))
+
+
+def all_codeword_rows(q: int) -> np.ndarray:
+    """Every codeword row (a, b, c, d), a (q^4, 4) int64 array in
+    lexicographic order."""
+    flat = np.arange(q**4, dtype=np.int64)
+    a, rest = np.divmod(flat, q**3)
+    b, rest = np.divmod(rest, q**2)
+    c, d = np.divmod(rest, q)
+    return np.stack([a, b, c, d], axis=1)
+
+
+def distribution_by_enumeration(params: CodeParams | DerivedParams) -> dict[int, int]:
+    """Weight -> frequency over all q^4 codewords, each row weighed on its
+    own by analysis.lee_weights_bulk.  The oracle of
+    analysis.distribution_exhaustive, which reads the uv-line rows off the
+    field subcode instead."""
+    dp = derive_params(params)
+    weights, counts = np.unique(lee_weights_bulk(dp, all_codeword_rows(dp.q)),
+                                return_counts=True)
+    return {int(w): int(c) for w, c in zip(weights, counts)}
 
 
 def orthogonality_direct(params: CodeParams | DerivedParams, support) -> bool:

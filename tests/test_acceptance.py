@@ -26,7 +26,6 @@ from tracecodes import (
     griesmer_optimal,
     minimality_check,
     subcode_distribution,
-    survey_ideal_and_units,
     verify_identities,
 )
 from tracecodes import ring
@@ -136,22 +135,28 @@ def test_criterion_04_bounded_regime():
 
 
 def test_criterion_05_three_weight_survey():
+    # the maximal ideal's weights: the uv-line is the field subcode lifted
+    # by 4*q^3, the rest of the ideal and the units are one class each
     start = time.perf_counter()
-    sv = survey_ideal_and_units(CodeParams(Field(5, 2), 3), unit_samples=1000)
+    dp = derive_params(CodeParams(Field(5, 2), 3))
+    uv_line = {4 * dp.q**3 * w: f for w, f in subcode_distribution(dp).items() if w}
+    reps = {r["class"]: (r["size"], r["weight"]) for r in
+            distribution_by_class(dp, samples_per_class=1000).detail["representatives"]}
+    off_line, units = reps["off-line maximal ideal"], reps["units"]
+    weights_seen = set(uv_line) | {w for _, w in reps.values()}
     elapsed = time.perf_counter() - start
-    unit_weight = set(sv.units_sampled)
-    ok = (sv.uv_line == {62500: 8, 125000: 16}
-          and set(sv.other_maximal) == {100000}
-          and unit_weight == {100000}
-          and sv.weights_seen == {62500, 100000, 125000}
-          and sv.unit_samples >= 1000
+    ok = (uv_line == {62500: 8, 125000: 16}
+          and off_line == (15600, 100000)
+          and units[1] == 100000
+          and weights_seen == {62500, 100000, 125000}
           and elapsed < 600.0)
-    _report(5, ok, "(5,2,N=3) ideal survey: weights {62500,100000,125000}, "
+    _report(5, ok, "(5,2,N=3) maximal ideal: weights {62500,100000,125000}, "
                    "uv-line split 8/16, off-line ideal weight equals the "
                    "unit weight", elapsed)
-    assert sv.uv_line == {62500: 8, 125000: 16}
-    assert set(sv.other_maximal) == {100000}
-    assert unit_weight == {100000}
+    assert uv_line == {62500: 8, 125000: 16}
+    assert off_line == (15600, 100000)
+    assert units[1] == 100000
+    assert weights_seen == {62500, 100000, 125000}
     assert elapsed < 600.0
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import lru_cache
 
@@ -19,7 +20,6 @@ from tracecodes import (
     predict_subcode,
     semiprimitive_exponent,
     subcode_report,
-    survey_ideal_and_units,
     theta_of_vector,
     verify_identities,
 )
@@ -28,7 +28,7 @@ from tracecodes.analysis import lee_weights_bulk
 from tracecodes.construction import coord_blocks
 from tracecodes.ring import random_element
 
-from oracles import lee_weight_by_streaming
+from oracles import all_codeword_rows, distribution_by_enumeration, lee_weight_by_streaming
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def _grid_rows(q, count, seed):
     """Every codeword row when count is None; otherwise `count` seeded rows,
     half of them in the maximal ideal and a quarter on the uv-line."""
     if count is None:
-        return analysis._all_codeword_rows(q)
+        return all_codeword_rows(q)
     rows = np.random.default_rng(seed).integers(0, q, size=(count, 4))
     rows[:count // 2, 0] = 0
     rows[:count // 4, 1:3] = 0
@@ -153,7 +153,7 @@ def test_bulk_weights_parallel_merge(f9):
     # the bulk count holds no state across rows: weights counted over split
     # batches and merged equal the weights of the whole batch
     dp = derive_params(CodeParams(f9, 2))
-    rows = analysis._all_codeword_rows(9)[:600]
+    rows = all_codeword_rows(9)[:600]
     whole = lee_weights_bulk(dp, rows)
     merged = np.concatenate([lee_weights_bulk(dp, rows[:250]),
                              lee_weights_bulk(dp, rows[250:])])
@@ -182,6 +182,39 @@ def test_exhaustive_three_weight_window(f9):
     nonzero = dist.nonzero()
     assert len(nonzero) <= 3
     assert 2916 <= min(nonzero) <= 3888
+
+
+def _exhaustive_grid():
+    """Every point within the default budget with p <= 23 and q <= 4096:
+    the lift at every N | q - 1 and the units at N = 1."""
+    points = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for m in range(1, int(math.log(4096, p)) + 1):
+            q = p**m
+            for N in range(1, q):
+                n = math.lcm(N, (q - 1) // (p - 1)) // N
+                if (q - 1) % N == 0 and q**7 * n <= analysis.DEFAULT_WORK_BUDGET:
+                    points.append((p, m, N, "lift"))
+            if q**7 * (q - 1) <= analysis.DEFAULT_WORK_BUDGET:
+                points.append((p, m, 1, "units"))
+    return points
+
+
+def test_exhaustive_grid_has_degenerate_points():
+    # (3,2,4): the traces of 2 nonzero d vanish on the whole base set, so
+    # the zero row holds 3 codewords
+    points = _exhaustive_grid()
+    assert len(points) == 48 and (3, 2, 4, "lift") in points
+    dist = distribution_exhaustive(CodeParams(Field(3, 2), 4))
+    assert dist.entries == {0: 3, 1944: 6552, 2916: 6}
+
+
+@pytest.mark.parametrize("p,m,N,variant", _exhaustive_grid())
+def test_exhaustive_matches_every_codeword_weighed(p, m, N, variant):
+    # the lifted subcode rows plus the bulk row against all q^4 rows weighed
+    # one by one; at degenerate points the zero row holds p^(m-e) codewords
+    dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
+    assert distribution_exhaustive(dp).entries == distribution_by_enumeration(dp)
 
 
 def test_exhaustive_budget_refusal(f25):
@@ -276,11 +309,17 @@ def test_constancy_violation_raises_with_witness(f9, monkeypatch):
 
 
 def test_ideal_survey_three_weight(f25):
-    sv = survey_ideal_and_units(CodeParams(f25, 3), unit_samples=200)
-    assert sv.uv_line == {62500: 8, 125000: 16}
-    assert sv.other_maximal == {100000: 15600}
-    assert set(sv.units_sampled) == {100000}
-    assert sv.weights_seen == {62500, 100000, 125000}
+    # the maximal ideal's weights: the uv-line is the field subcode lifted
+    # by 4*q^3, the rest of the ideal and the units are one class each
+    dp = derive_params(CodeParams(f25, 3))
+    uv_line = {4 * dp.q**3 * w: f
+               for w, f in construction.subcode_distribution(dp).items() if w}
+    assert uv_line == {62500: 8, 125000: 16}
+    reps = {r["class"]: (r["size"], r["weight"]) for r in
+            distribution_by_class(dp, samples_per_class=200).detail["representatives"]}
+    assert reps["off-line maximal ideal"] == (15600, 100000)
+    assert reps["units"] == (375000, 100000)
+    assert set(uv_line) | {w for _, w in reps.values()} == {62500, 100000, 125000}
 
 
 def test_scaling_invariance_on_uv_line(f9, f25):
@@ -457,6 +496,25 @@ def test_identity_suite_memory_does_not_grow_with_trials():
         tracemalloc.start()
         try:
             assert verify_identities(dp, trials=trials).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 200_000
+
+
+def test_class_samples_memory_does_not_grow_with_samples():
+    # the samples are drawn and weighed a block at a time, so ten times the
+    # samples keep the peak of traced allocations (all of them at once
+    # would add about 11 MB here)
+    import tracemalloc
+
+    dp = derive_params(CodeParams(Field(3, 1), 1))
+    distribution_by_class(dp, samples_per_class=1)
+    peaks = []
+    for samples in (3000, 30000):
+        tracemalloc.start()
+        try:
+            distribution_by_class(dp, samples_per_class=samples)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -365,7 +365,8 @@ def test_verify_refuses_trials_below_one(trials, capsys):
 
 
 def test_largest_table_prime_builds_no_product_table(monkeypatch, capsys):
-    # the uv-line traces come from the exp/log tables, not a q*q table
+    # the uv-line traces and the identity suite's full additive sums come
+    # from the exp/log tables, not a q*q table
     def no_table(self):
         raise AssertionError("a q*q product table was built")
     for name in ("mul_table", "trmul_flat"):
@@ -375,6 +376,9 @@ def test_largest_table_prime_builds_no_product_table(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     rows = {r["weight"]: r["frequency"] for r in report["rows"]}
     assert rows == {0: 1, 274207358832: 280651248513108, 274274369428: 4092}
+    code = main(["verify", "-p", "3", "-m", "5", "--trials", "5", "--threads", "1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["breaches"] == []
 
 
 def test_analyze_past_product_table_limit(capsys):
@@ -388,17 +392,14 @@ def test_analyze_past_product_table_limit(capsys):
     assert report["comparison"]["ok"] is True
 
 
-def test_verify_past_product_table_limit_refuses_before_any_check(monkeypatch, capsys):
-    from tracecodes import analysis
-
-    def no_histogram(*args):
-        raise AssertionError("a Gray histogram ran before the refusal")
-    monkeypatch.setattr(analysis, "gray_slot_counts", no_histogram)
-    monkeypatch.setattr(analysis, "count_zero_traces", no_histogram)
-    code = main(["verify", "-p", "3", "-m", "8", "--threads", "1"])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: product tables need q <= 4096, got 6561"]
+def test_verify_past_product_table_limit_runs_every_check(capsys):
+    # q = 6561 > COORD_TABLE_LIMIT: the full additive sums are formed per
+    # multiplier, so the suite runs and finds no breach
+    code = main(["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["breaches"] == []
+    assert report["residuals"]["full_additive_sum"] < 1e-9
 
 
 def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
@@ -422,20 +423,25 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
         "budget of 10000000000; no --trials value fits"]
 
 
-def test_verify_just_past_the_table_limit_keeps_the_table_refusal(monkeypatch, capsys):
-    # q = 4099 > COORD_TABLE_LIMIT: the hard table limit is checked before
-    # the work estimate, so no budget could make this run
+def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch, capsys):
+    # q = 4099 > COORD_TABLE_LIMIT: no table limit applies, and the work
+    # estimate refuses the run at the default budget before any
+    # histogram or zero-trace count
     from tracecodes import analysis
 
     def no_work(*args):
         raise AssertionError("identity-suite work ran before the refusal")
     monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
     monkeypatch.setattr(analysis, "count_zero_traces", no_work)
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", str(10**20))
+    start = time.perf_counter()
     code = main(["verify", "-p", "4099", "-m", "1", "--threads", "1"])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: product tables need q <= 4096, got 4099"]
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "refused: identity suite needs 165291113761700 entry-operations, over the "
+        "budget of 10000000000; no --trials value fits"]
 
 
 def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):

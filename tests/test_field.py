@@ -475,12 +475,15 @@ def test_count_matches_character_expansion(f9):
         assert abs(lhs - rhs) < 1e-6
 
 
-def test_addition_table_is_built_on_first_add():
-    f = Field(3, 6)
-    assert f._add_flat is None
+def test_scalar_addition_builds_no_table():
+    # scalar add works digit by digit: after adding every code to every
+    # code, the field holds no table of q^2 entries
+    f = Field(3, 3)
     codes = np.arange(f.q)
-    assert [f.add(int(x), 5) for x in codes] == f.add_codes(codes, 5).tolist()
-    assert f._add_flat is not None
+    got = [[f.add(int(a), int(b)) for b in codes] for a in codes]
+    assert got == f.add_codes(codes[:, None], codes).tolist()
+    assert all(np.size(v) < f.q**2 for v in vars(f).values()
+               if isinstance(v, (list, np.ndarray)))
 
 
 def test_vectorized_addition_matches_scalar(f25):
