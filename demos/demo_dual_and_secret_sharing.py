@@ -41,7 +41,7 @@ for variant in (Variant.LIFT, Variant.UNITS):
         print(f"  coordinate {index}: value {value.coords()} "
               f"(lee weight {lee_weight(value)})")
     print(f"  syndrome re-check vanishes: {not syndrome(dp, support)}")
-    excluded = sphere_packing_excludes(dp.gray_length, 4 * dp.m, dp.p)
+    excluded = sphere_packing_excludes(dp.gray_length, dp.dimension, dp.p)
     print(f"  sphere packing rules out distance >= 3: {excluded}")
 
 # ----------------------------------------------------------------------

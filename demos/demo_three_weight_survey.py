@@ -3,10 +3,11 @@
 
 Full enumeration of all 5^8 codewords times 31250 coordinates is past the
 work budget, so the protocol is: read the uv-line off the field subcode
-(the codeword d*uv weighs 4*q^3 times the subcode weight of d), weigh one
-representative of the rest of the maximal ideal and one of the units,
-and check the outcome against the three-weight prediction with its
-corrected middle frequency.
+(the codeword d*uv weighs 4*q^3 times the subcode weight of d), read the
+bulk row (every codeword off the uv-line, the rest of the maximal ideal
+and the units alike, has one weight, a theorem pinned by the kernel's
+oracle tests), and check the outcome against the three-weight prediction
+with its corrected middle frequency.
 """
 
 from tracecodes import (
@@ -33,32 +34,28 @@ for w, f in pred.rows:
     print(f"  weight {w:>7}: frequency {f}")
 
 # ----------------------------------------------------------------------
-# 2. the uv-line from the lifted subcode, the other classes from their
-#    representatives (checked on seeded class members)
+# 2. the uv-line from the lifted subcode, the rest from the bulk row
 # ----------------------------------------------------------------------
 uv_line = {4 * dp.q**3 * w: f for w, f in subcode_distribution(dp).items() if w}
 print("\nuv-line (the field subcode, each weight times 4*q^3):")
 for w, f in sorted(uv_line.items()):
     print(f"  weight {w:>7}: {f} elements")
 dist = distribution_by_class(dp, samples_per_class=200)
-reps = {r["class"]: r for r in dist.detail["representatives"]}
-off_line, units = reps["off-line maximal ideal"], reps["units"]
-print(f"off-line maximal ideal: {off_line['size']} elements of weight {off_line['weight']}")
-print(f"units: {units['size']} elements of weight {units['weight']}")
+(bulk_weight, middle_frequency), = {w: f for w, f in dist.nonzero().items()
+                                    if w not in uv_line}.items()
+off_line, units = dp.q**3 - dp.q, (dp.q - 1) * dp.q**3
+print(f"bulk row: {middle_frequency} codewords of weight {bulk_weight}: the "
+      f"{off_line} off-line maximal ideal elements and the {units} units")
 
 # ----------------------------------------------------------------------
 # 3. reconcile with the prediction
 # ----------------------------------------------------------------------
-unit_weight = units["weight"]
-print(f"\noff-line ideal weight equals the unit weight: {off_line['weight'] == unit_weight}")
 rare, bulk = sorted(uv_line.items())
-print(f"uv-line split: {rare[1]} at {rare[0]}, {bulk[1]} at {bulk[0]}")
-
-middle_frequency = off_line["size"] + units["size"]  # off-line ideal + all units
+print(f"\nuv-line split: {rare[1]} at {rare[0]}, {bulk[1]} at {bulk[0]}")
 print(f"middle frequency (off-line ideal + units): {middle_frequency}")
 print(f"prediction's corrected middle frequency:   "
-      f"{pred.rows_dict()[unit_weight]}")
-assert middle_frequency == pred.rows_dict()[unit_weight]
+      f"{pred.rows_dict()[bulk_weight]}")
+assert middle_frequency == off_line + units == pred.rows_dict()[bulk_weight]
 
 # ----------------------------------------------------------------------
 # 4. the class-based distribution packages the same facts

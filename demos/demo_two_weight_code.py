@@ -57,7 +57,7 @@ print(f"prediction matches measurement: {comparison.ok}")
 # ----------------------------------------------------------------------
 # 4. Griesmer certificate for the Gray image [11664, 8, 7776]
 # ----------------------------------------------------------------------
-verdict = griesmer_optimal(dp.gray_length, 4 * dp.m, dist.min_nonzero_weight, dp.p)
+verdict = griesmer_optimal(dp.gray_length, dp.dimension, dist.min_nonzero_weight, dp.p)
 print(f"\nGriesmer sums: at d = {verdict.sum_at_d}, at d+1 = {verdict.sum_at_d_plus_1}, "
       f"length = {verdict.n}")
 print(f"Griesmer-optimal: {verdict.optimal}")

@@ -11,17 +11,19 @@ construction.gray_slot_counts convolves explicit counts of each axis's
 trace terms for a batch of rows, never the theorem, so
 weight_vs_character_sum checks the theorem against an explicit count.
 
-Two ways to obtain a distribution:
+Two ways to obtain a distribution, which differ only in how they count
+the q uv-line codewords d*uv; both hand those rows to _with_bulk_row,
+which adds the one bulk row of the other q^4 - q codewords:
 
-* exhaustive: the weight of every codeword by the closed form, guarded by
-  a work budget in entry-operations: the field subcode's distribution over
-  all q inputs d, each weight times 4*q^3, gives the q uv-line rows d*uv,
-  and the other q^4 - q rows share the bulk weight.  The tests check it
-  against every one of the q^4 rows weighed on its own (tests/oracles.py);
-* class-based: one representative per weight class (the uv-line splits
-  into cyclotomic classes, the rest of the maximal ideal forms one class,
-  the units another), exact weights scaled by class sizes; seeded class
-  members check the class sampler and the cyclotomic split of the uv-line.
+* exhaustive: the field subcode's distribution over all q inputs d, each
+  weight times 4*q^3, guarded by a work budget in entry-operations.  The
+  tests check it against every one of the q^4 rows weighed on its own
+  (tests/oracles.py);
+* class-based: one representative xi^j*uv per cyclotomic class of the
+  uv-line (j < N2), its exact weight times the class size (q-1)/N2, plus
+  the zero row; seeded members of each class check the cyclotomic split,
+  the one fact here a sample can contradict.  The tests check it against
+  the exhaustive rows on a parameter grid.
 
 Every seeded draw (class samples, identity-suite trials) comes from one
 stdlib random.Random(seed) per call, as exact-uniform randrange values;
@@ -48,7 +50,7 @@ from .construction import (
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
-from .field import Field, count_zero_traces, gauss_sum
+from .field import Field, count_zero_traces, gauss_sum, multiplicative_order
 from .ring import RingElem
 
 #: Default ceiling on exhaustive work, in entry-operations
@@ -157,6 +159,26 @@ def _resolve_budget(budget: int | None) -> int:
     return budget
 
 
+def exhaustive_work(dp: DerivedParams) -> int:
+    """Entry-operations the work budget charges the exhaustive method:
+    codeword count times coordinate count."""
+    return dp.codeword_count * dp.length
+
+
+def _with_bulk_row(dp: DerivedParams, uv_line: dict[int, int], method: str,
+                   detail: dict | None = None) -> WeightDistribution:
+    """The distribution from the q uv-line rows d*uv (weight -> count, the
+    zero row included) and the one bulk row: the other q^4 - q codewords
+    all weigh _bulk_weight(dp), the theorem in _weights_serial."""
+    if sum(uv_line.values()) != dp.q:
+        raise AssertionError("the uv-line rows do not count q codewords")
+    entries = dict(uv_line)
+    bulk = _bulk_weight(dp)
+    entries[bulk] = entries.get(bulk, 0) + dp.codeword_count - dp.q
+    return WeightDistribution(entries=dict(sorted(entries.items())), method=method,
+                              total=dp.codeword_count, detail=detail)
+
+
 def distribution_exhaustive(params: CodeParams | DerivedParams,
                             budget: int | None = None) -> WeightDistribution:
     """The weight of every codeword, exact, by the theorem in _weights_serial.
@@ -165,112 +187,82 @@ def distribution_exhaustive(params: CodeParams | DerivedParams,
     field subcode, so subcode_distribution over all q inputs d, scaled,
     gives the q uv-line rows; a subcode word of weight 0 (d = 0, and the
     nonzero d whose traces vanish on every x0 of a degenerate lift) lands
-    in the zero row.  The other q^4 - q codewords share the bulk weight.
+    in the zero row.
 
-    Refuses jobs beyond the work budget (entry-operations = codeword count
-    times coordinate count) and points the caller at the class-based method.
+    Refuses jobs beyond the work budget (exhaustive_work entry-operations)
+    and points the caller at the class-based method.
     """
     dp = derive_params(params)
     budget = _resolve_budget(budget)
-    work = dp.codeword_count * dp.length
-    if work > budget:
+    if (work := exhaustive_work(dp)) > budget:
         raise WorkBudgetExceeded(
             f"exhaustive enumeration needs {work} entry-operations, over the "
             f"budget of {budget}; use the class-based method"
         )
-    entries = {4 * dp.q**3 * w: f for w, f in subcode_distribution(dp).items()}
-    bulk = _bulk_weight(dp)
-    entries[bulk] = entries.get(bulk, 0) + dp.codeword_count - dp.q
-    return WeightDistribution(entries=dict(sorted(entries.items())), method="exhaustive",
-                              total=dp.codeword_count)
-
-
-def class_representatives(params: CodeParams | DerivedParams):
-    """(name, representative, class size) for the weight classes: one per
-    uv-line cyclotomic class, one for the rest of the maximal ideal, one
-    for the units."""
-    dp = derive_params(params)
-    field = dp.field
-    q = dp.q
-    reps = []
-    for j in range(dp.N2):
-        alpha = field.exp_code(j)
-        reps.append((f"uv-line class {j}", RingElem(field, 0, 0, 0, alpha),
-                     (q - 1) // dp.N2))
-    reps.append(("off-line maximal ideal", RingElem(field, 0, 1, 0, 0), q**3 - q))
-    reps.append(("units", RingElem(field, 1, 0, 0, 0), (q - 1) * q**3))
-    return reps
+    uv_line = {4 * dp.q**3 * w: f for w, f in subcode_distribution(dp).items()}
+    return _with_bulk_row(dp, uv_line, "exhaustive")
 
 
 def _sample_class(name: str, j: int, dp: DerivedParams,
                   rng: random.Random) -> tuple[int, int, int, int]:
-    """One uniform member (a, b, c, d) of the named class; j is the
-    cyclotomic index of a uv-line class and is ignored otherwise."""
-    q = dp.q
-    if name.startswith("uv-line"):
-        k = rng.randrange((q - 1) // dp.N2)
-        return 0, 0, 0, dp.field.exp_code(j + dp.N2 * k)
-    if name.startswith("off-line"):
-        while True:
-            b, c, d = rng.randrange(q), rng.randrange(q), rng.randrange(q)
-            if b or c:
-                return 0, b, c, d
-    return rng.randrange(1, q), rng.randrange(q), rng.randrange(q), rng.randrange(q)
+    """One uniform member (0, 0, 0, d) of uv-line cyclotomic class j, d in
+    xi^j <xi^N2>.  The class name is not read; bench/tracer.py counts the
+    draws through this signature."""
+    k = rng.randrange((dp.q - 1) // dp.N2)
+    return 0, 0, 0, dp.field.exp_code(j + dp.N2 * k)
 
 
 def distribution_by_class(params: CodeParams | DerivedParams,
                           samples_per_class: int = 500,
                           seed: int = DEFAULT_SEED) -> WeightDistribution:
-    """Exact weights of class representatives scaled by class sizes.
+    """The uv-line from one representative xi^j*uv per cyclotomic class
+    (j < N2), each weight times the class size (q-1)/N2, plus the zero row
+    and the bulk row.
 
-    Constancy on the off-line and unit classes follows from the theorem in
-    _weights_serial (pinned by its oracle tests), not from these samples.
-    The `samples_per_class` members of each class, drawn from
-    random.Random(seed), check what the theorem does not: that the sampler
-    draws members of the class it names, and that every uv-line member d
-    of a cyclotomic class gives the same subcode count
-    #{x0 : Tr(d*x0) != 0} as its representative.  Samples are drawn, class
-    by class, and weighed 4096 at a time, so memory does not grow with
-    their number; the first disagreement raises WeightConstancyError with
-    that sample as its witness element.
+    The bulk row is the theorem in _weights_serial, pinned by its oracle
+    tests; no sample can contradict it.  What a sample can contradict is
+    the cyclotomic split of the uv-line: `samples_per_class` members d of
+    each class, drawn from random.Random(seed), must give the same count
+    #{x0 : Tr(d*x0) != 0} as their representative.  Samples are drawn,
+    class by class, and weighed 4096 at a time, so memory does not grow
+    with their number; the first disagreement raises WeightConstancyError
+    with that sample as its witness element.
     """
     if samples_per_class < 1:
         raise ParameterError(
             f"samples per class must be >= 1, got {samples_per_class}: the class "
-            "method validates every class on seeded samples")
+            "method validates every uv-line class on seeded samples")
     dp = derive_params(params)
-    reps = class_representatives(dp)
-    rep_rows = [r.coords() for _, r, _ in reps]
+    names = [f"uv-line class {j}" for j in range(dp.N2)]
+    size = (dp.q - 1) // dp.N2
+    rep_rows = [(0, 0, 0, dp.field.exp_code(j)) for j in range(dp.N2)]
     rep_weights = lee_weights_bulk(dp, rep_rows)
 
     rng = random.Random(seed)
-    total, step = len(reps) * samples_per_class, 4096
+    total, step = dp.N2 * samples_per_class, 4096
     for start in range(0, total, step):
         classes = np.arange(start, min(start + step, total)) // samples_per_class
-        samples = np.array([_sample_class(reps[j][0], j, dp, rng) for j in classes.tolist()],
+        samples = np.array([_sample_class(names[j], j, dp, rng) for j in classes.tolist()],
                            dtype=np.int64)
         got, expected = lee_weights_bulk(dp, samples), rep_weights[classes]
         if (bad := np.flatnonzero(got != expected)).size:
             i = int(bad[0])
-            raise WeightConstancyError(reps[int(classes[i])][0],
+            raise WeightConstancyError(names[int(classes[i])],
                                        RingElem(dp.field, *samples[i].tolist()),
                                        int(expected[i]), int(got[i]))
 
-    entries: dict[int, int] = {0: 1}
-    for (name, _, size), w in zip(reps, rep_weights):
-        entries[int(w)] = entries.get(int(w), 0) + size
-    assert sum(entries.values()) == dp.codeword_count
+    uv_line = {0: 1}
+    for w in rep_weights.tolist():
+        uv_line[w] = uv_line.get(w, 0) + size
     detail = {
         "seed": seed,
         "samples_per_class": samples_per_class,
         "representatives": [
-            {"class": name, "coords": list(rep.coords()), "size": size,
-             "weight": int(w)}
-            for (name, rep, size), w in zip(reps, rep_weights)
+            {"class": name, "coords": list(row), "size": size, "weight": w}
+            for name, row, w in zip(names, rep_rows, rep_weights.tolist())
         ],
     }
-    return WeightDistribution(entries=entries, method="class",
-                              total=dp.codeword_count, detail=detail)
+    return _with_bulk_row(dp, uv_line, "class", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +443,9 @@ def semiprimitive_exponent(p: int, n2: int) -> int | None:
     Only meaningful for n2 > 2; the minimal l is half the multiplicative
     order of p when that order is even and the halfway power is -1.
     """
-    if n2 <= 2:
+    if n2 <= 2 or math.gcd(p, n2) != 1:
         return None
-    order = 1
-    acc = p % n2
-    while acc != 1:
-        acc = (acc * p) % n2
-        order += 1
-        if order > n2:
-            return None
+    order = multiplicative_order(p, n2)
     if order % 2:
         return None
     return order // 2 if pow(p, order // 2, n2) == n2 - 1 else None
@@ -530,7 +516,7 @@ def predict(params: CodeParams | DerivedParams) -> list[Prediction]:
         base = 4 * p ** (3 * m - 1)
         rows = [
             (base * (q + sign * (n2 - 1) * half) // n2, (q - 1) // n2),
-            (base * (q - 1) // n2, q**4 - q),  # units plus the off-line maximal ideal
+            (base * (q - 1) // n2, q**4 - q),  # the bulk row: every codeword off the uv-line
             (base * (q - sign * half) // n2, (n2 - 1) * (q - 1) // n2),
         ]
         preds.append(Prediction(

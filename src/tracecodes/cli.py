@@ -30,7 +30,7 @@ from .construction import (
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
 from .field import Field, parse_modulus
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -42,6 +42,7 @@ EXIT_BUDGET = 3
 FLAG_LEE = "lee-weight-is-gray-image-weight"
 FLAG_FREQ = "three-weight-middle-frequency-corrected"
 FLAG_CEIL = "griesmer-exact-ceilings"
+FLAG_DIM = "evaluation-map-not-injective"
 
 
 def _build_params(cfg: argparse.Namespace) -> CodeParams:
@@ -64,9 +65,19 @@ def _params_section(dp) -> dict:
         "n": dp.n,
         "length": dp.length,
         "gray_length": dp.gray_length,
-        "dimension": 4 * dp.m,
+        "dimension": dp.dimension,
         "note": dp.note,
     }
+
+
+def _report_head(command: str, cfg: argparse.Namespace, dp, flags: list[str]) -> dict:
+    """The keys every report shares; the dimension flag joins `flags`
+    whenever r -> c(r) has a kernel (dimension below 4m)."""
+    if dp.dimension < 4 * dp.m:
+        flags = [*flags, FLAG_DIM]
+    return {"report_version": REPORT_VERSION, "command": command,
+            "params": _params_section(dp), "seed": cfg.seed, "threads": cfg.threads,
+            "erratum_flags": sorted(flags)}
 
 
 def _prediction_section(pred: analysis.Prediction) -> dict:
@@ -101,7 +112,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
 
     method = cfg.method
     if method == "auto":
-        method = "exhaustive" if dp.codeword_count * dp.length <= budget else "class"
+        method = "exhaustive" if analysis.exhaustive_work(dp) <= budget else "class"
     if method == "exhaustive":
         dist = analysis.distribution_exhaustive(dp, budget=budget)
     else:
@@ -112,7 +123,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
     comparison = analysis.compare_with_predictions(dist, preds)
 
     d_min = dist.min_nonzero_weight
-    verdict = bounds.griesmer_optimal(dp.gray_length, 4 * dp.m, d_min, dp.p)
+    verdict = bounds.griesmer_optimal(dp.gray_length, dp.dimension, d_min, dp.p)
     dual = bounds.dual_lee_distance(dp)
     sss = bounds.minimality_check(dist, dp.p, dual_distance=dual.distance)
 
@@ -120,12 +131,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
     if any(p.regime.startswith("three_weight") for p in preds):
         flags.append(FLAG_FREQ)
 
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "analyze",
-        "params": _params_section(dp),
-        "seed": cfg.seed,
-        "threads": cfg.threads,
+    report = _report_head("analyze", cfg, dp, flags) | {
         "method": dist.method,
         "rows": _rows_section(dist),
         "detail": dist.detail,
@@ -140,8 +146,13 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
         },
         "dual_distance": dual.as_dict(),
         "sss": sss.as_dict(),
-        "erratum_flags": sorted(flags),
     }
+    # the zero row holds the kernel of r -> c(r), p^(4m - k) codewords
+    kernel = dp.p ** (4 * dp.m - dp.dimension)
+    if dist.entries.get(0) != kernel:
+        print(f"mathematical violation: the zero row holds {dist.entries.get(0)} codewords, "
+              f"expected p^(4m-k) = {kernel} at dimension k = {dp.dimension}", file=sys.stderr)
+        return report, EXIT_MISMATCH
     return report, EXIT_MISMATCH if comparison.ok is False else EXIT_OK
 
 
@@ -149,16 +160,10 @@ def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
     params = _build_params(cfg)
     dp = derive_params(params)
     result = bounds.dual_lee_distance(dp)
-    excluded = bounds.sphere_packing_excludes(dp.gray_length, 4 * dp.m, dp.p)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "dual",
-        "params": _params_section(dp),
-        "seed": cfg.seed,
-        "threads": cfg.threads,
+    excluded = bounds.sphere_packing_excludes(dp.gray_length, dp.dimension, dp.p)
+    report = _report_head("dual", cfg, dp, [FLAG_LEE]) | {
         "dual_distance": result.as_dict(),
         "sphere_packing_excludes_distance_3": excluded,
-        "erratum_flags": [FLAG_LEE],
     }
     return report, EXIT_OK
 
@@ -167,12 +172,7 @@ def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
     params = _build_params(cfg)
     dp = derive_params(params)
     identities = analysis.verify_identities(dp, trials=cfg.trials, seed=cfg.seed)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "verify",
-        "params": _params_section(dp),
-        "seed": cfg.seed,
-        "threads": cfg.threads,
+    report = _report_head("verify", cfg, dp, [FLAG_LEE]) | {
         "trials": cfg.trials,
         "tolerance": identities.tolerance,
         "residuals": {k: float(v) for k, v in sorted(identities.residuals.items())},
@@ -180,7 +180,6 @@ def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
             {"identity": b["identity"], "residual": float(b["residual"])}
             for b in identities.breaches
         ],
-        "erratum_flags": [FLAG_LEE],
     }
     ok = identities.ok
     if cfg.subcode:
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["auto", "exhaustive", "class"],
                     default="auto")
     sp.add_argument("--samples", type=int, default=500,
-                    help="validation samples per weight class (class method)")
+                    help="validation samples per uv-line class (class method)")
     sp.add_argument("--budget", type=int, default=None,
                     help="entry-operation budget for exhaustive work "
                          "(default from TRACECODES_WORK_BUDGET or 10^10)")

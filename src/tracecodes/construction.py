@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, count_zero_traces, power_exceeds
+from .field import Field, count_zero_traces, multiplicative_order, power_exceeds
 from .ring import RingElem, big_trace, is_unit
 
 #: Everything is counted in native 64-bit integers; parameter sets whose
@@ -62,7 +62,15 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Everything derived from CodeParams that the rest of the package consumes."""
+    """Everything derived from CodeParams that the rest of the package consumes.
+
+    `dimension` is the F_p-dimension k of the code, the rank of r -> c(r).
+    Off the uv-line no codeword weighs 0 (the theorem in
+    analysis._weights_serial), so the kernel is {d*uv : Tr(d*x0) = 0 for
+    every x0}.  For the lift, F_p^* times the base set is <xi^N2>, whose
+    F_p-span is the subfield of degree e = ord of p modulo (q-1)/N2, so
+    k = 3m + e and p^(m-e) codewords weigh 0; for the units, k = 4m.
+    """
 
     params: CodeParams
     N1: int
@@ -71,6 +79,7 @@ class DerivedParams:
     base_set: tuple[int, ...]
     length: int
     gray_length: int
+    dimension: int
     note: str = ""
 
     @property
@@ -161,13 +170,13 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
     n = N1 // N
     base = coset_representatives(field, N, n)
     if params.variant is Variant.UNITS:
-        length = (q - 1) * q**3
+        length, dimension = (q - 1) * q**3, 4 * m
         note = "units variant: the coordinate set is the full unit group and N is ignored"
     else:
-        length = n * q**3
+        length, dimension = n * q**3, 3 * m + multiplicative_order(p, (q - 1) // N2)
         note = ""
-    return DerivedParams(params=params, N1=N1, N2=N2, n=n, base_set=base,
-                         length=length, gray_length=4 * length, note=note)
+    return DerivedParams(params=params, N1=N1, N2=N2, n=n, base_set=base, length=length,
+                         gray_length=4 * length, dimension=dimension, note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,14 @@ def _distinct_prime_factors(n: int) -> list[int]:
     return out
 
 
+def multiplicative_order(a: int, n: int) -> int:
+    """Smallest e >= 1 with a^e = 1 modulo n, for a coprime to n."""
+    e, power = 1, a % n
+    while power != 1 % n:
+        e, power = e + 1, power * a % n
+    return e
+
+
 # ---------------------------------------------------------------------------
 # Dense polynomial arithmetic over F_p, coefficient lists with constant term
 # first.  Only used at construction time; runtime arithmetic goes through
@@ -171,17 +179,18 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     return True
 
 
-def _x_class_order_is_full(poly: list[int], p: int, m: int) -> bool:
+def _x_class_order_is_full(poly: list[int], p: int, m: int, element=(0, 1)) -> bool:
+    """Whether the class of `element` (default x) modulo the monic degree-m
+    `poly` has multiplicative order q - 1.  x^(q-1) = 1 rules out a class
+    that is no unit (a modulus divisible by x).  When it holds, poly is
+    irreducible: a quotient ring that is not a field has fewer than q - 1
+    units, so no element of order q - 1."""
     q1 = p**m - 1
     one = _poly_mod([1], poly, p)
-    # the class of x must be a unit of full order; x^(q-1) = 1 rules out the
-    # degenerate zero class (modulus divisible by x)
-    if _poly_powmod([0, 1], q1, poly, p) != one:
+    if _poly_powmod(element, q1, poly, p) != one:
         return False
-    for ell in _distinct_prime_factors(q1):
-        if _poly_powmod([0, 1], q1 // ell, poly, p) == one:
-            return False
-    return True
+    return all(_poly_powmod(element, q1 // ell, poly, p) != one
+               for ell in _distinct_prime_factors(q1))
 
 
 def _basis_traces(mod: list[int], p: int) -> np.ndarray:
@@ -250,12 +259,13 @@ def first_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     (c0, ..., c_{m-1}), constant term compared first.  Candidates that fail
     a necessary condition (c0 = 0; (-1)^m * c0, the norm of a root, not a
     primitive root mod p; for m >= 2 a root in F_p) are skipped before the
-    full irreducibility and order tests, which every other candidate gets,
-    so the first modulus found is the same as an unsieved scan's.
-    Deterministic, so repeated builds agree bit for bit.
+    order test, which every other candidate gets, so the first modulus
+    found is the same as an unsieved scan's.  A full order of x implies
+    irreducibility (_x_class_order_is_full), so no separate irreducibility
+    test runs.  Deterministic, so repeated builds agree bit for bit.
     """
     for poly in _sieved_candidates(p, m):
-        if is_irreducible(poly, p) and _x_class_order_is_full(poly, p, m):
+        if _x_class_order_is_full(poly, p, m):
             return tuple(poly)
     raise ParameterError(f"no primitive polynomial found for p={p}, m={m}")
 
@@ -314,8 +324,7 @@ class Field:
 
         self._pow_weights = tuple(p**i for i in range(m))
         x_class = _poly_mod([0, 1], list(self.modulus), p)
-        x_code = self._encode_list(x_class)
-        self.xi = x_code if xi_is_x else self._find_primitive_code(x_code)
+        self.xi = self.encode(x_class) if xi_is_x else self._find_primitive_code()
 
         # exp table: row k of `digits` is the coefficient vector of xi^k.
         # Rows [0, L) times `step`, the matrix of multiplication by xi^L,
@@ -324,8 +333,8 @@ class Field:
         # _BUILD_ROWS rows so the int64 products stay small.  The trace is
         # F_p-linear, so the trace of xi^k is its row times the basis traces.
         mod = list(self.modulus)
-        xi_list = self._decode_list(self.xi)
-        step = np.array([_poly_mulmod([0] * i + [1], xi_list, mod, p) for i in range(m)],
+        step = np.array([_poly_mulmod([0] * i + [1], self.coeffs(self.xi), mod, p)
+                         for i in range(m)],
                         dtype=np.int64)
         weights = np.asarray(self._pow_weights, dtype=np.int64)
         basis_traces = _basis_traces(mod, p)
@@ -395,12 +404,6 @@ class Field:
 
     def encode(self, coeffs) -> int:
         return sum((int(c) % self.p) * w for c, w in zip(coeffs, self._pow_weights))
-
-    def _encode_list(self, coeffs: list[int]) -> int:
-        return sum(c * w for c, w in zip(coeffs, self._pow_weights))
-
-    def _decode_list(self, code: int) -> list[int]:
-        return list(self.coeffs(code))
 
     def elements(self) -> range:
         return range(self.q)
@@ -555,17 +558,12 @@ class Field:
     def describe(self) -> str:
         return f"p={self.p} m={self.m} modulus={self.modulus_record()}"
 
-    def _find_primitive_code(self, x_code: int) -> int:
-        # Bootstrap arithmetic without tables: raw polynomial products.
+    def _find_primitive_code(self) -> int:
+        """The smallest code of full order, by raw polynomial powers (no
+        tables exist yet)."""
         mod = list(self.modulus)
         for code in range(2, self.q):
-            a = self._decode_list(code)
-            order_full = True
-            for ell in _distinct_prime_factors(self.order):
-                if _poly_powmod(a, self.order // ell, mod, self.p) == _poly_mod([1], mod, self.p):
-                    order_full = False
-                    break
-            if order_full:
+            if _x_class_order_is_full(mod, self.p, self.m, self.coeffs(code)):
                 return code
         raise ParameterError("no primitive element found")  # unreachable
 

@@ -136,27 +136,26 @@ def test_criterion_04_bounded_regime():
 
 def test_criterion_05_three_weight_survey():
     # the maximal ideal's weights: the uv-line is the field subcode lifted
-    # by 4*q^3, the rest of the ideal and the units are one class each
+    # by 4*q^3; the rest of the ideal shares the bulk row with the units
     start = time.perf_counter()
     dp = derive_params(CodeParams(Field(5, 2), 3))
     uv_line = {4 * dp.q**3 * w: f for w, f in subcode_distribution(dp).items() if w}
-    reps = {r["class"]: (r["size"], r["weight"]) for r in
-            distribution_by_class(dp, samples_per_class=1000).detail["representatives"]}
-    off_line, units = reps["off-line maximal ideal"], reps["units"]
-    weights_seen = set(uv_line) | {w for _, w in reps.values()}
+    rows = distribution_by_class(dp, samples_per_class=1000).nonzero()
+    bulk = {w: f for w, f in rows.items() if w not in uv_line}
+    off_line, units = dp.q**3 - dp.q, (dp.q - 1) * dp.q**3
     elapsed = time.perf_counter() - start
     ok = (uv_line == {62500: 8, 125000: 16}
-          and off_line == (15600, 100000)
-          and units[1] == 100000
-          and weights_seen == {62500, 100000, 125000}
+          and bulk == {100000: 390600}
+          and off_line + units == 390600
+          and set(rows) == {62500, 100000, 125000}
           and elapsed < 600.0)
     _report(5, ok, "(5,2,N=3) maximal ideal: weights {62500,100000,125000}, "
-                   "uv-line split 8/16, off-line ideal weight equals the "
-                   "unit weight", elapsed)
+                   "uv-line split 8/16, the off-line ideal and the units share "
+                   "the bulk row 390600 at 100000", elapsed)
     assert uv_line == {62500: 8, 125000: 16}
-    assert off_line == (15600, 100000)
-    assert units[1] == 100000
-    assert weights_seen == {62500, 100000, 125000}
+    assert bulk == {100000: 390600}
+    assert off_line + units == 390600
+    assert set(rows) == {62500, 100000, 125000}
     assert elapsed < 600.0
 
 

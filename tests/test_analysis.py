@@ -16,6 +16,7 @@ from tracecodes import (
     distribution_by_class,
     distribution_exhaustive,
     gray_symbol_histogram,
+    griesmer_optimal,
     predict,
     predict_subcode,
     semiprimitive_exponent,
@@ -242,6 +243,51 @@ def test_class_method_equals_exhaustive(f9):
         assert by_class.detail["samples_per_class"] == 100
 
 
+def _class_grid():
+    """Every odd p <= 29 with q <= 729: the lift at every N | q - 1 and the
+    units at N = 1."""
+    points = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+        m = 1
+        while p**m <= 729:
+            q = p**m
+            points += [(p, m, N, "lift") for N in range(1, q) if (q - 1) % N == 0]
+            points.append((p, m, 1, "units"))
+            m += 1
+    return points
+
+
+def test_class_method_equals_exhaustive_on_the_grid():
+    # the class rows (N2 representatives, the zero row, the bulk row) against
+    # the lifted subcode rows, degenerate lift points included
+    points = _class_grid()
+    assert len(points) == 254
+    mismatched = []
+    for p, m, N, variant in points:
+        dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
+        by_class = distribution_by_class(dp, samples_per_class=1).entries
+        if by_class != distribution_exhaustive(dp, budget=2**80).entries:
+            mismatched.append((p, m, N, variant))
+    assert mismatched == []
+
+
+def test_dimension_counts_the_zero_row_on_the_grid():
+    # k = 3m + e (lift) or 4m (units): the zero row holds the p^(4m-k)
+    # codewords of the kernel of r -> c(r), and the Griesmer bound holds at
+    # k, while 55 of the 63 points with k < 4m would break it at 4m
+    degenerate = broken_at_4m = 0
+    for p, m, N, variant in _class_grid():
+        dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
+        dist = distribution_exhaustive(dp, budget=2**80)
+        d = dist.min_nonzero_weight
+        assert dist.entries[0] == p ** (4 * m - dp.dimension), (p, m, N, variant)
+        assert griesmer_optimal(dp.gray_length, dp.dimension, d, p).feasible
+        if dp.dimension < 4 * m:
+            degenerate += 1
+            broken_at_4m += not griesmer_optimal(dp.gray_length, 4 * m, d, p).feasible
+    assert (degenerate, broken_at_4m) == (63, 55)
+
+
 def test_class_method_cubic_field(f27):
     dist = distribution_by_class(CodeParams(f27, 1), samples_per_class=60)
     assert dist.entries == {0: 1, 682344: 531414, 708588: 26}
@@ -269,7 +315,9 @@ def test_class_sampler_draws_members_of_its_class(p, m, N):
     # N2 > 1 at both points, so the uv-line splits into several classes
     dp = derive_params(CodeParams(Field(p, m), N))
     assert dp.N2 > 1
-    names = [name for name, _, _ in analysis.class_representatives(dp)]
+    names = [r["class"] for r in
+             distribution_by_class(dp, samples_per_class=1).detail["representatives"]]
+    assert len(names) == dp.N2
 
     def draw(seed):
         rng = random.Random(seed)
@@ -277,14 +325,9 @@ def test_class_sampler_draws_members_of_its_class(p, m, N):
                 for j, name in enumerate(names)]
 
     rows = draw(1)
-    for j, (name, members) in enumerate(zip(names, rows)):
+    for j, members in enumerate(rows):
         for a, b, c, d in members:
-            if name.startswith("uv-line"):
-                assert (a, b, c) == (0, 0, 0) and dp.field.dlog(d) % dp.N2 == j
-            elif name.startswith("off-line"):
-                assert a == 0 and (b, c) != (0, 0)
-            else:
-                assert a != 0
+            assert (a, b, c) == (0, 0, 0) and dp.field.dlog(d) % dp.N2 == j
     assert draw(1) == rows
     assert draw(2) != rows
 
@@ -310,16 +353,15 @@ def test_constancy_violation_raises_with_witness(f9, monkeypatch):
 
 def test_ideal_survey_three_weight(f25):
     # the maximal ideal's weights: the uv-line is the field subcode lifted
-    # by 4*q^3, the rest of the ideal and the units are one class each
+    # by 4*q^3; the rest of the ideal shares the bulk row with the units
     dp = derive_params(CodeParams(f25, 3))
     uv_line = {4 * dp.q**3 * w: f
                for w, f in construction.subcode_distribution(dp).items() if w}
     assert uv_line == {62500: 8, 125000: 16}
-    reps = {r["class"]: (r["size"], r["weight"]) for r in
-            distribution_by_class(dp, samples_per_class=200).detail["representatives"]}
-    assert reps["off-line maximal ideal"] == (15600, 100000)
-    assert reps["units"] == (375000, 100000)
-    assert set(uv_line) | {w for _, w in reps.values()} == {62500, 100000, 125000}
+    rows = distribution_by_class(dp, samples_per_class=200).nonzero()
+    bulk = {w: f for w, f in rows.items() if w not in uv_line}
+    assert bulk == {100000: (dp.q**3 - dp.q) + (dp.q - 1) * dp.q**3} == {100000: 390600}
+    assert set(rows) == {62500, 100000, 125000}
 
 
 def test_scaling_invariance_on_uv_line(f9, f25):
@@ -503,15 +545,16 @@ def test_identity_suite_memory_does_not_grow_with_trials():
 
 
 def test_class_samples_memory_does_not_grow_with_samples():
-    # the samples are drawn and weighed a block at a time, so ten times the
-    # samples keep the peak of traced allocations (all of them at once
-    # would add about 11 MB here)
+    # the samples are drawn and weighed a block of 4096 at a time, so ten
+    # times the samples keep the peak of traced allocations; (3,1,1) has one
+    # uv-line class, so both counts fill at least one whole block
     import tracemalloc
 
     dp = derive_params(CodeParams(Field(3, 1), 1))
+    assert dp.N2 == 1
     distribution_by_class(dp, samples_per_class=1)
     peaks = []
-    for samples in (3000, 30000):
+    for samples in (10000, 100000):
         tracemalloc.start()
         try:
             distribution_by_class(dp, samples_per_class=samples)

@@ -185,7 +185,7 @@ def test_verify_subcode_without_prediction_reports_no_verdict(tmp_path):
     code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "2", "-N", "1",
                             "--trials", "2", "--threads", "1", "--subcode")
     assert code == 0
-    assert report["report_version"] == 3
+    assert report["report_version"] == 4
     sub = report["subcode"]
     assert sub["predictions"] == []
     assert sub["ok"] is None
@@ -248,6 +248,60 @@ def test_budget_env_override(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("method", ["exhaustive", "class"])
+def test_degenerate_lift_reports_its_dimension(tmp_path, method):
+    # at (3,3,13) nine r give the zero word: k = 10, not 4m = 12, and at
+    # k = 10 the code is Griesmer-optimal (at 12 the bound would fail); its
+    # exhaustive estimate, 27^4 * 19683, is just past the default budget
+    code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "3", "-N", "13",
+                            "--method", method, "--budget", str(10**11), "--threads", "1")
+    assert code == 0
+    assert report["params"]["dimension"] == 10
+    assert report["rows"][0] == {"weight": 0, "frequency": 9}
+    griesmer = report["griesmer"]
+    assert griesmer["k"] == 10 and griesmer["optimal"] is True
+    assert griesmer["sum_at_d"] <= griesmer["n"] == 78732
+    assert "evaluation-map-not-injective" in report["erratum_flags"]
+    code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "2", "-N", "4",
+                            "--method", method, "--threads", "1")
+    assert code == 0
+    assert report["params"]["dimension"] == 7
+    assert report["rows"][0] == {"weight": 0, "frequency": 3}
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual", "verify"])
+def test_every_report_carries_the_dimension_and_its_flag(tmp_path, command):
+    code, report = run_json(tmp_path, command, "-p", "3", "-m", "2", "-N", "2",
+                            "--threads", "1")
+    assert code == 0
+    assert report["params"]["dimension"] == 8
+    assert "evaluation-map-not-injective" not in report["erratum_flags"]
+    code, report = run_json(tmp_path, command, "-p", "3", "-m", "2", "-N", "4",
+                            "--threads", "1")
+    assert report["params"]["dimension"] == 7
+    assert "evaluation-map-not-injective" in report["erratum_flags"]
+
+
+def test_zero_row_off_the_dimension_exits_one(tmp_path, monkeypatch, capsys):
+    # a distribution whose zero row is not p^(4m-k) contradicts the dimension
+    from tracecodes import analysis
+
+    real = analysis.distribution_exhaustive
+
+    def one_zero_word(params, budget=None):
+        dist = real(params, budget)
+        dist.entries[0] -= 2
+        dist.entries[2916] += 2
+        return dist
+
+    monkeypatch.setattr(analysis, "distribution_exhaustive", one_zero_word)
+    code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "2", "-N", "4",
+                            "--method", "exhaustive", "--threads", "1")
+    assert code == 1
+    assert report["rows"][0] == {"weight": 0, "frequency": 1}
+    assert "zero row holds 1 codewords, expected p^(4m-k) = 3" in capsys.readouterr().err
+
+
 def test_prediction_mismatch_exit_code(tmp_path, monkeypatch):
     # a run whose measurement contradicts an emitted prediction must exit 1
     from tracecodes import analysis
@@ -273,7 +327,7 @@ def test_analyze_without_prediction_reports_no_verdict(tmp_path, variant):
     code, report = run_json(tmp_path, "analyze", "-p", "5", "-m", "1",
                             "--variant", variant, "--threads", "1")
     assert code == 0
-    assert report["report_version"] == 3
+    assert report["report_version"] == 4
     assert report["predictions"] == []
     assert report["comparison"] == {"ok": None, "details": [],
                                     "status": "no-applicable-prediction"}
@@ -515,37 +569,15 @@ def test_negative_seed_exits_two_with_one_line_error(argv, capsys):
     assert captured.err.splitlines() == ["error: --seed must be >= 0, got -1"]
 
 
-def test_pool_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
-    # a large --threads must not start that many processes: a stand-in pool
-    # records every request and none is made, the report keeps the requested
-    # value, and the rows do not depend on it
-    import concurrent.futures
-
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    argv = ["analyze", "-p", "3", "-m", "2", "--method", "exhaustive"]
-    code, report = run_json(tmp_path, *argv, "--threads", "3000")
-    assert code == 0
-    assert requested == []
-    assert report["threads"] == 3000
-    assert report["rows"] == run_json(tmp_path, *argv, "--threads", "1")[1]["rows"]
-
-
 def test_threads_option_starts_no_process(tmp_path):
     # --threads is checked and recorded but selects no code path: every
     # weight is counted in the calling process, so a fresh interpreter that
-    # runs both methods at --threads 4 never imports a process pool
+    # runs both methods at --threads 4 and 3000 never imports a process pool
     script = (
         "import json, sys\n"
         "from tracecodes.cli import main\n"
         "for method in ('class', 'exhaustive'):\n"
-        "    for threads in ('4', '1'):\n"
+        "    for threads in ('4', '3000', '1'):\n"
         "        assert main(['analyze', '-p', '3', '-m', '2', '--method', method,\n"
         "                     '--threads', threads, '-o', f'{sys.argv[1]}/{method}-{threads}.json']) == 0\n"
         "print(json.dumps(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
@@ -557,11 +589,11 @@ def test_threads_option_starts_no_process(tmp_path):
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == []
     for method in ("class", "exhaustive"):
-        four, one = (json.loads((tmp_path / f"{method}-{t}.json").read_text())
-                     for t in ("4", "1"))
-        assert four["threads"] == 4 and one["threads"] == 1
-        assert four["method"] == method
-        assert four["rows"] == one["rows"]
+        four, many, one = (json.loads((tmp_path / f"{method}-{t}.json").read_text())
+                           for t in ("4", "3000", "1"))
+        assert (four["threads"], many["threads"], one["threads"]) == (4, 3000, 1)
+        assert four["method"] == many["method"] == method
+        assert four["rows"] == many["rows"] == one["rows"]
 
 
 @functools.lru_cache(maxsize=None)
