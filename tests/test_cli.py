@@ -569,6 +569,28 @@ def test_negative_seed_exits_two_with_one_line_error(argv, capsys):
     assert captured.err.splitlines() == ["error: --seed must be >= 0, got -1"]
 
 
+def test_pool_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # a large --threads must not start that many processes: a stand-in pool
+    # records every request and none is made, the report keeps the requested
+    # value, and the rows do not depend on it
+    import concurrent.futures
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["analyze", "-p", "3", "-m", "2", "--method", "exhaustive"]
+    code, report = run_json(tmp_path, *argv, "--threads", "3000")
+    assert code == 0
+    assert requested == []
+    assert report["threads"] == 3000
+    assert report["rows"] == run_json(tmp_path, *argv, "--threads", "1")[1]["rows"]
+
+
 def test_threads_option_starts_no_process(tmp_path):
     # --threads is checked and recorded but selects no code path: every
     # weight is counted in the calling process, so a fresh interpreter that
