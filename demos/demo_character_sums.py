@@ -13,7 +13,6 @@ from tracecodes import (
     CodeParams,
     Field,
     MultChar,
-    count_zero_traces,
     cyclotomic_class,
     derive_params,
     gauss_sum,
@@ -48,7 +47,7 @@ phi = MultChar(field, order=dp.N2)
 gsums = [gauss_sum(field, j, dp.N2) for j in range(dp.N2)]
 print("\nzero-trace counts against the character expansion:")
 for b in [1, field.xi, field.exp_code(2), field.exp_code(3)]:
-    count = count_zero_traces(field, b, dp.base_set)
+    count = int(dp.zero_traces[b])
     rhs = dp.n + sum(gsums[j] * phi(b) ** j for j in range(dp.N2)) / dp.N2
     print(f"  b = xi^{field.dlog(b)}: count = {count}, "
           f"expansion/p = {rhs.real / field.p:.6f}, "

@@ -53,7 +53,6 @@ from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
 from .field import (
     Field,
     MultChar,
-    count_zero_traces,
     cyclotomic_class,
     gauss_sum,
     parse_modulus,

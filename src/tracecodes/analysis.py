@@ -16,9 +16,10 @@ the q uv-line codewords d*uv; both hand those rows to _with_bulk_row,
 which adds the one bulk row of the other q^4 - q codewords:
 
 * exhaustive: the field subcode's distribution over all q inputs d, each
-  weight times 4*q^3, guarded by a work budget in entry-operations.  The
-  tests check it against every one of the q^4 rows weighed on its own
-  (tests/oracles.py);
+  weight times 4*q^3, read off the code's one zero-trace table
+  (DerivedParams.zero_traces, O(q) work); the work budget charges it q.
+  The tests check it against every one of the q^4 rows weighed on its
+  own (tests/oracles.py);
 * class-based: one representative xi^j*uv per cyclotomic class of the
   uv-line (j < N2), its exact weight times the class size (q-1)/N2, plus
   the zero row; seeded members of each class check the cyclotomic split,
@@ -50,11 +51,10 @@ from .construction import (
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
-from .field import Field, count_zero_traces, gauss_sum, multiplicative_order
+from .field import Field, gauss_sum, multiplicative_order, zero_trace_counts
 from .ring import RingElem
 
-#: Default ceiling on exhaustive work, in entry-operations
-#: (codeword count times coordinate count).
+#: Default ceiling on exhaustive and identity-suite work, in entry-operations.
 DEFAULT_WORK_BUDGET = 10**10
 
 
@@ -82,17 +82,14 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     set, so it is zero on exactly length/p coordinates and the weight is
     4*(p-1)*length/p, the same for every such row.  On the uv-line
     (a = b = c = 0) all four slots are Tr(d*x0), repeated q^3 times, so
-    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}, counted once per distinct
-    nonzero d by field.count_zero_traces (the zero row d = 0 weighs 0).
+    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}, read from the one table
+    DerivedParams.zero_traces (d = 0 reads n0, so the zero row weighs 0).
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     out = np.full(len(rows), _bulk_weight(dp), dtype=np.int64)
     on_line = ~rows[:, :3].any(axis=1)
-    ds, which = np.unique(rows[on_line, 3], return_inverse=True)
-    x0s, live = dp.x0_codes(), ds != 0
-    nonzero = np.zeros(len(ds), dtype=np.int64)
-    nonzero[live] = len(x0s) - count_zero_traces(dp.field, ds[live], x0s)
-    out[on_line] = (4 * dp.q**3 * nonzero)[which]
+    n0 = dp.length // dp.q**3
+    out[on_line] = 4 * dp.q**3 * (n0 - dp.zero_traces[rows[on_line, 3]])
     return out
 
 
@@ -160,9 +157,9 @@ def _resolve_budget(budget: int | None) -> int:
 
 
 def exhaustive_work(dp: DerivedParams) -> int:
-    """Entry-operations the work budget charges the exhaustive method:
-    codeword count times coordinate count."""
-    return dp.codeword_count * dp.length
+    """Entry-operations the work budget charges the exhaustive method: q,
+    one pass over the zero-trace table."""
+    return dp.q
 
 
 def _with_bulk_row(dp: DerivedParams, uv_line: dict[int, int], method: str,
@@ -355,7 +352,7 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
 
     # zero-trace count vs Gaussian-sum expansion, every nonzero b
     gsums = [gauss_sum(field, j, dp.N2) for j in range(dp.N2)]
-    counts = count_zero_traces(field, np.arange(1, q), dp.base_set).tolist()
+    counts = zero_trace_counts(field, dp.params.N, dp.n)[1:].tolist()
     for b, count in zip(range(1, q), counts):
         k = field.dlog(b)
         rhs = dp.n + sum(

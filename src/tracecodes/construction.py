@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, count_zero_traces, multiplicative_order, power_exceeds
+from .field import Field, multiplicative_order, power_exceeds, zero_trace_counts
 from .ring import RingElem, big_trace, is_unit
 
 #: Everything is counted in native 64-bit integers; parameter sets whose
@@ -128,6 +128,15 @@ class DerivedParams:
         position[x0s] = np.arange(len(x0s))
         return position
 
+    @cached_property
+    def zero_traces(self) -> np.ndarray:
+        """#{x0 in x0_codes() : trace(c*x0) = 0} for every code c (read-only
+        int64, length q; entry 0 is the point count): the base set is
+        xi^(N*j), j < n, and the units xi^j, j < q - 1."""
+        if self.variant is Variant.UNITS:
+            return zero_trace_counts(self.field, 1, self.q - 1)
+        return zero_trace_counts(self.field, self.params.N, self.n)
+
 
 def coset_representatives(field: Field, N: int, n: int) -> tuple[int, ...]:
     """The base set {xi^(N*j) : j = 0..n-1}, verified pairwise inequivalent
@@ -217,9 +226,8 @@ def coord_index(params: CodeParams | DerivedParams, x: RingElem) -> int:
     pos0 = int(dp.x0_position[x.a])
     if pos0 < 0:
         raise ValueError("element is not in the coordinate set")
-    lex_rank = dp.field.lex_rank
-    return ((pos0 * q + int(lex_rank[x.b])) * q + int(lex_rank[x.c])) * q \
-        + int(lex_rank[x.d])
+    lex = dp.field.lex_codes  # its own inverse: the position of each code
+    return ((pos0 * q + int(lex[x.b])) * q + int(lex[x.c])) * q + int(lex[x.d])
 
 
 def contains(params: CodeParams | DerivedParams, x: RingElem) -> bool:
@@ -395,11 +403,8 @@ def eval_field_subcode(b: int, params: CodeParams | DerivedParams) -> tuple[int,
 def subcode_distribution(params: CodeParams | DerivedParams) -> dict[int, int]:
     """Exact Hamming weight distribution of the field subcode over all q
     inputs, on the constant coordinates x0_codes() (length n for the lift,
-    q - 1 for the units): b = 0 gives the zero word, and every nonzero b
-    has weight the length minus its zero-trace count over those points,
-    all counted by one field.count_zero_traces call."""
+    q - 1 for the units): input b has weight the length minus its entry of
+    DerivedParams.zero_traces, so b = 0 gives the zero word."""
     dp = derive_params(params)
-    x0s = dp.x0_codes()
-    zeros = count_zero_traces(dp.field, np.arange(1, dp.q), x0s)
-    weights, counts = np.unique(np.append(len(x0s) - zeros, 0), return_counts=True)
+    weights, counts = np.unique(len(dp.x0_codes()) - dp.zero_traces, return_counts=True)
     return {int(w): int(c) for w, c in zip(weights, counts)}

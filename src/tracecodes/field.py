@@ -12,7 +12,7 @@ xi^k for k < q - 1), log (int64, -1 at code 0) and trace (int32).  That is
 kept.  Scalar operations index memoryviews of these arrays, which return
 Python ints and hold no second copy.  Negation and Frobenius come from
 the same two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and
-a^p = xi^(p log a).  Addition, add_codes and lex_rank work on the base-p
+a^p = xi^(p log a).  Addition, add_codes and lex_codes work on the base-p
 digits of the codes, computed when needed.
 
 A Field instance is immutable after construction (lazy caches are built
@@ -377,7 +377,6 @@ class Field:
         self._mul_table_np: np.ndarray | None = None
         self._trmul_flat_np: np.ndarray | None = None
         self._lex_codes_np: np.ndarray | None = None
-        self._lex_rank_np: np.ndarray | None = None
         self._prime_subfield: Field | None = None
 
     # -- identification ----------------------------------------------------
@@ -488,22 +487,17 @@ class Field:
         return self._prime_subfield
 
     @property
-    def lex_rank(self) -> np.ndarray:
-        """Position of each code in the order of `lex_codes`: the code with
-        its digits reversed, so the constant term is the most significant."""
-        if self._lex_rank_np is None:
-            rank, rest = np.zeros(self.q, dtype=np.int64), np.arange(self.q)
-            for _ in range(self.m):
-                rank = rank * self.p + rest % self.p
-                rest //= self.p
-            self._lex_rank_np = rank
-        return self._lex_rank_np
-
-    @property
     def lex_codes(self) -> np.ndarray:
-        """All codes sorted by coefficient vector, constant term compared first."""
+        """All codes sorted by coefficient vector, constant term compared
+        first: entry i is i with its base-p digits reversed, an involution,
+        so the table is its own inverse: each code's position in the order."""
         if self._lex_codes_np is None:
-            self._lex_codes_np = np.argsort(self.lex_rank)
+            codes, rest = np.zeros(self.q, dtype=np.int64), np.arange(self.q)
+            for _ in range(self.m):
+                codes = codes * self.p + rest % self.p
+                rest //= self.p
+            codes.flags.writeable = False
+            self._lex_codes_np = codes
         return self._lex_codes_np
 
     @property
@@ -630,20 +624,23 @@ def cyclotomic_class(field: Field, i: int, order: int) -> frozenset[int]:
     return frozenset(field.exp_code(i + order * k) for k in range(size))
 
 
-def count_zero_traces(field: Field, b, points):
-    """Exact counts of points d with trace(b*d) = 0, one per nonzero
-    multiplier: b is a code or an array of codes, and the int64 result has
-    b's shape.  The one zero-trace counter of the package: the weight
-    kernel's uv-line rows, the field subcode and the identity suite read it.
-    Multipliers are counted max(1, 2^16 // len(points)) at a time, so memory
-    stays O(len(points) + 2^16)."""
-    b = np.asarray(b, dtype=np.int64)
-    if not b.all():
-        raise ValueError("b must be nonzero")
-    flat, points = b.ravel(), np.asarray(points, dtype=np.int64)
-    step = max(1, 2**16 // max(1, points.size))
-    out = np.empty(flat.size, dtype=np.int64)
-    for i in range(0, flat.size, step):
-        out[i:i + step] = np.count_nonzero(
-            field.trace_products(flat[i:i + step, None], points) == 0, axis=1)
-    return out.reshape(b.shape)[()]
+def zero_trace_counts(field: Field, step: int, count: int) -> np.ndarray:
+    """#{j < count : trace(c * xi^(step*j)) = 0} for every code c, as one
+    read-only int64 array of length q; entry 0 is `count`, since every
+    trace of 0 is 0.  The one zero-trace counter of the package: the
+    lift's base set is (step, count) = (N, n), the units are (1, q - 1).
+
+    With step | q - 1 and count <= (q - 1)/step, write c = xi^(i*step + r),
+    r < step: its count sums the zero indicator of trace(xi^k) over
+    k = (i + j)*step + r, j < count, a cyclic window of column r of that
+    indicator reshaped to rows of `step`.  One cumulative sum down the
+    doubled columns gives all q - 1 windows: O(q) work and memory."""
+    rows = field.order // step
+    zero = (field.trace_table[field.unit_codes()] == 0).reshape(rows, step)
+    sums = np.zeros((2 * rows + 1, step), dtype=np.int64)
+    np.cumsum(np.concatenate([zero, zero]), axis=0, out=sums[1:])
+    out = np.empty(field.q, dtype=np.int64)
+    out[0] = count
+    out[field.unit_codes()] = (sums[count:count + rows] - sums[:rows]).ravel()
+    out.flags.writeable = False
+    return out

@@ -185,18 +185,23 @@ def test_exhaustive_three_weight_window(f9):
     assert 2916 <= min(nonzero) <= 3888
 
 
+#: How far the q^4-row oracle reaches, in codewords times coordinates; the
+#: work budget, which charges the exhaustive method only q, sets no bound here.
+ORACLE_REACH = 10**10
+
+
 def _exhaustive_grid():
-    """Every point within the default budget with p <= 23 and q <= 4096:
-    the lift at every N | q - 1 and the units at N = 1."""
+    """Every point with p <= 23 and q <= 4096 within the oracle's reach: the
+    lift at every N | q - 1 and the units at N = 1."""
     points = []
     for p in (3, 5, 7, 11, 13, 17, 19, 23):
         for m in range(1, int(math.log(4096, p)) + 1):
             q = p**m
             for N in range(1, q):
                 n = math.lcm(N, (q - 1) // (p - 1)) // N
-                if (q - 1) % N == 0 and q**7 * n <= analysis.DEFAULT_WORK_BUDGET:
+                if (q - 1) % N == 0 and q**7 * n <= ORACLE_REACH:
                     points.append((p, m, N, "lift"))
-            if q**7 * (q - 1) <= analysis.DEFAULT_WORK_BUDGET:
+            if q**7 * (q - 1) <= ORACLE_REACH:
                 points.append((p, m, 1, "units"))
     return points
 
@@ -219,8 +224,11 @@ def test_exhaustive_matches_every_codeword_weighed(p, m, N, variant):
 
 
 def test_exhaustive_budget_refusal(f25):
-    with pytest.raises(WorkBudgetExceeded, match="class-based"):
-        distribution_exhaustive(CodeParams(f25, 3), budget=10**6)
+    # the exhaustive method is charged q = 25: one entry-operation under
+    # that is refused, and q itself fits
+    with pytest.raises(WorkBudgetExceeded, match="needs 25 .* class-based"):
+        distribution_exhaustive(CodeParams(f25, 3), budget=24)
+    assert distribution_exhaustive(CodeParams(f25, 3), budget=25).total == 25**4
 
 
 def test_distribution_invariants(f9):
@@ -300,8 +308,8 @@ def test_class_method_three_weight(f25):
 
 
 def test_budget_env_override(f9, monkeypatch):
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "1000")
-    with pytest.raises(WorkBudgetExceeded):
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "8")
+    with pytest.raises(WorkBudgetExceeded, match="class-based"):
         distribution_exhaustive(CodeParams(f9, 1))
 
 

@@ -81,10 +81,12 @@ def test_even_characteristic_rejected(capsys):
 
 
 def test_budget_refusal_distinct_exit_code(tmp_path, capsys):
+    # the exhaustive method is charged q = 25, one over this budget
     code = main(["analyze", "-p", "5", "-m", "2", "-N", "3",
-                 "--method", "exhaustive", "--threads", "1"])
+                 "--method", "exhaustive", "--budget", "24", "--threads", "1"])
     assert code == 3
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget" in err and "class-based" in err
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -242,19 +244,31 @@ def test_bad_modulus_rejected(capsys):
 
 
 def test_budget_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "1000")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "8")
     code = main(["analyze", "-p", "3", "-m", "2", "-N", "1",
                  "--method", "exhaustive", "--threads", "1"])
     assert code == 3
 
 
+def test_exhaustive_at_q_19683_runs_at_the_default_budget(tmp_path):
+    # one pass over a table of q = 3^9 zero-trace counts
+    start = time.perf_counter()
+    code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "9", "-N", "1",
+                            "--method", "exhaustive", "--threads", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert report["method"] == "exhaustive"
+    assert [(d["regime"], d["matched"]) for d in report["comparison"]["details"]] == [
+        ("two_weight_lift", True)]
+
+
 @pytest.mark.parametrize("method", ["exhaustive", "class"])
 def test_degenerate_lift_reports_its_dimension(tmp_path, method):
     # at (3,3,13) nine r give the zero word: k = 10, not 4m = 12, and at
-    # k = 10 the code is Griesmer-optimal (at 12 the bound would fail); its
-    # exhaustive estimate, 27^4 * 19683, is just past the default budget
+    # k = 10 the code is Griesmer-optimal (at 12 the bound would fail); both
+    # methods run at the default budget, which charges the exhaustive one q
     code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "3", "-N", "13",
-                            "--method", method, "--budget", str(10**11), "--threads", "1")
+                            "--method", method, "--threads", "1")
     assert code == 0
     assert report["params"]["dimension"] == 10
     assert report["rows"][0] == {"weight": 0, "frequency": 9}
@@ -436,8 +450,8 @@ def test_largest_table_prime_builds_no_product_table(monkeypatch, capsys):
 
 
 def test_analyze_past_product_table_limit(capsys):
-    # q = 6561 > COORD_TABLE_LIMIT: the kernel reads no q*q table, so the
-    # class method answers, and the two-weight prediction matches
+    # q = 6561 > COORD_TABLE_LIMIT: no q*q table is read, `auto` picks the
+    # exhaustive method (charged q), and the two-weight prediction matches
     code = main(["analyze", "-p", "3", "-m", "8", "--threads", "1"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -465,7 +479,7 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
         raise AssertionError("identity-suite work ran before the refusal")
     monkeypatch.setattr(Field, "mul_table", property(no_work))
     monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
-    monkeypatch.setattr(analysis, "count_zero_traces", no_work)
+    monkeypatch.setattr(analysis, "zero_trace_counts", no_work)
     start = time.perf_counter()
     code = main(["verify", "-p", "4093", "-m", "1", "-N", "1", "--threads", "1"])
     assert time.perf_counter() - start < 1
@@ -486,7 +500,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     def no_work(*args):
         raise AssertionError("identity-suite work ran before the refusal")
     monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
-    monkeypatch.setattr(analysis, "count_zero_traces", no_work)
+    monkeypatch.setattr(analysis, "zero_trace_counts", no_work)
     start = time.perf_counter()
     code = main(["verify", "-p", "4099", "-m", "1", "--threads", "1"])
     assert time.perf_counter() - start < 1

@@ -32,7 +32,6 @@ from tracecodes.construction import (
     gray_symbols,
     slot_batch_rows,
 )
-from tracecodes.field import count_zero_traces
 from tracecodes.ring import gray_word, random_element
 
 from oracles import group_action_spotcheck
@@ -426,7 +425,7 @@ def test_subcode_weight_equals_n_minus_zero_traces(f25):
     for b in range(1, 25):
         word = eval_field_subcode(b, dp)
         weight = sum(1 for s in word if s)
-        assert weight == dp.n - count_zero_traces(f25, b, dp.base_set)
+        assert weight == dp.n - dp.zero_traces[b]
 
 
 def test_subcode_at_quartic_parameters(f81):
@@ -440,8 +439,8 @@ def test_subcode_at_quartic_parameters(f81):
 def test_subcode_counts_agree_on_the_grid():
     # the field subcode three ways at every lift point with odd p <= 13,
     # q <= 729 and N | q - 1, and at the units variant of each field (its
-    # constant coordinates are all q - 1 units): subcode_distribution (one
-    # zero-trace call), the scalar eval_field_subcode words, and the
+    # constant coordinates are all q - 1 units): subcode_distribution (the
+    # zero-trace table), the scalar eval_field_subcode words, and the
     # kernel's uv-line rows divided by 4q^3 together with the zero row
     from collections import Counter
 
@@ -455,8 +454,11 @@ def test_subcode_counts_agree_on_the_grid():
             lifts = [(N, Variant.LIFT) for N in range(1, q) if (q - 1) % N == 0]
             for N, variant in lifts + [(1, Variant.UNITS)]:
                 dp = derive_params(CodeParams(field, N, variant))
-                scalar = Counter(sum(1 for s in eval_field_subcode(b, dp) if s)
-                                 for b in range(q))
+                words = [eval_field_subcode(b, dp) for b in range(q)]
+                # per code: the table entry is the word's number of zero symbols
+                assert dp.zero_traces.tolist() == [w.count(0) for w in words], \
+                    (p, m, N, variant)
+                scalar = Counter(len(w) - w.count(0) for w in words)
                 uv_rows = [(0, 0, 0, d) for d in range(q)]
                 kernel = Counter((analysis._weights_serial(dp, uv_rows) // (4 * q**3)).tolist())
                 assert subcode_distribution(dp) == scalar == kernel, (p, m, N, variant)

@@ -9,12 +9,16 @@ from tracecodes import (
     Field,
     MultChar,
     ParameterError,
-    count_zero_traces,
     cyclotomic_class,
     gauss_sum,
     parse_modulus,
 )
-from tracecodes.field import _x_class_order_is_full, first_primitive_modulus, is_irreducible
+from tracecodes.field import (
+    _x_class_order_is_full,
+    first_primitive_modulus,
+    is_irreducible,
+    zero_trace_counts,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +173,8 @@ def test_tables_match_python_reference(p, m, modulus):
     assert f._log.tolist() == log
     assert f.trace_table.tolist() == trace
     assert f.lex_codes.tolist() == lex
-    assert f.lex_rank[f.lex_codes].tolist() == list(range(f.q))
+    # digit reversal is an involution: the table is its own inverse
+    assert f.lex_codes[f.lex_codes].tolist() == list(range(f.q))
     assert [f.neg(x) for x in range(f.q)] == neg
     assert [f.frobenius_code(x) for x in range(f.q)] == frob
 
@@ -196,7 +201,7 @@ TABLE_DIGESTS = {
 @pytest.mark.parametrize("p,m,modulus", list(TABLE_DIGESTS))
 def test_tables_are_pinned_bit_for_bit(p, m, modulus):
     f = Field(p, m, modulus=modulus)
-    tables = (f._exp, f._log, f.trace_table, f.lex_rank,
+    tables = (f._exp, f._log, f.trace_table, f.lex_codes,
               [f.neg(x) for x in range(f.q)], [f.frobenius_code(x) for x in range(f.q)])
     digests = tuple(hashlib.sha256(np.asarray(t, dtype="<i8").tobytes()).hexdigest()[:16]
                     for t in tables)
@@ -434,33 +439,36 @@ def test_character_orthogonality_through_powers(f9):
 def test_zero_trace_count_is_one_for_every_b(f9):
     from tracecodes import CodeParams, derive_params
     dp = derive_params(CodeParams(f9, 1))
-    for b in range(1, 9):
-        assert count_zero_traces(f9, b, dp.base_set) == 1
+    assert dp.zero_traces[1:].tolist() == [1] * 8
 
 
 def test_zero_trace_count_scaling_invariant(f9):
     from tracecodes import CodeParams, derive_params
-    dp = derive_params(CodeParams(f9, 2))
+    counts = derive_params(CodeParams(f9, 2)).zero_traces
     for b in range(1, 9):
-        base = count_zero_traces(f9, b, dp.base_set)
         for lam in (1, 2):
-            assert count_zero_traces(f9, f9.mul(lam, b), dp.base_set) == base
+            assert counts[f9.mul(lam, b)] == counts[b]
 
 
 def test_zero_trace_count_matches_scalar_loop():
-    # the array count against the scalar reference, every nonzero b
-    from tracecodes import CodeParams, derive_params
+    # the table against the scalar reference, every b, on the base sets
+    # and the units
+    from tracecodes import CodeParams, Variant, derive_params
     f = Field(3, 4)
-    for N in (1, 4):
-        points = derive_params(CodeParams(f, N)).base_set
-        for b in range(1, f.q):
-            expected = sum(1 for d in points if f.trace(f.mul(b, d)) == 0)
-            assert count_zero_traces(f, b, points) == expected
+    for N, variant in ((1, Variant.LIFT), (4, Variant.LIFT), (5, Variant.LIFT),
+                       (1, Variant.UNITS)):
+        dp = derive_params(CodeParams(f, N, variant))
+        expected = [sum(1 for d in dp.x0_codes().tolist() if f.trace(f.mul(b, d)) == 0)
+                    for b in range(f.q)]
+        assert dp.zero_traces.tolist() == expected
 
 
-def test_zero_trace_count_rejects_zero(f9):
-    with pytest.raises(ValueError):
-        count_zero_traces(f9, 0, (1,))
+def test_zero_trace_count_of_zero_is_the_point_count(f9):
+    # every trace of 0 is 0, and the table is read-only
+    for step, count in ((1, 8), (2, 4), (4, 1), (8, 1), (2, 0)):
+        counts = zero_trace_counts(f9, step, count)
+        assert counts[0] == count and counts.shape == (9,)
+        assert not counts.flags.writeable
 
 
 def test_count_matches_character_expansion(f9):
@@ -469,7 +477,7 @@ def test_count_matches_character_expansion(f9):
     dp = derive_params(CodeParams(f9, 2))
     gsums = [gauss_sum(f9, j, 2) for j in range(2)]
     for b in range(1, 9):
-        lhs = 3 * count_zero_traces(f9, b, dp.base_set)
+        lhs = 3 * dp.zero_traces[b]
         phi = MultChar(f9, order=2)
         rhs = dp.n + (gsums[0] + gsums[1] * phi(b)) / 2
         assert abs(lhs - rhs) < 1e-6
