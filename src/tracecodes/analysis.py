@@ -313,23 +313,25 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     """Residuals of the character-sum identities behind the weight formulas.
 
     Covers: the zero-trace count against its Gaussian-sum expansion (every
-    nonzero b); the root-of-unity partial sums against Hamming weight on
-    random vectors; the real-part collapse (p = 3 mod 4 only) and the
-    weight-from-theta formula on random codewords; the vanishing full
-    additive sum for every nonzero multiplier; Gaussian sum normalization
-    and multiplicative-character orthogonality.  The random vectors and
-    codewords are randrange draws from one random.Random(seed).  Breaches
-    are reported with witnesses, never raised; a run past the work budget
-    is refused before any check.
+    nonzero b, one expansion per class of dlog(b) mod N2); the root-of-unity
+    partial sums against Hamming weight on random vectors; the real-part
+    collapse (p = 3 mod 4 only) and the weight-from-theta formula on random
+    codewords; the vanishing full additive sum for every nonzero multiplier
+    (x -> z*x permutes F_q, so one trace-table histogram serves every z);
+    Gaussian sum normalization and multiplicative-character orthogonality.
+    The random vectors and codewords are randrange draws from one
+    random.Random(seed).  Breaches are reported with witnesses, never
+    raised; a run past the work budget is refused before any check.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     dp = derive_params(params)
-    field = dp.field
-    p, q, n0 = dp.p, dp.q, dp.length // dp.q**3
-    def work(t: int) -> int:  # histogram rows, partial sums, zero traces, full sums
+    field, p, q, n0, n2 = dp.field, dp.p, dp.q, dp.length // dp.q**3, dp.N2
+    def work(t: int) -> int:  # histogram rows and partial sums per trial, then once:
         rows = min(t, 100) + (t if p % 4 == 3 else 0)
-        return (p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p)) + q * (n0 + q)
+        return ((p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p))
+                + n2 * q + n2 * n2  # N2 Gauss sums of q terms, the N2^2 class expansion
+                + 3 * q + 64 * q)   # zero-trace table, comparison, histogram; <= 64 passes
     if work(trials) > (budget := _resolve_budget(None)):
         # the largest t with work(t) <= budget, by bisection over integers:
         # --trials may be past what a range() can index
@@ -347,18 +349,18 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     def record(name: str, value: float, witness):
         residuals[name] = max(residuals.get(name, 0.0), value)
         if value > tolerance:
-            breaches.append({"identity": name, "residual": value,
-                             "witness": witness})
+            breaches.append({"identity": name, "residual": value, "witness": witness})
 
-    # zero-trace count vs Gaussian-sum expansion, every nonzero b
-    gsums = [gauss_sum(field, j, dp.N2) for j in range(dp.N2)]
-    counts = zero_trace_counts(field, dp.params.N, dp.n)[1:].tolist()
-    for b, count in zip(range(1, q), counts):
-        k = field.dlog(b)
-        rhs = dp.n + sum(
-            gsums[j] * np.exp(2j * np.pi * j * k / dp.N2) for j in range(dp.N2)
-        ) / dp.N2
-        record("zero_trace_count_vs_character_sum", abs(p * count - rhs), {"b": b})
+    # zero-trace count vs Gaussian-sum expansion, every nonzero b = xi^k: psi^j(xi^k) has
+    # period N2 in k, so the expansion is formed once per class r = k mod N2
+    gsums, js = np.array([gauss_sum(field, j, n2) for j in range(n2)]), np.arange(n2)
+    roots = np.exp(2j * np.pi * js / n2)
+    expansion = dp.n + np.array([gsums @ roots[js * r % n2] for r in range(n2)]) / n2
+    counts = zero_trace_counts(field, dp.params.N, dp.n)[field.unit_codes()].reshape(-1, n2)
+    gap = np.abs(p * counts - expansion).ravel()  # at b = xi^k, in k order
+    residuals["zero_trace_count_vs_character_sum"] = float(gap.max())
+    for b in sorted(field.unit_codes()[gap > tolerance].tolist()):
+        record("zero_trace_count_vs_character_sum", float(gap[field.dlog(b)]), {"b": b})
 
     # partial sums vs Hamming weight, random prime-field vectors
     for _ in range(trials):
@@ -386,25 +388,23 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
             record("weight_vs_character_sum",
                    abs(exact + tau_sum.real) / p + abs(tau_sum.imag), {"r": row.tolist()})
 
-    # the full additive sum vanishes for every nonzero multiplier
-    eta_pow, codes = np.exp(2j * np.pi * np.arange(p) / p), np.arange(q)
-    for z in range(1, q):
-        hist = np.bincount(field.trace_products(z, codes), minlength=p)
-        record("full_additive_sum", abs(complex(hist @ eta_pow)), {"z": z})
+    # the full additive sum vanishes for every nonzero z: the exp/log bijection makes
+    # x -> z*x a permutation of F_q, so every z has the one sum over the trace table
+    record("full_additive_sum", abs(theta_of_vector(field.trace_table, p)), {"z": 1})
 
     # Gaussian sum normalization
-    record("gauss_sum_trivial", abs(gauss_sum(field, 0, max(dp.N2, 1)) + 1), {})
-    for order in sorted({dp.N2, q - 1} - {1}):
+    record("gauss_sum_trivial", abs(gauss_sum(field, 0, n2) + 1), {})
+    for order in sorted({n2, q - 1} - {1}):
         for j in range(1, min(order, 16)):
             g = gauss_sum(field, j, order)
             record("gauss_sum_modulus", abs(abs(g) - math.sqrt(q)),
                    {"order": order, "j": j})
 
-    # multiplicative-character orthogonality through N2-th powers
+    # multiplicative-character orthogonality through N2-th powers, angles reduced mod q - 1
     ks = np.arange(q - 1)
     for j in range(0, min(q - 1, 32)):
-        total = np.exp(-2j * np.pi * j * dp.N2 * ks / (q - 1)).sum()
-        expected = (q - 1) if (j * dp.N2) % (q - 1) == 0 else 0.0
+        total = np.exp(-2j * np.pi * (j * n2 * ks % (q - 1)) / (q - 1)).sum()
+        expected = (q - 1) if (j * n2) % (q - 1) == 0 else 0.0
         record("character_orthogonality", abs(total - expected), {"j": j})
 
     return IdentityReport(residuals=residuals, breaches=breaches, seed=seed,
@@ -437,11 +437,13 @@ class Prediction:
 def semiprimitive_exponent(p: int, n2: int) -> int | None:
     """Smallest l with p^l = -1 modulo n2, or None if no power of p is -1.
 
-    Only meaningful for n2 > 2; the minimal l is half the multiplicative
-    order of p when that order is even and the halfway power is -1.
+    Only meaningful for n2 >= 2: l = 1 at n2 = 2 (every odd p is -1), else
+    half the order of p when that order is even and its halfway power is -1.
     """
-    if n2 <= 2 or math.gcd(p, n2) != 1:
+    if n2 < 2 or math.gcd(p, n2) != 1:
         return None
+    if n2 == 2:
+        return 1
     order = multiplicative_order(p, n2)
     if order % 2:
         return None
@@ -451,7 +453,7 @@ def semiprimitive_exponent(p: int, n2: int) -> int | None:
 def _semiprimitive_case(dp: DerivedParams) -> tuple | None:
     """The semiprimitive case analysis behind the three-weight and the
     subcode tables: (l, t, sign, half, special, side conditions) when m is
-    even, N2 > 2, p^l = -1 modulo N2 and p^(m/2) + (-1)^t (N2-1) > 0;
+    even, N2 >= 2, p^l = -1 modulo N2 and p^(m/2) + (-1)^t (N2-1) > 0;
     None otherwise.  sign = (-1)^t and half = p^(m/2).  The special case
     (N2 even, t odd, (p^l+1)/N2 odd) has sign -1, so its window is stated
     as N2 < p^(m/2) + 1 and its rows are the general ones at sign -1."""
@@ -466,7 +468,7 @@ def _semiprimitive_case(dp: DerivedParams) -> tuple | None:
     special = n2 % 2 == 0 and t % 2 == 1 and ((p**l + 1) // n2) % 2 == 1
     conds = (
         ("m even", True),
-        ("N2 > 2", True),
+        ("N2 >= 2", True),
         ("some power of p is -1 modulo N2", True),
         ("N2 even, t odd, (p^l+1)/N2 odd", special),
         ("N2 < p^(m/2) + 1", True) if special

@@ -447,6 +447,22 @@ def test_identity_suite_measures_the_kernel(f9, monkeypatch):
     assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
 
 
+def test_identity_suite_names_each_zero_trace_breach_by_b(f9, monkeypatch):
+    # the expansion is compared with every nonzero b's count at once; wrong
+    # counts at two codes breach there, named by b in code order
+    real = analysis.zero_trace_counts
+
+    def mutant(field, step, count):
+        out = real(field, step, count).copy()
+        out[[5, 2]] += 1
+        return out
+    monkeypatch.setattr(analysis, "zero_trace_counts", mutant)
+    rep = verify_identities(CodeParams(f9, 2), trials=5)
+    assert [b["identity"] for b in rep.breaches] == ["zero_trace_count_vs_character_sum"] * 2
+    assert [b["witness"] for b in rep.breaches] == [{"b": 2}, {"b": 5}]
+    assert rep.residuals["zero_trace_count_vs_character_sum"] == pytest.approx(3)
+
+
 def test_identity_suite_measures_the_histograms(f9, monkeypatch):
     # the other side: wrong Gray slot counts (slot 2 reduced mod p - 1, so
     # its count at the symbol p - 1 moves onto 0) must breach against the
@@ -636,14 +652,15 @@ def test_predict_two_weight_units(f9):
     assert preds[0].rows_dict() == {15552: 6552, 17496: 8}
 
 
-def test_predict_bounds_regime(f9):
-    preds = predict(CodeParams(f9, 2))
+def test_predict_bounds_regime(f81):
+    # N2 = 8: no power of 3 is -1 modulo 8, so only the interval applies
+    preds = predict(CodeParams(f81, 8))
     assert len(preds) == 1
     pred = preds[0]
     assert pred.regime == "distance_bounds"
     assert pred.rows == ()
-    assert (pred.d_lower, pred.d_upper) == (2916, 3888)
-    assert pred.max_nonzero_weights == 3
+    assert (pred.d_lower, pred.d_upper) == (1594323, 7085880)
+    assert pred.max_nonzero_weights == 9
 
 
 def test_predict_three_weight_small(f25):
@@ -688,7 +705,8 @@ def test_semiprimitive_exponent_values():
     assert semiprimitive_exponent(5, 3) == 1
     assert semiprimitive_exponent(3, 4) == 1
     assert semiprimitive_exponent(3, 13) is None  # 3 generates squares only
-    assert semiprimitive_exponent(3, 2) is None  # below the regime threshold
+    assert semiprimitive_exponent(3, 2) == semiprimitive_exponent(5, 2) == 1  # quadratic
+    assert semiprimitive_exponent(3, 1) is None
 
 
 def test_predict_subcode_quartic(f81):
@@ -701,6 +719,22 @@ def test_predict_subcode_quartic(f81):
 
 def test_predict_subcode_inapplicable(f9):
     assert predict_subcode(CodeParams(f9, 1)) == []
+
+
+def test_quadratic_case_matches_exact_rows_on_the_grid():
+    # N2 = 2 (m is then even): every odd p is -1 modulo 2, so l = 1, and the
+    # three-weight table and the subcode table both match the measured rows
+    # at every such lift point of the grid
+    points = [(p, m, N) for p, m, N, variant in _class_grid() if variant == "lift"
+              and math.gcd(N, (p**m - 1) // (p - 1)) == 2]
+    assert len(points) == 27
+    for p, m, N in points:
+        dp = derive_params(CodeParams(Field(p, m), N))
+        (pred,) = predict(dp)
+        assert pred.regime.startswith("three_weight") and pred.l == 1, (p, m, N)
+        assert ("N2 >= 2", True) in pred.side_conditions
+        assert compare_with_predictions(distribution_exhaustive(dp), [pred]).ok, (p, m, N)
+        assert subcode_report(dp)["ok"] is True, (p, m, N)
 
 
 @pytest.mark.parametrize("p,m,N", [(3, 2, 4), (3, 4, 10)])
@@ -734,10 +768,11 @@ def test_compare_exact_rows(f9):
     assert comparison.details[0]["matched"]
 
 
-def test_compare_bounds(f9):
-    cp = CodeParams(f9, 2)
+def test_compare_bounds(f81):
+    cp = CodeParams(f81, 8)
     comparison = compare_with_predictions(distribution_exhaustive(cp), predict(cp))
     assert comparison.ok
+    assert [d["regime"] for d in comparison.details] == ["distance_bounds"]
 
 
 def test_compare_without_predictions_is_no_verdict(f9):

@@ -433,8 +433,8 @@ def test_verify_refuses_trials_below_one(trials, capsys):
 
 
 def test_largest_table_prime_builds_no_product_table(monkeypatch, capsys):
-    # the uv-line traces and the identity suite's full additive sums come
-    # from the exp/log tables, not a q*q table
+    # the uv-line traces come from the exp/log tables and the identity
+    # suite's full additive sum from the trace table, not a q*q table
     def no_table(self):
         raise AssertionError("a q*q product table was built")
     for name in ("mul_table", "trmul_flat"):
@@ -461,8 +461,8 @@ def test_analyze_past_product_table_limit(capsys):
 
 
 def test_verify_past_product_table_limit_runs_every_check(capsys):
-    # q = 6561 > COORD_TABLE_LIMIT: the full additive sums are formed per
-    # multiplier, so the suite runs and finds no breach
+    # q = 6561 > COORD_TABLE_LIMIT: the full additive sum is one histogram
+    # of the trace table, so the suite runs and finds no breach
     code = main(["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -487,7 +487,7 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 82284025354742 entry-operations, over the "
+        "refused: identity suite needs 82284008876325 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -508,7 +508,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 165291113761700 entry-operations, over the "
+        "refused: identity suite needs 165291097234533 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -526,24 +526,69 @@ def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
     assert main([*argv, "--trials", str(fits + 1)]) == 3
 
 
+def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
+    # q = 6561, N2 = 1, one trial: the histograms and partial sums (367974),
+    # one Gauss sum, the one-class expansion, three passes over q (zero-trace
+    # table, comparison, histogram) and 64 passes for the normalization and
+    # orthogonality checks; no term grows like q^2
+    argv = ["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"]
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "10000000")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["breaches"] == []
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "814122")
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "refused: identity suite needs 814123 entry-operations, over the budget of 814122")
+
+
+def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
+    # x -> z*x permutes F_q, so one histogram of the trace table gives the
+    # full additive sum of every z != 0; a histogram per z would take q - 1
+    # = 728 trace_products calls here
+    calls = []
+    real = Field.trace_products
+
+    def counted(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+    monkeypatch.setattr(Field, "trace_products", counted)
+    assert main(["verify", "-p", "3", "-m", "6", "--trials", "1", "--threads", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["breaches"] == []
+    assert len(calls) < 10
+
+
+def test_verify_reduces_character_angles_exactly(tmp_path):
+    # j*N2*k reaches 31 * 1093 * 2185 here: reduced mod q - 1 in integers
+    # before it becomes a float angle, the orthogonality residual stays near
+    # 1e-13 (the float angle of the unreduced product left 2.2e-8 here, and
+    # a false breach of 3.6e-6 at (3, 9, N = 9841)); every other residual
+    # stays below 1e-10 as well
+    start = time.perf_counter()
+    code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "7", "-N", "1093",
+                            "--trials", "1", "--threads", "1")
+    assert time.perf_counter() - start < 10
+    assert code == 0 and report["breaches"] == []
+    assert max(report["residuals"].values()) < 1e-10
+
+
 @pytest.mark.parametrize("argv,residuals", [
     (["-p", "3", "-m", "3", "-N", "1"], {
-        "character_orthogonality": 3.575164062904719e-14,
+        "character_orthogonality": 4.1811188891592555e-15,
         "full_additive_sum": 3.4684476073050936e-15,
         "gauss_sum_modulus": 3.907985046680551e-14,
         "gauss_sum_trivial": 3.2023728339893768e-15,
         "partial_sums_vs_hamming": 1.9959327572255808e-14,
         "real_part_collapse": 0.0,
         "weight_vs_character_sum": 0.0,
-        "zero_trace_count_vs_character_sum": 3.2023728339893768e-15}),
+        "zero_trace_count_vs_character_sum": 3.202372833989377e-15}),
     (["-p", "5", "-m", "2", "-N", "3", "--subcode"], {
-        "character_orthogonality": 3.2704754528109486e-13,
+        "character_orthogonality": 1.9892283971771244e-15,
         "full_additive_sum": 1.1102230246251565e-15,
         "gauss_sum_modulus": 2.1316282072803006e-14,
         "gauss_sum_trivial": 1.047382306668854e-15,
         "partial_sums_vs_hamming": 1.4888583356622763e-14,
         "weight_vs_character_sum": 0.0,
-        "zero_trace_count_vs_character_sum": 2.40368684806686e-14}),
+        "zero_trace_count_vs_character_sum": 6.2292994245801814e-15}),
 ])
 def test_verify_residuals_pinned(tmp_path, argv, residuals):
     # every residual of the identity suite, bit for bit, at seed 7: the
