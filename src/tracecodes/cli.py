@@ -106,18 +106,14 @@ def _comparison_section(comparison: analysis.ComparisonReport) -> dict:
 
 
 def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
-    budget = analysis._resolve_budget(cfg.budget)
+    budget = analysis._resolve_budget(cfg.budget)  # a bad budget is refused before any field
     params = _build_params(cfg)
     dp = derive_params(params)
-
-    method = cfg.method
-    if method == "auto":
-        method = "exhaustive" if analysis.exhaustive_work(dp) <= budget else "class"
-    if method == "exhaustive":
-        dist = analysis.distribution_exhaustive(dp, budget=budget)
-    else:
+    if cfg.method == "class":
         dist = analysis.distribution_by_class(dp, samples_per_class=cfg.samples,
-                                              seed=cfg.seed)
+                                              seed=cfg.seed, budget=budget)
+    else:
+        dist = analysis.distribution_exhaustive(dp, budget=budget)
 
     preds = analysis.predict(dp)
     comparison = analysis.compare_with_predictions(dist, preds)
@@ -201,7 +197,7 @@ def _emit(report: dict, cfg: argparse.Namespace, runtime_ms: int) -> None:
     report["runtime_ms"] = runtime_ms
     if cfg.fmt == "csv":
         lines = ["weight,frequency"]
-        for row in report.get("rows", []):
+        for row in report["rows"]:
             lines.append(f"{row['weight']},{row['frequency']}")
         text = "\n".join(lines) + "\n"
     else:
@@ -228,7 +224,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="accepted, checked (>= 1) and recorded in the report; "
                          "all counting runs in this process (default 1)")
     sp.add_argument("-o", "--out", help="write the report here instead of stdout")
-    sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,17 +232,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Few-weight codes from trace evaluations over a nilpotent "
                     "local ring: exact Lee-weight distributions and certificates.",
     )
+    parser.set_defaults(fmt="json")  # only analyze has rows to write as CSV
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", help="weight distribution, predictions, "
                                         "Griesmer and secret-sharing verdicts")
     _add_common(sp)
+    sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     sp.add_argument("--method", choices=["auto", "exhaustive", "class"],
-                    default="auto")
+                    default="auto",
+                    help="class also checks the uv-line classes on seeded samples; "
+                         "auto and exhaustive give the rows alone")
     sp.add_argument("--samples", type=int, default=500,
                     help="validation samples per uv-line class (class method)")
     sp.add_argument("--budget", type=int, default=None,
-                    help="entry-operation budget for exhaustive work "
+                    help="entry-operation budget; every method is charged q "
                          "(default from TRACECODES_WORK_BUDGET or 10^10)")
 
     sp = sub.add_parser("dual", help="dual Lee distance with witness")

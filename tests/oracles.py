@@ -47,8 +47,8 @@ def all_codeword_rows(q: int) -> np.ndarray:
 def distribution_by_enumeration(params: CodeParams | DerivedParams) -> dict[int, int]:
     """Weight -> frequency over all q^4 codewords, each row weighed on its
     own by analysis.lee_weights_bulk.  The oracle of
-    analysis.distribution_exhaustive, which reads the uv-line rows off the
-    field subcode instead."""
+    analysis.distribution_exhaustive, which weighs only the q uv-line rows
+    and counts the other codewords as one bulk row."""
     dp = derive_params(params)
     weights, counts = np.unique(lee_weights_bulk(dp, all_codeword_rows(dp.q)),
                                 return_counts=True)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -226,9 +227,28 @@ def test_exhaustive_matches_every_codeword_weighed(p, m, N, variant):
 def test_exhaustive_budget_refusal(f25):
     # the exhaustive method is charged q = 25: one entry-operation under
     # that is refused, and q itself fits
-    with pytest.raises(WorkBudgetExceeded, match="needs 25 .* class-based"):
+    with pytest.raises(WorkBudgetExceeded, match="needs q = 25 .* no method fits"):
         distribution_exhaustive(CodeParams(f25, 3), budget=24)
     assert distribution_exhaustive(CodeParams(f25, 3), budget=25).total == 25**4
+
+
+def test_class_method_is_charged_q(f9):
+    # the class method reads its rows off the same q-entry table
+    with pytest.raises(WorkBudgetExceeded, match="needs q = 9 "):
+        distribution_by_class(CodeParams(f9, 1), samples_per_class=1, budget=8)
+    assert distribution_by_class(CodeParams(f9, 1), samples_per_class=1, budget=9).total == 9**4
+
+
+def test_exhaustive_weighs_the_uv_line_in_one_kernel_call(f25, monkeypatch):
+    # the kernel alone weighs the q rows (0, 0, 0, d); nothing scales a subcode
+    real, calls = analysis._weights_serial, []
+
+    def counted(dp, rows):
+        calls.append(np.asarray(rows).tolist())
+        return real(dp, rows)
+    monkeypatch.setattr(analysis, "_weights_serial", counted)
+    distribution_exhaustive(CodeParams(f25, 3))
+    assert calls == [[[0, 0, 0, d] for d in range(25)]]
 
 
 def test_distribution_invariants(f9):
@@ -266,15 +286,20 @@ def _class_grid():
 
 
 def test_class_method_equals_exhaustive_on_the_grid():
-    # the class rows (N2 representatives, the zero row, the bulk row) against
-    # the lifted subcode rows, degenerate lift points included
+    # the cyclotomic split (N2 representatives, each weight times its class
+    # size, with the zero row and the bulk row) against the exhaustive rows,
+    # degenerate lift points included
     points = _class_grid()
     assert len(points) == 254
     mismatched = []
     for p, m, N, variant in points:
         dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
-        by_class = distribution_by_class(dp, samples_per_class=1).entries
-        if by_class != distribution_exhaustive(dp, budget=2**80).entries:
+        by_class = distribution_by_class(dp, samples_per_class=1)
+        split = Counter({0: 1, analysis._bulk_weight(dp): dp.codeword_count - dp.q})
+        for rep in by_class.detail["representatives"]:
+            split[rep["weight"]] += rep["size"]
+        exhaustive = distribution_exhaustive(dp, budget=2**80).entries
+        if not by_class.entries == dict(split) == exhaustive:
             mismatched.append((p, m, N, variant))
     assert mismatched == []
 
@@ -309,7 +334,7 @@ def test_class_method_three_weight(f25):
 
 def test_budget_env_override(f9, monkeypatch):
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "8")
-    with pytest.raises(WorkBudgetExceeded, match="class-based"):
+    with pytest.raises(WorkBudgetExceeded, match="no method fits"):
         distribution_exhaustive(CodeParams(f9, 1))
 
 
@@ -434,6 +459,21 @@ def test_identity_suite_passes(f9):
     assert rep.residuals["full_additive_sum"] < 1e-9
     assert rep.residuals["gauss_sum_trivial"] < 1e-6
     assert rep.residuals["real_part_collapse"] < 1e-6  # p = 3 mod 4 branch
+
+
+def test_identity_suite_forms_each_gauss_sum_once(monkeypatch):
+    # at N2 = 4 the expansion's 4 sums of order N2 serve the normalization
+    # checks too; only the 15 sums of order q - 1 are formed there
+    dp = derive_params(CodeParams(Field(3, 4), 4))
+    assert dp.N2 == 4
+    real, calls = analysis.gauss_sum, []
+
+    def counted(field, j, order):
+        calls.append((j, order))
+        return real(field, j, order)
+    monkeypatch.setattr(analysis, "gauss_sum", counted)
+    assert verify_identities(dp, trials=1).ok
+    assert calls == [(j, 4) for j in range(4)] + [(j, 80) for j in range(1, 16)]
 
 
 def test_identity_suite_measures_the_kernel(f9, monkeypatch):

@@ -86,7 +86,16 @@ def test_budget_refusal_distinct_exit_code(tmp_path, capsys):
                  "--method", "exhaustive", "--budget", "24", "--threads", "1"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "budget" in err and "class-based" in err
+    assert "budget" in err and "no method fits" in err
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "class"]])
+def test_budget_below_q_refuses_every_method(method, capsys):
+    # both methods read the q = 9 zero-trace table, so a budget of 8 fits neither
+    code = main(["analyze", "-p", "3", "-m", "2", "--budget", "8", "--threads", "1", *method])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "needs q = 9 entry-operations" in err and "no method fits" in err
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -109,6 +118,15 @@ def test_csv_export(tmp_path):
     assert lines[0] == "weight,frequency"
     assert "7776,6552" in lines
     assert "8748,8" in lines
+
+
+@pytest.mark.parametrize("command", ["dual", "verify"])
+def test_csv_is_refused_where_there_are_no_rows(command, capsys):
+    # only analyze reports weight rows; elsewhere CSV would lose the report
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "-p", "3", "-m", "2", "--format", "csv"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_dual_command_both_variants(tmp_path):
@@ -137,9 +155,10 @@ def test_option_inventory_is_pinned():
                  for name, sp in sub.choices.items()}
     common = {"-h/--help": argparse.SUPPRESS, "-p": None, "-m": None, "-N": 1,
               "--variant": "lift", "--modulus": None, "--seed": DEFAULT_SEED,
-              "--threads": 1, "-o/--out": None, "--format": "json"}
+              "--threads": 1, "-o/--out": None}
     assert inventory == {
-        "analyze": {**common, "--method": "auto", "--samples": 500, "--budget": None},
+        "analyze": {**common, "--format": "json", "--method": "auto", "--samples": 500,
+                    "--budget": None},
         "dual": common,
         "verify": {**common, "--trials": 100, "--subcode": False},
     }
