@@ -58,7 +58,9 @@ DEFAULT_WORK_BUDGET = 10**10
 # ---------------------------------------------------------------------------
 
 def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
-    """Exact Lee weights for each codeword row (a, b, c, d); int64 array.
+    """Exact Lee weights for each codeword row (a, b, c, d); an int64 array,
+    or Python ints (dtype object) once the Gray length reaches 2^63, which
+    the units variant does for q past about 38900.
 
     A coordinate is x = x0 + x1*u + x2*v + x3*uv with x0 in the base set
     (or all units) and x1, x2, x3 free in F_q, and each Gray symbol of
@@ -81,10 +83,11 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     DerivedParams.zero_traces (d = 0 reads n0, so the zero row weighs 0).
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-    out = np.full(len(rows), _bulk_weight(dp), dtype=np.int64)
+    dtype = np.int64 if dp.gray_length < 2**63 else object  # no weight exceeds it
+    out = np.full(len(rows), _bulk_weight(dp), dtype=dtype)
     on_line = ~rows[:, :3].any(axis=1)
     n0 = dp.length // dp.q**3
-    out[on_line] = 4 * dp.q**3 * (n0 - dp.zero_traces[rows[on_line, 3]])
+    out[on_line] = 4 * dp.q**3 * (n0 - dp.zero_traces[rows[on_line, 3]]).astype(dtype)
     return out
 
 

@@ -239,10 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "Griesmer and secret-sharing verdicts")
     _add_common(sp)
     sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-    sp.add_argument("--method", choices=["auto", "exhaustive", "class"],
-                    default="auto",
-                    help="class also checks the uv-line classes on seeded samples; "
-                         "auto and exhaustive give the rows alone")
+    sp.add_argument("--method", choices=["exhaustive", "class"], default="exhaustive",
+                    help="class also checks the uv-line classes on seeded samples")
     sp.add_argument("--samples", type=int, default=500,
                     help="validation samples per uv-line class (class method)")
     sp.add_argument("--budget", type=int, default=None,

@@ -157,7 +157,7 @@ def test_option_inventory_is_pinned():
               "--variant": "lift", "--modulus": None, "--seed": DEFAULT_SEED,
               "--threads": 1, "-o/--out": None}
     assert inventory == {
-        "analyze": {**common, "--format": "json", "--method": "auto", "--samples": 500,
+        "analyze": {**common, "--format": "json", "--method": "exhaustive", "--samples": 500,
                     "--budget": None},
         "dual": common,
         "verify": {**common, "--trials": 100, "--subcode": False},
@@ -469,14 +469,36 @@ def test_largest_table_prime_builds_no_product_table(monkeypatch, capsys):
 
 
 def test_analyze_past_product_table_limit(capsys):
-    # q = 6561 > COORD_TABLE_LIMIT: no q*q table is read, `auto` picks the
-    # exhaustive method (charged q), and the two-weight prediction matches
+    # q = 6561 > COORD_TABLE_LIMIT: no q*q table is read, the default
+    # exhaustive method is charged q, and the two-weight prediction matches
     code = main(["analyze", "-p", "3", "-m", "8", "--threads", "1"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     rows = {r["weight"]: r["frequency"] for r in report["rows"]}
     assert rows == {0: 1, 2470317012420480: 1853020188845280, 2470693585135788: 6560}
     assert report["comparison"]["ok"] is True
+
+
+def test_analyze_weights_past_int64_are_exact(capsys):
+    # units at q = 40009: the Gray length 4(q-1)q^3 passes 2^63, so the
+    # kernel weighs in Python ints; both methods report the exact rows
+    p = 40009
+    expected = {0: 1, 4 * (p - 1) * (p**3 - p**2): p**4 - p, 4 * (p - 1) * p**3: p - 1}
+    assert max(expected) > 2**63
+    for method in ("exhaustive", "class"):
+        code = main(["analyze", "-p", str(p), "-m", "1", "--variant", "units",
+                     "--method", method, "--samples", "3", "--threads", "1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {r["weight"]: r["frequency"] for r in report["rows"]} == expected
+
+
+def test_method_auto_is_refused(capsys):
+    # one path builds the rows, so --method has nothing left to choose automatically
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "-p", "3", "-m", "2", "--method", "auto"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_past_product_table_limit_runs_every_check(capsys):
