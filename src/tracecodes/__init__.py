@@ -16,7 +16,6 @@ from .analysis import (
     distribution_by_class,
     distribution_exhaustive,
     gray_symbol_histogram,
-    lee_weights_bulk,
     predict,
     predict_subcode,
     semiprimitive_exponent,

@@ -52,6 +52,9 @@ from .ring import RingElem
 #: Default ceiling on exhaustive and identity-suite work, in entry-operations.
 DEFAULT_WORK_BUDGET = 10**10
 
+#: The identity suite reports a residual above this as a breach.
+TOLERANCE = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Weight kernel
@@ -105,12 +108,6 @@ def _bulk_worker(args):
     return _weights_serial(dp, rows)
 
 
-def lee_weights_bulk(params: CodeParams | DerivedParams, rows) -> np.ndarray:
-    """Exact Lee weights of the codewords given by coordinate rows (a,b,c,d),
-    all counted in the calling process by the closed form of _weights_serial."""
-    return _weights_serial(derive_params(params), rows)
-
-
 # ---------------------------------------------------------------------------
 # Distributions
 # ---------------------------------------------------------------------------
@@ -154,8 +151,7 @@ def _resolve_budget(budget: int | None) -> int:
     return budget
 
 
-def distribution_exhaustive(params: CodeParams | DerivedParams,
-                            budget: int | None = None) -> WeightDistribution:
+def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> WeightDistribution:
     """The weight of every codeword, exact, by the theorem in _weights_serial.
 
     The q uv-line rows (0, 0, 0, d) are weighed in one kernel call; a row of
@@ -167,7 +163,6 @@ def distribution_exhaustive(params: CodeParams | DerivedParams,
     table; a smaller budget is refused, and no method fits it, since the
     class method reads the same table.
     """
-    dp = derive_params(params)
     budget = _resolve_budget(budget)
     if dp.q > budget:
         raise WorkBudgetExceeded(
@@ -193,8 +188,7 @@ def _sample_class(name: str, j: int, dp: DerivedParams,
     return 0, 0, 0, dp.field.exp_code(j + dp.N2 * k)
 
 
-def distribution_by_class(params: CodeParams | DerivedParams,
-                          samples_per_class: int = 500,
+def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
                           seed: int = DEFAULT_SEED,
                           budget: int | None = None) -> WeightDistribution:
     """The rows of distribution_exhaustive (and its budget), with the
@@ -213,12 +207,11 @@ def distribution_by_class(params: CodeParams | DerivedParams,
         raise ParameterError(
             f"samples per class must be >= 1, got {samples_per_class}: the class "
             "method validates every uv-line class on seeded samples")
-    dp = derive_params(params)
     dist = distribution_exhaustive(dp, budget)
     names = [f"uv-line class {j}" for j in range(dp.N2)]
     size = (dp.q - 1) // dp.N2
     rep_rows = [(0, 0, 0, dp.field.exp_code(j)) for j in range(dp.N2)]
-    rep_weights = lee_weights_bulk(dp, rep_rows)
+    rep_weights = _weights_serial(dp, rep_rows)
 
     rng = random.Random(seed)
     total, step = dp.N2 * samples_per_class, 4096
@@ -226,7 +219,7 @@ def distribution_by_class(params: CodeParams | DerivedParams,
         classes = np.arange(start, min(start + step, total)) // samples_per_class
         samples = np.array([_sample_class(names[j], j, dp, rng) for j in classes.tolist()],
                            dtype=np.int64)
-        got, expected = lee_weights_bulk(dp, samples), rep_weights[classes]
+        got, expected = _weights_serial(dp, samples), rep_weights[classes]
         if (bad := np.flatnonzero(got != expected)).size:
             i = int(bad[0])
             raise WeightConstancyError(names[int(classes[i])],
@@ -248,11 +241,11 @@ def distribution_by_class(params: CodeParams | DerivedParams,
 # Character sums over codewords
 # ---------------------------------------------------------------------------
 
-def gray_symbol_histogram(rows, params: CodeParams | DerivedParams) -> np.ndarray:
+def gray_symbol_histogram(rows, dp: DerivedParams) -> np.ndarray:
     """(K, p) int64 counts of each prime-field value among the Gray symbols
     of the codewords of the K rows (a, b, c, d); each row sums to the Gray
     length: the four slot counts of construction.gray_slot_counts, added."""
-    return gray_slot_counts(rows, derive_params(params)).sum(axis=1)
+    return gray_slot_counts(rows, dp).sum(axis=1)
 
 
 def theta_of_vector(y, p: int) -> complex:
@@ -263,11 +256,10 @@ def theta_of_vector(y, p: int) -> complex:
     return complex(hist @ eta_pow)
 
 
-def thetas(rows, params: CodeParams | DerivedParams) -> np.ndarray:
+def thetas(rows, dp: DerivedParams) -> np.ndarray:
     """(K,) complex128 sums of eta^symbol over the Gray images of the K rows'
     codewords, each on its own: the p-th roots of unity sum to 0, so dropping
     a row's least count first keeps the Gray length out of the float rounding."""
-    dp = derive_params(params)
     eta_pow = np.exp(2j * np.pi * np.arange(dp.p) / dp.p)
     return np.array([(h - h.min()) @ eta_pow for h in gray_symbol_histogram(rows, dp)])
 
@@ -280,7 +272,6 @@ def thetas(rows, params: CodeParams | DerivedParams) -> np.ndarray:
 class IdentityReport:
     residuals: dict[str, float]
     breaches: list[dict]
-    seed: int
     tolerance: float
     trials: int
 
@@ -289,9 +280,8 @@ class IdentityReport:
         return not self.breaches
 
 
-def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
-                      seed: int = DEFAULT_SEED,
-                      tolerance: float = 1e-6) -> IdentityReport:
+def verify_identities(dp: DerivedParams, trials: int = 100,
+                      seed: int = DEFAULT_SEED) -> IdentityReport:
     """Residuals of the character-sum identities behind the weight formulas.
 
     Covers: the zero-trace count against its Gaussian-sum expansion (every
@@ -307,13 +297,14 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    dp = derive_params(params)
     field, p, q, n0, n2 = dp.field, dp.p, dp.q, dp.length // dp.q**3, dp.N2
     def work(t: int) -> int:  # histogram rows and partial sums per trial, then once:
         rows = min(t, 100) + (t if p % 4 == 3 else 0)
         return ((p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p))
                 + n2 * q + n2 * n2  # N2 Gauss sums of q terms, the N2^2 class expansion
-                + 3 * q + 64 * q)   # zero-trace table, comparison, histogram; <= 64 passes
+                + 3 * q             # zero-trace table, comparison, histogram
+                # up to 15 Gauss sums of order q - 1 and 32 orthogonality passes
+                + (min(q - 1, 16) - 1 + min(q - 1, 32)) * q)
     if work(trials) > (budget := _resolve_budget(None)):
         # the largest t with work(t) <= budget, by bisection over integers:
         # --trials may be past what a range() can index
@@ -330,7 +321,7 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
 
     def record(name: str, value: float, witness):
         residuals[name] = max(residuals.get(name, 0.0), value)
-        if value > tolerance:
+        if value > TOLERANCE:
             breaches.append({"identity": name, "residual": value, "witness": witness})
 
     # zero-trace count vs Gaussian-sum expansion, every nonzero b = xi^k: psi^j(xi^k) has
@@ -341,7 +332,7 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
     counts = zero_trace_counts(field, dp.params.N, dp.n)[field.unit_codes()].reshape(-1, n2)
     gap = np.abs(p * counts - expansion).ravel()  # at b = xi^k, in k order
     residuals["zero_trace_count_vs_character_sum"] = float(gap.max())
-    for b in sorted(field.unit_codes()[gap > tolerance].tolist()):
+    for b in sorted(field.unit_codes()[gap > TOLERANCE].tolist()):
         record("zero_trace_count_vs_character_sum", float(gap[field.dlog(b)]), {"b": b})
 
     # partial sums vs Hamming weight, random prime-field vectors
@@ -365,7 +356,7 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
         for row, (th, *rest) in zip(rows[:split], sums):
             record("real_part_collapse", abs(th + sum(rest) - (p - 1) * th.real),
                    {"r": row.tolist()})
-        for row, w, tau in zip(rows[split:], lee_weights_bulk(dp, rows[split:]), sums[split:]):
+        for row, w, tau in zip(rows[split:], _weights_serial(dp, rows[split:]), sums[split:]):
             exact, tau_sum = p * int(w) - (p - 1) * dp.gray_length, sum(tau)
             record("weight_vs_character_sum",
                    abs(exact + tau_sum.real) / p + abs(tau_sum.imag), {"r": row.tolist()})
@@ -389,8 +380,8 @@ def verify_identities(params: CodeParams | DerivedParams, trials: int = 100,
         expected = (q - 1) if (j * n2) % (q - 1) == 0 else 0.0
         record("character_orthogonality", abs(total - expected), {"j": j})
 
-    return IdentityReport(residuals=residuals, breaches=breaches, seed=seed,
-                          tolerance=tolerance, trials=trials)
+    return IdentityReport(residuals=residuals, breaches=breaches, tolerance=TOLERANCE,
+                          trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +450,13 @@ def _semiprimitive_case(dp: DerivedParams) -> tuple | None:
     return l, t, sign, half, special, conds
 
 
-def predict(params: CodeParams | DerivedParams) -> list[Prediction]:
+def predict(dp: DerivedParams) -> list[Prediction]:
     """Predictions applicable to the full code at these parameters.
 
     Every regime whose side conditions hold is emitted; when no exact-row
     regime applies, the interval-only regime is emitted if its own window
     on N2 holds.  Inapplicability is data, not an error.
     """
-    dp = derive_params(params)
     p, m, q, n2 = dp.p, dp.m, dp.q, dp.N2
     parity_ok = (m % 2 == 0) or (p % 4 == 3)
     parity_cond = ("m even, or m odd and p = 3 (mod 4)", parity_ok)
@@ -523,10 +513,9 @@ def predict(params: CodeParams | DerivedParams) -> list[Prediction]:
     return preds
 
 
-def predict_subcode(params: CodeParams | DerivedParams) -> list[Prediction]:
+def predict_subcode(dp: DerivedParams) -> list[Prediction]:
     """Predicted Hamming rows for the length-n field subcode of the lift;
     the units variant's subcode has no table."""
-    dp = derive_params(params)
     if dp.variant is Variant.UNITS or (case := _semiprimitive_case(dp)) is None:
         return []
     l, t, sign, half, special, conds = case
@@ -591,10 +580,9 @@ def compare_with_predictions(dist: WeightDistribution,
     return ComparisonReport(ok=ok, details=details)
 
 
-def subcode_report(params: CodeParams | DerivedParams) -> dict:
+def subcode_report(dp: DerivedParams) -> dict:
     """The field-subcode distribution next to its predictions;
     "ok" is None when no prediction applies, so nothing was compared."""
-    dp = derive_params(params)
     measured = subcode_distribution(dp)
     preds = predict_subcode(dp)
     nonzero = {w: f for w, f in measured.items() if w != 0}

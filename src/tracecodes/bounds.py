@@ -23,15 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construction import (
-    CodeParams,
-    DerivedParams,
-    Variant,
-    contains,
-    coord_at,
-    coord_index,
-    derive_params,
-)
+from .construction import DerivedParams, Variant, contains, coord_at, coord_index
 from .errors import ParameterError
 from .ring import (
     RingElem,
@@ -121,10 +113,9 @@ def _embed(field, base_elem: RingElem) -> RingElem:
     return RingElem(field, base_elem.a, base_elem.b, base_elem.c, base_elem.d)
 
 
-def syndrome(params: CodeParams | DerivedParams, support) -> RingElem:
+def syndrome(dp: DerivedParams, support) -> RingElem:
     """Ring sum of y_x * x over a sparse vector given as
     (coordinate index, base ring value) pairs."""
-    dp = derive_params(params)
     field = dp.field
     total = ring_zero(field)
     for index, value in support:
@@ -132,7 +123,7 @@ def syndrome(params: CodeParams | DerivedParams, support) -> RingElem:
     return total
 
 
-def dual_lee_distance(params: CodeParams | DerivedParams) -> DualDistanceResult:
+def dual_lee_distance(dp: DerivedParams) -> DualDistanceResult:
     """Exact dual Lee distance, which is 2, with a witness at coordinate 0.
 
     Weight 1 (and the single-coordinate slice of weight 2) is impossible:
@@ -148,7 +139,6 @@ def dual_lee_distance(params: CodeParams | DerivedParams) -> DualDistanceResult:
     a coordinate, its syndrome must vanish and its Lee weight must equal 2;
     each failure is an AssertionError.
     """
-    dp = derive_params(params)
     field = dp.field
     base = field.prime_subfield()
 

@@ -23,6 +23,7 @@ from . import analysis, bounds
 from .construction import (
     DEFAULT_SEED,
     CodeParams,
+    DerivedParams,
     Variant,
     check_codeword_count_guard,
     derive_params,
@@ -45,11 +46,12 @@ FLAG_CEIL = "griesmer-exact-ceilings"
 FLAG_DIM = "evaluation-map-not-injective"
 
 
-def _build_params(cfg: argparse.Namespace) -> CodeParams:
+def _build_params(cfg: argparse.Namespace) -> DerivedParams:
+    """The run's one derived parameter set; every handler passes it on."""
     check_codeword_count_guard(cfg.p, cfg.m)
-    modulus = parse_modulus(cfg.modulus) if cfg.modulus else None
+    modulus = parse_modulus(cfg.modulus) if cfg.modulus is not None else None
     field = Field(cfg.p, cfg.m, modulus=modulus)
-    return CodeParams(field, cfg.N, Variant(cfg.variant))
+    return derive_params(CodeParams(field, cfg.N, Variant(cfg.variant)))
 
 
 def _params_section(dp) -> dict:
@@ -107,8 +109,7 @@ def _comparison_section(comparison: analysis.ComparisonReport) -> dict:
 
 def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
     budget = analysis._resolve_budget(cfg.budget)  # a bad budget is refused before any field
-    params = _build_params(cfg)
-    dp = derive_params(params)
+    dp = _build_params(cfg)
     if cfg.method == "class":
         dist = analysis.distribution_by_class(dp, samples_per_class=cfg.samples,
                                               seed=cfg.seed, budget=budget)
@@ -153,8 +154,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
-    params = _build_params(cfg)
-    dp = derive_params(params)
+    dp = _build_params(cfg)
     result = bounds.dual_lee_distance(dp)
     excluded = bounds.sphere_packing_excludes(dp.gray_length, dp.dimension, dp.p)
     report = _report_head("dual", cfg, dp, [FLAG_LEE]) | {
@@ -165,8 +165,7 @@ def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
-    params = _build_params(cfg)
-    dp = derive_params(params)
+    dp = _build_params(cfg)
     identities = analysis.verify_identities(dp, trials=cfg.trials, seed=cfg.seed)
     report = _report_head("verify", cfg, dp, [FLAG_LEE]) | {
         "trials": cfg.trials,
@@ -202,7 +201,7 @@ def _emit(report: dict, cfg: argparse.Namespace, runtime_ms: int) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.out:
+    if cfg.out is not None:
         with open(cfg.out, "w") as fh:
             fh.write(text)
     else:
@@ -271,6 +270,8 @@ def main(argv=None) -> int:
             raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
         if cfg.seed < 0:
             raise ParameterError(f"--seed must be >= 0, got {cfg.seed}")
+        if cfg.out == "":
+            raise ParameterError("-o/--out needs a file name, got an empty one")
         if cfg.out and os.path.isdir(cfg.out):
             raise ParameterError(f"cannot write the report to {cfg.out}: it is a directory")
         if cfg.out and not os.access(os.path.dirname(cfg.out) or ".", os.W_OK):

@@ -163,6 +163,8 @@ def check_codeword_count_guard(p: int, m: int) -> None:
 
 
 def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
+    """The one place a CodeParams becomes the DerivedParams that every other
+    function of the package takes.  A DerivedParams comes back as it is."""
     if isinstance(params, DerivedParams):
         return params
     field = params.field
@@ -192,9 +194,8 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
 # Coordinate streams
 # ---------------------------------------------------------------------------
 
-def enumerate_coords(params: CodeParams | DerivedParams) -> Iterator[RingElem]:
+def enumerate_coords(dp: DerivedParams) -> Iterator[RingElem]:
     """Stream the coordinate set in the fixed deterministic order."""
-    dp = derive_params(params)
     field = dp.field
     x0s = [int(x) for x in dp.x0_codes()]
     lex = [int(x) for x in field.lex_codes]
@@ -205,9 +206,8 @@ def enumerate_coords(params: CodeParams | DerivedParams) -> Iterator[RingElem]:
                     yield RingElem(field, x0, x1, x2, x3)
 
 
-def coord_at(params: CodeParams | DerivedParams, index: int) -> RingElem:
+def coord_at(dp: DerivedParams, index: int) -> RingElem:
     """The coordinate at a flat stream position."""
-    dp = derive_params(params)
     q = dp.q
     if not 0 <= index < dp.length:
         raise IndexError(f"coordinate index {index} outside [0, {dp.length})")
@@ -219,9 +219,8 @@ def coord_at(params: CodeParams | DerivedParams, index: int) -> RingElem:
     return RingElem(dp.field, x0, int(lex[i1]), int(lex[i2]), int(lex[i3]))
 
 
-def coord_index(params: CodeParams | DerivedParams, x: RingElem) -> int:
+def coord_index(dp: DerivedParams, x: RingElem) -> int:
     """Flat stream position of a coordinate element; inverse of coord_at."""
-    dp = derive_params(params)
     q = dp.q
     pos0 = int(dp.x0_position[x.a])
     if pos0 < 0:
@@ -230,9 +229,8 @@ def coord_index(params: CodeParams | DerivedParams, x: RingElem) -> int:
     return ((pos0 * q + int(lex[x.b])) * q + int(lex[x.c])) * q + int(lex[x.d])
 
 
-def contains(params: CodeParams | DerivedParams, x: RingElem) -> bool:
+def contains(dp: DerivedParams, x: RingElem) -> bool:
     """Membership test for the coordinate set (O(1) via the x0 position table)."""
-    dp = derive_params(params)
     if not is_unit(x):
         return False
     if dp.variant is Variant.UNITS:
@@ -240,15 +238,13 @@ def contains(params: CodeParams | DerivedParams, x: RingElem) -> bool:
     return bool(dp.x0_position[x.a] >= 0)
 
 
-def coord_blocks(params: CodeParams | DerivedParams,
-                 block_size: int = _BLOCK_POSITIONS):
+def coord_blocks(dp: DerivedParams, block_size: int = _BLOCK_POSITIONS):
     """Yield (X0, X1, X2, X3) int64 code arrays covering the stream in order.
 
     Blocks are decoded from flat positions, so nothing is materialized
     beyond one block.  This is the flat-position decoder the tests use as
     the oracle for gray_symbols, which decodes only (x1, x2) pairs.
     """
-    dp = derive_params(params)
     q = dp.q
     x0s = dp.x0_codes()
     lex = dp.field.lex_codes
@@ -264,10 +260,10 @@ def coord_blocks(params: CodeParams | DerivedParams,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[RingElem]:
+def evaluate(r: RingElem, dp: DerivedParams) -> Iterator[RingElem]:
     """Stream the codeword of r: base ring symbols Tr(r*x), x over the
     coordinate set.  Linear in r; never materialized."""
-    for x in enumerate_coords(params):
+    for x in enumerate_coords(dp):
         yield big_trace(r * x)
 
 
@@ -293,7 +289,7 @@ def _axis_terms(rows, dp: DerivedParams) -> list[np.ndarray]:
     return [gray(*x0), gray(0, a, 0, c), gray(0, 0, a, b), gray(0, 0, 0, a)]
 
 
-def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np.ndarray]:
+def gray_symbols(r: RingElem, dp: DerivedParams) -> Iterator[np.ndarray]:
     """Stream the Gray image of the codeword of r as (block, 4) int16
     arrays in [0, p): the export path and the oracle of gray_slot_counts.
 
@@ -301,7 +297,6 @@ def gray_symbols(r: RingElem, params: CodeParams | DerivedParams) -> Iterator[np
     (x1, x2) pairs times the full x3 axis, each slot a row gather, by the
     pair's residue, from the (p, q) table of shifted x3 traces.
     """
-    dp = derive_params(params)
     p, q = dp.p, dp.q
     X0, X1, X2, X3 = (t[0] for t in _axis_terms([r.coords()], dp))
     # shifted[c, i] = (c + trace(r0*x3)) mod p, x3 the i-th element in lex order
@@ -320,7 +315,7 @@ def slot_batch_rows(dp: DerivedParams) -> int:
     return max(1, _BLOCK_POSITIONS // (4 * max(dp.length // dp.q**3, dp.q, 2 * dp.p)))
 
 
-def gray_slot_counts(rows, params: CodeParams | DerivedParams) -> np.ndarray:
+def gray_slot_counts(rows, dp: DerivedParams) -> np.ndarray:
     """(K, 4, p) int64 counts of each value of F_p in each Gray slot of the
     codewords of the K rows (a, b, c, d); each slot sums to the code length.
 
@@ -331,7 +326,6 @@ def gray_slot_counts(rows, params: CodeParams | DerivedParams) -> np.ndarray:
     used.  Exact int64, one shifted copy of a doubled (rows, 4, 2p) array
     per value an axis takes in any row: O(n0 + q + p^2) work per row, and
     numpy calls per batch of slot_batch_rows rows, not per row."""
-    dp = derive_params(params)
     p, rows, step = dp.p, np.asarray(rows, dtype=np.int64).reshape(-1, 4), slot_batch_rows(dp)
     if len(rows) > step:
         return np.concatenate([gray_slot_counts(rows[i:i + step], dp)
@@ -348,14 +342,13 @@ def gray_slot_counts(rows, params: CodeParams | DerivedParams) -> np.ndarray:
     return counts
 
 
-def export_gray_words(params: CodeParams | DerivedParams, rs, path) -> tuple[str, str]:
+def export_gray_words(dp: DerivedParams, rs, path) -> tuple[str, str]:
     """Write Gray-mapped codewords as flat binary (one byte per symbol, one
     row per codeword) plus a JSON sidecar pinning the parameters and the
     ordering version tag.  Returns (data_path, sidecar_path).
 
     A byte holds symbols up to 255, so p > 256 is refused.
     """
-    dp = derive_params(params)
     if dp.p > 256:
         raise ParameterError(
             "Gray-word export writes one byte per symbol; p > 256 does not fit"
@@ -387,7 +380,7 @@ def export_gray_words(params: CodeParams | DerivedParams, rs, path) -> tuple[str
 # The field subcode: length-n words (trace(b*d))_{d in base set}
 # ---------------------------------------------------------------------------
 
-def eval_field_subcode(b: int, params: CodeParams | DerivedParams) -> tuple[int, ...]:
+def eval_field_subcode(b: int, dp: DerivedParams) -> tuple[int, ...]:
     """The prime-field word (trace(b*d)) over the constant coordinates d
     in x0_codes() (the base set, or every unit for the units variant), one
     scalar Field.mul per point: the scalar oracle of subcode_distribution.
@@ -395,16 +388,14 @@ def eval_field_subcode(b: int, params: CodeParams | DerivedParams) -> tuple[int,
     Its Hamming weight is its length minus the number of zero traces of b
     over those points.
     """
-    dp = derive_params(params)
     field = dp.field
     return tuple(field.trace(field.mul(b, int(d))) for d in dp.x0_codes())
 
 
-def subcode_distribution(params: CodeParams | DerivedParams) -> dict[int, int]:
+def subcode_distribution(dp: DerivedParams) -> dict[int, int]:
     """Exact Hamming weight distribution of the field subcode over all q
     inputs, on the constant coordinates x0_codes() (length n for the lift,
     q - 1 for the units): input b has weight the length minus its entry of
     DerivedParams.zero_traces, so b = 0 gives the zero word."""
-    dp = derive_params(params)
     weights, counts = np.unique(len(dp.x0_codes()) - dp.zero_traces, return_counts=True)
     return {int(w): int(c) for w, c in zip(weights, counts)}

@@ -8,17 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tracecodes import (
-    ParameterError,
-    RingElem,
-    big_trace,
-    derive_params,
-    evaluate,
-    lee_weights_bulk,
-)
+from tracecodes import ParameterError, RingElem, big_trace, evaluate
+from tracecodes.analysis import _weights_serial
 from tracecodes.construction import (
     DEFAULT_SEED,
-    CodeParams,
     DerivedParams,
     contains,
     coord_at,
@@ -27,11 +20,11 @@ from tracecodes.construction import (
 from tracecodes.ring import gray_inverse, lee_weight, random_element, zero as ring_zero
 
 
-def lee_weight_by_streaming(r: RingElem, params: CodeParams | DerivedParams) -> int:
+def lee_weight_by_streaming(r: RingElem, dp: DerivedParams) -> int:
     """Reference path: stream the codeword symbol by symbol and add Lee
     weights.  Slow; the oracle of the weight kernel
-    (analysis.lee_weights_bulk)."""
-    return sum(lee_weight(s) for s in evaluate(r, params))
+    (analysis._weights_serial)."""
+    return sum(lee_weight(s) for s in evaluate(r, dp))
 
 
 def all_codeword_rows(q: int) -> np.ndarray:
@@ -44,24 +37,22 @@ def all_codeword_rows(q: int) -> np.ndarray:
     return np.stack([a, b, c, d], axis=1)
 
 
-def distribution_by_enumeration(params: CodeParams | DerivedParams) -> dict[int, int]:
+def distribution_by_enumeration(dp: DerivedParams) -> dict[int, int]:
     """Weight -> frequency over all q^4 codewords, each row weighed on its
-    own by analysis.lee_weights_bulk.  The oracle of
+    own by analysis._weights_serial.  The oracle of
     analysis.distribution_exhaustive, which weighs only the q uv-line rows
     and counts the other codewords as one bulk row."""
-    dp = derive_params(params)
-    weights, counts = np.unique(lee_weights_bulk(dp, all_codeword_rows(dp.q)),
+    weights, counts = np.unique(_weights_serial(dp, all_codeword_rows(dp.q)),
                                 return_counts=True)
     return {int(w): int(c) for w, c in zip(weights, counts)}
 
 
-def orthogonality_direct(params: CodeParams | DerivedParams, support) -> bool:
+def orthogonality_direct(dp: DerivedParams, support) -> bool:
     """Direct check against a generating set of codewords: orthogonal to
     every evaluation iff orthogonal to the evaluations of the m field-basis
     elements (base ring coefficients factor out of the trace).  The oracle
     of the one-equation syndrome test (bounds.syndrome) behind
     bounds.dual_lee_distance."""
-    dp = derive_params(params)
     field = dp.field
     for i in range(dp.m):
         gen = RingElem(field, field.encode([0] * i + [1]), 0, 0, 0)
@@ -101,7 +92,7 @@ class SpotcheckReport:
 SPOTCHECK_LIMIT = 10_000
 
 
-def group_action_spotcheck(params: CodeParams | DerivedParams, trials: int = 50,
+def group_action_spotcheck(dp: DerivedParams, trials: int = 50,
                            seed: int = DEFAULT_SEED,
                            g: RingElem | None = None) -> SpotcheckReport:
     """Check that pulling a codeword back along x -> g*x lands on the
@@ -112,7 +103,6 @@ def group_action_spotcheck(params: CodeParams | DerivedParams, trials: int = 50,
     Failures are collected in the report, not raised.  Restricted to small
     coordinate sets; a supplied g must belong to the coordinate set.
     """
-    dp = derive_params(params)
     if dp.length > SPOTCHECK_LIMIT:
         raise ParameterError(
             f"spot check restricted to coordinate sets of size <= {SPOTCHECK_LIMIT}"

@@ -73,7 +73,7 @@ def two_weight_units_rows(tmp_path_factory):
 @pytest.fixture(scope="module")
 def cubic_class_distribution():
     start = time.perf_counter()
-    dist = distribution_by_class(CodeParams(Field(3, 3), 1), samples_per_class=500)
+    dist = distribution_by_class(derive_params(CodeParams(Field(3, 3), 1)), samples_per_class=500)
     return dist, time.perf_counter() - start
 
 
@@ -120,7 +120,7 @@ def test_criterion_03_class_based_reproduction(cubic_class_distribution):
 def test_criterion_04_bounded_regime():
     from tracecodes import distribution_exhaustive
     start = time.perf_counter()
-    dist = distribution_exhaustive(CodeParams(Field(3, 2), 2))
+    dist = distribution_exhaustive(derive_params(CodeParams(Field(3, 2), 2)))
     elapsed = time.perf_counter() - start
     nonzero = dist.nonzero()
     ok = (len(nonzero) <= 3
@@ -161,7 +161,7 @@ def test_criterion_05_three_weight_survey():
 
 def test_criterion_06_subcode_rows():
     start = time.perf_counter()
-    dist = subcode_distribution(CodeParams(Field(3, 4), 4))
+    dist = subcode_distribution(derive_params(CodeParams(Field(3, 4), 4)))
     elapsed = time.perf_counter() - start
     ok = dist == {0: 1, 6: 60, 9: 20} and elapsed < 1.0
     _report(6, ok, "the [10,4] ternary subcode at (3,4,N=4) has rows "
@@ -213,7 +213,7 @@ def test_criterion_09_identity_suites():
     # character-sum identities at the four parameter sets, 100+ trials each,
     # with the zero-trace expansion checked for every nonzero b inside
     for p, m, N in [(3, 2, 1), (3, 2, 2), (3, 3, 1), (5, 2, 3)]:
-        rep = verify_identities(CodeParams(Field(p, m), N), trials=100)
+        rep = verify_identities(derive_params(CodeParams(Field(p, m), N)), trials=100)
         ok = ok and rep.ok and max(rep.residuals.values()) < 1e-6
 
     # Gray bijectivity exhaustively at p = 3 and 5

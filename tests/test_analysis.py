@@ -26,7 +26,7 @@ from tracecodes import (
     verify_identities,
 )
 from tracecodes import Field, analysis, construction, ring
-from tracecodes.analysis import lee_weights_bulk
+from tracecodes.analysis import _weights_serial
 from tracecodes.construction import coord_blocks
 from tracecodes.ring import random_element
 
@@ -38,29 +38,29 @@ from oracles import all_codeword_rows, distribution_by_enumeration, lee_weight_b
 # ---------------------------------------------------------------------------
 
 def test_zero_codeword_weight(f9):
-    assert lee_weights_bulk(CodeParams(f9, 1), [ring.zero(f9).coords()])[0] == 0
+    assert _weights_serial(derive_params(CodeParams(f9, 1)), [ring.zero(f9).coords()])[0] == 0
 
 
 def test_uv_codeword_weight(f9):
-    assert lee_weights_bulk(CodeParams(f9, 1), [ring.uv(f9).coords()])[0] == 8748
+    assert _weights_serial(derive_params(CodeParams(f9, 1)), [ring.uv(f9).coords()])[0] == 8748
 
 
 def test_unit_codeword_weight(f9):
-    assert lee_weights_bulk(CodeParams(f9, 1), [ring.one(f9).coords()])[0] == 7776
+    assert _weights_serial(derive_params(CodeParams(f9, 1)), [ring.one(f9).coords()])[0] == 7776
 
 
 def test_uv_codeword_weight_units_variant(f9):
-    cp = CodeParams(f9, 1, Variant.UNITS)
-    assert lee_weights_bulk(cp, [ring.uv(f9).coords()])[0] == 17496
+    dp = derive_params(CodeParams(f9, 1, Variant.UNITS))
+    assert _weights_serial(dp, [ring.uv(f9).coords()])[0] == 17496
 
 
 def test_kernel_matches_streamed_reference(f9):
     rng = np.random.default_rng(21)
     for N in (1, 2):
-        cp = CodeParams(f9, N)
+        dp = derive_params(CodeParams(f9, N))
         for _ in range(4):
             r = random_element(f9, rng)
-            assert lee_weights_bulk(cp, [r.coords()])[0] == lee_weight_by_streaming(r, cp)
+            assert _weights_serial(dp, [r.coords()])[0] == lee_weight_by_streaming(r, dp)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +156,9 @@ def test_bulk_weights_parallel_merge(f9):
     # batches and merged equal the weights of the whole batch
     dp = derive_params(CodeParams(f9, 2))
     rows = all_codeword_rows(9)[:600]
-    whole = lee_weights_bulk(dp, rows)
-    merged = np.concatenate([lee_weights_bulk(dp, rows[:250]),
-                             lee_weights_bulk(dp, rows[250:])])
+    whole = _weights_serial(dp, rows)
+    merged = np.concatenate([_weights_serial(dp, rows[:250]),
+                             _weights_serial(dp, rows[250:])])
     assert np.array_equal(whole, merged)
 
 
@@ -167,19 +167,19 @@ def test_bulk_weights_parallel_merge(f9):
 # ---------------------------------------------------------------------------
 
 def test_exhaustive_two_weight_lift(f9):
-    dist = distribution_exhaustive(CodeParams(f9, 1))
+    dist = distribution_exhaustive(derive_params(CodeParams(f9, 1)))
     assert dist.entries == {0: 1, 7776: 6552, 8748: 8}
     assert dist.total == 3**8
     assert dist.method == "exhaustive"
 
 
 def test_exhaustive_two_weight_units(f9):
-    dist = distribution_exhaustive(CodeParams(f9, 1, Variant.UNITS))
+    dist = distribution_exhaustive(derive_params(CodeParams(f9, 1, Variant.UNITS)))
     assert dist.entries == {0: 1, 15552: 6552, 17496: 8}
 
 
 def test_exhaustive_three_weight_window(f9):
-    dist = distribution_exhaustive(CodeParams(f9, 2))
+    dist = distribution_exhaustive(derive_params(CodeParams(f9, 2)))
     assert dist.entries == {0: 1, 2916: 4, 3888: 6552, 5832: 4}
     nonzero = dist.nonzero()
     assert len(nonzero) <= 3
@@ -212,7 +212,7 @@ def test_exhaustive_grid_has_degenerate_points():
     # the zero row holds 3 codewords
     points = _exhaustive_grid()
     assert len(points) == 48 and (3, 2, 4, "lift") in points
-    dist = distribution_exhaustive(CodeParams(Field(3, 2), 4))
+    dist = distribution_exhaustive(derive_params(CodeParams(Field(3, 2), 4)))
     assert dist.entries == {0: 3, 1944: 6552, 2916: 6}
 
 
@@ -228,15 +228,16 @@ def test_exhaustive_budget_refusal(f25):
     # the exhaustive method is charged q = 25: one entry-operation under
     # that is refused, and q itself fits
     with pytest.raises(WorkBudgetExceeded, match="needs q = 25 .* no method fits"):
-        distribution_exhaustive(CodeParams(f25, 3), budget=24)
-    assert distribution_exhaustive(CodeParams(f25, 3), budget=25).total == 25**4
+        distribution_exhaustive(derive_params(CodeParams(f25, 3)), budget=24)
+    assert distribution_exhaustive(derive_params(CodeParams(f25, 3)), budget=25).total == 25**4
 
 
 def test_class_method_is_charged_q(f9):
     # the class method reads its rows off the same q-entry table
+    dp = derive_params(CodeParams(f9, 1))
     with pytest.raises(WorkBudgetExceeded, match="needs q = 9 "):
-        distribution_by_class(CodeParams(f9, 1), samples_per_class=1, budget=8)
-    assert distribution_by_class(CodeParams(f9, 1), samples_per_class=1, budget=9).total == 9**4
+        distribution_by_class(dp, samples_per_class=1, budget=8)
+    assert distribution_by_class(dp, samples_per_class=1, budget=9).total == 9**4
 
 
 def test_exhaustive_weighs_the_uv_line_in_one_kernel_call(f25, monkeypatch):
@@ -247,7 +248,7 @@ def test_exhaustive_weighs_the_uv_line_in_one_kernel_call(f25, monkeypatch):
         calls.append(np.asarray(rows).tolist())
         return real(dp, rows)
     monkeypatch.setattr(analysis, "_weights_serial", counted)
-    distribution_exhaustive(CodeParams(f25, 3))
+    distribution_exhaustive(derive_params(CodeParams(f25, 3)))
     assert calls == [[[0, 0, 0, d] for d in range(25)]]
 
 
@@ -264,9 +265,9 @@ def test_distribution_invariants(f9):
 
 def test_class_method_equals_exhaustive(f9):
     for N in (1, 2):
-        cp = CodeParams(f9, N)
-        by_class = distribution_by_class(cp, samples_per_class=100)
-        assert by_class.entries == distribution_exhaustive(cp).entries
+        dp = derive_params(CodeParams(f9, N))
+        by_class = distribution_by_class(dp, samples_per_class=100)
+        assert by_class.entries == distribution_exhaustive(dp).entries
         assert by_class.method == "class"
         assert by_class.detail["samples_per_class"] == 100
 
@@ -322,24 +323,24 @@ def test_dimension_counts_the_zero_row_on_the_grid():
 
 
 def test_class_method_cubic_field(f27):
-    dist = distribution_by_class(CodeParams(f27, 1), samples_per_class=60)
+    dist = distribution_by_class(derive_params(CodeParams(f27, 1)), samples_per_class=60)
     assert dist.entries == {0: 1, 682344: 531414, 708588: 26}
 
 
 def test_class_method_three_weight(f25):
-    dist = distribution_by_class(CodeParams(f25, 3), samples_per_class=100)
-    pred = predict(CodeParams(f25, 3))[0]
+    dist = distribution_by_class(derive_params(CodeParams(f25, 3)), samples_per_class=100)
+    pred = predict(derive_params(CodeParams(f25, 3)))[0]
     assert dist.nonzero() == pred.rows_dict()
 
 
 def test_budget_env_override(f9, monkeypatch):
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "8")
     with pytest.raises(WorkBudgetExceeded, match="no method fits"):
-        distribution_exhaustive(CodeParams(f9, 1))
+        distribution_exhaustive(derive_params(CodeParams(f9, 1)))
 
 
 def test_class_method_seed_recorded(f9):
-    dist = distribution_by_class(CodeParams(f9, 1), samples_per_class=10, seed=77)
+    dist = distribution_by_class(derive_params(CodeParams(f9, 1)), samples_per_class=10, seed=77)
     assert dist.detail["seed"] == 77
 
 
@@ -366,20 +367,20 @@ def test_class_sampler_draws_members_of_its_class(p, m, N):
 
 
 def test_constancy_violation_raises_with_witness(f9, monkeypatch):
-    real = analysis.lee_weights_bulk
+    real = analysis._weights_serial
     calls = {"n": 0}
 
-    def corrupting(params, rows):
-        out = real(params, rows)
+    def corrupting(dp, rows):
+        out = real(dp, rows)
         calls["n"] += 1
-        if calls["n"] == 2:  # the validation batch
+        if calls["n"] == 3:  # the validation batch, after the uv-line rows and representatives
             out = out.copy()
             out[-1] += 4
         return out
 
-    monkeypatch.setattr(analysis, "lee_weights_bulk", corrupting)
+    monkeypatch.setattr(analysis, "_weights_serial", corrupting)
     with pytest.raises(WeightConstancyError) as info:
-        distribution_by_class(CodeParams(f9, 1), samples_per_class=5)
+        distribution_by_class(derive_params(CodeParams(f9, 1)), samples_per_class=5)
     assert info.value.witness is not None
     assert info.value.got == info.value.expected + 4
 
@@ -406,7 +407,7 @@ def test_scaling_invariance_on_uv_line(f9, f25):
             for lam in range(1, f.p):
                 rows.append((0, 0, 0, alpha))
                 scaled.append((0, 0, 0, f.mul(lam, alpha)))
-        assert np.array_equal(lee_weights_bulk(dp, rows), lee_weights_bulk(dp, scaled))
+        assert np.array_equal(_weights_serial(dp, rows), _weights_serial(dp, scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +442,7 @@ def test_weight_from_theta_formula(f9):
     rng = np.random.default_rng(22)
     for _ in range(100):
         r = random_element(f9, rng)
-        w = lee_weights_bulk(dp, [r.coords()])[0]
+        w = _weights_serial(dp, [r.coords()])[0]
         taus = [(RingElem(f9, tau, 0, 0, 0) * r).coords() for tau in range(1, 3)]
         tau_sum = sum(analysis.thetas(taus, dp))
         value = (2 * dp.gray_length - tau_sum) / 3
@@ -453,7 +454,7 @@ def test_weight_from_theta_formula(f9):
 # ---------------------------------------------------------------------------
 
 def test_identity_suite_passes(f9):
-    rep = verify_identities(CodeParams(f9, 2), trials=50)
+    rep = verify_identities(derive_params(CodeParams(f9, 2)), trials=50)
     assert rep.ok
     assert rep.residuals["zero_trace_count_vs_character_sum"] < 1e-6
     assert rep.residuals["full_additive_sum"] < 1e-9
@@ -482,7 +483,7 @@ def test_identity_suite_measures_the_kernel(f9, monkeypatch):
     real = analysis._weights_serial
     monkeypatch.setattr(analysis, "_weights_serial",
                         lambda dp, rows: real(dp, rows) + 4)
-    rep = verify_identities(CodeParams(f9, 1), trials=5)
+    rep = verify_identities(derive_params(CodeParams(f9, 1)), trials=5)
     assert not rep.ok
     assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
 
@@ -497,7 +498,7 @@ def test_identity_suite_names_each_zero_trace_breach_by_b(f9, monkeypatch):
         out[[5, 2]] += 1
         return out
     monkeypatch.setattr(analysis, "zero_trace_counts", mutant)
-    rep = verify_identities(CodeParams(f9, 2), trials=5)
+    rep = verify_identities(derive_params(CodeParams(f9, 2)), trials=5)
     assert [b["identity"] for b in rep.breaches] == ["zero_trace_count_vs_character_sum"] * 2
     assert [b["witness"] for b in rep.breaches] == [{"b": 2}, {"b": 5}]
     assert rep.residuals["zero_trace_count_vs_character_sum"] == pytest.approx(3)
@@ -515,7 +516,7 @@ def test_identity_suite_measures_the_histograms(f9, monkeypatch):
         counts[:, 2, -1] = 0
         return counts
     monkeypatch.setattr(analysis, "gray_slot_counts", mutant)
-    rep = verify_identities(CodeParams(f9, 1), trials=5)
+    rep = verify_identities(derive_params(CodeParams(f9, 1)), trials=5)
     assert not rep.ok
     breached = {b["identity"] for b in rep.breaches}
     assert "weight_vs_character_sum" in breached
@@ -578,13 +579,13 @@ def test_identity_suite_weighs_each_weight_trial_once(trials, monkeypatch):
     # real-part rows and holds 70 weight rows, all of which are weighed
     dp = derive_params(CodeParams(Field(3, 3), 1))
     assert construction.slot_batch_rows(dp) // 2 == 75
-    real = analysis.lee_weights_bulk
+    real = analysis._weights_serial
     weighed = []
 
-    def recorded(params, rows):
+    def recorded(dp, rows):
         weighed.extend(np.asarray(rows).reshape(-1, 4).tolist())
-        return real(params, rows)
-    monkeypatch.setattr(analysis, "lee_weights_bulk", recorded)
+        return real(dp, rows)
+    monkeypatch.setattr(analysis, "_weights_serial", recorded)
     assert verify_identities(dp, trials=trials).ok
     assert len(weighed) == min(trials, 100)
 
@@ -652,12 +653,12 @@ def test_identity_suite_reads_no_symbol_stream(f9, monkeypatch):
         return real(*args, **kwargs)
     for module in (construction, analysis):
         monkeypatch.setattr(module, "gray_symbols", counted, raising=False)
-    assert verify_identities(CodeParams(f9, 1), trials=5).ok
+    assert verify_identities(derive_params(CodeParams(f9, 1)), trials=5).ok
     assert calls == []
 
 
 def test_identity_suite_skips_real_part_for_p_one_mod_four(f25):
-    rep = verify_identities(CodeParams(f25, 3), trials=10)
+    rep = verify_identities(derive_params(CodeParams(f25, 3)), trials=10)
     assert rep.ok
     assert "real_part_collapse" not in rep.residuals
 
@@ -674,7 +675,7 @@ def test_partial_sums_identity_on_zero_vector():
 # ---------------------------------------------------------------------------
 
 def test_predict_two_weight_lift(f9):
-    preds = predict(CodeParams(f9, 1))
+    preds = predict(derive_params(CodeParams(f9, 1)))
     assert len(preds) == 1
     assert preds[0].regime == "two_weight_lift"
     assert preds[0].rows_dict() == {7776: 6552, 8748: 8}
@@ -682,19 +683,19 @@ def test_predict_two_weight_lift(f9):
 
 
 def test_predict_two_weight_lift_cubic(f27):
-    preds = predict(CodeParams(f27, 1))
+    preds = predict(derive_params(CodeParams(f27, 1)))
     assert preds[0].rows_dict() == {682344: 531414, 708588: 26}
 
 
 def test_predict_two_weight_units(f9):
-    preds = predict(CodeParams(f9, 1, Variant.UNITS))
+    preds = predict(derive_params(CodeParams(f9, 1, Variant.UNITS)))
     assert preds[0].regime == "two_weight_units"
     assert preds[0].rows_dict() == {15552: 6552, 17496: 8}
 
 
 def test_predict_bounds_regime(f81):
     # N2 = 8: no power of 3 is -1 modulo 8, so only the interval applies
-    preds = predict(CodeParams(f81, 8))
+    preds = predict(derive_params(CodeParams(f81, 8)))
     assert len(preds) == 1
     pred = preds[0]
     assert pred.regime == "distance_bounds"
@@ -704,7 +705,7 @@ def test_predict_bounds_regime(f81):
 
 
 def test_predict_three_weight_small(f25):
-    preds = predict(CodeParams(f25, 3))
+    preds = predict(derive_params(CodeParams(f25, 3)))
     assert len(preds) == 1
     pred = preds[0]
     assert pred.regime == "three_weight_general"
@@ -714,7 +715,7 @@ def test_predict_three_weight_small(f25):
 
 
 def test_predict_three_weight_quartic(f81):
-    preds = predict(CodeParams(f81, 4))
+    preds = predict(derive_params(CodeParams(f81, 4)))
     pred = preds[0]
     assert pred.regime == "three_weight_general"
     assert (pred.l, pred.t) == (1, 2)
@@ -729,12 +730,12 @@ def test_predict_nothing_without_parity():
     # m odd and p = 1 mod 4: the exact two-weight regime does not apply
     from tracecodes import Field
     f = Field(5, 1)
-    assert predict(CodeParams(f, 1)) == []
+    assert predict(derive_params(CodeParams(f, 1))) == []
 
 
 def test_exact_regimes_have_two_or_three_weights(f9, f25, f27, f81):
     for f, N in ((f9, 1), (f27, 1), (f25, 3), (f81, 4)):
-        for pred in predict(CodeParams(f, N)):
+        for pred in predict(derive_params(CodeParams(f, N))):
             if pred.regime.startswith("two_weight"):
                 assert len(pred.rows) == 2
             if pred.regime.startswith("three_weight"):
@@ -750,7 +751,7 @@ def test_semiprimitive_exponent_values():
 
 
 def test_predict_subcode_quartic(f81):
-    preds = predict_subcode(CodeParams(f81, 4))
+    preds = predict_subcode(derive_params(CodeParams(f81, 4)))
     assert len(preds) == 1
     assert preds[0].regime == "subcode_two_weight_general"
     assert preds[0].rows_dict() == {6: 60, 9: 20}
@@ -758,7 +759,7 @@ def test_predict_subcode_quartic(f81):
 
 
 def test_predict_subcode_inapplicable(f9):
-    assert predict_subcode(CodeParams(f9, 1)) == []
+    assert predict_subcode(derive_params(CodeParams(f9, 1))) == []
 
 
 def test_quadratic_case_matches_exact_rows_on_the_grid():
@@ -791,7 +792,7 @@ def test_semiprimitive_tables_stop_at_the_window(p, m, N):
 
 
 def test_subcode_report_matches(f81):
-    rep = subcode_report(CodeParams(f81, 4))
+    rep = subcode_report(derive_params(CodeParams(f81, 4)))
     assert rep["ok"]
     assert rep["length"] == 10
     assert rep["distribution"] == {0: 1, 6: 60, 9: 20}
@@ -802,21 +803,22 @@ def test_subcode_report_matches(f81):
 # ---------------------------------------------------------------------------
 
 def test_compare_exact_rows(f9):
-    cp = CodeParams(f9, 1)
-    comparison = compare_with_predictions(distribution_exhaustive(cp), predict(cp))
+    dp = derive_params(CodeParams(f9, 1))
+    comparison = compare_with_predictions(distribution_exhaustive(dp), predict(dp))
     assert comparison.ok
     assert comparison.details[0]["matched"]
 
 
 def test_compare_bounds(f81):
-    cp = CodeParams(f81, 8)
-    comparison = compare_with_predictions(distribution_exhaustive(cp), predict(cp))
+    dp = derive_params(CodeParams(f81, 8))
+    comparison = compare_with_predictions(distribution_exhaustive(dp), predict(dp))
     assert comparison.ok
     assert [d["regime"] for d in comparison.details] == ["distance_bounds"]
 
 
 def test_compare_without_predictions_is_no_verdict(f9):
-    comparison = compare_with_predictions(distribution_exhaustive(CodeParams(f9, 1)), [])
+    dp = derive_params(CodeParams(f9, 1))
+    comparison = compare_with_predictions(distribution_exhaustive(dp), [])
     assert comparison.ok is None
     assert comparison.details == []
 
@@ -825,7 +827,7 @@ def test_compare_reports_mismatches(f9):
     from tracecodes import WeightDistribution
     wrong = WeightDistribution(entries={0: 1, 7776: 6551, 8748: 9},
                                method="exhaustive", total=3**8)
-    comparison = compare_with_predictions(wrong, predict(CodeParams(f9, 1)))
+    comparison = compare_with_predictions(wrong, predict(derive_params(CodeParams(f9, 1))))
     assert not comparison.ok
     mism = comparison.details[0]["mismatches"]
     assert {m["weight"] for m in mism} == {7776, 8748}

@@ -105,7 +105,7 @@ def test_lee_one_elements_are_units(f5):
 
 
 def test_dual_distance_lift(f9):
-    result = dual_lee_distance(CodeParams(f9, 1, Variant.LIFT))
+    result = dual_lee_distance(derive_params(CodeParams(f9, 1, Variant.LIFT)))
     assert result.distance == 2
     assert result.verified
     # re-verify the witness independently
@@ -117,14 +117,14 @@ def test_dual_distance_lift(f9):
 
 
 def test_dual_distance_units(f9):
-    result = dual_lee_distance(CodeParams(f9, 1, Variant.UNITS))
+    result = dual_lee_distance(derive_params(CodeParams(f9, 1, Variant.UNITS)))
     assert result.distance == 2
     assert result.verified
 
 
 def test_dual_distance_other_parameters(f9, f27):
     for cp in (CodeParams(f9, 2), CodeParams(f27, 1)):
-        assert dual_lee_distance(cp).distance == 2
+        assert dual_lee_distance(derive_params(cp)).distance == 2
 
 
 @pytest.mark.parametrize("p, m, N, variant, witness", [
@@ -155,7 +155,7 @@ def test_dual_witness_needs_no_pair_table(monkeypatch, variant):
     inverse = bounds.ring_inv
     monkeypatch.setattr(bounds, "ring_inv", lambda x: calls.append(x) or inverse(x))
     p = 131
-    assert dual_lee_distance(CodeParams(Field(p, 1), 1, variant)).distance == 2
+    assert dual_lee_distance(derive_params(CodeParams(Field(p, 1), 1, variant))).distance == 2
     assert 1 <= len(calls) <= 4 * (p - 1)
 
 
@@ -165,7 +165,8 @@ def test_dual_witness_is_built_not_searched(monkeypatch):
     calls = []
     member = bounds.contains
     monkeypatch.setattr(bounds, "contains", lambda dp, x: calls.append(x) or member(dp, x))
-    assert dual_lee_distance(CodeParams(Field(4093, 1), 1, Variant.LIFT)).distance == 2
+    dp = derive_params(CodeParams(Field(4093, 1), 1, Variant.LIFT))
+    assert dual_lee_distance(dp).distance == 2
     assert len(calls) == 1
 
 
@@ -227,7 +228,7 @@ def test_democratic_classification():
 
 def test_margin_identity(f9):
     from tracecodes import distribution_exhaustive
-    dist = distribution_exhaustive(CodeParams(f9, 1))
+    dist = distribution_exhaustive(derive_params(CodeParams(f9, 1)))
     lhs = 3 * dist.min_nonzero_weight - 2 * dist.max_nonzero_weight
     # the two-weight family's margin 4p^(4m-1) - 4p^(3m), at p = 3, m = 2
     assert lhs == 4 * 3 ** (4 * 2 - 1) - 4 * 3 ** (3 * 2)

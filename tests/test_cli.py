@@ -163,7 +163,7 @@ def test_option_inventory_is_pinned():
         "verify": {**common, "--trials": 100, "--subcode": False},
     }
     assert list(inspect.signature(Field.__init__).parameters) == ["self", "p", "m", "modulus"]
-    assert list(inspect.signature(bounds.dual_lee_distance).parameters) == ["params"]
+    assert list(inspect.signature(bounds.dual_lee_distance).parameters) == ["dp"]
     assert list(inspect.signature(bounds.sphere_packing_excludes).parameters) == ["n", "k", "p"]
 
 
@@ -528,7 +528,7 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 82284008876325 entry-operations, over the "
+        "refused: identity suite needs 82284008806744 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -549,7 +549,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 165291097234533 entry-operations, over the "
+        "refused: identity suite needs 165291097164850 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -570,16 +570,16 @@ def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
 def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
     # q = 6561, N2 = 1, one trial: the histograms and partial sums (367974),
     # one Gauss sum, the one-class expansion, three passes over q (zero-trace
-    # table, comparison, histogram) and 64 passes for the normalization and
-    # orthogonality checks; no term grows like q^2
+    # table, comparison, histogram), 15 Gauss sums of order q - 1 and 32
+    # orthogonality passes; no term grows like q^2
     argv = ["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"]
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "10000000")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "814122")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "702585")
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
-        "refused: identity suite needs 814123 entry-operations, over the budget of 814122")
+        "refused: identity suite needs 702586 entry-operations, over the budget of 702585")
 
 
 def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
@@ -653,6 +653,42 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and not out.is_file()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write the report to {out}")
+
+
+@pytest.mark.parametrize("extra", [["--modulus", ""], ["-o", ""]])
+def test_empty_modulus_or_output_exits_two_before_any_field(extra, monkeypatch, capsys):
+    # an empty value was given, so it is refused, not read as the default
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built before the empty value was refused")
+
+    monkeypatch.setattr(Field, "__init__", no_field)
+    code = main(["analyze", "-p", "3", "-m", "2", "--threads", "1", *extra])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["dual"], ["verify", "--subcode"]])
+def test_one_run_derives_its_parameters_once(argv, monkeypatch, capsys):
+    # every library function takes the DerivedParams the run derived: count
+    # the calls of derive_params through every tracecodes module that binds it
+    from tracecodes import construction
+
+    real, calls = construction.derive_params, []
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+    for name, module in list(sys.modules.items()):
+        if name == "tracecodes" or name.startswith("tracecodes."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    assert main([*argv, "-p", "3", "-m", "2", "-N", "1", "--threads", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -108,20 +108,20 @@ def test_base_set_representatives_distinct_mod_prime_units(f25):
 # ---------------------------------------------------------------------------
 
 def test_stream_starts_at_one(f9):
-    first = next(enumerate_coords(CodeParams(f9, 1)))
+    first = next(enumerate_coords(derive_params(CodeParams(f9, 1))))
     assert first == ring.one(f9)
 
 
 def test_stream_is_restartable(f9):
-    cp = CodeParams(f9, 1)
-    a = list(itertools.islice(enumerate_coords(cp), 30))
-    b = list(itertools.islice(enumerate_coords(cp), 30))
+    dp = derive_params(CodeParams(f9, 1))
+    a = list(itertools.islice(enumerate_coords(dp), 30))
+    b = list(itertools.islice(enumerate_coords(dp), 30))
     assert a == b
 
 
 def test_stream_size_and_units_lift(f9):
-    cp = CodeParams(f9, 1)
-    coords = list(enumerate_coords(cp))
+    dp = derive_params(CodeParams(f9, 1))
+    coords = list(enumerate_coords(dp))
     assert len(coords) == 2916
     assert all(is_unit(x) for x in coords)
 
@@ -206,17 +206,17 @@ def test_scalar_multiples_leave_the_lift(f9):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_zero_is_zero_word(f9):
-    cp = CodeParams(f9, 2)
-    assert all(not s for s in evaluate(ring.zero(f9), cp))
+    dp = derive_params(CodeParams(f9, 2))
+    assert all(not s for s in evaluate(ring.zero(f9), dp))
 
 
 def test_evaluate_is_linear(f9):
-    cp = CodeParams(f9, 2)
+    dp = derive_params(CodeParams(f9, 2))
     rng = np.random.default_rng(14)
     for _ in range(3):
         r, s = random_element(f9, rng), random_element(f9, rng)
-        summed = [a + b for a, b in zip(evaluate(r, cp), evaluate(s, cp))]
-        assert summed == list(evaluate(r + s, cp))
+        summed = [a + b for a, b in zip(evaluate(r, dp), evaluate(s, dp))]
+        assert summed == list(evaluate(r + s, dp))
 
 
 def test_evaluation_is_injective_exhaustively(f9):
@@ -410,13 +410,13 @@ def test_gray_slot_counts_at_the_largest_table_prime():
 # ---------------------------------------------------------------------------
 
 def test_subcode_zero_word(f9):
-    assert eval_field_subcode(0, CodeParams(f9, 1)) == (0, 0, 0, 0)
+    assert eval_field_subcode(0, derive_params(CodeParams(f9, 1))) == (0, 0, 0, 0)
 
 
 def test_subcode_constant_weight_three(f9):
-    cp = CodeParams(f9, 1)
+    dp = derive_params(CodeParams(f9, 1))
     for b in range(1, 9):
-        word = eval_field_subcode(b, cp)
+        word = eval_field_subcode(b, dp)
         assert sum(1 for s in word if s) == 3
 
 
@@ -471,24 +471,24 @@ def test_subcode_counts_agree_on_the_grid():
 # ---------------------------------------------------------------------------
 
 def test_spotcheck_identity_element(f9):
-    rep = group_action_spotcheck(CodeParams(f9, 1), trials=2, g=ring.one(f9))
+    rep = group_action_spotcheck(derive_params(CodeParams(f9, 1)), trials=2, g=ring.one(f9))
     assert rep.ok
 
 
 def test_spotcheck_random_pairs(f9):
-    rep = group_action_spotcheck(CodeParams(f9, 1), trials=50)
+    rep = group_action_spotcheck(derive_params(CodeParams(f9, 1)), trials=50)
     assert rep.ok
     assert rep.trials == 50
 
 
 def test_spotcheck_rejects_outsiders(f9):
     with pytest.raises(ParameterError, match="not in the coordinate set"):
-        group_action_spotcheck(CodeParams(f9, 1), trials=1, g=ring.u(f9))
+        group_action_spotcheck(derive_params(CodeParams(f9, 1)), trials=1, g=ring.u(f9))
 
 
 def test_spotcheck_size_guard(f81):
     with pytest.raises(ParameterError, match="restricted"):
-        group_action_spotcheck(CodeParams(f81, 4), trials=1)
+        group_action_spotcheck(derive_params(CodeParams(f81, 4)), trials=1)
 
 
 # ---------------------------------------------------------------------------
