@@ -15,7 +15,7 @@ from tracecodes import (
     MultChar,
     cyclotomic_class,
     derive_params,
-    gauss_sum,
+    gauss_sums,
     verify_identities,
 )
 
@@ -34,9 +34,9 @@ for i in range(dp.N2):
 # ----------------------------------------------------------------------
 # 2. Gaussian sums of the order-N2 character
 # ----------------------------------------------------------------------
-print("\nGaussian sums (trivial index gives exactly -1):")
-for j in range(dp.N2):
-    g = gauss_sum(field, j, dp.N2)
+print("\nGaussian sums, all N2 of them from one FFT (the trivial index gives -1):")
+gsums = gauss_sums(field, dp.N2)
+for j, g in enumerate(gsums):
     print(f"  j = {j}: {g:.6f}   |G| = {abs(g):.6f}"
           f"   sqrt(q) = {math.sqrt(field.q):.6f}")
 
@@ -44,7 +44,6 @@ for j in range(dp.N2):
 # 3. the counting formula: p*N(b) = n + (1/N2) sum_j G_j phi^j(b)
 # ----------------------------------------------------------------------
 phi = MultChar(field, order=dp.N2)
-gsums = [gauss_sum(field, j, dp.N2) for j in range(dp.N2)]
 print("\nzero-trace counts against the character expansion:")
 for b in [1, field.xi, field.exp_code(2), field.exp_code(3)]:
     count = int(dp.zero_traces[b])

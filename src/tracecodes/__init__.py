@@ -53,7 +53,7 @@ from .field import (
     Field,
     MultChar,
     cyclotomic_class,
-    gauss_sum,
+    gauss_sums,
     parse_modulus,
 )
 from .ring import (

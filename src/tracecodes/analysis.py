@@ -46,7 +46,7 @@ from .construction import (
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
-from .field import Field, gauss_sum, multiplicative_order, zero_trace_counts
+from .field import Field, gauss_sums, multiplicative_order, zero_trace_counts
 from .ring import RingElem
 
 #: Default ceiling on exhaustive and identity-suite work, in entry-operations.
@@ -301,10 +301,10 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     def work(t: int) -> int:  # histogram rows and partial sums per trial, then once:
         rows = min(t, 100) + (t if p % 4 == 3 else 0)
         return ((p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p))
-                + n2 * q + n2 * n2  # N2 Gauss sums of q terms, the N2^2 class expansion
-                + 3 * q             # zero-trace table, comparison, histogram
-                # up to 15 Gauss sums of order q - 1 and 32 orthogonality passes
-                + (min(q - 1, 16) - 1 + min(q - 1, 32)) * q)
+                # zero-trace table, comparison, histogram and 32 orthogonality passes
+                + (3 + min(q - 1, 32)) * q
+                # per Gauss-sum order two passes over q and one FFT; the expansion's inverse FFT
+                + sum(2 * q + o * o.bit_length() for o in {n2, q - 1}) + n2 * n2.bit_length())
     if work(trials) > (budget := _resolve_budget(None)):
         # the largest t with work(t) <= budget, by bisection over integers:
         # --trials may be past what a range() can index
@@ -325,10 +325,11 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
             breaches.append({"identity": name, "residual": value, "witness": witness})
 
     # zero-trace count vs Gaussian-sum expansion, every nonzero b = xi^k: psi^j(xi^k) has
-    # period N2 in k, so the expansion is formed once per class r = k mod N2
-    gsums, js = np.array([gauss_sum(field, j, n2) for j in range(n2)]), np.arange(n2)
-    roots = np.exp(2j * np.pi * js / n2)
-    expansion = dp.n + np.array([gsums @ roots[js * r % n2] for r in range(n2)]) / n2
+    # period N2 in k, so the expansion n + (1/N2) sum_j G_j psi^j(xi^r) of each class
+    # r = k mod N2 is one inverse FFT of the sums of order N2
+    gauss = {order: gauss_sums(field, order) for order in sorted({n2, q - 1})}
+    gsums = gauss[n2]
+    expansion = dp.n + np.fft.ifft(gsums)
     counts = zero_trace_counts(field, dp.params.N, dp.n)[field.unit_codes()].reshape(-1, n2)
     gap = np.abs(p * counts - expansion).ravel()  # at b = xi^k, in k order
     residuals["zero_trace_count_vs_character_sum"] = float(gap.max())
@@ -365,13 +366,13 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     # x -> z*x a permutation of F_q, so every z has the one sum over the trace table
     record("full_additive_sum", abs(theta_of_vector(field.trace_table, p)), {"z": 1})
 
-    # Gaussian sum normalization; the sums of order N2 are the expansion's gsums
+    # Gaussian sum normalization, |G_j| = sqrt(q) for every j in 1..order-1 of both orders
     record("gauss_sum_trivial", abs(gsums[0] + 1), {})
-    for order in sorted({n2, q - 1} - {1}):
-        for j in range(1, min(order, 16)):
-            g = gsums[j] if order == n2 else gauss_sum(field, j, order)
-            record("gauss_sum_modulus", abs(abs(g) - math.sqrt(q)),
-                   {"order": order, "j": j})
+    gaps = {order: np.abs(np.abs(g[1:]) - math.sqrt(q)) for order, g in gauss.items()}
+    residuals["gauss_sum_modulus"] = max(float(gap.max(initial=0.0)) for gap in gaps.values())
+    for order, gap in gaps.items():
+        for j in np.flatnonzero(gap > TOLERANCE).tolist():
+            record("gauss_sum_modulus", float(gap[j]), {"order": order, "j": j + 1})
 
     # multiplicative-character orthogonality through N2-th powers, angles reduced mod q - 1
     ks = np.arange(q - 1)

@@ -235,15 +235,13 @@ def _has_root(poly: list[int], p: int) -> bool:
 def _sieved_candidates(p: int, m: int):
     """Monic degree-m polynomials in search order, minus those that fail a
     cheap necessary condition for primitivity: x divides f when c0 = 0; a
-    root of f has norm (-1)^m * c0, which must generate F_p^*; and for
-    m >= 2 a root in F_p makes f reducible."""
-    group = p - 1
-    generators = {g for g in range(1, p)
-                  if all(pow(g, group // ell, p) != 1
-                         for ell in _distinct_prime_factors(group))}
-    sign = -1 if m % 2 else 1
+    root of f has norm (-1)^m * c0, which must generate F_p^* (tested on
+    the one factorization of p - 1); and for m >= 2 a root in F_p makes f
+    reducible."""
+    group, sign = p - 1, -1 if m % 2 else 1
+    factors = _distinct_prime_factors(group)
     for c0 in range(1, p):
-        if (sign * c0) % p not in generators:
+        if any(pow(sign * c0 % p, group // ell, p) == 1 for ell in factors):
             continue
         for rest in range(p ** (m - 1)):
             poly = [c0] + [(rest // p ** (m - 1 - i)) % p for i in range(1, m)] + [1]
@@ -599,19 +597,16 @@ class MultChar:
         return cmath.exp(2j * cmath.pi * self.index * k / self.order)
 
 
-def gauss_sum(field: Field, j: int, order: int) -> complex:
-    """Sum over nonzero x of conj(psi)^j(x) * eta^trace(x), psi of the given order.
-
-    Double-precision complex; downstream integer facts never depend on it,
-    it serves as a cross-check at 1e-6 relative tolerance.  The trivial
-    character (j = 0 mod order) gives exactly -1.
-    """
+def gauss_sums(field: Field, order: int) -> np.ndarray:
+    """All G_j = sum over nonzero x of conj(psi)^j(x) * eta^trace(x), j < order,
+    psi of the given order (complex128): psi^j(xi^k) = exp(2*pi*i*j*k/order)
+    depends only on r = k mod order, so G_j = sum_r exp(-2*pi*i*j*r/order) * S_r,
+    with S_r the sum of eta^trace(xi^k) over k = r mod order: one pass over
+    the trace table in xi-order and one FFT.  A float cross-check; G_0 = -1."""
     if order < 1 or (field.q - 1) % order != 0:
         raise ParameterError(f"character order {order} does not divide q - 1")
-    ks = np.arange(field.q - 1)
-    tr = field.trace_table[field._exp_np].astype(np.float64)
-    angles = 2 * np.pi * (tr / field.p - (j % order) * ks / order)
-    return complex(np.exp(1j * angles).sum())
+    eta = np.exp(2j * np.pi * np.arange(field.p) / field.p)[field.trace_table]
+    return np.fft.fft(eta[field.unit_codes()].reshape(-1, order).sum(axis=0))
 
 
 def cyclotomic_class(field: Field, i: int, order: int) -> frozenset[int]:

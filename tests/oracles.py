@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tracecodes import ParameterError, RingElem, big_trace, evaluate
+from tracecodes import Field, ParameterError, RingElem, big_trace, evaluate
 from tracecodes.analysis import _weights_serial
 from tracecodes.construction import (
     DEFAULT_SEED,
@@ -62,6 +62,17 @@ def orthogonality_direct(dp: DerivedParams, support) -> bool:
         if total:
             return False
     return True
+
+
+def gauss_sum(field: Field, j: int, order: int) -> complex:
+    """One Gaussian sum from its definition: the sum over k < q - 1 of
+    exp(2*pi*i*(trace(xi^k)/p - j*k/order)), q - 1 fresh complex
+    exponentials.  The oracle of field.gauss_sums, which forms all `order`
+    sums from one FFT of the class sums."""
+    ks = np.arange(field.q - 1)
+    tr = field.trace_table[field.unit_codes()].astype(np.float64)
+    angles = 2 * np.pi * (tr / field.p - (j % order) * ks / order)
+    return complex(np.exp(1j * angles).sum())
 
 
 def lee_one_elements(base_field) -> list[RingElem]:

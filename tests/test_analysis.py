@@ -464,17 +464,36 @@ def test_identity_suite_passes(f9):
 
 def test_identity_suite_forms_each_gauss_sum_once(monkeypatch):
     # at N2 = 4 the expansion's 4 sums of order N2 serve the normalization
-    # checks too; only the 15 sums of order q - 1 are formed there
+    # check too: one gauss_sums call per distinct order, N2 and q - 1
     dp = derive_params(CodeParams(Field(3, 4), 4))
     assert dp.N2 == 4
-    real, calls = analysis.gauss_sum, []
+    real, calls = analysis.gauss_sums, []
 
-    def counted(field, j, order):
-        calls.append((j, order))
-        return real(field, j, order)
-    monkeypatch.setattr(analysis, "gauss_sum", counted)
+    def counted(field, order):
+        calls.append((order,))
+        return real(field, order)
+    monkeypatch.setattr(analysis, "gauss_sums", counted)
     assert verify_identities(dp, trials=1).ok
-    assert calls == [(j, 4) for j in range(4)] + [(j, 80) for j in range(1, 16)]
+    assert calls == [(4,), (80,)]
+
+
+def test_identity_suite_checks_the_counts_against_an_independent_sum(monkeypatch):
+    # one zero-trace count off by one must breach at that b: the expansion
+    # is the inverse FFT of Gauss sums formed from the trace table, never
+    # from the counts it is checked against
+    dp = derive_params(CodeParams(Field(3, 4), 4))
+    bad = int(dp.field.exp_code(7))
+    real = analysis.zero_trace_counts
+
+    def corrupted(field, step, count):
+        counts = real(field, step, count).copy()
+        counts[bad] += 1
+        return counts
+    monkeypatch.setattr(analysis, "zero_trace_counts", corrupted)
+    rep = verify_identities(dp, trials=1)
+    assert [(b["identity"], b["witness"]) for b in rep.breaches] == [
+        ("zero_trace_count_vs_character_sum", {"b": bad})]
+    assert abs(rep.breaches[0]["residual"] - dp.p) < 1e-9
 
 
 def test_identity_suite_measures_the_kernel(f9, monkeypatch):

@@ -528,7 +528,7 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 82284008806744 entry-operations, over the "
+        "refused: identity suite needs 82284008806733 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -549,7 +549,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 165291097164850 entry-operations, over the "
+        "refused: identity suite needs 165291097168937 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -569,17 +569,18 @@ def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
 
 def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
     # q = 6561, N2 = 1, one trial: the histograms and partial sums (367974),
-    # one Gauss sum, the one-class expansion, three passes over q (zero-trace
-    # table, comparison, histogram), 15 Gauss sums of order q - 1 and 32
-    # orthogonality passes; no term grows like q^2
+    # three passes over q (zero-trace table, comparison, histogram), 32
+    # orthogonality passes, two passes over q and one FFT for each Gauss-sum
+    # order (1 and q - 1) and the expansion's inverse FFT; no term grows
+    # like q^2
     argv = ["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"]
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "10000000")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "702585")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "709134")
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
-        "refused: identity suite needs 702586 entry-operations, over the budget of 702585")
+        "refused: identity suite needs 709135 entry-operations, over the budget of 709134")
 
 
 def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
@@ -612,11 +613,23 @@ def test_verify_reduces_character_angles_exactly(tmp_path):
     assert max(report["residuals"].values()) < 1e-10
 
 
+def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
+    # N2 = 9841 sums of order N2 and 19682 of order q - 1, each order from
+    # one FFT of its class sums; the sums one at a time, q - 1 complex
+    # exponentials each, took over 10 s at this point
+    start = time.perf_counter()
+    code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "9", "-N", "9841",
+                            "--trials", "1", "--threads", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and report["breaches"] == []
+    assert max(report["residuals"].values()) < 1e-10
+
+
 @pytest.mark.parametrize("argv,residuals", [
     (["-p", "3", "-m", "3", "-N", "1"], {
         "character_orthogonality": 4.1811188891592555e-15,
         "full_additive_sum": 3.4684476073050936e-15,
-        "gauss_sum_modulus": 3.907985046680551e-14,
+        "gauss_sum_modulus": 1.7763568394002505e-15,
         "gauss_sum_trivial": 3.2023728339893768e-15,
         "partial_sums_vs_hamming": 1.9959327572255808e-14,
         "real_part_collapse": 0.0,
@@ -625,11 +638,11 @@ def test_verify_reduces_character_angles_exactly(tmp_path):
     (["-p", "5", "-m", "2", "-N", "3", "--subcode"], {
         "character_orthogonality": 1.9892283971771244e-15,
         "full_additive_sum": 1.1102230246251565e-15,
-        "gauss_sum_modulus": 2.1316282072803006e-14,
-        "gauss_sum_trivial": 1.047382306668854e-15,
+        "gauss_sum_modulus": 1.7763568394002505e-15,
+        "gauss_sum_trivial": 1.336885555457667e-15,
         "partial_sums_vs_hamming": 1.4888583356622763e-14,
         "weight_vs_character_sum": 0.0,
-        "zero_trace_count_vs_character_sum": 6.2292994245801814e-15}),
+        "zero_trace_count_vs_character_sum": 4.440892098500626e-16}),
 ])
 def test_verify_residuals_pinned(tmp_path, argv, residuals):
     # every residual of the identity suite, bit for bit, at seed 7: the

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tracecodes import (
     MultChar,
     ParameterError,
     cyclotomic_class,
-    gauss_sum,
+    gauss_sums,
     parse_modulus,
 )
 from tracecodes.field import (
@@ -19,6 +20,8 @@ from tracecodes.field import (
     is_irreducible,
     zero_trace_counts,
 )
+
+from oracles import gauss_sum
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +111,23 @@ def test_sieved_search_equals_unsieved_scan(p, m):
     (5, 6, (2, 0, 0, 0, 0, 1, 1)),
     (5, 7, (2, 0, 0, 0, 0, 0, 1, 1)),
     (3, 10, (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)),
+    (3, 12, (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1)),
+    (5, 8, (2, 0, 0, 0, 0, 0, 2, 1, 1)),
+    (1021, 2, (10, 1, 1)),
+    (4093, 1, (2, 1)),
 ])
 def test_pinned_moduli(p, m, modulus):
     assert first_primitive_modulus(p, m) == modulus
+
+
+def test_field_at_the_table_limit_builds_fast():
+    # p - 1 is factored once and only the constant terms the scan reaches
+    # are tested; building the set of all primitive roots mod p first, with
+    # p - 1 factored once per candidate, took several seconds at this p
+    start = time.perf_counter()
+    f = Field(1048573, 1)
+    assert time.perf_counter() - start < 1
+    assert f.modulus == (2, 1)
 
 
 def _mulmod(a, b, mod, p):
@@ -403,21 +420,35 @@ def test_character_order_must_divide(f9):
 
 def test_trivial_character_gauss_sum_is_minus_one(f9, f25):
     for f in (f9, f25):
-        assert abs(gauss_sum(f, 0, 2) + 1) < 1e-9
+        assert abs(gauss_sums(f, 2)[0] + 1) < 1e-9
 
 
 def test_prime_field_quadratic_gauss_sum(f3):
     # two-term sum eta - eta^2 = i*sqrt(3)
-    g = gauss_sum(f3, 1, 2)
+    g = gauss_sums(f3, 2)[1]
     assert abs(g - 1j * math.sqrt(3)) < 1e-12
 
 
 @pytest.mark.parametrize("p,m,order", [(3, 2, 2), (3, 2, 4), (5, 2, 3), (3, 3, 13)])
 def test_nontrivial_gauss_sums_have_modulus_sqrt_q(p, m, order):
     f = Field(p, m)
-    for j in range(1, order):
-        g = gauss_sum(f, j, order)
-        assert abs(abs(g) - math.sqrt(f.q)) < 1e-6
+    assert np.abs(np.abs(gauss_sums(f, order)[1:]) - math.sqrt(f.q)).max() < 1e-6
+
+
+@pytest.mark.parametrize("p,m,order", [
+    (3, 2, 2), (3, 2, 4), (5, 2, 3), (3, 3, 13), (3, 4, 80), (3, 7, 1093)])
+def test_gauss_sums_match_the_per_index_oracle(p, m, order):
+    # the FFT of the class sums against each sum formed from its definition
+    f = Field(p, m)
+    gsums = gauss_sums(f, order)
+    assert gsums.shape == (order,)
+    assert abs(gsums[0] + 1) < 1e-9
+    assert max(abs(g - gauss_sum(f, j, order)) for j, g in enumerate(gsums)) < 1e-8
+
+
+def test_gauss_sums_refuse_an_order_not_dividing_q_minus_one(f9):
+    with pytest.raises(ParameterError):
+        gauss_sums(f9, 3)
 
 
 def test_character_orthogonality_through_powers(f9):
@@ -475,7 +506,7 @@ def test_count_matches_character_expansion(f9):
     # p*N(b) = n + (1/N2) * sum_j G_j * phi^j(b) at N = 2
     from tracecodes import CodeParams, derive_params
     dp = derive_params(CodeParams(f9, 2))
-    gsums = [gauss_sum(f9, j, 2) for j in range(2)]
+    gsums = gauss_sums(f9, 2)
     for b in range(1, 9):
         lhs = 3 * dp.zero_traces[b]
         phi = MultChar(f9, order=2)
