@@ -35,8 +35,7 @@ for variant in (Variant.LIFT, Variant.UNITS):
     dp = derive_params(CodeParams(field, 1, variant))
     result = dual_lee_distance(dp)
     print(f"{variant.value}: dual Lee distance = {result.distance}")
-    base = field.prime_subfield()
-    support = [(i, RingElem(base, *c)) for i, c in result.witness]
+    support = [(i, RingElem(field, *c)) for i, c in result.witness]
     for index, value in support:
         print(f"  coordinate {index}: value {value.coords()} "
               f"(lee weight {lee_weight(value)})")

@@ -108,18 +108,12 @@ class DualDistanceResult:
         }
 
 
-def _embed(field, base_elem: RingElem) -> RingElem:
-    """Base ring element as a degree-m element with constant coordinates."""
-    return RingElem(field, base_elem.a, base_elem.b, base_elem.c, base_elem.d)
-
-
 def syndrome(dp: DerivedParams, support) -> RingElem:
     """Ring sum of y_x * x over a sparse vector given as
-    (coordinate index, base ring value) pairs."""
-    field = dp.field
-    total = ring_zero(field)
+    (coordinate index, base ring value over dp.field) pairs."""
+    total = ring_zero(dp.field)
     for index, value in support:
-        total = total + _embed(field, value) * coord_at(dp, index)
+        total = total + value * coord_at(dp, index)
     return total
 
 
@@ -140,17 +134,16 @@ def dual_lee_distance(dp: DerivedParams) -> DualDistanceResult:
     each failure is an AssertionError.
     """
     field = dp.field
-    base = field.prime_subfield()
 
     # Weight-1 phase: certify emptiness through unit-ness of the Gray basis words.
     for k in range(4):
-        if not is_unit(gray_inverse(base, tuple(int(i == k) for i in range(4)))):
+        if not is_unit(gray_inverse(field, tuple(int(i == k) for i in range(4)))):
             raise AssertionError("a Lee-weight-1 value failed to be a unit")
 
     x = coord_at(dp, 0)
-    alpha = gray_inverse(base, (1, 0, 0, 0))
-    beta = alpha if dp.variant is Variant.UNITS else gray_inverse(base, (0, 1, 0, 0))
-    lam = -(ring_inv(_embed(field, beta)) * _embed(field, alpha))
+    alpha = gray_inverse(field, (1, 0, 0, 0))
+    beta = alpha if dp.variant is Variant.UNITS else gray_inverse(field, (0, 1, 0, 0))
+    lam = -(ring_inv(beta) * alpha)
     x_prime = lam * x
     if not contains(dp, x_prime):
         raise AssertionError(

@@ -194,29 +194,29 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
 # Coordinate streams
 # ---------------------------------------------------------------------------
 
+def _decode(dp: DerivedParams, flat):
+    """Codes (x0, x1, x2, x3) at flat stream positions, an int or an int64
+    array: x0 major through x0_codes(), then x1, x2 and x3 through
+    lex_codes.  The one decoder of the order; coord_index is its inverse."""
+    q, lex = dp.q, dp.field.lex_codes
+    i0, rest = divmod(flat, q**3)
+    i1, rest = divmod(rest, q**2)
+    i2, i3 = divmod(rest, q)
+    return dp.x0_codes()[i0], lex[i1], lex[i2], lex[i3]
+
+
 def enumerate_coords(dp: DerivedParams) -> Iterator[RingElem]:
     """Stream the coordinate set in the fixed deterministic order."""
-    field = dp.field
-    x0s = [int(x) for x in dp.x0_codes()]
-    lex = [int(x) for x in field.lex_codes]
-    for x0 in x0s:
-        for x1 in lex:
-            for x2 in lex:
-                for x3 in lex:
-                    yield RingElem(field, x0, x1, x2, x3)
+    for block in coord_blocks(dp):
+        for codes in zip(*(axis.tolist() for axis in block)):
+            yield RingElem(dp.field, *codes)
 
 
 def coord_at(dp: DerivedParams, index: int) -> RingElem:
     """The coordinate at a flat stream position."""
-    q = dp.q
     if not 0 <= index < dp.length:
         raise IndexError(f"coordinate index {index} outside [0, {dp.length})")
-    lex = dp.field.lex_codes
-    i0, rest = divmod(index, q**3)
-    i1, rest = divmod(rest, q**2)
-    i2, i3 = divmod(rest, q)
-    x0 = int(dp.x0_codes()[i0])
-    return RingElem(dp.field, x0, int(lex[i1]), int(lex[i2]), int(lex[i3]))
+    return RingElem(dp.field, *(int(code) for code in _decode(dp, index)))
 
 
 def coord_index(dp: DerivedParams, x: RingElem) -> int:
@@ -245,15 +245,9 @@ def coord_blocks(dp: DerivedParams, block_size: int = _BLOCK_POSITIONS):
     beyond one block.  This is the flat-position decoder the tests use as
     the oracle for gray_symbols, which decodes only (x1, x2) pairs.
     """
-    q = dp.q
-    x0s = dp.x0_codes()
-    lex = dp.field.lex_codes
     for start in range(0, dp.length, block_size):
-        flat = np.arange(start, min(start + block_size, dp.length), dtype=np.int64)
-        i0, rest = np.divmod(flat, q**3)
-        i1, rest = np.divmod(rest, q**2)
-        i2, i3 = np.divmod(rest, q)
-        yield x0s[i0], lex[i1], lex[i2], lex[i3]
+        yield _decode(dp, np.arange(start, min(start + block_size, dp.length),
+                                    dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +271,7 @@ def _axis_terms(rows, dp: DerivedParams) -> list[np.ndarray]:
     splits by axis: x0 gives (Tr(a x0), Tr(b x0), Tr(c x0), Tr(d x0)), x1
     gives (0, Tr(a x1), 0, Tr(c x1)), x2 (0, 0, Tr(a x2), Tr(b x2)) and x3
     (0, 0, 0, Tr(a x3)).  The Gray map is linear, so each axis's part goes
-    through it on its own; this is the one place that writes it.
+    through it on its own, in the same slot order as ring.gray.
     """
     p = dp.p
     coords = np.asarray(rows, dtype=np.int64).T[:, :, None]

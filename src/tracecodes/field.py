@@ -194,21 +194,16 @@ def _x_class_order_is_full(poly: list[int], p: int, m: int, element=(0, 1)) -> b
 
 
 def _basis_traces(mod: list[int], p: int) -> np.ndarray:
-    """trace(x^i) for i < m (int64), each the sum of the Frobenius orbit of
-    x^i: row i of `frob` is (x^i)^p, so row i of frob^j is (x^i)^(p^j), and
-    frob^m is the identity, so the orbit sums are the rows of frob + ... +
-    frob^m."""
+    """trace(x^i) for i < m (int64), the i-th power sum P_i of the roots of
+    the irreducible `mod`, the Frobenius conjugates of x.  Newton's
+    identities give P_0 = m, P_i = -(i*c_{m-i} + sum_{0<j<i} c_{m-j}*P_{i-j})
+    from the coefficients c_j of x^j (Lidl & Niederreiter, Thm. 1.75)."""
     m = len(mod) - 1
-    xp = _poly_powmod([0, 1], p, mod, p)
-    frob = np.array([_poly_powmod(xp, i, mod, p) for i in range(m)], dtype=np.int64)
-    power = orbit = frob
-    for _ in range(m - 1):
-        power = power @ frob % p
-        orbit = orbit + power
-    orbit = orbit % p
-    if orbit[:, 1:].any():
-        raise AssertionError("trace escaped the prime subfield")
-    return orbit[:, 0]
+    sums = [m % p]
+    for i in range(1, m):
+        total = i * mod[m - i] + sum(mod[m - j] * sums[i - j] for j in range(1, i))
+        sums.append(-total % p)
+    return np.array(sums, dtype=np.int64)
 
 
 def power_exceeds(p: int, m: int, limit: int) -> bool:
@@ -279,15 +274,16 @@ class Field:
     to the smallest code of full multiplicative order.
 
     p must be an odd prime, m >= 1 and p^m at most DLOG_TABLE_LIMIT; all
-    three are checked before any modulus search.  For m = 1 the trace is
-    the identity and codes coincide with residues mod p.
+    three are checked before any modulus search.  The codes below p, the
+    constant polynomials, are F_p and coincide with the residues mod p; for
+    m = 1 they are all codes and the trace is the identity.
 
     The build takes O(q) memory: the digit rows of the powers of xi are
     filled by doubling into one array of the narrowest dtype that holds
     p - 1, and the trace, which is F_p-linear, is each row times the traces
-    of the basis x^i, each the sum of its Frobenius orbit.  Two whole-table
-    checks follow: the powers of xi are every nonzero code once, and the
-    trace is constant on Frobenius orbits.
+    of the basis x^i, the power sums of the modulus's roots by Newton's
+    identities.  Two whole-table checks follow: the powers of xi are every
+    nonzero code once, and the trace is constant on Frobenius orbits.
     """
 
     def __init__(self, p: int, m: int,
@@ -375,7 +371,6 @@ class Field:
         self._mul_table_np: np.ndarray | None = None
         self._trmul_flat_np: np.ndarray | None = None
         self._lex_codes_np: np.ndarray | None = None
-        self._prime_subfield: Field | None = None
 
     # -- identification ----------------------------------------------------
 
@@ -388,9 +383,6 @@ class Field:
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
-
-    def same_as(self, other: "Field") -> bool:
-        return self is other or self == other
 
     # -- encoding ------------------------------------------------------------
 
@@ -476,13 +468,6 @@ class Field:
         return self._log[x]
 
     # -- derived structures ------------------------------------------------
-
-    def prime_subfield(self) -> "Field":
-        if self.m == 1:
-            return self
-        if self._prime_subfield is None:
-            self._prime_subfield = Field(self.p, 1)
-        return self._prime_subfield
 
     @property
     def lex_codes(self) -> np.ndarray:

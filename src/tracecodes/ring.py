@@ -4,11 +4,12 @@ The alphabet is R = F_p + uF_p + vF_p + uvF_p with u^2 = v^2 = 0 and
 uv = vu; evaluation points live in the extension with F_{p^m} coordinates.
 Both are covered by one element type: four field codes (a, b, c, d)
 standing for a + b*u + c*v + d*uv over a shared :class:`~tracecodes.field.Field`.
+R is the subring of base ring elements, coordinates in F_p (the codes below p).
 
 The unit group is exactly {a != 0}; the unique maximal ideal is {a = 0},
-which splits into the line F_q*.uv and the rest.  The Gray map sends a
-degree-1 element a + b*u + c*v + d*uv to (d, c+d, b+d, a+b+c+d) in F_p^4,
-and the Lee weight of a symbol is the Hamming weight of its Gray image.
+which splits into the line F_q*.uv and the rest.  The Gray map sends a base
+ring element a + b*u + c*v + d*uv to (d, c+d, b+d, a+b+c+d) in F_p^4, and
+the Lee weight of a symbol is the Hamming weight of its Gray image.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class RingElem:
 
 
 def _check_same_field(f: Field, g: Field) -> None:
-    if not f.same_as(g):
+    if f != g:
         raise ParameterError("ring elements live over different fields")
 
 
@@ -118,15 +119,14 @@ def frobenius(r: RingElem) -> RingElem:
 
 
 def big_trace(r: RingElem) -> RingElem:
-    """Coordinatewise field trace, landing in the degree-1 ring.
+    """Coordinatewise field trace: a base ring element over the same field.
 
     Linear over the base ring: scalars with prime-field coordinates
     commute out.
     """
     f = r.field
-    base = f.prime_subfield()
     tr = f.trace
-    return RingElem(base, tr(r.a), tr(r.b), tr(r.c), tr(r.d))
+    return RingElem(f, tr(r.a), tr(r.b), tr(r.c), tr(r.d))
 
 
 def classify(r: RingElem) -> RingClass:
@@ -164,19 +164,16 @@ def ring_inv(r: RingElem) -> RingElem:
 
 
 def gray(r: RingElem) -> tuple[int, int, int, int]:
-    """Gray image (d, c+d, b+d, a+b+c+d) of a degree-1 element."""
-    f = r.field
-    if f.m != 1:
-        raise ValueError("the Gray map applies to degree-1 (base ring) elements")
-    p = f.p
+    """Gray image (d, c+d, b+d, a+b+c+d) of a base ring element."""
+    p = r.field.p
     a, b, c, d = r.a, r.b, r.c, r.d
+    if max(a, b, c, d) >= p:
+        raise ValueError("the Gray map applies to base ring elements, coordinates in F_p")
     return (d % p, (c + d) % p, (b + d) % p, (a + b + c + d) % p)
 
 
 def gray_inverse(field: Field, word: tuple[int, int, int, int]) -> RingElem:
-    """Preimage of a 4-tuple under the Gray map (degree-1 field)."""
-    if field.m != 1:
-        raise ValueError("the Gray map applies to degree-1 (base ring) elements")
+    """Preimage of a 4-tuple under the Gray map, a base ring element over `field`."""
     p = field.p
     g1, g2, g3, g4 = (x % p for x in word)
     d = g1
@@ -192,7 +189,7 @@ def lee_weight(r: RingElem) -> int:
 
 
 def gray_word(symbols) -> np.ndarray:
-    """Gray image of a vector of degree-1 elements, flattened (4x length)."""
+    """Gray image of a vector of base ring elements, flattened (4x length)."""
     out = []
     for s in symbols:
         out.extend(gray(s))

@@ -56,7 +56,7 @@ def orthogonality_direct(dp: DerivedParams, support) -> bool:
     field = dp.field
     for i in range(dp.m):
         gen = RingElem(field, field.encode([0] * i + [1]), 0, 0, 0)
-        total = ring_zero(field.prime_subfield())
+        total = ring_zero(field)
         for index, value in support:
             total = total + value * big_trace(gen * coord_at(dp, index))
         if total:

@@ -193,8 +193,7 @@ def test_criterion_08_dual_distance():
     for variant in (Variant.LIFT, Variant.UNITS):
         dp = derive_params(CodeParams(f9, 1, variant))
         res = dual_lee_distance(dp)
-        base = f9.prime_subfield()
-        support = [(idx, RingElem(base, *coords)) for idx, coords in res.witness]
+        support = [(idx, RingElem(f9, *coords)) for idx, coords in res.witness]
         recheck = (not syndrome(dp, support)
                    and sum(lee_weight(val) for _, val in support) == 2)
         results[variant] = (res.distance, res.verified, recheck)

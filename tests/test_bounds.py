@@ -110,8 +110,7 @@ def test_dual_distance_lift(f9):
     assert result.verified
     # re-verify the witness independently
     dp = derive_params(CodeParams(f9, 1, Variant.LIFT))
-    support = [(idx, ring.RingElem(f9.prime_subfield(), *coords))
-               for idx, coords in result.witness]
+    support = [(idx, ring.RingElem(f9, *coords)) for idx, coords in result.witness]
     assert not syndrome(dp, support)
     assert sum(lee_weight(val) for _, val in support) == 2
 
@@ -141,8 +140,7 @@ def test_dual_witnesses_pinned(p, m, N, variant, witness):
     result = dual_lee_distance(dp)
     assert result.as_dict() == {"distance": 2, "lower_bound": 2,
                                 "witness": witness, "verified": True}
-    base = dp.field.prime_subfield()
-    support = [(idx, ring.RingElem(base, *coords)) for idx, coords in witness]
+    support = [(idx, ring.RingElem(dp.field, *coords)) for idx, coords in witness]
     assert not syndrome(dp, support)
     assert orthogonality_direct(dp, support)
 
@@ -174,14 +172,13 @@ def test_syndrome_matches_direct_orthogonality(f9):
     # the one-equation syndrome characterization agrees with checking the
     # inner product against a generating family of codewords
     dp = derive_params(CodeParams(f9, 1))
-    base = f9.prime_subfield()
     rng = np.random.default_rng(31)
     agree = 0
     for _ in range(200):
         size = int(rng.integers(1, 4))
         support = [
             (int(rng.integers(0, dp.length)),
-             ring.RingElem(base, *(int(c) for c in rng.integers(0, 3, size=4))))
+             ring.RingElem(f9, *(int(c) for c in rng.integers(0, 3, size=4))))
             for _ in range(size)
         ]
         assert (not syndrome(dp, support)) == orthogonality_direct(dp, support)
@@ -192,13 +189,12 @@ def test_syndrome_matches_direct_orthogonality(f9):
 def test_syndrome_positive_cases(f9):
     # witnesses and their base ring multiples are dual vectors under both checks
     dp = derive_params(CodeParams(f9, 1))
-    base = f9.prime_subfield()
     result = dual_lee_distance(dp)
-    support = [(idx, ring.RingElem(base, *coords)) for idx, coords in result.witness]
+    support = [(idx, ring.RingElem(f9, *coords)) for idx, coords in result.witness]
     assert not syndrome(dp, support)
     assert orthogonality_direct(dp, support)
     for lam_coords in [(2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)]:
-        lam = ring.RingElem(base, *lam_coords)
+        lam = ring.RingElem(f9, *lam_coords)
         scaled = [(idx, lam * val) for idx, val in support]
         assert not syndrome(dp, scaled)
         assert orthogonality_direct(dp, scaled)

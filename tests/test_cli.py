@@ -45,6 +45,20 @@ def test_analyze_exhaustive(tmp_path):
     assert "lee-weight-is-gray-image-weight" in report["erratum_flags"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-p", "3", "-m", "2", "--threads", "1"),
+    ("dual", "-p", "3", "-m", "9", "--threads", "1"),
+], ids=["analyze-3-2", "dual-3-9"])
+def test_one_field_per_run(tmp_path, monkeypatch, argv):
+    # the base ring lives in the code's own field, so no second Field is built
+    builds = []
+    init = Field.__init__
+    monkeypatch.setattr(Field, "__init__",
+                        lambda self, *a, **k: builds.append(a) or init(self, *a, **k))
+    assert run(tmp_path, *argv)[0] == 0
+    assert len(builds) == 1
+
+
 def test_analyze_class_method(tmp_path):
     code, report = run_json(
         tmp_path, "analyze", "-p", "3", "-m", "2", "-N", "1",

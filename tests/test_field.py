@@ -15,6 +15,9 @@ from tracecodes import (
     parse_modulus,
 )
 from tracecodes.field import (
+    _basis_traces,
+    _is_prime,
+    _poly_powmod,
     _x_class_order_is_full,
     first_primitive_modulus,
     is_irreducible,
@@ -194,6 +197,26 @@ def test_tables_match_python_reference(p, m, modulus):
     assert f.lex_codes[f.lex_codes].tolist() == list(range(f.q))
     assert [f.neg(x) for x in range(f.q)] == neg
     assert [f.frobenius_code(x) for x in range(f.q)] == frob
+
+
+#: Every field with p odd, p <= 61 and q <= 4096.
+TRACE_GRID = [(p, m) for p in range(3, 62, 2) if _is_prime(p)
+              for m in range(1, 13) if p**m <= 4096]
+
+
+@pytest.mark.parametrize("p,m", TRACE_GRID)
+def test_basis_traces_match_the_defining_sum(p, m):
+    # Newton's identities against Tr(x^i) = sum over j < m of x^(i*p^j) mod f
+    mod = list(first_primitive_modulus(p, m))
+    expected = []
+    for i in range(m):
+        total = [0] * m
+        for j in range(m):
+            conj = _poly_powmod([0, 1], i * p**j, mod, p)
+            total = [(s + c) % p for s, c in zip(total, conj)]
+        assert not any(total[1:])
+        expected.append(total[0])
+    assert _basis_traces(mod, p).tolist() == expected
 
 
 #: sha256 prefixes of the int64 little-endian bytes of each table, taken
