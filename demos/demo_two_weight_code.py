@@ -32,7 +32,7 @@ print(f"field: {field.describe()}, primitive element xi = {field.coeffs(field.xi
 params = CodeParams(field, N=1, variant=Variant.LIFT)
 dp = derive_params(params)
 print(f"N1 = {dp.N1}, N2 = {dp.N2}, n = {dp.n}")
-print(f"base set (powers of xi): {[field.coeffs(d) for d in dp.base_set]}")
+print(f"base set (powers of xi): {[field.coeffs(d) for d in dp.base_set.tolist()]}")
 print(f"ring-code length |L| = {dp.length}, Gray length = {dp.gray_length}")
 
 # ----------------------------------------------------------------------

@@ -191,8 +191,8 @@ def _sample_class(name: str, j: int, dp: DerivedParams,
 def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
                           seed: int = DEFAULT_SEED,
                           budget: int | None = None) -> WeightDistribution:
-    """The rows of distribution_exhaustive (and its budget), with the
-    cyclotomic split of the uv-line checked on seeded samples.
+    """The rows of distribution_exhaustive, with the cyclotomic split of the
+    uv-line checked on seeded samples.
 
     One representative xi^j*uv per class (j < N2), of size (q-1)/N2, is
     weighed and recorded in `detail`.  `samples_per_class` members d of each
@@ -201,12 +201,20 @@ def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
     class by class, and weighed 4096 at a time, so memory does not grow
     with their number; the first disagreement raises WeightConstancyError
     with that sample as its witness element.  The rows do not depend on the
-    split: a sample can contradict it, not them.
+    split: a sample can contradict it, not them.  The work budget charges
+    q + N2*samples_per_class, one zero-trace read per draw, before any draw.
     """
     if samples_per_class < 1:
         raise ParameterError(
             f"samples per class must be >= 1, got {samples_per_class}: the class "
             "method validates every uv-line class on seeded samples")
+    budget, work = _resolve_budget(budget), dp.q + dp.N2 * samples_per_class
+    if dp.q <= budget < work:
+        fits = (budget - dp.q) // dp.N2
+        raise WorkBudgetExceeded(
+            f"the class method needs q + N2*samples = {work} entry-operations, over the "
+            f"budget of {budget}; " + (f"the largest --samples that fits is {fits}" if fits else
+                                       "no --samples value fits; --method exhaustive does"))
     dist = distribution_exhaustive(dp, budget)
     names = [f"uv-line class {j}" for j in range(dp.N2)]
     size = (dp.q - 1) // dp.N2

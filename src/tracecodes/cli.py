@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=500,
                     help="validation samples per uv-line class (class method)")
     sp.add_argument("--budget", type=int, default=None,
-                    help="entry-operation budget; every method is charged q "
+                    help="entry-operation budget: q, plus N2 per class sample "
                          "(default from TRACECODES_WORK_BUDGET or 10^10)")
 
     sp = sub.add_parser("dual", help="dual Lee distance with witness")

@@ -15,7 +15,10 @@ ring symbol per coordinate.  Coordinates are streamed in a fixed order
 nilpotent coordinate ascending in coefficient-vector lexicographic order)
 so exports are reproducible; weight data never depends on the order.
 Streams are restartable: each block is decoded from its own stream
-position, so nothing is materialized beyond one block.
+position, so nothing is materialized beyond one block.  A code's position
+among the constant coordinates is read off the field's log table: dlog(c)
+for the units; dlog(c)/N for the lift's xi^(N*j), j < n, when N divides
+dlog(c) and the quotient is below n; -1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterator
 
@@ -70,13 +73,16 @@ class DerivedParams:
     every x0}.  For the lift, F_p^* times the base set is <xi^N2>, whose
     F_p-span is the subfield of degree e = ord of p modulo (q-1)/N2, so
     k = 3m + e and p^(m-e) codewords weigh 0; for the units, k = 4m.
+    `base_set` is the lift's x0_codes(), one read-only int64 array; no
+    position table is kept: x0_position gives dlog(c) for the units and
+    dlog(c)/N for the lift when N divides it with quotient below n, else -1.
     """
 
     params: CodeParams
     N1: int
     N2: int
     n: int
-    base_set: tuple[int, ...]
+    base_set: np.ndarray = dataclass_field(compare=False, repr=False)
     length: int
     gray_length: int
     dimension: int
@@ -108,25 +114,18 @@ class DerivedParams:
 
     def x0_codes(self) -> np.ndarray:
         """The constant coordinates in stream order: the base set, or every
-        unit for the units variant (one cached read-only int64 array)."""
-        return self._x0_array
+        unit for the units variant (a read-only int64 array, no copy)."""
+        return self.field.unit_codes() if self.variant is Variant.UNITS else self.base_set
 
-    @cached_property
-    def _x0_array(self) -> np.ndarray:
+    def x0_position(self, code: int) -> int:
+        """Stream position of a code in x0_codes(), -1 off the set, read off
+        the log table by the rule in the module docstring."""
+        if code == 0:
+            return -1
         if self.variant is Variant.UNITS:
-            return self.field.unit_codes()
-        x0s = np.array(self.base_set, dtype=np.int64)
-        x0s.flags.writeable = False
-        return x0s
-
-    @cached_property
-    def x0_position(self) -> np.ndarray:
-        """Stream position of each code in x0_codes(), -1 off the set (int64,
-        length q)."""
-        x0s = self.x0_codes()
-        position = np.full(self.q, -1, dtype=np.int64)
-        position[x0s] = np.arange(len(x0s))
-        return position
+            return self.field.dlog(code)
+        j, r = divmod(self.field.dlog(code), self.params.N)
+        return j if r == 0 and j < self.n else -1
 
     @cached_property
     def zero_traces(self) -> np.ndarray:
@@ -138,14 +137,14 @@ class DerivedParams:
         return zero_trace_counts(self.field, self.params.N, self.n)
 
 
-def coset_representatives(field: Field, N: int, n: int) -> tuple[int, ...]:
-    """The base set {xi^(N*j) : j = 0..n-1}, verified pairwise inequivalent
+def coset_representatives(field: Field, N: int, n: int) -> np.ndarray:
+    """The base set {xi^(N*j) : j = 0..n-1}, a read-only int64 view of the
+    exp table (N*n = N1 divides q - 1), verified pairwise inequivalent
     modulo F_p* (their discrete logs are distinct mod (q-1)/(p-1))."""
-    logs = N * np.arange(n) % (field.q - 1)
-    residues = np.sort(logs % ((field.q - 1) // (field.p - 1)))
+    residues = np.sort(N * np.arange(n) % ((field.q - 1) // (field.p - 1)))
     if (residues[1:] == residues[:-1]).any():
         raise AssertionError("coset representatives collapse modulo F_p*")
-    return tuple(field.unit_codes()[logs].tolist())
+    return field.unit_codes()[:N * n:N]
 
 
 def check_codeword_count_guard(p: int, m: int) -> None:
@@ -222,7 +221,7 @@ def coord_at(dp: DerivedParams, index: int) -> RingElem:
 def coord_index(dp: DerivedParams, x: RingElem) -> int:
     """Flat stream position of a coordinate element; inverse of coord_at."""
     q = dp.q
-    pos0 = int(dp.x0_position[x.a])
+    pos0 = dp.x0_position(x.a)
     if pos0 < 0:
         raise ValueError("element is not in the coordinate set")
     lex = dp.field.lex_codes  # its own inverse: the position of each code
@@ -230,12 +229,8 @@ def coord_index(dp: DerivedParams, x: RingElem) -> int:
 
 
 def contains(dp: DerivedParams, x: RingElem) -> bool:
-    """Membership test for the coordinate set (O(1) via the x0 position table)."""
-    if not is_unit(x):
-        return False
-    if dp.variant is Variant.UNITS:
-        return True
-    return bool(dp.x0_position[x.a] >= 0)
+    """Membership test for the coordinate set (O(1): one log-table read)."""
+    return is_unit(x) and dp.x0_position(x.a) >= 0
 
 
 def coord_blocks(dp: DerivedParams, block_size: int = _BLOCK_POSITIONS):

@@ -9,11 +9,12 @@ numpy lookup tables exposed by :class:`Field`.
 A Field keeps three q-sized tables, all read-only: exp (int64, code of
 xi^k for k < q - 1), log (int64, -1 at code 0) and trace (int32).  That is
 20 bytes per element; no q x m digit table and no Python-list copy is
-kept.  Scalar operations index memoryviews of these arrays, which return
-Python ints and hold no second copy.  Negation and Frobenius come from
-the same two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and
-a^p = xi^(p log a).  Addition, add_codes and lex_codes work on the base-p
-digits of the codes, computed when needed.
+kept.  A build peaks at the three tables, its narrow digit array and one
+block.  Scalar operations index memoryviews of these arrays, which return
+Python ints and hold no second copy.  Negation and Frobenius come from the
+same two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and a^p =
+xi^(p log a).  Addition, add_codes and lex_codes work on the base-p digits
+of the codes, computed when needed.
 
 A Field instance is immutable after construction (lazy caches are built
 once and read-only thereafter); every operation is a pure function of its
@@ -37,8 +38,8 @@ DLOG_TABLE_LIMIT = 2**20
 #: bench/tracer.py binds them by name.
 COORD_TABLE_LIMIT = 4096
 
-#: Rows of the exp-table build handled per int64 matrix product.
-_BUILD_ROWS = 2**15
+#: Exponents per block of the table build: its int64 products, log fill and checks.
+_BUILD_ROWS = 2**12
 
 
 def _is_prime(n: int) -> bool:
@@ -278,12 +279,12 @@ class Field:
     constant polynomials, are F_p and coincide with the residues mod p; for
     m = 1 they are all codes and the trace is the identity.
 
-    The build takes O(q) memory: the digit rows of the powers of xi are
+    The build peaks at the kept tables, the digit rows of the powers of xi,
     filled by doubling into one array of the narrowest dtype that holds
-    p - 1, and the trace, which is F_p-linear, is each row times the traces
-    of the basis x^i, the power sums of the modulus's roots by Newton's
-    identities.  Two whole-table checks follow: the powers of xi are every
-    nonzero code once, and the trace is constant on Frobenius orbits.
+    p - 1, and one block.  The trace, F_p-linear, is each row times the
+    traces of the basis x^i (Newton's identities).  The log table and two
+    whole-table checks, the powers of xi are every nonzero code once and
+    the trace is constant on Frobenius orbits, run a block at a time.
     """
 
     def __init__(self, p: int, m: int,
@@ -351,16 +352,21 @@ class Field:
             step = step @ step % p
         del digits
 
-        # whole-table checks: xi^k runs through every nonzero code once, and
-        # the trace is constant on Frobenius orbits, frob(xi^k) = xi^(pk)
-        log = np.full(self.q, -1, dtype=np.int64)
-        log[exp] = np.arange(self.order)
-        if np.flatnonzero(log < 0).tolist() != [0]:
-            raise AssertionError("the powers of xi are not the nonzero codes")
-        if (tr[np.arange(self.order) * p % self.order] != tr).any():
-            raise AssertionError("trace is not constant on Frobenius orbits")
+        # trace, then log, a block of exponents at a time, with the checks:
+        # the trace is constant on Frobenius orbits, frob(xi^k) = xi^(pk),
+        # and xi^k runs through every nonzero code once (log -1 at 0 alone)
+        blocks = [slice(lo, lo + _BUILD_ROWS) for lo in range(0, self.order, _BUILD_ROWS)]
         trace = np.zeros(self.q, dtype=np.int32)
-        trace[exp] = tr
+        for b in blocks:
+            if (tr[np.arange(*b.indices(self.order)) * p % self.order] != tr[b]).any():
+                raise AssertionError("trace is not constant on Frobenius orbits")
+            trace[exp[b]] = tr[b]
+        del tr
+        log = np.full(self.q, -1, dtype=np.int64)
+        for b in blocks:
+            log[exp[b]] = np.arange(*b.indices(self.order))
+        if log[0] != -1 or any((log[1:][b] < 0).any() for b in blocks):
+            raise AssertionError("the powers of xi are not the nonzero codes")
 
         for table in (exp, log, trace):
             table.flags.writeable = False
@@ -477,7 +483,8 @@ class Field:
         if self._lex_codes_np is None:
             codes, rest = np.zeros(self.q, dtype=np.int64), np.arange(self.q)
             for _ in range(self.m):
-                codes = codes * self.p + rest % self.p
+                codes *= self.p
+                codes += rest % self.p
                 rest //= self.p
             codes.flags.writeable = False
             self._lex_codes_np = codes

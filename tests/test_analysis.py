@@ -233,11 +233,26 @@ def test_exhaustive_budget_refusal(f25):
 
 
 def test_class_method_is_charged_q(f9):
-    # the class method reads its rows off the same q-entry table
+    # the class method reads its rows off the same q-entry table, and is
+    # charged one more entry-operation per draw: N2 = 1 here
     dp = derive_params(CodeParams(f9, 1))
     with pytest.raises(WorkBudgetExceeded, match="needs q = 9 "):
         distribution_by_class(dp, samples_per_class=1, budget=8)
-    assert distribution_by_class(dp, samples_per_class=1, budget=9).total == 9**4
+    assert distribution_by_class(dp, samples_per_class=1, budget=10).total == 9**4
+
+
+def test_class_samples_are_charged_before_any_draw(monkeypatch):
+    # q + N2*samples = 25 + 2*10 at (5,2,4); a budget below that is refused
+    # with the largest samples that fit, and no draw is made
+    dp = derive_params(CodeParams(Field(5, 2), 4))
+    assert dp.N2 == 2
+    monkeypatch.setattr(analysis, "_sample_class", lambda *a: pytest.fail("a draw was made"))
+    with pytest.raises(WorkBudgetExceeded,
+                       match=r"needs q \+ N2\*samples = 45 .* budget of 44; "
+                             "the largest --samples that fits is 9$"):
+        distribution_by_class(dp, samples_per_class=10, budget=44)
+    with pytest.raises(WorkBudgetExceeded, match="no --samples value fits; --method exhaustive"):
+        distribution_by_class(dp, samples_per_class=1, budget=26)
 
 
 def test_exhaustive_weighs_the_uv_line_in_one_kernel_call(f25, monkeypatch):

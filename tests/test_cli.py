@@ -112,6 +112,18 @@ def test_budget_below_q_refuses_every_method(method, capsys):
     assert out == "" and "needs q = 9 entry-operations" in err and "no method fits" in err
 
 
+def test_class_samples_past_the_budget_are_refused_at_once(capsys):
+    # q + N2*samples = 3 + 10^8 at (3,1,1): one refused line with the
+    # estimate and the largest --samples that fits, and no report
+    code = main(["analyze", "-p", "3", "-m", "1", "--method", "class",
+                 "--samples", "100000000", "--budget", "100", "--threads", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "refused: the class method needs q + N2*samples = 100000003 entry-operations, "
+        "over the budget of 100; the largest --samples that fits is 97"]
+
+
 def test_reports_are_deterministic(tmp_path):
     argv = ["analyze", "-p", "3", "-m", "2", "-N", "2",
             "--method", "exhaustive", "--threads", "1", "--seed", "5"]

@@ -87,19 +87,19 @@ def test_codeword_count_guard():
 
 def test_base_set_is_xi_powers(f9):
     dp = derive_params(CodeParams(f9, 1))
-    assert dp.base_set == tuple(f9.exp_code(j) for j in range(4))
+    assert dp.base_set.tolist() == [f9.exp_code(j) for j in range(4)]
 
 
 def test_base_set_single_element_edge(f9):
     dp = derive_params(CodeParams(f9, 8))
-    assert dp.base_set == (1,)
+    assert dp.base_set.tolist() == [1]
     assert dp.n == 1
 
 
 def test_base_set_representatives_distinct_mod_prime_units(f25):
     dp = derive_params(CodeParams(f25, 3))
     k = (f25.q - 1) // (f25.p - 1)
-    residues = {f25.dlog(d) % k for d in dp.base_set}
+    residues = {f25.dlog(d) % k for d in dp.base_set.tolist()}
     assert len(residues) == dp.n
 
 
@@ -148,32 +148,68 @@ def test_coord_at_index_roundtrip(f9):
 
 
 @pytest.mark.parametrize("variant", [Variant.LIFT, Variant.UNITS])
-def test_x0_map_built_once_per_params(monkeypatch, f9, variant):
+def test_x0_map_built_once_per_params(f9, variant):
+    # positions are read off the field's log table: 100 rounds of lookups
+    # leave no q-length array cached on the DerivedParams
     dp = derive_params(CodeParams(f9, 2, variant))
     xs = [coord_at(dp, idx) for idx in (0, 100, dp.length - 1)]
-    builds = []
-    x0_codes = DerivedParams.x0_codes
-    monkeypatch.setattr(DerivedParams, "x0_codes",
-                        lambda self: builds.append(1) or x0_codes(self))
     for _ in range(100):
         for idx, x in zip((0, 100, dp.length - 1), xs):
             assert coord_index(dp, x) == idx
             assert contains(dp, x)
-    assert len(builds) == 1
+    assert [name for name, value in vars(dp).items()
+            if isinstance(value, np.ndarray) and value.size >= dp.q] == []
 
 
 @pytest.mark.parametrize("variant", [Variant.LIFT, Variant.UNITS])
 def test_x0_codes_is_one_read_only_array(f9, variant):
+    # the lift's x0 are the base set itself, the units' the exp table, no copy
     dp = derive_params(CodeParams(f9, 2, variant))
     x0s = dp.x0_codes()
-    assert x0s is dp.x0_codes()
     assert x0s.dtype == np.int64 and not x0s.flags.writeable
-    expected = dp.base_set if variant is Variant.LIFT else f9.unit_codes().tolist()
-    assert x0s.tolist() == list(expected)
-    position = dp.x0_position
-    assert position.shape == (f9.q,)
-    assert position[x0s].tolist() == list(range(len(x0s)))
-    assert (np.delete(position, x0s) == -1).all()
+    if variant is Variant.LIFT:
+        assert x0s is dp.base_set
+    else:
+        assert np.shares_memory(x0s, f9.unit_codes())
+        assert x0s.tolist() == f9.unit_codes().tolist()
+    assert [dp.x0_position(c) for c in x0s.tolist()] == list(range(len(x0s)))
+    assert {dp.x0_position(c) for c in set(range(f9.q)) - set(x0s.tolist())} == {-1}
+
+
+def test_positions_from_the_log_table_on_a_grid():
+    # every code c of every field with odd p <= 13 and q <= 729, every
+    # N | q - 1, both variants: the position read off the log table is c's
+    # index in x0_codes(), and coord_index and contains agree with it
+    points = 0
+    for f in (Field(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, 7) if p**m <= 729):
+        for N in (d for d in range(1, f.q) if (f.q - 1) % d == 0):
+            for variant in Variant:
+                dp = derive_params(CodeParams(f, N, variant))
+                index = {c: i for i, c in enumerate(dp.x0_codes().tolist())}
+                for c in range(f.q):
+                    x = RingElem(f, c, 0, 0, 0)
+                    assert dp.x0_position(c) == index.get(c, -1)
+                    assert contains(dp, x) == (c in index)
+                    if c in index:
+                        assert coord_index(dp, x) == index[c] * f.q**3
+                    else:
+                        with pytest.raises(ValueError, match="not in the coordinate set"):
+                            coord_index(dp, x)
+                points += 1
+    assert points == 2 * 147
+
+
+def test_derived_params_hold_no_position_table_or_int_tuple():
+    # after the dual witness at (3,9): the base set is one int64 array, and
+    # nothing of length q or a tuple of Python ints is kept
+    from tracecodes.bounds import dual_lee_distance
+
+    dp = derive_params(CodeParams(Field(3, 9), 1))
+    dual_lee_distance(dp)
+    assert isinstance(dp.base_set, np.ndarray) and len(dp.base_set) == dp.n == 9841
+    kept = vars(dp).values()
+    assert not [v for v in kept if isinstance(v, np.ndarray) and v.size >= dp.q]
+    assert not [v for v in kept if isinstance(v, tuple) and v and isinstance(v[0], int)]
 
 
 def test_membership(f9):

@@ -249,22 +249,46 @@ def test_tables_are_pinned_bit_for_bit(p, m, modulus):
 
 
 def test_field_tables_are_built_in_o_q_memory():
-    # at (3,12) a q x m int64 digit table alone would take 51 MB; the three
-    # kept tables take 10.6 MB
+    # the build peaks at no more than 1.5 times the three tables it keeps
+    # (10.6 MB at (3,12)): the checks and the log table run a block at a
+    # time, next to the narrow digit array
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        f = Field(3, 12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 48 * 2**20
-    assert [name for name, value in vars(f).items()
-            if isinstance(value, list) and len(value) >= f.q] == []
-    for table in (f._exp_np, f._log_np, f._trace_np):
-        assert not table.flags.writeable
-    assert not f.unit_codes().flags.writeable
+    for p, m in ((3, 12), (7, 7), (1048573, 1)):
+        tracemalloc.start()
+        try:
+            f = Field(p, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(t.nbytes for t in (f._exp_np, f._log_np, f._trace_np))
+        assert peak <= 1.5 * kept, (p, m, peak, kept)
+        assert [name for name, value in vars(f).items()
+                if isinstance(value, list) and len(value) >= f.q] == []
+        for table in (f._exp_np, f._log_np, f._trace_np):
+            assert not table.flags.writeable
+        assert not f.unit_codes().flags.writeable
+
+
+def test_field_build_refuses_a_trace_off_frobenius_orbits(monkeypatch):
+    # the coefficient of x is F_p-linear but not a trace: it differs on
+    # the Frobenius orbit of x at (3,2), and the whole-table check says so
+    from tracecodes import field as field_module
+
+    monkeypatch.setattr(field_module, "_basis_traces",
+                        lambda mod, p: np.array([0, 1], dtype=np.int64))
+    with pytest.raises(AssertionError, match="Frobenius orbits"):
+        Field(3, 2)
+
+
+def test_field_build_refuses_a_xi_that_is_no_generator(monkeypatch):
+    # x is a square modulo x^2 + 1 over F_3 (order 4 of 8): its powers
+    # repeat, so they miss nonzero codes and the log table shows it
+    from tracecodes import field as field_module
+
+    monkeypatch.setattr(field_module, "_x_class_order_is_full", lambda *a: True)
+    with pytest.raises(AssertionError, match="not the nonzero codes"):
+        Field(3, 2, modulus=(1, 0, 1))
 
 
 def test_modulus_record_roundtrip(f9):
