@@ -7,9 +7,11 @@ tests pin it bit for bit against a per-coordinate count and a
 symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
 floating point.  The Gray symbol histograms behind them fold every axis:
-construction.gray_slot_counts convolves explicit counts of each axis's
-trace terms for a batch of rows, never the theorem, so
-weight_vs_character_sum checks the theorem against an explicit count.
+with A, B, C, D the traces of a*x, b*x, c*x, d*x, the slots take (D, C+D,
+B+D, A+B+C+D) on x0, (C, C, A+C, A+C) on x1, (B, A+B, B, A+B) on x2 and A
+on x3, so construction.gray_slot_counts convolves explicit counts of the
+x0 terms with five F_q histograms (A, B, C, A+B, A+C), never the theorem,
+and weight_vs_character_sum checks the theorem against an explicit count.
 
 One code builds the rows of a distribution, distribution_exhaustive: it
 weighs the q uv-line codewords d*uv in one kernel call, which reads the
@@ -459,6 +461,18 @@ def _semiprimitive_case(dp: DerivedParams) -> tuple | None:
     return l, t, sign, half, special, conds
 
 
+def distance_interval(p: int, m: int, n2: int) -> tuple[int, int]:
+    """(d_lower, d_upper) of distance_bounds, exact: the ceiling of base*(q -
+    (N2-1)*sqrt(q))/N2 and base*(q-1)/N2, base = 4p^(3m-1).  For odd m, q is
+    no square: s = isqrt(base^2 (N2-1)^2 q) < base*(N2-1)*sqrt(q) < s + 1."""
+    q, base = p**m, 4 * p ** (3 * m - 1)
+    if m % 2 == 0:
+        d_lower = -(-base * (q - (n2 - 1) * p ** (m // 2)) // n2)
+    else:
+        d_lower = (base * q - math.isqrt(base**2 * (n2 - 1) ** 2 * q) - 1) // n2 + 1
+    return d_lower, base * (q - 1) // n2
+
+
 def predict(dp: DerivedParams) -> list[Prediction]:
     """Predictions applicable to the full code at these parameters.
 
@@ -505,13 +519,7 @@ def predict(dp: DerivedParams) -> list[Prediction]:
         ))
 
     if not preds and 1 < n2 and (n2 - 1) ** 2 < q and parity_ok:
-        base = 4 * p ** (3 * m - 1)
-        if m % 2 == 0:
-            half = p ** (m // 2)
-            d_lower = base * (q - (n2 - 1) * half) // n2
-        else:
-            d_lower = math.ceil(base * (q - (n2 - 1) * math.sqrt(q)) / n2 - 1e-9)
-        d_upper = base * (q - 1) // n2
+        d_lower, d_upper = distance_interval(p, m, n2)
         preds.append(Prediction(
             regime="distance_bounds",
             rows=(),

@@ -195,13 +195,13 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
 
 def _decode(dp: DerivedParams, flat):
     """Codes (x0, x1, x2, x3) at flat stream positions, an int or an int64
-    array: x0 major through x0_codes(), then x1, x2 and x3 through
-    lex_codes.  The one decoder of the order; coord_index is its inverse."""
-    q, lex = dp.q, dp.field.lex_codes
+    array: x0 major through x0_codes(), then x1, x2 and x3 by
+    Field.lex_code.  The one decoder of the order; coord_index is its inverse."""
+    q, lex = dp.q, dp.field.lex_code
     i0, rest = divmod(flat, q**3)
     i1, rest = divmod(rest, q**2)
     i2, i3 = divmod(rest, q)
-    return dp.x0_codes()[i0], lex[i1], lex[i2], lex[i3]
+    return dp.x0_codes()[i0], lex(i1), lex(i2), lex(i3)
 
 
 def enumerate_coords(dp: DerivedParams) -> Iterator[RingElem]:
@@ -224,8 +224,8 @@ def coord_index(dp: DerivedParams, x: RingElem) -> int:
     pos0 = dp.x0_position(x.a)
     if pos0 < 0:
         raise ValueError("element is not in the coordinate set")
-    lex = dp.field.lex_codes  # its own inverse: the position of each code
-    return ((pos0 * q + int(lex[x.b])) * q + int(lex[x.c])) * q + int(lex[x.d])
+    lex = dp.field.lex_code  # its own inverse: the position of each code
+    return ((pos0 * q + lex(x.b)) * q + lex(x.c)) * q + lex(x.d)
 
 
 def contains(dp: DerivedParams, x: RingElem) -> bool:
@@ -256,25 +256,25 @@ def evaluate(r: RingElem, dp: DerivedParams) -> Iterator[RingElem]:
         yield big_trace(r * x)
 
 
-def _axis_terms(rows, dp: DerivedParams) -> list[np.ndarray]:
-    """Per-axis terms of the four Gray slots of the codewords of (K, 4)
-    rows (a, b, c, d): int64 arrays of shape (K, 4, n0) over x0_codes() and
-    (K, 4, q) over lex_codes for the x1, x2 and x3 axes, in [0, p).  Slot k
-    of (x0, x1, x2, x3) is the sum of the four axes' k-th terms, mod p.
+def _axis_terms(r: RingElem, dp: DerivedParams) -> list[np.ndarray]:
+    """Per-axis terms of the four Gray slots of the codeword of r = (a, b,
+    c, d): int64 arrays of shape (4, n0) over x0_codes() and (4, q) over
+    the lex order (Field.lex_code) for the x1, x2 and x3 axes, in [0, p).
+    Slot k of (x0, x1, x2, x3) is the sum of the four axes' k-th terms, mod p.
 
-    The traced entry Tr(r*x) = t1 + t2 u + t3 v + t4 uv, r = (a, b, c, d),
-    splits by axis: x0 gives (Tr(a x0), Tr(b x0), Tr(c x0), Tr(d x0)), x1
-    gives (0, Tr(a x1), 0, Tr(c x1)), x2 (0, 0, Tr(a x2), Tr(b x2)) and x3
-    (0, 0, 0, Tr(a x3)).  The Gray map is linear, so each axis's part goes
-    through it on its own, in the same slot order as ring.gray.
+    The traced entry Tr(r*x) = t1 + t2 u + t3 v + t4 uv splits by axis: x0
+    gives (Tr(a x0), Tr(b x0), Tr(c x0), Tr(d x0)), x1 gives (0, Tr(a x1),
+    0, Tr(c x1)), x2 (0, 0, Tr(a x2), Tr(b x2)) and x3 (0, 0, 0, Tr(a x3)).
+    The Gray map is linear, so each axis's part goes through it on its own,
+    in the same slot order as ring.gray.
     """
-    p = dp.p
-    coords = np.asarray(rows, dtype=np.int64).T[:, :, None]
-    x0 = dp.field.trace_products(coords, dp.x0_codes()).astype(np.int64)
-    a, b, c = dp.field.trace_products(coords[:3], dp.field.lex_codes).astype(np.int64)
+    p, field = dp.p, dp.field
+    coords = np.array(r.coords(), dtype=np.int64)[:, None]
+    x0 = field.trace_products(coords, dp.x0_codes()).astype(np.int64)
+    a, b, c = field.trace_products(coords[:3], field.lex_code(np.arange(dp.q))).astype(np.int64)
 
     def gray(t1, t2, t3, t4):  # (d, c+d, b+d, a+b+c+d)
-        return np.stack([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4], axis=1) % p
+        return np.stack([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4]) % p
     return [gray(*x0), gray(0, a, 0, c), gray(0, 0, a, b), gray(0, 0, 0, a)]
 
 
@@ -287,7 +287,7 @@ def gray_symbols(r: RingElem, dp: DerivedParams) -> Iterator[np.ndarray]:
     pair's residue, from the (p, q) table of shifted x3 traces.
     """
     p, q = dp.p, dp.q
-    X0, X1, X2, X3 = (t[0] for t in _axis_terms([r.coords()], dp))
+    X0, X1, X2, X3 = _axis_terms(r, dp)
     # shifted[c, i] = (c + trace(r0*x3)) mod p, x3 the i-th element in lex order
     shifted = ((np.arange(p)[:, None] + X3[0]) % p).astype(np.int16)
     pairs = max(1, _BLOCK_POSITIONS // q)
@@ -299,8 +299,8 @@ def gray_symbols(r: RingElem, dp: DerivedParams) -> Iterator[np.ndarray]:
 
 
 def slot_batch_rows(dp: DerivedParams) -> int:
-    """Rows gray_slot_counts counts at once: its widest array, (rows, 4,
-    max(n0, q, 2p)), holds at most _BLOCK_POSITIONS entries."""
+    """Rows gray_slot_counts counts at once: its doubled (rows, 4, 2p) counts,
+    and four times one coordinate's products, hold _BLOCK_POSITIONS entries."""
     return max(1, _BLOCK_POSITIONS // (4 * max(dp.length // dp.q**3, dp.q, 2 * dp.p)))
 
 
@@ -308,21 +308,40 @@ def gray_slot_counts(rows, dp: DerivedParams) -> np.ndarray:
     """(K, 4, p) int64 counts of each value of F_p in each Gray slot of the
     codewords of the K rows (a, b, c, d); each slot sums to the code length.
 
-    Slot k is a sum mod p of one term per axis (_axis_terms), so its count
-    is the cyclic convolution over Z/p of the four axes' term counts: x0
-    counted over x0_codes(), x1, x2 and x3 over F_q.  Every count is
-    explicit, none assumed uniform, so the weight kernel's theorem is never
-    used.  Exact int64, one shifted copy of a doubled (rows, 4, 2p) array
-    per value an axis takes in any row: O(n0 + q + p^2) work per row, and
-    numpy calls per batch of slot_batch_rows rows, not per row."""
+    Slot k is a sum mod p of one term per axis, so its count is the cyclic
+    convolution over Z/p of the axes' term counts.  With A, B, C, D the
+    traces of a*x, b*x, c*x, d*x, the slots take
+
+        x0 over x0_codes():  D    C + D    B + D    A + B + C + D
+        x1 over F_q:         C    C        A + C    A + C
+        x2 over F_q:         B    A + B    B        A + B
+        x3 over F_q:         A    A        A        A
+
+    so the F_q axes need five histograms, x over np.arange(q) (the order is
+    immaterial), from each coordinate's int32 trace products on their own.
+    Every count is explicit, never the kernel's theorem.  Exact int64, one
+    shifted copy of a doubled (rows, 4, 2p) array per value an axis takes:
+    O(n0 + q + p^2) work per row, numpy calls per batch of slot_batch_rows."""
     p, rows, step = dp.p, np.asarray(rows, dtype=np.int64).reshape(-1, 4), slot_batch_rows(dp)
     if len(rows) > step:
         return np.concatenate([gray_slot_counts(rows[i:i + step], dp)
                                for i in range(0, len(rows), step)])
-    offsets = p * np.arange(4 * len(rows)).reshape(-1, 4, 1)
-    counts, *axes = (np.bincount((t + offsets).ravel(), minlength=offsets.size * p)
-                     .reshape(-1, 4, p) for t in _axis_terms(rows, dp))
-    for axis in axes:
+    offsets = (p * np.arange(len(rows), dtype=np.int32))[:, None]
+    def hist(terms):  # (K, p) counts of each row's int32 terms mod p
+        return np.bincount((terms % p + offsets).ravel(), minlength=len(rows) * p).reshape(-1, p)
+    def traces(coord, x):  # (K, len(x)) int32 Tr(r_coord * x)
+        return dp.field.trace_products(rows[:, coord, None], x)
+    x0, x = dp.x0_codes(), np.arange(dp.q, dtype=np.int32)
+    counts = np.empty((len(rows), 4, p), dtype=np.int64)
+    d = traces(3, x0)
+    c, b = traces(2, x0) + d, traces(1, x0) + d  # C + D and B + D
+    counts[:, 0], counts[:, 1], counts[:, 2] = hist(d), hist(c), hist(b)
+    counts[:, 3] = hist(b + c - d + traces(0, x0))
+    a, b, c = (traces(coord, x) for coord in range(3))
+    ha, hb, hc, hab, hac = hist(a), hist(b), hist(c), hist(a + b), hist(a + c)
+    del a, b, c, d
+    for axis in ((hc, hc, hac, hac), (hb, hab, hb, hab), (ha,)):
+        axis = np.stack(axis, axis=1)  # x3's (K, 1, p) broadcasts over the slots
         # doubled[..., p - s + j] = counts[..., (j - s) % p]
         doubled = np.concatenate([counts, counts], axis=2)
         counts = np.zeros_like(counts)

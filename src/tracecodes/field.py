@@ -13,7 +13,7 @@ kept.  A build peaks at the three tables, its narrow digit array and one
 block.  Scalar operations index memoryviews of these arrays, which return
 Python ints and hold no second copy.  Negation and Frobenius come from the
 same two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and a^p =
-xi^(p log a).  Addition, add_codes and lex_codes work on the base-p digits
+xi^(p log a).  Addition, add_codes and lex_code work on the base-p digits
 of the codes, computed when needed.
 
 A Field instance is immutable after construction (lazy caches are built
@@ -376,7 +376,6 @@ class Field:
 
         self._mul_table_np: np.ndarray | None = None
         self._trmul_flat_np: np.ndarray | None = None
-        self._lex_codes_np: np.ndarray | None = None
 
     # -- identification ----------------------------------------------------
 
@@ -475,20 +474,14 @@ class Field:
 
     # -- derived structures ------------------------------------------------
 
-    @property
-    def lex_codes(self) -> np.ndarray:
-        """All codes sorted by coefficient vector, constant term compared
-        first: entry i is i with its base-p digits reversed, an involution,
-        so the table is its own inverse: each code's position in the order."""
-        if self._lex_codes_np is None:
-            codes, rest = np.zeros(self.q, dtype=np.int64), np.arange(self.q)
-            for _ in range(self.m):
-                codes *= self.p
-                codes += rest % self.p
-                rest //= self.p
-            codes.flags.writeable = False
-            self._lex_codes_np = codes
-        return self._lex_codes_np
+    def lex_code(self, i):
+        """Code at position i (an int or an int64 array) of the codes sorted by
+        coefficient vector, constant term first: i with its m base-p digits
+        reversed, an involution, so also each code's position in the order."""
+        code = 0
+        for _ in range(self.m):
+            code, i = code * self.p + i % self.p, i // self.p
+        return code
 
     @property
     def mul_table(self) -> np.ndarray:

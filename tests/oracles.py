@@ -5,6 +5,7 @@ its docstring; none of them is called from ``src/``.
 """
 
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 
 import numpy as np
 
@@ -25,6 +26,16 @@ def lee_weight_by_streaming(r: RingElem, dp: DerivedParams) -> int:
     weights.  Slow; the oracle of the weight kernel
     (analysis._weights_serial)."""
     return sum(lee_weight(s) for s in evaluate(r, dp))
+
+
+def distance_lower_by_decimal(p: int, m: int, n2: int) -> int:
+    """Ceiling of 4p^(3m-1) * (q - (N2-1)*sqrt(q)) / N2 in 200-digit
+    decimal arithmetic: the oracle of analysis.distance_interval's d_lower."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        q = Decimal(p) ** m
+        bound = 4 * Decimal(p) ** (3 * m - 1) * (q - (n2 - 1) * q.sqrt()) / n2
+        return int(bound.to_integral_value(rounding=ROUND_CEILING))
 
 
 def all_codeword_rows(q: int) -> np.ndarray:

@@ -26,11 +26,16 @@ from tracecodes import (
     verify_identities,
 )
 from tracecodes import Field, analysis, construction, ring
-from tracecodes.analysis import _weights_serial
+from tracecodes.analysis import _weights_serial, distance_interval
 from tracecodes.construction import coord_blocks
 from tracecodes.ring import random_element
 
-from oracles import all_codeword_rows, distribution_by_enumeration, lee_weight_by_streaming
+from oracles import (
+    all_codeword_rows,
+    distance_lower_by_decimal,
+    distribution_by_enumeration,
+    lee_weight_by_streaming,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -582,23 +587,26 @@ def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
 @pytest.mark.parametrize("p,m,trials", [(3, 3, 100), (131, 1, 3)])
 def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monkeypatch):
     # every tau*r is multiplied and counted on its own, never derived from
-    # r's counts, in several batches whose largest array stays within the
-    # block bound
+    # r's counts, in several batches of at most slot_batch_rows rows, each
+    # taking one coordinate's trace products at a time: four over the base
+    # set and three over F_q
     dp = derive_params(CodeParams(Field(p, m), 1))
-    real_hist, real_terms = analysis.gray_symbol_histogram, construction._axis_terms
+    real_hist, real_traces = analysis.gray_symbol_histogram, Field.trace_products
     batches, counted = [], []
 
     def recorded(rows, params):
         batches.append(np.array(rows))
         return real_hist(rows, params)
 
-    def terms(rows, dp):
-        counted.append(len(rows))
-        return real_terms(rows, dp)
+    def traces(field, a, b):
+        counted.append(np.shape(a))
+        return real_traces(field, a, b)
     monkeypatch.setattr(analysis, "gray_symbol_histogram", recorded)
-    monkeypatch.setattr(construction, "_axis_terms", terms)
+    monkeypatch.setattr(Field, "trace_products", traces)
     assert verify_identities(dp, trials=trials).ok
-    assert len(counted) > 1 and max(counted) <= construction.slot_batch_rows(dp)
+    assert len(counted) > 7 and len(counted) % 7 == 0
+    assert {shape[1:] for shape in counted} == {(1,)}
+    assert max(shape[0] for shape in counted) <= construction.slot_batch_rows(dp)
     # each codeword's p - 1 multiples, tau = 1 first, are its products with
     # the embedded units tau
     for group in np.concatenate(batches).reshape(-1, p - 1, 4).tolist():
@@ -736,6 +744,38 @@ def test_predict_bounds_regime(f81):
     assert pred.rows == ()
     assert (pred.d_lower, pred.d_upper) == (1594323, 7085880)
     assert pred.max_nonzero_weights == 9
+
+
+def _interval_triples(limit):
+    """Every (p, m, N2) in the interval regime's window with q <= limit:
+    p odd, m > 1, m even or p = 3 (mod 4), 1 < N2 dividing (q-1)/(p-1) and
+    (N2-1)^2 < q."""
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if not all(p % f for f in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        for m in range(2, limit.bit_length()):
+            q = p**m
+            if q > limit:
+                break
+            if m % 2 == 0 or p % 4 == 3:
+                k = (q - 1) // (p - 1)
+                yield from ((p, m, n2) for n2 in range(2, math.isqrt(q - 1) + 2)
+                            if k % n2 == 0 and (n2 - 1) ** 2 < q)
+
+
+def test_distance_interval_is_the_exact_ceiling():
+    # both parities at every window triple with q <= 2^20; a float sqrt gave
+    # 33485410299118772 at (31,3,3) and a floor 16092851081 at (3,6,13)
+    triples = list(_interval_triples(2**20))
+    assert {m % 2 for _, m, _ in triples} == {0, 1}
+    for p, m, n2 in triples:
+        d_lower, d_upper = distance_interval(p, m, n2)
+        assert d_lower == distance_lower_by_decimal(p, m, n2), (p, m, n2)
+        assert d_upper * n2 == 4 * p ** (3 * m - 1) * (p**m - 1)
+    assert distance_interval(31, 3, 3)[0] == 33485410299118775
+    assert distance_interval(3, 6, 13)[0] == 16092851082
+    pred, = predict(derive_params(CodeParams(Field(31, 3), 3)))
+    assert (pred.regime, pred.d_lower) == ("distance_bounds", 33485410299118775)
 
 
 def test_predict_three_weight_small(f25):

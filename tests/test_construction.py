@@ -421,6 +421,56 @@ def test_gray_slot_counts_batch_equals_single_rows(p, m, count):
     assert np.array_equal(batch, np.concatenate([gray_slot_counts([r], dp) for r in rows]))
 
 
+@pytest.mark.parametrize("p,m,N,variant,blocks,plus_output", [
+    (3, 3, 1, "lift", 2, True), (3, 6, 1, "lift", 2, True),
+    (3, 8, 1640, "lift", 2, True), (3, 7, 1, "units", 2, True),
+    # at q = p the convolution's doubled (rows, 4, 2p) counts lead
+    (61, 1, 1, "lift", 4.4, False), (131, 1, 1, "lift", 4.3, False),
+    (1021, 1, 1, "lift", 4.5, False),
+])
+def test_gray_slot_counts_batch_peak_is_bounded(p, m, N, variant, blocks, plus_output):
+    # one full batch peaks (tracemalloc) within `blocks` int64 blocks of
+    # _BLOCK_POSITIONS entries: the five F_q histograms take one
+    # coordinate's int32 trace products at a time
+    import tracemalloc
+
+    from tracecodes.construction import _BLOCK_POSITIONS
+
+    dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
+    rows = _codeword_rows(dp.q, slot_batch_rows(dp), seed=p + m + N)
+    gray_slot_counts(rows, dp)
+    tracemalloc.start()
+    try:
+        counts = gray_slot_counts(rows, dp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = blocks * 8 * _BLOCK_POSITIONS + (counts.nbytes if plus_output else 0)
+    assert peak <= bound, (peak, bound)
+
+
+def test_dual_and_identity_suite_build_no_lex_table(monkeypatch):
+    # lex positions are digit reversals of single codes and the identity
+    # suite's histograms run x over np.arange(q): neither run reverses a
+    # q-length array, and the field keeps no array beyond its three tables
+    from tracecodes import dual_lee_distance, verify_identities
+
+    real, sizes = Field.lex_code, []
+
+    def recorded(field, i):
+        sizes.append(np.size(i))
+        return real(field, i)
+    monkeypatch.setattr(Field, "lex_code", recorded)
+    for (p, m), run in (((3, 9), lambda dp: dual_lee_distance(dp).verified),
+                        ((3, 6), lambda dp: verify_identities(dp, trials=5).ok)):
+        dp = derive_params(CodeParams(Field(p, m), 1))
+        assert run(dp)
+        assert max(sizes, default=1) == 1
+        kept = [name for name, value in vars(dp.field).items() if isinstance(value, np.ndarray)]
+        assert sorted(kept) == ["_exp_np", "_log_np", "_trace_np"]
+    assert sizes
+
+
 def test_gray_slot_counts_reads_a_flat_row_as_one_row():
     dp = derive_params(CodeParams(Field(3, 2), 1))
     counts = gray_slot_counts((1, 2, 0, 5), dp)
