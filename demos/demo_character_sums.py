@@ -3,8 +3,10 @@
 
 The weight formulas rest on one identity: p times the number of base-set
 points with trace(b*d) = 0 expands into a short sum of Gaussian sums
-weighted by multiplicative character values.  This demo evaluates both
-sides independently at (5, 2, N = 3) and runs the full identity suite.
+weighted by multiplicative character values.  The count depends on b only
+through its class dlog(b) mod N2, so the code keeps N2 counts.  This demo
+prints them, evaluates both sides independently at (5, 2, N = 3) and runs
+the full identity suite.
 """
 
 import math
@@ -44,9 +46,12 @@ for j, g in enumerate(gsums):
 # 3. the counting formula: p*N(b) = n + (1/N2) sum_j G_j phi^j(b)
 # ----------------------------------------------------------------------
 phi = MultChar(field, order=dp.N2)
-print("\nzero-trace counts against the character expansion:")
+print("\nzero-trace counts of the N2 classes (b = xi^r, r = dlog(b) mod N2):")
+for r, count in enumerate(dp.class_counts.tolist()):
+    print(f"  class {r}: {count} of the n = {dp.n} base-set points have trace(b*d) = 0")
+print("\nthe count of b is its class's, against the character expansion:")
 for b in [1, field.xi, field.exp_code(2), field.exp_code(3)]:
-    count = int(dp.zero_traces[b])
+    count = int(dp.class_counts[field.dlog(b) % dp.N2])
     rhs = dp.n + sum(gsums[j] * phi(b) ** j for j in range(dp.N2)) / dp.N2
     print(f"  b = xi^{field.dlog(b)}: count = {count}, "
           f"expansion/p = {rhs.real / field.p:.6f}, "

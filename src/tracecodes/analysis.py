@@ -6,22 +6,18 @@ codeword d*uv has 4*q^3 times the number of x0 with Tr(d*x0) != 0.  The
 tests pin it bit for bit against a per-coordinate count and a
 symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
-floating point.  The Gray symbol histograms behind them fold every axis:
-with A, B, C, D the traces of a*x, b*x, c*x, d*x, the slots take (D, C+D,
-B+D, A+B+C+D) on x0, (C, C, A+C, A+C) on x1, (B, A+B, B, A+B) on x2 and A
-on x3, so construction.gray_slot_counts convolves explicit counts of the
-x0 terms with five F_q histograms (A, B, C, A+B, A+C), never the theorem,
-and weight_vs_character_sum checks the theorem against an explicit count.
+floating point.  The Gray symbol histograms behind them are the explicit
+per-axis counts of construction.gray_slot_counts, never the theorem, so
+weight_vs_character_sum checks the theorem against an explicit count.
 
-One code builds the rows of a distribution, distribution_exhaustive: it
-weighs the q uv-line codewords d*uv in one kernel call, which reads the
-code's one zero-trace table (DerivedParams.zero_traces, O(q) work), and
-adds the one bulk row of the other q^4 - q codewords; the work budget
-charges it q.  The tests check it against every one of the q^4 rows
-weighed on its own (tests/oracles.py).  The class method,
-distribution_by_class, returns those rows and checks the cyclotomic split
-of the uv-line, the one fact here a sample can contradict: seeded members
-of each class (j < N2) must weigh the same as its representative xi^j*uv.
+One code builds the rows of a distribution, distribution_exhaustive: the
+q uv-line codewords d*uv are the field subcode's words times 4*q^3, read
+from the N2 class counts (DerivedParams.class_counts), and the other
+q^4 - q codewords form one bulk row; the work budget charges it q.  The
+tests check it against every one of the q^4 rows weighed on its own
+(tests/oracles.py).  The class method, distribution_by_class, returns
+those rows and weighs seeded members of each class (j < N2) against its
+representative xi^j*uv, both read from one class count.
 
 Every seeded draw (class samples, identity-suite trials) comes from one
 stdlib random.Random(seed) per call, as exact-uniform randrange values;
@@ -48,7 +44,7 @@ from .construction import (
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
-from .field import Field, gauss_sums, multiplicative_order, zero_trace_counts
+from .field import Field, gauss_sums, multiplicative_order
 from .ring import RingElem
 
 #: Default ceiling on exhaustive and identity-suite work, in entry-operations.
@@ -84,15 +80,16 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     set, so it is zero on exactly length/p coordinates and the weight is
     4*(p-1)*length/p, the same for every such row.  On the uv-line
     (a = b = c = 0) all four slots are Tr(d*x0), repeated q^3 times, so
-    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}, read from the one table
-    DerivedParams.zero_traces (d = 0 reads n0, so the zero row weighs 0).
+    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}: n0 - DerivedParams.class_counts
+    at dlog(d) mod N2 for d != 0, and 0 at d = 0, whose traces all vanish.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     dtype = np.int64 if dp.gray_length < 2**63 else object  # no weight exceeds it
     out = np.full(len(rows), _bulk_weight(dp), dtype=dtype)
     on_line = ~rows[:, :3].any(axis=1)
-    n0 = dp.length // dp.q**3
-    out[on_line] = 4 * dp.q**3 * (n0 - dp.zero_traces[rows[on_line, 3]]).astype(dtype)
+    d, n0 = rows[on_line, 3], dp.length // dp.q**3
+    zeros = np.where(d == 0, n0, dp.class_counts[dp.field.log_table[d] % dp.N2])
+    out[on_line] = 4 * dp.q**3 * (n0 - zeros).astype(dtype)
     return out
 
 
@@ -156,25 +153,22 @@ def _resolve_budget(budget: int | None) -> int:
 def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> WeightDistribution:
     """The weight of every codeword, exact, by the theorem in _weights_serial.
 
-    The q uv-line rows (0, 0, 0, d) are weighed in one kernel call; a row of
-    weight 0 (d = 0, and the nonzero d whose traces vanish on every x0 of a
-    degenerate lift) lands in the zero row.  The other q^4 - q codewords
-    form the one bulk row, all of weight _bulk_weight(dp).
+    The q uv-line rows (0, 0, 0, d) are the field subcode's rows, each
+    Hamming weight times 4*q^3 (the theorem in _weights_serial), so d = 0
+    and the d of a degenerate lift whose traces all vanish weigh 0.  The
+    other q^4 - q codewords form the one bulk row, of weight _bulk_weight(dp).
 
-    The work budget charges q entry-operations, one pass over the zero-trace
-    table; a smaller budget is refused, and no method fits it, since the
-    class method reads the same table.
+    The work budget charges q entry-operations, one pass over the trace
+    table for the class counts; a smaller budget is refused, and no method
+    fits it, since the class method reads the same counts.
     """
     budget = _resolve_budget(budget)
     if dp.q > budget:
         raise WorkBudgetExceeded(
             f"the distribution needs q = {dp.q} entry-operations, over the budget of "
-            f"{budget}; no method fits below q, since every method reads the q-entry "
-            "zero-trace table")
-    rows = np.zeros((dp.q, 4), dtype=np.int64)
-    rows[:, 3] = np.arange(dp.q)
-    weights, counts = np.unique(_weights_serial(dp, rows), return_counts=True)
-    entries = dict(zip(weights.tolist(), counts.tolist()))
+            f"{budget}; no method fits below q, since every method reads the uv-line's "
+            "class counts")
+    entries = {4 * dp.q**3 * w: codes for w, codes in subcode_distribution(dp).items()}
     bulk = _bulk_weight(dp)
     entries[bulk] = entries.get(bulk, 0) + dp.codeword_count - dp.q
     return WeightDistribution(entries=dict(sorted(entries.items())), method="exhaustive",
@@ -202,9 +196,9 @@ def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
     #{x0 : Tr(d*x0) != 0} as their representative.  Samples are drawn,
     class by class, and weighed 4096 at a time, so memory does not grow
     with their number; the first disagreement raises WeightConstancyError
-    with that sample as its witness element.  The rows do not depend on the
-    split: a sample can contradict it, not them.  The work budget charges
-    q + N2*samples_per_class, one zero-trace read per draw, before any draw.
+    with that sample as its witness element.  The draws now read the class
+    counts, as their representative does, so they cannot disagree.  The
+    work budget charges q + N2*samples_per_class before any draw.
     """
     if samples_per_class < 1:
         raise ParameterError(
@@ -294,13 +288,14 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
                       seed: int = DEFAULT_SEED) -> IdentityReport:
     """Residuals of the character-sum identities behind the weight formulas.
 
-    Covers: the zero-trace count against its Gaussian-sum expansion (every
-    nonzero b, one expansion per class of dlog(b) mod N2); the root-of-unity
-    partial sums against Hamming weight on random vectors; the real-part
-    collapse (p = 3 mod 4 only) and the weight-from-theta formula on random
-    codewords; the vanishing full additive sum for every nonzero multiplier
-    (x -> z*x permutes F_q, so one trace-table histogram serves every z);
-    Gaussian sum normalization and multiplicative-character orthogonality.
+    Covers: the lift's N2 class counts, either variant, against their
+    Gaussian-sum expansions (two per-class reductions of one trace table);
+    the root-of-unity partial sums against Hamming weight on random vectors;
+    the real-part collapse (p = 3 mod 4 only) and the weight-from-theta
+    formula on random codewords; the vanishing full additive sum for every
+    nonzero multiplier (x -> z*x permutes F_q, so one trace-table histogram
+    serves every z); Gaussian sum normalization and multiplicative-character
+    orthogonality.
     The random vectors and codewords are randrange draws from one
     random.Random(seed).  Breaches are reported with witnesses, never
     raised; a run past the work budget is refused before any check.
@@ -311,7 +306,7 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     def work(t: int) -> int:  # histogram rows and partial sums per trial, then once:
         rows = min(t, 100) + (t if p % 4 == 3 else 0)
         return ((p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p))
-                # zero-trace table, comparison, histogram and 32 orthogonality passes
+                # class counts, their comparison, histogram and 32 orthogonality passes
                 + (3 + min(q - 1, 32)) * q
                 # per Gauss-sum order two passes over q and one FFT; the expansion's inverse FFT
                 + sum(2 * q + o * o.bit_length() for o in {n2, q - 1}) + n2 * n2.bit_length())
@@ -334,17 +329,16 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
         if value > TOLERANCE:
             breaches.append({"identity": name, "residual": value, "witness": witness})
 
-    # zero-trace count vs Gaussian-sum expansion, every nonzero b = xi^k: psi^j(xi^k) has
-    # period N2 in k, so the expansion n + (1/N2) sum_j G_j psi^j(xi^r) of each class
-    # r = k mod N2 is one inverse FFT of the sums of order N2
+    # the lift's class counts vs the Gaussian-sum expansion: psi^j(xi^k) has period N2
+    # in k, so the expansion n + (1/N2) sum_j G_j psi^j(xi^r) of each class r = k mod N2
+    # is one inverse FFT of the sums of order N2
     gauss = {order: gauss_sums(field, order) for order in sorted({n2, q - 1})}
     gsums = gauss[n2]
     expansion = dp.n + np.fft.ifft(gsums)
-    counts = zero_trace_counts(field, dp.params.N, dp.n)[field.unit_codes()].reshape(-1, n2)
-    gap = np.abs(p * counts - expansion).ravel()  # at b = xi^k, in k order
-    residuals["zero_trace_count_vs_character_sum"] = float(gap.max())
-    for b in sorted(field.unit_codes()[gap > TOLERANCE].tolist()):
-        record("zero_trace_count_vs_character_sum", float(gap[field.dlog(b)]), {"b": b})
+    lift = dp if dp.variant is Variant.LIFT else derive_params(
+        replace(dp.params, variant=Variant.LIFT))
+    for r, gap in enumerate(np.abs(p * lift.class_counts - expansion).tolist()):
+        record("zero_trace_count_vs_character_sum", gap, {"class": r})
 
     # partial sums vs Hamming weight, random prime-field vectors
     for _ in range(trials):

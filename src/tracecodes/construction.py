@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterator
@@ -33,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, multiplicative_order, power_exceeds, zero_trace_counts
+from .field import Field, multiplicative_order, power_exceeds
 from .ring import RingElem, big_trace, is_unit
 
 #: Everything is counted in native 64-bit integers; parameter sets whose
@@ -73,9 +74,9 @@ class DerivedParams:
     every x0}.  For the lift, F_p^* times the base set is <xi^N2>, whose
     F_p-span is the subfield of degree e = ord of p modulo (q-1)/N2, so
     k = 3m + e and p^(m-e) codewords weigh 0; for the units, k = 4m.
-    `base_set` is the lift's x0_codes(), one read-only int64 array; no
-    position table is kept: x0_position gives dlog(c) for the units and
-    dlog(c)/N for the lift when N divides it with quotient below n, else -1.
+    `base_set` is the lift's x0_codes(), a read-only view; no q-entry table
+    is kept: x0_position reads dlog(c) (over N for the lift, when N divides
+    it with quotient below n, else -1), and zero traces are `class_counts`.
     """
 
     params: CodeParams
@@ -128,21 +129,35 @@ class DerivedParams:
         return j if r == 0 and j < self.n else -1
 
     @cached_property
-    def zero_traces(self) -> np.ndarray:
-        """#{x0 in x0_codes() : trace(c*x0) = 0} for every code c (read-only
-        int64, length q; entry 0 is the point count): the base set is
-        xi^(N*j), j < n, and the units xi^j, j < q - 1."""
+    def class_counts(self) -> np.ndarray:
+        """Z_r, r < N2 (read-only int64): every c != 0 has Z[dlog(c) mod N2]
+        zeros among Tr(c*x0), x0 in x0_codes().  F_p* times the base set is
+        <xi^N2>, so the lift's Z_r is #{k = r mod N2 : Tr(xi^k) = 0}/(p - 1),
+        counted a block of whole rows of N2 exponents at a time; the units'
+        is q/p - 1, from no table (Lidl & Niederreiter, Sec. 2.3)."""
         if self.variant is Variant.UNITS:
-            return zero_trace_counts(self.field, 1, self.q - 1)
-        return zero_trace_counts(self.field, self.params.N, self.n)
+            counts = np.full(self.N2, self.q // self.p - 1)
+        else:
+            field, n2 = self.field, self.N2
+            step = max(1, _BLOCK_POSITIONS // n2) * n2
+            zeros = sum((field.trace_table[field.unit_codes()[lo:lo + step]] == 0)
+                        .reshape(-1, n2).sum(axis=0) for lo in range(0, field.order, step))
+            counts, rest = np.divmod(zeros, self.p - 1)
+            if rest.any():
+                raise AssertionError("a class's zero traces are not a multiple of p - 1")
+        counts.flags.writeable = False
+        return counts
 
 
 def coset_representatives(field: Field, N: int, n: int) -> np.ndarray:
-    """The base set {xi^(N*j) : j = 0..n-1}, a read-only int64 view of the
-    exp table (N*n = N1 divides q - 1), verified pairwise inequivalent
-    modulo F_p* (their discrete logs are distinct mod (q-1)/(p-1))."""
-    residues = np.sort(N * np.arange(n) % ((field.q - 1) // (field.p - 1)))
-    if (residues[1:] == residues[:-1]).any():
+    """The base set {xi^(N*j) : j < n}, a read-only int64 view of the exp
+    table (N*n = N1 divides q - 1), checked inequivalent modulo F_p*: the
+    residues N*j mod (q-1)/(p-1) mark n entries of a bool array, blockwise."""
+    marked = np.zeros((field.q - 1) // (field.p - 1), dtype=bool)
+    for lo in range(0, n, _BLOCK_POSITIONS):
+        residues = np.arange(N * lo, N * min(lo + _BLOCK_POSITIONS, n), N)
+        marked[np.remainder(residues, len(marked), out=residues)] = True
+    if np.count_nonzero(marked) != n:
         raise AssertionError("coset representatives collapse modulo F_p*")
     return field.unit_codes()[:N * n:N]
 
@@ -403,7 +418,9 @@ def eval_field_subcode(b: int, dp: DerivedParams) -> tuple[int, ...]:
 def subcode_distribution(dp: DerivedParams) -> dict[int, int]:
     """Exact Hamming weight distribution of the field subcode over all q
     inputs, on the constant coordinates x0_codes() (length n for the lift,
-    q - 1 for the units): input b has weight the length minus its entry of
-    DerivedParams.zero_traces, so b = 0 gives the zero word."""
-    weights, counts = np.unique(len(dp.x0_codes()) - dp.zero_traces, return_counts=True)
-    return {int(w): int(c) for w, c in zip(weights, counts)}
+    q - 1 for the units): b = 0 gives the zero word, and the (q-1)/N2 inputs
+    of a class weigh the length minus its class count (np.bincount, Python ints)."""
+    out = Counter({0: 1})
+    for zeros, classes in enumerate(np.bincount(dp.class_counts).tolist()):
+        out[len(dp.x0_codes()) - zeros] += classes * (dp.q - 1) // dp.N2
+    return dict(sorted((+out).items()))  # unary + drops the weights no class takes

@@ -10,11 +10,11 @@ A Field keeps three q-sized tables, all read-only: exp (int64, code of
 xi^k for k < q - 1), log (int64, -1 at code 0) and trace (int32).  That is
 20 bytes per element; no q x m digit table and no Python-list copy is
 kept.  A build peaks at the three tables, its narrow digit array and one
-block.  Scalar operations index memoryviews of these arrays, which return
-Python ints and hold no second copy.  Negation and Frobenius come from the
-same two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and a^p =
-xi^(p log a).  Addition, add_codes and lex_code work on the base-p digits
-of the codes, computed when needed.
+block in a narrow buffer.  Scalar operations index memoryviews of these
+arrays, which return Python ints and hold no second copy.  Negation and
+Frobenius come from the same two tables: -1 = xi^((q-1)/2), so -a =
+xi^(log a + (q-1)/2), and a^p = xi^(p log a).  Addition, add_codes and
+lex_code work on the base-p digits of the codes, computed when needed.
 
 A Field instance is immutable after construction (lazy caches are built
 once and read-only thereafter); every operation is a pure function of its
@@ -38,7 +38,7 @@ DLOG_TABLE_LIMIT = 2**20
 #: bench/tracer.py binds them by name.
 COORD_TABLE_LIMIT = 4096
 
-#: Exponents per block of the table build: its int64 products, log fill and checks.
+#: Exponents per block of the table build: its products, log fill and checks.
 _BUILD_ROWS = 2**12
 
 
@@ -281,10 +281,11 @@ class Field:
 
     The build peaks at the kept tables, the digit rows of the powers of xi,
     filled by doubling into one array of the narrowest dtype that holds
-    p - 1, and one block.  The trace, F_p-linear, is each row times the
-    traces of the basis x^i (Newton's identities).  The log table and two
-    whole-table checks, the powers of xi are every nonzero code once and
-    the trace is constant on Frobenius orbits, run a block at a time.
+    p - 1, and one block of products in one narrow buffer.  The trace,
+    F_p-linear, is each row times the traces of the basis x^i (Newton's
+    identities).  The log table and two whole-table checks, the powers of
+    xi are every nonzero code once and the trace is constant on Frobenius
+    orbits, run a block at a time.
     """
 
     def __init__(self, p: int, m: int,
@@ -325,12 +326,14 @@ class Field:
         # Rows [0, L) times `step`, the matrix of multiplication by xi^L,
         # give rows [L, 2L): about log2(q) doubling passes into one array in
         # the narrowest dtype that holds p - 1, each pass in blocks of
-        # _BUILD_ROWS rows so the int64 products stay small.  The trace is
-        # F_p-linear, so the trace of xi^k is its row times the basis traces.
+        # _BUILD_ROWS rows multiplied into one buffer of the narrowest signed
+        # dtype that holds m*(p-1)^2.  The trace is F_p-linear, so the trace
+        # of xi^k is its row times the basis traces.
         mod = list(self.modulus)
+        buffer = np.empty((_BUILD_ROWS, m), dtype=np.min_scalar_type(-1 - m * (p - 1) ** 2))
         step = np.array([_poly_mulmod([0] * i + [1], self.coeffs(self.xi), mod, p)
                          for i in range(m)],
-                        dtype=np.int64)
+                        dtype=buffer.dtype)
         weights = np.asarray(self._pow_weights, dtype=np.int64)
         basis_traces = _basis_traces(mod, p)
         digits = np.zeros((self.order, m), dtype=np.min_scalar_type(p - 1))
@@ -344,7 +347,8 @@ class Field:
             count = min(filled, self.order - filled)
             for lo in range(0, count, _BUILD_ROWS):
                 hi = min(lo + _BUILD_ROWS, count)
-                block = digits[lo:hi] @ step % p
+                block = np.matmul(digits[lo:hi], step, out=buffer[:hi - lo])
+                np.remainder(block, p, out=block)
                 digits[filled + lo:filled + hi] = block
                 exp[filled + lo:filled + hi] = block @ weights
                 tr[filled + lo:filled + hi] = block @ basis_traces % p
@@ -515,6 +519,11 @@ class Field:
     def trace_table(self) -> np.ndarray:
         return self._trace_np
 
+    @property
+    def log_table(self) -> np.ndarray:
+        """dlog of every code (int64, -1 at code 0), read-only."""
+        return self._log_np
+
     def products(self, a, b) -> np.ndarray:
         """a*b (int64) for broadcastable arrays of codes through the exp/log
         tables as in mul, 0 wherever a factor is 0; no q*q table is built."""
@@ -603,24 +612,3 @@ def cyclotomic_class(field: Field, i: int, order: int) -> frozenset[int]:
     size = (field.q - 1) // order
     return frozenset(field.exp_code(i + order * k) for k in range(size))
 
-
-def zero_trace_counts(field: Field, step: int, count: int) -> np.ndarray:
-    """#{j < count : trace(c * xi^(step*j)) = 0} for every code c, as one
-    read-only int64 array of length q; entry 0 is `count`, since every
-    trace of 0 is 0.  The one zero-trace counter of the package: the
-    lift's base set is (step, count) = (N, n), the units are (1, q - 1).
-
-    With step | q - 1 and count <= (q - 1)/step, write c = xi^(i*step + r),
-    r < step: its count sums the zero indicator of trace(xi^k) over
-    k = (i + j)*step + r, j < count, a cyclic window of column r of that
-    indicator reshaped to rows of `step`.  One cumulative sum down the
-    doubled columns gives all q - 1 windows: O(q) work and memory."""
-    rows = field.order // step
-    zero = (field.trace_table[field.unit_codes()] == 0).reshape(rows, step)
-    sums = np.zeros((2 * rows + 1, step), dtype=np.int64)
-    np.cumsum(np.concatenate([zero, zero]), axis=0, out=sums[1:])
-    out = np.empty(field.q, dtype=np.int64)
-    out[0] = count
-    out[field.unit_codes()] = (sums[count:count + rows] - sums[:rows]).ravel()
-    out.flags.writeable = False
-    return out

@@ -28,6 +28,47 @@ def lee_weight_by_streaming(r: RingElem, dp: DerivedParams) -> int:
     return sum(lee_weight(s) for s in evaluate(r, dp))
 
 
+def zero_trace_counts(field: Field, step: int, count: int) -> np.ndarray:
+    """#{j < count : trace(c * xi^(step*j)) = 0} for every code c, as one
+    read-only int64 array of length q; entry 0 is `count`, since every
+    trace of 0 is 0.  The per-code oracle of DerivedParams.class_counts:
+    the lift's base set is (step, count) = (N, n), the units are (1, q - 1).
+
+    With step | q - 1 and count <= (q - 1)/step, write c = xi^(i*step + r),
+    r < step: its count sums the zero indicator of trace(xi^k) over
+    k = (i + j)*step + r, j < count, a cyclic window of column r of that
+    indicator reshaped to rows of `step`.  One cumulative sum down the
+    doubled columns gives all q - 1 windows, with no class structure used."""
+    rows = field.order // step
+    zero = (field.trace_table[field.unit_codes()] == 0).reshape(rows, step)
+    sums = np.zeros((2 * rows + 1, step), dtype=np.int64)
+    np.cumsum(np.concatenate([zero, zero]), axis=0, out=sums[1:])
+    out = np.empty(field.q, dtype=np.int64)
+    out[0] = count
+    out[field.unit_codes()] = (sums[count:count + rows] - sums[:rows]).ravel()
+    out.flags.writeable = False
+    return out
+
+
+def spread_class_counts(dp: DerivedParams) -> np.ndarray:
+    """The zero-trace count of every code (length q): the point count at
+    code 0, DerivedParams.class_counts[dlog(c) mod N2] at every other c,
+    for comparison with zero_trace_counts."""
+    field = dp.field
+    out = np.empty(field.q, dtype=np.int64)
+    out[0] = len(dp.x0_codes())
+    out[1:] = dp.class_counts[field.log_table[1:] % dp.N2]
+    return out
+
+
+def cosets_distinct_by_sort(field: Field, N: int, n: int) -> bool:
+    """Whether xi^(N*j), j < n, are pairwise inequivalent modulo F_p*, by
+    sorting their discrete logs mod (q-1)/(p-1): the oracle of the marked
+    check in construction.coset_representatives."""
+    residues = np.sort(N * np.arange(n) % ((field.q - 1) // (field.p - 1)))
+    return not (residues[1:] == residues[:-1]).any()
+
+
 def distance_lower_by_decimal(p: int, m: int, n2: int) -> int:
     """Ceiling of 4p^(3m-1) * (q - (N2-1)*sqrt(q)) / N2 in 200-digit
     decimal arithmetic: the oracle of analysis.distance_interval's d_lower."""

@@ -260,16 +260,19 @@ def test_class_samples_are_charged_before_any_draw(monkeypatch):
         distribution_by_class(dp, samples_per_class=1, budget=26)
 
 
-def test_exhaustive_weighs_the_uv_line_in_one_kernel_call(f25, monkeypatch):
-    # the kernel alone weighs the q rows (0, 0, 0, d); nothing scales a subcode
-    real, calls = analysis._weights_serial, []
+def test_exhaustive_reads_the_uv_line_from_the_class_counts(f25, monkeypatch):
+    # no kernel call and no q-row array: the uv-line rows are the N2 = 3
+    # class counts of the n = 2 base-set points, tallied with the class
+    # size 8, and they equal the kernel's weights of the q rows (0, 0, 0, d)
+    dp = derive_params(CodeParams(f25, 3))
+    kernel = Counter(analysis._weights_serial(dp, [(0, 0, 0, d) for d in range(25)]).tolist())
 
-    def counted(dp, rows):
-        calls.append(np.asarray(rows).tolist())
-        return real(dp, rows)
-    monkeypatch.setattr(analysis, "_weights_serial", counted)
-    distribution_exhaustive(derive_params(CodeParams(f25, 3)))
-    assert calls == [[[0, 0, 0, d] for d in range(25)]]
+    def no_kernel(*args):
+        raise AssertionError("the kernel weighed a row")
+    monkeypatch.setattr(analysis, "_weights_serial", no_kernel)
+    dist = distribution_exhaustive(dp)
+    assert dp.class_counts.tolist() == [1, 0, 0]
+    assert dist.entries == dict(kernel + Counter({100000: dp.codeword_count - dp.q}))
 
 
 def test_distribution_invariants(f9):
@@ -393,7 +396,7 @@ def test_constancy_violation_raises_with_witness(f9, monkeypatch):
     def corrupting(dp, rows):
         out = real(dp, rows)
         calls["n"] += 1
-        if calls["n"] == 3:  # the validation batch, after the uv-line rows and representatives
+        if calls["n"] == 2:  # the validation batch, after the representatives
             out = out.copy()
             out[-1] += 4
         return out
@@ -497,23 +500,31 @@ def test_identity_suite_forms_each_gauss_sum_once(monkeypatch):
     assert calls == [(4,), (80,)]
 
 
-def test_identity_suite_checks_the_counts_against_an_independent_sum(monkeypatch):
-    # one zero-trace count off by one must breach at that b: the expansion
-    # is the inverse FFT of Gauss sums formed from the trace table, never
-    # from the counts it is checked against
-    dp = derive_params(CodeParams(Field(3, 4), 4))
-    bad = int(dp.field.exp_code(7))
-    real = analysis.zero_trace_counts
+def _corrupt_class_counts(monkeypatch, classes):
+    # every DerivedParams reads its class counts with one added at `classes`
+    from tracecodes.construction import DerivedParams
 
-    def corrupted(field, step, count):
-        counts = real(field, step, count).copy()
-        counts[bad] += 1
+    real = DerivedParams.class_counts.func
+
+    def corrupted(dp):
+        counts = real(dp).copy()
+        counts[classes] += 1
         return counts
-    monkeypatch.setattr(analysis, "zero_trace_counts", corrupted)
-    rep = verify_identities(dp, trials=1)
-    assert [(b["identity"], b["witness"]) for b in rep.breaches] == [
-        ("zero_trace_count_vs_character_sum", {"b": bad})]
-    assert abs(rep.breaches[0]["residual"] - dp.p) < 1e-9
+    monkeypatch.setattr(DerivedParams, "class_counts", property(corrupted))
+
+
+def test_identity_suite_checks_the_counts_against_an_independent_sum(monkeypatch):
+    # one class count off by one must breach at that class (r = 3 of N2 = 4,
+    # the class of xi^7): the expansion is the inverse FFT of Gauss sums
+    # formed from the trace table, never from the counts it is checked
+    # against; a units run checks the lift's counts at (N, n) too
+    _corrupt_class_counts(monkeypatch, [3])
+    for variant in Variant:
+        dp = derive_params(CodeParams(Field(3, 4), 4, variant))
+        rep = verify_identities(dp, trials=1)
+        assert [(b["identity"], b["witness"]) for b in rep.breaches] == [
+            ("zero_trace_count_vs_character_sum", {"class": 3})], variant
+        assert abs(rep.breaches[0]["residual"] - dp.p) < 1e-9
 
 
 def test_identity_suite_measures_the_kernel(f9, monkeypatch):
@@ -527,19 +538,13 @@ def test_identity_suite_measures_the_kernel(f9, monkeypatch):
     assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
 
 
-def test_identity_suite_names_each_zero_trace_breach_by_b(f9, monkeypatch):
-    # the expansion is compared with every nonzero b's count at once; wrong
-    # counts at two codes breach there, named by b in code order
-    real = analysis.zero_trace_counts
-
-    def mutant(field, step, count):
-        out = real(field, step, count).copy()
-        out[[5, 2]] += 1
-        return out
-    monkeypatch.setattr(analysis, "zero_trace_counts", mutant)
+def test_identity_suite_names_each_zero_trace_breach_by_class(f9, monkeypatch):
+    # the expansion is compared with every class count at once; wrong
+    # counts at both classes of N2 = 2 breach there, named by class in order
+    _corrupt_class_counts(monkeypatch, [1, 0])
     rep = verify_identities(derive_params(CodeParams(f9, 2)), trials=5)
     assert [b["identity"] for b in rep.breaches] == ["zero_trace_count_vs_character_sum"] * 2
-    assert [b["witness"] for b in rep.breaches] == [{"b": 2}, {"b": 5}]
+    assert [b["witness"] for b in rep.breaches] == [{"class": 0}, {"class": 1}]
     assert rep.residuals["zero_trace_count_vs_character_sum"] == pytest.approx(3)
 
 

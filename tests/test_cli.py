@@ -14,7 +14,7 @@ import pytest
 
 from tracecodes import Field, bounds
 from tracecodes.cli import build_parser, main
-from tracecodes.construction import DEFAULT_SEED
+from tracecodes.construction import DEFAULT_SEED, DerivedParams
 
 
 def run(tmp_path, *argv):
@@ -105,11 +105,15 @@ def test_budget_refusal_distinct_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", [[], ["--method", "class"]])
 def test_budget_below_q_refuses_every_method(method, capsys):
-    # both methods read the q = 9 zero-trace table, so a budget of 8 fits neither
+    # both methods are charged q = 9 for the uv-line's class counts, so a
+    # budget of 8 fits neither
     code = main(["analyze", "-p", "3", "-m", "2", "--budget", "8", "--threads", "1", *method])
     assert code == 3
     out, err = capsys.readouterr()
-    assert out == "" and "needs q = 9 entry-operations" in err and "no method fits" in err
+    assert out == ""
+    assert err.splitlines() == [
+        "refused: the distribution needs q = 9 entry-operations, over the budget of 8; "
+        "no method fits below q, since every method reads the uv-line's class counts"]
 
 
 def test_class_samples_past_the_budget_are_refused_at_once(capsys):
@@ -546,7 +550,7 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
         raise AssertionError("identity-suite work ran before the refusal")
     monkeypatch.setattr(Field, "mul_table", property(no_work))
     monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
-    monkeypatch.setattr(analysis, "zero_trace_counts", no_work)
+    monkeypatch.setattr(DerivedParams, "class_counts", property(no_work))
     start = time.perf_counter()
     code = main(["verify", "-p", "4093", "-m", "1", "-N", "1", "--threads", "1"])
     assert time.perf_counter() - start < 1
@@ -567,7 +571,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     def no_work(*args):
         raise AssertionError("identity-suite work ran before the refusal")
     monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
-    monkeypatch.setattr(analysis, "zero_trace_counts", no_work)
+    monkeypatch.setattr(DerivedParams, "class_counts", property(no_work))
     start = time.perf_counter()
     code = main(["verify", "-p", "4099", "-m", "1", "--threads", "1"])
     assert time.perf_counter() - start < 1

@@ -28,13 +28,20 @@ from tracecodes.construction import (
     DerivedParams,
     contains,
     coord_blocks,
+    coset_representatives,
     gray_slot_counts,
     gray_symbols,
     slot_batch_rows,
 )
+from tracecodes.field import _is_prime
 from tracecodes.ring import gray_word, random_element
 
-from oracles import group_action_spotcheck
+from oracles import (
+    cosets_distinct_by_sort,
+    group_action_spotcheck,
+    spread_class_counts,
+    zero_trace_counts,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +518,7 @@ def test_subcode_weight_equals_n_minus_zero_traces(f25):
     for b in range(1, 25):
         word = eval_field_subcode(b, dp)
         weight = sum(1 for s in word if s)
-        assert weight == dp.n - dp.zero_traces[b]
+        assert weight == dp.n - dp.class_counts[f25.dlog(b) % dp.N2]
 
 
 def test_subcode_at_quartic_parameters(f81):
@@ -526,7 +533,7 @@ def test_subcode_counts_agree_on_the_grid():
     # the field subcode three ways at every lift point with odd p <= 13,
     # q <= 729 and N | q - 1, and at the units variant of each field (its
     # constant coordinates are all q - 1 units): subcode_distribution (the
-    # zero-trace table), the scalar eval_field_subcode words, and the
+    # class counts), the scalar eval_field_subcode words, and the
     # kernel's uv-line rows divided by 4q^3 together with the zero row
     from collections import Counter
 
@@ -541,8 +548,8 @@ def test_subcode_counts_agree_on_the_grid():
             for N, variant in lifts + [(1, Variant.UNITS)]:
                 dp = derive_params(CodeParams(field, N, variant))
                 words = [eval_field_subcode(b, dp) for b in range(q)]
-                # per code: the table entry is the word's number of zero symbols
-                assert dp.zero_traces.tolist() == [w.count(0) for w in words], \
+                # per code: the spread class count is the word's number of zero symbols
+                assert spread_class_counts(dp).tolist() == [w.count(0) for w in words], \
                     (p, m, N, variant)
                 scalar = Counter(len(w) - w.count(0) for w in words)
                 uv_rows = [(0, 0, 0, d) for d in range(q)]
@@ -550,6 +557,101 @@ def test_subcode_counts_agree_on_the_grid():
                 assert subcode_distribution(dp) == scalar == kernel, (p, m, N, variant)
                 points += 1
     assert points == 147 + 17
+
+
+def _grid():
+    """(field, N, variant) at every odd p <= 61 with q <= 4096: the lift at
+    every N | q - 1 (651 points) and the units of each field (46), one
+    Field per (p, m)."""
+    for p in filter(_is_prime, range(3, 62, 2)):
+        for m in itertools.takewhile(lambda m: p**m <= 4096, itertools.count(1)):
+            field = Field(p, m)
+            yield from ((field, N, Variant.LIFT) for N in range(1, field.q)
+                        if (field.q - 1) % N == 0)
+            yield field, 1, Variant.UNITS
+
+
+def test_class_counts_spread_to_the_window_sum_oracle_on_the_grid():
+    # the N2 class counts, spread over the codes by dlog(c) mod N2, equal
+    # the per-code window sums at every grid point, both variants
+    points, mismatched = 0, []
+    for field, N, variant in _grid():
+        dp = derive_params(CodeParams(field, N, variant))
+        step, count = (N, dp.n) if variant is Variant.LIFT else (1, field.q - 1)
+        if not np.array_equal(spread_class_counts(dp), zero_trace_counts(field, step, count)):
+            mismatched.append((field.p, field.m, N, variant))
+        points += 1
+    assert (points, mismatched) == (697, [])
+
+
+def test_base_set_check_refuses_collapsing_representatives():
+    # k = (q-1)/(p-1) = 40 at (3,4): 2*20 and 4*10 are 0 mod 40, so the
+    # last representative is an F_p* multiple of the first
+    field = Field(3, 4)
+    for N, n in ((2, 21), (4, 20)):
+        assert not cosets_distinct_by_sort(field, N, n)
+        with pytest.raises(AssertionError, match="collapse modulo F_p"):
+            coset_representatives(field, N, n)
+
+
+def test_base_set_check_agrees_with_the_sort_on_the_grid():
+    # at every lift grid point the n representatives are distinct by both
+    # checks, and one more (j = n, whose N*n = N1 is 0 mod (q-1)/(p-1))
+    # collapses by both
+    points = 0
+    for field, N, variant in _grid():
+        if variant is Variant.LIFT:
+            n = derive_params(CodeParams(field, N)).n
+            assert cosets_distinct_by_sort(field, N, n)
+            assert coset_representatives(field, N, n).tolist() == \
+                field.unit_codes()[:N * n:N].tolist()
+            assert not cosets_distinct_by_sort(field, N, n + 1)
+            with pytest.raises(AssertionError, match="collapse"):
+                coset_representatives(field, N, n + 1)
+            points += 1
+    assert points == 651
+
+
+def test_derive_params_traces_little_memory():
+    # at (3,9), n = 9841: the base-set check marks residues in a bool array
+    # of (q-1)/(p-1) entries, a block at a time, and no class count is
+    # formed until one is read
+    import tracemalloc
+
+    field = Field(3, 9)
+    derive_params(CodeParams(field, 1))
+    tracemalloc.start()
+    try:
+        dp = derive_params(CodeParams(field, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000, peak
+    assert "class_counts" not in vars(dp)
+
+
+def test_analyze_keeps_no_q_length_array_outside_the_field(monkeypatch, capsys):
+    # after analyze at (3,9,1) the derived parameters hold only the N2 class
+    # counts and views of the field's tables: no array of q - 1 or more
+    # entries of their own
+    from tracecodes import cli
+
+    captured = []
+    real = cli.derive_params
+
+    def capture(params):
+        captured.append(real(params))
+        return captured[-1]
+    monkeypatch.setattr(cli, "derive_params", capture)
+    assert cli.main(["analyze", "-p", "3", "-m", "9", "--threads", "1"]) == 0
+    capsys.readouterr()
+    [dp] = captured
+    field = dp.field
+    tables = (field._exp_np, field._log_np, field._trace_np)
+    held = [(name, value) for name, value in (vars(dp) | vars(field)).items()
+            if isinstance(value, np.ndarray) and value.size >= field.q - 1]
+    assert held and all(any(np.shares_memory(value, t) for t in tables) for _, value in held)
+    assert dp.class_counts.shape == (1,)
 
 
 # ---------------------------------------------------------------------------
