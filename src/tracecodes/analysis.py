@@ -6,9 +6,13 @@ codeword d*uv has 4*q^3 times the number of x0 with Tr(d*x0) != 0.  The
 tests pin it bit for bit against a per-coordinate count and a
 symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
-floating point.  The Gray symbol histograms behind them are the explicit
-per-axis counts of construction.gray_slot_counts, never the theorem, so
-weight_vs_character_sum checks the theorem against an explicit count.
+floating point.  Both read field.roots_of_unity(p), one cached table per
+p: a theta sum is an integer count vector times it, elementwise and
+summed, and the Gaussian sums read it at the trace table; no BLAS dot
+product and no exponential per sum.  The Gray symbol histograms behind
+them are the explicit per-axis counts of construction.gray_slot_counts,
+never the theorem, so weight_vs_character_sum checks the theorem against
+an explicit count.
 
 One code builds the rows of a distribution, distribution_exhaustive: the
 q uv-line codewords d*uv are the field subcode's words times 4*q^3, read
@@ -44,7 +48,7 @@ from .construction import (
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
-from .field import Field, gauss_sums, multiplicative_order
+from .field import Field, gauss_sums, multiplicative_order, roots_of_unity
 from .ring import RingElem
 
 #: Default ceiling on exhaustive and identity-suite work, in entry-operations.
@@ -253,19 +257,20 @@ def gray_symbol_histogram(rows, dp: DerivedParams) -> np.ndarray:
 
 
 def theta_of_vector(y, p: int) -> complex:
-    """Sum of eta^y_j over a prime-field vector, eta = exp(2*pi*i/p)."""
-    y = np.asarray(y, dtype=np.int64) % p
-    hist = np.bincount(y, minlength=p)
-    eta_pow = np.exp(2j * np.pi * np.arange(p) / p)
-    return complex(hist @ eta_pow)
+    """Sum of eta^y_j over the entries of a prime-field array (any shape),
+    eta = exp(2*pi*i/p): its value counts times the roots of unity, summed."""
+    hist = np.bincount(np.asarray(y, dtype=np.int64).ravel() % p, minlength=p)
+    return complex((hist * roots_of_unity(p)).sum())
 
 
 def thetas(rows, dp: DerivedParams) -> np.ndarray:
     """(K,) complex128 sums of eta^symbol over the Gray images of the K rows'
-    codewords, each on its own: the p-th roots of unity sum to 0, so dropping
-    a row's least count first keeps the Gray length out of the float rounding."""
-    eta_pow = np.exp(2j * np.pi * np.arange(dp.p) / dp.p)
-    return np.array([(h - h.min()) @ eta_pow for h in gray_symbol_histogram(rows, dp)])
+    codewords, each on its own: every row's symbol counts times the roots of
+    unity, summed along the row.  The roots sum to 0, so dropping a row's
+    least count first keeps the Gray length out of the float rounding."""
+    hist = gray_symbol_histogram(rows, dp)
+    hist -= hist.min(axis=1, keepdims=True)
+    return (hist * roots_of_unity(dp.p)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,8 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     formula on random codewords; the vanishing full additive sum for every
     nonzero multiplier (x -> z*x permutes F_q, so one trace-table histogram
     serves every z); Gaussian sum normalization and multiplicative-character
-    orthogonality.
+    orthogonality.  Every theta sum is a histogram times the root table,
+    the p - 1 multiples of a random vector in one histogram.
     The random vectors and codewords are randrange draws from one
     random.Random(seed).  Breaches are reported with witnesses, never
     raised; a run past the work budget is refused before any check.
@@ -304,10 +310,12 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
         raise ParameterError(f"trials must be >= 1, got {trials}")
     field, p, q, n0, n2 = dp.field, dp.p, dp.q, dp.length // dp.q**3, dp.N2
     def work(t: int) -> int:  # histogram rows and partial sums per trial, then once:
+        # a row's trace products (4*n0 + 3*q), histogram entries (4*n0 + 5*q) and
+        # 3 axes x p shifts x 4p multiply-adds; each tau multiplies at most 63 entries of y
         rows = min(t, 100) + (t if p % 4 == 3 else 0)
-        return ((p - 1) * (rows * (4 * n0 + 12 * (q + p * p)) + t * (64 + p))
-                # class counts, their comparison, histogram and 32 orthogonality passes
-                + (3 + min(q - 1, 32)) * q
+        return ((p - 1) * (rows * (8 * n0 + 8 * q + 12 * p * p) + t * 64)
+                # class counts, histogram and 32 orthogonality passes over q; N2 comparisons
+                + (2 + min(q - 1, 32)) * q + n2
                 # per Gauss-sum order two passes over q and one FFT; the expansion's inverse FFT
                 + sum(2 * q + o * o.bit_length() for o in {n2, q - 1}) + n2 * n2.bit_length())
     if work(trials) > (budget := _resolve_budget(None)):
@@ -340,10 +348,11 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     for r, gap in enumerate(np.abs(p * lift.class_counts - expansion).tolist()):
         record("zero_trace_count_vs_character_sum", gap, {"class": r})
 
-    # partial sums vs Hamming weight, random prime-field vectors
+    # partial sums vs Hamming weight, random prime-field vectors: the theta sum of
+    # all p - 1 multiples tau*y at once is the sum of their theta sums
     for _ in range(trials):
         y = np.array([rng.randrange(p) for _ in range(rng.randrange(1, 64))])
-        lhs = sum(theta_of_vector(tau * y, p) for tau in range(1, p))
+        lhs = theta_of_vector(np.arange(1, p)[:, None] * y, p)
         rhs = (p - 1) * len(y) - p * int(np.count_nonzero(y % p))
         record("partial_sums_vs_hamming", abs(lhs - rhs), {"y": y.tolist()})
 
@@ -378,7 +387,9 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
         for j in np.flatnonzero(gap > TOLERANCE).tolist():
             record("gauss_sum_modulus", float(gap[j]), {"order": order, "j": j + 1})
 
-    # multiplicative-character orthogonality through N2-th powers, angles reduced mod q - 1
+    # multiplicative-character orthogonality through N2-th powers, angles reduced mod q - 1;
+    # the Gaussian sums are freed first, so these q - 1 angles do not stack on them
+    del gauss, gsums, gaps
     ks = np.arange(q - 1)
     for j in range(0, min(q - 1, 32)):
         total = np.exp(-2j * np.pi * (j * n2 * ks % (q - 1)) / (q - 1)).sum()

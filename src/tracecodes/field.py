@@ -24,6 +24,7 @@ inputs and safe under concurrent use.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -591,16 +592,27 @@ class MultChar:
         return cmath.exp(2j * cmath.pi * self.index * k / self.order)
 
 
+@functools.lru_cache(maxsize=8)
+def roots_of_unity(p: int) -> np.ndarray:
+    """The p-th roots of unity eta^s = exp(2*pi*i*s/p), s < p (complex128,
+    read-only), formed once per p: every theta and Gaussian sum reads its
+    additive character values from this table."""
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    roots.flags.writeable = False
+    return roots
+
+
 def gauss_sums(field: Field, order: int) -> np.ndarray:
     """All G_j = sum over nonzero x of conj(psi)^j(x) * eta^trace(x), j < order,
     psi of the given order (complex128): psi^j(xi^k) = exp(2*pi*i*j*k/order)
     depends only on r = k mod order, so G_j = sum_r exp(-2*pi*i*j*r/order) * S_r,
-    with S_r the sum of eta^trace(xi^k) over k = r mod order: one pass over
-    the trace table in xi-order and one FFT.  A float cross-check; G_0 = -1."""
+    with S_r the sum of eta^trace(xi^k) over k = r mod order: the root table
+    read at the trace table in xi-order, one complex (q-1)-array summed per
+    class, and one FFT.  A float cross-check; G_0 = -1."""
     if order < 1 or (field.q - 1) % order != 0:
         raise ParameterError(f"character order {order} does not divide q - 1")
-    eta = np.exp(2j * np.pi * np.arange(field.p) / field.p)[field.trace_table]
-    return np.fft.fft(eta[field.unit_codes()].reshape(-1, order).sum(axis=0))
+    eta = roots_of_unity(field.p)[field.trace_table[field.unit_codes()]]
+    return np.fft.fft(eta.reshape(-1, order).sum(axis=0))
 
 
 def cyclotomic_class(field: Field, i: int, order: int) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from collections import Counter
@@ -28,6 +29,7 @@ from tracecodes import (
 from tracecodes import Field, analysis, construction, ring
 from tracecodes.analysis import _weights_serial, distance_interval
 from tracecodes.construction import coord_blocks
+from tracecodes.field import gauss_sums, roots_of_unity
 from tracecodes.ring import random_element
 
 from oracles import (
@@ -446,6 +448,17 @@ def test_theta_of_vector_root_sum():
     assert abs(theta_of_vector([0, 1, 2], 3)) < 1e-12
 
 
+def test_theta_of_vector_of_all_multiples_is_the_sum_of_their_thetas():
+    # the partial-sums check reads one histogram of the p - 1 rows tau*y;
+    # the per-row sums of eta^(tau*y_j), summed, are the reference
+    rng = random.Random(5)
+    for p in (3, 5, 61):
+        y = np.array([rng.randrange(p) for _ in range(40)])
+        multiples = np.arange(1, p)[:, None] * y
+        reference = sum(cmath.exp(2j * cmath.pi * s / p) for s in multiples.ravel().tolist())
+        assert abs(theta_of_vector(multiples, p) - reference) < 1e-9
+
+
 def test_symbol_histogram_total(f9):
     dp = derive_params(CodeParams(f9, 2))
     hist = gray_symbol_histogram([ring.uv(f9).coords()], dp)
@@ -708,6 +721,47 @@ def test_identity_suite_skips_real_part_for_p_one_mod_four(f25):
     rep = verify_identities(derive_params(CodeParams(f25, 3)), trials=10)
     assert rep.ok
     assert "real_part_collapse" not in rep.residuals
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (61, 1)])
+def test_identity_suite_exponentials_do_not_grow_with_trials_or_p(p, m, monkeypatch):
+    # every theta and Gaussian sum reads the one cached root table of p, so
+    # np.exp runs once for that table and once per orthogonality pass; a
+    # table per theta call would run it once per trial and multiplier
+    dp = derive_params(CodeParams(Field(p, m), 1))
+    real, calls = np.exp, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "exp", counted)
+    roots_of_unity.cache_clear()
+    assert verify_identities(dp, trials=100).ok
+    assert 0 < len(calls) <= min(dp.q - 1, 32) + 2
+
+
+def test_identity_suite_memory_stays_at_one_complex_array_per_sum():
+    # gauss_sums gathers the root table at the trace table once, one complex
+    # (q - 1)-array, where a complex q-array and its gather traced 2.0 times
+    # it; the suite frees its Gaussian sums before the orthogonality passes,
+    # so it stays below the 1 662 396 and 1 835 708 bytes traced with both
+    # the sums and the passes' arrays held
+    import tracemalloc
+
+    def traced(call):
+        call()  # lazy tables and the root table built before any peak is read
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for p, m in [(3, 9), (13, 4), (7, 5)]:
+        f = Field(p, m)
+        assert traced(lambda: gauss_sums(f, 2)) <= 1.6 * 16 * (f.q - 1), (p, m)
+    for p, m, N, trials, bound in [(3, 9, 9841, 1, 1_662_396), (13, 4, 4, 5, 1_835_708)]:
+        dp = derive_params(CodeParams(Field(p, m), N))
+        assert traced(lambda: verify_identities(dp, trials=trials)) <= bound, (p, m, N)
 
 
 def test_partial_sums_identity_on_zero_vector():

@@ -558,7 +558,7 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 82284008806733 entry-operations, over the "
+        "refused: identity suite needs 82275636161441 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -579,7 +579,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 165291097168937 entry-operations, over the "
+        "refused: identity suite needs 165275982511439 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -592,25 +592,25 @@ def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("refused: identity suite needs ")
     fits = int(re.search(r"the largest --trials that fits is (\d+)$", err[0]).group(1))
-    assert fits == 47
+    assert fits == 53
     assert main([*argv, "--trials", str(fits)]) == 0
     assert main([*argv, "--trials", str(fits + 1)]) == 3
 
 
 def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
-    # q = 6561, N2 = 1, one trial: the histograms and partial sums (367974),
-    # three passes over q (zero-trace table, comparison, histogram), 32
-    # orthogonality passes, two passes over q and one FFT for each Gauss-sum
-    # order (1 and q - 1) and the expansion's inverse FFT; no term grows
-    # like q^2
+    # q = 6561, N2 = 1, one trial: two histogram rows of 8*n0 + 8*q + 12*p^2
+    # and the partial sums, times p - 1 (315472); two passes over q (class
+    # counts, histogram), N2 class comparisons, 32 orthogonality passes, two
+    # passes over q and one FFT for each Gauss-sum order (1 and q - 1) and
+    # the expansion's inverse FFT; no term grows like q^2
     argv = ["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"]
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "10000000")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "709134")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "650072")
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
-        "refused: identity suite needs 709135 entry-operations, over the budget of 709134")
+        "refused: identity suite needs 650073 entry-operations, over the budget of 650072")
 
 
 def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
@@ -658,10 +658,10 @@ def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
 @pytest.mark.parametrize("argv,residuals", [
     (["-p", "3", "-m", "3", "-N", "1"], {
         "character_orthogonality": 4.1811188891592555e-15,
-        "full_additive_sum": 3.4684476073050936e-15,
+        "full_additive_sum": 3.2023728339893768e-15,
         "gauss_sum_modulus": 1.7763568394002505e-15,
         "gauss_sum_trivial": 3.2023728339893768e-15,
-        "partial_sums_vs_hamming": 1.9959327572255808e-14,
+        "partial_sums_vs_hamming": 1.7763568394002505e-14,
         "real_part_collapse": 0.0,
         "weight_vs_character_sum": 0.0,
         "zero_trace_count_vs_character_sum": 3.202372833989377e-15}),
@@ -670,13 +670,22 @@ def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
         "full_additive_sum": 1.1102230246251565e-15,
         "gauss_sum_modulus": 1.7763568394002505e-15,
         "gauss_sum_trivial": 1.336885555457667e-15,
-        "partial_sums_vs_hamming": 1.4888583356622763e-14,
+        "partial_sums_vs_hamming": 1.7763568394002505e-14,
         "weight_vs_character_sum": 0.0,
         "zero_trace_count_vs_character_sum": 4.440892098500626e-16}),
+    (["-p", "61", "-m", "1", "--trials", "5"], {
+        "character_orthogonality": 1.6996616692943936e-14,
+        "full_additive_sum": 2.6945789820192466e-16,
+        "gauss_sum_modulus": 3.552713678800501e-15,
+        "gauss_sum_trivial": 9.930136612989092e-16,
+        "partial_sums_vs_hamming": 3.019806626980426e-14,
+        "weight_vs_character_sum": 0.0,
+        "zero_trace_count_vs_character_sum": 9.930136612989092e-16}),
 ])
 def test_verify_residuals_pinned(tmp_path, argv, residuals):
     # every residual of the identity suite, bit for bit, at seed 7: the
-    # trial codewords, their multiples and the float sums keep their order
+    # trial codewords, their multiples and the float sums keep their order;
+    # p = 61 sums 61 roots per theta, through numpy's eight-way unrolled sum
     code, report = run_json(tmp_path, "verify", *argv, "--seed", "7", "--threads", "1")
     assert code == 0
     assert report["residuals"] == residuals

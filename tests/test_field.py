@@ -21,6 +21,7 @@ from tracecodes.field import (
     _x_class_order_is_full,
     first_primitive_modulus,
     is_irreducible,
+    roots_of_unity,
 )
 
 from oracles import gauss_sum, spread_class_counts, zero_trace_counts
@@ -456,6 +457,14 @@ def test_character_values_are_roots_of_unity(f9):
     for k in range(8):
         expect = cmath.exp(2j * cmath.pi * k / 4)
         assert abs(chi(f9.exp_code(k)) - expect) < 1e-12
+
+
+def test_roots_of_unity_are_one_read_only_table_per_p():
+    # every theta and Gaussian sum of one p reads this one cached array
+    for p in (3, 61):
+        roots = roots_of_unity(p)
+        assert roots is roots_of_unity(p) and not roots.flags.writeable
+        assert max(abs(roots[s] - cmath.exp(2j * cmath.pi * s / p)) for s in range(p)) < 1e-15
 
 
 def test_character_undefined_at_zero(f9):
