@@ -57,6 +57,9 @@ DEFAULT_WORK_BUDGET = 10**10
 #: The identity suite reports a residual above this as a breach.
 TOLERANCE = 1e-6
 
+#: Entries per histogram block of theta_of_vector.
+_THETA_ENTRIES = 2**16
+
 
 # ---------------------------------------------------------------------------
 # Weight kernel
@@ -258,8 +261,14 @@ def gray_symbol_histogram(rows, dp: DerivedParams) -> np.ndarray:
 
 def theta_of_vector(y, p: int) -> complex:
     """Sum of eta^y_j over the entries of a prime-field array (any shape),
-    eta = exp(2*pi*i/p): its value counts times the roots of unity, summed."""
-    hist = np.bincount(np.asarray(y, dtype=np.int64).ravel() % p, minlength=p)
+    eta = exp(2*pi*i/p): its value counts times the roots of unity, summed.
+    The counts are summed over blocks of _THETA_ENTRIES entries (p, if
+    larger, so the p counts of a block cost no more than its entries), each
+    block reduced mod p in its own dtype: no int64 copy of the whole input."""
+    y, step = np.asarray(y).ravel(), max(_THETA_ENTRIES, p)
+    hist = np.bincount(y[:step] % p, minlength=p)
+    for lo in range(step, y.size, step):
+        hist += np.bincount(y[lo:lo + step] % p, minlength=p)
     return complex((hist * roots_of_unity(p)).sum())
 
 

@@ -9,12 +9,14 @@ numpy lookup tables exposed by :class:`Field`.
 A Field keeps three q-sized tables, all read-only: exp (int64, code of
 xi^k for k < q - 1), log (int64, -1 at code 0) and trace (int32).  That is
 20 bytes per element; no q x m digit table and no Python-list copy is
-kept.  A build peaks at the three tables, its narrow digit array and one
-block in a narrow buffer.  Scalar operations index memoryviews of these
-arrays, which return Python ints and hold no second copy.  Negation and
-Frobenius come from the same two tables: -1 = xi^((q-1)/2), so -a =
-xi^(log a + (q-1)/2), and a^p = xi^(p log a).  Addition, add_codes and
-lex_code work on the base-p digits of the codes, computed when needed.
+kept.  A build peaks at the three tables and one block in a narrow buffer:
+its digit rows, at most half of q and only those a later doubling pass
+reads, are freed before the log table is made.  Scalar operations index
+memoryviews of these arrays, which return Python ints and hold no second
+copy.  Negation and Frobenius come from the same two tables: -1 =
+xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and a^p = xi^(p log a).
+Addition, add_codes and lex_code work on the base-p digits of the codes,
+computed when needed.
 
 A Field instance is immutable after construction (lazy caches are built
 once and read-only thereafter); every operation is a pure function of its
@@ -41,6 +43,9 @@ COORD_TABLE_LIMIT = 4096
 
 #: Exponents per block of the table build: its products, log fill and checks.
 _BUILD_ROWS = 2**12
+
+#: Rows per int64 code product inside a build block.
+_WEIGHT_ROWS = 2**10
 
 
 def _is_prime(n: int) -> bool:
@@ -280,13 +285,15 @@ class Field:
     constant polynomials, are F_p and coincide with the residues mod p; for
     m = 1 they are all codes and the trace is the identity.
 
-    The build peaks at the kept tables, the digit rows of the powers of xi,
-    filled by doubling into one array of the narrowest dtype that holds
-    p - 1, and one block of products in one narrow buffer.  The trace,
+    The build peaks at the kept tables and one block of products in one
+    narrow buffer.  The powers of xi are filled by doubling; only the digit
+    rows a later pass reads are kept, in the narrowest dtype that holds
+    p - 1, and they are freed before the log table is made.  The trace,
     F_p-linear, is each row times the traces of the basis x^i (Newton's
-    identities).  The log table and two whole-table checks, the powers of
-    xi are every nonzero code once and the trace is constant on Frobenius
-    orbits, run a block at a time.
+    identities), written straight into the code-indexed table.  The log
+    table and two whole-table checks, the powers of xi are every nonzero
+    code once and the trace is constant on Frobenius orbits, run a block at
+    a time.
     """
 
     def __init__(self, p: int, m: int,
@@ -325,48 +332,61 @@ class Field:
 
         # exp table: row k of `digits` is the coefficient vector of xi^k.
         # Rows [0, L) times `step`, the matrix of multiplication by xi^L,
-        # give rows [L, 2L): about log2(q) doubling passes into one array in
-        # the narrowest dtype that holds p - 1, each pass in blocks of
+        # give rows [L, 2L): about log2(q) doubling passes, each in blocks of
         # _BUILD_ROWS rows multiplied into one buffer of the narrowest signed
-        # dtype that holds m*(p-1)^2.  The trace is F_p-linear, so the trace
-        # of xi^k is its row times the basis traces.
+        # dtype that holds m*(p-1)^2.  The pass from L reads the rows below
+        # min(L, order - L), so only the rows below the largest of these are
+        # kept, in the narrowest dtype that holds p - 1.  The trace is
+        # F_p-linear: the trace of xi^k, its row times the basis traces in the
+        # buffer's dtype, goes straight into the code-indexed table (widened
+        # to int32 first: a scatter that casts is slower).  The int64 codes
+        # are formed _WEIGHT_ROWS rows at a time, so the int64 copy of the
+        # block numpy makes for them stays small.
         mod = list(self.modulus)
         buffer = np.empty((_BUILD_ROWS, m), dtype=np.min_scalar_type(-1 - m * (p - 1) ** 2))
         step = np.array([_poly_mulmod([0] * i + [1], self.coeffs(self.xi), mod, p)
                          for i in range(m)],
                         dtype=buffer.dtype)
         weights = np.asarray(self._pow_weights, dtype=np.int64)
-        basis_traces = _basis_traces(mod, p)
-        digits = np.zeros((self.order, m), dtype=np.min_scalar_type(p - 1))
+        basis_traces = _basis_traces(mod, p).astype(buffer.dtype)
+        passes = [2**i for i in range((self.order - 1).bit_length())]
+        read = max(min(filled, self.order - filled) for filled in passes)
+        digits = np.zeros((read, m), dtype=np.min_scalar_type(p - 1))
         digits[0, 0] = 1
         exp = np.empty(self.order, dtype=np.int64)
         exp[0] = 1
-        tr = np.empty(self.order, dtype=np.int32)  # tr[k] = trace(xi^k)
-        tr[0] = basis_traces[0]
-        filled = 1
-        while filled < self.order:
+        trace = np.zeros(self.q, dtype=np.int32)
+        trace[1] = basis_traces[0]
+        for filled in passes:
             count = min(filled, self.order - filled)
             for lo in range(0, count, _BUILD_ROWS):
                 hi = min(lo + _BUILD_ROWS, count)
                 block = np.matmul(digits[lo:hi], step, out=buffer[:hi - lo])
                 np.remainder(block, p, out=block)
-                digits[filled + lo:filled + hi] = block
-                exp[filled + lo:filled + hi] = block @ weights
-                tr[filled + lo:filled + hi] = block @ basis_traces % p
-            filled += count
+                digits[filled + lo:filled + hi] = block[:max(0, read - filled - lo)]
+                codes = exp[filled + lo:filled + hi]
+                for sub in range(0, hi - lo, _WEIGHT_ROWS):
+                    codes[sub:sub + _WEIGHT_ROWS] = block[sub:sub + _WEIGHT_ROWS] @ weights
+                trace[codes] = (block @ basis_traces % p).astype(np.int32)
             step = step @ step % p
-        del digits
+        del digits, block, buffer
 
-        # trace, then log, a block of exponents at a time, with the checks:
-        # the trace is constant on Frobenius orbits, frob(xi^k) = xi^(pk),
-        # and xi^k runs through every nonzero code once (log -1 at 0 alone)
+        # the trace is constant on Frobenius orbits, frob(xi^k) = xi^(kp),
+        # checked a block at a time (vacuous at m = 1, where kp = k mod q - 1).
+        # As q - 1 = -1 mod p, the k from ceil(j(q-1)/p) to ceil((j+1)(q-1)/p)
+        # have kp mod q - 1 = j, j + p, j + 2p, ...: their images are exp[j::p]
+        for j in range(p if m > 1 else 0):
+            frob = exp[j::p]
+            start = -(-j * self.order // p)
+            own = exp[start:start + len(frob)]
+            for lo in range(0, len(frob), _BUILD_ROWS):
+                b = slice(lo, lo + _BUILD_ROWS)
+                if (trace[frob[b]] != trace[own[b]]).any():
+                    raise AssertionError("trace is not constant on Frobenius orbits")
+
+        # log, a block of exponents at a time, with the check that xi^k runs
+        # through every nonzero code once (log -1 at 0 alone)
         blocks = [slice(lo, lo + _BUILD_ROWS) for lo in range(0, self.order, _BUILD_ROWS)]
-        trace = np.zeros(self.q, dtype=np.int32)
-        for b in blocks:
-            if (tr[np.arange(*b.indices(self.order)) * p % self.order] != tr[b]).any():
-                raise AssertionError("trace is not constant on Frobenius orbits")
-            trace[exp[b]] = tr[b]
-        del tr
         log = np.full(self.q, -1, dtype=np.int64)
         for b in blocks:
             log[exp[b]] = np.arange(*b.indices(self.order))
@@ -608,11 +628,13 @@ def gauss_sums(field: Field, order: int) -> np.ndarray:
     depends only on r = k mod order, so G_j = sum_r exp(-2*pi*i*j*r/order) * S_r,
     with S_r the sum of eta^trace(xi^k) over k = r mod order: the root table
     read at the trace table in xi-order, one complex (q-1)-array summed per
-    class, and one FFT.  A float cross-check; G_0 = -1."""
+    class, and one FFT.  At order q - 1 every class is one exponent, so the
+    gathered array is the class sums, not summed into a copy.  A float
+    cross-check; G_0 = -1."""
     if order < 1 or (field.q - 1) % order != 0:
         raise ParameterError(f"character order {order} does not divide q - 1")
     eta = roots_of_unity(field.p)[field.trace_table[field.unit_codes()]]
-    return np.fft.fft(eta.reshape(-1, order).sum(axis=0))
+    return np.fft.fft(eta if order == field.q - 1 else eta.reshape(-1, order).sum(axis=0))
 
 
 def cyclotomic_class(field: Field, i: int, order: int) -> frozenset[int]:

@@ -740,28 +740,58 @@ def test_identity_suite_exponentials_do_not_grow_with_trials_or_p(p, m, monkeypa
     assert 0 < len(calls) <= min(dp.q - 1, 32) + 2
 
 
+def _traced_peak(call):
+    import tracemalloc
+
+    call()  # lazy tables and the root table built before any peak is read
+    tracemalloc.start()
+    try:
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_identity_suite_memory_stays_at_one_complex_array_per_sum():
     # gauss_sums gathers the root table at the trace table once, one complex
     # (q - 1)-array, where a complex q-array and its gather traced 2.0 times
     # it; the suite frees its Gaussian sums before the orthogonality passes,
     # so it stays below the 1 662 396 and 1 835 708 bytes traced with both
     # the sums and the passes' arrays held
-    import tracemalloc
-
-    def traced(call):
-        call()  # lazy tables and the root table built before any peak is read
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
     for p, m in [(3, 9), (13, 4), (7, 5)]:
         f = Field(p, m)
-        assert traced(lambda: gauss_sums(f, 2)) <= 1.6 * 16 * (f.q - 1), (p, m)
+        assert _traced_peak(lambda: gauss_sums(f, 2))[1] <= 1.6 * 16 * (f.q - 1), (p, m)
     for p, m, N, trials, bound in [(3, 9, 9841, 1, 1_662_396), (13, 4, 4, 5, 1_835_708)]:
         dp = derive_params(CodeParams(Field(p, m), N))
-        assert traced(lambda: verify_identities(dp, trials=trials)) <= bound, (p, m, N)
+        peak = _traced_peak(lambda: verify_identities(dp, trials=trials))[1]
+        assert peak <= bound, (p, m, N, peak)
+
+
+@pytest.mark.parametrize("p,m", [(3, 9), (3, 12)])
+def test_gauss_sums_of_order_q_minus_1_sum_no_copy(p, m):
+    # at order q - 1 every class is one exponent, so the root gather goes to
+    # the FFT as it is: 2.0 times 16(q - 1) traced, where summing it over an
+    # axis of length one first traced 3.0 times; the sums stay bit for bit
+    f = Field(p, m)
+    sums, peak = _traced_peak(lambda: gauss_sums(f, f.q - 1))
+    assert peak <= 2.05 * 16 * (f.q - 1), peak
+    eta = roots_of_unity(p)[f.trace_table[f.unit_codes()]]
+    assert sums.tobytes() == np.fft.fft(eta.reshape(-1, f.q - 1).sum(axis=0)).tobytes()
+
+
+def test_full_additive_sum_is_histogrammed_a_block_at_a_time():
+    # theta_of_vector counts its input 2^16 entries at a time in the input's
+    # own dtype: at (3,12) the 2.1 MB int32 trace table traces under 1 MB,
+    # where an int64 copy of it and its residues traced 8.5 MB; the summed
+    # counts, and so the full additive sum, stay bit for bit
+    f = Field(3, 12)
+    value, peak = _traced_peak(lambda: theta_of_vector(f.trace_table, 3))
+    assert peak <= 1_000_000, peak
+    hist = np.bincount(f.trace_table.astype(np.int64) % 3, minlength=3)
+    assert value == complex((hist * roots_of_unity(3)).sum())
+    for y in ([0, 1, 2], np.arange(-70000, 70000).reshape(2, -1), np.zeros(0, dtype=np.int64)):
+        hist = np.bincount(np.asarray(y, dtype=np.int64).ravel() % 5, minlength=5)
+        assert theta_of_vector(y, 5) == complex((hist * roots_of_unity(5)).sum())
 
 
 def test_partial_sums_identity_on_zero_vector():

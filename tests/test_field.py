@@ -251,15 +251,18 @@ def test_tables_are_pinned_bit_for_bit(p, m, modulus):
 
 
 def test_field_tables_are_built_in_o_q_memory():
-    # the build peaks at no more than 1.5 times the three tables it keeps
-    # (10.6 MB at (3,12)), and 2.25 times at small q, where one block is a
-    # larger share: the checks and the log table run a block at a time,
-    # next to the narrow digit array, and each block's products go into one
-    # narrow buffer
+    # the build peaks at no more than 1.02 times the three tables it keeps
+    # (10.6 MB at (3,12)), and 1.3 times at small q, where one block is a
+    # larger share: only the digit rows a later pass reads are kept, the
+    # traces go straight into the code-indexed table, the int64 codes are
+    # formed a sub-block at a time, and the checks and the log table run a
+    # block at a time once the digits are freed.  With every digit row, a
+    # trace array in xi-order and whole-block int64 codes, a build read
+    # 1.25 times at (3,12), 1.99 at (3,9) and 1.72 at (5,6)
     import tracemalloc
 
-    for p, m, bound in ((3, 12, 1.5), (7, 7, 1.5), (1048573, 1, 1.5),
-                        (3, 9, 2.25), (5, 6, 2.25)):
+    for p, m, bound in ((3, 12, 1.02), (7, 7, 1.02), (1048573, 1, 1.02),
+                        (3, 9, 1.3), (5, 6, 1.3)):
         tracemalloc.start()
         try:
             f = Field(p, m)
@@ -284,6 +287,20 @@ def test_field_build_refuses_a_trace_off_frobenius_orbits(monkeypatch):
                         lambda mod, p: np.array([0, 1], dtype=np.int64))
     with pytest.raises(AssertionError, match="Frobenius orbits"):
         Field(3, 2)
+
+
+@pytest.mark.parametrize("p,m", [(3, 9), (5, 6), (7, 3), (13, 2)])
+def test_field_build_refuses_a_functional_off_frobenius_orbits(p, m, monkeypatch):
+    # the trace plus the coefficient of x is F_p-linear but no multiple of
+    # the trace, so it is not constant on the Frobenius orbits; the check
+    # reads it at the code-indexed table through exp, p runs of exponents
+    from tracecodes import field as field_module
+
+    real = field_module._basis_traces
+    monkeypatch.setattr(field_module, "_basis_traces",
+                        lambda mod, p: (real(mod, p) + np.eye(len(mod) - 1, dtype=np.int64)[1]) % p)
+    with pytest.raises(AssertionError, match="Frobenius orbits"):
+        Field(p, m)
 
 
 def test_field_build_refuses_a_xi_that_is_no_generator(monkeypatch):

@@ -1,0 +1,106 @@
+"""Whole reports pinned: the claim that a change leaves every report
+byte-identical apart from runtime_ms is this test.
+
+Each argv runs through cli.main in this process.  Its outcome is the
+sorted-key JSON of the report without runtime_ms (None when nothing is
+printed), its stderr and its exit code, and the test pins a sha256 prefix
+of that.  The runs are the benchmark's eleven jobs at seed 7 (bench/jobs.py),
+the subcode check at (3,4,N=4), a units point whose weights pass 2^63, a
+budget refusal, the CSV format, two points with exact interval bounds, a
+units dual and, through a wrong prediction, a mismatch: every subcommand,
+both variants and formats, and exit codes 0 to 3.  On a mismatch the new
+outcome is printed, so a declared report change can be read and re-pinned.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tracecodes.cli import main
+
+PINNED = {
+    # exhaustive
+    "analyze -p 3 -m 2 -N 1 --variant lift --method exhaustive --threads 1 --seed 7":
+        "2b86eb7bb50792c4",
+    "analyze -p 3 -m 2 -N 1 --variant units --method exhaustive --threads 1 --seed 7":
+        "809a4eac6795f794",
+    "analyze -p 11 -m 1 -N 1 --variant lift --method exhaustive --threads 1 --seed 7":
+        "33cb295e2e5975b8",
+    "analyze -p 11 -m 1 -N 1 --variant units --method exhaustive --threads 1 --seed 7":
+        "31da5c57c82da2df",
+    # class
+    "analyze -p 3 -m 3 -N 1 --variant lift --method class --threads 2 --seed 7":
+        "dde9d6e80b7d9aa9",
+    "analyze -p 5 -m 2 -N 3 --variant lift --method class --threads 2 --seed 7":
+        "fb161e602b555192",
+    # identities
+    "verify -p 3 -m 3 -N 1 --threads 1 --seed 7":
+        "c435476104f75e2f",
+    "verify -p 5 -m 2 -N 3 --subcode --threads 1 --seed 7":
+        "24b0c3769daa9f0e",
+    # field-setup
+    "dual -p 3 -m 9 -N 1 --threads 1 --seed 7":
+        "6146b79383bae144",
+    "dual -p 5 -m 6 -N 1 --threads 1 --seed 7":
+        "6bcf8b5c56508925",
+    "analyze -p 5 -m 7 --threads 1 --seed 7":
+        "6f672fb913b00d1d",
+    # beyond the benchmark
+    "verify -p 3 -m 4 -N 4 --subcode":
+        "10f191f3f23462e1",
+    "analyze -p 40009 -m 1 --variant units":
+        "26126bcf74989ceb",
+    "analyze -p 3 -m 2 --budget 8":
+        "b96f447185fc3436",
+    "analyze -p 3 -m 2 --format csv":
+        "6a28708fa8853db4",
+    "analyze -p 31 -m 3 -N 3":
+        "ac88acd2c1715b8d",
+    "analyze -p 3 -m 6 -N 13":
+        "2add3a3888a45287",
+    "dual -p 131 -m 1 --variant units":
+        "339fb5192daf6c54",
+}
+
+
+def outcome(argv: str, capsys) -> str:
+    """The sorted-key JSON of one run's report (a JSON report without
+    runtime_ms, CSV as printed), stderr and exit code."""
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    if out.startswith("{"):
+        out = json.loads(out)
+        del out["runtime_ms"]
+    return json.dumps({"exit": code, "report": out or None, "stderr": err},
+                      sort_keys=True, indent=1)
+
+
+def assert_pinned(argv: str, pin: str, capsys) -> None:
+    text = outcome(argv, capsys)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    if digest != pin:
+        print(text)
+    assert digest == pin, f"{argv}: the report changed (printed above)"
+
+
+@pytest.fixture(autouse=True)
+def _default_budget(monkeypatch):
+    monkeypatch.delenv("TRACECODES_WORK_BUDGET", raising=False)
+
+
+@pytest.mark.parametrize("argv", list(PINNED))
+def test_report_is_pinned(argv, capsys):
+    assert_pinned(argv, PINNED[argv], capsys)
+
+
+def test_mismatch_report_is_pinned(capsys, monkeypatch):
+    # exit 1: a prediction the measured rows contradict
+    from tracecodes import analysis
+
+    def wrong_prediction(params):
+        return [analysis.Prediction(regime="two_weight_lift",
+                                    rows=((7776, 6551), (8748, 9)), side_conditions=())]
+
+    monkeypatch.setattr(analysis, "predict", wrong_prediction)
+    assert_pinned("analyze -p 3 -m 2 -N 1", "44b4fbd25cccd16d", capsys)
