@@ -48,7 +48,7 @@ for variant in (Variant.LIFT, Variant.UNITS):
 # ----------------------------------------------------------------------
 dp = derive_params(CodeParams(field, 1))
 dist = distribution_exhaustive(dp)
-verdict = minimality_check(dist, field.p, dual_distance=2)
+verdict = minimality_check(dist.entries, field.p)
 print(f"\nweights {verdict.w_min}..{verdict.w_max}: "
       f"p*w_min = {field.p * verdict.w_min} > "
       f"(p-1)*w_max = {(field.p - 1) * verdict.w_max}")

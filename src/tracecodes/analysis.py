@@ -137,10 +137,6 @@ class WeightDistribution:
     def min_nonzero_weight(self) -> int:
         return min(self.nonzero())
 
-    @property
-    def max_nonzero_weight(self) -> int:
-        return max(self.nonzero())
-
 
 def _resolve_budget(budget: int | None) -> int:
     if budget is None:
@@ -350,12 +346,20 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     # in k, so the expansion n + (1/N2) sum_j G_j psi^j(xi^r) of each class r = k mod N2
     # is one inverse FFT of the sums of order N2
     gauss = {order: gauss_sums(field, order) for order in sorted({n2, q - 1})}
-    gsums = gauss[n2]
-    expansion = dp.n + np.fft.ifft(gsums)
+    expansion = dp.n + np.fft.ifft(gauss[n2])
     lift = dp if dp.variant is Variant.LIFT else derive_params(
         replace(dp.params, variant=Variant.LIFT))
     for r, gap in enumerate(np.abs(p * lift.class_counts - expansion).tolist()):
         record("zero_trace_count_vs_character_sum", gap, {"class": r})
+    # Gaussian sum normalization, |G_j| = sqrt(q) for every j in 1..order-1 of both
+    # orders: read off here and recorded below, so the sums are freed before any
+    # codeword block is drawn
+    trivial = abs(gauss[n2][0] + 1)
+    gaps = {order: np.abs(np.abs(g[1:]) - math.sqrt(q)) for order, g in gauss.items()}
+    modulus_gap = max(float(gap.max(initial=0.0)) for gap in gaps.values())
+    over = [(order, j, float(gap[j])) for order, gap in gaps.items()
+            for j in np.flatnonzero(gap > TOLERANCE).tolist()]
+    del gauss, gaps, expansion
 
     # partial sums vs Hamming weight, random prime-field vectors: the theta sum of
     # all p - 1 multiples tau*y at once is the sum of their theta sums
@@ -388,17 +392,12 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     # x -> z*x a permutation of F_q, so every z has the one sum over the trace table
     record("full_additive_sum", abs(theta_of_vector(field.trace_table, p)), {"z": 1})
 
-    # Gaussian sum normalization, |G_j| = sqrt(q) for every j in 1..order-1 of both orders
-    record("gauss_sum_trivial", abs(gsums[0] + 1), {})
-    gaps = {order: np.abs(np.abs(g[1:]) - math.sqrt(q)) for order, g in gauss.items()}
-    residuals["gauss_sum_modulus"] = max(float(gap.max(initial=0.0)) for gap in gaps.values())
-    for order, gap in gaps.items():
-        for j in np.flatnonzero(gap > TOLERANCE).tolist():
-            record("gauss_sum_modulus", float(gap[j]), {"order": order, "j": j + 1})
+    record("gauss_sum_trivial", trivial, {})
+    residuals["gauss_sum_modulus"] = modulus_gap
+    for order, j, gap in over:
+        record("gauss_sum_modulus", gap, {"order": order, "j": j + 1})
 
-    # multiplicative-character orthogonality through N2-th powers, angles reduced mod q - 1;
-    # the Gaussian sums are freed first, so these q - 1 angles do not stack on them
-    del gauss, gsums, gaps
+    # multiplicative-character orthogonality through N2-th powers, angles reduced mod q - 1
     ks = np.arange(q - 1)
     for j in range(0, min(q - 1, 32)):
         total = np.exp(-2j * np.pi * (j * n2 * ks % (q - 1)) / (q - 1)).sum()
@@ -623,6 +622,6 @@ def subcode_report(dp: DerivedParams) -> dict:
         matched = pred.rows_dict() == nonzero
         ok = ok and matched
         detail.append({"regime": pred.regime, "matched": matched,
-                       "rows": [list(r) for r in pred.rows]})
+                       "rows": pred.rows})
     return {"length": len(dp.x0_codes()), "distribution": measured, "predictions": detail,
             "ok": ok}

@@ -99,14 +99,6 @@ class DualDistanceResult:
     witness: tuple[tuple[int, tuple[int, int, int, int]], ...]
     verified: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "lower_bound": self.lower_bound,
-            "witness": [[i, list(c)] for i, c in self.witness],
-            "verified": self.verified,
-        }
-
 
 def syndrome(dp: DerivedParams, support) -> RingElem:
     """Ring sum of y_x * x over a sparse vector given as
@@ -170,39 +162,25 @@ class SssVerdict:
     w_min: int
     w_max: int
     all_minimal: bool
-    classification: str  # "dictatorial" | "democratic" | "undetermined"
-
-    def as_dict(self) -> dict:
-        return {"w_min": self.w_min, "w_max": self.w_max,
-                "all_minimal": self.all_minimal,
-                "classification": self.classification}
+    classification: str  # "dictatorial" | "undetermined"
 
 
-def minimality_check(dist, p: int, dual_distance: int | None = None) -> SssVerdict:
-    """Ratio test p*w_min > (p-1)*w_max on the nonzero weights; when it
-    passes, the access structure is read off the companion dual distance
-    (2 means every user sits in every coalition, >= 3 means users are
-    interchangeable).
+def minimality_check(rows: dict[int, int], p: int) -> SssVerdict:
+    """Ratio test p*w_min > (p-1)*w_max on the nonzero weights of a
+    weight -> frequency map.
 
-    For these codes dual_lee_distance always returns 2 (see the module
-    docstring), so with that distance the verdict is "dictatorial" whenever
+    When it passes, every nonzero codeword is minimal and the access
+    structure is read off the dual distance, which is 2 for every code here
+    (the module docstring's proof): the verdict is "dictatorial" whenever
     the ratio test passes and "undetermined" otherwise.
     """
-    entries = dist.nonzero() if hasattr(dist, "nonzero") else {
-        w: f for w, f in dict(dist).items() if w != 0
-    }
-    if not entries:
+    weights = [w for w in rows if w != 0]
+    if not weights:
         raise ParameterError("empty weight distribution")
-    w_min, w_max = min(entries), max(entries)
+    w_min, w_max = min(weights), max(weights)
     all_minimal = p * w_min > (p - 1) * w_max
-    if not all_minimal or dual_distance is None:
-        classification = "undetermined"
-    elif dual_distance == 2:
-        classification = "dictatorial"
-    else:
-        classification = "democratic"
     return SssVerdict(w_min=w_min, w_max=w_max, all_minimal=all_minimal,
-                      classification=classification)
+                      classification="dictatorial" if all_minimal else "undetermined")
 
 
 BRUTE_FORCE_LIMIT = 10_000

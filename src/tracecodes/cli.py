@@ -6,9 +6,11 @@ checks passed, 1 mathematical mismatch or residual breach, 2 parameter or
 usage error, 3 work-budget refusal.  An analyze run that no prediction
 applies to compares nothing: its comparison reads "ok": null with status
 "no-applicable-prediction", and it exits 0.  The same holds for the
-subcode section of verify --subcode.  Handlers read the parsed
-argparse.Namespace directly; the parser is the one list of options and
-defaults.
+subcode section of verify --subcode.  This module is the only one that
+shapes JSON: each report section is dataclasses.asdict of the result the
+library returns, so a verify breach carries its witness.  Handlers read the
+parsed argparse.Namespace directly; the parser is the one list of options
+and defaults.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import analysis, bounds
 from .construction import (
@@ -82,27 +85,13 @@ def _report_head(command: str, cfg: argparse.Namespace, dp, flags: list[str]) ->
             "erratum_flags": sorted(flags)}
 
 
-def _prediction_section(pred: analysis.Prediction) -> dict:
-    return {
-        "regime": pred.regime,
-        "scope": pred.scope,
-        "rows": [list(r) for r in pred.rows],
-        "side_conditions": [list(c) for c in pred.side_conditions],
-        "l": pred.l,
-        "t": pred.t,
-        "d_lower": pred.d_lower,
-        "d_upper": pred.d_upper,
-        "max_nonzero_weights": pred.max_nonzero_weights,
-    }
+def _rows_section(entries: dict[int, int]) -> list[dict]:
+    return [{"weight": w, "frequency": f} for w, f in sorted(entries.items())]
 
 
-def _rows_section(dist: analysis.WeightDistribution) -> list[dict]:
-    return [{"weight": w, "frequency": f} for w, f in dist.rows()]
-
-
-def _comparison_section(comparison: analysis.ComparisonReport) -> dict:
-    section = {"ok": comparison.ok, "details": comparison.details}
-    if comparison.ok is None:
+def _compared(section: dict) -> dict:
+    """A comparison section; one that compared nothing says so."""
+    if section["ok"] is None:
         section["status"] = "no-applicable-prediction"
     return section
 
@@ -122,7 +111,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
     d_min = dist.min_nonzero_weight
     verdict = bounds.griesmer_optimal(dp.gray_length, dp.dimension, d_min, dp.p)
     dual = bounds.dual_lee_distance(dp)
-    sss = bounds.minimality_check(dist, dp.p, dual_distance=dual.distance)
+    sss = bounds.minimality_check(dist.entries, dp.p)
 
     flags = [FLAG_LEE, FLAG_CEIL]
     if any(p.regime.startswith("three_weight") for p in preds):
@@ -130,19 +119,14 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
 
     report = _report_head("analyze", cfg, dp, flags) | {
         "method": dist.method,
-        "rows": _rows_section(dist),
+        "rows": _rows_section(dist.entries),
         "detail": dist.detail,
-        "predictions": [_prediction_section(p) for p in preds],
-        "comparison": _comparison_section(comparison),
-        "griesmer": {
-            "n": verdict.n, "k": verdict.k, "d": verdict.d, "p": verdict.p,
-            "sum_at_d": verdict.sum_at_d,
-            "sum_at_d_plus_1": verdict.sum_at_d_plus_1,
-            "optimal": verdict.optimal,
-            "inconclusive": verdict.inconclusive,
-        },
-        "dual_distance": dual.as_dict(),
-        "sss": sss.as_dict(),
+        "predictions": [asdict(p) for p in preds],
+        "comparison": _compared(asdict(comparison)),
+        "griesmer": asdict(verdict) | {"optimal": verdict.optimal,
+                                       "inconclusive": verdict.inconclusive},
+        "dual_distance": asdict(dual),
+        "sss": asdict(sss),
     }
     # the zero row holds the kernel of r -> c(r), p^(4m - k) codewords
     kernel = dp.p ** (4 * dp.m - dp.dimension)
@@ -158,7 +142,7 @@ def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
     result = bounds.dual_lee_distance(dp)
     excluded = bounds.sphere_packing_excludes(dp.gray_length, dp.dimension, dp.p)
     report = _report_head("dual", cfg, dp, [FLAG_LEE]) | {
-        "dual_distance": result.as_dict(),
+        "dual_distance": asdict(result),
         "sphere_packing_excludes_distance_3": excluded,
     }
     return report, EXIT_OK
@@ -167,27 +151,12 @@ def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
 def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
     dp = _build_params(cfg)
     identities = analysis.verify_identities(dp, trials=cfg.trials, seed=cfg.seed)
-    report = _report_head("verify", cfg, dp, [FLAG_LEE]) | {
-        "trials": cfg.trials,
-        "tolerance": identities.tolerance,
-        "residuals": {k: float(v) for k, v in sorted(identities.residuals.items())},
-        "breaches": [
-            {"identity": b["identity"], "residual": float(b["residual"])}
-            for b in identities.breaches
-        ],
-    }
+    report = _report_head("verify", cfg, dp, [FLAG_LEE]) | asdict(identities)
     ok = identities.ok
     if cfg.subcode:
         sub = analysis.subcode_report(dp)
-        report["subcode"] = {
-            "length": sub["length"],
-            "rows": [{"weight": w, "frequency": f}
-                     for w, f in sorted(sub["distribution"].items())],
-            "predictions": sub["predictions"],
-            "ok": sub["ok"],
-        }
-        if sub["ok"] is None:
-            report["subcode"]["status"] = "no-applicable-prediction"
+        rows = _rows_section(sub.pop("distribution"))
+        report["subcode"] = _compared(sub | {"rows": rows})
         ok = ok and sub["ok"] is not False
     return report, EXIT_OK if ok else EXIT_MISMATCH
 

@@ -15,7 +15,7 @@ reads, are freed before the log table is made.  Scalar operations index
 memoryviews of these arrays, which return Python ints and hold no second
 copy.  Negation and Frobenius come from the same two tables: -1 =
 xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and a^p = xi^(p log a).
-Addition, add_codes and lex_code work on the base-p digits of the codes,
+Addition and lex_code work on the base-p digits of the codes,
 computed when needed.
 
 A Field instance is immutable after construction (lazy caches are built
@@ -441,14 +441,6 @@ class Field:
             out += (((a // w) + (b // w)) % p) * w
         return out
 
-    def add_codes(self, a, b) -> np.ndarray:
-        """Vectorized addition on arrays of codes, one digit at a time."""
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        for w in self._pow_weights:
-            out += (a // w + b // w) % self.p * w
-        return out
-
     def neg(self, a: int) -> int:
         """-a = xi^(log a + (q-1)/2), since -1 = xi^((q-1)/2)."""
         if a == 0:
@@ -467,13 +459,6 @@ class Field:
         if a == 0:
             raise ValueError("zero is not invertible")
         return self._exp[(-self._log[a]) % self.order]
-
-    def pow_(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ValueError("zero is not invertible")
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % self.order]
 
     def trace(self, a: int) -> int:
         """Absolute trace down to F_p: sum of the m Frobenius conjugates."""

@@ -21,6 +21,17 @@ from tracecodes.construction import (
 from tracecodes.ring import gray_inverse, lee_weight, random_element, zero as ring_zero
 
 
+def add_codes(field: Field, a, b) -> np.ndarray:
+    """Vectorized addition on arrays of codes, one base-p digit at a time;
+    the oracle of scalar addition (Field.add) over whole arrays."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    for i in range(field.m):
+        w = field.p**i
+        out += (a // w + b // w) % field.p * w
+    return out
+
+
 def lee_weight_by_streaming(r: RingElem, dp: DerivedParams) -> int:
     """Reference path: stream the codeword symbol by symbol and add Lee
     weights.  Slow; the oracle of the weight kernel

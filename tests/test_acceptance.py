@@ -266,7 +266,7 @@ def test_criterion_10_minimality(two_weight_lift_rows, two_weight_units_rows,
     _, units_rows, _, _ = two_weight_units_rows
     cubic_dist, _ = cubic_class_distribution
     verdicts = [
-        minimality_check({w: f for w, f in rows.items() if w}, 3, dual_distance=2)
+        minimality_check({w: f for w, f in rows.items() if w}, 3)
         for rows in (lift_rows, units_rows, cubic_dist.entries)
     ]
     elapsed = time.perf_counter() - start

@@ -669,6 +669,25 @@ def test_identity_suite_memory_does_not_grow_with_trials():
     assert peaks[1] - peaks[0] < 200_000
 
 
+@pytest.mark.parametrize("N,bound_mb", [(9841, 1.10), (1, 0.85)])
+def test_identity_suite_frees_the_gauss_sums_before_the_codewords(N, bound_mb):
+    # the normalization residuals are read off the Gaussian sums right after
+    # the class expansion and the sums are freed, so the codeword blocks do
+    # not stack on the 16(q - 1) bytes of order q - 1 (holding them read
+    # 1.27 and 1.01 MB here)
+    import tracemalloc
+
+    dp = derive_params(CodeParams(Field(3, 9), N))
+    verify_identities(dp, trials=1)  # lazy tables built before any peak is read
+    tracemalloc.start()
+    try:
+        assert verify_identities(dp, trials=1).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
+
+
 def test_class_samples_memory_does_not_grow_with_samples():
     # the samples are drawn and weighed a block of 4096 at a time, so ten
     # times the samples keep the peak of traced allocations; (3,1,1) has one

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -138,8 +141,8 @@ def test_dual_witnesses_pinned(p, m, N, variant, witness):
     # the witnesses the coordinate-walking search reported, found at index 0
     dp = derive_params(CodeParams(Field(p, m), N, variant))
     result = dual_lee_distance(dp)
-    assert result.as_dict() == {"distance": 2, "lower_bound": 2,
-                                "witness": witness, "verified": True}
+    assert json.loads(json.dumps(dataclasses.asdict(result))) == {
+        "distance": 2, "lower_bound": 2, "witness": witness, "verified": True}
     support = [(idx, ring.RingElem(dp.field, *coords)) for idx, coords in witness]
     assert not syndrome(dp, support)
     assert orthogonality_direct(dp, support)
@@ -205,7 +208,7 @@ def test_syndrome_positive_cases(f9):
 # ---------------------------------------------------------------------------
 
 def test_two_weight_distribution_all_minimal():
-    verdict = minimality_check({7776: 6552, 8748: 8}, 3, dual_distance=2)
+    verdict = minimality_check({7776: 6552, 8748: 8}, 3)
     assert verdict.all_minimal
     assert verdict.classification == "dictatorial"
     assert 3 * 7776 > 2 * 8748
@@ -217,15 +220,10 @@ def test_synthetic_ratio_failure():
     assert verdict.classification == "undetermined"
 
 
-def test_democratic_classification():
-    verdict = minimality_check({9: 10, 10: 2}, 5, dual_distance=3)
-    assert verdict.classification == "democratic"
-
-
 def test_margin_identity(f9):
     from tracecodes import distribution_exhaustive
     dist = distribution_exhaustive(derive_params(CodeParams(f9, 1)))
-    lhs = 3 * dist.min_nonzero_weight - 2 * dist.max_nonzero_weight
+    lhs = 3 * dist.min_nonzero_weight - 2 * max(dist.nonzero())
     # the two-weight family's margin 4p^(4m-1) - 4p^(3m), at p = 3, m = 2
     assert lhs == 4 * 3 ** (4 * 2 - 1) - 4 * 3 ** (3 * 2)
     assert lhs > 0

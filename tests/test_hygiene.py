@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level private name is defined that nothing refers to, and no
-public function or class exists only for the tests.
+public function, class, method or property exists only for the tests.
 
 ``__init__.py`` is exempt from the import check, because its imports are
 the public re-exports.  A private name counts as referred to when it
@@ -8,7 +8,8 @@ appears, outside its own definition, in any Python file under ``src/``,
 ``tests/``, ``bench/`` or ``demos/`` (the benchmark tracer binds some of
 them by name, as strings).  A public name counts as used when the package
 refers to it outside its own definition and ``__init__.py``, or a file
-under ``demos/`` or ``bench/`` does; test-only oracles live in
+under ``demos/`` or ``bench/`` does; a method or property counts as used
+wherever its bare name occurs there.  Test-only oracles live in
 ``tests/oracles.py``.
 """
 
@@ -118,22 +119,35 @@ def identifiers(tree, skip=None) -> set[str]:
     return found
 
 
+def public_definitions(tree) -> list[tuple[str, ast.AST]]:
+    """("name", node) for each public module-level function or class of
+    `tree`, and ("Class.name", node) for each public method or property of
+    its module-level classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found.extend((f"{node.name}.{member.name}", member) for member in node.body
+                         if isinstance(member, ast.FunctionDef)
+                         and not member.name.startswith("_"))
+    return found
+
+
 def unreferenced_public_names(modules: dict[str, str], outside: list[str]) -> list[str]:
-    """"module.name" for each public module-level function or class of the
-    `modules` sources (module name -> source) that neither those modules,
-    outside its own definition, nor the `outside` sources refer to."""
+    """"module.name" (or "module.Class.name") for each public definition of
+    the `modules` sources (module name -> source) that neither those
+    modules, outside its own definition, nor the `outside` sources refer to.
+    A member counts as referred to wherever its bare name occurs."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     used_outside = set().union(*(identifiers(ast.parse(text)) for text in outside))
     flagged = []
     for module, tree in trees.items():
         used = used_outside.union(*(identifiers(other) for name, other in trees.items()
                                     if name != module))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in used
-                    and node.name not in identifiers(tree, skip=node)):
-                flagged.append(f"{module}.{node.name}")
+        for qualname, node in public_definitions(tree):
+            if node.name not in used and node.name not in identifiers(tree, skip=node):
+                flagged.append(f"{module}.{qualname}")
     return sorted(flagged)
 
 
@@ -146,6 +160,19 @@ def test_detector_flags_a_test_only_public_name():
     }
     outside = ['wrap(module, "bound")\n', "print(b.run, a.Report)\n"]
     assert unreferenced_public_names(modules, outside) == ["a.spare"]
+
+
+def test_detector_flags_a_test_only_method_or_property():
+    modules = {
+        "a": ("class Table:\n"
+              "    def read(self):\n        return self.size\n\n"
+              "    @property\n    def size(self):\n        return 1\n\n"
+              "    @property\n    def spare(self):\n        return self.spare\n\n"
+              "    def shown(self):\n        pass\n\n"
+              "    def _private(self):\n        pass\n"),
+    }
+    outside = ["print(a.Table().read(), t.shown)\n"]
+    assert unreferenced_public_names(modules, outside) == ["a.Table.spare"]
 
 
 def test_public_names_have_a_caller_outside_the_tests():

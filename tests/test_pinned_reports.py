@@ -7,8 +7,9 @@ printed), its stderr and its exit code, and the test pins a sha256 prefix
 of that.  The runs are the benchmark's eleven jobs at seed 7 (bench/jobs.py),
 the subcode check at (3,4,N=4), a units point whose weights pass 2^63, a
 budget refusal, the CSV format, two points with exact interval bounds, a
-units dual and, through a wrong prediction, a mismatch: every subcommand,
-both variants and formats, and exit codes 0 to 3.  On a mismatch the new
+units dual and, through a wrong prediction and a corrupted class count, a
+mismatch and an identity breach: every subcommand, both variants and
+formats, and exit codes 0 to 3.  On a mismatch the new
 outcome is printed, so a declared report change can be read and re-pinned.
 """
 
@@ -76,12 +77,14 @@ def outcome(argv: str, capsys) -> str:
                       sort_keys=True, indent=1)
 
 
-def assert_pinned(argv: str, pin: str, capsys) -> None:
+def assert_pinned(argv: str, pin: str, capsys) -> dict:
+    """Check one run's pin and return its outcome as parsed JSON."""
     text = outcome(argv, capsys)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     if digest != pin:
         print(text)
     assert digest == pin, f"{argv}: the report changed (printed above)"
+    return json.loads(text)
 
 
 @pytest.fixture(autouse=True)
@@ -104,3 +107,19 @@ def test_mismatch_report_is_pinned(capsys, monkeypatch):
 
     monkeypatch.setattr(analysis, "predict", wrong_prediction)
     assert_pinned("analyze -p 3 -m 2 -N 1", "44b4fbd25cccd16d", capsys)
+
+
+def test_breach_report_is_pinned(capsys, monkeypatch):
+    # exit 1 through verify: one class count off by one breaches the identity
+    # suite at that class, and the report carries the library's breaches,
+    # witness included
+    from test_analysis import _corrupt_class_counts
+
+    from tracecodes import CodeParams, Field, derive_params, verify_identities
+
+    _corrupt_class_counts(monkeypatch, [3])
+    result = assert_pinned("verify -p 3 -m 4 -N 4 --trials 1", "bc121670b7e494dd", capsys)
+    breaches = verify_identities(derive_params(CodeParams(Field(3, 4), 4)), trials=1).breaches
+    assert result["exit"] == 1
+    assert [b["witness"] for b in breaches] == [{"class": 3}]
+    assert result["report"]["breaches"] == breaches

@@ -20,6 +20,8 @@ from tracecodes import (
 from tracecodes import ring
 from tracecodes.ring import gray_word, lee_weight_word, random_element
 
+from oracles import add_codes
+
 
 # ---------------------------------------------------------------------------
 # multiplication
@@ -154,10 +156,10 @@ def test_big_trace_base_ring_linear_exhaustive(f9):
     for lam_coords in itertools.product(range(3), repeat=4):
         la, lb, lc, ld = lam_coords
         pa = mul[la, za]
-        pb = f9.add_codes(mul[la, zb], mul[lb, za])
-        pc = f9.add_codes(mul[la, zc], mul[lc, za])
-        pd = f9.add_codes(f9.add_codes(mul[la, zd], mul[lb, zc]),
-                          f9.add_codes(mul[lc, zb], mul[ld, za]))
+        pb = add_codes(f9, mul[la, zb], mul[lb, za])
+        pc = add_codes(f9, mul[la, zc], mul[lc, za])
+        pd = add_codes(f9, add_codes(f9, mul[la, zd], mul[lb, zc]),
+                       add_codes(f9, mul[lc, zb], mul[ld, za]))
         lhs = np.stack([tr[pa], tr[pb], tr[pc], tr[pd]])
         ta, tb, tc, td = tr[za], tr[zb], tr[zc], tr[zd]
         rhs = np.stack([
