@@ -8,11 +8,10 @@ symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
 floating point.  Both read field.roots_of_unity(p), one cached table per
 p: a theta sum is an integer count vector times it, elementwise and
-summed, and the Gaussian sums read it at the trace table; no BLAS dot
-product and no exponential per sum.  The Gray symbol histograms behind
-them are the explicit per-axis counts of construction.gray_slot_counts,
-never the theorem, so weight_vs_character_sum checks the theorem against
-an explicit count.
+summed, and the Gaussian sums read it at the trace table.  The Gray
+symbol histograms are the explicit per-axis counts of
+construction.gray_slot_counts, never the theorem, so the identity suite
+checks the theorem's weights against an explicit count, in integers.
 
 One code builds the rows of a distribution, distribution_exhaustive: the
 q uv-line codewords d*uv are the field subcode's words times 4*q^3, read
@@ -56,9 +55,6 @@ DEFAULT_WORK_BUDGET = 10**10
 
 #: The identity suite reports a residual above this as a breach.
 TOLERANCE = 1e-6
-
-#: Entries per histogram block of theta_of_vector.
-_THETA_ENTRIES = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +253,8 @@ def gray_symbol_histogram(rows, dp: DerivedParams) -> np.ndarray:
 
 def theta_of_vector(y, p: int) -> complex:
     """Sum of eta^y_j over the entries of a prime-field array (any shape),
-    eta = exp(2*pi*i/p): its value counts times the roots of unity, summed.
-    The counts are summed over blocks of _THETA_ENTRIES entries (p, if
-    larger, so the p counts of a block cost no more than its entries), each
-    block reduced mod p in its own dtype: no int64 copy of the whole input."""
-    y, step = np.asarray(y).ravel(), max(_THETA_ENTRIES, p)
-    hist = np.bincount(y[:step] % p, minlength=p)
-    for lo in range(step, y.size, step):
-        hist += np.bincount(y[lo:lo + step] % p, minlength=p)
-    return complex((hist * roots_of_unity(p)).sum())
+    eta = exp(2*pi*i/p): its value counts times the roots of unity, summed."""
+    return complex((np.bincount(np.ravel(y) % p, minlength=p) * roots_of_unity(p)).sum())
 
 
 def thetas(rows, dp: DerivedParams) -> np.ndarray:
@@ -296,31 +285,44 @@ class IdentityReport:
 
 def verify_identities(dp: DerivedParams, trials: int = 100,
                       seed: int = DEFAULT_SEED) -> IdentityReport:
-    """Residuals of the character-sum identities behind the weight formulas.
+    """Residuals of the identities behind the weight formulas, each fact
+    checked once and named with what it reads.
 
-    Covers: the lift's N2 class counts, either variant, against their
-    Gaussian-sum expansions (two per-class reductions of one trace table);
-    the root-of-unity partial sums against Hamming weight on random vectors;
-    the real-part collapse (p = 3 mod 4 only) and the weight-from-theta
-    formula on random codewords; the vanishing full additive sum for every
-    nonzero multiplier (x -> z*x permutes F_q, so one trace-table histogram
-    serves every z); Gaussian sum normalization and multiplicative-character
-    orthogonality.  Every theta sum is a histogram times the root table,
-    the p - 1 multiples of a random vector in one histogram.
-    The random vectors and codewords are randrange draws from one
-    random.Random(seed).  Breaches are reported with witnesses, never
-    raised; a run past the work budget is refused before any check.
+    - zero_trace_count_vs_character_sum (field tables): the lift's class
+      counts Z_r, either variant, against their Gaussian-sum expansions.  A
+      class is closed under F_p*, so its sum S_r of eta^Tr(xi^k) is the
+      integer H[r,0] - H[r,1] (H[r,a]: k = r mod N2 with trace a), and
+      p*Z_r = n + S_r by algebra: this checks the equidistribution of a
+      class's nonzero traces and the FFT round trip.
+    - gauss_sum_trivial (field tables): G_0 = -1, that is the full additive
+      sum over F_q, 1 + G_0, vanishes; gauss_sum_modulus (field tables):
+      |G_j| = sqrt(q) for j in 1..order-1 of the orders N2 and q - 1.
+    - partial_sums_vs_hamming (roots of unity only): random vectors y, the
+      theta sum of the p - 1 multiples tau*y (one histogram) against Hamming
+      weight; character_orthogonality (roots of unity only): the N2-th
+      powers of a character of order q - 1 sum to q - 1 or 0.
+    - real_part_collapse (the code; p = 3 mod 4): random codewords r, each
+      tau*r (tau = 1..p-1) multiplied and counted on its own.
+    - weight_vs_character_sum (the code): min(trials, 100) random codewords,
+      the kernel's weight against the Gray length less the zero count of r's
+      own symbols, in integers; tau only permutes the nonzero symbol values,
+      so p*w = (p-1)*s - sum of theta(tau*r) says no more.
+
+    Vectors and codewords are randrange draws from one random.Random(seed),
+    the real-part rows before the weight rows.  Breaches are reported with
+    witnesses, never raised; a run past the work budget is refused first.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     field, p, q, n0, n2 = dp.field, dp.p, dp.q, dp.length // dp.q**3, dp.N2
-    def work(t: int) -> int:  # histogram rows and partial sums per trial, then once:
-        # a row's trace products (4*n0 + 3*q), histogram entries (4*n0 + 5*q) and
-        # 3 axes x p shifts x 4p multiply-adds; each tau multiplies at most 63 entries of y
-        rows = min(t, 100) + (t if p % 4 == 3 else 0)
-        return ((p - 1) * (rows * (8 * n0 + 8 * q + 12 * p * p) + t * 64)
-                # class counts, histogram and 32 orthogonality passes over q; N2 comparisons
-                + (2 + min(q - 1, 32)) * q + n2
+    def work(t: int) -> int:
+        # a histogram row's trace products (4*n0 + 3*q), entries (4*n0 + 5*q) and
+        # 3 axes x p shifts x 4p multiply-adds: p - 1 rows per real-part trial (p = 3
+        # mod 4), one per weight row; each tau multiplies at most 63 entries of y
+        row = 8 * n0 + 8 * q + 12 * p * p
+        return ((p - 1) * t * ((p % 4 == 3) * row + 64) + min(t, 100) * row
+                # class counts and 32 orthogonality passes over q; N2 comparisons
+                + (1 + min(q - 1, 32)) * q + n2
                 # per Gauss-sum order two passes over q and one FFT; the expansion's inverse FFT
                 + sum(2 * q + o * o.bit_length() for o in {n2, q - 1}) + n2 * n2.bit_length())
     if work(trials) > (budget := _resolve_budget(None)):
@@ -369,28 +371,25 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
         rhs = (p - 1) * len(y) - p * int(np.count_nonzero(y % p))
         record("partial_sums_vs_hamming", abs(lhs - rhs), {"y": y.tolist()})
 
-    # codewords r drawn a block at a time, each tau*r (tau = 1..p-1) multiplied and
-    # counted on its own: the first `real` check the real-part collapse (p = 3 mod 4
-    # only), the rest p*w = (p-1)*s - sum of theta(tau*r), integer side formed first
-    real = trials if p % 4 == 3 else 0
-    total, block = real + min(trials, 100), max(1, slot_batch_rows(dp) // (p - 1))
-    for start in range(0, total, block):
-        rows = np.array([rng.randrange(q) for _ in range(4 * min(block, total - start))],
-                        dtype=np.int64).reshape(-1, 4)
-        split = max(0, real - start)
+    def draw(k: int) -> np.ndarray:  # k random codeword rows (a, b, c, d)
+        return np.array([rng.randrange(q) for _ in range(4 * k)], dtype=np.int64).reshape(-1, 4)
+
+    # the real-part collapse, codewords r drawn a block at a time, each tau*r
+    # multiplied and counted on its own
+    real, block = trials if p % 4 == 3 else 0, max(1, slot_batch_rows(dp) // (p - 1))
+    for start in range(0, real, block):
+        rows = draw(min(block, real - start))
         taus = field.products(np.arange(1, p)[:, None], rows[:, None, :]).reshape(-1, 4)
-        sums = thetas(taus, dp).reshape(-1, p - 1).tolist()
-        for row, (th, *rest) in zip(rows[:split], sums):
+        for row, (th, *rest) in zip(rows, thetas(taus, dp).reshape(-1, p - 1).tolist()):
             record("real_part_collapse", abs(th + sum(rest) - (p - 1) * th.real),
                    {"r": row.tolist()})
-        for row, w, tau in zip(rows[split:], _weights_serial(dp, rows[split:]), sums[split:]):
-            exact, tau_sum = p * int(w) - (p - 1) * dp.gray_length, sum(tau)
-            record("weight_vs_character_sum",
-                   abs(exact + tau_sum.real) / p + abs(tau_sum.imag), {"r": row.tolist()})
 
-    # the full additive sum vanishes for every nonzero z: the exp/log bijection makes
-    # x -> z*x a permutation of F_q, so every z has the one sum over the trace table
-    record("full_additive_sum", abs(theta_of_vector(field.trace_table, p)), {"z": 1})
+    # the kernel's weight against the Gray length less r's own zero count, in integers
+    rows = draw(min(trials, 100))
+    zeros = gray_symbol_histogram(rows, dp)[:, 0].tolist()
+    for row, w, z in zip(rows, _weights_serial(dp, rows).tolist(), zeros):
+        record("weight_vs_character_sum", float(abs(w - (dp.gray_length - z))),
+               {"r": row.tolist()})
 
     record("gauss_sum_trivial", trivial, {})
     residuals["gauss_sum_modulus"] = modulus_gap

@@ -493,8 +493,7 @@ def test_identity_suite_passes(f9):
     rep = verify_identities(derive_params(CodeParams(f9, 2)), trials=50)
     assert rep.ok
     assert rep.residuals["zero_trace_count_vs_character_sum"] < 1e-6
-    assert rep.residuals["full_additive_sum"] < 1e-9
-    assert rep.residuals["gauss_sum_trivial"] < 1e-6
+    assert rep.residuals["gauss_sum_trivial"] < 1e-9  # the full additive sum, 1 + G_0
     assert rep.residuals["real_part_collapse"] < 1e-6  # p = 3 mod 4 branch
 
 
@@ -604,10 +603,11 @@ def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
 
 @pytest.mark.parametrize("p,m,trials", [(3, 3, 100), (131, 1, 3)])
 def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monkeypatch):
-    # every tau*r is multiplied and counted on its own, never derived from
-    # r's counts, in several batches of at most slot_batch_rows rows, each
-    # taking one coordinate's trace products at a time: four over the base
-    # set and three over F_q
+    # every tau*r of a real-part row is multiplied and counted on its own,
+    # never derived from r's counts, in several batches of at most
+    # slot_batch_rows rows, each taking one coordinate's trace products at a
+    # time: four over the base set and three over F_q; the weight rows come
+    # last, in one batch of their own
     dp = derive_params(CodeParams(Field(p, m), 1))
     real_hist, real_traces = analysis.gray_symbol_histogram, Field.trace_products
     batches, counted = [], []
@@ -625,12 +625,42 @@ def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monk
     assert len(counted) > 7 and len(counted) % 7 == 0
     assert {shape[1:] for shape in counted} == {(1,)}
     assert max(shape[0] for shape in counted) <= construction.slot_batch_rows(dp)
-    # each codeword's p - 1 multiples, tau = 1 first, are its products with
-    # the embedded units tau
-    for group in np.concatenate(batches).reshape(-1, p - 1, 4).tolist():
+    *real_part, weight_rows = batches
+    assert len(weight_rows) == min(trials, 100)
+    # each real-part codeword's p - 1 multiples, tau = 1 first, are its
+    # products with the embedded units tau
+    groups = np.concatenate(real_part).reshape(-1, p - 1, 4).tolist()
+    assert len(groups) == trials
+    for group in groups:
         r = RingElem(dp.field, *group[0])
         taus = [RingElem(dp.field, tau, 0, 0, 0) * r for tau in range(1, p)]
         assert [list(t.coords()) for t in taus] == group
+
+
+@pytest.mark.parametrize("p,m,N,trials", [(61, 1, 1, 100), (5, 2, 3, 120), (3, 3, 1, 37)])
+def test_identity_suite_counts_each_weight_row_once(p, m, N, trials, monkeypatch):
+    # the weight fact is w = s - h_r[0], read from r's own counts: the
+    # histogram receives the min(trials, 100) weighed rows themselves, no
+    # tau-multiple of them (those would be 100 * (p - 1) rows); only the
+    # real-part rows (p = 3 mod 4) add their trials * (p - 1) multiples first
+    dp = derive_params(CodeParams(Field(p, m), N))
+    real_hist, real_kernel = analysis.gray_symbol_histogram, analysis._weights_serial
+    counted, weighed = [], []
+
+    def recorded_hist(rows, params):
+        counted.extend(np.asarray(rows).reshape(-1, 4).tolist())
+        return real_hist(rows, params)
+
+    def recorded_kernel(params, rows):
+        weighed.extend(np.asarray(rows).reshape(-1, 4).tolist())
+        return real_kernel(params, rows)
+    monkeypatch.setattr(analysis, "gray_symbol_histogram", recorded_hist)
+    monkeypatch.setattr(analysis, "_weights_serial", recorded_kernel)
+    assert verify_identities(dp, trials=trials).ok
+    real_part = trials * (p - 1) if p % 4 == 3 else 0
+    assert len(weighed) == min(trials, 100)
+    assert len(counted) == real_part + len(weighed)
+    assert counted[real_part:] == weighed
 
 
 @pytest.mark.parametrize("trials", [1, 37, 120])
@@ -798,16 +828,12 @@ def test_gauss_sums_of_order_q_minus_1_sum_no_copy(p, m):
     assert sums.tobytes() == np.fft.fft(eta.reshape(-1, f.q - 1).sum(axis=0)).tobytes()
 
 
-def test_full_additive_sum_is_histogrammed_a_block_at_a_time():
-    # theta_of_vector counts its input 2^16 entries at a time in the input's
-    # own dtype: at (3,12) the 2.1 MB int32 trace table traces under 1 MB,
-    # where an int64 copy of it and its residues traced 8.5 MB; the summed
-    # counts, and so the full additive sum, stay bit for bit
+def test_theta_of_vector_is_one_histogram_times_the_roots():
+    # one bincount of the entries mod p, whatever their dtype and shape,
+    # times the root table: the int32 trace table of (3,12) as well
     f = Field(3, 12)
-    value, peak = _traced_peak(lambda: theta_of_vector(f.trace_table, 3))
-    assert peak <= 1_000_000, peak
     hist = np.bincount(f.trace_table.astype(np.int64) % 3, minlength=3)
-    assert value == complex((hist * roots_of_unity(3)).sum())
+    assert theta_of_vector(f.trace_table, 3) == complex((hist * roots_of_unity(3)).sum())
     for y in ([0, 1, 2], np.arange(-70000, 70000).reshape(2, -1), np.zeros(0, dtype=np.int64)):
         hist = np.bincount(np.asarray(y, dtype=np.int64).ravel() % 5, minlength=5)
         assert theta_of_vector(y, 5) == complex((hist * roots_of_unity(5)).sum())

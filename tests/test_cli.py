@@ -472,7 +472,7 @@ def test_largest_table_prime_finishes_within_one_gib():
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_refuses_trials_below_one(trials, capsys):
-    # with no trials the real-part and weight-from-theta checks never run
+    # with no trials the real-part and weight checks never run
     code = main(["verify", "-p", "3", "-m", "2", "--threads", "1", "--trials", trials])
     assert code == 2
     captured = capsys.readouterr()
@@ -532,18 +532,19 @@ def test_method_auto_is_refused(capsys):
 
 
 def test_verify_past_product_table_limit_runs_every_check(capsys):
-    # q = 6561 > COORD_TABLE_LIMIT: the full additive sum is one histogram
-    # of the trace table, so the suite runs and finds no breach
+    # q = 6561 > COORD_TABLE_LIMIT: the full additive sum, 1 + G_0, is read
+    # from the Gaussian sums of the trace table, so the suite runs and finds
+    # no breach
     code = main(["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["breaches"] == []
-    assert report["residuals"]["full_additive_sum"] < 1e-9
+    assert report["residuals"]["gauss_sum_trivial"] < 1e-9
 
 
 def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
-    # about 4e5 histograms of O(p^2) each: refused from the estimate alone,
-    # before any table, zero-trace count or histogram
+    # 100 weight rows, each a histogram of O(p^2): refused from the estimate
+    # alone, before any table, zero-trace count or histogram
     from tracecodes import analysis
 
     def no_work(*args):
@@ -558,14 +559,15 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 82275636161441 entry-operations, over the "
-        "budget of 10000000000; no --trials value fits"]
+        "refused: identity suite needs 20132843348 entry-operations, over the "
+        "budget of 10000000000; the largest --trials that fits is 49"]
 
 
 def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch, capsys):
     # q = 4099 > COORD_TABLE_LIMIT: no table limit applies, and the work
-    # estimate refuses the run at the default budget before any
-    # histogram or zero-trace count
+    # estimate (p = 3 mod 4, so each real-part trial counts p - 1 multiples)
+    # refuses the run at the default budget before any histogram or
+    # zero-trace count
     from tracecodes import analysis
 
     def no_work(*args):
@@ -579,7 +581,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 165275982511439 entry-operations, over the "
+        "refused: identity suite needs 82658169910940 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -592,41 +594,64 @@ def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("refused: identity suite needs ")
     fits = int(re.search(r"the largest --trials that fits is (\d+)$", err[0]).group(1))
-    assert fits == 53
+    assert fits == 70
     assert main([*argv, "--trials", str(fits)]) == 0
     assert main([*argv, "--trials", str(fits + 1)]) == 3
 
 
 def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
-    # q = 6561, N2 = 1, one trial: two histogram rows of 8*n0 + 8*q + 12*p^2
-    # and the partial sums, times p - 1 (315472); two passes over q (class
-    # counts, histogram), N2 class comparisons, 32 orthogonality passes, two
-    # passes over q and one FFT for each Gauss-sum order (1 and q - 1) and
-    # the expansion's inverse FFT; no term grows like q^2
+    # q = 6561, N2 = 1, one trial: a real-part row and the partial sums,
+    # times p - 1, and the weight row once, each histogram row
+    # 8*n0 + 8*q + 12*p^2 (236636); one pass over q (class counts), N2 class
+    # comparisons, 32 orthogonality passes, two passes over q and one FFT for
+    # each Gauss-sum order (1 and q - 1) and the expansion's inverse FFT; no
+    # term grows like q^2
     argv = ["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"]
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "10000000")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "650072")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "564675")
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
-        "refused: identity suite needs 650073 entry-operations, over the budget of 650072")
+        "refused: identity suite needs 564676 entry-operations, over the budget of 564675")
 
 
 def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
-    # x -> z*x permutes F_q, so one histogram of the trace table gives the
-    # full additive sum of every z != 0; a histogram per z would take q - 1
-    # = 728 trace_products calls here
-    calls = []
-    real = Field.trace_products
+    # psi^j(xi^k) depends on k mod the order only, so the Gaussian sums read
+    # the trace table at the unit codes once per order and take no trace
+    # products: every trace_products call is one of the seven per batch of
+    # the two codeword histograms (the real-part row's two multiples, then
+    # the weight row); a product per z != 0 would take q - 1 = 728 calls
+    from tracecodes import analysis
+
+    calls, batches = [], []
+    real, real_counts = Field.trace_products, analysis.gray_slot_counts
 
     def counted(self, a, b):
         calls.append(1)
         return real(self, a, b)
+
+    def counted_batches(rows, dp):
+        batches.append(len(rows))
+        return real_counts(rows, dp)
     monkeypatch.setattr(Field, "trace_products", counted)
+    monkeypatch.setattr(analysis, "gray_slot_counts", counted_batches)
     assert main(["verify", "-p", "3", "-m", "6", "--trials", "1", "--threads", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    assert len(calls) < 10
+    assert batches == [2, 1]
+    assert len(calls) == 7 * len(batches)
+
+
+def test_verify_at_61_counts_each_weight_row_once_in_time(capsys):
+    # 100 weight rows counted once each take about 0.03 s on a 2-core x86
+    # host; counting each row's 60 multiples as well takes 0.7-1.0 s there
+    argv = ["verify", "-p", "61", "-m", "1", "--threads", "1"]
+    assert main(argv) == 0  # field tables and the root table built once
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 0.3
+    assert json.loads(capsys.readouterr().out)["breaches"] == []
 
 
 def test_verify_reduces_character_angles_exactly(tmp_path):
@@ -658,7 +683,6 @@ def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
 @pytest.mark.parametrize("argv,residuals", [
     (["-p", "3", "-m", "3", "-N", "1"], {
         "character_orthogonality": 4.1811188891592555e-15,
-        "full_additive_sum": 3.2023728339893768e-15,
         "gauss_sum_modulus": 1.7763568394002505e-15,
         "gauss_sum_trivial": 3.2023728339893768e-15,
         "partial_sums_vs_hamming": 1.7763568394002505e-14,
@@ -667,7 +691,6 @@ def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
         "zero_trace_count_vs_character_sum": 3.202372833989377e-15}),
     (["-p", "5", "-m", "2", "-N", "3", "--subcode"], {
         "character_orthogonality": 1.9892283971771244e-15,
-        "full_additive_sum": 1.1102230246251565e-15,
         "gauss_sum_modulus": 1.7763568394002505e-15,
         "gauss_sum_trivial": 1.336885555457667e-15,
         "partial_sums_vs_hamming": 1.7763568394002505e-14,
@@ -675,7 +698,6 @@ def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
         "zero_trace_count_vs_character_sum": 4.440892098500626e-16}),
     (["-p", "61", "-m", "1", "--trials", "5"], {
         "character_orthogonality": 1.6996616692943936e-14,
-        "full_additive_sum": 2.6945789820192466e-16,
         "gauss_sum_modulus": 3.552713678800501e-15,
         "gauss_sum_trivial": 9.930136612989092e-16,
         "partial_sums_vs_hamming": 3.019806626980426e-14,

@@ -37,9 +37,9 @@ PINNED = {
         "fb161e602b555192",
     # identities
     "verify -p 3 -m 3 -N 1 --threads 1 --seed 7":
-        "c435476104f75e2f",
+        "97764510e691f172",
     "verify -p 5 -m 2 -N 3 --subcode --threads 1 --seed 7":
-        "24b0c3769daa9f0e",
+        "9e02549931773b29",
     # field-setup
     "dual -p 3 -m 9 -N 1 --threads 1 --seed 7":
         "6146b79383bae144",
@@ -49,7 +49,7 @@ PINNED = {
         "6f672fb913b00d1d",
     # beyond the benchmark
     "verify -p 3 -m 4 -N 4 --subcode":
-        "10f191f3f23462e1",
+        "98e99592ed65db3c",
     "analyze -p 40009 -m 1 --variant units":
         "26126bcf74989ceb",
     "analyze -p 3 -m 2 --budget 8":
@@ -118,7 +118,7 @@ def test_breach_report_is_pinned(capsys, monkeypatch):
     from tracecodes import CodeParams, Field, derive_params, verify_identities
 
     _corrupt_class_counts(monkeypatch, [3])
-    result = assert_pinned("verify -p 3 -m 4 -N 4 --trials 1", "bc121670b7e494dd", capsys)
+    result = assert_pinned("verify -p 3 -m 4 -N 4 --trials 1", "fd5bcc16b03484ea", capsys)
     breaches = verify_identities(derive_params(CodeParams(Field(3, 4), 4)), trials=1).breaches
     assert result["exit"] == 1
     assert [b["witness"] for b in breaches] == [{"class": 3}]
