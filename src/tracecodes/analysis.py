@@ -13,14 +13,14 @@ symbol histograms are the explicit per-axis counts of
 construction.gray_slot_counts, never the theorem, so the identity suite
 checks the theorem's weights against an explicit count, in integers.
 
-One code builds the rows of a distribution, distribution_exhaustive: the
-q uv-line codewords d*uv are the field subcode's words times 4*q^3, read
-from the N2 class counts (DerivedParams.class_counts), and the other
-q^4 - q codewords form one bulk row; the work budget charges it q.  The
-tests check it against every one of the q^4 rows weighed on its own
-(tests/oracles.py).  The class method, distribution_by_class, returns
-those rows and weighs seeded members of each class (j < N2) against its
-representative xi^j*uv, both read from one class count.
+One lift, _lifted, turns subcode rows into the full code's: the q uv-line
+codewords d*uv weigh 4*q^3 times their field subcode words, and the other
+q^4 - q form one bulk row.  distribution_exhaustive lifts the subcode rows
+of the class counts (the work budget charges them q), checked against all
+q^4 rows weighed one by one (tests/oracles.py); predict lifts each table,
+written once for the subcode.  distribution_by_class returns those rows and
+weighs seeded members of each class (j < N2) against its representative
+xi^j*uv, both read from one class count.
 
 Every seeded draw (class samples, identity-suite trials) comes from one
 stdlib random.Random(seed) per call, as exact-uniform randrange values;
@@ -102,6 +102,17 @@ def _bulk_weight(dp: DerivedParams) -> int:
     return 4 * (dp.p - 1) * (dp.length // dp.p)
 
 
+def _lifted(dp: DerivedParams, subcode_rows: dict[int, int]) -> dict[int, int]:
+    """The full code's rows from Hamming rows of its field subcode (the
+    theorem in _weights_serial): a uv-line codeword d*uv weighs 4*q^3 times
+    its subcode word, and the other q^4 - q codewords form the bulk row,
+    merged into a lifted row of the same weight if there is one."""
+    entries = {4 * dp.q**3 * w: codes for w, codes in subcode_rows.items()}
+    bulk = _bulk_weight(dp)
+    entries[bulk] = entries.get(bulk, 0) + dp.codeword_count - dp.q
+    return dict(sorted(entries.items()))
+
+
 # No caller in the package: bench/tracer.py binds it by name; it goes with bench/'s next change.
 def _bulk_worker(args):
     p, m, modulus, N, variant_value, rows = args
@@ -152,10 +163,10 @@ def _resolve_budget(budget: int | None) -> int:
 def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> WeightDistribution:
     """The weight of every codeword, exact, by the theorem in _weights_serial.
 
-    The q uv-line rows (0, 0, 0, d) are the field subcode's rows, each
-    Hamming weight times 4*q^3 (the theorem in _weights_serial), so d = 0
-    and the d of a degenerate lift whose traces all vanish weigh 0.  The
-    other q^4 - q codewords form the one bulk row, of weight _bulk_weight(dp).
+    The measured field subcode rows, lifted (_lifted): the q uv-line rows
+    (0, 0, 0, d) weigh 4*q^3 times their subcode words, so d = 0 and the d
+    of a degenerate lift whose traces all vanish weigh 0, and the other
+    q^4 - q codewords form the bulk row, of weight _bulk_weight(dp).
 
     The work budget charges q entry-operations, one pass over the trace
     table for the class counts; a smaller budget is refused, and no method
@@ -167,11 +178,8 @@ def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> Wei
             f"the distribution needs q = {dp.q} entry-operations, over the budget of "
             f"{budget}; no method fits below q, since every method reads the uv-line's "
             "class counts")
-    entries = {4 * dp.q**3 * w: codes for w, codes in subcode_distribution(dp).items()}
-    bulk = _bulk_weight(dp)
-    entries[bulk] = entries.get(bulk, 0) + dp.codeword_count - dp.q
-    return WeightDistribution(entries=dict(sorted(entries.items())), method="exhaustive",
-                              total=dp.codeword_count)
+    return WeightDistribution(entries=_lifted(dp, subcode_distribution(dp)),
+                              method="exhaustive", total=dp.codeword_count)
 
 
 def _sample_class(name: str, j: int, dp: DerivedParams,
@@ -446,33 +454,6 @@ def semiprimitive_exponent(p: int, n2: int) -> int | None:
     return order // 2 if pow(p, order // 2, n2) == n2 - 1 else None
 
 
-def _semiprimitive_case(dp: DerivedParams) -> tuple | None:
-    """The semiprimitive case analysis behind the three-weight and the
-    subcode tables: (l, t, sign, half, special, side conditions) when m is
-    even, N2 >= 2, p^l = -1 modulo N2 and p^(m/2) + (-1)^t (N2-1) > 0;
-    None otherwise.  sign = (-1)^t and half = p^(m/2).  The special case
-    (N2 even, t odd, (p^l+1)/N2 odd) has sign -1, so its window is stated
-    as N2 < p^(m/2) + 1 and its rows are the general ones at sign -1."""
-    p, m, n2 = dp.p, dp.m, dp.N2
-    l = semiprimitive_exponent(p, n2) if m % 2 == 0 else None
-    if l is None:
-        return None
-    t = m // (2 * l)
-    sign, half = -1 if t % 2 else 1, p ** (m // 2)
-    if half + sign * (n2 - 1) <= 0:
-        return None
-    special = n2 % 2 == 0 and t % 2 == 1 and ((p**l + 1) // n2) % 2 == 1
-    conds = (
-        ("m even", True),
-        ("N2 >= 2", True),
-        ("some power of p is -1 modulo N2", True),
-        ("N2 even, t odd, (p^l+1)/N2 odd", special),
-        ("N2 < p^(m/2) + 1", True) if special
-        else ("p^(m/2) + (-1)^t (N2-1) > 0", True),
-    )
-    return l, t, sign, half, special, conds
-
-
 def distance_interval(p: int, m: int, n2: int) -> tuple[int, int]:
     """(d_lower, d_upper) of distance_bounds, exact: the ceiling of base*(q -
     (N2-1)*sqrt(q))/N2 and base*(q-1)/N2, base = 4p^(3m-1).  For odd m, q is
@@ -485,50 +466,38 @@ def distance_interval(p: int, m: int, n2: int) -> tuple[int, int]:
     return d_lower, base * (q - 1) // n2
 
 
+#: The full code's regime for each table of predict_subcode, which predict lifts.
+_LIFTED_REGIME = {"subcode_two_weight_general": "three_weight_general",
+                  "subcode_two_weight_special": "three_weight_special"}
+
+
 def predict(dp: DerivedParams) -> list[Prediction]:
     """Predictions applicable to the full code at these parameters.
 
-    Every regime whose side conditions hold is emitted; when no exact-row
-    regime applies, the interval-only regime is emitted if its own window
-    on N2 holds.  Inapplicability is data, not an error.
+    Each exact table is a Hamming table of the field subcode, written once
+    and lifted by _lifted (weights times 4*q^3, plus the bulk row of the
+    q^4 - q codewords off the uv-line): one weight on all q - 1 nonzero
+    words, q/p for the lift at N2 = 1 and q - q/p for the units, or a table
+    of predict_subcode.  Every regime whose side conditions hold is emitted;
+    when no exact-row regime applies, the interval-only regime is emitted if
+    its own window on N2 holds.  Inapplicability is data, not an error.
     """
     p, m, q, n2 = dp.p, dp.m, dp.q, dp.N2
     parity_ok = (m % 2 == 0) or (p % 4 == 3)
     parity_cond = ("m even, or m odd and p = 3 (mod 4)", parity_ok)
-    preds: list[Prediction] = []
+
+    def lifted(regime: str, subcode_rows: dict[int, int], conds, **case) -> Prediction:
+        return Prediction(regime=regime, rows=tuple(_lifted(dp, subcode_rows).items()),
+                          side_conditions=conds, **case)
 
     if dp.variant is Variant.UNITS:
-        if parity_ok:
-            w_hi = 4 * (p - 1) * p ** (4 * m - 1)
-            w_lo = 4 * (p - 1) * (p ** (4 * m - 1) - p ** (3 * m - 1))
-            preds.append(Prediction(
-                regime="two_weight_units",
-                rows=((w_lo, q**4 - q), (w_hi, q - 1)),
-                side_conditions=(parity_cond,),
-            ))
-        return preds
-
+        units = lifted("two_weight_units", {q - q // p: q - 1}, (parity_cond,))
+        return [units] if parity_ok else []
+    preds: list[Prediction] = []
     if n2 == 1 and parity_ok:
-        w_hi = 4 * p ** (4 * m - 1)
-        w_lo = w_hi - 4 * p ** (3 * m - 1)
-        preds.append(Prediction(
-            regime="two_weight_lift",
-            rows=((w_lo, q**4 - q), (w_hi, q - 1)),
-            side_conditions=(("N2 = 1", True), parity_cond),
-        ))
-
-    if (case := _semiprimitive_case(dp)) is not None:
-        l, t, sign, half, special, conds = case
-        base = 4 * p ** (3 * m - 1)
-        rows = [
-            (base * (q + sign * (n2 - 1) * half) // n2, (q - 1) // n2),
-            (base * (q - 1) // n2, q**4 - q),  # the bulk row: every codeword off the uv-line
-            (base * (q - sign * half) // n2, (n2 - 1) * (q - 1) // n2),
-        ]
-        preds.append(Prediction(
-            regime="three_weight_special" if special else "three_weight_general",
-            rows=tuple(sorted(rows)), side_conditions=conds, l=l, t=t,
-        ))
+        preds.append(lifted("two_weight_lift", {q // p: q - 1}, (("N2 = 1", True), parity_cond)))
+    preds += [lifted(_LIFTED_REGIME[sub.regime], sub.rows_dict(), sub.side_conditions,
+                     l=sub.l, t=sub.t) for sub in predict_subcode(dp)]
 
     if not preds and 1 < n2 and (n2 - 1) ** 2 < q and parity_ok:
         d_lower, d_upper = distance_interval(p, m, n2)
@@ -543,27 +512,38 @@ def predict(dp: DerivedParams) -> list[Prediction]:
 
 
 def predict_subcode(dp: DerivedParams) -> list[Prediction]:
-    """Predicted Hamming rows for the length-n field subcode of the lift;
-    the units variant's subcode has no table."""
-    if dp.variant is Variant.UNITS or (case := _semiprimitive_case(dp)) is None:
+    """Predicted Hamming rows for the length-n field subcode of the lift in
+    the semiprimitive case: m even, N2 >= 2, p^l = -1 modulo N2 and
+    p^(m/2) + (-1)^t (N2-1) > 0, t = m/(2l).  The special case (N2 even, t
+    odd, (p^l+1)/N2 odd) has (-1)^t = -1, so its window is stated as
+    N2 < p^(m/2) + 1.  The units variant's subcode has no table here.
+
+    The window is nondegeneracy: N2 divides p^l + 1 and l divides m/2, so
+    outside it N2 = p^(m/2) + 1, t = 1 and the rare weight is 0: nonzero
+    subcode words vanish, the dimension is below 4m.  So a table is emitted
+    exactly when the dimension is 4m."""
+    p, m, q, n2 = dp.p, dp.m, dp.q, dp.N2
+    l = semiprimitive_exponent(p, n2) if m % 2 == 0 else None
+    if dp.variant is Variant.UNITS or l is None:
         return []
-    l, t, sign, half, special, conds = case
-    p, q, n2 = dp.p, dp.q, dp.N2
-
-    def exact_div(num: int) -> int:
-        quot, rem = divmod(num, p * n2)
-        if rem:
-            raise AssertionError("subcode weight formula produced a non-integer")
-        return quot
-
-    rows = tuple(sorted([
-        (exact_div(q + sign * (n2 - 1) * half), (q - 1) // n2),
-        (exact_div(q - sign * half), (n2 - 1) * (q - 1) // n2),
-    ]))
+    t = m // (2 * l)
+    sign, half = -1 if t % 2 else 1, p ** (m // 2)
+    if half + sign * (n2 - 1) <= 0:
+        return []
+    special = n2 % 2 == 0 and t % 2 == 1 and ((p**l + 1) // n2) % 2 == 1
+    # each row's weight times p*N2, with its frequency
+    scaled = ((q + sign * (n2 - 1) * half, (q - 1) // n2),
+              (q - sign * half, (n2 - 1) * (q - 1) // n2))
+    if any(w % (p * n2) for w, _ in scaled):
+        raise AssertionError("subcode weight formula produced a non-integer")
+    conds = (("m even", True), ("N2 >= 2", True), ("some power of p is -1 modulo N2", True),
+             ("N2 even, t odd, (p^l+1)/N2 odd", special),
+             ("N2 < p^(m/2) + 1", True) if special
+             else ("p^(m/2) + (-1)^t (N2-1) > 0", True))
     return [Prediction(
         regime="subcode_two_weight_special" if special else "subcode_two_weight_general",
-        rows=rows, side_conditions=conds, scope="subcode", l=l, t=t,
-    )]
+        rows=tuple(sorted((w // (p * n2), codes) for w, codes in scaled)),
+        side_conditions=conds, scope="subcode", l=l, t=t)]
 
 
 @dataclass

@@ -1,7 +1,9 @@
 import cmath
+import hashlib
 import math
 import random
 from collections import Counter
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -997,6 +999,54 @@ def test_semiprimitive_tables_stop_at_the_window(p, m, N):
     assert not [pred for pred in predict(dp) if pred.regime.startswith("three_weight")]
     assert predict_subcode(dp) == []
     assert construction.subcode_distribution(dp)[0] == p ** (m // 2)
+
+
+def test_every_prediction_on_the_grid_is_pinned():
+    # every field of every Prediction (regime, rows, side conditions, scope,
+    # l, t, interval) of predict and predict_subcode at the 254 grid points,
+    # in grid order: the digest was taken when each table was still written
+    # out for the full code as well as for the subcode
+    digest = hashlib.sha256()
+    for p, m, N, variant in _class_grid():
+        dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
+        digest.update(repr(([asdict(pred) for pred in predict(dp)],
+                            [asdict(pred) for pred in predict_subcode(dp)])).encode())
+    assert digest.hexdigest()[:16] == "aaf7b1bab9c8ad2c"
+
+
+def test_units_code_is_the_lift_at_n1_repeated_on_the_grid():
+    # Theorem B: the units coordinates are lambda*x, lambda in F_p*, x a
+    # coordinate of the lift at N = 1, and the Gray map is F_p-linear, so a
+    # units codeword weighs p - 1 times the lift's; its exact tables are the
+    # lift's with the weights scaled, at every field of the grid
+    fields = sorted({(p, m) for p, m, _, _ in _class_grid()})
+    assert len(fields) == 24
+    for p, m in fields:
+        lift, units = (derive_params(CodeParams(Field(p, m), 1, v)) for v in Variant)
+        scaled = {(p - 1) * w: codes for w, codes in distribution_exhaustive(lift).entries.items()}
+        assert distribution_exhaustive(units).entries == scaled, (p, m)
+        tables = [pred.rows for pred in predict(lift) if pred.rows]
+        assert [pred.rows for pred in predict(units) if pred.rows] == [
+            tuple(((p - 1) * w, codes) for w, codes in rows) for rows in tables], (p, m)
+
+
+def test_exact_tables_are_emitted_only_at_full_dimension_on_the_grid():
+    # the windows are nondegeneracy: every lift point with an exact table has
+    # dimension 4m, and in the semiprimitive case (m even, N2 >= 2, a power of
+    # p is -1 modulo N2) predict_subcode emits its table exactly when k = 4m
+    exact = semiprimitive = emitted = 0
+    for p, m, N, variant in _class_grid():
+        if variant != "lift":
+            continue
+        dp = derive_params(CodeParams(Field(p, m), N))
+        if any(pred.rows for pred in predict(dp)):
+            exact += 1
+            assert dp.dimension == 4 * m, (p, m, N)
+        if m % 2 == 0 and dp.N2 >= 2 and semiprimitive_exponent(p, dp.N2) is not None:
+            semiprimitive += 1
+            emitted += bool(predict_subcode(dp))
+            assert bool(predict_subcode(dp)) == (dp.dimension == 4 * m), (p, m, N)
+    assert (exact, semiprimitive, emitted) == (123, 118, 80)
 
 
 def test_subcode_report_matches(f81):
