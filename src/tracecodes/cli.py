@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from typing import NoReturn
 
 from . import analysis, bounds
 from .construction import (
@@ -175,6 +176,7 @@ def _emit(report: dict, cfg: argparse.Namespace, runtime_ms: int) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -259,11 +261,27 @@ def main(argv=None) -> int:
     runtime_ms = int((time.monotonic() - start) * 1000)
     try:
         _emit(report, cfg, runtime_ms)
-    except OSError as exc:  # -o names a path that cannot be written
-        print(f"error: cannot write the report to {cfg.out}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # the -o path, or stdout (a full device, a closed pipe), refused it
+        print(f"error: cannot write the report to {cfg.out or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_USAGE
     return code
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m tracecodes.cli`` and of the
+    ``tracecodes`` script: `main`, stderr flushed, then the process ends at
+    once with its exit code.  The interpreter's teardown (a final GC and
+    module cleanup over numpy's heap, about 40 ms) writes nothing, so it is
+    skipped.  `_emit` flushed the report inside `main`, where a failure is
+    caught and reported; flushing stdout again would retry the bytes that
+    failed.  An exception escaping `main` still leaves through the
+    interpreter, with its traceback and exit 1; in-process callers of
+    `main` get its return value and keep their interpreter."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

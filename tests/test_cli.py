@@ -3,6 +3,7 @@ import functools
 import inspect
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -727,6 +728,56 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and not out.is_file()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write the report to {out}")
+
+
+def _cli_process(argv, **kwargs) -> subprocess.Popen:
+    """Start `python -m tracecodes.cli argv` on the package under src/, its
+    stdout block-buffered (PYTHONUNBUFFERED unset) as a user's would be."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.Popen([sys.executable, "-m", "tracecodes.cli", *argv], env=env,
+                            text=True, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_exits_two_naming_stdout():
+    # the report is flushed inside main, so a full device is caught there
+    # and named; nothing is left for the interpreter to fail on at exit
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["analyze", "-p", "3", "-m", "1", "--format", "csv"],
+                            stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2, err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write the report to stdout: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_process_entry_writes_what_main_returns(tmp_path, capsys):
+    # the process ends by os._exit after its report: each child's exit code
+    # and stderr equal an in-process main call's, and its stdout equals the
+    # report that call writes with -o, apart from runtime_ms
+    runs = [
+        ["analyze", "-p", "3", "-m", "2"],
+        ["dual", "-p", "3", "-m", "3"],
+        ["verify", "-p", "5", "-m", "2", "-N", "3", "--subcode"],
+        ["analyze", "-p", "5", "-m", "7"],  # the 64-bit guard: exit 2
+        ["analyze", "-p", "3", "-m", "2", "--budget", "1"],  # exit 3
+    ]
+    procs = [_cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in runs]
+    runtime = re.compile(r'"runtime_ms": \d+')
+    for i, (argv, proc, code) in enumerate(zip(runs, procs, (0, 0, 0, 2, 3))):
+        out, err = proc.communicate(timeout=120)
+        report = tmp_path / f"{i}.json"
+        assert main([*argv, "-o", str(report)]) == code == proc.returncode
+        assert capsys.readouterr().err == err
+        written = report.read_text() if report.exists() else ""
+        assert runtime.sub("", out) == runtime.sub("", written)
+        assert ("runtime_ms" in out) == (code == 0)
+    # the installed script goes through the same entry as python -m
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert 'tracecodes = "tracecodes.cli:run"' in pyproject.read_text()
 
 
 @pytest.mark.parametrize("extra", [["--modulus", ""], ["-o", ""]])
