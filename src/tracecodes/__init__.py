@@ -20,7 +20,6 @@ from .analysis import (
     predict_subcode,
     semiprimitive_exponent,
     subcode_report,
-    theta_of_vector,
     verify_identities,
 )
 from .bounds import (

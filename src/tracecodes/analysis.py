@@ -8,10 +8,12 @@ symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
 floating point.  Both read field.roots_of_unity(p), one cached table per
 p: a theta sum is an integer count vector times it, elementwise and
-summed, and the Gaussian sums read it at the trace table.  The Gray
-symbol histograms are the explicit per-axis counts of
-construction.gray_slot_counts, never the theorem, so the identity suite
-checks the theorem's weights against an explicit count, in integers.
+summed, and the Gaussian sums read it at the trace table.  The identity
+suite, verify_identities, checks five facts: three of the field's tables
+and two of `trials` random codewords.  The Gray symbol histograms are the
+explicit per-axis counts of construction.gray_slot_counts, never the
+theorem, so it checks the theorem's weights against an explicit count, in
+integers.
 
 One lift, _lifted, turns subcode rows into the full code's: the q uv-line
 codewords d*uv weigh 4*q^3 times their field subcode words, and the other
@@ -259,20 +261,14 @@ def gray_symbol_histogram(rows, dp: DerivedParams) -> np.ndarray:
     return gray_slot_counts(rows, dp).sum(axis=1)
 
 
-def theta_of_vector(y, p: int) -> complex:
-    """Sum of eta^y_j over the entries of a prime-field array (any shape),
-    eta = exp(2*pi*i/p): its value counts times the roots of unity, summed."""
-    return complex((np.bincount(np.ravel(y) % p, minlength=p) * roots_of_unity(p)).sum())
-
-
-def thetas(rows, dp: DerivedParams) -> np.ndarray:
-    """(K,) complex128 sums of eta^symbol over the Gray images of the K rows'
-    codewords, each on its own: every row's symbol counts times the roots of
-    unity, summed along the row.  The roots sum to 0, so dropping a row's
-    least count first keeps the Gray length out of the float rounding."""
-    hist = gray_symbol_histogram(rows, dp)
-    hist -= hist.min(axis=1, keepdims=True)
-    return (hist * roots_of_unity(dp.p)).sum(axis=1)
+def thetas(hist: np.ndarray) -> np.ndarray:
+    """(K,) complex128 sums of eta^s over the symbols s of K words, from
+    their (K, p) counts of each value of F_p (gray_symbol_histogram): each
+    row's counts times the roots of unity, summed along the row.  The roots
+    sum to 0, so dropping a row's least count first keeps the Gray length
+    out of the float rounding."""
+    hist = hist - hist.min(axis=1, keepdims=True)
+    return (hist * roots_of_unity(hist.shape[1])).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +289,8 @@ class IdentityReport:
 
 def verify_identities(dp: DerivedParams, trials: int = 100,
                       seed: int = DEFAULT_SEED) -> IdentityReport:
-    """Residuals of the identities behind the weight formulas, each fact
-    checked once and named with what it reads.
+    """Residuals of the five identities behind the weight formulas, each
+    fact checked once and named with what it reads.
 
     - zero_trace_count_vs_character_sum (field tables): the lift's class
       counts Z_r, either variant, against their Gaussian-sum expansions.  A
@@ -305,43 +301,37 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     - gauss_sum_trivial (field tables): G_0 = -1, that is the full additive
       sum over F_q, 1 + G_0, vanishes; gauss_sum_modulus (field tables):
       |G_j| = sqrt(q) for j in 1..order-1 of the orders N2 and q - 1.
-    - partial_sums_vs_hamming (roots of unity only): random vectors y, the
-      theta sum of the p - 1 multiples tau*y (one histogram) against Hamming
-      weight; character_orthogonality (roots of unity only): the N2-th
-      powers of a character of order q - 1 sum to q - 1 or 0.
-    - real_part_collapse (the code; p = 3 mod 4): random codewords r, each
-      tau*r (tau = 1..p-1) multiplied and counted on its own.
-    - weight_vs_character_sum (the code): min(trials, 100) random codewords,
-      the kernel's weight against the Gray length less the zero count of r's
-      own symbols, in integers; tau only permutes the nonzero symbol values,
-      so p*w = (p-1)*s - sum of theta(tau*r) says no more.
+    - real_part_collapse (the code; p = 3 mod 4): each codeword r's
+      multiples tau*r (tau = 1..p-1), each multiplied and counted on its
+      own, have theta sums that add up to p - 1 times the real part of
+      theta(r).
+    - weight_vs_zero_count (the code): each codeword's weight from the
+      kernel against the Gray length less the zero count of r's own
+      symbols (its tau = 1 row), in integers; tau only permutes the nonzero
+      symbol values, so p*w = (p-1)*s - sum of theta(tau*r) says no more.
 
-    Vectors and codewords are randrange draws from one random.Random(seed),
-    the real-part rows before the weight rows.  Breaches are reported with
-    witnesses, never raised; a run past the work budget is refused first.
+    The code identities check the same `trials` codewords, randrange draws
+    from one random.Random(seed), drawn and counted a block at a time, at
+    most slot_batch_rows rows of multiples per block, so memory does not
+    grow with `trials`.  The work estimate is fixed + trials * per_trial;
+    a run past the work budget is refused first, naming the largest
+    `trials` that fits.  Breaches are reported with witnesses, never raised.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     field, p, q, n0, n2 = dp.field, dp.p, dp.q, dp.length // dp.q**3, dp.N2
-    def work(t: int) -> int:
-        # a histogram row's trace products (4*n0 + 3*q), entries (4*n0 + 5*q) and
-        # 3 axes x p shifts x 4p multiply-adds: p - 1 rows per real-part trial (p = 3
-        # mod 4), one per weight row; each tau multiplies at most 63 entries of y
-        row = 8 * n0 + 8 * q + 12 * p * p
-        return ((p - 1) * t * ((p % 4 == 3) * row + 64) + min(t, 100) * row
-                # class counts and 32 orthogonality passes over q; N2 comparisons
-                + (1 + min(q - 1, 32)) * q + n2
-                # per Gauss-sum order two passes over q and one FFT; the expansion's inverse FFT
-                + sum(2 * q + o * o.bit_length() for o in {n2, q - 1}) + n2 * n2.bit_length())
-    if work(trials) > (budget := _resolve_budget(None)):
-        # the largest t with work(t) <= budget, by bisection over integers:
-        # --trials may be past what a range() can index
-        fits, over = 0, trials
-        while over - fits > 1:
-            mid = (fits + over) // 2
-            fits, over = (mid, over) if work(mid) <= budget else (fits, mid)
+    taus = p - 1 if p % 4 == 3 else 1  # the multiples tau*r counted per codeword
+    # per multiple one histogram row: trace products (4*n0 + 3*q), entries
+    # (4*n0 + 5*q) and 3 axes x p shifts x 4p multiply-adds
+    per_trial = taus * (8 * n0 + 8 * q + 12 * p * p)
+    # one pass over q for the class counts and N2 comparisons; per Gauss-sum order
+    # two passes over q and one FFT; the expansion's inverse FFT
+    fixed = (q + n2 + sum(2 * q + o * o.bit_length() for o in {n2, q - 1})
+             + n2 * n2.bit_length())
+    if (needs := fixed + trials * per_trial) > (budget := _resolve_budget(None)):
+        fits = max(0, (budget - fixed) // per_trial)
         raise WorkBudgetExceeded(
-            f"identity suite needs {work(trials)} entry-operations, over the budget of {budget}; "
+            f"identity suite needs {needs} entry-operations, over the budget of {budget}; "
             + (f"the largest --trials that fits is {fits}" if fits else "no --trials value fits"))
     rng = random.Random(seed)
     residuals: dict[str, float] = {}
@@ -371,45 +361,27 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
             for j in np.flatnonzero(gap > TOLERANCE).tolist()]
     del gauss, gaps, expansion
 
-    # partial sums vs Hamming weight, random prime-field vectors: the theta sum of
-    # all p - 1 multiples tau*y at once is the sum of their theta sums
-    for _ in range(trials):
-        y = np.array([rng.randrange(p) for _ in range(rng.randrange(1, 64))])
-        lhs = theta_of_vector(np.arange(1, p)[:, None] * y, p)
-        rhs = (p - 1) * len(y) - p * int(np.count_nonzero(y % p))
-        record("partial_sums_vs_hamming", abs(lhs - rhs), {"y": y.tolist()})
-
-    def draw(k: int) -> np.ndarray:  # k random codeword rows (a, b, c, d)
-        return np.array([rng.randrange(q) for _ in range(4 * k)], dtype=np.int64).reshape(-1, 4)
-
-    # the real-part collapse, codewords r drawn a block at a time, each tau*r
-    # multiplied and counted on its own
-    real, block = trials if p % 4 == 3 else 0, max(1, slot_batch_rows(dp) // (p - 1))
-    for start in range(0, real, block):
-        rows = draw(min(block, real - start))
-        taus = field.products(np.arange(1, p)[:, None], rows[:, None, :]).reshape(-1, 4)
-        for row, (th, *rest) in zip(rows, thetas(taus, dp).reshape(-1, p - 1).tolist()):
-            record("real_part_collapse", abs(th + sum(rest) - (p - 1) * th.real),
-                   {"r": row.tolist()})
-
-    # the kernel's weight against the Gray length less r's own zero count, in integers
-    rows = draw(min(trials, 100))
-    zeros = gray_symbol_histogram(rows, dp)[:, 0].tolist()
-    for row, w, z in zip(rows, _weights_serial(dp, rows).tolist(), zeros):
-        record("weight_vs_character_sum", float(abs(w - (dp.gray_length - z))),
-               {"r": row.tolist()})
+    # the code identities, codewords r drawn a block at a time: every tau*r multiplied
+    # and counted on its own, tau = 1 (r itself) first
+    block, multipliers = max(1, slot_batch_rows(dp) // taus), np.arange(1, taus + 1)[:, None]
+    for start in range(0, trials, block):
+        rows = np.array([rng.randrange(q) for _ in range(4 * min(block, trials - start))],
+                        dtype=np.int64).reshape(-1, 4)
+        multiples = field.products(multipliers, rows[:, None, :]).reshape(-1, 4)
+        hist = gray_symbol_histogram(multiples, dp)
+        # the kernel's weight against the Gray length less r's own zero count, in integers
+        zeros = hist[::taus, 0].tolist()
+        for row, w, z in zip(rows.tolist(), _weights_serial(dp, rows).tolist(), zeros):
+            record("weight_vs_zero_count", float(abs(w - (dp.gray_length - z))), {"r": row})
+        if taus > 1:
+            for row, (th, *rest) in zip(rows.tolist(), thetas(hist).reshape(-1, taus).tolist()):
+                record("real_part_collapse", abs(th + sum(rest) - (p - 1) * th.real),
+                       {"r": row})
 
     record("gauss_sum_trivial", trivial, {})
     residuals["gauss_sum_modulus"] = modulus_gap
     for order, j, gap in over:
         record("gauss_sum_modulus", gap, {"order": order, "j": j + 1})
-
-    # multiplicative-character orthogonality through N2-th powers, angles reduced mod q - 1
-    ks = np.arange(q - 1)
-    for j in range(0, min(q - 1, 32)):
-        total = np.exp(-2j * np.pi * (j * n2 * ks % (q - 1)) / (q - 1)).sum()
-        expected = (q - 1) if (j * n2) % (q - 1) == 0 else 0.0
-        record("character_orthogonality", abs(total - expected), {"j": j})
 
     return IdentityReport(residuals=residuals, breaches=breaches, tolerance=TOLERANCE,
                           trials=trials)

@@ -35,7 +35,7 @@ from .construction import (
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
 from .field import Field, parse_modulus
 
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="character-sum identity suite")
     _add_common(sp)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=int, default=100,
+                    help="random codewords each code identity checks (default 100)")
     sp.add_argument("--subcode", action="store_true",
                     help="also count the field subcode and compare")
 

@@ -1,4 +1,3 @@
-import cmath
 import hashlib
 import math
 import random
@@ -25,7 +24,6 @@ from tracecodes import (
     predict_subcode,
     semiprimitive_exponent,
     subcode_report,
-    theta_of_vector,
     verify_identities,
 )
 from tracecodes import Field, analysis, construction, ring
@@ -443,22 +441,8 @@ def test_scaling_invariance_on_uv_line(f9, f25):
 
 def test_theta_of_zero_codeword(f9):
     dp = derive_params(CodeParams(f9, 1))
-    assert abs(analysis.thetas([ring.zero(f9).coords()], dp)[0] - dp.gray_length) < 1e-9
-
-
-def test_theta_of_vector_root_sum():
-    assert abs(theta_of_vector([0, 1, 2], 3)) < 1e-12
-
-
-def test_theta_of_vector_of_all_multiples_is_the_sum_of_their_thetas():
-    # the partial-sums check reads one histogram of the p - 1 rows tau*y;
-    # the per-row sums of eta^(tau*y_j), summed, are the reference
-    rng = random.Random(5)
-    for p in (3, 5, 61):
-        y = np.array([rng.randrange(p) for _ in range(40)])
-        multiples = np.arange(1, p)[:, None] * y
-        reference = sum(cmath.exp(2j * cmath.pi * s / p) for s in multiples.ravel().tolist())
-        assert abs(theta_of_vector(multiples, p) - reference) < 1e-9
+    hist = gray_symbol_histogram([ring.zero(f9).coords()], dp)
+    assert abs(analysis.thetas(hist)[0] - dp.gray_length) < 1e-9
 
 
 def test_symbol_histogram_total(f9):
@@ -471,8 +455,8 @@ def test_symbol_histogram_total(f9):
 def test_thetas_equal_one_row_theta(f9):
     dp = derive_params(CodeParams(f9, 2))
     rows = np.random.default_rng(3).integers(0, f9.q, size=(20, 4))
-    got = analysis.thetas(rows, dp).tolist()
-    assert got == [analysis.thetas([r], dp)[0] for r in rows]
+    got = analysis.thetas(gray_symbol_histogram(rows, dp)).tolist()
+    assert got == [analysis.thetas(gray_symbol_histogram([r], dp))[0] for r in rows]
 
 
 def test_weight_from_theta_formula(f9):
@@ -482,7 +466,7 @@ def test_weight_from_theta_formula(f9):
         r = random_element(f9, rng)
         w = _weights_serial(dp, [r.coords()])[0]
         taus = [(RingElem(f9, tau, 0, 0, 0) * r).coords() for tau in range(1, 3)]
-        tau_sum = sum(analysis.thetas(taus, dp))
+        tau_sum = sum(analysis.thetas(gray_symbol_histogram(taus, dp)))
         value = (2 * dp.gray_length - tau_sum) / 3
         assert abs(w - value) < 1e-6
 
@@ -549,7 +533,7 @@ def test_identity_suite_measures_the_kernel(f9, monkeypatch):
                         lambda dp, rows: real(dp, rows) + 4)
     rep = verify_identities(derive_params(CodeParams(f9, 1)), trials=5)
     assert not rep.ok
-    assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
+    assert {b["identity"] for b in rep.breaches} == {"weight_vs_zero_count"}
 
 
 def test_identity_suite_names_each_zero_trace_breach_by_class(f9, monkeypatch):
@@ -577,8 +561,8 @@ def test_identity_suite_measures_the_histograms(f9, monkeypatch):
     rep = verify_identities(derive_params(CodeParams(f9, 1)), trials=5)
     assert not rep.ok
     breached = {b["identity"] for b in rep.breaches}
-    assert "weight_vs_character_sum" in breached
-    assert breached <= {"weight_vs_character_sum", "real_part_collapse"}
+    assert "weight_vs_zero_count" in breached
+    assert breached <= {"weight_vs_zero_count", "real_part_collapse"}
 
 
 def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
@@ -590,7 +574,7 @@ def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
     monkeypatch.setattr(analysis, "_weights_serial",
                         lambda dp, rows: real_kernel(dp, rows) + 4)
     rep = verify_identities(dp, trials=5)
-    assert {b["identity"] for b in rep.breaches} == {"weight_vs_character_sum"}
+    assert {b["identity"] for b in rep.breaches} == {"weight_vs_zero_count"}
     monkeypatch.setattr(analysis, "_weights_serial", real_kernel)
 
     def mutant(rows, params):
@@ -600,16 +584,16 @@ def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
         return counts
     monkeypatch.setattr(analysis, "gray_slot_counts", mutant)
     rep = verify_identities(dp, trials=5)
-    assert "weight_vs_character_sum" in {b["identity"] for b in rep.breaches}
+    assert "weight_vs_zero_count" in {b["identity"] for b in rep.breaches}
 
 
 @pytest.mark.parametrize("p,m,trials", [(3, 3, 100), (131, 1, 3)])
 def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monkeypatch):
-    # every tau*r of a real-part row is multiplied and counted on its own,
+    # every tau*r of a drawn codeword is multiplied and counted on its own,
     # never derived from r's counts, in several batches of at most
     # slot_batch_rows rows, each taking one coordinate's trace products at a
-    # time: four over the base set and three over F_q; the weight rows come
-    # last, in one batch of their own
+    # time: four over the base set and three over F_q; no batch of its own
+    # is counted for the weight check
     dp = derive_params(CodeParams(Field(p, m), 1))
     real_hist, real_traces = analysis.gray_symbol_histogram, Field.trace_products
     batches, counted = [], []
@@ -627,11 +611,9 @@ def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monk
     assert len(counted) > 7 and len(counted) % 7 == 0
     assert {shape[1:] for shape in counted} == {(1,)}
     assert max(shape[0] for shape in counted) <= construction.slot_batch_rows(dp)
-    *real_part, weight_rows = batches
-    assert len(weight_rows) == min(trials, 100)
-    # each real-part codeword's p - 1 multiples, tau = 1 first, are its
-    # products with the embedded units tau
-    groups = np.concatenate(real_part).reshape(-1, p - 1, 4).tolist()
+    # each codeword's p - 1 multiples, tau = 1 first, are its products with
+    # the embedded units tau, and each codeword is counted once
+    groups = np.concatenate(batches).reshape(-1, p - 1, 4).tolist()
     assert len(groups) == trials
     for group in groups:
         r = RingElem(dp.field, *group[0])
@@ -641,10 +623,10 @@ def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monk
 
 @pytest.mark.parametrize("p,m,N,trials", [(61, 1, 1, 100), (5, 2, 3, 120), (3, 3, 1, 37)])
 def test_identity_suite_counts_each_weight_row_once(p, m, N, trials, monkeypatch):
-    # the weight fact is w = s - h_r[0], read from r's own counts: the
-    # histogram receives the min(trials, 100) weighed rows themselves, no
-    # tau-multiple of them (those would be 100 * (p - 1) rows); only the
-    # real-part rows (p = 3 mod 4) add their trials * (p - 1) multiples first
+    # the weight fact is w = s - h_r[0], read from r's own counts: every
+    # drawn codeword is weighed once and counted once as its tau = 1 row;
+    # at p = 3 mod 4 its other p - 2 multiples follow it, for the real part,
+    # and otherwise no multiple is counted
     dp = derive_params(CodeParams(Field(p, m), N))
     real_hist, real_kernel = analysis.gray_symbol_histogram, analysis._weights_serial
     counted, weighed = [], []
@@ -659,18 +641,34 @@ def test_identity_suite_counts_each_weight_row_once(p, m, N, trials, monkeypatch
     monkeypatch.setattr(analysis, "gray_symbol_histogram", recorded_hist)
     monkeypatch.setattr(analysis, "_weights_serial", recorded_kernel)
     assert verify_identities(dp, trials=trials).ok
-    real_part = trials * (p - 1) if p % 4 == 3 else 0
-    assert len(weighed) == min(trials, 100)
-    assert len(counted) == real_part + len(weighed)
-    assert counted[real_part:] == weighed
+    taus = p - 1 if p % 4 == 3 else 1
+    assert len(weighed) == trials
+    assert len(counted) == trials * taus
+    assert counted[::taus] == weighed
 
 
 @pytest.mark.parametrize("trials", [1, 37, 120])
 def test_identity_suite_weighs_each_weight_trial_once(trials, monkeypatch):
-    # 120 at (3,3,1): the last block of 75 codewords starts past the
-    # real-part rows and holds 70 weight rows, all of which are weighed
+    # (3,3,1) counts 75 codewords, 150 multiples, per block: 120 trials are
+    # two blocks, of 75 and 45 codewords, each weighed once, in its block
     dp = derive_params(CodeParams(Field(3, 3), 1))
     assert construction.slot_batch_rows(dp) // 2 == 75
+    real = analysis._weights_serial
+    calls = []
+
+    def recorded(dp, rows):
+        calls.append(np.asarray(rows).reshape(-1, 4).tolist())
+        return real(dp, rows)
+    monkeypatch.setattr(analysis, "_weights_serial", recorded)
+    assert verify_identities(dp, trials=trials).ok
+    blocks = [75] * (trials // 75) + [trials % 75] * (trials % 75 > 0)
+    assert [len(rows) for rows in calls] == blocks
+
+
+def test_identity_suite_weighs_as_many_codewords_as_trials(monkeypatch):
+    # --trials is the number of codewords checked: 150 at (5,2,3), where
+    # the weight check once stopped at 100
+    dp = derive_params(CodeParams(Field(5, 2), 3))
     real = analysis._weights_serial
     weighed = []
 
@@ -678,8 +676,9 @@ def test_identity_suite_weighs_each_weight_trial_once(trials, monkeypatch):
         weighed.extend(np.asarray(rows).reshape(-1, 4).tolist())
         return real(dp, rows)
     monkeypatch.setattr(analysis, "_weights_serial", recorded)
-    assert verify_identities(dp, trials=trials).ok
-    assert len(weighed) == min(trials, 100)
+    rep = verify_identities(dp, trials=150)
+    assert rep.ok and rep.trials == 150
+    assert len(weighed) == 150
 
 
 def test_identity_suite_memory_does_not_grow_with_trials():
@@ -777,8 +776,8 @@ def test_identity_suite_skips_real_part_for_p_one_mod_four(f25):
 @pytest.mark.parametrize("p,m", [(3, 3), (61, 1)])
 def test_identity_suite_exponentials_do_not_grow_with_trials_or_p(p, m, monkeypatch):
     # every theta and Gaussian sum reads the one cached root table of p, so
-    # np.exp runs once for that table and once per orthogonality pass; a
-    # table per theta call would run it once per trial and multiplier
+    # np.exp runs once, for that table; a table per theta call would run it
+    # once per trial and multiplier
     dp = derive_params(CodeParams(Field(p, m), 1))
     real, calls = np.exp, []
 
@@ -788,7 +787,7 @@ def test_identity_suite_exponentials_do_not_grow_with_trials_or_p(p, m, monkeypa
     monkeypatch.setattr(np, "exp", counted)
     roots_of_unity.cache_clear()
     assert verify_identities(dp, trials=100).ok
-    assert 0 < len(calls) <= min(dp.q - 1, 32) + 2
+    assert len(calls) == 1
 
 
 def _traced_peak(call):
@@ -806,9 +805,9 @@ def _traced_peak(call):
 def test_identity_suite_memory_stays_at_one_complex_array_per_sum():
     # gauss_sums gathers the root table at the trace table once, one complex
     # (q - 1)-array, where a complex q-array and its gather traced 2.0 times
-    # it; the suite frees its Gaussian sums before the orthogonality passes,
-    # so it stays below the 1 662 396 and 1 835 708 bytes traced with both
-    # the sums and the passes' arrays held
+    # it; the suite frees its Gaussian sums before it draws any codeword,
+    # so it stays below the 1 662 396 and 1 835 708 bytes once traced with
+    # the sums held past them
     for p, m in [(3, 9), (13, 4), (7, 5)]:
         f = Field(p, m)
         assert _traced_peak(lambda: gauss_sums(f, 2))[1] <= 1.6 * 16 * (f.q - 1), (p, m)
@@ -828,24 +827,6 @@ def test_gauss_sums_of_order_q_minus_1_sum_no_copy(p, m):
     assert peak <= 2.05 * 16 * (f.q - 1), peak
     eta = roots_of_unity(p)[f.trace_table[f.unit_codes()]]
     assert sums.tobytes() == np.fft.fft(eta.reshape(-1, f.q - 1).sum(axis=0)).tobytes()
-
-
-def test_theta_of_vector_is_one_histogram_times_the_roots():
-    # one bincount of the entries mod p, whatever their dtype and shape,
-    # times the root table: the int32 trace table of (3,12) as well
-    f = Field(3, 12)
-    hist = np.bincount(f.trace_table.astype(np.int64) % 3, minlength=3)
-    assert theta_of_vector(f.trace_table, 3) == complex((hist * roots_of_unity(3)).sum())
-    for y in ([0, 1, 2], np.arange(-70000, 70000).reshape(2, -1), np.zeros(0, dtype=np.int64)):
-        hist = np.bincount(np.asarray(y, dtype=np.int64).ravel() % 5, minlength=5)
-        assert theta_of_vector(y, 5) == complex((hist * roots_of_unity(5)).sum())
-
-
-def test_partial_sums_identity_on_zero_vector():
-    p = 3
-    y = np.zeros(17, dtype=np.int64)
-    total = sum(theta_of_vector(tau * y, p) for tau in range(1, p))
-    assert abs(total - (p - 1) * 17) < 1e-12
 
 
 # ---------------------------------------------------------------------------

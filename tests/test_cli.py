@@ -237,7 +237,7 @@ def test_verify_subcode_without_prediction_reports_no_verdict(tmp_path):
     code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "2", "-N", "1",
                             "--trials", "2", "--threads", "1", "--subcode")
     assert code == 0
-    assert report["report_version"] == 4
+    assert report["report_version"] == 5
     sub = report["subcode"]
     assert sub["predictions"] == []
     assert sub["ok"] is None
@@ -391,7 +391,7 @@ def test_analyze_without_prediction_reports_no_verdict(tmp_path, variant):
     code, report = run_json(tmp_path, "analyze", "-p", "5", "-m", "1",
                             "--variant", variant, "--threads", "1")
     assert code == 0
-    assert report["report_version"] == 4
+    assert report["report_version"] == 5
     assert report["predictions"] == []
     assert report["comparison"] == {"ok": None, "details": [],
                                     "status": "no-applicable-prediction"}
@@ -560,7 +560,7 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 20132843348 entry-operations, over the "
+        "refused: identity suite needs 20106523572 entry-operations, over the "
         "budget of 10000000000; the largest --trials that fits is 49"]
 
 
@@ -582,47 +582,48 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 82658169910940 entry-operations, over the "
+        "refused: identity suite needs 82637978111372 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
 def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
     import re
 
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "100000")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "50000")
     argv = ["verify", "-p", "3", "-m", "3", "-N", "1", "--threads", "1"]
     assert main(argv) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("refused: identity suite needs ")
     fits = int(re.search(r"the largest --trials that fits is (\d+)$", err[0]).group(1))
-    assert fits == 70
+    assert fits == 58
     assert main([*argv, "--trials", str(fits)]) == 0
     assert main([*argv, "--trials", str(fits + 1)]) == 3
 
 
 def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
-    # q = 6561, N2 = 1, one trial: a real-part row and the partial sums,
-    # times p - 1, and the weight row once, each histogram row
-    # 8*n0 + 8*q + 12*p^2 (236636); one pass over q (class counts), N2 class
-    # comparisons, 32 orthogonality passes, two passes over q and one FFT for
-    # each Gauss-sum order (1 and q - 1) and the expansion's inverse FFT; no
-    # term grows like q^2
+    # q = 6561, N2 = 1, one trial: the codeword's p - 1 = 2 multiples, each
+    # a histogram row of 8*n0 + 8*q + 12*p^2 (157672 for both), the first of
+    # them read by the weight check too; one pass over q (class counts), N2
+    # class comparisons, two passes over q and one FFT for each Gauss-sum
+    # order (1 and q - 1) and the expansion's inverse FFT (118088); no term
+    # grows like q^2
     argv = ["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"]
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "10000000")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "564675")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "275759")
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
-        "refused: identity suite needs 564676 entry-operations, over the budget of 564675")
+        "refused: identity suite needs 275760 entry-operations, over the budget of 275759")
 
 
 def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
     # psi^j(xi^k) depends on k mod the order only, so the Gaussian sums read
     # the trace table at the unit codes once per order and take no trace
     # products: every trace_products call is one of the seven per batch of
-    # the two codeword histograms (the real-part row's two multiples, then
-    # the weight row); a product per z != 0 would take q - 1 = 728 calls
+    # the one codeword histogram (the codeword's two multiples, the first of
+    # them read by the weight check too); a product per z != 0 would take
+    # q - 1 = 728 calls
     from tracecodes import analysis
 
     calls, batches = [], []
@@ -639,7 +640,7 @@ def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
     monkeypatch.setattr(analysis, "gray_slot_counts", counted_batches)
     assert main(["verify", "-p", "3", "-m", "6", "--trials", "1", "--threads", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    assert batches == [2, 1]
+    assert batches == [2]
     assert len(calls) == 7 * len(batches)
 
 
@@ -656,11 +657,12 @@ def test_verify_at_61_counts_each_weight_row_once_in_time(capsys):
 
 
 def test_verify_reduces_character_angles_exactly(tmp_path):
-    # j*N2*k reaches 31 * 1093 * 2185 here: reduced mod q - 1 in integers
-    # before it becomes a float angle, the orthogonality residual stays near
-    # 1e-13 (the float angle of the unreduced product left 2.2e-8 here, and
-    # a false breach of 3.6e-6 at (3, 9, N = 9841)); every other residual
-    # stays below 1e-10 as well
+    # q - 1 = 2186 and N2 = 1093: the suite forms no float angle of its
+    # own, every Gaussian sum coming from one FFT of the root table's class
+    # sums (a roots-of-unity identity that once summed unreduced float
+    # angles left 2.2e-8 here, and a false breach of 3.6e-6 at (3, 9,
+    # N = 9841)); every residual, each of the field or the code, stays below
+    # 1e-10
     start = time.perf_counter()
     code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "7", "-N", "1093",
                             "--trials", "1", "--threads", "1")
@@ -683,26 +685,20 @@ def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
 
 @pytest.mark.parametrize("argv,residuals", [
     (["-p", "3", "-m", "3", "-N", "1"], {
-        "character_orthogonality": 4.1811188891592555e-15,
         "gauss_sum_modulus": 1.7763568394002505e-15,
         "gauss_sum_trivial": 3.2023728339893768e-15,
-        "partial_sums_vs_hamming": 1.7763568394002505e-14,
         "real_part_collapse": 0.0,
-        "weight_vs_character_sum": 0.0,
+        "weight_vs_zero_count": 0.0,
         "zero_trace_count_vs_character_sum": 3.202372833989377e-15}),
     (["-p", "5", "-m", "2", "-N", "3", "--subcode"], {
-        "character_orthogonality": 1.9892283971771244e-15,
         "gauss_sum_modulus": 1.7763568394002505e-15,
         "gauss_sum_trivial": 1.336885555457667e-15,
-        "partial_sums_vs_hamming": 1.7763568394002505e-14,
-        "weight_vs_character_sum": 0.0,
+        "weight_vs_zero_count": 0.0,
         "zero_trace_count_vs_character_sum": 4.440892098500626e-16}),
     (["-p", "61", "-m", "1", "--trials", "5"], {
-        "character_orthogonality": 1.6996616692943936e-14,
         "gauss_sum_modulus": 3.552713678800501e-15,
         "gauss_sum_trivial": 9.930136612989092e-16,
-        "partial_sums_vs_hamming": 3.019806626980426e-14,
-        "weight_vs_character_sum": 0.0,
+        "weight_vs_zero_count": 0.0,
         "zero_trace_count_vs_character_sum": 9.930136612989092e-16}),
 ])
 def test_verify_residuals_pinned(tmp_path, argv, residuals):

@@ -23,45 +23,45 @@ from tracecodes.cli import main
 PINNED = {
     # exhaustive
     "analyze -p 3 -m 2 -N 1 --variant lift --method exhaustive --threads 1 --seed 7":
-        "2b86eb7bb50792c4",
+        "3d98a28ed7e03a9e",
     "analyze -p 3 -m 2 -N 1 --variant units --method exhaustive --threads 1 --seed 7":
-        "809a4eac6795f794",
+        "2b7b4345265276fb",
     "analyze -p 11 -m 1 -N 1 --variant lift --method exhaustive --threads 1 --seed 7":
-        "33cb295e2e5975b8",
+        "214d9119332c349b",
     "analyze -p 11 -m 1 -N 1 --variant units --method exhaustive --threads 1 --seed 7":
-        "31da5c57c82da2df",
+        "df777f8202c52f0f",
     # class
     "analyze -p 3 -m 3 -N 1 --variant lift --method class --threads 2 --seed 7":
-        "dde9d6e80b7d9aa9",
+        "c21158bf9ff71416",
     "analyze -p 5 -m 2 -N 3 --variant lift --method class --threads 2 --seed 7":
-        "fb161e602b555192",
+        "9c30ebcae2c5c7ce",
     # identities
     "verify -p 3 -m 3 -N 1 --threads 1 --seed 7":
-        "97764510e691f172",
+        "c6a26558e2548476",
     "verify -p 5 -m 2 -N 3 --subcode --threads 1 --seed 7":
-        "9e02549931773b29",
+        "fdf76b2f30b9506a",
     # field-setup
     "dual -p 3 -m 9 -N 1 --threads 1 --seed 7":
-        "6146b79383bae144",
+        "47bbdd1f985f9e4c",
     "dual -p 5 -m 6 -N 1 --threads 1 --seed 7":
-        "6bcf8b5c56508925",
+        "2f3af06961d09ce4",
     "analyze -p 5 -m 7 --threads 1 --seed 7":
         "6f672fb913b00d1d",
     # beyond the benchmark
     "verify -p 3 -m 4 -N 4 --subcode":
-        "98e99592ed65db3c",
+        "282a7d334f4bf430",
     "analyze -p 40009 -m 1 --variant units":
-        "26126bcf74989ceb",
+        "8fe4425c76d2e7f6",
     "analyze -p 3 -m 2 --budget 8":
         "b96f447185fc3436",
     "analyze -p 3 -m 2 --format csv":
         "6a28708fa8853db4",
     "analyze -p 31 -m 3 -N 3":
-        "ac88acd2c1715b8d",
+        "602dc92d3e29de66",
     "analyze -p 3 -m 6 -N 13":
-        "2add3a3888a45287",
+        "8ffa9995d040aa85",
     "dual -p 131 -m 1 --variant units":
-        "339fb5192daf6c54",
+        "1a25983dae1cc207",
 }
 
 
@@ -106,7 +106,7 @@ def test_mismatch_report_is_pinned(capsys, monkeypatch):
                                     rows=((7776, 6551), (8748, 9)), side_conditions=())]
 
     monkeypatch.setattr(analysis, "predict", wrong_prediction)
-    assert_pinned("analyze -p 3 -m 2 -N 1", "44b4fbd25cccd16d", capsys)
+    assert_pinned("analyze -p 3 -m 2 -N 1", "871f9a06409b7983", capsys)
 
 
 def test_breach_report_is_pinned(capsys, monkeypatch):
@@ -118,7 +118,7 @@ def test_breach_report_is_pinned(capsys, monkeypatch):
     from tracecodes import CodeParams, Field, derive_params, verify_identities
 
     _corrupt_class_counts(monkeypatch, [3])
-    result = assert_pinned("verify -p 3 -m 4 -N 4 --trials 1", "fd5bcc16b03484ea", capsys)
+    result = assert_pinned("verify -p 3 -m 4 -N 4 --trials 1", "48f956f2a868ed04", capsys)
     breaches = verify_identities(derive_params(CodeParams(Field(3, 4), 4)), trials=1).breaches
     assert result["exit"] == 1
     assert [b["witness"] for b in breaches] == [{"class": 3}]
