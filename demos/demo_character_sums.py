@@ -14,16 +14,15 @@ import math
 from tracecodes import (
     CodeParams,
     Field,
-    MultChar,
-    cyclotomic_class,
     derive_params,
     gauss_sums,
     verify_identities,
 )
+from tracecodes.oracles import MultChar, cyclotomic_class
 
 field = Field(5, 2)
 dp = derive_params(CodeParams(field, 3))
-print(f"field: {field.describe()}")
+print(f"field: p={field.p} m={field.m} modulus={field.modulus_record()}")
 print(f"N = 3 splits the units into cyclotomic classes of order N2 = {dp.N2}")
 
 # ----------------------------------------------------------------------

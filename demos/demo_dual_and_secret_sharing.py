@@ -18,12 +18,11 @@ from tracecodes import (
     derive_params,
     distribution_exhaustive,
     dual_lee_distance,
-    eval_field_subcode,
-    minimal_codewords_bruteforce,
     minimality_check,
     sphere_packing_excludes,
 )
 from tracecodes.bounds import syndrome
+from tracecodes.oracles import eval_field_subcode, minimal_codewords_bruteforce
 from tracecodes.ring import lee_weight
 
 field = Field(3, 2)

@@ -11,16 +11,16 @@ import itertools
 import numpy as np
 
 from tracecodes import Field, RingElem, gray, gray_inverse, lee_weight
-from tracecodes import ring
-from tracecodes.ring import gray_word, lee_weight_word, random_element
+from tracecodes import oracles
+from tracecodes.oracles import gray_word, lee_weight_word, random_element
 
 field = Field(3, 1)
 
 # ----------------------------------------------------------------------
 # 1. images of the generators: a + b*u + c*v + d*uv -> (d, c+d, b+d, a+b+c+d)
 # ----------------------------------------------------------------------
-for name, elem in [("1", ring.one(field)), ("u", ring.u(field)),
-                   ("v", ring.v(field)), ("uv", ring.uv(field)),
+for name, elem in [("1", oracles.one(field)), ("u", oracles.u(field)),
+                   ("v", oracles.v(field)), ("uv", oracles.uv(field)),
                    ("1+u+v+uv", RingElem(field, 1, 1, 1, 1)),
                    ("1-u-v+uv", RingElem(field, 1, 2, 2, 1))]:
     print(f"  gray({name:>9}) = {gray(elem)}   lee weight {lee_weight(elem)}")

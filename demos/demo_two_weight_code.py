@@ -17,17 +17,17 @@ from tracecodes import (
     compare_with_predictions,
     derive_params,
     distribution_exhaustive,
-    export_gray_words,
     griesmer_optimal,
     predict,
 )
-from tracecodes import ring
+from tracecodes import oracles, ring
 
 # ----------------------------------------------------------------------
 # 1. the field and the derived parameters
 # ----------------------------------------------------------------------
 field = Field(3, 2)
-print(f"field: {field.describe()}, primitive element xi = {field.coeffs(field.xi)}")
+print(f"field: p={field.p} m={field.m} modulus={field.modulus_record()}, "
+      f"primitive element xi = {field.coeffs(field.xi)}")
 
 params = CodeParams(field, N=1, variant=Variant.LIFT)
 dp = derive_params(params)
@@ -65,9 +65,9 @@ print(f"Griesmer-optimal: {verdict.optimal}")
 # ----------------------------------------------------------------------
 # 5. export the Gray images of a few codewords
 # ----------------------------------------------------------------------
-rs = [ring.zero(field), ring.one(field), ring.uv(field)]
+rs = [ring.zero(field), oracles.one(field), oracles.uv(field)]
 with tempfile.TemporaryDirectory() as tmp:
-    data, sidecar = export_gray_words(dp, rs, Path(tmp) / "codewords.bin")
+    data, sidecar = oracles.export_gray_words(dp, rs, Path(tmp) / "codewords.bin")
     print(f"\nexported {len(rs)} rows of {dp.gray_length} symbols each")
     print(f"  data:    {Path(data).stat().st_size} bytes")
     print(f"  sidecar: {Path(sidecar).name}")

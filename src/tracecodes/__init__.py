@@ -29,7 +29,6 @@ from .bounds import (
     dual_lee_distance,
     griesmer_optimal,
     griesmer_sum,
-    minimal_codewords_bruteforce,
     minimality_check,
     sphere_packing_excludes,
 )
@@ -41,31 +40,10 @@ from .construction import (
     coord_at,
     coord_index,
     derive_params,
-    enumerate_coords,
-    eval_field_subcode,
-    evaluate,
-    export_gray_words,
     subcode_distribution,
 )
 from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
-from .field import (
-    Field,
-    MultChar,
-    cyclotomic_class,
-    gauss_sums,
-    parse_modulus,
-)
-from .ring import (
-    RingClass,
-    RingElem,
-    big_trace,
-    classify,
-    frobenius,
-    gray,
-    gray_inverse,
-    is_unit,
-    lee_weight,
-    ring_inv,
-)
+from .field import Field, gauss_sums, parse_modulus
+from .ring import RingElem, gray, gray_inverse, is_unit, lee_weight, ring_inv
 
 __version__ = "0.1.0"

@@ -182,37 +182,3 @@ def minimality_check(rows: dict[int, int], p: int) -> SssVerdict:
     return SssVerdict(w_min=w_min, w_max=w_max, all_minimal=all_minimal,
                       classification="dictatorial" if all_minimal else "undetermined")
 
-
-BRUTE_FORCE_LIMIT = 10_000
-
-
-def minimal_codewords_bruteforce(codewords, p: int) -> list[tuple[int, ...]]:
-    """All minimal codewords of an explicit small code by pairwise
-    support-inclusion scan.
-
-    Scalar multiples share supports, so they are not allowed to disqualify
-    each other: a nonzero codeword is minimal when no codeword outside its
-    scalar class has support contained in it.  Access structures count one
-    coalition per scalar class.
-    """
-    words = [tuple(int(s) % p for s in w) for w in codewords]
-    if len(words) > BRUTE_FORCE_LIMIT:
-        raise ParameterError(
-            f"brute force restricted to codes of size <= {BRUTE_FORCE_LIMIT}"
-        )
-    nonzero = [w for w in words if any(w)]
-    supports = [frozenset(i for i, s in enumerate(w) if s) for w in nonzero]
-
-    def scalar_class(w: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-        return frozenset(tuple((lam * s) % p for s in w) for lam in range(1, p))
-
-    classes = [scalar_class(w) for w in nonzero]
-    minimal = []
-    for i, w in enumerate(nonzero):
-        covered_other = any(
-            j != i and nonzero[j] not in classes[i] and supports[j] <= supports[i]
-            for j in range(len(nonzero))
-        )
-        if not covered_other:
-            minimal.append(w)
-    return minimal

@@ -1,4 +1,4 @@
-"""Defining sets, coordinate enumeration and the evaluation map.
+"""Defining sets, coordinate streams and the Gray slot counts of codewords.
 
 Parameters (p, m, N) fix the field F_q, q = p^m, and the subgroup data
 N1 = lcm(N, (q-1)/(p-1)), N2 = gcd(N, (q-1)/(p-1)), n = N1/N.  The base
@@ -10,11 +10,12 @@ of C_0^{N2} modulo F_p*.  Two coordinate sets are supported:
 * units: the full unit group, size (q-1) * q^3.
 
 Codewords are evaluations x -> Tr(r*x) over the coordinate set, one base
-ring symbol per coordinate.  Coordinates are streamed in a fixed order
-(constant coordinate first through D or through xi-powers, then each
-nilpotent coordinate ascending in coefficient-vector lexicographic order)
-so exports are reproducible; weight data never depends on the order.
-Streams are restartable: each block is decoded from its own stream
+ring symbol per coordinate (oracles.evaluate is that scalar map).
+Coordinates are streamed in a fixed order (constant coordinate first
+through D or through xi-powers, then each nilpotent coordinate ascending
+in coefficient-vector lexicographic order) so exports
+(oracles.export_gray_words) are reproducible; weight data never depends on
+the order.  Streams are restartable: each block is decoded from its own stream
 position, so nothing is materialized beyond one block.  A code's position
 among the constant coordinates is read off the field's log table: dlog(c)
 for the units; dlog(c)/N for the lift's xi^(N*j), j < n, when N divides
@@ -24,27 +25,23 @@ dlog(c) and the quotient is below n; -1 otherwise.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ParameterError
 from .field import Field, multiplicative_order, power_exceeds
-from .ring import RingElem, big_trace, is_unit
+from .ring import RingElem, is_unit
 
 #: Everything is counted in native 64-bit integers; parameter sets whose
 #: codeword count would overflow them are rejected outright.
 CODEWORD_COUNT_GUARD = 2**63
 
-ORDERING_TAG = "x0-major/lex-v1"
-
 #: Stream positions per block of coord_blocks and (rounded down to whole
-#: x3 axes) of gray_symbols.
+#: x3 axes) of oracles.gray_symbols.
 _BLOCK_POSITIONS = 1 << 14
 
 DEFAULT_SEED = 2024
@@ -219,13 +216,6 @@ def _decode(dp: DerivedParams, flat):
     return dp.x0_codes()[i0], lex(i1), lex(i2), lex(i3)
 
 
-def enumerate_coords(dp: DerivedParams) -> Iterator[RingElem]:
-    """Stream the coordinate set in the fixed deterministic order."""
-    for block in coord_blocks(dp):
-        for codes in zip(*(axis.tolist() for axis in block)):
-            yield RingElem(dp.field, *codes)
-
-
 def coord_at(dp: DerivedParams, index: int) -> RingElem:
     """The coordinate at a flat stream position."""
     if not 0 <= index < dp.length:
@@ -253,64 +243,11 @@ def coord_blocks(dp: DerivedParams, block_size: int = _BLOCK_POSITIONS):
 
     Blocks are decoded from flat positions, so nothing is materialized
     beyond one block.  This is the flat-position decoder the tests use as
-    the oracle for gray_symbols, which decodes only (x1, x2) pairs.
+    the oracle for oracles.gray_symbols, which decodes only (x1, x2) pairs.
     """
     for start in range(0, dp.length, block_size):
         yield _decode(dp, np.arange(start, min(start + block_size, dp.length),
                                     dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def evaluate(r: RingElem, dp: DerivedParams) -> Iterator[RingElem]:
-    """Stream the codeword of r: base ring symbols Tr(r*x), x over the
-    coordinate set.  Linear in r; never materialized."""
-    for x in enumerate_coords(dp):
-        yield big_trace(r * x)
-
-
-def _axis_terms(r: RingElem, dp: DerivedParams) -> list[np.ndarray]:
-    """Per-axis terms of the four Gray slots of the codeword of r = (a, b,
-    c, d): int64 arrays of shape (4, n0) over x0_codes() and (4, q) over
-    the lex order (Field.lex_code) for the x1, x2 and x3 axes, in [0, p).
-    Slot k of (x0, x1, x2, x3) is the sum of the four axes' k-th terms, mod p.
-
-    The traced entry Tr(r*x) = t1 + t2 u + t3 v + t4 uv splits by axis: x0
-    gives (Tr(a x0), Tr(b x0), Tr(c x0), Tr(d x0)), x1 gives (0, Tr(a x1),
-    0, Tr(c x1)), x2 (0, 0, Tr(a x2), Tr(b x2)) and x3 (0, 0, 0, Tr(a x3)).
-    The Gray map is linear, so each axis's part goes through it on its own,
-    in the same slot order as ring.gray.
-    """
-    p, field = dp.p, dp.field
-    coords = np.array(r.coords(), dtype=np.int64)[:, None]
-    x0 = field.trace_products(coords, dp.x0_codes()).astype(np.int64)
-    a, b, c = field.trace_products(coords[:3], field.lex_code(np.arange(dp.q))).astype(np.int64)
-
-    def gray(t1, t2, t3, t4):  # (d, c+d, b+d, a+b+c+d)
-        return np.stack([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4]) % p
-    return [gray(*x0), gray(0, a, 0, c), gray(0, 0, a, b), gray(0, 0, 0, a)]
-
-
-def gray_symbols(r: RingElem, dp: DerivedParams) -> Iterator[np.ndarray]:
-    """Stream the Gray image of the codeword of r as (block, 4) int16
-    arrays in [0, p): the export path and the oracle of gray_slot_counts.
-
-    x3 is the innermost stream axis, so a block is one x0 and a run of
-    (x1, x2) pairs times the full x3 axis, each slot a row gather, by the
-    pair's residue, from the (p, q) table of shifted x3 traces.
-    """
-    p, q = dp.p, dp.q
-    X0, X1, X2, X3 = _axis_terms(r, dp)
-    # shifted[c, i] = (c + trace(r0*x3)) mod p, x3 the i-th element in lex order
-    shifted = ((np.arange(p)[:, None] + X3[0]) % p).astype(np.int16)
-    pairs = max(1, _BLOCK_POSITIONS // q)
-    for t0 in X0.T:
-        for start in range(0, q * q, pairs):
-            i1, i2 = np.divmod(np.arange(start, min(start + pairs, q * q)), q)
-            res = (t0[:, None] + X1[:, i1] + X2[:, i2]) % p
-            yield shifted[res.T].transpose(0, 2, 1).reshape(-1, 4)
 
 
 def slot_batch_rows(dp: DerivedParams) -> int:
@@ -365,55 +302,9 @@ def gray_slot_counts(rows, dp: DerivedParams) -> np.ndarray:
     return counts
 
 
-def export_gray_words(dp: DerivedParams, rs, path) -> tuple[str, str]:
-    """Write Gray-mapped codewords as flat binary (one byte per symbol, one
-    row per codeword) plus a JSON sidecar pinning the parameters and the
-    ordering version tag.  Returns (data_path, sidecar_path).
-
-    A byte holds symbols up to 255, so p > 256 is refused.
-    """
-    if dp.p > 256:
-        raise ParameterError(
-            "Gray-word export writes one byte per symbol; p > 256 does not fit"
-        )
-    rs = list(rs)
-    path = str(path)
-    with open(path, "wb") as fh:
-        for r in rs:
-            for block in gray_symbols(r, dp):
-                fh.write(block.astype(np.uint8).tobytes())
-    sidecar = {
-        "p": dp.p,
-        "m": dp.m,
-        "N": dp.params.N,
-        "variant": dp.variant.value,
-        "modulus": list(dp.field.modulus),
-        "ordering": ORDERING_TAG,
-        "rows": len(rs),
-        "row_symbols": dp.gray_length,
-        "r_coords": [list(r.coords()) for r in rs],
-    }
-    sidecar_path = path + ".json"
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-    return path, sidecar_path
-
-
 # ---------------------------------------------------------------------------
 # The field subcode: length-n words (trace(b*d))_{d in base set}
 # ---------------------------------------------------------------------------
-
-def eval_field_subcode(b: int, dp: DerivedParams) -> tuple[int, ...]:
-    """The prime-field word (trace(b*d)) over the constant coordinates d
-    in x0_codes() (the base set, or every unit for the units variant), one
-    scalar Field.mul per point: the scalar oracle of subcode_distribution.
-
-    Its Hamming weight is its length minus the number of zero traces of b
-    over those points.
-    """
-    field = dp.field
-    return tuple(field.trace(field.mul(b, int(d))) for d in dp.x0_codes())
-
 
 def subcode_distribution(dp: DerivedParams) -> dict[int, int]:
     """Exact Hamming weight distribution of the field subcode over all q

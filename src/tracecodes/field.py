@@ -25,9 +25,7 @@ inputs and safe under concurrent use.
 
 from __future__ import annotations
 
-import cmath
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -547,9 +545,6 @@ class Field:
         """Modulus as a comma-separated constant-first coefficient list."""
         return ",".join(str(c) for c in self.modulus)
 
-    def describe(self) -> str:
-        return f"p={self.p} m={self.m} modulus={self.modulus_record()}"
-
     def _find_primitive_code(self) -> int:
         """The smallest code of full order, by raw polynomial powers (no
         tables exist yet)."""
@@ -571,31 +566,6 @@ def parse_modulus(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Characters and Gaussian sums
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultChar:
-    """Multiplicative character of the given order: the index-j power of the
-    canonical character sending xi^k to exp(2*pi*i*j*k/order).
-
-    Undefined at zero.
-    """
-
-    field: Field
-    order: int
-    index: int = 1
-
-    def __post_init__(self):
-        if self.order < 1 or (self.field.q - 1) % self.order != 0:
-            raise ParameterError(
-                f"character order {self.order} does not divide q - 1 = {self.field.q - 1}"
-            )
-
-    def __call__(self, x: int) -> complex:
-        if x == 0:
-            raise ValueError("multiplicative characters are undefined at zero")
-        k = self.field.dlog(x)
-        return cmath.exp(2j * cmath.pi * self.index * k / self.order)
-
 
 @functools.lru_cache(maxsize=8)
 def roots_of_unity(p: int) -> np.ndarray:
@@ -620,14 +590,4 @@ def gauss_sums(field: Field, order: int) -> np.ndarray:
         raise ParameterError(f"character order {order} does not divide q - 1")
     eta = roots_of_unity(field.p)[field.trace_table[field.unit_codes()]]
     return np.fft.fft(eta if order == field.q - 1 else eta.reshape(-1, order).sum(axis=0))
-
-
-def cyclotomic_class(field: Field, i: int, order: int) -> frozenset[int]:
-    """The coset xi^i * <xi^order> inside the multiplicative group."""
-    if order < 1 or (field.q - 1) % order != 0:
-        raise ParameterError(f"class order {order} does not divide q - 1")
-    if not 0 <= i < order:
-        raise ParameterError(f"class index {i} outside [0, {order})")
-    size = (field.q - 1) // order
-    return frozenset(field.exp_code(i + order * k) for k in range(size))
 

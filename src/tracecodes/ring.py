@@ -14,20 +14,10 @@ the Lee weight of a symbol is the Hamming weight of its Gray image.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParameterError
 from .field import Field
-
-
-class RingClass(enum.Enum):
-    ZERO = "zero"
-    UV_LINE = "uv-line"
-    OTHER_MAXIMAL = "other-maximal"
-    UNIT = "unit"
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,48 +85,6 @@ def zero(field: Field) -> RingElem:
     return RingElem(field, 0, 0, 0, 0)
 
 
-def one(field: Field) -> RingElem:
-    return RingElem(field, 1, 0, 0, 0)
-
-
-def u(field: Field) -> RingElem:
-    return RingElem(field, 0, 1, 0, 0)
-
-
-def v(field: Field) -> RingElem:
-    return RingElem(field, 0, 0, 1, 0)
-
-
-def uv(field: Field) -> RingElem:
-    return RingElem(field, 0, 0, 0, 1)
-
-
-def frobenius(r: RingElem) -> RingElem:
-    """Coordinatewise p-th power; a ring automorphism of order m."""
-    f = r.field
-    fr = f.frobenius_code
-    return RingElem(f, fr(r.a), fr(r.b), fr(r.c), fr(r.d))
-
-
-def big_trace(r: RingElem) -> RingElem:
-    """Coordinatewise field trace: a base ring element over the same field.
-
-    Linear over the base ring: scalars with prime-field coordinates
-    commute out.
-    """
-    f = r.field
-    tr = f.trace
-    return RingElem(f, tr(r.a), tr(r.b), tr(r.c), tr(r.d))
-
-
-def classify(r: RingElem) -> RingClass:
-    if r.a:
-        return RingClass.UNIT
-    if r.b == 0 and r.c == 0:
-        return RingClass.UV_LINE if r.d else RingClass.ZERO
-    return RingClass.OTHER_MAXIMAL
-
-
 def is_unit(r: RingElem) -> bool:
     return r.a != 0
 
@@ -187,20 +135,3 @@ def lee_weight(r: RingElem) -> int:
     """Hamming weight of the Gray image; an integer in [0, 4]."""
     return sum(1 for s in gray(r) if s)
 
-
-def gray_word(symbols) -> np.ndarray:
-    """Gray image of a vector of base ring elements, flattened (4x length)."""
-    out = []
-    for s in symbols:
-        out.extend(gray(s))
-    return np.asarray(out, dtype=np.int64)
-
-
-def lee_weight_word(symbols) -> int:
-    return sum(lee_weight(s) for s in symbols)
-
-
-def random_element(field: Field, rng: np.random.Generator) -> RingElem:
-    q = field.q
-    a, b, c, d = (int(x) for x in rng.integers(0, q, size=4))
-    return RingElem(field, a, b, c, d)

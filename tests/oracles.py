@@ -1,24 +1,20 @@
 """Brute-force oracles that state paper claims in the tests.
 
 Each one is slow and exists to pin a fast path of the package, named in
-its docstring; none of them is called from ``src/``.
+its docstring; none of them is called from ``src/``.  The split: oracles
+that demos can use too live in the package, in ``tracecodes.oracles``, and
+those that only the tests use stay here.
 """
 
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, localcontext
 
 import numpy as np
 
-from tracecodes import Field, ParameterError, RingElem, big_trace, evaluate
+from tracecodes import Field, RingElem
 from tracecodes.analysis import _weights_serial
-from tracecodes.construction import (
-    DEFAULT_SEED,
-    DerivedParams,
-    contains,
-    coord_at,
-    enumerate_coords,
-)
-from tracecodes.ring import gray_inverse, lee_weight, random_element, zero as ring_zero
+from tracecodes.construction import DerivedParams, coord_at
+from tracecodes.oracles import big_trace
+from tracecodes.ring import gray_inverse, zero as ring_zero
 
 
 def add_codes(field: Field, a, b) -> np.ndarray:
@@ -30,13 +26,6 @@ def add_codes(field: Field, a, b) -> np.ndarray:
         w = field.p**i
         out += (a // w + b // w) % field.p * w
     return out
-
-
-def lee_weight_by_streaming(r: RingElem, dp: DerivedParams) -> int:
-    """Reference path: stream the codeword symbol by symbol and add Lee
-    weights.  Slow; the oracle of the weight kernel
-    (analysis._weights_serial)."""
-    return sum(lee_weight(s) for s in evaluate(r, dp))
 
 
 def zero_trace_counts(field: Field, step: int, count: int) -> np.ndarray:
@@ -151,55 +140,3 @@ def lee_one_elements(base_field) -> list[RingElem]:
             out.append(gray_inverse(base_field, tuple(word)))
     return out
 
-
-@dataclass
-class SpotcheckReport:
-    trials: int
-    failures: list
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-SPOTCHECK_LIMIT = 10_000
-
-
-def group_action_spotcheck(dp: DerivedParams, trials: int = 50,
-                           seed: int = DEFAULT_SEED,
-                           g: RingElem | None = None) -> SpotcheckReport:
-    """Check that pulling a codeword back along x -> g*x lands on the
-    codeword of r*g, entrywise over the whole coordinate stream: the oracle
-    of the class method (analysis.distribution_by_class), whose weight
-    classes rest on this invariance.
-
-    Failures are collected in the report, not raised.  Restricted to small
-    coordinate sets; a supplied g must belong to the coordinate set.
-    """
-    if dp.length > SPOTCHECK_LIMIT:
-        raise ParameterError(
-            f"spot check restricted to coordinate sets of size <= {SPOTCHECK_LIMIT}"
-        )
-    if g is not None and not contains(dp, g):
-        raise ParameterError("g is not in the coordinate set")
-    rng = np.random.default_rng(seed)
-    field = dp.field
-    x0s = dp.x0_codes()
-    failures = []
-    for trial in range(trials):
-        if g is None:
-            gx0 = int(x0s[rng.integers(0, len(x0s))])
-            g_trial = RingElem(field, gx0, *(int(c) for c in rng.integers(0, dp.q, size=3)))
-        else:
-            g_trial = g
-        r = random_element(field, rng)
-        rg = r * g_trial
-        for x in enumerate_coords(dp):
-            lhs = big_trace(r * (g_trial * x))
-            rhs = big_trace(rg * x)
-            if lhs != rhs:
-                failures.append({"trial": trial, "g": g_trial, "r": r, "x": x,
-                                 "pulled_back": lhs, "expected": rhs})
-                break
-    return SpotcheckReport(trials=trials, failures=failures, seed=seed)

@@ -16,11 +16,9 @@ from tracecodes import (
     Field,
     RingElem,
     Variant,
-    big_trace,
     derive_params,
     distribution_by_class,
     dual_lee_distance,
-    eval_field_subcode,
     gray,
     gray_inverse,
     griesmer_optimal,
@@ -28,10 +26,10 @@ from tracecodes import (
     subcode_distribution,
     verify_identities,
 )
-from tracecodes import ring
 from tracecodes.bounds import syndrome
 from tracecodes.cli import main
-from tracecodes.ring import lee_weight, lee_weight_word, gray_word, random_element
+from tracecodes.oracles import big_trace, gray_word, lee_weight_word, random_element
+from tracecodes.ring import lee_weight
 
 
 def _report(num: int, ok: bool, desc: str, elapsed: float | None = None) -> None:

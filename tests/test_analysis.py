@@ -26,17 +26,16 @@ from tracecodes import (
     subcode_report,
     verify_identities,
 )
-from tracecodes import Field, analysis, construction, ring
+from tracecodes import Field, analysis, construction, oracles, ring
 from tracecodes.analysis import _weights_serial, distance_interval
 from tracecodes.construction import coord_blocks
 from tracecodes.field import gauss_sums, roots_of_unity
-from tracecodes.ring import random_element
+from tracecodes.oracles import evaluate, lee_weight_word, random_element
 
 from oracles import (
     all_codeword_rows,
     distance_lower_by_decimal,
     distribution_by_enumeration,
-    lee_weight_by_streaming,
 )
 
 
@@ -49,16 +48,16 @@ def test_zero_codeword_weight(f9):
 
 
 def test_uv_codeword_weight(f9):
-    assert _weights_serial(derive_params(CodeParams(f9, 1)), [ring.uv(f9).coords()])[0] == 8748
+    assert _weights_serial(derive_params(CodeParams(f9, 1)), [oracles.uv(f9).coords()])[0] == 8748
 
 
 def test_unit_codeword_weight(f9):
-    assert _weights_serial(derive_params(CodeParams(f9, 1)), [ring.one(f9).coords()])[0] == 7776
+    assert _weights_serial(derive_params(CodeParams(f9, 1)), [oracles.one(f9).coords()])[0] == 7776
 
 
 def test_uv_codeword_weight_units_variant(f9):
     dp = derive_params(CodeParams(f9, 1, Variant.UNITS))
-    assert _weights_serial(dp, [ring.uv(f9).coords()])[0] == 17496
+    assert _weights_serial(dp, [oracles.uv(f9).coords()])[0] == 17496
 
 
 def test_kernel_matches_streamed_reference(f9):
@@ -67,7 +66,7 @@ def test_kernel_matches_streamed_reference(f9):
         dp = derive_params(CodeParams(f9, N))
         for _ in range(4):
             r = random_element(f9, rng)
-            assert _weights_serial(dp, [r.coords()])[0] == lee_weight_by_streaming(r, dp)
+            assert _weights_serial(dp, [r.coords()])[0] == lee_weight_word(evaluate(r, dp))
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +446,9 @@ def test_theta_of_zero_codeword(f9):
 
 def test_symbol_histogram_total(f9):
     dp = derive_params(CodeParams(f9, 2))
-    hist = gray_symbol_histogram([ring.uv(f9).coords()], dp)
+    hist = gray_symbol_histogram([oracles.uv(f9).coords()], dp)
     assert hist.shape == (1, 3) and hist.sum() == dp.gray_length
-    assert np.array_equal(gray_symbol_histogram(ring.uv(f9).coords(), dp), hist)
+    assert np.array_equal(gray_symbol_histogram(oracles.uv(f9).coords(), dp), hist)
 
 
 def test_thetas_equal_one_row_theta(f9):
@@ -750,20 +749,6 @@ def test_identity_suite_makes_no_scalar_products(monkeypatch):
         return real(self, a, b)
     monkeypatch.setattr(Field, "mul", counted)
     assert verify_identities(dp, trials=5).ok
-    assert calls == []
-
-
-def test_identity_suite_reads_no_symbol_stream(f9, monkeypatch):
-    # the histograms fold every axis into slot counts; none walks the stream
-    calls = []
-    real = construction.gray_symbols
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    for module in (construction, analysis):
-        monkeypatch.setattr(module, "gray_symbols", counted, raising=False)
-    assert verify_identities(derive_params(CodeParams(f9, 1)), trials=5).ok
     assert calls == []
 
 

@@ -11,15 +11,14 @@ from tracecodes import (
     Variant,
     derive_params,
     dual_lee_distance,
-    eval_field_subcode,
     griesmer_optimal,
     griesmer_sum,
-    minimal_codewords_bruteforce,
     minimality_check,
     sphere_packing_excludes,
 )
 from tracecodes import bounds, ring
 from tracecodes.bounds import syndrome
+from tracecodes.oracles import eval_field_subcode, minimal_codewords_bruteforce
 from tracecodes.ring import gray_inverse, lee_weight
 
 from oracles import lee_one_elements, orthogonality_direct

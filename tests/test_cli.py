@@ -877,13 +877,15 @@ def test_threads_option_starts_no_process(tmp_path):
 
 @functools.lru_cache(maxsize=None)
 def _modules_after_fresh_run(argv: tuple[str, ...]) -> list[str]:
-    """Which of numpy.random and numpy.ma a fresh interpreter holds after
-    main(argv) exits 0 (the pytest process has both loaded already)."""
+    """Which of numpy.random, numpy.ma and tracecodes.oracles a fresh
+    interpreter holds after main(argv) exits 0 (the pytest process has them
+    all loaded already)."""
     script = (
         "import json, sys\n"
         "from tracecodes.cli import main\n"
         "assert main(json.loads(sys.argv[1])) == 0\n"
-        "print(json.dumps([m for m in ('numpy.random', 'numpy.ma') if m in sys.modules]))\n"
+        "print(json.dumps([m for m in ('numpy.random', 'numpy.ma', 'tracecodes.oracles')\n"
+        "                  if m in sys.modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -903,6 +905,18 @@ def _modules_after_fresh_run(argv: tuple[str, ...]) -> list[str]:
 def test_no_cli_run_imports_numpy_random(argv):
     # every seeded draw comes from random.Random
     assert "numpy.random" not in _modules_after_fresh_run(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-p", "3", "-m", "3", "--method", "class"),
+    ("analyze", "-p", "3", "-m", "2", "--method", "exhaustive"),
+    ("verify", "-p", "5", "-m", "2", "-N", "3", "--subcode"),
+    ("dual", "-p", "3", "-m", "3"),
+])
+def test_no_cli_run_imports_the_oracles(argv):
+    # the scalar and brute-force paths, the symbol streams among them, live
+    # in tracecodes.oracles, which neither a command nor the package loads
+    assert "tracecodes.oracles" not in _modules_after_fresh_run(argv)
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,37 +12,37 @@ from tracecodes import (
     ParameterError,
     RingElem,
     Variant,
-    big_trace,
     coord_at,
     coord_index,
     derive_params,
-    enumerate_coords,
-    eval_field_subcode,
-    evaluate,
-    export_gray_words,
     is_unit,
     subcode_distribution,
 )
-from tracecodes import ring
+from tracecodes import oracles, ring
 from tracecodes.construction import (
-    DerivedParams,
     contains,
     coord_blocks,
     coset_representatives,
     gray_slot_counts,
-    gray_symbols,
     slot_batch_rows,
 )
 from tracecodes.field import _is_prime
-from tracecodes.ring import gray_word, random_element
+from tracecodes.oracles import (
+    big_trace,
+    enumerate_coords,
+    eval_field_subcode,
+    evaluate,
+    export_gray_words,
+    gray_symbols,
+    gray_word,
+    random_element,
+)
 
 from oracles import (
     cosets_distinct_by_sort,
-    group_action_spotcheck,
     spread_class_counts,
     zero_trace_counts,
 )
-
 
 # ---------------------------------------------------------------------------
 # derived parameters
@@ -116,7 +116,7 @@ def test_base_set_representatives_distinct_mod_prime_units(f25):
 
 def test_stream_starts_at_one(f9):
     first = next(enumerate_coords(derive_params(CodeParams(f9, 1))))
-    assert first == ring.one(f9)
+    assert first == oracles.one(f9)
 
 
 def test_stream_is_restartable(f9):
@@ -221,8 +221,8 @@ def test_derived_params_hold_no_position_table_or_int_tuple():
 
 def test_membership(f9):
     dp = derive_params(CodeParams(f9, 1))
-    assert contains(dp, ring.one(f9))
-    assert not contains(dp, ring.u(f9))  # not a unit
+    assert contains(dp, oracles.one(f9))
+    assert not contains(dp, oracles.u(f9))  # not a unit
     # unit whose constant coordinate is not a representative
     bad = RingElem(f9, 2, 0, 0, 0)
     assert not contains(dp, bad)
@@ -293,7 +293,7 @@ def f257():
 def test_gray_symbols_hold_symbols_past_a_byte(f257):
     # at p = 257 a Gray symbol can be 256, which a byte would wrap to 0
     dp = derive_params(CodeParams(f257, 256))
-    r = ring.one(f257)
+    r = oracles.one(f257)
     fast = next(gray_symbols(r, dp))[:1000].ravel()
     slow = gray_word(big_trace(r * x)
                      for x in itertools.islice(enumerate_coords(dp), 1000))
@@ -655,37 +655,12 @@ def test_analyze_keeps_no_q_length_array_outside_the_field(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# group action spot check
-# ---------------------------------------------------------------------------
-
-def test_spotcheck_identity_element(f9):
-    rep = group_action_spotcheck(derive_params(CodeParams(f9, 1)), trials=2, g=ring.one(f9))
-    assert rep.ok
-
-
-def test_spotcheck_random_pairs(f9):
-    rep = group_action_spotcheck(derive_params(CodeParams(f9, 1)), trials=50)
-    assert rep.ok
-    assert rep.trials == 50
-
-
-def test_spotcheck_rejects_outsiders(f9):
-    with pytest.raises(ParameterError, match="not in the coordinate set"):
-        group_action_spotcheck(derive_params(CodeParams(f9, 1)), trials=1, g=ring.u(f9))
-
-
-def test_spotcheck_size_guard(f81):
-    with pytest.raises(ParameterError, match="restricted"):
-        group_action_spotcheck(derive_params(CodeParams(f81, 4)), trials=1)
-
-
-# ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
 def test_export_gray_words(tmp_path, f3):
     dp = derive_params(CodeParams(f3, 1))
-    rs = [ring.zero(f3), ring.one(f3), ring.uv(f3)]
+    rs = [ring.zero(f3), oracles.one(f3), oracles.uv(f3)]
     data_path, sidecar_path = export_gray_words(dp, rs, tmp_path / "words.bin")
     blob = (tmp_path / "words.bin").read_bytes()
     assert len(blob) == 3 * dp.gray_length
@@ -693,7 +668,7 @@ def test_export_gray_words(tmp_path, f3):
     assert set(blob[:dp.gray_length]) == {0}
     # rows agree with the streamed evaluation
     row_one = np.frombuffer(blob[dp.gray_length:2 * dp.gray_length], dtype=np.uint8)
-    assert (row_one == gray_word(evaluate(ring.one(f3), dp))).all()
+    assert (row_one == gray_word(evaluate(oracles.one(f3), dp))).all()
     sidecar = json.loads((tmp_path / "words.bin.json").read_text())
     assert sidecar["p"] == 3 and sidecar["m"] == 1
     assert sidecar["variant"] == "lift"
@@ -730,5 +705,5 @@ def test_export_digests_pinned(tmp_path, p, m, N, variant, data_digest, sidecar_
 def test_export_refuses_symbols_past_a_byte(tmp_path, f257):
     dp = derive_params(CodeParams(f257, 256))
     with pytest.raises(ParameterError, match="one byte per symbol"):
-        export_gray_words(dp, [ring.one(f257)], tmp_path / "words.bin")
+        export_gray_words(dp, [oracles.one(f257)], tmp_path / "words.bin")
     assert not (tmp_path / "words.bin").exists()

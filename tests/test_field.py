@@ -8,9 +8,7 @@ import pytest
 
 from tracecodes import (
     Field,
-    MultChar,
     ParameterError,
-    cyclotomic_class,
     gauss_sums,
     parse_modulus,
 )
@@ -23,6 +21,7 @@ from tracecodes.field import (
     is_irreducible,
     roots_of_unity,
 )
+from tracecodes.oracles import MultChar, cyclotomic_class
 
 from oracles import add_codes, gauss_sum, spread_class_counts, zero_trace_counts
 

@@ -1,20 +1,28 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module-level private name is defined that nothing refers to, and no
-public function, class, method or property exists only for the tests.
+no module-level private name is defined that nothing refers to, every
+function the CLI's modules define is run by the CLI or named with a reason,
+and every public oracle has a caller.
 
 ``__init__.py`` is exempt from the import check, because its imports are
 the public re-exports.  A private name counts as referred to when it
 appears, outside its own definition, in any Python file under ``src/``,
 ``tests/``, ``bench/`` or ``demos/`` (the benchmark tracer binds some of
-them by name, as strings).  A public name counts as used when the package
-refers to it outside its own definition and ``__init__.py``, or a file
-under ``demos/`` or ``bench/`` does; a method or property counts as used
-wherever its bare name occurs there.  Test-only oracles live in
-``tests/oracles.py``.
+them by name, as strings).  A public name of a module the CLI loads counts
+as used when the package refers to it outside its own definition and
+``__init__.py`` (``oracles.py`` included), or a file under ``demos/`` or
+``bench/`` does; a public name of ``oracles.py`` counts as used when a file
+under ``tests/`` or ``demos/`` refers to it.  A method or property counts
+as used wherever its bare name occurs there.  The runtime census records,
+with ``sys.setprofile`` in a fresh interpreter, which functions and methods
+a fixed list of in-process ``cli.main`` runs enters.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +31,8 @@ import tracecodes
 
 PACKAGE_DIR = Path(tracecodes.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+#: The modules that ``python -m tracecodes.cli`` loads: all but the oracles.
+CLI_MODULES = [p for p in MODULES if p.stem != "oracles"]
 REPO_DIR = Path(__file__).resolve().parent.parent
 CORPUS_DIRS = ("src", "tests", "bench", "demos")
 
@@ -88,15 +98,6 @@ def test_detector_flags_an_unreferenced_private_name():
 def test_module_private_names_are_all_referenced(path):
     corpus = [f.read_text() for d in CORPUS_DIRS for f in (REPO_DIR / d).rglob("*.py")]
     assert unreferenced_private_names(path.read_text(), corpus) == []
-
-
-#: Public names that only the tests call, each with the reason it stays.
-TEST_ONLY_PUBLIC = {
-    "construction.evaluate": "the evaluation map that defines a codeword; "
-                             "the streaming oracle and the tests read it",
-    "ring.frobenius": "tests state that Frobenius is a ring automorphism of order m",
-    "ring.classify": "tests state the partition of the ring into its four classes",
-}
 
 
 def identifiers(tree, skip=None) -> set[str]:
@@ -176,6 +177,100 @@ def test_detector_flags_a_test_only_method_or_property():
 
 
 def test_public_names_have_a_caller_outside_the_tests():
-    modules = {path.stem: path.read_text() for path in MODULES}
+    modules = {path.stem: path.read_text() for path in CLI_MODULES}
     outside = [f.read_text() for d in ("demos", "bench") for f in (REPO_DIR / d).rglob("*.py")]
-    assert unreferenced_public_names(modules, outside) == sorted(TEST_ONLY_PUBLIC)
+    outside.append((PACKAGE_DIR / "oracles.py").read_text())
+    assert unreferenced_public_names(modules, outside) == []
+
+
+def test_oracles_have_a_caller_in_the_tests_or_demos():
+    modules = {"oracles": (PACKAGE_DIR / "oracles.py").read_text()}
+    outside = [f.read_text() for d in ("tests", "demos") for f in (REPO_DIR / d).rglob("*.py")]
+    assert unreferenced_public_names(modules, outside) == []
+
+
+#: In-process ``cli.main`` runs for the census, with their exit codes:
+#: analyze in both variants and
+#: both methods, CSV output and the interval-only regime, dual with a
+#: modulus whose x is not primitive, verify with and without --subcode, and
+#: the guard, budget and modulus refusals.
+CENSUS_RUNS = {
+    "analyze -p 3 -m 2": 0,
+    "analyze -p 5 -m 2 -N 3 --variant units --format csv": 0,
+    "analyze -p 5 -m 2 -N 3 --method class --samples 5": 0,
+    "analyze -p 3 -m 2 --variant units --method class --samples 5": 0,
+    "analyze -p 3 -m 4 -N 8": 0,
+    "dual -p 3 -m 2 --modulus 1,0,1": 0,
+    "verify -p 3 -m 2 --trials 3": 0,
+    "verify -p 5 -m 2 -N 3 --subcode --trials 3": 0,
+    "analyze -p 5 -m 7": 2,
+    "analyze -p 3 -m 2 --budget 5": 3,
+    "dual -p 3 -m 2 --modulus 1,1,1": 2,
+}
+
+#: Functions and methods of CLI_MODULES that no census run enters, each
+#: with the reason it stays.
+NOT_RUN_BY_THE_CLI = {
+    "analysis._bulk_worker": "bench/tracer.py binds it by name",
+    "analysis.WeightDistribution.rows": "the demos print a distribution row by row",
+    "cli.run": "the process entry; it ends the process, so the census calls main",
+    "construction.coord_blocks": "bench/tracer.py binds it; oracles.enumerate_coords reads it",
+    "errors.WeightConstancyError.__init__": "raised only when the kernel's theorem fails",
+    "field.Field.__repr__": "the debug text of a field",
+    "field.Field.__hash__": "Field defines __eq__, so it stays hashable through this",
+    "field.Field.elements": "the demos iterate over the field",
+    "field.Field.trace": "the scalar trace of oracles.big_trace and oracles.eval_field_subcode",
+    "field.Field.frobenius_code": "the scalar Frobenius of oracles.frobenius",
+    "field.Field.mul_table": "bench/tracer.py binds it by name",
+    "field.Field.trmul_flat": "bench/tracer.py binds it by name",
+    "field.Field.modulus_record": "the demos print the modulus as a record",
+    "ring.RingElem.__sub__": "ring subtraction, which the demos and tests use",
+    "ring.RingElem.__str__": "the text form of an element",
+}
+
+CENSUS_SCRIPT = """
+import contextlib, io, json, sys
+import tracecodes.cli as cli
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+codes = []
+sys.setprofile(profile)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+
+def function_lines(path: Path) -> dict[str, int]:
+    """"name" or "Class.name" of each module-level function and each method
+    of a module-level class, with the first line of its code object: the
+    first decorator's line, or the def's."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        members = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            members = [(f"{node.name}.{m.name}", m) for m in node.body
+                       if isinstance(m, ast.FunctionDef)]
+        for name, fn in members:
+            found[name] = min([d.lineno for d in fn.decorator_list] + [fn.lineno])
+    return found
+
+
+def test_every_function_the_cli_loads_is_run_or_named():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    runs = [argv.split() for argv in CENSUS_RUNS]
+    out = subprocess.run([sys.executable, "-c", CENSUS_SCRIPT, json.dumps(runs)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    census = json.loads(out.stdout)
+    assert census["codes"] == list(CENSUS_RUNS.values())
+    entered = {tuple(site) for site in census["entered"]}
+    not_run = []
+    for path in CLI_MODULES:
+        not_run += [f"{path.stem}.{name}" for name, line in function_lines(path).items()
+                    if (str(path), line) not in entered]
+    assert sorted(not_run) == sorted(NOT_RUN_BY_THE_CLI)

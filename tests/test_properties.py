@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecodes import Field, RingElem, big_trace, gray, gray_inverse, lee_weight
-from tracecodes.ring import lee_weight_word
+from tracecodes import Field, RingElem, gray, gray_inverse, lee_weight
+from tracecodes.oracles import big_trace, lee_weight_word
 
 F9 = Field(3, 2)
 F25 = Field(5, 2)

@@ -4,21 +4,29 @@ import numpy as np
 import pytest
 
 from tracecodes import (
+    CodeParams,
     Field,
     ParameterError,
-    RingClass,
     RingElem,
-    big_trace,
-    classify,
-    frobenius,
+    Variant,
+    coord_at,
+    derive_params,
     gray,
     gray_inverse,
     is_unit,
     lee_weight,
     ring_inv,
 )
-from tracecodes import ring
-from tracecodes.ring import gray_word, lee_weight_word, random_element
+from tracecodes import oracles, ring
+from tracecodes.oracles import (
+    RingClass,
+    big_trace,
+    classify,
+    frobenius,
+    gray_word,
+    lee_weight_word,
+    random_element,
+)
 
 from oracles import add_codes
 
@@ -28,7 +36,7 @@ from oracles import add_codes
 # ---------------------------------------------------------------------------
 
 def test_basis_products(f9):
-    u, v, uv = ring.u(f9), ring.v(f9), ring.uv(f9)
+    u, v, uv = oracles.u(f9), oracles.v(f9), oracles.uv(f9)
     assert u * v == uv
     assert v * u == uv
     assert u * u == ring.zero(f9)
@@ -38,7 +46,7 @@ def test_basis_products(f9):
 
 
 def test_one_plus_u_times_one_minus_u(f9):
-    one, u = ring.one(f9), ring.u(f9)
+    one, u = oracles.one(f9), oracles.u(f9)
     assert (one + u) * (one - u) == one
 
 
@@ -61,16 +69,22 @@ def test_product_expansion_matches_reference(f9):
 
 def test_mismatched_fields_rejected(f9, f27):
     with pytest.raises(ParameterError):
-        ring.one(f9) * ring.one(f27)
+        oracles.one(f9) * oracles.one(f27)
 
 
 def test_commutative_and_associative(f9):
+    # the middle factor is also a coordinate g, of the lift and the units in
+    # turn: (r*g)*x = r*(g*x) makes the codeword of r pulled back along
+    # x -> g*x, Tr(r*(g*x)), the codeword of r*g
+    dps = [derive_params(CodeParams(f9, 2)), derive_params(CodeParams(f9, 1, Variant.UNITS))]
     rng = np.random.default_rng(6)
-    for _ in range(50):
+    for k in range(300):
         x, y, z = (random_element(f9, rng) for _ in range(3))
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
+        g = coord_at(dps[k % 2], int(rng.integers(dps[k % 2].length)))
+        for middle in (y, g):
+            assert x * middle == middle * x
+            assert (x * middle) * z == x * (middle * z)
+            assert x * (middle + z) == x * middle + x * z
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +190,12 @@ def test_big_trace_base_ring_linear_exhaustive(f9):
 # ---------------------------------------------------------------------------
 
 def test_classify_tags(f9):
-    assert classify(ring.uv(f9)) is RingClass.UV_LINE
-    assert classify(ring.u(f9)) is RingClass.OTHER_MAXIMAL
+    assert classify(oracles.uv(f9)) is RingClass.UV_LINE
+    assert classify(oracles.u(f9)) is RingClass.OTHER_MAXIMAL
     assert classify(RingElem(f9, 1, 1, 1, 1)) is RingClass.UNIT
     assert classify(ring.zero(f9)) is RingClass.ZERO
     assert is_unit(RingElem(f9, 1, 1, 1, 1))
-    assert not is_unit(ring.u(f9))
+    assert not is_unit(oracles.u(f9))
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (3, 3)])
@@ -199,7 +213,7 @@ def test_classes_partition_and_unit_count(p, m):
 
 def test_inverse_of_units(f9):
     rng = np.random.default_rng(10)
-    one = ring.one(f9)
+    one = oracles.one(f9)
     for _ in range(200):
         a = int(rng.integers(1, 9))
         r = ring.RingElem(f9, a, *(int(x) for x in rng.integers(0, 9, size=3)))
@@ -208,7 +222,7 @@ def test_inverse_of_units(f9):
 
 def test_inverse_rejects_non_units(f9):
     with pytest.raises(ValueError):
-        ring_inv(ring.uv(f9))
+        ring_inv(oracles.uv(f9))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +246,7 @@ def test_gray_rejects_extension_elements(f9):
     # a coordinate at or above p lies outside F_p, so outside the base ring
     with pytest.raises(ValueError):
         gray(RingElem(f9, 3, 0, 0, 0))
-    assert gray(ring.one(f9)) == (0, 0, 0, 1)
+    assert gray(oracles.one(f9)) == (0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -260,7 +274,7 @@ def test_gray_is_linear(f3):
 
 def test_lee_weight_examples(f3):
     assert lee_weight(ring.zero(f3)) == 0
-    assert lee_weight(ring.uv(f3)) == 4
+    assert lee_weight(oracles.uv(f3)) == 4
     assert lee_weight(RingElem(f3, 1, 2, 2, 1)) == 1  # 1 - u - v + uv
 
 
