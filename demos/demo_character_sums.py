@@ -22,7 +22,7 @@ from tracecodes.oracles import MultChar, cyclotomic_class
 
 field = Field(5, 2)
 dp = derive_params(CodeParams(field, 3))
-print(f"field: p={field.p} m={field.m} modulus={field.modulus_record()}")
+print(f"field: p={field.p} m={field.m} modulus={','.join(map(str, field.modulus))}")
 print(f"N = 3 splits the units into cyclotomic classes of order N2 = {dp.N2}")
 
 # ----------------------------------------------------------------------

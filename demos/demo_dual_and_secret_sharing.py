@@ -59,7 +59,7 @@ print(f"access structure: {verdict.classification}")
 # ----------------------------------------------------------------------
 f81 = Field(3, 4)
 dp81 = derive_params(CodeParams(f81, 4))
-words = [eval_field_subcode(b, dp81) for b in f81.elements()]
+words = [eval_field_subcode(b, dp81) for b in range(f81.q)]
 sub_verdict = minimality_check({6: 60, 9: 20}, 3)
 print(f"\n[10,4] subcode ratio test 6/9 vs 2/3: all_minimal = "
       f"{sub_verdict.all_minimal} (threshold exactly met, test fails)")

@@ -61,6 +61,6 @@ assert middle_frequency == off_line + units == pred.rows_dict()[bulk_weight]
 # 4. the class-based distribution packages the same facts
 # ----------------------------------------------------------------------
 print("\nclass-based distribution:")
-for w, f in dist.rows():
+for w, f in sorted(dist.entries.items()):
     print(f"  weight {w:>7}: frequency {f}")
 print(f"matches prediction: {dist.nonzero() == pred.rows_dict()}")

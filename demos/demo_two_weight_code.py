@@ -26,7 +26,7 @@ from tracecodes import oracles, ring
 # 1. the field and the derived parameters
 # ----------------------------------------------------------------------
 field = Field(3, 2)
-print(f"field: p={field.p} m={field.m} modulus={field.modulus_record()}, "
+print(f"field: p={field.p} m={field.m} modulus={','.join(map(str, field.modulus))}, "
       f"primitive element xi = {field.coeffs(field.xi)}")
 
 params = CodeParams(field, N=1, variant=Variant.LIFT)
@@ -40,7 +40,7 @@ print(f"ring-code length |L| = {dp.length}, Gray length = {dp.gray_length}")
 # ----------------------------------------------------------------------
 dist = distribution_exhaustive(dp)
 print("\nmeasured Lee-weight distribution (weight: frequency):")
-for w, f in dist.rows():
+for w, f in sorted(dist.entries.items()):
     print(f"  {w:>6}: {f}")
 
 # ----------------------------------------------------------------------
@@ -51,7 +51,7 @@ for pred in preds:
     print(f"\nprediction [{pred.regime}]: rows {pred.rows}")
     for name, holds in pred.side_conditions:
         print(f"  condition: {name} -> {holds}")
-comparison = compare_with_predictions(dist, preds)
+comparison = compare_with_predictions(dist.entries, preds)
 print(f"prediction matches measurement: {comparison.ok}")
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .construction import (
     derive_params,
     subcode_distribution,
 )
-from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
+from .errors import ParameterError, WorkBudgetExceeded
 from .field import Field, gauss_sums, parse_modulus
 from .ring import RingElem, gray, gray_inverse, is_unit, lee_weight, ring_inv
 

@@ -22,7 +22,13 @@ of the class counts (the work budget charges them q), checked against all
 q^4 rows weighed one by one (tests/oracles.py); predict lifts each table,
 written once for the subcode.  distribution_by_class returns those rows and
 weighs seeded members of each class (j < N2) against its representative
-xi^j*uv, both read from one class count.
+xi^j*uv, both read from one class count.  compare_with_predictions is the
+one comparison of measured rows with predicted ones: analyze passes it the
+full code's rows, subcode_report the field subcode's.
+
+A failed theorem check (a sampled weight off its class, a non-integer
+table weight) raises AssertionError, as the checks of field, construction
+and bounds do; it is never a report verdict.
 
 Every seeded draw (class samples, identity-suite trials) comes from one
 stdlib random.Random(seed) per call, as exact-uniform randrange values;
@@ -48,9 +54,8 @@ from .construction import (
     slot_batch_rows,
     subcode_distribution,
 )
-from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
+from .errors import ParameterError, WorkBudgetExceeded
 from .field import Field, gauss_sums, multiplicative_order, roots_of_unity
-from .ring import RingElem
 
 #: Default ceiling on exhaustive and identity-suite work, in entry-operations.
 DEFAULT_WORK_BUDGET = 10**10
@@ -133,14 +138,10 @@ class WeightDistribution:
 
     entries: dict[int, int]
     method: str  # "exhaustive" | "class"
-    total: int
     detail: dict | None = None
 
     def nonzero(self) -> dict[int, int]:
         return {w: f for w, f in self.entries.items() if w != 0}
-
-    def rows(self) -> list[tuple[int, int]]:
-        return sorted(self.entries.items())
 
     @property
     def min_nonzero_weight(self) -> int:
@@ -181,7 +182,7 @@ def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> Wei
             f"{budget}; no method fits below q, since every method reads the uv-line's "
             "class counts")
     return WeightDistribution(entries=_lifted(dp, subcode_distribution(dp)),
-                              method="exhaustive", total=dp.codeword_count)
+                              method="exhaustive")
 
 
 def _sample_class(name: str, j: int, dp: DerivedParams,
@@ -204,10 +205,11 @@ def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
     class, drawn from random.Random(seed), must give the same count
     #{x0 : Tr(d*x0) != 0} as their representative.  Samples are drawn,
     class by class, and weighed 4096 at a time, so memory does not grow
-    with their number; the first disagreement raises WeightConstancyError
-    with that sample as its witness element.  The draws now read the class
-    counts, as their representative does, so they cannot disagree.  The
-    work budget charges q + N2*samples_per_class before any draw.
+    with their number.  The draws read the class counts, as their
+    representative does, so they cannot disagree: a disagreement is a
+    failed theorem check, an AssertionError whose message names the class,
+    the sample's row as witness, and both weights.  The work budget charges
+    q + N2*samples_per_class before any draw.
     """
     if samples_per_class < 1:
         raise ParameterError(
@@ -235,9 +237,10 @@ def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
         got, expected = _weights_serial(dp, samples), rep_weights[classes]
         if (bad := np.flatnonzero(got != expected)).size:
             i = int(bad[0])
-            raise WeightConstancyError(names[int(classes[i])],
-                                       RingElem(dp.field, *samples[i].tolist()),
-                                       int(expected[i]), int(got[i]))
+            raise AssertionError(
+                f"weight not constant on {names[int(classes[i])]}: row "
+                f"{tuple(samples[i].tolist())} has weight {int(got[i])}, its "
+                f"representative {int(expected[i])}")
 
     detail = {
         "seed": seed,
@@ -524,24 +527,21 @@ class ComparisonReport:
     details: list[dict]
 
 
-def compare_with_predictions(dist: WeightDistribution,
+def compare_with_predictions(measured: dict[int, int],
                              preds: list[Prediction]) -> ComparisonReport:
-    """Row-by-row comparison of a measured distribution against every
-    applicable prediction; interval regimes check the weight count and the
-    minimum weight instead.  With no prediction the verdict is None, not a
-    pass."""
+    """Row-by-row comparison of a measured weight -> frequency map (its zero
+    row is not compared) against every applicable prediction; interval
+    regimes check the weight count and the minimum weight instead.  With no
+    prediction the verdict is None, not a pass."""
     details = []
     ok = True if preds else None
-    measured = dist.nonzero()
+    measured = {w: f for w, f in measured.items() if w != 0}
     for pred in preds:
         if pred.rows:
             expected = pred.rows_dict()
-            mismatches = []
-            for w in sorted(set(expected) | set(measured)):
-                if expected.get(w) != measured.get(w):
-                    mismatches.append({"weight": w,
-                                       "expected": expected.get(w),
-                                       "measured": measured.get(w)})
+            mismatches = [{"weight": w, "expected": expected.get(w), "measured": measured.get(w)}
+                          for w in sorted(set(expected) | set(measured))
+                          if expected.get(w) != measured.get(w)]
             matched = not mismatches
             details.append({"regime": pred.regime, "matched": matched,
                             "mismatches": mismatches})
@@ -562,17 +562,14 @@ def compare_with_predictions(dist: WeightDistribution,
 
 
 def subcode_report(dp: DerivedParams) -> dict:
-    """The field-subcode distribution next to its predictions;
-    "ok" is None when no prediction applies, so nothing was compared."""
+    """The field-subcode distribution next to its predictions, compared by
+    compare_with_predictions; each prediction shows its rows in place of
+    the mismatches.  "ok" is None when no prediction applies, so nothing
+    was compared."""
     measured = subcode_distribution(dp)
     preds = predict_subcode(dp)
-    nonzero = {w: f for w, f in measured.items() if w != 0}
-    detail = []
-    ok = True if preds else None
-    for pred in preds:
-        matched = pred.rows_dict() == nonzero
-        ok = ok and matched
-        detail.append({"regime": pred.regime, "matched": matched,
-                       "rows": pred.rows})
+    comparison = compare_with_predictions(measured, preds)
+    detail = [{"regime": pred.regime, "matched": d["matched"], "rows": pred.rows}
+              for pred, d in zip(preds, comparison.details)]
     return {"length": len(dp.x0_codes()), "distribution": measured, "predictions": detail,
-            "ok": ok}
+            "ok": comparison.ok}

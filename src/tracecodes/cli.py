@@ -3,14 +3,17 @@
 Identical configurations (including the seed) produce byte-identical
 reports apart from the runtime_ms field.  Exit codes: 0 all executed
 checks passed, 1 mathematical mismatch or residual breach, 2 parameter or
-usage error, 3 work-budget refusal.  An analyze run that no prediction
-applies to compares nothing: its comparison reads "ok": null with status
-"no-applicable-prediction", and it exits 0.  The same holds for the
-subcode section of verify --subcode.  This module is the only one that
+usage error, 3 work-budget refusal.  A failed internal theorem check is an
+AssertionError that main does not catch: it ends the process through the
+interpreter, with its traceback and exit 1.  An analyze run that no
+prediction applies to compares nothing: its comparison reads "ok": null
+with status "no-applicable-prediction", and it exits 0.  The same holds
+for the subcode section of verify --subcode; both sections come from
+analysis.compare_with_predictions.  This module is the only one that
 shapes JSON: each report section is dataclasses.asdict of the result the
-library returns, so a verify breach carries its witness.  Handlers read the
-parsed argparse.Namespace directly; the parser is the one list of options
-and defaults.
+library returns, so a verify breach carries its witness.  Handlers read
+the parsed argparse.Namespace directly; the parser is the one list of
+options and defaults.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .construction import (
     check_codeword_count_guard,
     derive_params,
 )
-from .errors import ParameterError, WeightConstancyError, WorkBudgetExceeded
+from .errors import ParameterError, WorkBudgetExceeded
 from .field import Field, parse_modulus
 
 REPORT_VERSION = 5
@@ -107,7 +110,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
         dist = analysis.distribution_exhaustive(dp, budget=budget)
 
     preds = analysis.predict(dp)
-    comparison = analysis.compare_with_predictions(dist, preds)
+    comparison = analysis.compare_with_predictions(dist.entries, preds)
 
     d_min = dist.min_nonzero_weight
     verdict = bounds.griesmer_optimal(dp.gray_length, dp.dimension, d_min, dp.p)
@@ -256,9 +259,6 @@ def main(argv=None) -> int:
     except WorkBudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except WeightConstancyError as exc:
-        print(f"mathematical violation: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     runtime_ms = int((time.monotonic() - start) * 1000)
     try:
         _emit(report, cfg, runtime_ms)

@@ -7,20 +7,3 @@ class ParameterError(ValueError):
 
 class WorkBudgetExceeded(RuntimeError):
     """An exhaustive job would exceed the configured entry-operation budget."""
-
-
-class WeightConstancyError(RuntimeError):
-    """A sampled element's weight disagrees with its class representative.
-
-    Carries the witness so the failure is reproducible.
-    """
-
-    def __init__(self, class_name, witness, expected, got):
-        self.class_name = class_name
-        self.witness = witness
-        self.expected = expected
-        self.got = got
-        super().__init__(
-            f"weight not constant on class {class_name!r}: element {witness} "
-            f"has weight {got}, representative has weight {expected}"
-        )

@@ -12,11 +12,10 @@ xi^k for k < q - 1), log (int64, -1 at code 0) and trace (int32).  That is
 kept.  A build peaks at the three tables and one block in a narrow buffer:
 its digit rows, at most half of q and only those a later doubling pass
 reads, are freed before the log table is made.  Scalar operations index
-memoryviews of these arrays, which return Python ints and hold no second
-copy.  Negation and Frobenius come from the same two tables: -1 =
-xi^((q-1)/2), so -a = xi^(log a + (q-1)/2), and a^p = xi^(p log a).
-Addition and lex_code work on the base-p digits of the codes,
-computed when needed.
+memoryviews of the exp and log tables, which return Python ints and hold
+no second copy; a trace is trace_table[a].  Negation comes from the same
+two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2).  Addition
+and lex_code work on the base-p digits of the codes, computed when needed.
 
 A Field instance is immutable after construction (lazy caches are built
 once and read-only thereafter); every operation is a pure function of its
@@ -279,7 +278,8 @@ class Field:
     to the smallest code of full multiplicative order.
 
     p must be an odd prime, m >= 1 and p^m at most DLOG_TABLE_LIMIT; all
-    three are checked before any modulus search.  The codes below p, the
+    three are checked before any modulus search, primality last, so trial
+    division only sees p <= DLOG_TABLE_LIMIT.  The codes below p, the
     constant polynomials, are F_p and coincide with the residues mod p; for
     m = 1 they are all codes and the trace is the identity.
 
@@ -298,7 +298,7 @@ class Field:
                  modulus: list[int] | tuple[int, ...] | None = None):
         if p == 2:
             raise ParameterError("p must be odd")
-        if not _is_prime(p):
+        if p < 3:
             raise ParameterError(f"p = {p} is not prime")
         if m < 1:
             raise ParameterError("extension degree m must be >= 1")
@@ -307,6 +307,8 @@ class Field:
                 f"field size {p}^{m} exceeds the supported table range "
                 f"({DLOG_TABLE_LIMIT}); desk-scale parameters only"
             )
+        if not _is_prime(p):
+            raise ParameterError(f"p = {p} is not prime")
         self.p = int(p)
         self.m = int(m)
         self.q = p**m
@@ -395,7 +397,7 @@ class Field:
             table.flags.writeable = False
         self._exp_np, self._log_np, self._trace_np = exp, log, trace
         # scalar lookups read memoryviews: Python ints, no second copy
-        self._exp, self._log, self._trace = (memoryview(t) for t in (exp, log, trace))
+        self._exp, self._log = memoryview(exp), memoryview(log)
 
         self._mul_table_np: np.ndarray | None = None
         self._trmul_flat_np: np.ndarray | None = None
@@ -421,9 +423,6 @@ class Field:
 
     def encode(self, coeffs) -> int:
         return sum((int(c) % self.p) * w for c, w in zip(coeffs, self._pow_weights))
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def unit_codes(self) -> np.ndarray:
         """All nonzero codes in xi-power order: xi^0, xi^1, ... (a read-only view)."""
@@ -457,16 +456,6 @@ class Field:
         if a == 0:
             raise ValueError("zero is not invertible")
         return self._exp[(-self._log[a]) % self.order]
-
-    def trace(self, a: int) -> int:
-        """Absolute trace down to F_p: sum of the m Frobenius conjugates."""
-        return self._trace[a]
-
-    def frobenius_code(self, a: int) -> int:
-        """a^p = xi^(p log a)."""
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] * self.p % self.order]
 
     def exp_code(self, k: int) -> int:
         """Code of xi^k."""
@@ -538,12 +527,6 @@ class Field:
     def trace_products(self, a, b) -> np.ndarray:
         """trace(a*b) (int32) for broadcastable arrays of codes, via `products`."""
         return self._trace_np[self.products(a, b)]
-
-    # -- text record ---------------------------------------------------------
-
-    def modulus_record(self) -> str:
-        """Modulus as a comma-separated constant-first coefficient list."""
-        return ",".join(str(c) for c in self.modulus)
 
     def _find_primitive_code(self) -> int:
         """The smallest code of full order, by raw polynomial powers (no

@@ -50,10 +50,10 @@ def uv(field: Field) -> RingElem:
 
 
 def frobenius(r: RingElem) -> RingElem:
-    """Coordinatewise p-th power; a ring automorphism of order m."""
+    """Coordinatewise p-th power, a^p = xi^(p log a) and 0^p = 0; a ring
+    automorphism of order m."""
     f = r.field
-    fr = f.frobenius_code
-    return RingElem(f, fr(r.a), fr(r.b), fr(r.c), fr(r.d))
+    return RingElem(f, *(f.exp_code(f.dlog(x) * f.p) if x else 0 for x in r.coords()))
 
 
 def big_trace(r: RingElem) -> RingElem:
@@ -63,8 +63,7 @@ def big_trace(r: RingElem) -> RingElem:
     commute out.
     """
     f = r.field
-    tr = f.trace
-    return RingElem(f, tr(r.a), tr(r.b), tr(r.c), tr(r.d))
+    return RingElem(f, *(int(f.trace_table[x]) for x in r.coords()))
 
 
 def classify(r: RingElem) -> RingClass:
@@ -232,7 +231,7 @@ def eval_field_subcode(b: int, dp: DerivedParams) -> tuple[int, ...]:
     over those points.
     """
     field = dp.field
-    return tuple(field.trace(field.mul(b, int(d))) for d in dp.x0_codes())
+    return tuple(int(field.trace_table[field.mul(b, int(d))]) for d in dp.x0_codes())
 
 
 BRUTE_FORCE_LIMIT = 10_000

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import asdict
 from functools import lru_cache
@@ -12,7 +13,6 @@ from tracecodes import (
     CodeParams,
     RingElem,
     Variant,
-    WeightConstancyError,
     WorkBudgetExceeded,
     compare_with_predictions,
     derive_params,
@@ -175,7 +175,7 @@ def test_bulk_weights_parallel_merge(f9):
 def test_exhaustive_two_weight_lift(f9):
     dist = distribution_exhaustive(derive_params(CodeParams(f9, 1)))
     assert dist.entries == {0: 1, 7776: 6552, 8748: 8}
-    assert dist.total == 3**8
+    assert sum(dist.entries.values()) == 3**8
     assert dist.method == "exhaustive"
 
 
@@ -235,7 +235,8 @@ def test_exhaustive_budget_refusal(f25):
     # that is refused, and q itself fits
     with pytest.raises(WorkBudgetExceeded, match="needs q = 25 .* no method fits"):
         distribution_exhaustive(derive_params(CodeParams(f25, 3)), budget=24)
-    assert distribution_exhaustive(derive_params(CodeParams(f25, 3)), budget=25).total == 25**4
+    dist = distribution_exhaustive(derive_params(CodeParams(f25, 3)), budget=25)
+    assert sum(dist.entries.values()) == 25**4
 
 
 def test_class_method_is_charged_q(f9):
@@ -244,7 +245,8 @@ def test_class_method_is_charged_q(f9):
     dp = derive_params(CodeParams(f9, 1))
     with pytest.raises(WorkBudgetExceeded, match="needs q = 9 "):
         distribution_by_class(dp, samples_per_class=1, budget=8)
-    assert distribution_by_class(dp, samples_per_class=1, budget=10).total == 9**4
+    dist = distribution_by_class(dp, samples_per_class=1, budget=10)
+    assert sum(dist.entries.values()) == 9**4
 
 
 def test_class_samples_are_charged_before_any_draw(monkeypatch):
@@ -403,10 +405,14 @@ def test_constancy_violation_raises_with_witness(f9, monkeypatch):
         return out
 
     monkeypatch.setattr(analysis, "_weights_serial", corrupting)
-    with pytest.raises(WeightConstancyError) as info:
+    # the message names the class, the witness row and both weights
+    witness = (r"on uv-line class 0: row \(0, 0, 0, (\d+)\) has weight (\d+), "
+               r"its representative (\d+)")
+    with pytest.raises(AssertionError, match=witness) as info:
         distribution_by_class(derive_params(CodeParams(f9, 1)), samples_per_class=5)
-    assert info.value.witness is not None
-    assert info.value.got == info.value.expected + 4
+    d, got, expected = map(int, re.search(witness, str(info.value)).groups())
+    assert 0 < d < f9.q
+    assert got == expected + 4
 
 
 def test_ideal_survey_three_weight(f25):
@@ -950,7 +956,7 @@ def test_quadratic_case_matches_exact_rows_on_the_grid():
         (pred,) = predict(dp)
         assert pred.regime.startswith("three_weight") and pred.l == 1, (p, m, N)
         assert ("N2 >= 2", True) in pred.side_conditions
-        assert compare_with_predictions(distribution_exhaustive(dp), [pred]).ok, (p, m, N)
+        assert compare_with_predictions(distribution_exhaustive(dp).entries, [pred]).ok, (p, m, N)
         assert subcode_report(dp)["ok"] is True, (p, m, N)
 
 
@@ -1028,29 +1034,27 @@ def test_subcode_report_matches(f81):
 
 def test_compare_exact_rows(f9):
     dp = derive_params(CodeParams(f9, 1))
-    comparison = compare_with_predictions(distribution_exhaustive(dp), predict(dp))
+    comparison = compare_with_predictions(distribution_exhaustive(dp).entries, predict(dp))
     assert comparison.ok
     assert comparison.details[0]["matched"]
 
 
 def test_compare_bounds(f81):
     dp = derive_params(CodeParams(f81, 8))
-    comparison = compare_with_predictions(distribution_exhaustive(dp), predict(dp))
+    comparison = compare_with_predictions(distribution_exhaustive(dp).entries, predict(dp))
     assert comparison.ok
     assert [d["regime"] for d in comparison.details] == ["distance_bounds"]
 
 
 def test_compare_without_predictions_is_no_verdict(f9):
     dp = derive_params(CodeParams(f9, 1))
-    comparison = compare_with_predictions(distribution_exhaustive(dp), [])
+    comparison = compare_with_predictions(distribution_exhaustive(dp).entries, [])
     assert comparison.ok is None
     assert comparison.details == []
 
 
 def test_compare_reports_mismatches(f9):
-    from tracecodes import WeightDistribution
-    wrong = WeightDistribution(entries={0: 1, 7776: 6551, 8748: 9},
-                               method="exhaustive", total=3**8)
+    wrong = {0: 1, 7776: 6551, 8748: 9}
     comparison = compare_with_predictions(wrong, predict(derive_params(CodeParams(f9, 1))))
     assert not comparison.ok
     mism = comparison.details[0]["mismatches"]

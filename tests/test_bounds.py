@@ -254,7 +254,7 @@ def test_bruteforce_strict_cover():
 
 def test_bruteforce_field_subcode(f81):
     dp = derive_params(CodeParams(f81, 4))
-    words = [eval_field_subcode(b, dp) for b in f81.elements()]
+    words = [eval_field_subcode(b, dp) for b in range(f81.q)]
     mins = minimal_codewords_bruteforce(words, 3)
     # ratio test is exactly at threshold (6/9 = 2/3) and fails; the scan
     # decides: only the 60 words of weight 6 are minimal

@@ -26,6 +26,11 @@ from tracecodes.oracles import MultChar, cyclotomic_class
 from oracles import add_codes, gauss_sum, spread_class_counts, zero_trace_counts
 
 
+def frobenius_image(field, x: int) -> int:
+    """x^p = xi^(p log x), 0 at x = 0, read from the exp and log tables."""
+    return field.exp_code(field.dlog(x) * field.p) if x else 0
+
+
 def power(field, x: int, e: int) -> int:
     """x^e by e - 1 scalar multiplications, no table lookup of the exponent."""
     out = x
@@ -64,6 +69,17 @@ def test_non_prime_rejected():
 def test_degree_below_one_rejected():
     with pytest.raises(ParameterError):
         Field(3, 0)
+
+
+@pytest.mark.parametrize("p,m", [(2**61 - 1, 1), (2**61 - 1, 0), (-(2**61 - 1), 3)])
+def test_bad_parameters_are_refused_before_trial_division(p, m):
+    # the sign, degree and table-range checks come first, so primality is
+    # only ever tested for p <= DLOG_TABLE_LIMIT; trial division up to
+    # sqrt(2^61) took longer than any test's budget
+    start = time.perf_counter()
+    with pytest.raises(ParameterError):
+        Field(p, m)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_reducible_modulus_rejected():
@@ -205,7 +221,7 @@ def test_tables_match_python_reference(p, m, modulus):
     # digit reversal is an involution: the order is its own inverse
     assert f.lex_code(lex_codes).tolist() == list(range(f.q))
     assert [f.neg(x) for x in range(f.q)] == neg
-    assert [f.frobenius_code(x) for x in range(f.q)] == frob
+    assert [frobenius_image(f, x) for x in range(f.q)] == frob
 
 
 #: Every field with p odd, p <= 61 and q <= 4096.
@@ -251,7 +267,7 @@ TABLE_DIGESTS = {
 def test_tables_are_pinned_bit_for_bit(p, m, modulus):
     f = Field(p, m, modulus=modulus)
     tables = (f._exp, f._log, f.trace_table, f.lex_code(np.arange(f.q)),
-              [f.neg(x) for x in range(f.q)], [f.frobenius_code(x) for x in range(f.q)])
+              [f.neg(x) for x in range(f.q)], [frobenius_image(f, x) for x in range(f.q)])
     digests = tuple(hashlib.sha256(np.asarray(t, dtype="<i8").tobytes()).hexdigest()[:16]
                     for t in tables)
     assert digests == TABLE_DIGESTS[p, m, modulus]
@@ -320,8 +336,8 @@ def test_field_build_refuses_a_xi_that_is_no_generator(monkeypatch):
         Field(3, 2, modulus=(1, 0, 1))
 
 
-def test_modulus_record_roundtrip(f9):
-    rec = f9.modulus_record()
+def test_modulus_text_roundtrip(f9):
+    rec = ",".join(map(str, f9.modulus))
     assert parse_modulus(rec) == f9.modulus
     assert Field(3, 2, modulus=parse_modulus(rec)) == f9
 
@@ -331,35 +347,35 @@ def test_modulus_record_roundtrip(f9):
 # ---------------------------------------------------------------------------
 
 def test_trace_of_zero(f9):
-    assert f9.trace(0) == 0
+    assert f9.trace_table[0] == 0
 
 
 def test_trace_of_one_in_quadratic_field(f9):
     # 1 + 1^3 = 2
-    assert f9.trace(1) == 2
+    assert f9.trace_table[1] == 2
 
 
 def test_trace_matches_defining_sum(f9):
-    for x in f9.elements():
+    for x in range(f9.q):
         total = 0
         for j in range(f9.m):
             total = f9.add(total, power(f9, x, 3**j))
-        assert total == f9.trace(x)
+        assert total == f9.trace_table[x]
 
 
 def test_trace_is_frobenius_invariant(f9):
     rng = np.random.default_rng(0)
     for x in rng.integers(0, 9, size=200):
-        assert f9.trace(power(f9, int(x), 3)) == f9.trace(int(x))
+        assert f9.trace_table[power(f9, int(x), 3)] == f9.trace_table[int(x)]
 
 
 def test_trace_additive_and_linear(f9):
     rng = np.random.default_rng(1)
     for _ in range(200):
         x, y = (int(v) for v in rng.integers(0, 9, size=2))
-        assert f9.trace(f9.add(x, y)) == (f9.trace(x) + f9.trace(y)) % 3
+        assert f9.trace_table[f9.add(x, y)] == (f9.trace_table[x] + f9.trace_table[y]) % 3
         lam = int(rng.integers(0, 3))
-        assert f9.trace(f9.mul(lam, x)) == (lam * f9.trace(x)) % 3
+        assert f9.trace_table[f9.mul(lam, x)] == (lam * f9.trace_table[x]) % 3
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (3, 6)])
@@ -372,12 +388,12 @@ def test_trace_surjective(p, m):
 
 
 def test_trace_identity_for_prime_field(f3):
-    assert [f3.trace(x) for x in range(3)] == [0, 1, 2]
+    assert [f3.trace_table[x] for x in range(3)] == [0, 1, 2]
 
 
 def test_trace_does_not_wrap_above_p_127():
     f = Field(131, 1)
-    assert f.trace(130) == 130
+    assert f.trace_table[130] == 130
     assert f.trace_table.tolist() == list(range(131))
     tm = f.trmul_flat
     assert tm.min() == 0 and tm.max() == 130
@@ -393,7 +409,7 @@ def test_trace_products_match_product_table(p, m, modulus):
     got = f.trace_products(codes[:, None], codes)
     assert got.dtype == np.int32
     assert np.array_equal(got.ravel(), f.trmul_flat)
-    assert all(got[a, b] == f.trace(f.mul(a, b)) for a in (0, 1, f.q - 1) for b in codes)
+    assert all(got[a, b] == f.trace_table[f.mul(a, b)] for a in (0, 1, f.q - 1) for b in codes)
 
 
 @pytest.mark.parametrize("p,m,modulus", [
@@ -574,7 +590,7 @@ def test_zero_trace_count_matches_scalar_loop():
     for N, variant in ((1, Variant.LIFT), (4, Variant.LIFT), (5, Variant.LIFT),
                        (1, Variant.UNITS)):
         dp = derive_params(CodeParams(f, N, variant))
-        expected = [sum(1 for d in dp.x0_codes().tolist() if f.trace(f.mul(b, d)) == 0)
+        expected = [sum(1 for d in dp.x0_codes().tolist() if f.trace_table[f.mul(b, d)] == 0)
                     for b in range(f.q)]
         assert spread_class_counts(dp).tolist() == expected
         step, count = (N, dp.n) if variant is Variant.LIFT else (1, f.q - 1)

@@ -61,6 +61,7 @@ def hostile_argv(draw):
 
 @given(hostile_argv(), BUDGET_ENV)
 @example(["verify", "-p", "3", "-m", "1", "--trials", str(2**70)], None)  # past a range()'s length
+@example(["analyze", "-p", str(2**61 - 1), "-m", "0"], None)  # a large prime p and a bad m
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_hostile_input_ends_in_a_documented_exit_code(argv, budget_env):
     env = {k: v for k, v in os.environ.items() if k != "TRACECODES_WORK_BUDGET"}

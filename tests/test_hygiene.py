@@ -212,18 +212,12 @@ CENSUS_RUNS = {
 #: with the reason it stays.
 NOT_RUN_BY_THE_CLI = {
     "analysis._bulk_worker": "bench/tracer.py binds it by name",
-    "analysis.WeightDistribution.rows": "the demos print a distribution row by row",
     "cli.run": "the process entry; it ends the process, so the census calls main",
     "construction.coord_blocks": "bench/tracer.py binds it; oracles.enumerate_coords reads it",
-    "errors.WeightConstancyError.__init__": "raised only when the kernel's theorem fails",
     "field.Field.__repr__": "the debug text of a field",
     "field.Field.__hash__": "Field defines __eq__, so it stays hashable through this",
-    "field.Field.elements": "the demos iterate over the field",
-    "field.Field.trace": "the scalar trace of oracles.big_trace and oracles.eval_field_subcode",
-    "field.Field.frobenius_code": "the scalar Frobenius of oracles.frobenius",
     "field.Field.mul_table": "bench/tracer.py binds it by name",
     "field.Field.trmul_flat": "bench/tracer.py binds it by name",
-    "field.Field.modulus_record": "the demos print the modulus as a record",
     "ring.RingElem.__sub__": "ring subtraction, which the demos and tests use",
     "ring.RingElem.__str__": "the text form of an element",
 }

@@ -7,10 +7,11 @@ printed), its stderr and its exit code, and the test pins a sha256 prefix
 of that.  The runs are the benchmark's eleven jobs at seed 7 (bench/jobs.py),
 the subcode check at (3,4,N=4), a units point whose weights pass 2^63, a
 budget refusal, the CSV format, two points with exact interval bounds, a
-units dual and, through a wrong prediction and a corrupted class count, a
-mismatch and an identity breach: every subcommand, both variants and
-formats, and exit codes 0 to 3.  On a mismatch the new
-outcome is printed, so a declared report change can be read and re-pinned.
+units dual and, through a wrong prediction, a wrong subcode table and a
+corrupted class count, two mismatches and an identity breach: every
+subcommand, both variants and formats, and exit codes 0 to 3.  On a
+mismatch the new outcome is printed, so a declared report change can be
+read and re-pinned.
 """
 
 import hashlib
@@ -107,6 +108,22 @@ def test_mismatch_report_is_pinned(capsys, monkeypatch):
 
     monkeypatch.setattr(analysis, "predict", wrong_prediction)
     assert_pinned("analyze -p 3 -m 2 -N 1", "871f9a06409b7983", capsys)
+
+
+def test_subcode_mismatch_report_is_pinned(capsys, monkeypatch):
+    # exit 1 through verify --subcode: a subcode table with its frequencies
+    # swapped, so the section's predictions, verdict and rows are all pinned
+    from tracecodes import analysis
+
+    def wrong_subcode_table(params):
+        return [analysis.Prediction(regime="subcode_two_weight_general",
+                                    rows=((6, 20), (9, 60)), side_conditions=(),
+                                    scope="subcode")]
+
+    monkeypatch.setattr(analysis, "predict_subcode", wrong_subcode_table)
+    result = assert_pinned("verify -p 3 -m 4 -N 4 --subcode", "b494fe6b306e0450", capsys)
+    assert result["exit"] == 1
+    assert result["report"]["subcode"]["ok"] is False
 
 
 def test_breach_report_is_pinned(capsys, monkeypatch):
