@@ -38,14 +38,12 @@ no path here imports numpy.random.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .construction import (
-    DEFAULT_SEED,
     CodeParams,
     DerivedParams,
     Variant,
@@ -56,9 +54,7 @@ from .construction import (
 )
 from .errors import ParameterError, WorkBudgetExceeded
 from .field import Field, gauss_sums, multiplicative_order, roots_of_unity
-
-#: Default ceiling on exhaustive and identity-suite work, in entry-operations.
-DEFAULT_WORK_BUDGET = 10**10
+from .limits import DEFAULT_SEED, resolve_budget
 
 #: The identity suite reports a residual above this as a breach.
 TOLERANCE = 1e-6
@@ -148,21 +144,6 @@ class WeightDistribution:
         return min(self.nonzero())
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is None:
-        env = os.environ.get("TRACECODES_WORK_BUDGET")
-        if not env:
-            return DEFAULT_WORK_BUDGET
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ParameterError(
-                f"TRACECODES_WORK_BUDGET must be an integer, got {env!r}") from None
-    if budget < 0:
-        raise ParameterError(f"work budget must be >= 0, got {budget}")
-    return budget
-
-
 def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> WeightDistribution:
     """The weight of every codeword, exact, by the theorem in _weights_serial.
 
@@ -175,7 +156,7 @@ def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> Wei
     table for the class counts; a smaller budget is refused, and no method
     fits it, since the class method reads the same counts.
     """
-    budget = _resolve_budget(budget)
+    budget = resolve_budget(budget)
     if dp.q > budget:
         raise WorkBudgetExceeded(
             f"the distribution needs q = {dp.q} entry-operations, over the budget of "
@@ -215,7 +196,7 @@ def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
         raise ParameterError(
             f"samples per class must be >= 1, got {samples_per_class}: the class "
             "method validates every uv-line class on seeded samples")
-    budget, work = _resolve_budget(budget), dp.q + dp.N2 * samples_per_class
+    budget, work = resolve_budget(budget), dp.q + dp.N2 * samples_per_class
     if dp.q <= budget < work:
         fits = (budget - dp.q) // dp.N2
         raise WorkBudgetExceeded(
@@ -331,7 +312,7 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     # two passes over q and one FFT; the expansion's inverse FFT
     fixed = (q + n2 + sum(2 * q + o * o.bit_length() for o in {n2, q - 1})
              + n2 * n2.bit_length())
-    if (needs := fixed + trials * per_trial) > (budget := _resolve_budget(None)):
+    if (needs := fixed + trials * per_trial) > (budget := resolve_budget(None)):
         fits = max(0, (budget - fixed) // per_trial)
         raise WorkBudgetExceeded(
             f"identity suite needs {needs} entry-operations, over the budget of {budget}; "

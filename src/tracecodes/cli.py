@@ -13,30 +13,22 @@ analysis.compare_with_predictions.  This module is the only one that
 shapes JSON: each report section is dataclasses.asdict of the result the
 library returns, so a verify breach carries its witness.  Handlers read
 the parsed argparse.Namespace directly; the parser is the one list of
-options and defaults.
+options and defaults.  The module holds the parser before the engine's
+imports: run as ``python -m tracecodes.cli`` it refuses a request that
+argparse or limits.check_request rejects before numpy is imported, while
+``import tracecodes.cli`` loads the whole engine.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from typing import NoReturn
 
-from . import analysis, bounds
-from .construction import (
-    DEFAULT_SEED,
-    CodeParams,
-    DerivedParams,
-    Variant,
-    check_codeword_count_guard,
-    derive_params,
-)
+from . import limits
 from .errors import ParameterError, WorkBudgetExceeded
-from .field import Field, parse_modulus
 
 REPORT_VERSION = 5
 
@@ -53,10 +45,81 @@ FLAG_CEIL = "griesmer-exact-ceilings"
 FLAG_DIM = "evaluation-map-not-injective"
 
 
+def _add_common(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("-p", dest="p", type=int, required=True, help="odd prime")
+    sp.add_argument("-m", dest="m", type=int, required=True, help="extension degree")
+    sp.add_argument("-N", dest="N", type=int, default=1,
+                    help="divisor of p^m - 1 selecting the base set (default 1)")
+    sp.add_argument("--variant", choices=["lift", "units"], default="lift")
+    sp.add_argument("--modulus",
+                    help="comma-separated constant-first modulus coefficients, "
+                         "for reproducing third-party computations")
+    sp.add_argument("--seed", type=int, default=limits.DEFAULT_SEED,
+                    help=f"PRNG seed (default {limits.DEFAULT_SEED})")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted, checked (>= 1) and recorded in the report; "
+                         "all counting runs in this process (default 1)")
+    sp.add_argument("-o", "--out", help="write the report here instead of stdout")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tracecodes",
+        description="Few-weight codes from trace evaluations over a nilpotent "
+                    "local ring: exact Lee-weight distributions and certificates.",
+    )
+    parser.set_defaults(fmt="json")  # only analyze has rows to write as CSV
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("analyze", help="weight distribution, predictions, "
+                                        "Griesmer and secret-sharing verdicts")
+    _add_common(sp)
+    sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+    sp.add_argument("--method", choices=["exhaustive", "class"], default="exhaustive",
+                    help="class also checks the uv-line classes on seeded samples")
+    sp.add_argument("--samples", type=int, default=500,
+                    help="validation samples per uv-line class (class method)")
+    sp.add_argument("--budget", type=int, default=None,
+                    help="entry-operation budget: q, plus N2 per class sample "
+                         "(default from TRACECODES_WORK_BUDGET or 10^10)")
+
+    sp = sub.add_parser("dual", help="dual Lee distance with witness")
+    _add_common(sp)
+
+    sp = sub.add_parser("verify", help="character-sum identity suite")
+    _add_common(sp)
+    sp.add_argument("--trials", type=int, default=100,
+                    help="random codewords each code identity checks (default 100)")
+    sp.add_argument("--subcode", action="store_true",
+                    help="also count the field subcode and compare")
+
+    return parser
+
+
+def _usage_error(exc: ParameterError) -> int:
+    print(f"error: {exc}", file=sys.stderr, flush=True)
+    return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    # python -m tracecodes.cli: a request that a table-free check refuses,
+    # or that argparse rejects, ends here, before the engine and numpy load
+    try:
+        limits.check_request(build_parser().parse_args())
+    except ParameterError as exc:
+        os._exit(_usage_error(exc))
+
+import json
+from dataclasses import asdict
+
+from . import analysis, bounds
+from .construction import CodeParams, DerivedParams, Variant, derive_params
+from .field import Field
+
+
 def _build_params(cfg: argparse.Namespace) -> DerivedParams:
     """The run's one derived parameter set; every handler passes it on."""
-    check_codeword_count_guard(cfg.p, cfg.m)
-    modulus = parse_modulus(cfg.modulus) if cfg.modulus is not None else None
+    modulus = limits.parse_modulus(cfg.modulus) if cfg.modulus is not None else None
     field = Field(cfg.p, cfg.m, modulus=modulus)
     return derive_params(CodeParams(field, cfg.N, Variant(cfg.variant)))
 
@@ -101,7 +164,7 @@ def _compared(section: dict) -> dict:
 
 
 def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
-    budget = analysis._resolve_budget(cfg.budget)  # a bad budget is refused before any field
+    budget = limits.resolve_budget(cfg.budget)
     dp = _build_params(cfg)
     if cfg.method == "class":
         dist = analysis.distribution_by_class(dp, samples_per_class=cfg.samples,
@@ -182,57 +245,6 @@ def _emit(report: dict, cfg: argparse.Namespace, runtime_ms: int) -> None:
         sys.stdout.flush()
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("-p", dest="p", type=int, required=True, help="odd prime")
-    sp.add_argument("-m", dest="m", type=int, required=True, help="extension degree")
-    sp.add_argument("-N", dest="N", type=int, default=1,
-                    help="divisor of p^m - 1 selecting the base set (default 1)")
-    sp.add_argument("--variant", choices=["lift", "units"], default="lift")
-    sp.add_argument("--modulus",
-                    help="comma-separated constant-first modulus coefficients, "
-                         "for reproducing third-party computations")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help=f"PRNG seed (default {DEFAULT_SEED})")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted, checked (>= 1) and recorded in the report; "
-                         "all counting runs in this process (default 1)")
-    sp.add_argument("-o", "--out", help="write the report here instead of stdout")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tracecodes",
-        description="Few-weight codes from trace evaluations over a nilpotent "
-                    "local ring: exact Lee-weight distributions and certificates.",
-    )
-    parser.set_defaults(fmt="json")  # only analyze has rows to write as CSV
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("analyze", help="weight distribution, predictions, "
-                                        "Griesmer and secret-sharing verdicts")
-    _add_common(sp)
-    sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-    sp.add_argument("--method", choices=["exhaustive", "class"], default="exhaustive",
-                    help="class also checks the uv-line classes on seeded samples")
-    sp.add_argument("--samples", type=int, default=500,
-                    help="validation samples per uv-line class (class method)")
-    sp.add_argument("--budget", type=int, default=None,
-                    help="entry-operation budget: q, plus N2 per class sample "
-                         "(default from TRACECODES_WORK_BUDGET or 10^10)")
-
-    sp = sub.add_parser("dual", help="dual Lee distance with witness")
-    _add_common(sp)
-
-    sp = sub.add_parser("verify", help="character-sum identity suite")
-    _add_common(sp)
-    sp.add_argument("--trials", type=int, default=100,
-                    help="random codewords each code identity checks (default 100)")
-    sp.add_argument("--subcode", action="store_true",
-                    help="also count the field subcode and compare")
-
-    return parser
-
-
 _HANDLERS = {"analyze": cmd_analyze, "dual": cmd_dual, "verify": cmd_verify}
 
 
@@ -241,21 +253,10 @@ def main(argv=None) -> int:
     cfg = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        if cfg.threads < 1:
-            raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
-        if cfg.seed < 0:
-            raise ParameterError(f"--seed must be >= 0, got {cfg.seed}")
-        if cfg.out == "":
-            raise ParameterError("-o/--out needs a file name, got an empty one")
-        if cfg.out and os.path.isdir(cfg.out):
-            raise ParameterError(f"cannot write the report to {cfg.out}: it is a directory")
-        if cfg.out and not os.access(os.path.dirname(cfg.out) or ".", os.W_OK):
-            raise ParameterError(f"cannot write the report to {cfg.out}: "
-                                 "its directory is missing or not writable")
+        limits.check_request(cfg)
         report, code = _HANDLERS[cfg.command](cfg)
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     except WorkBudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -278,7 +279,9 @@ def run() -> NoReturn:
     caught and reported; flushing stdout again would retry the bytes that
     failed.  An exception escaping `main` still leaves through the
     interpreter, with its traceback and exit 1; in-process callers of
-    `main` get its return value and keep their interpreter."""
+    `main` get its return value and keep their interpreter.  Under
+    ``python -m`` a request that a table-free check refuses has already
+    ended before the engine's imports; the script imports the engine first."""
     code = main()
     sys.stderr.flush()
     os._exit(code)

@@ -33,18 +33,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, multiplicative_order, power_exceeds
+from .field import Field, multiplicative_order
+from .limits import check_codeword_count_guard
 from .ring import RingElem, is_unit
-
-#: Everything is counted in native 64-bit integers; parameter sets whose
-#: codeword count would overflow them are rejected outright.
-CODEWORD_COUNT_GUARD = 2**63
 
 #: Stream positions per block of coord_blocks and (rounded down to whole
 #: x3 axes) of oracles.gray_symbols.
 _BLOCK_POSITIONS = 1 << 14
-
-DEFAULT_SEED = 2024
 
 
 class Variant(enum.Enum):
@@ -157,20 +152,6 @@ def coset_representatives(field: Field, N: int, n: int) -> np.ndarray:
     if np.count_nonzero(marked) != n:
         raise AssertionError("coset representatives collapse modulo F_p*")
     return field.unit_codes()[:N * n:N]
-
-
-def check_codeword_count_guard(p: int, m: int) -> None:
-    """Refuse (p, m) whose codeword count p^(4m) overflows the 64-bit counters.
-
-    Depends on (p, m) alone, so a caller can run it before building the
-    field and its modulus search.  Its bound, q < 2^15.75, is tighter than
-    the field's table range, which Field checks before its own search.
-    Invalid p or m are left to Field to reject.
-    """
-    if p >= 2 and m >= 1 and power_exceeds(p, 4 * m, CODEWORD_COUNT_GUARD - 1):
-        raise ParameterError(
-            "codeword count p^(4m) exceeds the 64-bit counting guard"
-        )
 
 
 def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:

@@ -29,9 +29,7 @@ import functools
 import numpy as np
 
 from .errors import ParameterError
-
-#: Largest q a Field accepts; every Field builds exp/log tables, so dlog is a lookup.
-DLOG_TABLE_LIMIT = 2**20
+from .limits import check_field_params
 
 #: The test oracles' full q*q product tables (mul_table, trmul_flat) are
 #: only built up to this q; no computation in the package reads them, and
@@ -43,21 +41,6 @@ _BUILD_ROWS = 2**12
 
 #: Rows per int64 code product inside a build block.
 _WEIGHT_ROWS = 2**10
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _distinct_prime_factors(n: int) -> list[int]:
@@ -210,16 +193,6 @@ def _basis_traces(mod: list[int], p: int) -> np.ndarray:
     return np.array(sums, dtype=np.int64)
 
 
-def power_exceeds(p: int, m: int, limit: int) -> bool:
-    """p**m > limit for p >= 2, without building p**m when m is huge."""
-    power = 1
-    for _ in range(m):
-        power *= p
-        if power > limit:
-            return True
-    return False
-
-
 def _has_root(poly: list[int], p: int) -> bool:
     """Whether the constant-first polynomial vanishes at some nonzero residue."""
     for a in range(1, p):
@@ -277,11 +250,11 @@ class Field:
     irreducible; if its indeterminate class is not primitive, xi falls back
     to the smallest code of full multiplicative order.
 
-    p must be an odd prime, m >= 1 and p^m at most DLOG_TABLE_LIMIT; all
-    three are checked before any modulus search, primality last, so trial
-    division only sees p <= DLOG_TABLE_LIMIT.  The codes below p, the
-    constant polynomials, are F_p and coincide with the residues mod p; for
-    m = 1 they are all codes and the trace is the identity.
+    p must be an odd prime, m >= 1 and p^m at most DLOG_TABLE_LIMIT, all
+    checked by limits.check_field_params before any modulus search.  The
+    codes below p, the constant polynomials, are F_p and coincide with the
+    residues mod p; for m = 1 they are all codes and the trace is the
+    identity.
 
     The build peaks at the kept tables and one block of products in one
     narrow buffer.  The powers of xi are filled by doubling; only the digit
@@ -296,19 +269,7 @@ class Field:
 
     def __init__(self, p: int, m: int,
                  modulus: list[int] | tuple[int, ...] | None = None):
-        if p == 2:
-            raise ParameterError("p must be odd")
-        if p < 3:
-            raise ParameterError(f"p = {p} is not prime")
-        if m < 1:
-            raise ParameterError("extension degree m must be >= 1")
-        if power_exceeds(p, m, DLOG_TABLE_LIMIT):
-            raise ParameterError(
-                f"field size {p}^{m} exceeds the supported table range "
-                f"({DLOG_TABLE_LIMIT}); desk-scale parameters only"
-            )
-        if not _is_prime(p):
-            raise ParameterError(f"p = {p} is not prime")
+        check_field_params(p, m)
         self.p = int(p)
         self.m = int(m)
         self.q = p**m
@@ -536,14 +497,6 @@ class Field:
             if _x_class_order_is_full(mod, self.p, self.m, self.coeffs(code)):
                 return code
         raise ParameterError("no primitive element found")  # unreachable
-
-
-def parse_modulus(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated constant-first coefficient list."""
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"bad modulus record {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------

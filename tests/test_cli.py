@@ -15,7 +15,8 @@ import pytest
 
 from tracecodes import Field, bounds
 from tracecodes.cli import build_parser, main
-from tracecodes.construction import DEFAULT_SEED, DerivedParams
+from tracecodes.construction import DerivedParams
+from tracecodes.limits import DEFAULT_SEED
 
 
 def run(tmp_path, *argv):

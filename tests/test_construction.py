@@ -26,7 +26,7 @@ from tracecodes.construction import (
     gray_slot_counts,
     slot_batch_rows,
 )
-from tracecodes.field import _is_prime
+from tracecodes.limits import _is_prime
 from tracecodes.oracles import (
     big_trace,
     enumerate_coords,

@@ -14,13 +14,13 @@ from tracecodes import (
 )
 from tracecodes.field import (
     _basis_traces,
-    _is_prime,
     _poly_powmod,
     _x_class_order_is_full,
     first_primitive_modulus,
     is_irreducible,
     roots_of_unity,
 )
+from tracecodes.limits import _is_prime
 from tracecodes.oracles import MultChar, cyclotomic_class
 
 from oracles import add_codes, gauss_sum, spread_class_counts, zero_trace_counts
