@@ -154,7 +154,9 @@ def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> Wei
 
     The work budget charges q entry-operations, one pass over the trace
     table for the class counts; a smaller budget is refused, and no method
-    fits it, since the class method reads the same counts.
+    fits it, since the class method reads the same counts.  The zero row
+    must hold the kernel of r -> c(r), p^(4m-k) codewords at dimension k;
+    a zero row of any other size fails a theorem check.
     """
     budget = resolve_budget(budget)
     if dp.q > budget:
@@ -162,8 +164,12 @@ def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> Wei
             f"the distribution needs q = {dp.q} entry-operations, over the budget of "
             f"{budget}; no method fits below q, since every method reads the uv-line's "
             "class counts")
-    return WeightDistribution(entries=_lifted(dp, subcode_distribution(dp)),
-                              method="exhaustive")
+    entries = _lifted(dp, subcode_distribution(dp))
+    kernel = dp.p ** (4 * dp.m - dp.dimension)
+    if entries.get(0) != kernel:
+        raise AssertionError(f"the zero row holds {entries.get(0)} codewords, expected "
+                             f"p^(4m-k) = {kernel} at dimension k = {dp.dimension}")
+    return WeightDistribution(entries=entries, method="exhaustive")
 
 
 def _sample_class(name: str, j: int, dp: DerivedParams,

@@ -2,10 +2,12 @@
 
 Identical configurations (including the seed) produce byte-identical
 reports apart from the runtime_ms field.  Exit codes: 0 all executed
-checks passed, 1 mathematical mismatch or residual breach, 2 parameter or
-usage error, 3 work-budget refusal.  A failed internal theorem check is an
-AssertionError that main does not catch: it ends the process through the
-interpreter, with its traceback and exit 1.  An analyze run that no
+checks passed, 1 a prediction mismatch or residual breach, 2 parameter or
+usage error, 3 work-budget refusal.  A failed internal theorem check (the
+library's, such as a zero row off the dimension in
+analysis.distribution_exhaustive) is an AssertionError that main does not
+catch: it ends the process through the interpreter, with its traceback
+and exit 1, and writes no report.  An analyze run that no
 prediction applies to compares nothing: its comparison reads "ok": null
 with status "no-applicable-prediction", and it exits 0.  The same holds
 for the subcode section of verify --subcode; both sections come from
@@ -103,9 +105,11 @@ def _usage_error(exc: ParameterError) -> int:
 
 if __name__ == "__main__":
     # python -m tracecodes.cli: a request that a table-free check refuses,
-    # or that argparse rejects, ends here, before the engine and numpy load
+    # or that argparse rejects, ends here, before the engine and numpy load;
+    # one that passes is the request run() hands to its handler
+    _request = build_parser().parse_args()
     try:
-        limits.check_request(build_parser().parse_args())
+        limits.check_request(_request)
     except ParameterError as exc:
         os._exit(_usage_error(exc))
 
@@ -195,12 +199,6 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
         "dual_distance": asdict(dual),
         "sss": asdict(sss),
     }
-    # the zero row holds the kernel of r -> c(r), p^(4m - k) codewords
-    kernel = dp.p ** (4 * dp.m - dp.dimension)
-    if dist.entries.get(0) != kernel:
-        print(f"mathematical violation: the zero row holds {dist.entries.get(0)} codewords, "
-              f"expected p^(4m-k) = {kernel} at dimension k = {dp.dimension}", file=sys.stderr)
-        return report, EXIT_MISMATCH
     return report, EXIT_MISMATCH if comparison.ok is False else EXIT_OK
 
 
@@ -249,11 +247,19 @@ _HANDLERS = {"analyze": cmd_analyze, "dual": cmd_dual, "verify": cmd_verify}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    cfg = parser.parse_args(argv)
-    start = time.monotonic()
+    cfg = build_parser().parse_args(argv)
     try:
         limits.check_request(cfg)
+    except ParameterError as exc:
+        return _usage_error(exc)
+    return _execute(cfg)
+
+
+def _execute(cfg: argparse.Namespace) -> int:
+    """Run a request that limits.check_request has passed and write its
+    report; the exit code."""
+    start = time.monotonic()
+    try:
         report, code = _HANDLERS[cfg.command](cfg)
     except ParameterError as exc:
         return _usage_error(exc)
@@ -270,22 +276,24 @@ def main(argv=None) -> int:
     return code
 
 
-def run() -> NoReturn:
+def run(request: argparse.Namespace | None = None) -> NoReturn:
     """The process entry of ``python -m tracecodes.cli`` and of the
-    ``tracecodes`` script: `main`, stderr flushed, then the process ends at
-    once with its exit code.  The interpreter's teardown (a final GC and
+    ``tracecodes`` script: `main`, or `_execute` of a `request` that
+    limits.check_request has passed, stderr flushed, then the process ends
+    at once with its exit code.  The interpreter's teardown (a final GC and
     module cleanup over numpy's heap, about 40 ms) writes nothing, so it is
     skipped.  `_emit` flushed the report inside `main`, where a failure is
     caught and reported; flushing stdout again would retry the bytes that
     failed.  An exception escaping `main` still leaves through the
     interpreter, with its traceback and exit 1; in-process callers of
     `main` get its return value and keep their interpreter.  Under
-    ``python -m`` a request that a table-free check refuses has already
-    ended before the engine's imports; the script imports the engine first."""
-    code = main()
+    ``python -m`` the request was parsed and checked before the engine's
+    imports, and one that a table-free check refuses has already ended; the
+    script imports the engine first."""
+    code = main() if request is None else _execute(request)
     sys.stderr.flush()
     os._exit(code)
 
 
 if __name__ == "__main__":
-    run()
+    run(_request)

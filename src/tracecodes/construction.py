@@ -32,9 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
 from .field import Field, multiplicative_order
-from .limits import check_codeword_count_guard
+from .limits import check_codeword_count_guard, check_divisor
 from .ring import RingElem, is_unit
 
 #: Stream positions per block of coord_blocks and (rounded down to whole
@@ -162,10 +161,7 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
     field = params.field
     p, m, q = field.p, field.m, field.q
     N = params.N
-    if N < 1:
-        raise ParameterError("N must be a positive integer")
-    if (q - 1) % N != 0:
-        raise ParameterError(f"N does not divide p^m - 1 ({N} does not divide {q - 1})")
+    check_divisor(p, m, N)
     check_codeword_count_guard(p, m)
     k = (q - 1) // (p - 1)
     N1 = math.lcm(N, k)

@@ -17,6 +17,11 @@ no second copy; a trace is trace_table[a].  Negation comes from the same
 two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2).  Addition
 and lex_code work on the base-p digits of the codes, computed when needed.
 
+Before any table exists, the facts of the modulus f (the order of x, its
+irreducibility, the basis traces) and the build's first doubling step come
+from one form: an element's matrix of multiplication, from f's companion
+matrix, in int64 mod p.
+
 A Field instance is immutable after construction (lazy caches are built
 once and read-only thereafter); every operation is a pure function of its
 inputs and safe under concurrent use.
@@ -66,131 +71,92 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over F_p, coefficient lists with constant term
-# first.  Only used at construction time; runtime arithmetic goes through
-# exp/log tables.
+# Arithmetic before the tables exist: an element of F_p[x]/(f) is its int64
+# matrix of multiplication mod p, row i x^i times it; x's is the companion
+# matrix M of f.  The order test, Rabin's test, the basis traces and the
+# build's first doubling step are powers and sums of M.  Products stay exact
+# while m*(p-1)^2 < 2^63, far past the table range.
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    k = len(a)
-    while k > 0 and a[k - 1] == 0:
-        k -= 1
-    return a[:k]
+def _companion(mod: list[int] | tuple[int, ...], p: int) -> np.ndarray:
+    """Matrix of multiplication by x modulo the monic `mod` over F_p: row i
+    is x^(i+1) mod f, e_(i+1) above the last row and -(c0, ..., c_{m-1}) in
+    it, so a constant-first coefficient row times it is that element times x."""
+    comp = np.eye(len(mod) - 1, k=1, dtype=np.int64)
+    comp[-1] = [-c % p for c in mod[:-1]]
+    return comp
 
 
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial `mod`, padded to deg(mod)."""
-    dm = len(mod) - 1
-    a = [x % p for x in a]
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    a = a[:dm]
-    return a + [0] * (dm - len(a))
+def _element_matrix(coeffs, comp: np.ndarray, p: int) -> np.ndarray:
+    """Matrix of multiplication by sum c_i x^i, the sum of c_i M^i over the
+    companion matrix M, by Horner's rule: row j is x^j times the element."""
+    eye, mat = np.eye(len(comp), dtype=np.int64), np.zeros_like(comp)
+    for c in reversed(coeffs):
+        mat = (mat @ comp + c * eye) % p
+    return mat
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, mod, p)
-
-
-def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = _poly_mod([1], mod, p)
-    acc = _poly_mod(base, mod, p)
+def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p by square and multiply."""
+    out = np.eye(len(a), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
-        e >>= 1
-    return result
+            out = out @ a % p
+        a, e = a @ a % p, e >> 1
+    return out
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        # reduce a by b via long division
-        r = [x % p for x in a]
-        while len(r) >= len(b) and _poly_trim(r):
-            r = _poly_trim(r)
-            if len(r) < len(b):
-                break
-            c = (r[-1] * inv_lead) % p
-            shift = len(r) - len(b)
-            for j in range(len(b)):
-                r[shift + j] = (r[shift + j] - c * b[j]) % p
-            r = _poly_trim(r)
-        a, b = b, r
-    a = _poly_trim(a)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(x * inv_lead) % p for x in a]
-    return a
-
-
-def _frobenius_iterate(times: int, mod: list[int], p: int) -> list[int]:
-    """x^(p^times) reduced modulo `mod`."""
-    y = _poly_mod([0, 1], mod, p)
-    for _ in range(times):
-        y = _poly_powmod(y, p, mod, p)
-    return y
+def _is_invertible(a: np.ndarray, p: int) -> bool:
+    """Whether a square matrix is invertible mod the prime p, by Gaussian
+    elimination; a row scaled by its pivot, a unit mod p, keeps the rank."""
+    a = a % p
+    for col in range(len(a)):
+        rows = col + np.flatnonzero(a[col:, col])
+        if not rows.size:
+            return False
+        a[[col, rows[0]]] = a[[rows[0], col]]
+        a[col + 1:] = (a[col, col] * a[col + 1:] - np.outer(a[col + 1:, col], a[col])) % p
+    return True
 
 
 def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
-    """Full irreducibility test for a monic polynomial over F_p.
-
-    Checks x^(p^m) = x mod f together with gcd(x^(p^(m/l)) - x, f) = 1 for
-    every prime l dividing m.
-    """
+    """Rabin's irreducibility test for a monic polynomial f over F_p, on its
+    companion matrix M: x^(p^m) = x mod f is M^(p^m) = M, and
+    gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m is that
+    M^(p^(m/l)) - M, the matrix of x^(p^(m/l)) - x, is invertible mod p."""
     poly = [c % p for c in poly]
     m = len(poly) - 1
     if m < 1 or poly[-1] != 1:
         return False
-    if m == 1:
-        return True
-    x = _poly_mod([0, 1], poly, p)
-    if _frobenius_iterate(m, poly, p) != x:
+    comp = _companion(poly, p)
+    if not np.array_equal(_matpow(comp, p**m, p), comp):
         return False
-    for ell in _distinct_prime_factors(m):
-        y = _frobenius_iterate(m // ell, poly, p)
-        diff = [(yi - xi) % p for yi, xi in zip(y, x)]
-        g = _poly_gcd(poly, diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    return all(_is_invertible(_matpow(comp, p ** (m // ell), p) - comp, p)
+               for ell in _distinct_prime_factors(m))
 
 
-def _x_class_order_is_full(poly: list[int], p: int, m: int, element=(0, 1)) -> bool:
-    """Whether the class of `element` (default x) modulo the monic degree-m
-    `poly` has multiplicative order q - 1.  x^(q-1) = 1 rules out a class
-    that is no unit (a modulus divisible by x).  When it holds, poly is
-    irreducible: a quotient ring that is not a field has fewer than q - 1
-    units, so no element of order q - 1."""
-    q1 = p**m - 1
-    one = _poly_mod([1], poly, p)
-    if _poly_powmod(element, q1, poly, p) != one:
-        return False
-    return all(_poly_powmod(element, q1 // ell, poly, p) != one
-               for ell in _distinct_prime_factors(q1))
+def _x_class_order_is_full(poly: list[int] | tuple[int, ...], p: int, m: int,
+                           element=(0, 1)) -> bool:
+    """Whether the class of `element` (constant-first coefficients, default
+    x) modulo the monic degree-m `poly` has multiplicative order q - 1: its
+    matrix E has E^(q-1) = I and E^((q-1)/l) != I for every prime l
+    dividing q - 1.  E^(q-1) = I rules out a class that is no unit (a
+    modulus divisible by x).  When it holds, poly is irreducible: a
+    quotient ring that is not a field has fewer than q - 1 units, so no
+    element of order q - 1."""
+    q1, eye = p**m - 1, np.eye(m, dtype=np.int64)
+    mat = _element_matrix(element, _companion(poly, p), p)
+    return np.array_equal(_matpow(mat, q1, p), eye) and not any(
+        np.array_equal(_matpow(mat, q1 // ell, p), eye) for ell in _distinct_prime_factors(q1))
 
 
-def _basis_traces(mod: list[int], p: int) -> np.ndarray:
-    """trace(x^i) for i < m (int64), the i-th power sum P_i of the roots of
-    the irreducible `mod`, the Frobenius conjugates of x.  Newton's
-    identities give P_0 = m, P_i = -(i*c_{m-i} + sum_{0<j<i} c_{m-j}*P_{i-j})
-    from the coefficients c_j of x^j (Lidl & Niederreiter, Thm. 1.75)."""
-    m = len(mod) - 1
-    sums = [m % p]
-    for i in range(1, m):
-        total = i * mod[m - i] + sum(mod[m - j] * sums[i - j] for j in range(1, i))
-        sums.append(-total % p)
-    return np.array(sums, dtype=np.int64)
+def _basis_traces(mod: list[int] | tuple[int, ...], p: int) -> np.ndarray:
+    """trace(x^i) for i < m (int64).  The field trace of an element is the
+    trace of its multiplication map (Lidl & Niederreiter, Ch. 2), so
+    trace(x^i) = trace(M^i) mod p for the companion matrix M of `mod`."""
+    comp = _companion(mod, p)
+    return np.array([np.trace(_matpow(comp, i, p)) % p for i in range(len(comp))],
+                    dtype=np.int64)
 
 
 def _has_root(poly: list[int], p: int) -> bool:
@@ -260,8 +226,9 @@ class Field:
     narrow buffer.  The powers of xi are filled by doubling; only the digit
     rows a later pass reads are kept, in the narrowest dtype that holds
     p - 1, and they are freed before the log table is made.  The trace,
-    F_p-linear, is each row times the traces of the basis x^i (Newton's
-    identities), written straight into the code-indexed table.  The log
+    F_p-linear, is each row times the traces of the basis x^i (the traces
+    of the companion matrix's powers), written straight into the
+    code-indexed table.  The log
     table and two whole-table checks, the powers of xi are every nonzero
     code once and the trace is constant on Frobenius orbits, run a block at
     a time.
@@ -282,14 +249,18 @@ class Field:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ParameterError("modulus must be monic of degree m")
-            if not is_irreducible(list(modulus), p):
+            if not is_irreducible(modulus, p):
                 raise ParameterError("supplied modulus is reducible")
             self.modulus = modulus
-            xi_is_x = _x_class_order_is_full(list(modulus), p, m)
+            xi_is_x = _x_class_order_is_full(modulus, p, m)
 
         self._pow_weights = tuple(p**i for i in range(m))
-        x_class = _poly_mod([0, 1], list(self.modulus), p)
-        self.xi = self.encode(x_class) if xi_is_x else self._find_primitive_code()
+        # row 0 of the companion matrix is x mod f: x itself, or -c0 at m = 1;
+        # else the smallest code of full order (no tables exist yet)
+        comp = _companion(self.modulus, p)
+        self.xi = self.encode(comp[0]) if xi_is_x else next(
+            code for code in range(2, self.q)
+            if _x_class_order_is_full(self.modulus, p, m, self.coeffs(code)))
 
         # exp table: row k of `digits` is the coefficient vector of xi^k.
         # Rows [0, L) times `step`, the matrix of multiplication by xi^L,
@@ -303,13 +274,10 @@ class Field:
         # to int32 first: a scatter that casts is slower).  The int64 codes
         # are formed _WEIGHT_ROWS rows at a time, so the int64 copy of the
         # block numpy makes for them stays small.
-        mod = list(self.modulus)
         buffer = np.empty((_BUILD_ROWS, m), dtype=np.min_scalar_type(-1 - m * (p - 1) ** 2))
-        step = np.array([_poly_mulmod([0] * i + [1], self.coeffs(self.xi), mod, p)
-                         for i in range(m)],
-                        dtype=buffer.dtype)
+        step = _element_matrix(self.coeffs(self.xi), comp, p).astype(buffer.dtype)
         weights = np.asarray(self._pow_weights, dtype=np.int64)
-        basis_traces = _basis_traces(mod, p).astype(buffer.dtype)
+        basis_traces = _basis_traces(self.modulus, p).astype(buffer.dtype)
         passes = [2**i for i in range((self.order - 1).bit_length())]
         read = max(min(filled, self.order - filled) for filled in passes)
         digits = np.zeros((read, m), dtype=np.min_scalar_type(p - 1))
@@ -488,15 +456,6 @@ class Field:
     def trace_products(self, a, b) -> np.ndarray:
         """trace(a*b) (int32) for broadcastable arrays of codes, via `products`."""
         return self._trace_np[self.products(a, b)]
-
-    def _find_primitive_code(self) -> int:
-        """The smallest code of full order, by raw polynomial powers (no
-        tables exist yet)."""
-        mod = list(self.modulus)
-        for code in range(2, self.q):
-            if _x_class_order_is_full(mod, self.p, self.m, self.coeffs(code)):
-                return code
-        raise ParameterError("no primitive element found")  # unreachable
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,11 @@ CODEWORD_COUNT_GUARD = 2**63
 def check_request(cfg) -> None:
     """Every check of a parsed CLI request (an argparse.Namespace) that needs
     no field table, in the order a run meets them: --threads, --seed, -o,
-    analyze's work budget, the 64-bit codeword guard, the --modulus syntax
-    and the field's p and m.  verify reads its budget only once its field is
-    built, so it is not checked here."""
+    analyze's work budget, the 64-bit codeword guard, the --modulus syntax,
+    the field's p and m, and -N.  The supplied modulus's degree and
+    irreducibility are checked when its field is built, after these.
+    verify reads its budget only once its field is built, so it is not
+    checked here."""
     if cfg.threads < 1:
         raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.seed < 0:
@@ -48,6 +50,7 @@ def check_request(cfg) -> None:
     if cfg.modulus is not None:
         parse_modulus(cfg.modulus)
     check_field_params(cfg.p, cfg.m)
+    check_divisor(cfg.p, cfg.m, cfg.N)
 
 
 def resolve_budget(budget: int | None) -> int:
@@ -110,3 +113,12 @@ def check_field_params(p: int, m: int) -> None:
                              f"({DLOG_TABLE_LIMIT}); desk-scale parameters only")
     if not _is_prime(p):
         raise ParameterError(f"p = {p} is not prime")
+
+
+def check_divisor(p: int, m: int, N: int) -> None:
+    """Refuse an N that selects no base set: N >= 1 and N | p^m - 1.  It
+    reads p^m, so it runs after check_field_params."""
+    if N < 1:
+        raise ParameterError("N must be a positive integer")
+    if (p**m - 1) % N != 0:
+        raise ParameterError(f"N does not divide p^m - 1 ({N} does not divide {p**m - 1})")

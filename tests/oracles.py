@@ -61,6 +61,94 @@ def spread_class_counts(dp: DerivedParams) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Dense polynomial arithmetic over F_p on coefficient lists, constant term
+# first: the reference of the companion-matrix arithmetic in field.py.
+# ---------------------------------------------------------------------------
+
+def _poly_trim(a: list[int]) -> list[int]:
+    k = len(a)
+    while k > 0 and a[k - 1] == 0:
+        k -= 1
+    return a[:k]
+
+
+def poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
+    """Remainder of a modulo the monic polynomial `mod`, padded to deg(mod)."""
+    dm = len(mod) - 1
+    a = [x % p for x in a]
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
+    a = a[:dm]
+    return a + [0] * (dm - len(a))
+
+
+def poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return poly_mod(prod, mod, p)
+
+
+def poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    result, acc = poly_mod([1], mod, p), poly_mod(base, mod, p)
+    while e:
+        if e & 1:
+            result = poly_mulmod(result, acc, mod, p)
+        acc = poly_mulmod(acc, acc, mod, p)
+        e >>= 1
+    return result
+
+
+def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b, by Euclid's algorithm with long division."""
+    a, b = _poly_trim([x % p for x in a]), _poly_trim([x % p for x in b])
+    while b:
+        inv_lead, r = pow(b[-1], -1, p), a
+        while len(r) >= len(b):
+            c, shift = r[-1] * inv_lead % p, len(r) - len(b)
+            r = _poly_trim([(x - c * b[i - shift]) % p if i >= shift else x
+                            for i, x in enumerate(r)])
+        a, b = b, r
+    inv_lead = pow(a[-1], -1, p)
+    return [x * inv_lead % p for x in a]
+
+
+def is_irreducible_by_gcd(poly: list[int], p: int) -> bool:
+    """Rabin's test on coefficient lists: x^(p^m) = x mod f, and
+    gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m.  The
+    reference of field.is_irreducible, which runs it on the companion
+    matrix."""
+    poly = [c % p for c in poly]
+    m = len(poly) - 1
+    if m < 1 or poly[-1] != 1:
+        return False
+    x = poly_mod([0, 1], poly, p)
+    if poly_powmod([0, 1], p**m, poly, p) != x:
+        return False
+    for ell in (ell for ell in range(2, m + 1) if m % ell == 0 and
+                all(ell % d for d in range(2, ell))):
+        y = poly_powmod([0, 1], p ** (m // ell), poly, p)
+        if len(poly_gcd(poly, [(a - b) % p for a, b in zip(y, x)], p)) > 1:
+            return False
+    return True
+
+
+def order_is_full_by_powers(poly: list[int], p: int) -> bool:
+    """Whether x has order q - 1 modulo the monic `poly`, by powering x to
+    every proper divisor of q - 1: the reference of
+    field._x_class_order_is_full."""
+    q1 = p ** (len(poly) - 1) - 1
+    one = poly_mod([1], poly, p)
+    return (poly_powmod([0, 1], q1, poly, p) == one
+            and all(poly_powmod([0, 1], d, poly, p) != one
+                    for d in range(1, q1) if q1 % d == 0))
+
+
 def cosets_distinct_by_sort(field: Field, N: int, n: int) -> bool:
     """Whether xi^(N*j), j < n, are pairwise inequivalent modulo F_p*, by
     sorting their discrete logs mod (q-1)/(p-1): the oracle of the marked

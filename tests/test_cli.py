@@ -347,24 +347,28 @@ def test_every_report_carries_the_dimension_and_its_flag(tmp_path, command):
     assert "evaluation-map-not-injective" in report["erratum_flags"]
 
 
-def test_zero_row_off_the_dimension_exits_one(tmp_path, monkeypatch, capsys):
-    # a distribution whose zero row is not p^(4m-k) contradicts the dimension
+def test_zero_row_off_the_dimension_exits_one(tmp_path, monkeypatch):
+    # a distribution whose zero row is not p^(4m-k) contradicts the
+    # dimension: a failed theorem check, an AssertionError that main does
+    # not catch, so the process exits 1 through the interpreter
     from tracecodes import analysis
 
-    real = analysis.distribution_exhaustive
+    real = analysis.subcode_distribution
 
-    def one_zero_word(params, budget=None):
-        dist = real(params, budget)
-        dist.entries[0] -= 2
-        dist.entries[2916] += 2
-        return dist
+    def one_zero_word(params):
+        rows = real(params)
+        rows[0] -= 2
+        rows[1] = rows.get(1, 0) + 2
+        return rows
 
-    monkeypatch.setattr(analysis, "distribution_exhaustive", one_zero_word)
-    code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "2", "-N", "4",
-                            "--method", "exhaustive", "--threads", "1")
-    assert code == 1
-    assert report["rows"][0] == {"weight": 0, "frequency": 1}
-    assert "zero row holds 1 codewords, expected p^(4m-k) = 3" in capsys.readouterr().err
+    monkeypatch.setattr(analysis, "subcode_distribution", one_zero_word)
+    out = tmp_path / "report.json"
+    for method in ("exhaustive", "class"):
+        with pytest.raises(AssertionError,
+                           match=r"zero row holds 1 codewords, expected p\^\(4m-k\) = 3"):
+            main(["analyze", "-p", "3", "-m", "2", "-N", "4", "--method", method,
+                  "--threads", "1", "-o", str(out)])
+    assert not out.exists()
 
 
 def test_prediction_mismatch_exit_code(tmp_path, monkeypatch):

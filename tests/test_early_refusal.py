@@ -2,12 +2,16 @@
 
 ``python -m tracecodes.cli`` parses its arguments and runs
 limits.check_request before it imports numpy and the engine, so an
-argparse error, --help and every refusal that needs no field table end at
-the cost of interpreter start-up.  Each such run must exit and print as an
-in-process ``cli.main`` call does; a refusal that today comes after the
-field is built must still come after it; ``import tracecodes`` must load
-no submodule; and ``import tracecodes.cli`` must still load the whole
-engine, which the benchmark tracer's ``cli.import`` span times.
+argparse error, --help and every refusal that needs no field table (a
+bad -N among them: N >= 1 and N | p^m - 1 read only p and m) end at the
+cost of interpreter start-up, and a request that passes is the one its
+handler runs, parsed once.  Each such run must exit and print as an
+in-process ``cli.main`` call does; a refusal that needs the field (a
+supplied modulus of the wrong degree or reducible, verify's budget, the
+class method's samples) must still come after it is built;
+``import tracecodes`` must load no submodule; and ``import tracecodes.cli``
+must still load the whole engine, which the benchmark tracer's
+``cli.import`` span times.
 """
 
 import importlib
@@ -158,12 +162,19 @@ REFUSALS = [
      "error: extension degree m must be >= 1", True),
     (["analyze", "-p", "x", "-m", "2"], None,
      "tracecodes analyze: error: argument -p: invalid int value: 'x'", True),
-    # verify reads its budget only once its field is built, so these pass
-    # the early checks, and a bad -N is named before the budget
+    (["dual", "-p", "3", "-m", "2", "-N", "5"], None,
+     "error: N does not divide p^m - 1 (5 does not divide 8)", True),
+    (["dual", "-p", "3", "-m", "2", "-N", "0"], None,
+     "error: N must be a positive integer", True),
+    # a bad -N is named before a supplied modulus that only the field's
+    # build refuses, and, as verify reads its budget only once its field
+    # is built, before verify's budget
+    (["dual", "-p", "3", "-m", "2", "-N", "5", "--modulus", "1,1,1"], None,
+     "error: N does not divide p^m - 1 (5 does not divide 8)", True),
+    (["verify", "-p", "3", "-m", "2", "-N", "5"], "abc",
+     "error: N does not divide p^m - 1 (5 does not divide 8)", True),
     (["verify", "-p", "3", "-m", "2", "--trials", "1"], "abc",
      "error: TRACECODES_WORK_BUDGET must be an integer, got 'abc'", False),
-    (["verify", "-p", "3", "-m", "2", "-N", "5"], "abc",
-     "error: N does not divide p^m - 1 (5 does not divide 8)", False),
     (["dual", "-p", "3", "-m", "2", "--modulus", "1,1,1"], None,
      "error: supplied modulus is reducible", False),
     (["analyze", "-p", "3", "-m", "2", "--method", "class", "--samples", "0"], None,
@@ -180,3 +191,31 @@ def test_process_entry_refuses_as_main_does(argv, budget, last_line, early,
     assert (code, out, err) == _in_process(argv, monkeypatch, capsys, budget)
     assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
     assert _loads_numpy(imports) is not early
+
+
+#: Runs ``python -m tracecodes.cli`` as the interpreter does, with every
+#: construction of the program's top-level parser (prog "tracecodes")
+#: counted on stderr; run() flushes stderr before the process ends.
+COUNTED_ENTRY = """
+import argparse, runpy, sys
+real = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    if kwargs.get("prog") == "tracecodes":
+        sys.stderr.write("parser built\\n")
+    real(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+sys.argv[0] = "tracecodes.cli"
+runpy.run_module("tracecodes.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["dual", "-p", "3", "-m", "2", "--threads", "1"], 0),
+    (["analyze", "-p", "5", "-m", "7"], 2),
+    (["dual", "-p", "3", "-m", "2", "--modulus", "1,1,1"], 2),
+], ids=["pass", "early-refusal", "late-refusal"])
+def test_process_entry_builds_one_parser(argv, code):
+    out = subprocess.run([sys.executable, "-c", COUNTED_ENTRY, *argv], env=_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == code, out.stderr
+    assert out.stderr.count("parser built") == 1

@@ -14,8 +14,6 @@ from tracecodes import (
 )
 from tracecodes.field import (
     _basis_traces,
-    _poly_powmod,
-    _x_class_order_is_full,
     first_primitive_modulus,
     is_irreducible,
     roots_of_unity,
@@ -23,7 +21,15 @@ from tracecodes.field import (
 from tracecodes.limits import _is_prime
 from tracecodes.oracles import MultChar, cyclotomic_class
 
-from oracles import add_codes, gauss_sum, spread_class_counts, zero_trace_counts
+from oracles import (
+    add_codes,
+    gauss_sum,
+    is_irreducible_by_gcd,
+    order_is_full_by_powers,
+    poly_powmod,
+    spread_class_counts,
+    zero_trace_counts,
+)
 
 
 def frobenius_image(field, x: int) -> int:
@@ -116,10 +122,11 @@ def test_first_primitive_modulus_search_is_exactly_first():
 
 
 def _unsieved_first_primitive(p, m):
-    # Reference: every candidate in search order gets the full tests.
+    # Reference: every candidate in search order gets the full tests, on
+    # coefficient lists.
     for idx in range(p**m):
         poly = [(idx // p ** (m - 1 - i)) % p for i in range(m)] + [1]
-        if is_irreducible(poly, p) and _x_class_order_is_full(poly, p, m):
+        if is_irreducible_by_gcd(poly, p) and order_is_full_by_powers(poly, p):
             return tuple(poly)
     raise AssertionError("no primitive polynomial")
 
@@ -130,6 +137,22 @@ SEARCH_GRID = [(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, 8) if p**m <=
 @pytest.mark.parametrize("p,m", SEARCH_GRID)
 def test_sieved_search_equals_unsieved_scan(p, m):
     assert first_primitive_modulus(p, m) == _unsieved_first_primitive(p, m)
+
+
+def test_matrix_rabin_test_matches_the_gcd_reference():
+    # every monic polynomial with p = 3 and m <= 5, or p in {5, 7} and
+    # m <= 3: 917 of them, 275 irreducible, as Gauss's formula
+    # (1/m) * sum over d | m of mu(d) * p^(m/d) counts per degree
+    start, irreducible = time.perf_counter(), 0
+    for p, top in ((3, 5), (5, 3), (7, 3)):
+        for m in range(1, top + 1):
+            for idx in range(p**m):
+                poly = [idx // p**i % p for i in range(m)] + [1]
+                expected = is_irreducible_by_gcd(poly, p)
+                assert is_irreducible(poly, p) == expected, (p, poly)
+                irreducible += expected
+    assert irreducible == 275
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("p,m,modulus", [
@@ -231,13 +254,13 @@ TRACE_GRID = [(p, m) for p in range(3, 62, 2) if _is_prime(p)
 
 @pytest.mark.parametrize("p,m", TRACE_GRID)
 def test_basis_traces_match_the_defining_sum(p, m):
-    # Newton's identities against Tr(x^i) = sum over j < m of x^(i*p^j) mod f
+    # trace(M^i) against Tr(x^i) = sum over j < m of x^(i*p^j) mod f
     mod = list(first_primitive_modulus(p, m))
     expected = []
     for i in range(m):
         total = [0] * m
         for j in range(m):
-            conj = _poly_powmod([0, 1], i * p**j, mod, p)
+            conj = poly_powmod([0, 1], i * p**j, mod, p)
             total = [(s + c) % p for s, c in zip(total, conj)]
         assert not any(total[1:])
         expected.append(total[0])
