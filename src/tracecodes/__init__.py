@@ -9,6 +9,8 @@ secret-sharing structure.
 The names in __all__ are re-exported lazily (PEP 562): ``import tracecodes``
 loads no submodule, so ``python -m tracecodes.cli`` can refuse a bad request
 before numpy is imported, and the first read of a name imports its module.
+`main`, the entry of the ``tracecodes`` script, runs the CLI module as
+``python -m`` does, so the script refuses such a request as early.
 """
 
 import importlib
@@ -40,6 +42,13 @@ def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def main() -> None:
+    """The ``tracecodes`` script: ``tracecodes.cli`` run as ``__main__``."""
+    import runpy
+
+    runpy.run_module("tracecodes.cli", run_name="__main__", alter_sys=True)
 
 
 def __dir__() -> list[str]:

@@ -11,9 +11,9 @@ p: a theta sum is an integer count vector times it, elementwise and
 summed, and the Gaussian sums read it at the trace table.  The identity
 suite, verify_identities, checks five facts: three of the field's tables
 and two of `trials` random codewords.  The Gray symbol histograms are the
-explicit per-axis counts of construction.gray_slot_counts, never the
-theorem, so it checks the theorem's weights against an explicit count, in
-integers.
+explicit per-axis counts of construction.gray_slot_counts, by the slot
+rule ring.SLOT_TERMS, never the theorem, so it checks the theorem's
+weights against an explicit count, in integers.
 
 One lift, _lifted, turns subcode rows into the full code's: the q uv-line
 codewords d*uv weigh 4*q^3 times their field subcode words, and the other
@@ -70,20 +70,17 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     the units variant does for q past about 38900.
 
     A coordinate is x = x0 + x1*u + x2*v + x3*uv with x0 in the base set
-    (or all units) and x1, x2, x3 free in F_q, and each Gray symbol of
-    Tr(r*x) is, mod p, a sum of one trace term per axis:
-
-        symbol        x0 term            x1 term        x2 term        x3
-        t4            Tr(d x0)           Tr(c x1)       Tr(b x2)       Tr(a x3)
-        t3+t4         Tr((c+d) x0)       Tr(c x1)       Tr((a+b) x2)   Tr(a x3)
-        t2+t4         Tr((b+d) x0)       Tr((a+c) x1)   Tr(b x2)       Tr(a x3)
-        t1+t2+t3+t4   Tr((a+b+c+d) x0)   Tr((a+c) x1)   Tr((a+b) x2)   Tr(a x3)
+    (or all units) and x1, x2, x3 free in F_q; Gray slot k of Tr(r*x) is,
+    mod p, the sum over the axes x_t of Tr(r_j*x_t), j in
+    ring.SLOT_TERMS[t][k], with (r_0, r_1, r_2, r_3) = (a, b, c, d).  Every
+    slot of x3 reads r_0 alone, and when r_0 = 0 every slot of x1 (x2)
+    reads r_2 (r_1) alone.
 
     For y != 0 the map x -> Tr(y*x) is onto F_p and takes every value q/p
     times (Lidl-Niederreiter, Finite Fields).  Off the uv-line (a, b, c)
-    is nonzero, so every slot has a nonzero axis coefficient (a if a != 0,
-    else c or b); that axis makes the slot uniform over F_p on the product
-    set, so it is zero on exactly length/p coordinates and the weight is
+    is nonzero, so every slot has such a term, on x3 if a != 0, else on x1
+    or x2; that axis makes the slot uniform over F_p on the product set, so
+    it is zero on exactly length/p coordinates and the weight is
     4*(p-1)*length/p, the same for every such row.  On the uv-line
     (a = b = c = 0) all four slots are Tr(d*x0), repeated q^3 times, so
     the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}: n0 - DerivedParams.class_counts
@@ -93,7 +90,7 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     dtype = np.int64 if dp.gray_length < 2**63 else object  # no weight exceeds it
     out = np.full(len(rows), _bulk_weight(dp), dtype=dtype)
     on_line = ~rows[:, :3].any(axis=1)
-    d, n0 = rows[on_line, 3], dp.length // dp.q**3
+    d, n0 = rows[on_line, 3], len(dp.x0_codes())
     zeros = np.where(d == 0, n0, dp.class_counts[dp.field.log_table[d] % dp.N2])
     out[on_line] = 4 * dp.q**3 * (n0 - zeros).astype(dtype)
     return out
@@ -309,7 +306,7 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    field, p, q, n0, n2 = dp.field, dp.p, dp.q, dp.length // dp.q**3, dp.N2
+    field, p, q, n0, n2 = dp.field, dp.p, dp.q, len(dp.x0_codes()), dp.N2
     taus = p - 1 if p % 4 == 3 else 1  # the multiples tau*r counted per codeword
     # per multiple one histogram row: trace products (4*n0 + 3*q), entries
     # (4*n0 + 5*q) and 3 axes x p shifts x 4p multiply-adds

@@ -276,21 +276,18 @@ def _execute(cfg: argparse.Namespace) -> int:
     return code
 
 
-def run(request: argparse.Namespace | None = None) -> NoReturn:
-    """The process entry of ``python -m tracecodes.cli`` and of the
-    ``tracecodes`` script: `main`, or `_execute` of a `request` that
-    limits.check_request has passed, stderr flushed, then the process ends
-    at once with its exit code.  The interpreter's teardown (a final GC and
-    module cleanup over numpy's heap, about 40 ms) writes nothing, so it is
-    skipped.  `_emit` flushed the report inside `main`, where a failure is
-    caught and reported; flushing stdout again would retry the bytes that
-    failed.  An exception escaping `main` still leaves through the
-    interpreter, with its traceback and exit 1; in-process callers of
-    `main` get its return value and keep their interpreter.  Under
-    ``python -m`` the request was parsed and checked before the engine's
-    imports, and one that a table-free check refuses has already ended; the
-    script imports the engine first."""
-    code = main() if request is None else _execute(request)
+def run(request: argparse.Namespace) -> NoReturn:
+    """The process entry, which the ``__main__`` block below calls under
+    ``python -m tracecodes.cli`` and under the ``tracecodes`` script
+    (tracecodes.main): `_execute` of the `request` that limits.check_request
+    passed before the engine's imports, stderr flushed, then the process
+    ends at once with its exit code.  The interpreter's teardown (a final
+    GC and module cleanup over numpy's heap, about 40 ms) writes nothing, so
+    it is skipped.  `_emit` flushed the report inside `_execute`, where a
+    failure is caught and reported; flushing stdout again would retry the
+    bytes that failed.  An exception escaping `_execute` still leaves
+    through the interpreter, with its traceback and exit 1."""
+    code = _execute(request)
     sys.stderr.flush()
     os._exit(code)
 

@@ -10,7 +10,8 @@ of C_0^{N2} modulo F_p*.  Two coordinate sets are supported:
 * units: the full unit group, size (q-1) * q^3.
 
 Codewords are evaluations x -> Tr(r*x) over the coordinate set, one base
-ring symbol per coordinate (oracles.evaluate is that scalar map).
+ring symbol per coordinate (oracles.evaluate is that scalar map), and
+gray_slot_counts counts their Gray slots by the rule ring.SLOT_TERMS.
 Coordinates are streamed in a fixed order (constant coordinate first
 through D or through xi-powers, then each nilpotent coordinate ascending
 in coefficient-vector lexicographic order) so exports
@@ -34,7 +35,7 @@ import numpy as np
 
 from .field import Field, multiplicative_order
 from .limits import check_codeword_count_guard, check_divisor
-from .ring import RingElem, is_unit
+from .ring import SLOT_TERMS, RingElem, is_unit
 
 #: Stream positions per block of coord_blocks and (rounded down to whole
 #: x3 axes) of oracles.gray_symbols.
@@ -230,24 +231,18 @@ def coord_blocks(dp: DerivedParams, block_size: int = _BLOCK_POSITIONS):
 def slot_batch_rows(dp: DerivedParams) -> int:
     """Rows gray_slot_counts counts at once: its doubled (rows, 4, 2p) counts,
     and four times one coordinate's products, hold _BLOCK_POSITIONS entries."""
-    return max(1, _BLOCK_POSITIONS // (4 * max(dp.length // dp.q**3, dp.q, 2 * dp.p)))
+    return max(1, _BLOCK_POSITIONS // (4 * max(len(dp.x0_codes()), dp.q, 2 * dp.p)))
 
 
 def gray_slot_counts(rows, dp: DerivedParams) -> np.ndarray:
     """(K, 4, p) int64 counts of each value of F_p in each Gray slot of the
     codewords of the K rows (a, b, c, d); each slot sums to the code length.
 
-    Slot k is a sum mod p of one term per axis, so its count is the cyclic
-    convolution over Z/p of the axes' term counts.  With A, B, C, D the
-    traces of a*x, b*x, c*x, d*x, the slots take
-
-        x0 over x0_codes():  D    C + D    B + D    A + B + C + D
-        x1 over F_q:         C    C        A + C    A + C
-        x2 over F_q:         B    A + B    B        A + B
-        x3 over F_q:         A    A        A        A
-
-    so the F_q axes need five histograms, x over np.arange(q) (the order is
-    immaterial), from each coordinate's int32 trace products on their own.
+    Slot k is a sum mod p of one term per axis, ring.SLOT_TERMS[t][k] for
+    axis x_t, so its count is the cyclic convolution over Z/p of the axes'
+    term counts.  The x0 axis runs over x0_codes(); the three F_q axes share
+    one set of int32 trace products, x over np.arange(q) (the order is
+    immaterial), and each distinct term set among them is one histogram.
     Every count is explicit, never the kernel's theorem.  Exact int64, one
     shifted copy of a doubled (rows, 4, 2p) array per value an axis takes:
     O(n0 + q + p^2) work per row, numpy calls per batch of slot_batch_rows."""
@@ -256,21 +251,21 @@ def gray_slot_counts(rows, dp: DerivedParams) -> np.ndarray:
         return np.concatenate([gray_slot_counts(rows[i:i + step], dp)
                                for i in range(0, len(rows), step)])
     offsets = (p * np.arange(len(rows), dtype=np.int32))[:, None]
-    def hist(terms):  # (K, p) counts of each row's int32 terms mod p
-        return np.bincount((terms % p + offsets).ravel(), minlength=len(rows) * p).reshape(-1, p)
-    def traces(coord, x):  # (K, len(x)) int32 Tr(r_coord * x)
-        return dp.field.trace_products(rows[:, coord, None], x)
-    x0, x = dp.x0_codes(), np.arange(dp.q, dtype=np.int32)
-    counts = np.empty((len(rows), 4, p), dtype=np.int64)
-    d = traces(3, x0)
-    c, b = traces(2, x0) + d, traces(1, x0) + d  # C + D and B + D
-    counts[:, 0], counts[:, 1], counts[:, 2] = hist(d), hist(c), hist(b)
-    counts[:, 3] = hist(b + c - d + traces(0, x0))
-    a, b, c = (traces(coord, x) for coord in range(3))
-    ha, hb, hc, hab, hac = hist(a), hist(b), hist(c), hist(a + b), hist(a + c)
-    del a, b, c, d
-    for axis in ((hc, hc, hac, hac), (hb, hab, hb, hab), (ha,)):
-        axis = np.stack(axis, axis=1)  # x3's (K, 1, p) broadcasts over the slots
+    axes = []  # per axis, its four slots' (K, p) counts of their summed terms mod p
+    for points, axis_terms in ((dp.x0_codes(), SLOT_TERMS[:1]),
+                               (np.arange(dp.q, dtype=np.int32), SLOT_TERMS[1:])):
+        term_sets = {terms for slots in axis_terms for terms in slots}
+        products = {j: dp.field.trace_products(rows[:, j, None], points)
+                    for j in sorted(set().union(*term_sets))}
+        hists = {}
+        for terms in term_sets:  # one histogram per distinct term set
+            summed = sum((products[j] for j in terms[1:]), products[terms[0]]) % p + offsets
+            hists[terms] = np.bincount(summed.ravel(), minlength=len(rows) * p).reshape(-1, p)
+        axes += [[hists[terms] for terms in slots] for slots in axis_terms]
+        del products, summed, hists
+    counts = np.stack(axes.pop(0), axis=1)
+    while axes:  # an F_q axis's histograms are freed once it is convolved
+        axis = np.stack(axes.pop(0), axis=1)
         # doubled[..., p - s + j] = counts[..., (j - s) % p]
         doubled = np.concatenate([counts, counts], axis=2)
         counts = np.zeros_like(counts)

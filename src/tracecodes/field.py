@@ -373,9 +373,6 @@ class Field:
             return 0
         return self._exp[(self._log[a] + self.order // 2) % self.order]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

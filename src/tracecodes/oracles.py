@@ -4,10 +4,10 @@ Gray-word export, and the helpers that tests and demos use.
 A codeword is the evaluation x -> Tr(r*x) over the coordinate set; the
 package weighs codewords by the kernel's theorem and counts the Gray slots
 by convolution, so the definition itself lives here, as `evaluate` and the
-symbol stream `gray_symbols`, for the tests to compare against.  Neither
-``tracecodes/__init__.py`` nor the CLI imports this module: import it as
-``tracecodes.oracles``.  Oracles that only the tests use stay in the test
-suite.
+symbol stream `gray_symbols` (its slots from ring.SUBSETS and ring.GRAY),
+for the tests to compare against.  Neither ``tracecodes/__init__.py`` nor
+the CLI imports this module: import it as ``tracecodes.oracles``.  Oracles
+that only the tests use stay in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .construction import _BLOCK_POSITIONS, DerivedParams, coord_blocks
 from .errors import ParameterError
 from .field import Field
-from .ring import RingElem, gray, lee_weight
+from .ring import GRAY, SUBSETS, RingElem, gray, lee_weight
 
 
 class RingClass(enum.Enum):
@@ -145,25 +145,25 @@ def evaluate(r: RingElem, dp: DerivedParams) -> Iterator[RingElem]:
 
 
 def _axis_terms(r: RingElem, dp: DerivedParams) -> list[np.ndarray]:
-    """Per-axis terms of the four Gray slots of the codeword of r = (a, b,
-    c, d): int64 arrays of shape (4, n0) over x0_codes() and (4, q) over
-    the lex order (Field.lex_code) for the x1, x2 and x3 axes, in [0, p).
-    Slot k of (x0, x1, x2, x3) is the sum of the four axes' k-th terms, mod p.
+    """Per-axis terms of the four Gray slots of the codeword of r: int64
+    arrays of shape (4, n0) over x0_codes() and (4, q) over the lex order
+    (Field.lex_code) for the x1, x2 and x3 axes, in [0, p).  Slot k of
+    (x0, x1, x2, x3) is the sum of the four axes' k-th terms, mod p.
 
-    The traced entry Tr(r*x) = t1 + t2 u + t3 v + t4 uv splits by axis: x0
-    gives (Tr(a x0), Tr(b x0), Tr(c x0), Tr(d x0)), x1 gives (0, Tr(a x1),
-    0, Tr(c x1)), x2 (0, 0, Tr(a x2), Tr(b x2)) and x3 (0, 0, 0, Tr(a x3)).
-    The Gray map is linear, so each axis's part goes through it on its own,
-    in the same slot order as ring.gray.
+    By the product rule, axis x_t puts Tr(r_(s^t) * x_t) on each monomial s
+    with t in ring.SUBSETS[s]; the Gray map is linear, so each axis's part
+    goes through ring.GRAY on its own.  ring.SLOT_TERMS is not read here.
     """
     p, field = dp.p, dp.field
     coords = np.array(r.coords(), dtype=np.int64)[:, None]
     x0 = field.trace_products(coords, dp.x0_codes()).astype(np.int64)
-    a, b, c = field.trace_products(coords[:3], field.lex_code(np.arange(dp.q))).astype(np.int64)
-
-    def gray(t1, t2, t3, t4):  # (d, c+d, b+d, a+b+c+d)
-        return np.stack([t4, t3 + t4, t2 + t4, t1 + t2 + t3 + t4]) % p
-    return [gray(*x0), gray(0, a, 0, c), gray(0, 0, a, b), gray(0, 0, 0, a)]
+    fq = field.trace_products(coords, field.lex_code(np.arange(dp.q))).astype(np.int64)
+    terms = []
+    for t, products in enumerate((x0, fq, fq, fq)):
+        zero = np.zeros_like(products[0])
+        monomials = [products[s ^ t] if t in SUBSETS[s] else zero for s in range(4)]
+        terms.append(np.stack([sum(monomials[i] for i in slots) for slots in GRAY]) % p)
+    return terms
 
 
 def gray_symbols(r: RingElem, dp: DerivedParams) -> Iterator[np.ndarray]:

@@ -6,18 +6,32 @@ Both are covered by one element type: four field codes (a, b, c, d)
 standing for a + b*u + c*v + d*uv over a shared :class:`~tracecodes.field.Field`.
 R is the subring of base ring elements, coordinates in F_p (the codes below p).
 
+Coordinate i is the monomial with bitmask i (1, u, v, uv), so the product
+and the Gray map are subset rules, written once as SUBSETS and GRAY and
+read by every other module; the Gray map (d, c+d, b+d, a+b+c+d) is the
+Kronecker square of the F_p + uF_p map a + bu -> (b, a + b) (Shi, Wu, Liu
+and Sole, Cryptogr. Commun. 9, 2017), and SLOT_TERMS is both rules at once.
+
 The unit group is exactly {a != 0}; the unique maximal ideal is {a = 0},
-which splits into the line F_q*.uv and the rest.  The Gray map sends a base
-ring element a + b*u + c*v + d*uv to (d, c+d, b+d, a+b+c+d) in F_p^4, and
-the Lee weight of a symbol is the Hamming weight of its Gray image.
+which splits into the line F_q*.uv and the rest.  The Lee weight of a
+symbol is the Hamming weight of its Gray image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import ParameterError
 from .field import Field
+
+#: SUBSETS[s]: the subsets t of s; (r*x)_s sums r_(s^t) * x_t over them.
+SUBSETS = tuple(tuple(t for t in range(4) if t & s == t) for s in range(4))
+#: GRAY[k]: the coordinates that Gray slot k sums, those i with i | k = 3.
+GRAY = tuple(tuple(i for i in range(4) if i | k == 3) for k in range(4))
+#: SLOT_TERMS[t][k]: the j whose Tr(r_j * x_t) axis x_t adds to Gray slot k of Tr(r*x).
+SLOT_TERMS = tuple(tuple(tuple(j for j in range(4) if j & t == 0 and j | t | k == 3)
+                         for k in range(4)) for t in range(4))
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,19 +64,11 @@ class RingElem:
         return self + (-other)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
-        # (a1 + b1 u + c1 v + d1 uv)(a2 + ...) with u^2 = v^2 = 0, uv = vu:
-        # the cross terms that survive are a1*?, ?*a2 and b*c mixes into uv.
         f = self.field
         _check_same_field(f, other.field)
-        mul, add = f.mul, f.add
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        a = mul(a1, a2)
-        b = add(mul(a1, b2), mul(b1, a2))
-        c = add(mul(a1, c2), mul(c1, a2))
-        d = add(add(mul(a1, d2), mul(b1, c2)),
-                add(mul(c1, b2), mul(d1, a2)))
-        return RingElem(f, a, b, c, d)
+        r, x = self.coords(), other.coords()
+        return RingElem(f, *(reduce(f.add, (f.mul(r[s ^ t], x[t]) for t in SUBSETS[s]))
+                             for s in range(4)))
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b or self.c or self.d)
@@ -90,48 +96,36 @@ def is_unit(r: RingElem) -> bool:
 
 
 def ring_inv(r: RingElem) -> RingElem:
-    """Inverse of a unit via the nilpotent expansion.
-
-    With r = a + n, n nilpotent of degree <= 3, the inverse is
-    a^-1 (1 - t + t^2) where t = a^-1 n and t^3 = 0.
-    """
+    """Inverse of a unit, the triangular solve of r*y = 1 by SUBSETS:
+    y_0 = a^-1 and y_s = -a^-1 * (sum of r_(s^t) * y_t over t < s in SUBSETS[s])."""
     if not is_unit(r):
         raise ValueError("element is not a unit")
-    f = r.field
+    f, coords = r.field, r.coords()
     ai = f.inv(r.a)
-    tb, tc, td = f.mul(ai, r.b), f.mul(ai, r.c), f.mul(ai, r.d)
-    # t^2 = 2*tb*tc * uv
-    t2d = f.mul(f.mul(tb, tc), 2 % f.p)
-    return RingElem(
-        f,
-        ai,
-        f.mul(ai, f.neg(tb)),
-        f.mul(ai, f.neg(tc)),
-        f.mul(ai, f.sub(t2d, td)),
-    )
+    y = [ai, 0, 0, 0]
+    for s in range(1, 4):  # every proper subset of s is below s
+        terms = (f.mul(coords[s ^ t], y[t]) for t in SUBSETS[s] if t != s)
+        y[s] = f.neg(f.mul(ai, reduce(f.add, terms)))
+    return RingElem(f, *y)
 
 
 def gray(r: RingElem) -> tuple[int, int, int, int]:
-    """Gray image (d, c+d, b+d, a+b+c+d) of a base ring element."""
-    p = r.field.p
-    a, b, c, d = r.a, r.b, r.c, r.d
-    if max(a, b, c, d) >= p:
+    """Gray image of a base ring element: slot k sums the coordinates in GRAY[k]."""
+    p, coords = r.field.p, r.coords()
+    if max(coords) >= p:
         raise ValueError("the Gray map applies to base ring elements, coordinates in F_p")
-    return (d % p, (c + d) % p, (b + d) % p, (a + b + c + d) % p)
+    return tuple(sum(coords[i] for i in slots) % p for slots in GRAY)
 
 
 def gray_inverse(field: Field, word: tuple[int, int, int, int]) -> RingElem:
-    """Preimage of a 4-tuple under the Gray map, a base ring element over `field`."""
-    p = field.p
-    g1, g2, g3, g4 = (x % p for x in word)
-    d = g1
-    c = (g2 - g1) % p
-    b = (g3 - g1) % p
-    a = (g4 - g2 - g3 + g1) % p
-    return RingElem(field, a, b, c, d)
+    """Preimage of a 4-tuple under the Gray map, a base ring element over `field`:
+    word[3 - t] sums the coordinates over the supersets of t, so by Moebius
+    inversion r_s is the sum of (-1)^|t - s| * word[3 - t] over t with s in SUBSETS[t]."""
+    return RingElem(field, *(sum((-1) ** (t ^ s).bit_count() * word[3 - t]
+                                 for t in range(4) if s in SUBSETS[t]) % field.p
+                             for s in range(4)))
 
 
 def lee_weight(r: RingElem) -> int:
     """Hamming weight of the Gray image; an integer in [0, 4]."""
     return sum(1 for s in gray(r) if s)
-

@@ -776,9 +776,9 @@ def test_process_entry_writes_what_main_returns(tmp_path, capsys):
         written = report.read_text() if report.exists() else ""
         assert runtime.sub("", out) == runtime.sub("", written)
         assert ("runtime_ms" in out) == (code == 0)
-    # the installed script goes through the same entry as python -m
+    # the installed script runs the CLI module as python -m does
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    assert 'tracecodes = "tracecodes.cli:run"' in pyproject.read_text()
+    assert 'tracecodes = "tracecodes:main"' in pyproject.read_text()
 
 
 @pytest.mark.parametrize("extra", [["--modulus", ""], ["-o", ""]])

@@ -437,8 +437,8 @@ def test_gray_slot_counts_batch_equals_single_rows(p, m, count):
 ])
 def test_gray_slot_counts_batch_peak_is_bounded(p, m, N, variant, blocks, plus_output):
     # one full batch peaks (tracemalloc) within `blocks` int64 blocks of
-    # _BLOCK_POSITIONS entries: the five F_q histograms take one
-    # coordinate's int32 trace products at a time
+    # _BLOCK_POSITIONS entries: the five F_q histograms share one set of
+    # int32 trace products, and each axis's histograms go once it is convolved
     import tracemalloc
 
     from tracecodes.construction import _BLOCK_POSITIONS

@@ -8,7 +8,8 @@ cost of interpreter start-up, and a request that passes is the one its
 handler runs, parsed once.  Each such run must exit and print as an
 in-process ``cli.main`` call does; a refusal that needs the field (a
 supplied modulus of the wrong degree or reducible, verify's budget, the
-class method's samples) must still come after it is built;
+class method's samples) must still come after it is built; the installed
+script's entry, tracecodes.main, must run as ``python -m`` does;
 ``import tracecodes`` must load no submodule; and ``import tracecodes.cli``
 must still load the whole engine, which the benchmark tracer's
 ``cli.import`` span times.
@@ -17,6 +18,7 @@ must still load the whole engine, which the benchmark tracer's
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,10 +91,16 @@ def test_reexports_are_the_public_names_and_the_library_objects():
         getattr(tracecodes, "no_such_name")
 
 
-def _process(argv, budget=None) -> tuple[int, str, str, list[str]]:
-    """Exit code, stdout, stderr and the -X importtime lines of one
-    ``python -m tracecodes.cli`` run."""
-    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "tracecodes.cli", *argv],
+#: The process entries: ``python -m tracecodes.cli``, and what the installed
+#: ``tracecodes`` script runs, tracecodes.main.
+MODULE_ENTRY = ("-m", "tracecodes.cli")
+SCRIPT_ENTRY = ("-c", "import sys, tracecodes; sys.exit(tracecodes.main())")
+
+
+def _process(argv, budget=None, entry=MODULE_ENTRY) -> tuple[int, str, str, list[str]]:
+    """Exit code, stdout, stderr and the -X importtime lines of one run of
+    a process entry."""
+    out = subprocess.run([sys.executable, "-X", "importtime", *entry, *argv],
                          env=_env(budget), capture_output=True, text=True, timeout=120)
     lines = out.stderr.splitlines(keepends=True)
     imports = [line for line in lines if line.startswith("import time:")]
@@ -128,6 +136,20 @@ def test_table_free_refusals_load_no_numpy(argv, monkeypatch, capsys):
     assert imports and not _loads_numpy(imports)
     assert (code, out, err) == _in_process(argv, monkeypatch, capsys)
     assert code == (0 if argv == ["--help"] else 2)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["analyze", "-p", "5", "-m", "7", "--threads", "1"], 2),  # the benchmark's guard job
+    (["dual", "-p", "3", "-m", "2", "--threads", "1"], 0),
+], ids=["guard", "pass"])
+def test_script_entry_runs_as_python_m(argv, code):
+    runtime = re.compile(r'"runtime_ms": \d+')
+    script_code, script_out, script_err, imports = _process(argv, entry=SCRIPT_ENTRY)
+    module_code, module_out, module_err, _ = _process(argv)
+    assert (script_code, runtime.sub("", script_out), script_err) == (
+        module_code, runtime.sub("", module_out), module_err)
+    assert script_code == code
+    assert _loads_numpy(imports) is (code == 0)
 
 
 def test_guard_job_refusal_bytes():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,73 @@ def test_inverse_of_units(f9):
 def test_inverse_rejects_non_units(f9):
     with pytest.raises(ValueError):
         ring_inv(oracles.uv(f9))
+
+
+def test_product_and_inverse_exhaustively_over_f3(f3):
+    # over F_3 the codes are the integers mod 3, so the hand expansion
+    # needs no field arithmetic
+    elements = [RingElem(f3, *coords) for coords in itertools.product(range(3), repeat=4)]
+    for r in elements:
+        a1, b1, c1, d1 = r.coords()
+        for x in elements:
+            a2, b2, c2, d2 = x.coords()
+            expected = (a1 * a2, a1 * b2 + b1 * a2, a1 * c2 + c1 * a2,
+                        a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+            assert (r * x).coords() == tuple(e % 3 for e in expected)
+    units = [r for r in elements if is_unit(r)]
+    assert len(units) == 54
+    assert all(r * ring_inv(r) == oracles.one(f3) for r in units)
+
+
+# ---------------------------------------------------------------------------
+# The subset rules
+# ---------------------------------------------------------------------------
+
+#: The slot table the weight kernel's proof was first written with: each
+#: Gray slot's symbol in the traced coordinates t1..t4 of Tr(r*x), then the
+#: coordinates of r = (a, b, c, d) whose traces each axis x0..x3 adds to it.
+HAND_SLOT_TABLE = """
+    t4            Tr(d x0)           Tr(c x1)       Tr(b x2)       Tr(a x3)
+    t3+t4         Tr((c+d) x0)       Tr(c x1)       Tr((a+b) x2)   Tr(a x3)
+    t2+t4         Tr((b+d) x0)       Tr((a+c) x1)   Tr(b x2)       Tr(a x3)
+    t1+t2+t3+t4   Tr((a+b+c+d) x0)   Tr((a+c) x1)   Tr((a+b) x2)   Tr(a x3)
+"""
+
+
+def _hand_slot_table():
+    """(gray, slot_terms) read off HAND_SLOT_TABLE, indexed as ring.GRAY and
+    ring.SLOT_TERMS are: the coordinates of each slot, and per axis and slot
+    the coordinates of r, each a tuple of indices into (a, b, c, d)."""
+    gray_rows, slot_terms = [], [[None] * 4 for _ in range(4)]
+    for k, line in enumerate(HAND_SLOT_TABLE.strip().splitlines()):
+        gray_rows.append(tuple(int(i) - 1 for i in re.findall(r"t(\d)", line.split()[0])))
+        for letters, axis in re.findall(r"Tr\(\(?([a-d+]+)\)? x(\d)\)", line):
+            slot_terms[int(axis)][k] = tuple("abcd".index(c) for c in letters.split("+"))
+    return tuple(gray_rows), tuple(tuple(axis) for axis in slot_terms)
+
+
+def test_gray_is_the_kronecker_square_of_the_one_variable_map():
+    # a + bu -> (b, a + b) on F_p + uF_p is [[0, 1], [1, 1]] on (a, b)
+    g1 = np.array([[0, 1], [1, 1]])
+    matrix = np.array([[int(i in slots) for i in range(4)] for slots in ring.GRAY])
+    assert np.array_equal(matrix, np.kron(g1, g1))
+    assert ring.GRAY == _hand_slot_table()[0]
+
+
+def test_slot_terms_are_the_hand_table():
+    assert ring.SLOT_TERMS == _hand_slot_table()[1]
+
+
+def test_slot_terms_hold_the_kernel_proofs_premise():
+    # every slot of x3 reads r_0 alone; with r_0 = 0 every slot of x1 reads
+    # r_2 alone and every slot of x2 reads r_1 alone; r_3 reaches every
+    # slot of x0 and no slot of an F_q axis
+    x0, x1, x2, x3 = ring.SLOT_TERMS
+    assert all(terms == (0,) for terms in x3)
+    assert all(set(terms) - {0} == {2} for terms in x1)
+    assert all(set(terms) - {0} == {1} for terms in x2)
+    assert all(3 in terms for terms in x0)
+    assert not any(3 in terms for axis in (x1, x2, x3) for terms in axis)
 
 
 # ---------------------------------------------------------------------------
