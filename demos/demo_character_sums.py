@@ -36,7 +36,7 @@ for i in range(dp.N2):
 # 2. Gaussian sums of the order-N2 character
 # ----------------------------------------------------------------------
 print("\nGaussian sums, all N2 of them from one FFT (the trivial index gives -1):")
-gsums = gauss_sums(field, dp.N2)
+gsums = gauss_sums(field)[::(field.q - 1) // dp.N2]  # psi^((q-1)/N2) has order N2
 for j, g in enumerate(gsums):
     print(f"  j = {j}: {g:.6f}   |G| = {abs(g):.6f}"
           f"   sqrt(q) = {math.sqrt(field.q):.6f}")

@@ -10,10 +10,11 @@ floating point.  Both read field.roots_of_unity(p), one cached table per
 p: a theta sum is an integer count vector times it, elementwise and
 summed, and the Gaussian sums read it at the trace table.  The identity
 suite, verify_identities, checks five facts: three of the field's tables
-and two of `trials` random codewords.  The Gray symbol histograms are the
-explicit per-axis counts of construction.gray_slot_counts, by the slot
-rule ring.SLOT_TERMS, never the theorem, so it checks the theorem's
-weights against an explicit count, in integers.
+(two counts in integers, and |G_j| in floats) and two of `trials` random
+codewords.  The Gray symbol histograms are the explicit per-axis counts
+of construction.gray_slot_counts, by the slot rule ring.SLOT_TERMS, never
+the theorem, so it checks the theorem's weights against an explicit
+count, in integers.
 
 One lift, _lifted, turns subcode rows into the full code's: the q uv-line
 codewords d*uv weigh 4*q^3 times their field subcode words, and the other
@@ -54,7 +55,7 @@ from .construction import (
 )
 from .errors import ParameterError, WorkBudgetExceeded
 from .field import Field, gauss_sums, multiplicative_order, roots_of_unity
-from .limits import DEFAULT_SEED, resolve_budget
+from .limits import DEFAULT_SEED, check_trials, resolve_budget
 
 #: The identity suite reports a residual above this as a breach.
 TOLERANCE = 1e-6
@@ -279,15 +280,15 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     """Residuals of the five identities behind the weight formulas, each
     fact checked once and named with what it reads.
 
-    - zero_trace_count_vs_character_sum (field tables): the lift's class
-      counts Z_r, either variant, against their Gaussian-sum expansions.  A
-      class is closed under F_p*, so its sum S_r of eta^Tr(xi^k) is the
-      integer H[r,0] - H[r,1] (H[r,a]: k = r mod N2 with trace a), and
-      p*Z_r = n + S_r by algebra: this checks the equidistribution of a
-      class's nonzero traces and the FFT round trip.
-    - gauss_sum_trivial (field tables): G_0 = -1, that is the full additive
-      sum over F_q, 1 + G_0, vanishes; gauss_sum_modulus (field tables):
-      |G_j| = sqrt(q) for j in 1..order-1 of the orders N2 and q - 1.
+    - class_zero_traces (field tables, integer): H[r, a] counts the k < q - 1
+      with k = r mod N2 and Tr(xi^k) = a.  Column 0 is (p - 1) times the
+      lift's class counts Z_r, either variant, and, a class being closed
+      under F_p*, each row's nonzero traces are equidistributed.  A breach
+      names its class.
+    - gauss_sum_trivial (field tables, integer): the zero traces of all
+      classes number q/p - 1, that is G_0 = -1.
+    - gauss_sum_modulus (field tables, float): |G_j| = sqrt(q), j = 1..q-2,
+      for the order-(q - 1) character, of which every character is a power.
     - real_part_collapse (the code; p = 3 mod 4): each codeword r's
       multiples tau*r (tau = 1..p-1), each multiplied and counted on its
       own, have theta sums that add up to p - 1 times the real part of
@@ -304,17 +305,15 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     a run past the work budget is refused first, naming the largest
     `trials` that fits.  Breaches are reported with witnesses, never raised.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     field, p, q, n0, n2 = dp.field, dp.p, dp.q, len(dp.x0_codes()), dp.N2
     taus = p - 1 if p % 4 == 3 else 1  # the multiples tau*r counted per codeword
     # per multiple one histogram row: trace products (4*n0 + 3*q), entries
     # (4*n0 + 5*q) and 3 axes x p shifts x 4p multiply-adds
     per_trial = taus * (8 * n0 + 8 * q + 12 * p * p)
-    # one pass over q for the class counts and N2 comparisons; per Gauss-sum order
-    # two passes over q and one FFT; the expansion's inverse FFT
-    fixed = (q + n2 + sum(2 * q + o * o.bit_length() for o in {n2, q - 1})
-             + n2 * n2.bit_length())
+    # one pass over q each for the class counts and the trace count, N2*p
+    # comparisons, and the Gauss sums' gather (two passes over q) and FFT
+    fixed = 4 * q + n2 * p + (q - 1) * (q - 1).bit_length()
     if (needs := fixed + trials * per_trial) > (budget := resolve_budget(None)):
         fits = max(0, (budget - fixed) // per_trial)
         raise WorkBudgetExceeded(
@@ -329,24 +328,24 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
         if value > TOLERANCE:
             breaches.append({"identity": name, "residual": value, "witness": witness})
 
-    # the lift's class counts vs the Gaussian-sum expansion: psi^j(xi^k) has period N2
-    # in k, so the expansion n + (1/N2) sum_j G_j psi^j(xi^r) of each class r = k mod N2
-    # is one inverse FFT of the sums of order N2
-    gauss = {order: gauss_sums(field, order) for order in sorted({n2, q - 1})}
-    expansion = dp.n + np.fft.ifft(gauss[n2])
+    # H[r, a] from the xi-order traces in rows of N2: column r holds the k = r mod N2
+    hist = np.bincount((field.trace_table[field.unit_codes()].reshape(-1, n2)
+                        + p * np.arange(n2)).ravel(), minlength=n2 * p).reshape(n2, p)
     lift = dp if dp.variant is Variant.LIFT else derive_params(
         replace(dp.params, variant=Variant.LIFT))
-    for r, gap in enumerate(np.abs(p * lift.class_counts - expansion).tolist()):
-        record("zero_trace_count_vs_character_sum", gap, {"class": r})
-    # Gaussian sum normalization, |G_j| = sqrt(q) for every j in 1..order-1 of both
-    # orders: read off here and recorded below, so the sums are freed before any
-    # codeword block is drawn
-    trivial = abs(gauss[n2][0] + 1)
-    gaps = {order: np.abs(np.abs(g[1:]) - math.sqrt(q)) for order, g in gauss.items()}
-    modulus_gap = max(float(gap.max(initial=0.0)) for gap in gaps.values())
-    over = [(order, j, float(gap[j])) for order, gap in gaps.items()
-            for j in np.flatnonzero(gap > TOLERANCE).tolist()]
-    del gauss, gaps, expansion
+    zeros, expected = hist[:, 0], (p - 1) * lift.class_counts
+    # |zeros - expected| as a maximum: np.abs on int64 faults in 64 KB more of numpy's code
+    gaps = np.maximum(np.maximum(zeros - expected, expected - zeros), np.ptp(hist[:, 1:], axis=1))
+    for r, gap in enumerate(gaps.tolist()):
+        record("class_zero_traces", float(gap), {"class": r})
+    record("gauss_sum_trivial", float(abs(int(zeros.sum()) - (q // p - 1))), {})
+    del hist, zeros, expected, gaps
+    # |G_j| = sqrt(q), j = 1..q-2; the sums are freed before any codeword block is drawn
+    gaps = np.abs(np.abs(gauss_sums(field)[1:]) - math.sqrt(q))
+    residuals["gauss_sum_modulus"] = float(gaps.max())
+    for j in np.flatnonzero(gaps > TOLERANCE).tolist():
+        record("gauss_sum_modulus", float(gaps[j]), {"j": j + 1})
+    del gaps
 
     # the code identities, codewords r drawn a block at a time: every tau*r multiplied
     # and counted on its own, tau = 1 (r itself) first
@@ -364,11 +363,6 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
             for row, (th, *rest) in zip(rows.tolist(), thetas(hist).reshape(-1, taus).tolist()):
                 record("real_part_collapse", abs(th + sum(rest) - (p - 1) * th.real),
                        {"r": row})
-
-    record("gauss_sum_trivial", trivial, {})
-    residuals["gauss_sum_modulus"] = modulus_gap
-    for order, j, gap in over:
-        record("gauss_sum_modulus", gap, {"order": order, "j": j + 1})
 
     return IdentityReport(residuals=residuals, breaches=breaches, tolerance=TOLERANCE,
                           trials=trials)

@@ -32,7 +32,7 @@ from typing import NoReturn
 from . import limits
 from .errors import ParameterError, WorkBudgetExceeded
 
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

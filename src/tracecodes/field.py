@@ -22,6 +22,9 @@ irreducibility, the basis traces) and the build's first doubling step come
 from one form: an element's matrix of multiplication, from f's companion
 matrix, in int64 mod p.
 
+gauss_sums(field) forms the q - 1 Gaussian sums of the order-(q - 1)
+character by one FFT; those of any order dividing q - 1 are a slice.
+
 A Field instance is immutable after construction (lazy caches are built
 once and read-only thereafter); every operation is a pure function of its
 inputs and safe under concurrent use.
@@ -469,17 +472,12 @@ def roots_of_unity(p: int) -> np.ndarray:
     return roots
 
 
-def gauss_sums(field: Field, order: int) -> np.ndarray:
-    """All G_j = sum over nonzero x of conj(psi)^j(x) * eta^trace(x), j < order,
-    psi of the given order (complex128): psi^j(xi^k) = exp(2*pi*i*j*k/order)
-    depends only on r = k mod order, so G_j = sum_r exp(-2*pi*i*j*r/order) * S_r,
-    with S_r the sum of eta^trace(xi^k) over k = r mod order: the root table
-    read at the trace table in xi-order, one complex (q-1)-array summed per
-    class, and one FFT.  At order q - 1 every class is one exponent, so the
-    gathered array is the class sums, not summed into a copy.  A float
-    cross-check; G_0 = -1."""
-    if order < 1 or (field.q - 1) % order != 0:
-        raise ParameterError(f"character order {order} does not divide q - 1")
+def gauss_sums(field: Field) -> np.ndarray:
+    """All G_j = sum over nonzero x of conj(psi)^j(x) * eta^trace(x), j < q - 1,
+    psi(xi^k) = exp(2*pi*i*k/(q-1)) (complex128): the root table read at
+    the trace table in xi-order, one complex (q-1)-array, transformed in
+    place by one FFT.  psi generates every multiplicative character, so the
+    sums of a character of order o | q - 1 are every ((q-1)/o)-th entry.
+    A float cross-check; G_0 = -1."""
     eta = roots_of_unity(field.p)[field.trace_table[field.unit_codes()]]
-    return np.fft.fft(eta if order == field.q - 1 else eta.reshape(-1, order).sum(axis=0))
-
+    return np.fft.fft(eta, out=eta)

@@ -29,10 +29,10 @@ def check_request(cfg) -> None:
     """Every check of a parsed CLI request (an argparse.Namespace) that needs
     no field table, in the order a run meets them: --threads, --seed, -o,
     analyze's work budget, the 64-bit codeword guard, the --modulus syntax,
-    the field's p and m, and -N.  The supplied modulus's degree and
-    irreducibility are checked when its field is built, after these.
-    verify reads its budget only once its field is built, so it is not
-    checked here."""
+    the field's p and m, -N and verify's --trials.  The supplied modulus's
+    degree and irreducibility are checked when its field is built, after
+    these.  verify reads its budget only once its field is built, so it is
+    not checked here."""
     if cfg.threads < 1:
         raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.seed < 0:
@@ -51,6 +51,8 @@ def check_request(cfg) -> None:
         parse_modulus(cfg.modulus)
     check_field_params(cfg.p, cfg.m)
     check_divisor(cfg.p, cfg.m, cfg.N)
+    if cfg.command == "verify":
+        check_trials(cfg.trials)
 
 
 def resolve_budget(budget: int | None) -> int:
@@ -122,3 +124,9 @@ def check_divisor(p: int, m: int, N: int) -> None:
         raise ParameterError("N must be a positive integer")
     if (p**m - 1) % N != 0:
         raise ParameterError(f"N does not divide p^m - 1 ({N} does not divide {p**m - 1})")
+
+
+def check_trials(trials: int) -> None:
+    """Refuse an identity suite that checks no codeword: trials >= 1."""
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")

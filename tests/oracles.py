@@ -207,8 +207,9 @@ def orthogonality_direct(dp: DerivedParams, support) -> bool:
 def gauss_sum(field: Field, j: int, order: int) -> complex:
     """One Gaussian sum from its definition: the sum over k < q - 1 of
     exp(2*pi*i*(trace(xi^k)/p - j*k/order)), q - 1 fresh complex
-    exponentials.  The oracle of field.gauss_sums, which forms all `order`
-    sums from one FFT of the class sums."""
+    exponentials.  The oracle of field.gauss_sums, which forms the q - 1
+    sums of order q - 1 from one FFT; those of `order` are every
+    ((q-1)/order)-th of them."""
     ks = np.arange(field.q - 1)
     tr = field.trace_table[field.unit_codes()].astype(np.float64)
     angles = 2 * np.pi * (tr / field.p - (j % order) * ks / order)

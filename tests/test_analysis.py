@@ -483,24 +483,36 @@ def test_weight_from_theta_formula(f9):
 def test_identity_suite_passes(f9):
     rep = verify_identities(derive_params(CodeParams(f9, 2)), trials=50)
     assert rep.ok
-    assert rep.residuals["zero_trace_count_vs_character_sum"] < 1e-6
-    assert rep.residuals["gauss_sum_trivial"] < 1e-9  # the full additive sum, 1 + G_0
+    assert rep.residuals["class_zero_traces"] == 0.0  # integer counts, exact
+    assert rep.residuals["gauss_sum_trivial"] == 0.0  # G_0 = -1 as a count
     assert rep.residuals["real_part_collapse"] < 1e-6  # p = 3 mod 4 branch
 
 
+def test_identity_suite_field_counts_are_exact_on_the_grid():
+    # the two integer facts of the field's tables read exactly 0 at every
+    # point of the class grid, both variants and degenerate lifts included
+    for p, m, N, variant in _class_grid():
+        rep = verify_identities(derive_params(CodeParams(Field(p, m), N, Variant(variant))),
+                                trials=1)
+        assert rep.breaches == [], (p, m, N, variant)
+        assert rep.residuals["class_zero_traces"] == 0.0, (p, m, N, variant)
+        assert rep.residuals["gauss_sum_trivial"] == 0.0, (p, m, N, variant)
+
+
 def test_identity_suite_forms_each_gauss_sum_once(monkeypatch):
-    # at N2 = 4 the expansion's 4 sums of order N2 serve the normalization
-    # check too: one gauss_sums call per distinct order, N2 and q - 1
+    # at N2 = 4 the suite forms no sums of order N2: the q - 1 sums of one
+    # gauss_sums call cover every character, and the class counts are
+    # checked in integers
     dp = derive_params(CodeParams(Field(3, 4), 4))
     assert dp.N2 == 4
     real, calls = analysis.gauss_sums, []
 
-    def counted(field, order):
-        calls.append((order,))
-        return real(field, order)
+    def counted(field):
+        calls.append(field)
+        return real(field)
     monkeypatch.setattr(analysis, "gauss_sums", counted)
     assert verify_identities(dp, trials=1).ok
-    assert calls == [(4,), (80,)]
+    assert calls == [dp.field]
 
 
 def _corrupt_class_counts(monkeypatch, classes):
@@ -518,16 +530,35 @@ def _corrupt_class_counts(monkeypatch, classes):
 
 def test_identity_suite_checks_the_counts_against_an_independent_sum(monkeypatch):
     # one class count off by one must breach at that class (r = 3 of N2 = 4,
-    # the class of xi^7): the expansion is the inverse FFT of Gauss sums
-    # formed from the trace table, never from the counts it is checked
-    # against; a units run checks the lift's counts at (N, n) too
+    # the class of xi^7), by p - 1 zero traces: the suite counts the trace
+    # table by class itself, never reading the counts it checks; a units
+    # run checks the lift's counts at (N, n) too
     _corrupt_class_counts(monkeypatch, [3])
     for variant in Variant:
         dp = derive_params(CodeParams(Field(3, 4), 4, variant))
         rep = verify_identities(dp, trials=1)
         assert [(b["identity"], b["witness"]) for b in rep.breaches] == [
-            ("zero_trace_count_vs_character_sum", {"class": 3})], variant
-        assert abs(rep.breaches[0]["residual"] - dp.p) < 1e-9
+            ("class_zero_traces", {"class": 3})], variant
+        assert rep.breaches[0]["residual"] == dp.p - 1
+
+
+def test_identity_suite_checks_the_trace_table(monkeypatch):
+    # one nonzero trace set to 0 in the table the suite reads, after the
+    # class counts were taken from the true one: the zero traces number
+    # q/p, one too many (residual exactly 1), and that element's class has
+    # one zero too many and its nonzero traces no longer equidistributed
+    field = Field(3, 4)
+    dp = derive_params(CodeParams(field, 4))
+    dp.class_counts  # cached from the true table
+    k = next(k for k in range(7, field.order, 4)
+             if field.trace_table[field.exp_code(k)] != 0)
+    mutant = field.trace_table.copy()
+    mutant[field.exp_code(k)] = 0
+    monkeypatch.setattr(field, "_trace_np", mutant)
+    rep = verify_identities(dp, trials=1)
+    assert [(b["identity"], b["witness"], b["residual"]) for b in rep.breaches
+            if b["identity"] in ("class_zero_traces", "gauss_sum_trivial")] == [
+        ("class_zero_traces", {"class": k % dp.N2}, 1.0), ("gauss_sum_trivial", {}, 1.0)]
 
 
 def test_identity_suite_measures_the_kernel(f9, monkeypatch):
@@ -542,13 +573,13 @@ def test_identity_suite_measures_the_kernel(f9, monkeypatch):
 
 
 def test_identity_suite_names_each_zero_trace_breach_by_class(f9, monkeypatch):
-    # the expansion is compared with every class count at once; wrong
+    # the trace counts are compared with every class count at once; wrong
     # counts at both classes of N2 = 2 breach there, named by class in order
     _corrupt_class_counts(monkeypatch, [1, 0])
     rep = verify_identities(derive_params(CodeParams(f9, 2)), trials=5)
-    assert [b["identity"] for b in rep.breaches] == ["zero_trace_count_vs_character_sum"] * 2
+    assert [b["identity"] for b in rep.breaches] == ["class_zero_traces"] * 2
     assert [b["witness"] for b in rep.breaches] == [{"class": 0}, {"class": 1}]
-    assert rep.residuals["zero_trace_count_vs_character_sum"] == pytest.approx(3)
+    assert rep.residuals["class_zero_traces"] == 2.0  # p - 1 zero traces
 
 
 def test_identity_suite_measures_the_histograms(f9, monkeypatch):
@@ -705,12 +736,13 @@ def test_identity_suite_memory_does_not_grow_with_trials():
     assert peaks[1] - peaks[0] < 200_000
 
 
-@pytest.mark.parametrize("N,bound_mb", [(9841, 1.10), (1, 0.85)])
+@pytest.mark.parametrize("N,bound_mb", [(9841, 0.75), (1, 0.85)])
 def test_identity_suite_frees_the_gauss_sums_before_the_codewords(N, bound_mb):
     # the normalization residuals are read off the Gaussian sums right after
-    # the class expansion and the sums are freed, so the codeword blocks do
-    # not stack on the 16(q - 1) bytes of order q - 1 (holding them read
-    # 1.27 and 1.01 MB here)
+    # the class counts, which are freed first, and the sums are freed, so the
+    # codeword blocks do not stack on the 16(q - 1) bytes of order q - 1
+    # (holding them read 1.27 and 1.01 MB here; the order-N2 sums and their
+    # inverse FFT beside them read 1.03 MB at N = 9841)
     import tracemalloc
 
     dp = derive_params(CodeParams(Field(3, 9), N))
@@ -795,13 +827,15 @@ def _traced_peak(call):
 
 def test_identity_suite_memory_stays_at_one_complex_array_per_sum():
     # gauss_sums gathers the root table at the trace table once, one complex
-    # (q - 1)-array, where a complex q-array and its gather traced 2.0 times
-    # it; the suite frees its Gaussian sums before it draws any codeword,
-    # so it stays below the 1 662 396 and 1 835 708 bytes once traced with
-    # the sums held past them
+    # (q - 1)-array, and the FFT writes over it, where a complex q-array and
+    # its gather traced 2.0 times it; the order-2 sums are a slice of it,
+    # within the bound they had when formed on their own.  The suite frees
+    # its Gaussian sums before it draws any codeword, so it stays below the
+    # 1 662 396 and 1 835 708 bytes once traced with the sums held past them
     for p, m in [(3, 9), (13, 4), (7, 5)]:
         f = Field(p, m)
-        assert _traced_peak(lambda: gauss_sums(f, 2))[1] <= 1.6 * 16 * (f.q - 1), (p, m)
+        half, peak = _traced_peak(lambda: gauss_sums(f)[::(f.q - 1) // 2])
+        assert len(half) == 2 and peak <= 1.6 * 16 * (f.q - 1), (p, m)
     for p, m, N, trials, bound in [(3, 9, 9841, 1, 1_662_396), (13, 4, 4, 5, 1_835_708)]:
         dp = derive_params(CodeParams(Field(p, m), N))
         peak = _traced_peak(lambda: verify_identities(dp, trials=trials))[1]
@@ -810,14 +844,15 @@ def test_identity_suite_memory_stays_at_one_complex_array_per_sum():
 
 @pytest.mark.parametrize("p,m", [(3, 9), (3, 12)])
 def test_gauss_sums_of_order_q_minus_1_sum_no_copy(p, m):
-    # at order q - 1 every class is one exponent, so the root gather goes to
-    # the FFT as it is: 2.0 times 16(q - 1) traced, where summing it over an
-    # axis of length one first traced 3.0 times; the sums stay bit for bit
+    # every class of order q - 1 is one exponent, so the root gather goes to
+    # the FFT as it is, and the FFT writes over it: under 1.6 times 16(q - 1)
+    # traced, where a separate output traced 2.0 times and summing the gather
+    # over an axis of length one first 3.0 times; the sums stay bit for bit
     f = Field(p, m)
-    sums, peak = _traced_peak(lambda: gauss_sums(f, f.q - 1))
-    assert peak <= 2.05 * 16 * (f.q - 1), peak
+    sums, peak = _traced_peak(lambda: gauss_sums(f))
+    assert peak <= 1.6 * 16 * (f.q - 1), peak
     eta = roots_of_unity(p)[f.trace_table[f.unit_codes()]]
-    assert sums.tobytes() == np.fft.fft(eta.reshape(-1, f.q - 1).sum(axis=0)).tobytes()
+    assert sums.tobytes() == np.fft.fft(eta).tobytes()
 
 
 # ---------------------------------------------------------------------------

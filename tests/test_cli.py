@@ -238,7 +238,7 @@ def test_verify_subcode_without_prediction_reports_no_verdict(tmp_path):
     code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "2", "-N", "1",
                             "--trials", "2", "--threads", "1", "--subcode")
     assert code == 0
-    assert report["report_version"] == 5
+    assert report["report_version"] == 6
     sub = report["subcode"]
     assert sub["predictions"] == []
     assert sub["ok"] is None
@@ -396,7 +396,7 @@ def test_analyze_without_prediction_reports_no_verdict(tmp_path, variant):
     code, report = run_json(tmp_path, "analyze", "-p", "5", "-m", "1",
                             "--variant", variant, "--threads", "1")
     assert code == 0
-    assert report["report_version"] == 5
+    assert report["report_version"] == 6
     assert report["predictions"] == []
     assert report["comparison"] == {"ok": None, "details": [],
                                     "status": "no-applicable-prediction"}
@@ -538,14 +538,13 @@ def test_method_auto_is_refused(capsys):
 
 
 def test_verify_past_product_table_limit_runs_every_check(capsys):
-    # q = 6561 > COORD_TABLE_LIMIT: the full additive sum, 1 + G_0, is read
-    # from the Gaussian sums of the trace table, so the suite runs and finds
-    # no breach
+    # q = 6561 > COORD_TABLE_LIMIT: G_0 = -1 is read as a count of the
+    # trace table's zeros, exactly, so the suite runs and finds no breach
     code = main(["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["breaches"] == []
-    assert report["residuals"]["gauss_sum_trivial"] < 1e-9
+    assert report["residuals"]["gauss_sum_trivial"] == 0.0
 
 
 def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
@@ -565,7 +564,7 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 20106523572 entry-operations, over the "
+        "refused: identity suite needs 20106523569 entry-operations, over the "
         "budget of 10000000000; the largest --trials that fits is 49"]
 
 
@@ -587,7 +586,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 82637978111372 entry-operations, over the "
+        "refused: identity suite needs 82637978111369 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -608,24 +607,23 @@ def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
 def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
     # q = 6561, N2 = 1, one trial: the codeword's p - 1 = 2 multiples, each
     # a histogram row of 8*n0 + 8*q + 12*p^2 (157672 for both), the first of
-    # them read by the weight check too; one pass over q (class counts), N2
-    # class comparisons, two passes over q and one FFT for each Gauss-sum
-    # order (1 and q - 1) and the expansion's inverse FFT (118088); no term
-    # grows like q^2
+    # them read by the weight check too; one pass over q each for the class
+    # counts and the trace count, N2*p comparisons, and the Gauss sums'
+    # gather (two passes over q) and one FFT of order q - 1 (111527); no
+    # term grows like q^2
     argv = ["verify", "-p", "3", "-m", "8", "--trials", "1", "--threads", "1"]
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "10000000")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "275759")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "269198")
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
-        "refused: identity suite needs 275760 entry-operations, over the budget of 275759")
+        "refused: identity suite needs 269199 entry-operations, over the budget of 269198")
 
 
 def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
-    # psi^j(xi^k) depends on k mod the order only, so the Gaussian sums read
-    # the trace table at the unit codes once per order and take no trace
-    # products: every trace_products call is one of the seven per batch of
+    # the Gaussian sums and the class check read the trace table at the unit
+    # codes and take no trace products: every trace_products call is one of the seven per batch of
     # the one codeword histogram (the codeword's two multiples, the first of
     # them read by the weight check too); a product per z != 0 would take
     # q - 1 = 728 calls
@@ -663,8 +661,8 @@ def test_verify_at_61_counts_each_weight_row_once_in_time(capsys):
 
 def test_verify_reduces_character_angles_exactly(tmp_path):
     # q - 1 = 2186 and N2 = 1093: the suite forms no float angle of its
-    # own, every Gaussian sum coming from one FFT of the root table's class
-    # sums (a roots-of-unity identity that once summed unreduced float
+    # own, every Gaussian sum coming from one FFT of the root table read at
+    # the trace table (a roots-of-unity identity that once summed unreduced float
     # angles left 2.2e-8 here, and a false breach of 3.6e-6 at (3, 9,
     # N = 9841)); every residual, each of the field or the code, stays below
     # 1e-10
@@ -677,9 +675,10 @@ def test_verify_reduces_character_angles_exactly(tmp_path):
 
 
 def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
-    # N2 = 9841 sums of order N2 and 19682 of order q - 1, each order from
-    # one FFT of its class sums; the sums one at a time, q - 1 complex
-    # exponentials each, took over 10 s at this point
+    # N2 = 9841: the 19682 sums of order q - 1 from one FFT serve every
+    # order, and the 9841 class counts are checked by one integer count of
+    # the trace table; the sums one at a time, q - 1 complex exponentials
+    # each, took over 10 s at this point
     start = time.perf_counter()
     code, report = run_json(tmp_path, "verify", "-p", "3", "-m", "9", "-N", "9841",
                             "--trials", "1", "--threads", "1")
@@ -690,21 +689,21 @@ def test_verify_at_large_n2_forms_its_gauss_sums_by_fft(tmp_path):
 
 @pytest.mark.parametrize("argv,residuals", [
     (["-p", "3", "-m", "3", "-N", "1"], {
+        "class_zero_traces": 0.0,
         "gauss_sum_modulus": 1.7763568394002505e-15,
-        "gauss_sum_trivial": 3.2023728339893768e-15,
+        "gauss_sum_trivial": 0.0,
         "real_part_collapse": 0.0,
-        "weight_vs_zero_count": 0.0,
-        "zero_trace_count_vs_character_sum": 3.202372833989377e-15}),
+        "weight_vs_zero_count": 0.0}),
     (["-p", "5", "-m", "2", "-N", "3", "--subcode"], {
+        "class_zero_traces": 0.0,
         "gauss_sum_modulus": 1.7763568394002505e-15,
-        "gauss_sum_trivial": 1.336885555457667e-15,
-        "weight_vs_zero_count": 0.0,
-        "zero_trace_count_vs_character_sum": 4.440892098500626e-16}),
+        "gauss_sum_trivial": 0.0,
+        "weight_vs_zero_count": 0.0}),
     (["-p", "61", "-m", "1", "--trials", "5"], {
+        "class_zero_traces": 0.0,
         "gauss_sum_modulus": 3.552713678800501e-15,
-        "gauss_sum_trivial": 9.930136612989092e-16,
-        "weight_vs_zero_count": 0.0,
-        "zero_trace_count_vs_character_sum": 9.930136612989092e-16}),
+        "gauss_sum_trivial": 0.0,
+        "weight_vs_zero_count": 0.0}),
 ])
 def test_verify_residuals_pinned(tmp_path, argv, residuals):
     # every residual of the identity suite, bit for bit, at seed 7: the

@@ -16,7 +16,7 @@ REPO_DIR = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_DIR / "demos").glob("*.py"))
 
 PINNED = {
-    "demo_character_sums.py": "5d583ac0d80a",
+    "demo_character_sums.py": "38b6e9aaf2c5",
     "demo_dual_and_secret_sharing.py": "3119a9eb3e4d",
     "demo_gray_map_and_lee_weight.py": "21e304d00419",
     "demo_three_weight_survey.py": "0ce26a041aa0",

@@ -195,6 +195,14 @@ REFUSALS = [
      "error: N does not divide p^m - 1 (5 does not divide 8)", True),
     (["verify", "-p", "3", "-m", "2", "-N", "5"], "abc",
      "error: N does not divide p^m - 1 (5 does not divide 8)", True),
+    (["verify", "-p", "3", "-m", "2", "--trials", "0"], None,
+     "error: trials must be >= 1, got 0", True),
+    # verify's --trials is named before a supplied modulus of the wrong
+    # degree, which only the field's build refuses, and before its budget
+    (["verify", "-p", "3", "-m", "2", "--trials", "0", "--modulus", "1,1"], None,
+     "error: trials must be >= 1, got 0", True),
+    (["verify", "-p", "3", "-m", "2", "--trials", "0"], "abc",
+     "error: trials must be >= 1, got 0", True),
     (["verify", "-p", "3", "-m", "2", "--trials", "1"], "abc",
      "error: TRACECODES_WORK_BUDGET must be an integer, got 'abc'", False),
     (["dual", "-p", "3", "-m", "2", "--modulus", "1,1,1"], None,

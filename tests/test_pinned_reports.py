@@ -24,45 +24,45 @@ from tracecodes.cli import main
 PINNED = {
     # exhaustive
     "analyze -p 3 -m 2 -N 1 --variant lift --method exhaustive --threads 1 --seed 7":
-        "3d98a28ed7e03a9e",
+        "f94c08cfaa4393c7",
     "analyze -p 3 -m 2 -N 1 --variant units --method exhaustive --threads 1 --seed 7":
-        "2b7b4345265276fb",
+        "c3f119ef13fedc58",
     "analyze -p 11 -m 1 -N 1 --variant lift --method exhaustive --threads 1 --seed 7":
-        "214d9119332c349b",
+        "5fa7336de50f6e21",
     "analyze -p 11 -m 1 -N 1 --variant units --method exhaustive --threads 1 --seed 7":
-        "df777f8202c52f0f",
+        "1b1d64adf55877e2",
     # class
     "analyze -p 3 -m 3 -N 1 --variant lift --method class --threads 2 --seed 7":
-        "c21158bf9ff71416",
+        "52a37f19452bc9b1",
     "analyze -p 5 -m 2 -N 3 --variant lift --method class --threads 2 --seed 7":
-        "9c30ebcae2c5c7ce",
+        "b1f1085acfbd25f7",
     # identities
     "verify -p 3 -m 3 -N 1 --threads 1 --seed 7":
-        "c6a26558e2548476",
+        "cca4a8bf938e2ac9",
     "verify -p 5 -m 2 -N 3 --subcode --threads 1 --seed 7":
-        "fdf76b2f30b9506a",
+        "d5aca058fd3d1552",
     # field-setup
     "dual -p 3 -m 9 -N 1 --threads 1 --seed 7":
-        "47bbdd1f985f9e4c",
+        "b0affdfcd5602ac9",
     "dual -p 5 -m 6 -N 1 --threads 1 --seed 7":
-        "2f3af06961d09ce4",
+        "5aee909843cbc7e0",
     "analyze -p 5 -m 7 --threads 1 --seed 7":
         "6f672fb913b00d1d",
     # beyond the benchmark
     "verify -p 3 -m 4 -N 4 --subcode":
-        "282a7d334f4bf430",
+        "6554b2be52e5b108",
     "analyze -p 40009 -m 1 --variant units":
-        "8fe4425c76d2e7f6",
+        "8403290af2c3c07a",
     "analyze -p 3 -m 2 --budget 8":
         "b96f447185fc3436",
     "analyze -p 3 -m 2 --format csv":
         "6a28708fa8853db4",
     "analyze -p 31 -m 3 -N 3":
-        "602dc92d3e29de66",
+        "0c458748758a6255",
     "analyze -p 3 -m 6 -N 13":
-        "8ffa9995d040aa85",
+        "af9406bd05c8cd7e",
     "dual -p 131 -m 1 --variant units":
-        "1a25983dae1cc207",
+        "65437e8c14a06b6d",
 }
 
 
@@ -107,7 +107,7 @@ def test_mismatch_report_is_pinned(capsys, monkeypatch):
                                     rows=((7776, 6551), (8748, 9)), side_conditions=())]
 
     monkeypatch.setattr(analysis, "predict", wrong_prediction)
-    assert_pinned("analyze -p 3 -m 2 -N 1", "871f9a06409b7983", capsys)
+    assert_pinned("analyze -p 3 -m 2 -N 1", "1ece34330f0a3874", capsys)
 
 
 def test_subcode_mismatch_report_is_pinned(capsys, monkeypatch):
@@ -121,7 +121,7 @@ def test_subcode_mismatch_report_is_pinned(capsys, monkeypatch):
                                     scope="subcode")]
 
     monkeypatch.setattr(analysis, "predict_subcode", wrong_subcode_table)
-    result = assert_pinned("verify -p 3 -m 4 -N 4 --subcode", "b494fe6b306e0450", capsys)
+    result = assert_pinned("verify -p 3 -m 4 -N 4 --subcode", "d8a422dfccb20f46", capsys)
     assert result["exit"] == 1
     assert result["report"]["subcode"]["ok"] is False
 
@@ -135,7 +135,7 @@ def test_breach_report_is_pinned(capsys, monkeypatch):
     from tracecodes import CodeParams, Field, derive_params, verify_identities
 
     _corrupt_class_counts(monkeypatch, [3])
-    result = assert_pinned("verify -p 3 -m 4 -N 4 --trials 1", "48f956f2a868ed04", capsys)
+    result = assert_pinned("verify -p 3 -m 4 -N 4 --trials 1", "ea7a03c6d890810d", capsys)
     breaches = verify_identities(derive_params(CodeParams(Field(3, 4), 4)), trials=1).breaches
     assert result["exit"] == 1
     assert [b["witness"] for b in breaches] == [{"class": 3}]
