@@ -1,20 +1,29 @@
 """Exact Lee-weight distributions, table predictions and character-sum checks.
 
-Weights are exact integers from a closed form, proved in _weights_serial:
-every codeword off the uv-line has weight 4*(p-1)*length/p, and a uv-line
-codeword d*uv has 4*q^3 times the number of x0 with Tr(d*x0) != 0.  The
-tests pin it bit for bit against a per-coordinate count and a
-symbol-by-symbol stream (the oracles).  Character sums (theta, Gaussian
+Theorem E: every Gray slot of a codeword Tr(r*x) has the symbol counts
+of its uv-coordinate, slot 0.  Proof: with (r_0, r_1, r_2, r_3) = (a, b,
+c, d), slot k is, mod p, the sum of Tr(r_j*y_j), y_j the sum of the axes
+x_t with j in ring.SLOT_TERMS[t][k]: y_3 = x0, y_2 = x1 + [k odd]*x0,
+y_1 = x2 + [k & 2]*x0 and y_0 = x3 + [k & 2]*x1 + [k & 1]*x2 + [k = 3]*x0.
+For a fixed x0, (x1, x2, x3) -> (y_2, y_1, y_0) is unitriangular plus a
+constant, a bijection of F_q^3, so over the coordinates slot k takes each
+value as often as slot 0, Tr(d*x0 + c*x1 + b*x2 + a*x3).
+
+Weights are exact integers from a closed form, proved from Theorem E in
+_weights_serial: every codeword off the uv-line has weight
+4*(p-1)*length/p, and a uv-line codeword d*uv has 4*q^3 times the number
+of x0 with Tr(d*x0) != 0.  The tests pin it bit for bit against a
+per-coordinate count and a symbol-by-symbol stream (the oracles), and
+Theorem E against that stream's four slots.  Character sums (theta, Gaussian
 sums) are double-precision cross-checks only; no integer fact depends on
 floating point.  Both read field.roots_of_unity(p), one cached table per
 p: a theta sum is an integer count vector times it, elementwise and
 summed, and the Gaussian sums read it at the trace table.  The identity
 suite, verify_identities, checks five facts: three of the field's tables
 (two counts in integers, and |G_j| in floats) and two of `trials` random
-codewords.  The Gray symbol histograms are the explicit per-axis counts
-of construction.gray_slot_counts, by the slot rule ring.SLOT_TERMS, never
-the theorem, so it checks the theorem's weights against an explicit
-count, in integers.
+codewords, whose Gray symbol counts are 4 times the explicit uv-slot
+counts of construction.uv_slot_counts, never the closed form, so it
+checks the closed form's weights against an explicit count, in integers.
 
 One lift, _lifted, turns subcode rows into the full code's: the q uv-line
 codewords d*uv weigh 4*q^3 times their field subcode words, and the other
@@ -49,9 +58,9 @@ from .construction import (
     DerivedParams,
     Variant,
     derive_params,
-    gray_slot_counts,
     slot_batch_rows,
     subcode_distribution,
+    uv_slot_counts,
 )
 from .errors import ParameterError, WorkBudgetExceeded
 from .field import Field, gauss_sums, multiplicative_order, roots_of_unity
@@ -70,21 +79,15 @@ def _weights_serial(dp: DerivedParams, rows: np.ndarray) -> np.ndarray:
     or Python ints (dtype object) once the Gray length reaches 2^63, which
     the units variant does for q past about 38900.
 
-    A coordinate is x = x0 + x1*u + x2*v + x3*uv with x0 in the base set
-    (or all units) and x1, x2, x3 free in F_q; Gray slot k of Tr(r*x) is,
-    mod p, the sum over the axes x_t of Tr(r_j*x_t), j in
-    ring.SLOT_TERMS[t][k], with (r_0, r_1, r_2, r_3) = (a, b, c, d).  Every
-    slot of x3 reads r_0 alone, and when r_0 = 0 every slot of x1 (x2)
-    reads r_2 (r_1) alone.
-
-    For y != 0 the map x -> Tr(y*x) is onto F_p and takes every value q/p
-    times (Lidl-Niederreiter, Finite Fields).  Off the uv-line (a, b, c)
-    is nonzero, so every slot has such a term, on x3 if a != 0, else on x1
-    or x2; that axis makes the slot uniform over F_p on the product set, so
-    it is zero on exactly length/p coordinates and the weight is
-    4*(p-1)*length/p, the same for every such row.  On the uv-line
-    (a = b = c = 0) all four slots are Tr(d*x0), repeated q^3 times, so
-    the weight is 4*q^3*#{x0 : Tr(d*x0) != 0}: n0 - DerivedParams.class_counts
+    A coordinate is x = x0 + x1*u + x2*v + x3*uv, x0 in x0_codes() and
+    x1, x2, x3 in F_q.  By Theorem E (the module docstring) the weight is 4
+    times the number of x where the uv-slot Tr(d*x0 + c*x1 + b*x2 + a*x3)
+    is nonzero.  For y != 0 the map x -> Tr(y*x) takes every value of F_p
+    q/p times (Lidl-Niederreiter, Finite Fields).  Off the uv-line (a, b,
+    c) != 0, so the uv-slot has such a term on x3, x2 or x1, is zero on
+    exactly length/p coordinates, and the weight is 4*(p-1)*length/p.  On
+    the uv-line (a = b = c = 0) it is Tr(d*x0), repeated q^3 times, so the
+    weight is 4*q^3*#{x0 : Tr(d*x0) != 0}: n0 - DerivedParams.class_counts
     at dlog(d) mod N2 for d != 0, and 0 at d = 0, whose traces all vanish.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
@@ -245,8 +248,8 @@ def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
 def gray_symbol_histogram(rows, dp: DerivedParams) -> np.ndarray:
     """(K, p) int64 counts of each prime-field value among the Gray symbols
     of the codewords of the K rows (a, b, c, d); each row sums to the Gray
-    length: the four slot counts of construction.gray_slot_counts, added."""
-    return gray_slot_counts(rows, dp).sum(axis=1)
+    length: 4 times construction.uv_slot_counts, by Theorem E."""
+    return 4 * uv_slot_counts(rows, dp)
 
 
 def thetas(hist: np.ndarray) -> np.ndarray:
@@ -308,9 +311,9 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     check_trials(trials)
     field, p, q, n0, n2 = dp.field, dp.p, dp.q, len(dp.x0_codes()), dp.N2
     taus = p - 1 if p % 4 == 3 else 1  # the multiples tau*r counted per codeword
-    # per multiple one histogram row: trace products (4*n0 + 3*q), entries
-    # (4*n0 + 5*q) and 3 axes x p shifts x 4p multiply-adds
-    per_trial = taus * (8 * n0 + 8 * q + 12 * p * p)
+    # per multiple one uv-slot row: trace products (n0 + 3*q), entries
+    # (n0 + 3*q) and 3 axes x p shifts x p multiply-adds
+    per_trial = taus * (2 * n0 + 6 * q + 3 * p * p)
     # one pass over q each for the class counts and the trace count, N2*p
     # comparisons, and the Gauss sums' gather (two passes over q) and FFT
     fixed = 4 * q + n2 * p + (q - 1) * (q - 1).bit_length()

@@ -1,4 +1,4 @@
-"""Defining sets, coordinate streams and the Gray slot counts of codewords.
+"""Defining sets, coordinate streams and the uv-slot counts of codewords.
 
 Parameters (p, m, N) fix the field F_q, q = p^m, and the subgroup data
 N1 = lcm(N, (q-1)/(p-1)), N2 = gcd(N, (q-1)/(p-1)), n = N1/N.  The base
@@ -11,7 +11,8 @@ of C_0^{N2} modulo F_p*.  Two coordinate sets are supported:
 
 Codewords are evaluations x -> Tr(r*x) over the coordinate set, one base
 ring symbol per coordinate (oracles.evaluate is that scalar map), and
-gray_slot_counts counts their Gray slots by the rule ring.SLOT_TERMS.
+uv_slot_counts counts their uv-coordinates, Gray slot 0, by the rule
+ring.SLOT_TERMS.
 Coordinates are streamed in a fixed order (constant coordinate first
 through D or through xi-powers, then each nilpotent coordinate ascending
 in coefficient-vector lexicographic order) so exports
@@ -229,48 +230,43 @@ def coord_blocks(dp: DerivedParams, block_size: int = _BLOCK_POSITIONS):
 
 
 def slot_batch_rows(dp: DerivedParams) -> int:
-    """Rows gray_slot_counts counts at once: its doubled (rows, 4, 2p) counts,
-    and four times one coordinate's products, hold _BLOCK_POSITIONS entries."""
+    """Rows uv_slot_counts counts at once, sized to a quarter block: their
+    products over one axis, or their doubled (rows, 2p) counts, hold at
+    most _BLOCK_POSITIONS / 4 entries."""
     return max(1, _BLOCK_POSITIONS // (4 * max(len(dp.x0_codes()), dp.q, 2 * dp.p)))
 
 
-def gray_slot_counts(rows, dp: DerivedParams) -> np.ndarray:
-    """(K, 4, p) int64 counts of each value of F_p in each Gray slot of the
-    codewords of the K rows (a, b, c, d); each slot sums to the code length.
+def uv_slot_counts(rows, dp: DerivedParams) -> np.ndarray:
+    """(K, p) int64 counts of each value of F_p in the uv-coordinate
+    Tr(d*x0 + c*x1 + b*x2 + a*x3), Gray slot 0, of the codewords of the K
+    rows (a, b, c, d); each row sums to the code length.  By Theorem E
+    (analysis) every Gray slot has these counts.
 
-    Slot k is a sum mod p of one term per axis, ring.SLOT_TERMS[t][k] for
-    axis x_t, so its count is the cyclic convolution over Z/p of the axes'
-    term counts.  The x0 axis runs over x0_codes(); the three F_q axes share
-    one set of int32 trace products, x over np.arange(q) (the order is
-    immaterial), and each distinct term set among them is one histogram.
-    Every count is explicit, never the kernel's theorem.  Exact int64, one
-    shifted copy of a doubled (rows, 4, 2p) array per value an axis takes:
-    O(n0 + q + p^2) work per row, numpy calls per batch of slot_batch_rows."""
+    Axis x_t adds Tr(r_j*x_t), (j,) = ring.SLOT_TERMS[t][0], so the count is
+    the cyclic convolution over Z/p of the four axes' histograms, x0 over
+    x0_codes() and the F_q axes over np.arange(q) (the order is immaterial),
+    each from one coordinate's int32 trace products.  Every count is
+    explicit, never the kernel's theorem.  Exact int64, one shifted copy of
+    the doubled counts per value an axis takes: O(n0 + q + p^2) work per
+    row, numpy calls per batch of slot_batch_rows."""
     p, rows, step = dp.p, np.asarray(rows, dtype=np.int64).reshape(-1, 4), slot_batch_rows(dp)
     if len(rows) > step:
-        return np.concatenate([gray_slot_counts(rows[i:i + step], dp)
+        return np.concatenate([uv_slot_counts(rows[i:i + step], dp)
                                for i in range(0, len(rows), step)])
     offsets = (p * np.arange(len(rows), dtype=np.int32))[:, None]
-    axes = []  # per axis, its four slots' (K, p) counts of their summed terms mod p
-    for points, axis_terms in ((dp.x0_codes(), SLOT_TERMS[:1]),
-                               (np.arange(dp.q, dtype=np.int32), SLOT_TERMS[1:])):
-        term_sets = {terms for slots in axis_terms for terms in slots}
-        products = {j: dp.field.trace_products(rows[:, j, None], points)
-                    for j in sorted(set().union(*term_sets))}
-        hists = {}
-        for terms in term_sets:  # one histogram per distinct term set
-            summed = sum((products[j] for j in terms[1:]), products[terms[0]]) % p + offsets
-            hists[terms] = np.bincount(summed.ravel(), minlength=len(rows) * p).reshape(-1, p)
-        axes += [[hists[terms] for terms in slots] for slots in axis_terms]
-        del products, summed, hists
-    counts = np.stack(axes.pop(0), axis=1)
-    while axes:  # an F_q axis's histograms are freed once it is convolved
-        axis = np.stack(axes.pop(0), axis=1)
-        # doubled[..., p - s + j] = counts[..., (j - s) % p]
-        doubled = np.concatenate([counts, counts], axis=2)
+    fq = np.arange(dp.q, dtype=np.int32)
+    counts = None  # x0 last: a small base set takes few values, so few shifts
+    for points, ((j,), *_) in zip((fq, fq, fq, dp.x0_codes()), SLOT_TERMS[::-1]):
+        hist = np.bincount((dp.field.trace_products(rows[:, j, None], points) + offsets).ravel(),
+                           minlength=len(rows) * p).reshape(-1, p)
+        if counts is None:  # the x3 axis
+            counts = hist
+            continue
+        # doubled[:, p - s + i] = counts[:, (i - s) % p]
+        doubled = np.concatenate([counts, counts], axis=1)
         counts = np.zeros_like(counts)
-        for s in np.flatnonzero(axis.any(axis=(0, 1))):
-            counts += axis[:, :, s, None] * doubled[:, :, p - s:2 * p - s]
+        for s in np.flatnonzero(hist.any(axis=0)):
+            counts += hist[:, s, None] * doubled[:, p - s:2 * p - s]
     return counts
 
 

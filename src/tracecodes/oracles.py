@@ -2,12 +2,12 @@
 Gray-word export, and the helpers that tests and demos use.
 
 A codeword is the evaluation x -> Tr(r*x) over the coordinate set; the
-package weighs codewords by the kernel's theorem and counts the Gray slots
-by convolution, so the definition itself lives here, as `evaluate` and the
-symbol stream `gray_symbols` (its slots from ring.SUBSETS and ring.GRAY),
-for the tests to compare against.  Neither ``tracecodes/__init__.py`` nor
-the CLI imports this module: import it as ``tracecodes.oracles``.  Oracles
-that only the tests use stay in the test suite.
+package weighs codewords by the kernel's theorem and counts one Gray slot
+by convolution (Theorem E), so the definition itself lives here, as
+`evaluate` and the symbol stream `gray_symbols` (its four slots from
+ring.SUBSETS and ring.GRAY), for the tests to compare against.  Neither
+``tracecodes/__init__.py`` nor the CLI imports this module: import it as
+``tracecodes.oracles``.  Oracles that only the tests use stay in the tests.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def _axis_terms(r: RingElem, dp: DerivedParams) -> list[np.ndarray]:
 
 def gray_symbols(r: RingElem, dp: DerivedParams) -> Iterator[np.ndarray]:
     """Stream the Gray image of the codeword of r as (block, 4) int16
-    arrays in [0, p): the export path and the oracle of
-    construction.gray_slot_counts.
+    arrays in [0, p): the export path and the oracle of Theorem E, whose
+    four slots each count as construction.uv_slot_counts.
 
     x3 is the innermost stream axis, so a block is one x0 and a run of
     (x1, x2) pairs times the full x3 axis, each slot a row gather, by the

@@ -230,6 +230,25 @@ def test_exhaustive_matches_every_codeword_weighed(p, m, N, variant):
     assert distribution_exhaustive(dp).entries == distribution_by_enumeration(dp)
 
 
+@pytest.mark.parametrize("p,m,N,variant", _exhaustive_grid())
+def test_theorem_e_every_gray_slot_counts_as_the_uv_slot(p, m, N, variant):
+    # each of the four slots of the symbol stream, built by ring.SUBSETS and
+    # ring.GRAY, counts each value of F_p as the uv-slot count does, row for
+    # row, and the Gray symbol histogram is their sum; the seeded rows are
+    # 0, on the uv-line, in the rest of the maximal ideal, and a unit
+    field = Field(p, m)
+    dp = derive_params(CodeParams(field, N, Variant(variant)))
+    rows = np.random.default_rng(p * 1000 + m * 100 + N).integers(1, field.q, size=(6, 4))
+    rows[0], rows[1, :3], rows[2, [0, 2]], rows[3, :2], rows[4, 0] = 0, 0, 0, 0, 0
+    uv, histogram = construction.uv_slot_counts(rows, dp), gray_symbol_histogram(rows, dp)
+    for coords, counts, total in zip(rows.tolist(), uv, histogram):
+        slots = np.zeros((4, p), dtype=np.int64)
+        for block in oracles.gray_symbols(RingElem(field, *coords), dp):
+            slots += [np.bincount(block[:, k], minlength=p) for k in range(4)]
+        assert all(np.array_equal(slot, counts) for slot in slots)
+        assert np.array_equal(slots.sum(axis=0), total)
+
+
 def test_exhaustive_budget_refusal(f25):
     # the exhaustive method is charged q = 25: one entry-operation under
     # that is refused, and q itself fits
@@ -583,17 +602,16 @@ def test_identity_suite_names_each_zero_trace_breach_by_class(f9, monkeypatch):
 
 
 def test_identity_suite_measures_the_histograms(f9, monkeypatch):
-    # the other side: wrong Gray slot counts (slot 2 reduced mod p - 1, so
-    # its count at the symbol p - 1 moves onto 0) must breach against the
-    # kernel weights
-    real = analysis.gray_slot_counts
+    # the other side: wrong uv-slot counts (reduced mod p - 1, so the count
+    # at the symbol p - 1 moves onto 0) must breach against the kernel weights
+    real = analysis.uv_slot_counts
 
     def mutant(rows, params):
         counts = real(rows, params)
-        counts[:, 2, 0] += counts[:, 2, -1]
-        counts[:, 2, -1] = 0
+        counts[:, 0] += counts[:, -1]
+        counts[:, -1] = 0
         return counts
-    monkeypatch.setattr(analysis, "gray_slot_counts", mutant)
+    monkeypatch.setattr(analysis, "uv_slot_counts", mutant)
     rep = verify_identities(derive_params(CodeParams(f9, 1)), trials=5)
     assert not rep.ok
     breached = {b["identity"] for b in rep.breaches}
@@ -606,7 +624,7 @@ def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
     # 1e-6 tolerance: the exact integer side must not hide a wrong kernel
     # or wrong counts
     dp = derive_params(CodeParams(Field(3, 5), 1))
-    real_kernel, real_counts = analysis._weights_serial, analysis.gray_slot_counts
+    real_kernel, real_counts = analysis._weights_serial, analysis.uv_slot_counts
     monkeypatch.setattr(analysis, "_weights_serial",
                         lambda dp, rows: real_kernel(dp, rows) + 4)
     rep = verify_identities(dp, trials=5)
@@ -615,10 +633,10 @@ def test_identity_suite_still_measures_past_float_ulp(monkeypatch):
 
     def mutant(rows, params):
         counts = real_counts(rows, params)
-        counts[:, 2, 0] += counts[:, 2, -1]
-        counts[:, 2, -1] = 0
+        counts[:, 0] += counts[:, -1]
+        counts[:, -1] = 0
         return counts
-    monkeypatch.setattr(analysis, "gray_slot_counts", mutant)
+    monkeypatch.setattr(analysis, "uv_slot_counts", mutant)
     rep = verify_identities(dp, trials=5)
     assert "weight_vs_zero_count" in {b["identity"] for b in rep.breaches}
 
@@ -628,8 +646,8 @@ def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monk
     # every tau*r of a drawn codeword is multiplied and counted on its own,
     # never derived from r's counts, in several batches of at most
     # slot_batch_rows rows, each taking one coordinate's trace products at a
-    # time: four over the base set and three over F_q; no batch of its own
-    # is counted for the weight check
+    # time: one over the base set and three over F_q for the uv-slot; no
+    # batch of its own is counted for the weight check
     dp = derive_params(CodeParams(Field(p, m), 1))
     real_hist, real_traces = analysis.gray_symbol_histogram, Field.trace_products
     batches, counted = [], []
@@ -644,7 +662,7 @@ def test_identity_suite_counts_scaled_rows_in_bounded_batches(p, m, trials, monk
     monkeypatch.setattr(analysis, "gray_symbol_histogram", recorded)
     monkeypatch.setattr(Field, "trace_products", traces)
     assert verify_identities(dp, trials=trials).ok
-    assert len(counted) > 7 and len(counted) % 7 == 0
+    assert len(counted) > 4 and len(counted) % 4 == 0
     assert {shape[1:] for shape in counted} == {(1,)}
     assert max(shape[0] for shape in counted) <= construction.slot_batch_rows(dp)
     # each codeword's p - 1 multiples, tau = 1 first, are its products with

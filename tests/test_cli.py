@@ -548,24 +548,25 @@ def test_verify_past_product_table_limit_runs_every_check(capsys):
 
 
 def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
-    # 100 weight rows, each a histogram of O(p^2): refused from the estimate
-    # alone, before any table, zero-trace count or histogram
+    # 200 weight rows, each a uv-slot count of O(p^2): refused from the
+    # estimate alone, before any table, zero-trace count or histogram
     from tracecodes import analysis
 
     def no_work(*args):
         raise AssertionError("identity-suite work ran before the refusal")
     monkeypatch.setattr(Field, "mul_table", property(no_work))
-    monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
+    monkeypatch.setattr(analysis, "uv_slot_counts", no_work)
     monkeypatch.setattr(DerivedParams, "class_counts", property(no_work))
     start = time.perf_counter()
-    code = main(["verify", "-p", "4093", "-m", "1", "-N", "1", "--threads", "1"])
+    code = main(["verify", "-p", "4093", "-m", "1", "-N", "1", "--trials", "200",
+                 "--threads", "1"])
     assert time.perf_counter() - start < 1
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 20106523569 entry-operations, over the "
-        "budget of 10000000000; the largest --trials that fits is 49"]
+        "refused: identity suite needs 10056570969 entry-operations, over the "
+        "budget of 10000000000; the largest --trials that fits is 198"]
 
 
 def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch, capsys):
@@ -577,7 +578,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
 
     def no_work(*args):
         raise AssertionError("identity-suite work ran before the refusal")
-    monkeypatch.setattr(analysis, "gray_slot_counts", no_work)
+    monkeypatch.setattr(analysis, "uv_slot_counts", no_work)
     monkeypatch.setattr(DerivedParams, "class_counts", property(no_work))
     start = time.perf_counter()
     code = main(["verify", "-p", "4099", "-m", "1", "--threads", "1"])
@@ -586,7 +587,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 82637978111369 entry-operations, over the "
+        "refused: identity suite needs 20666213663969 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -595,18 +596,18 @@ def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
 
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "50000")
     argv = ["verify", "-p", "3", "-m", "3", "-N", "1", "--threads", "1"]
-    assert main(argv) == 3
+    assert main([*argv, "--trials", "200"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("refused: identity suite needs ")
     fits = int(re.search(r"the largest --trials that fits is (\d+)$", err[0]).group(1))
-    assert fits == 58
+    assert fits == 115
     assert main([*argv, "--trials", str(fits)]) == 0
     assert main([*argv, "--trials", str(fits + 1)]) == 3
 
 
 def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
     # q = 6561, N2 = 1, one trial: the codeword's p - 1 = 2 multiples, each
-    # a histogram row of 8*n0 + 8*q + 12*p^2 (157672 for both), the first of
+    # a uv-slot row of 2*n0 + 6*q + 3*p^2 (91906 for both), the first of
     # them read by the weight check too; one pass over q each for the class
     # counts and the trace count, N2*p comparisons, and the Gauss sums'
     # gather (two passes over q) and one FFT of order q - 1 (111527); no
@@ -615,22 +616,22 @@ def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
     monkeypatch.setenv("TRACECODES_WORK_BUDGET", "10000000")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "269198")
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "203432")
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
-        "refused: identity suite needs 269199 entry-operations, over the budget of 269198")
+        "refused: identity suite needs 203433 entry-operations, over the budget of 203432")
 
 
 def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
     # the Gaussian sums and the class check read the trace table at the unit
-    # codes and take no trace products: every trace_products call is one of the seven per batch of
-    # the one codeword histogram (the codeword's two multiples, the first of
+    # codes and take no trace products: every trace_products call is one of the four per batch of
+    # the one uv-slot count (the codeword's two multiples, the first of
     # them read by the weight check too); a product per z != 0 would take
     # q - 1 = 728 calls
     from tracecodes import analysis
 
     calls, batches = [], []
-    real, real_counts = Field.trace_products, analysis.gray_slot_counts
+    real, real_counts = Field.trace_products, analysis.uv_slot_counts
 
     def counted(self, a, b):
         calls.append(1)
@@ -640,11 +641,11 @@ def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
         batches.append(len(rows))
         return real_counts(rows, dp)
     monkeypatch.setattr(Field, "trace_products", counted)
-    monkeypatch.setattr(analysis, "gray_slot_counts", counted_batches)
+    monkeypatch.setattr(analysis, "uv_slot_counts", counted_batches)
     assert main(["verify", "-p", "3", "-m", "6", "--trials", "1", "--threads", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["breaches"] == []
     assert batches == [2]
-    assert len(calls) == 7 * len(batches)
+    assert len(calls) == 4 * len(batches)
 
 
 def test_verify_at_61_counts_each_weight_row_once_in_time(capsys):

@@ -15,6 +15,7 @@ from tracecodes import (
     coord_at,
     coord_index,
     derive_params,
+    gray_symbol_histogram,
     is_unit,
     subcode_distribution,
 )
@@ -23,8 +24,8 @@ from tracecodes.construction import (
     contains,
     coord_blocks,
     coset_representatives,
-    gray_slot_counts,
     slot_batch_rows,
+    uv_slot_counts,
 )
 from tracecodes.limits import _is_prime
 from tracecodes.oracles import (
@@ -400,20 +401,25 @@ def _slot_bincount(blocks, p):
     (257, 1, 256, "lift", [(0, 3, 0, 5), (255, 3, 252, 7)]),
 ])
 def test_gray_slot_counts_match_symbol_bincount(p, m, N, variant, rows):
-    # rows cover r0 = 0, the uv-line, the off-line ideal and the units
+    # rows cover r0 = 0, the uv-line, the off-line ideal and the units; by
+    # Theorem E each of the four slots of the stream counts as the uv-slot,
+    # and the Gray symbol histogram is their sum
     field = Field(p, m)
     dp = derive_params(CodeParams(field, N, Variant(variant)))
     if not isinstance(rows, list):
         rows = _codeword_rows(field.q, rows, seed=p * 100 + m * 10 + N)
-    batch = gray_slot_counts(rows, dp)
-    assert batch.dtype == np.int64 and batch.shape == (len(rows), 4, p)
-    for coords, counts in zip(rows, batch):
+    batch = uv_slot_counts(rows, dp)
+    assert batch.dtype == np.int64 and batch.shape == (len(rows), p)
+    histogram = gray_symbol_histogram(rows, dp)
+    for coords, counts, total in zip(rows, batch, histogram):
         r = RingElem(field, *coords)
-        assert np.array_equal(counts, _slot_bincount(gray_symbols(r, dp), p))
+        slots = _slot_bincount(gray_symbols(r, dp), p)
+        assert all(np.array_equal(counts, slot) for slot in slots)
+        assert np.array_equal(total, slots.sum(axis=0))
         if dp.length <= 2**16:
             # the flat decoder shares no residue arithmetic with either side
             flat = _slot_bincount(_reference_gray_symbols(r, dp), p)
-            assert np.array_equal(counts, flat)
+            assert np.array_equal(slots, flat)
 
 
 @pytest.mark.parametrize("p,m,count", [(3, 3, 460), (131, 1, 50)])
@@ -423,36 +429,35 @@ def test_gray_slot_counts_batch_equals_single_rows(p, m, count):
     dp = derive_params(CodeParams(field, 1))
     assert count > 2 * slot_batch_rows(dp)
     rows = _codeword_rows(field.q, count, seed=p + m)
-    batch = gray_slot_counts(rows, dp)
-    assert batch.shape == (count, 4, p)
-    assert np.array_equal(batch, np.concatenate([gray_slot_counts([r], dp) for r in rows]))
+    batch = uv_slot_counts(rows, dp)
+    assert batch.shape == (count, p)
+    assert np.array_equal(batch, np.concatenate([uv_slot_counts([r], dp) for r in rows]))
 
 
-@pytest.mark.parametrize("p,m,N,variant,blocks,plus_output", [
-    (3, 3, 1, "lift", 2, True), (3, 6, 1, "lift", 2, True),
-    (3, 8, 1640, "lift", 2, True), (3, 7, 1, "units", 2, True),
-    # at q = p the convolution's doubled (rows, 4, 2p) counts lead
-    (61, 1, 1, "lift", 4.4, False), (131, 1, 1, "lift", 4.3, False),
-    (1021, 1, 1, "lift", 4.5, False),
+@pytest.mark.parametrize("p,m,N,variant,plus_output", [
+    (3, 3, 1, "lift", True), (3, 6, 1, "lift", True),
+    (3, 8, 1640, "lift", True), (3, 7, 1, "units", True),
+    # at q = p the doubled (rows, 2p) counts lead
+    (61, 1, 1, "lift", False), (131, 1, 1, "lift", False), (1021, 1, 1, "lift", False),
 ])
-def test_gray_slot_counts_batch_peak_is_bounded(p, m, N, variant, blocks, plus_output):
-    # one full batch peaks (tracemalloc) within `blocks` int64 blocks of
-    # _BLOCK_POSITIONS entries: the five F_q histograms share one set of
-    # int32 trace products, and each axis's histograms go once it is convolved
+def test_gray_slot_counts_batch_peak_is_bounded(p, m, N, variant, plus_output):
+    # one full batch of uv-slot counts peaks (tracemalloc) within 1.25 int64
+    # blocks of _BLOCK_POSITIONS entries: a quarter block of one axis's
+    # products at a time, and four (rows, p) histograms
     import tracemalloc
 
     from tracecodes.construction import _BLOCK_POSITIONS
 
     dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
     rows = _codeword_rows(dp.q, slot_batch_rows(dp), seed=p + m + N)
-    gray_slot_counts(rows, dp)
+    uv_slot_counts(rows, dp)
     tracemalloc.start()
     try:
-        counts = gray_slot_counts(rows, dp)
+        counts = uv_slot_counts(rows, dp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = blocks * 8 * _BLOCK_POSITIONS + (counts.nbytes if plus_output else 0)
+    bound = 1.25 * 8 * _BLOCK_POSITIONS + (counts.nbytes if plus_output else 0)
     assert peak <= bound, (peak, bound)
 
 
@@ -480,22 +485,22 @@ def test_dual_and_identity_suite_build_no_lex_table(monkeypatch):
 
 def test_gray_slot_counts_reads_a_flat_row_as_one_row():
     dp = derive_params(CodeParams(Field(3, 2), 1))
-    counts = gray_slot_counts((1, 2, 0, 5), dp)
-    assert counts.shape == (1, 4, 3)
-    assert np.array_equal(counts, gray_slot_counts([(1, 2, 0, 5)], dp))
+    counts = uv_slot_counts((1, 2, 0, 5), dp)
+    assert counts.shape == (1, 3)
+    assert np.array_equal(counts, uv_slot_counts([(1, 2, 0, 5)], dp))
 
 
 def test_gray_slot_counts_at_the_largest_table_prime():
     # O(n0 + q + p^2) per codeword: a unit row at p = 4093 counts in under
-    # 2 s; a != 0 puts a nonzero coefficient on the x3 axis of
-    # every slot, so each slot takes every value length/p times
+    # 2 s; a != 0 puts a nonzero coefficient on the x3 axis of the
+    # uv-slot, so it takes every value length/p times
     field = Field(4093, 1)
     dp = derive_params(CodeParams(field, 1))
     start = time.perf_counter()
-    counts = gray_slot_counts([(1, 2, 3, 4)], dp)
+    counts = uv_slot_counts([(1, 2, 3, 4)], dp)
     assert time.perf_counter() - start < 2
     assert counts.dtype == np.int64
-    assert np.array_equal(counts, np.full((1, 4, 4093), dp.length // 4093))
+    assert np.array_equal(counts, np.full((1, 4093), dp.length // 4093))
 
 
 # ---------------------------------------------------------------------------

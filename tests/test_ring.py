@@ -293,6 +293,12 @@ def test_slot_terms_hold_the_kernel_proofs_premise():
     assert not any(3 in terms for axis in (x1, x2, x3) for terms in axis)
 
 
+def test_slot_zero_reads_one_coefficient_per_axis():
+    # slot 0 is the uv-coordinate Tr(d*x0 + c*x1 + b*x2 + a*x3): axis x_t
+    # reads r_(3-t) alone, the premise of construction.uv_slot_counts
+    assert [axis[0] for axis in ring.SLOT_TERMS] == [(3 - t,) for t in range(4)]
+
+
 # ---------------------------------------------------------------------------
 # Gray map and Lee weight
 # ---------------------------------------------------------------------------
