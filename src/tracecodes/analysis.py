@@ -28,7 +28,7 @@ checks the closed form's weights against an explicit count, in integers.
 One lift, _lifted, turns subcode rows into the full code's: the q uv-line
 codewords d*uv weigh 4*q^3 times their field subcode words, and the other
 q^4 - q form one bulk row.  distribution_exhaustive lifts the subcode rows
-of the class counts (the work budget charges them q), checked against all
+of the class counts (one pass over the trace table), checked against all
 q^4 rows weighed one by one (tests/oracles.py); predict lifts each table,
 written once for the subcode.  distribution_by_class returns those rows and
 weighs seeded members of each class (j < N2) against its representative
@@ -58,6 +58,7 @@ from .construction import (
     DerivedParams,
     Variant,
     derive_params,
+    lift_class_counts,
     slot_batch_rows,
     subcode_distribution,
     uv_slot_counts,
@@ -145,7 +146,7 @@ class WeightDistribution:
         return min(self.nonzero())
 
 
-def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> WeightDistribution:
+def distribution_exhaustive(dp: DerivedParams) -> WeightDistribution:
     """The weight of every codeword, exact, by the theorem in _weights_serial.
 
     The measured field subcode rows, lifted (_lifted): the q uv-line rows
@@ -153,18 +154,11 @@ def distribution_exhaustive(dp: DerivedParams, budget: int | None = None) -> Wei
     of a degenerate lift whose traces all vanish weigh 0, and the other
     q^4 - q codewords form the bulk row, of weight _bulk_weight(dp).
 
-    The work budget charges q entry-operations, one pass over the trace
-    table for the class counts; a smaller budget is refused, and no method
-    fits it, since the class method reads the same counts.  The zero row
-    must hold the kernel of r -> c(r), p^(4m-k) codewords at dimension k;
-    a zero row of any other size fails a theorem check.
+    The class counts take one pass over the trace table, O(q) work that
+    the 64-bit guard bounds, so no work budget applies.  The zero row must
+    hold the kernel of r -> c(r), p^(4m-k) codewords at dimension k; a
+    zero row of any other size fails a theorem check.
     """
-    budget = resolve_budget(budget)
-    if dp.q > budget:
-        raise WorkBudgetExceeded(
-            f"the distribution needs q = {dp.q} entry-operations, over the budget of "
-            f"{budget}; no method fits below q, since every method reads the uv-line's "
-            "class counts")
     entries = _lifted(dp, subcode_distribution(dp))
     kernel = dp.p ** (4 * dp.m - dp.dimension)
     if entries.get(0) != kernel:
@@ -183,8 +177,7 @@ def _sample_class(name: str, j: int, dp: DerivedParams,
 
 
 def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
-                          seed: int = DEFAULT_SEED,
-                          budget: int | None = None) -> WeightDistribution:
+                          seed: int = DEFAULT_SEED) -> WeightDistribution:
     """The rows of distribution_exhaustive, with the cyclotomic split of the
     uv-line checked on seeded samples.
 
@@ -196,21 +189,13 @@ def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
     with their number.  The draws read the class counts, as their
     representative does, so they cannot disagree: a disagreement is a
     failed theorem check, an AssertionError whose message names the class,
-    the sample's row as witness, and both weights.  The work budget charges
-    q + N2*samples_per_class before any draw.
+    the sample's row as witness, and both weights.
     """
     if samples_per_class < 1:
         raise ParameterError(
             f"samples per class must be >= 1, got {samples_per_class}: the class "
             "method validates every uv-line class on seeded samples")
-    budget, work = resolve_budget(budget), dp.q + dp.N2 * samples_per_class
-    if dp.q <= budget < work:
-        fits = (budget - dp.q) // dp.N2
-        raise WorkBudgetExceeded(
-            f"the class method needs q + N2*samples = {work} entry-operations, over the "
-            f"budget of {budget}; " + (f"the largest --samples that fits is {fits}" if fits else
-                                       "no --samples value fits; --method exhaustive does"))
-    dist = distribution_exhaustive(dp, budget)
+    dist = distribution_exhaustive(dp)
     names = [f"uv-line class {j}" for j in range(dp.N2)]
     size = (dp.q - 1) // dp.N2
     rep_rows = [(0, 0, 0, dp.field.exp_code(j)) for j in range(dp.N2)]
@@ -311,13 +296,13 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     check_trials(trials)
     field, p, q, n0, n2 = dp.field, dp.p, dp.q, len(dp.x0_codes()), dp.N2
     taus = p - 1 if p % 4 == 3 else 1  # the multiples tau*r counted per codeword
-    # per multiple one uv-slot row: trace products (n0 + 3*q), entries
-    # (n0 + 3*q) and 3 axes x p shifts x p multiply-adds
-    per_trial = taus * (2 * n0 + 6 * q + 3 * p * p)
+    # per multiple one uv-slot row: trace products and entries (n0 + 3*q each), and p
+    # multiply-adds per shift, p shifts on each of x2 and x1, on x0 one per value a batch takes
+    per_trial = taus * (2 * n0 + 6 * q + 2 * p * p + p * min(p, slot_batch_rows(dp) * n0))
     # one pass over q each for the class counts and the trace count, N2*p
     # comparisons, and the Gauss sums' gather (two passes over q) and FFT
     fixed = 4 * q + n2 * p + (q - 1) * (q - 1).bit_length()
-    if (needs := fixed + trials * per_trial) > (budget := resolve_budget(None)):
+    if (needs := fixed + trials * per_trial) > (budget := resolve_budget()):
         fits = max(0, (budget - fixed) // per_trial)
         raise WorkBudgetExceeded(
             f"identity suite needs {needs} entry-operations, over the budget of {budget}; "
@@ -334,15 +319,14 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
     # H[r, a] from the xi-order traces in rows of N2: column r holds the k = r mod N2
     hist = np.bincount((field.trace_table[field.unit_codes()].reshape(-1, n2)
                         + p * np.arange(n2)).ravel(), minlength=n2 * p).reshape(n2, p)
-    lift = dp if dp.variant is Variant.LIFT else derive_params(
-        replace(dp.params, variant=Variant.LIFT))
-    zeros, expected = hist[:, 0], (p - 1) * lift.class_counts
+    counts = dp.class_counts if dp.variant is Variant.LIFT else lift_class_counts(field, n2)
+    zeros, expected = hist[:, 0], (p - 1) * counts
     # |zeros - expected| as a maximum: np.abs on int64 faults in 64 KB more of numpy's code
     gaps = np.maximum(np.maximum(zeros - expected, expected - zeros), np.ptp(hist[:, 1:], axis=1))
     for r, gap in enumerate(gaps.tolist()):
         record("class_zero_traces", float(gap), {"class": r})
     record("gauss_sum_trivial", float(abs(int(zeros.sum()) - (q // p - 1))), {})
-    del hist, zeros, expected, gaps
+    del hist, counts, zeros, expected, gaps
     # |G_j| = sqrt(q), j = 1..q-2; the sums are freed before any codeword block is drawn
     gaps = np.abs(np.abs(gauss_sums(field)[1:]) - math.sqrt(q))
     residuals["gauss_sum_modulus"] = float(gaps.max())

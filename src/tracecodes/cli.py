@@ -3,7 +3,8 @@
 Identical configurations (including the seed) produce byte-identical
 reports apart from the runtime_ms field.  Exit codes: 0 all executed
 checks passed, 1 a prediction mismatch or residual breach, 2 parameter or
-usage error, 3 work-budget refusal.  A failed internal theorem check (the
+usage error, 3 a work-budget refusal, which only verify makes: the 64-bit
+guard bounds analyze's O(q) work.  A failed internal theorem check (the
 library's, such as a zero row off the dimension in
 analysis.distribution_exhaustive) is an AssertionError that main does not
 catch: it ends the process through the interpreter, with its traceback
@@ -78,12 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     sp.add_argument("--method", choices=["exhaustive", "class"], default="exhaustive",
-                    help="class also checks the uv-line classes on seeded samples")
-    sp.add_argument("--samples", type=int, default=500,
-                    help="validation samples per uv-line class (class method)")
-    sp.add_argument("--budget", type=int, default=None,
-                    help="entry-operation budget: q, plus N2 per class sample "
-                         "(default from TRACECODES_WORK_BUDGET or 10^10)")
+                    help="class also checks each uv-line class on 500 seeded samples")
 
     sp = sub.add_parser("dual", help="dual Lee distance with witness")
     _add_common(sp)
@@ -168,13 +164,11 @@ def _compared(section: dict) -> dict:
 
 
 def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
-    budget = limits.resolve_budget(cfg.budget)
     dp = _build_params(cfg)
     if cfg.method == "class":
-        dist = analysis.distribution_by_class(dp, samples_per_class=cfg.samples,
-                                              seed=cfg.seed, budget=budget)
+        dist = analysis.distribution_by_class(dp, seed=cfg.seed)
     else:
-        dist = analysis.distribution_exhaustive(dp, budget=budget)
+        dist = analysis.distribution_exhaustive(dp)
 
     preds = analysis.predict(dp)
     comparison = analysis.compare_with_predictions(dist.entries, preds)

@@ -124,22 +124,27 @@ class DerivedParams:
     @cached_property
     def class_counts(self) -> np.ndarray:
         """Z_r, r < N2 (read-only int64): every c != 0 has Z[dlog(c) mod N2]
-        zeros among Tr(c*x0), x0 in x0_codes().  F_p* times the base set is
-        <xi^N2>, so the lift's Z_r is #{k = r mod N2 : Tr(xi^k) = 0}/(p - 1),
-        counted a block of whole rows of N2 exponents at a time; the units'
-        is q/p - 1, from no table (Lidl & Niederreiter, Sec. 2.3)."""
-        if self.variant is Variant.UNITS:
-            counts = np.full(self.N2, self.q // self.p - 1)
-        else:
-            field, n2 = self.field, self.N2
-            step = max(1, _BLOCK_POSITIONS // n2) * n2
-            zeros = sum((field.trace_table[field.unit_codes()[lo:lo + step]] == 0)
-                        .reshape(-1, n2).sum(axis=0) for lo in range(0, field.order, step))
-            counts, rest = np.divmod(zeros, self.p - 1)
-            if rest.any():
-                raise AssertionError("a class's zero traces are not a multiple of p - 1")
+        zeros among Tr(c*x0), x0 in x0_codes().  The lift's are
+        lift_class_counts; the units' are q/p - 1, from no table (Lidl &
+        Niederreiter, Sec. 2.3)."""
+        counts = (lift_class_counts(self.field, self.N2) if self.variant is Variant.LIFT
+                  else np.full(self.N2, self.q // self.p - 1))
         counts.flags.writeable = False
         return counts
+
+
+def lift_class_counts(field: Field, n2: int) -> np.ndarray:
+    """The lift's class counts Z_r, r < n2 (int64), which depend on N only
+    through N2 = n2, as F_p* times the base set is <xi^N2>: Z_r is
+    #{k = r mod n2 : Tr(xi^k) = 0}/(p - 1), one pass over the trace table,
+    a block of whole rows of n2 exponents at a time."""
+    step = max(1, _BLOCK_POSITIONS // n2) * n2
+    zeros = sum((field.trace_table[field.unit_codes()[lo:lo + step]] == 0)
+                .reshape(-1, n2).sum(axis=0) for lo in range(0, field.order, step))
+    counts, rest = np.divmod(zeros, field.p - 1)
+    if rest.any():
+        raise AssertionError("a class's zero traces are not a multiple of p - 1")
+    return counts
 
 
 def coset_representatives(field: Field, N: int, n: int) -> np.ndarray:

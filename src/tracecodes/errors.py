@@ -6,4 +6,4 @@ class ParameterError(ValueError):
 
 
 class WorkBudgetExceeded(RuntimeError):
-    """An exhaustive job would exceed the configured entry-operation budget."""
+    """An identity suite (verify) would exceed the entry-operation budget."""

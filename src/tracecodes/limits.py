@@ -1,7 +1,7 @@
 """The request defaults and every check a run passes before its first field
 table is built.  This module imports no numpy, so ``python -m tracecodes.cli``
 refuses a bad request before it imports the engine; cli.main, Field,
-derive_params and the analysis budget call these same checks.
+derive_params and the identity suite call these same checks.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import os
 
 from .errors import ParameterError
 
-#: Default ceiling on exhaustive and identity-suite work, in entry-operations.
+#: Default ceiling on identity-suite work, in entry-operations.
 DEFAULT_WORK_BUDGET = 10**10
 
 #: Default seed of every seeded draw (class samples, identity-suite trials).
@@ -28,11 +28,11 @@ CODEWORD_COUNT_GUARD = 2**63
 def check_request(cfg) -> None:
     """Every check of a parsed CLI request (an argparse.Namespace) that needs
     no field table, in the order a run meets them: --threads, --seed, -o,
-    analyze's work budget, the 64-bit codeword guard, the --modulus syntax,
-    the field's p and m, -N and verify's --trials.  The supplied modulus's
-    degree and irreducibility are checked when its field is built, after
-    these.  verify reads its budget only once its field is built, so it is
-    not checked here."""
+    the 64-bit codeword guard, the --modulus syntax, the field's p and m,
+    -N and verify's --trials.  The supplied modulus's degree and
+    irreducibility are checked when its field is built, after these.
+    verify, the one command with a work budget, reads it only once its
+    field is built, so it is not checked here."""
     if cfg.threads < 1:
         raise ParameterError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.seed < 0:
@@ -44,8 +44,6 @@ def check_request(cfg) -> None:
     if cfg.out and not os.access(os.path.dirname(cfg.out) or ".", os.W_OK):
         raise ParameterError(f"cannot write the report to {cfg.out}: "
                              "its directory is missing or not writable")
-    if cfg.command == "analyze":
-        resolve_budget(cfg.budget)
     check_codeword_count_guard(cfg.p, cfg.m)
     if cfg.modulus is not None:
         parse_modulus(cfg.modulus)
@@ -55,19 +53,18 @@ def check_request(cfg) -> None:
         check_trials(cfg.trials)
 
 
-def resolve_budget(budget: int | None) -> int:
-    """The work budget: `budget`, else TRACECODES_WORK_BUDGET, else the default."""
-    if budget is None:
-        env = os.environ.get("TRACECODES_WORK_BUDGET")
-        if not env:
-            return DEFAULT_WORK_BUDGET
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ParameterError(
-                f"TRACECODES_WORK_BUDGET must be an integer, got {env!r}") from None
+def resolve_budget() -> int:
+    """The work budget: TRACECODES_WORK_BUDGET, else the default."""
+    env = os.environ.get("TRACECODES_WORK_BUDGET")
+    if not env:
+        return DEFAULT_WORK_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        raise ParameterError(
+            f"TRACECODES_WORK_BUDGET must be an integer, got {env!r}") from None
     if budget < 0:
-        raise ParameterError(f"work budget must be >= 0, got {budget}")
+        raise ParameterError(f"TRACECODES_WORK_BUDGET must be >= 0, got {budget}")
     return budget
 
 

@@ -13,7 +13,6 @@ from tracecodes import (
     CodeParams,
     RingElem,
     Variant,
-    WorkBudgetExceeded,
     compare_with_predictions,
     derive_params,
     distribution_by_class,
@@ -192,8 +191,7 @@ def test_exhaustive_three_weight_window(f9):
     assert 2916 <= min(nonzero) <= 3888
 
 
-#: How far the q^4-row oracle reaches, in codewords times coordinates; the
-#: work budget, which charges the exhaustive method only q, sets no bound here.
+#: How far the q^4-row oracle reaches, in codewords times coordinates.
 ORACLE_REACH = 10**10
 
 
@@ -247,39 +245,6 @@ def test_theorem_e_every_gray_slot_counts_as_the_uv_slot(p, m, N, variant):
             slots += [np.bincount(block[:, k], minlength=p) for k in range(4)]
         assert all(np.array_equal(slot, counts) for slot in slots)
         assert np.array_equal(slots.sum(axis=0), total)
-
-
-def test_exhaustive_budget_refusal(f25):
-    # the exhaustive method is charged q = 25: one entry-operation under
-    # that is refused, and q itself fits
-    with pytest.raises(WorkBudgetExceeded, match="needs q = 25 .* no method fits"):
-        distribution_exhaustive(derive_params(CodeParams(f25, 3)), budget=24)
-    dist = distribution_exhaustive(derive_params(CodeParams(f25, 3)), budget=25)
-    assert sum(dist.entries.values()) == 25**4
-
-
-def test_class_method_is_charged_q(f9):
-    # the class method reads its rows off the same q-entry table, and is
-    # charged one more entry-operation per draw: N2 = 1 here
-    dp = derive_params(CodeParams(f9, 1))
-    with pytest.raises(WorkBudgetExceeded, match="needs q = 9 "):
-        distribution_by_class(dp, samples_per_class=1, budget=8)
-    dist = distribution_by_class(dp, samples_per_class=1, budget=10)
-    assert sum(dist.entries.values()) == 9**4
-
-
-def test_class_samples_are_charged_before_any_draw(monkeypatch):
-    # q + N2*samples = 25 + 2*10 at (5,2,4); a budget below that is refused
-    # with the largest samples that fit, and no draw is made
-    dp = derive_params(CodeParams(Field(5, 2), 4))
-    assert dp.N2 == 2
-    monkeypatch.setattr(analysis, "_sample_class", lambda *a: pytest.fail("a draw was made"))
-    with pytest.raises(WorkBudgetExceeded,
-                       match=r"needs q \+ N2\*samples = 45 .* budget of 44; "
-                             "the largest --samples that fits is 9$"):
-        distribution_by_class(dp, samples_per_class=10, budget=44)
-    with pytest.raises(WorkBudgetExceeded, match="no --samples value fits; --method exhaustive"):
-        distribution_by_class(dp, samples_per_class=1, budget=26)
 
 
 def test_exhaustive_reads_the_uv_line_from_the_class_counts(f25, monkeypatch):
@@ -344,7 +309,7 @@ def test_class_method_equals_exhaustive_on_the_grid():
         split = Counter({0: 1, analysis._bulk_weight(dp): dp.codeword_count - dp.q})
         for rep in by_class.detail["representatives"]:
             split[rep["weight"]] += rep["size"]
-        exhaustive = distribution_exhaustive(dp, budget=2**80).entries
+        exhaustive = distribution_exhaustive(dp).entries
         if not by_class.entries == dict(split) == exhaustive:
             mismatched.append((p, m, N, variant))
     assert mismatched == []
@@ -357,7 +322,7 @@ def test_dimension_counts_the_zero_row_on_the_grid():
     degenerate = broken_at_4m = 0
     for p, m, N, variant in _class_grid():
         dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
-        dist = distribution_exhaustive(dp, budget=2**80)
+        dist = distribution_exhaustive(dp)
         d = dist.min_nonzero_weight
         assert dist.entries[0] == p ** (4 * m - dp.dimension), (p, m, N, variant)
         assert griesmer_optimal(dp.gray_length, dp.dimension, d, p).feasible
@@ -376,12 +341,6 @@ def test_class_method_three_weight(f25):
     dist = distribution_by_class(derive_params(CodeParams(f25, 3)), samples_per_class=100)
     pred = predict(derive_params(CodeParams(f25, 3)))[0]
     assert dist.nonzero() == pred.rows_dict()
-
-
-def test_budget_env_override(f9, monkeypatch):
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "8")
-    with pytest.raises(WorkBudgetExceeded, match="no method fits"):
-        distribution_exhaustive(derive_params(CodeParams(f9, 1)))
 
 
 def test_class_method_seed_recorded(f9):
@@ -535,16 +494,16 @@ def test_identity_suite_forms_each_gauss_sum_once(monkeypatch):
 
 
 def _corrupt_class_counts(monkeypatch, classes):
-    # every DerivedParams reads its class counts with one added at `classes`
-    from tracecodes.construction import DerivedParams
+    # the lift's class counts, which every lift DerivedParams and the units
+    # variant's identity suite read, come with one added at `classes`
+    real = construction.lift_class_counts
 
-    real = DerivedParams.class_counts.func
-
-    def corrupted(dp):
-        counts = real(dp).copy()
+    def corrupted(field, n2):
+        counts = real(field, n2)
         counts[classes] += 1
         return counts
-    monkeypatch.setattr(DerivedParams, "class_counts", property(corrupted))
+    for module in (construction, analysis):
+        monkeypatch.setattr(module, "lift_class_counts", corrupted)
 
 
 def test_identity_suite_checks_the_counts_against_an_independent_sum(monkeypatch):
@@ -559,6 +518,20 @@ def test_identity_suite_checks_the_counts_against_an_independent_sum(monkeypatch
         assert [(b["identity"], b["witness"]) for b in rep.breaches] == [
             ("class_zero_traces", {"class": 3})], variant
         assert rep.breaches[0]["residual"] == dp.p - 1
+
+
+def test_units_identity_suite_derives_no_second_code(monkeypatch):
+    # the units run checks the lift's class counts from lift_class_counts,
+    # the one pass DerivedParams.class_counts makes, not from a lift
+    # DerivedParams of its own
+    dp = derive_params(CodeParams(Field(3, 4), 4, Variant.UNITS))
+
+    def no_derive(*args):
+        raise AssertionError("verify_identities derived a second DerivedParams")
+    for module in (analysis, construction):
+        monkeypatch.setattr(module, "derive_params", no_derive)
+    rep = verify_identities(dp, trials=1)
+    assert rep.ok and rep.residuals["class_zero_traces"] == 0.0
 
 
 def test_identity_suite_checks_the_trace_table(monkeypatch):

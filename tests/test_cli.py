@@ -62,15 +62,43 @@ def test_one_field_per_run(tmp_path, monkeypatch, argv):
 
 
 def test_analyze_class_method(tmp_path):
+    # the CLI draws the library's default 500 samples per class
     code, report = run_json(
         tmp_path, "analyze", "-p", "3", "-m", "2", "-N", "1",
-        "--method", "class", "--samples", "20", "--threads", "1",
+        "--method", "class", "--threads", "1",
     )
     assert code == 0
     assert report["method"] == "class"
     rows = {r["weight"]: r["frequency"] for r in report["rows"]}
     assert rows == {0: 1, 7776: 6552, 8748: 8}
-    assert report["detail"]["samples_per_class"] == 20
+    assert report["detail"]["samples_per_class"] == 500
+
+
+@pytest.mark.parametrize("env", ["0", "abc"])
+def test_analyze_reads_no_work_budget(env, tmp_path, monkeypatch):
+    # analyze's O(q) work is bounded by the 64-bit guard, so neither method
+    # reads TRACECODES_WORK_BUDGET: a zero or malformed value changes no row
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", env)
+    for method in ("exhaustive", "class"):
+        code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "2",
+                                "--method", method, "--threads", "1")
+        assert code == 0
+        assert report["rows"] == [{"weight": 0, "frequency": 1},
+                                  {"weight": 7776, "frequency": 6552},
+                                  {"weight": 8748, "frequency": 8}]
+
+
+@pytest.mark.parametrize("option", [["--budget", "8"], ["--samples", "5"]])
+def test_analyze_has_no_budget_or_samples_option(option, capsys):
+    # argparse refuses them with its usage line, and no report is written
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "-p", "3", "-m", "2", *option])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "usage: tracecodes [-h] {analyze,dual,verify} ...",
+        f"tracecodes: error: unrecognized arguments: {' '.join(option)}"]
 
 
 def test_analyze_units_variant(tmp_path):
@@ -94,40 +122,6 @@ def test_even_characteristic_rejected(capsys):
     code = main(["verify", "-p", "2", "-m", "2", "-N", "1"])
     assert code == 2
     assert "odd" in capsys.readouterr().err
-
-
-def test_budget_refusal_distinct_exit_code(tmp_path, capsys):
-    # the exhaustive method is charged q = 25, one over this budget
-    code = main(["analyze", "-p", "5", "-m", "2", "-N", "3",
-                 "--method", "exhaustive", "--budget", "24", "--threads", "1"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "budget" in err and "no method fits" in err
-
-
-@pytest.mark.parametrize("method", [[], ["--method", "class"]])
-def test_budget_below_q_refuses_every_method(method, capsys):
-    # both methods are charged q = 9 for the uv-line's class counts, so a
-    # budget of 8 fits neither
-    code = main(["analyze", "-p", "3", "-m", "2", "--budget", "8", "--threads", "1", *method])
-    assert code == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines() == [
-        "refused: the distribution needs q = 9 entry-operations, over the budget of 8; "
-        "no method fits below q, since every method reads the uv-line's class counts"]
-
-
-def test_class_samples_past_the_budget_are_refused_at_once(capsys):
-    # q + N2*samples = 3 + 10^8 at (3,1,1): one refused line with the
-    # estimate and the largest --samples that fits, and no report
-    code = main(["analyze", "-p", "3", "-m", "1", "--method", "class",
-                 "--samples", "100000000", "--budget", "100", "--threads", "1"])
-    out, err = capsys.readouterr()
-    assert code == 3 and out == ""
-    assert err.splitlines() == [
-        "refused: the class method needs q + N2*samples = 100000003 entry-operations, "
-        "over the budget of 100; the largest --samples that fits is 97"]
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -189,8 +183,7 @@ def test_option_inventory_is_pinned():
               "--variant": "lift", "--modulus": None, "--seed": DEFAULT_SEED,
               "--threads": 1, "-o/--out": None}
     assert inventory == {
-        "analyze": {**common, "--format": "json", "--method": "exhaustive", "--samples": 500,
-                    "--budget": None},
+        "analyze": {**common, "--format": "json", "--method": "exhaustive"},
         "dual": common,
         "verify": {**common, "--trials": 100, "--subcode": False},
     }
@@ -294,13 +287,6 @@ def test_bad_modulus_rejected(capsys):
     assert "reducible" in capsys.readouterr().err
 
 
-def test_budget_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("TRACECODES_WORK_BUDGET", "8")
-    code = main(["analyze", "-p", "3", "-m", "2", "-N", "1",
-                 "--method", "exhaustive", "--threads", "1"])
-    assert code == 3
-
-
 def test_exhaustive_at_q_19683_runs_at_the_default_budget(tmp_path):
     # one pass over a table of q = 3^9 zero-trace counts
     start = time.perf_counter()
@@ -316,8 +302,8 @@ def test_exhaustive_at_q_19683_runs_at_the_default_budget(tmp_path):
 @pytest.mark.parametrize("method", ["exhaustive", "class"])
 def test_degenerate_lift_reports_its_dimension(tmp_path, method):
     # at (3,3,13) nine r give the zero word: k = 10, not 4m = 12, and at
-    # k = 10 the code is Griesmer-optimal (at 12 the bound would fail); both
-    # methods run at the default budget, which charges the exhaustive one q
+    # k = 10 the code is Griesmer-optimal (at 12 the bound would fail), by
+    # either method
     code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "3", "-N", "13",
                             "--method", method, "--threads", "1")
     assert code == 0
@@ -404,9 +390,10 @@ def test_analyze_without_prediction_reports_no_verdict(tmp_path, variant):
 
 @pytest.mark.parametrize("extra,env", [
     (["--threads", "0"], None),
-    (["--budget", "-1"], None),
-    (["--method", "class", "--samples", "0"], None),
-    ([], "abc"),
+    (["--seed", "-1"], None),
+    (["-N", "5"], None),
+    # analyze reads no work budget: the reducible modulus is what is named
+    (["--modulus", "1,1,1"], "abc"),
 ])
 def test_bad_input_exits_two_with_one_line_error(extra, env, monkeypatch, capsys):
     if env is not None:
@@ -523,7 +510,7 @@ def test_analyze_weights_past_int64_are_exact(capsys):
     assert max(expected) > 2**63
     for method in ("exhaustive", "class"):
         code = main(["analyze", "-p", str(p), "-m", "1", "--variant", "units",
-                     "--method", method, "--samples", "3", "--threads", "1"])
+                     "--method", method, "--threads", "1"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert {r["weight"]: r["frequency"] for r in report["rows"]} == expected
@@ -548,7 +535,7 @@ def test_verify_past_product_table_limit_runs_every_check(capsys):
 
 
 def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
-    # 200 weight rows, each a uv-slot count of O(p^2): refused from the
+    # 300 weight rows, each a uv-slot count of O(p^2): refused from the
     # estimate alone, before any table, zero-trace count or histogram
     from tracecodes import analysis
 
@@ -558,15 +545,15 @@ def test_verify_at_the_largest_table_prime_refuses_at_once(monkeypatch, capsys):
     monkeypatch.setattr(analysis, "uv_slot_counts", no_work)
     monkeypatch.setattr(DerivedParams, "class_counts", property(no_work))
     start = time.perf_counter()
-    code = main(["verify", "-p", "4093", "-m", "1", "-N", "1", "--trials", "200",
+    code = main(["verify", "-p", "4093", "-m", "1", "-N", "1", "--trials", "300",
                  "--threads", "1"])
     assert time.perf_counter() - start < 1
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 10056570969 entry-operations, over the "
-        "budget of 10000000000; the largest --trials that fits is 198"]
+        "refused: identity suite needs 10060254869 entry-operations, over the "
+        "budget of 10000000000; the largest --trials that fits is 298"]
 
 
 def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch, capsys):
@@ -587,7 +574,7 @@ def test_verify_just_past_the_table_limit_is_refused_by_the_estimate(monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "refused: identity suite needs 20666213663969 entry-operations, over the "
+        "refused: identity suite needs 13782515384369 entry-operations, over the "
         "budget of 10000000000; no --trials value fits"]
 
 
@@ -607,7 +594,8 @@ def test_verify_refusal_names_the_largest_trials_that_fit(monkeypatch, capsys):
 
 def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
     # q = 6561, N2 = 1, one trial: the codeword's p - 1 = 2 multiples, each
-    # a uv-slot row of 2*n0 + 6*q + 3*p^2 (91906 for both), the first of
+    # a uv-slot row of 2*n0 + 6*q + 2*p^2 + p*min(p, rows*n0), rows = 1 per
+    # batch here, so 2*n0 + 6*q + 3*p^2 (91906 for both), the first of
     # them read by the weight check too; one pass over q each for the class
     # counts and the trace count, N2*p comparisons, and the Gauss sums'
     # gather (two passes over q) and one FFT of order q - 1 (111527); no
@@ -620,6 +608,23 @@ def test_verify_estimate_charges_the_work_that_runs(monkeypatch, capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
         "refused: identity suite needs 203433 entry-operations, over the budget of 203432")
+
+
+def test_verify_estimate_charges_the_x0_shifts_that_run(monkeypatch, capsys):
+    # at (131,1,1) a batch holds slot_batch_rows = 15 rows and the base set
+    # one point, so the x0 axis takes at most 15 values and each row is
+    # charged 15 shifts of p there, not p; p = 3 mod 4, so one trial counts
+    # p - 1 = 130 multiples
+    per_trial = 130 * (2 * 1 + 6 * 131 + 2 * 131**2 + 131 * 15)
+    needs = 4 * 131 + 131 + 130 * 8 + per_trial
+    argv = ["verify", "-p", "131", "-m", "1", "--trials", "1", "--threads", "1"]
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", str(needs))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["breaches"] == []
+    monkeypatch.setenv("TRACECODES_WORK_BUDGET", str(needs - 1))
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        f"refused: identity suite needs {needs} entry-operations, over the budget of {needs - 1}")
 
 
 def test_verify_forms_no_histogram_per_multiplier(monkeypatch, capsys):
@@ -763,7 +768,7 @@ def test_process_entry_writes_what_main_returns(tmp_path, capsys):
         ["dual", "-p", "3", "-m", "3"],
         ["verify", "-p", "5", "-m", "2", "-N", "3", "--subcode"],
         ["analyze", "-p", "5", "-m", "7"],  # the 64-bit guard: exit 2
-        ["analyze", "-p", "3", "-m", "2", "--budget", "1"],  # exit 3
+        ["verify", "-p", "3", "-m", "2", "--trials", "100000000"],  # exit 3
     ]
     procs = [_cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
              for argv in runs]

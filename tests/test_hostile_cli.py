@@ -4,10 +4,10 @@ in a documented exit code (0-3), prints no traceback, and ends quickly.
 p and m are drawn so that any run the program accepts is small: (p, m)
 from a few fields of at most 25 elements, or a value the program refuses
 (p <= 2, a multiple of 3 past 3, m <= 0, or p >= 2^16 or m >= 16, which
-the 64-bit codeword guard refuses).  A positive --samples stays small, as
-does a positive --trials or a work budget that lets a long run through:
-the class method bounds no sample count, and the identity suite runs as
-many trials as the budget admits.
+the 64-bit codeword guard refuses), so analyze, which reads no work
+budget, stays small.  A positive --trials stays small, as does a work
+budget that lets a long run through: the identity suite runs as many
+trials as the budget admits.
 """
 
 import contextlib
@@ -47,9 +47,6 @@ def hostile_argv(draw):
     argv = [command, "-p", str(p), "-m", str(m)]
     options = {"-N": _value(st.one_of(st.integers(-2, 30), BIG)), "--modulus": MODULUS,
                "--seed": _value(BIG)}
-    if command == "analyze":
-        options["--samples"] = _value(st.integers(-2**70, 50))
-        options["--budget"] = _value(BIG)
     if command == "verify":
         options["--trials"] = _value(st.one_of(st.integers(-2**70, 20),
                                                st.integers(10**15, 2**70)))

@@ -195,18 +195,18 @@ def test_oracles_have_a_caller_in_the_tests_or_demos():
 #: analyze in both variants and
 #: both methods, CSV output and the interval-only regime, dual with a
 #: modulus whose x is not primitive, verify with and without --subcode, and
-#: the guard, budget and modulus refusals.
+#: the guard, verify's budget and the modulus refusals.
 CENSUS_RUNS = {
     "analyze -p 3 -m 2": 0,
     "analyze -p 5 -m 2 -N 3 --variant units --format csv": 0,
-    "analyze -p 5 -m 2 -N 3 --method class --samples 5": 0,
-    "analyze -p 3 -m 2 --variant units --method class --samples 5": 0,
+    "analyze -p 5 -m 2 -N 3 --method class": 0,
+    "analyze -p 3 -m 2 --variant units --method class": 0,
     "analyze -p 3 -m 4 -N 8": 0,
     "dual -p 3 -m 2 --modulus 1,0,1": 0,
     "verify -p 3 -m 2 --trials 3": 0,
     "verify -p 5 -m 2 -N 3 --subcode --trials 3": 0,
     "analyze -p 5 -m 7": 2,
-    "analyze -p 3 -m 2 --budget 5": 3,
+    "verify -p 3 -m 2 --trials 100000000": 3,
     "dual -p 3 -m 2 --modulus 1,1,1": 2,
 }
 

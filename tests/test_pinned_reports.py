@@ -5,8 +5,9 @@ Each argv runs through cli.main in this process.  Its outcome is the
 sorted-key JSON of the report without runtime_ms (None when nothing is
 printed), its stderr and its exit code, and the test pins a sha256 prefix
 of that.  The runs are the benchmark's eleven jobs at seed 7 (bench/jobs.py),
-the subcode check at (3,4,N=4), a units point whose weights pass 2^63, a
-budget refusal, the CSV format, two points with exact interval bounds, a
+the subcode check at (3,4,N=4), a units point whose weights pass 2^63,
+argparse's refusal of an unknown option, verify's budget refusal, the CSV
+format, two points with exact interval bounds, a
 units dual and, through a wrong prediction, a wrong subcode table and a
 corrupted class count, two mismatches and an identity breach: every
 subcommand, both variants and formats, and exit codes 0 to 3.  On a
@@ -54,7 +55,9 @@ PINNED = {
     "analyze -p 40009 -m 1 --variant units":
         "8403290af2c3c07a",
     "analyze -p 3 -m 2 --budget 8":
-        "b96f447185fc3436",
+        "ecd0a26914389d93",
+    "verify -p 4099 -m 1":
+        "ed2ab8c8dd6b9633",
     "analyze -p 3 -m 2 --format csv":
         "6a28708fa8853db4",
     "analyze -p 31 -m 3 -N 3":
@@ -69,7 +72,10 @@ PINNED = {
 def outcome(argv: str, capsys) -> str:
     """The sorted-key JSON of one run's report (a JSON report without
     runtime_ms, CSV as printed), stderr and exit code."""
-    code = main(argv.split())
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     out, err = capsys.readouterr()
     if out.startswith("{"):
         out = json.loads(out)
