@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +130,7 @@ def _bulk_worker(args):
 # Distributions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeightDistribution:
+class WeightDistribution(NamedTuple):
     """Exact weight -> frequency map with provenance."""
 
     entries: dict[int, int]
@@ -223,7 +222,7 @@ def distribution_by_class(dp: DerivedParams, samples_per_class: int = 500,
             for name, row, w in zip(names, rep_rows, rep_weights.tolist())
         ],
     }
-    return replace(dist, method="class", detail=detail)
+    return dist._replace(method="class", detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +250,7 @@ def thetas(hist: np.ndarray) -> np.ndarray:
 # Identity suite
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     residuals: dict[str, float]
     breaches: list[dict]
     tolerance: float
@@ -359,8 +357,7 @@ def verify_identities(dp: DerivedParams, trials: int = 100,
 # Predictions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Theoretical (weight, frequency) rows with their applicability
     conditions; bounds-only regimes carry an interval instead of rows."""
 
@@ -486,8 +483,7 @@ def predict_subcode(dp: DerivedParams) -> list[Prediction]:
         side_conditions=conds, scope="subcode", l=l, t=t)]
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     ok: bool | None  # None: no prediction applied, so nothing was compared
     details: list[dict]
 

@@ -21,7 +21,7 @@ at coordinate 0 instead of searched for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construction import DerivedParams, Variant, contains, coord_at, coord_index
 from .errors import ParameterError
@@ -46,8 +46,7 @@ def griesmer_sum(k: int, d: int, p: int) -> int:
     return sum(-(-d // p**j) for j in range(k))
 
 
-@dataclass(frozen=True)
-class GriesmerVerdict:
+class GriesmerVerdict(NamedTuple):
     n: int
     k: int
     d: int
@@ -92,8 +91,7 @@ def sphere_packing_excludes(n: int, k: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DualDistanceResult:
+class DualDistanceResult(NamedTuple):
     distance: int
     lower_bound: int
     witness: tuple[tuple[int, tuple[int, int, int, int]], ...]
@@ -157,8 +155,7 @@ def dual_lee_distance(dp: DerivedParams) -> DualDistanceResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SssVerdict:
+class SssVerdict(NamedTuple):
     w_min: int
     w_max: int
     all_minimal: bool

@@ -13,7 +13,7 @@ prediction applies to compares nothing: its comparison reads "ok": null
 with status "no-applicable-prediction", and it exits 0.  The same holds
 for the subcode section of verify --subcode; both sections come from
 analysis.compare_with_predictions.  This module is the only one that
-shapes JSON: each report section is dataclasses.asdict of the result the
+shapes JSON: each report section is the _asdict() of the record the
 library returns, so a verify breach carries its witness.  Handlers read
 the parsed argparse.Namespace directly; the parser is the one list of
 options and defaults.  The module holds the parser before the engine's
@@ -110,7 +110,6 @@ if __name__ == "__main__":
         os._exit(_usage_error(exc))
 
 import json
-from dataclasses import asdict
 
 from . import analysis, bounds
 from .construction import CodeParams, DerivedParams, Variant, derive_params
@@ -186,12 +185,12 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
         "method": dist.method,
         "rows": _rows_section(dist.entries),
         "detail": dist.detail,
-        "predictions": [asdict(p) for p in preds],
-        "comparison": _compared(asdict(comparison)),
-        "griesmer": asdict(verdict) | {"optimal": verdict.optimal,
-                                       "inconclusive": verdict.inconclusive},
-        "dual_distance": asdict(dual),
-        "sss": asdict(sss),
+        "predictions": [p._asdict() for p in preds],
+        "comparison": _compared(comparison._asdict()),
+        "griesmer": verdict._asdict() | {"optimal": verdict.optimal,
+                                         "inconclusive": verdict.inconclusive},
+        "dual_distance": dual._asdict(),
+        "sss": sss._asdict(),
     }
     return report, EXIT_MISMATCH if comparison.ok is False else EXIT_OK
 
@@ -201,7 +200,7 @@ def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
     result = bounds.dual_lee_distance(dp)
     excluded = bounds.sphere_packing_excludes(dp.gray_length, dp.dimension, dp.p)
     report = _report_head("dual", cfg, dp, [FLAG_LEE]) | {
-        "dual_distance": asdict(result),
+        "dual_distance": result._asdict(),
         "sphere_packing_excludes_distance_3": excluded,
     }
     return report, EXIT_OK
@@ -210,7 +209,7 @@ def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
 def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
     dp = _build_params(cfg)
     identities = analysis.verify_identities(dp, trials=cfg.trials, seed=cfg.seed)
-    report = _report_head("verify", cfg, dp, [FLAG_LEE]) | asdict(identities)
+    report = _report_head("verify", cfg, dp, [FLAG_LEE]) | identities._asdict()
     ok = identities.ok
     if cfg.subcode:
         sub = analysis.subcode_report(dp)

@@ -29,8 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +47,7 @@ class Variant(enum.Enum):
     UNITS = "units"
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple):
     """User-facing parameters: field, divisor N of q - 1, coordinate-set variant."""
 
     field: Field
@@ -57,8 +55,7 @@ class CodeParams:
     variant: Variant = Variant.LIFT
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Everything derived from CodeParams that the rest of the package consumes.
 
     `dimension` is the F_p-dimension k of the code, the rank of r -> c(r).
@@ -69,17 +66,23 @@ class DerivedParams:
     k = 3m + e and p^(m-e) codewords weigh 0; for the units, k = 4m.
     `base_set` is the lift's x0_codes(), a read-only view; no q-entry table
     is kept: x0_position reads dlog(c) (over N for the lift, when N divides
-    it with quotient below n, else -1), and zero traces are `class_counts`.
+    it with quotient below n, else -1), and zero traces are `class_counts`:
+    Z_r, r < N2 (read-only int64), so every c != 0 has Z[dlog(c) mod N2]
+    zeros among Tr(c*x0), x0 in x0_codes().  derive_params forms them: the
+    lift's are lift_class_counts, one O(q) pass; the units' are q/p - 1,
+    from no table (Lidl & Niederreiter, Sec. 2.3).  Two DerivedParams are
+    never compared: equality would compare the arrays.
     """
 
     params: CodeParams
     N1: int
     N2: int
     n: int
-    base_set: np.ndarray = dataclass_field(compare=False, repr=False)
+    base_set: np.ndarray
     length: int
     gray_length: int
     dimension: int
+    class_counts: np.ndarray
     note: str = ""
 
     @property
@@ -120,17 +123,6 @@ class DerivedParams:
             return self.field.dlog(code)
         j, r = divmod(self.field.dlog(code), self.params.N)
         return j if r == 0 and j < self.n else -1
-
-    @cached_property
-    def class_counts(self) -> np.ndarray:
-        """Z_r, r < N2 (read-only int64): every c != 0 has Z[dlog(c) mod N2]
-        zeros among Tr(c*x0), x0 in x0_codes().  The lift's are
-        lift_class_counts; the units' are q/p - 1, from no table (Lidl &
-        Niederreiter, Sec. 2.3)."""
-        counts = (lift_class_counts(self.field, self.N2) if self.variant is Variant.LIFT
-                  else np.full(self.N2, self.q // self.p - 1))
-        counts.flags.writeable = False
-        return counts
 
 
 def lift_class_counts(field: Field, n2: int) -> np.ndarray:
@@ -177,12 +169,16 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
     base = coset_representatives(field, N, n)
     if params.variant is Variant.UNITS:
         length, dimension = (q - 1) * q**3, 4 * m
+        counts = np.full(N2, q // p - 1)
         note = "units variant: the coordinate set is the full unit group and N is ignored"
     else:
         length, dimension = n * q**3, 3 * m + multiplicative_order(p, (q - 1) // N2)
+        counts = lift_class_counts(field, N2)
         note = ""
+    counts.flags.writeable = False
     return DerivedParams(params=params, N1=N1, N2=N2, n=n, base_set=base, length=length,
-                         gray_length=4 * length, dimension=dimension, note=note)
+                         gray_length=4 * length, dimension=dimension, class_counts=counts,
+                         note=note)
 
 
 # ---------------------------------------------------------------------------

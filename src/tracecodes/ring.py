@@ -19,8 +19,8 @@ symbol is the Hamming weight of its Gray image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .field import Field
@@ -34,11 +34,11 @@ SLOT_TERMS = tuple(tuple(tuple(j for j in range(4) if j & t == 0 and j | t | k =
                          for k in range(4)) for t in range(4))
 
 
-@dataclass(frozen=True, slots=True)
-class RingElem:
+class RingElem(NamedTuple):
     """a + b*u + c*v + d*uv with coordinates in the attached field.
 
-    Value semantics; arithmetic never mutates.
+    Value semantics; arithmetic never mutates.  k * r refuses any left
+    operand that is not a ring element, the tuple repetition included.
     """
 
     field: Field
@@ -69,6 +69,10 @@ class RingElem:
         r, x = self.coords(), other.coords()
         return RingElem(f, *(reduce(f.add, (f.mul(r[s ^ t], x[t]) for t in SUBSETS[s]))
                              for s in range(4)))
+
+    def __rmul__(self, other):
+        raise TypeError(f"unsupported operand type(s) for *: "
+                        f"'{type(other).__name__}' and 'RingElem'")
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b or self.c or self.d)

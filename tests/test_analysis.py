@@ -3,7 +3,6 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -535,13 +534,12 @@ def test_units_identity_suite_derives_no_second_code(monkeypatch):
 
 
 def test_identity_suite_checks_the_trace_table(monkeypatch):
-    # one nonzero trace set to 0 in the table the suite reads, after the
-    # class counts were taken from the true one: the zero traces number
+    # one nonzero trace set to 0 in the table the suite reads, after
+    # derive_params took the class counts from the true one: the zero traces number
     # q/p, one too many (residual exactly 1), and that element's class has
     # one zero too many and its nonzero traces no longer equidistributed
     field = Field(3, 4)
     dp = derive_params(CodeParams(field, 4))
-    dp.class_counts  # cached from the true table
     k = next(k for k in range(7, field.order, 4)
              if field.trace_table[field.exp_code(k)] != 0)
     mutant = field.trace_table.copy()
@@ -1007,8 +1005,8 @@ def test_every_prediction_on_the_grid_is_pinned():
     digest = hashlib.sha256()
     for p, m, N, variant in _class_grid():
         dp = derive_params(CodeParams(Field(p, m), N, Variant(variant)))
-        digest.update(repr(([asdict(pred) for pred in predict(dp)],
-                            [asdict(pred) for pred in predict_subcode(dp)])).encode())
+        digest.update(repr(([pred._asdict() for pred in predict(dp)],
+                            [pred._asdict() for pred in predict_subcode(dp)])).encode())
     assert digest.hexdigest()[:16] == "aaf7b1bab9c8ad2c"
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -140,7 +139,7 @@ def test_dual_witnesses_pinned(p, m, N, variant, witness):
     # the witnesses the coordinate-walking search reported, found at index 0
     dp = derive_params(CodeParams(Field(p, m), N, variant))
     result = dual_lee_distance(dp)
-    assert json.loads(json.dumps(dataclasses.asdict(result))) == {
+    assert json.loads(json.dumps(result._asdict())) == {
         "distance": 2, "lower_bound": 2, "witness": witness, "verified": True}
     support = [(idx, ring.RingElem(dp.field, *coords)) for idx, coords in witness]
     assert not syndrome(dp, support)

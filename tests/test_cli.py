@@ -287,7 +287,30 @@ def test_bad_modulus_rejected(capsys):
     assert "reducible" in capsys.readouterr().err
 
 
-def test_exhaustive_at_q_19683_runs_at_the_default_budget(tmp_path):
+def test_the_records_of_the_reports_refuse_assignment(f9):
+    # the ten records import tracecodes.cli defines, each a NamedTuple: a
+    # field and a new attribute alike refuse assignment
+    from tracecodes import analysis, construction, ring
+
+    dp = construction.derive_params(construction.CodeParams(f9, 1))
+    dist = analysis.distribution_exhaustive(dp)
+    preds = analysis.predict(dp)
+    records = [ring.RingElem(f9, 1, 0, 0, 0), dp.params, dp, dist,
+               analysis.verify_identities(dp, trials=1), preds[0],
+               analysis.compare_with_predictions(dist.entries, preds),
+               bounds.griesmer_optimal(dp.gray_length, dp.dimension, dist.min_nonzero_weight, 3),
+               bounds.dual_lee_distance(dp), bounds.minimality_check(dist.entries, 3)]
+    assert [type(r).__name__ for r in records] == [
+        "RingElem", "CodeParams", "DerivedParams", "WeightDistribution", "IdentityReport",
+        "Prediction", "ComparisonReport", "GriesmerVerdict", "DualDistanceResult", "SssVerdict"]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_exhaustive_at_q_19683_matches_the_two_weight_lift_within_a_second(tmp_path):
     # one pass over a table of q = 3^9 zero-trace counts
     start = time.perf_counter()
     code, report = run_json(tmp_path, "analyze", "-p", "3", "-m", "9", "-N", "1",

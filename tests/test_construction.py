@@ -24,6 +24,7 @@ from tracecodes.construction import (
     contains,
     coord_blocks,
     coset_representatives,
+    lift_class_counts,
     slot_batch_rows,
     uv_slot_counts,
 )
@@ -54,6 +55,24 @@ def test_derive_quadratic_full_lift(f9):
     assert (dp.N1, dp.N2, dp.n) == (4, 1, 4)
     assert dp.length == 2916
     assert dp.gray_length == 11664
+
+
+def test_class_counts_are_a_read_only_field_that_derive_params_fills():
+    # every N | q - 1 of every field with q <= 81, both variants: the lift's
+    # counts are lift_class_counts(field, N2), the units' q/p - 1 per class
+    points = 0
+    for f in (Field(p, m) for p, m in ((3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1))):
+        for N in (d for d in range(1, f.q) if (f.q - 1) % d == 0):
+            for variant in Variant:
+                dp = derive_params(CodeParams(f, N, variant))
+                expected = (lift_class_counts(f, dp.N2).tolist() if variant is Variant.LIFT
+                            else [f.q // f.p - 1] * dp.N2)
+                assert dp.class_counts.tolist() == expected
+                assert dp.class_counts.dtype == np.int64 and not dp.class_counts.flags.writeable
+                with pytest.raises(AttributeError):
+                    dp.class_counts = np.zeros(dp.N2, dtype=np.int64)
+                points += 1
+    assert points == 2 * 35
 
 
 def test_derive_quadratic_n2(f9):
@@ -165,7 +184,7 @@ def test_x0_map_built_once_per_params(f9, variant):
         for idx, x in zip((0, 100, dp.length - 1), xs):
             assert coord_index(dp, x) == idx
             assert contains(dp, x)
-    assert [name for name, value in vars(dp).items()
+    assert [name for name, value in dp._asdict().items()
             if isinstance(value, np.ndarray) and value.size >= dp.q] == []
 
 
@@ -215,7 +234,7 @@ def test_derived_params_hold_no_position_table_or_int_tuple():
     dp = derive_params(CodeParams(Field(3, 9), 1))
     dual_lee_distance(dp)
     assert isinstance(dp.base_set, np.ndarray) and len(dp.base_set) == dp.n == 9841
-    kept = vars(dp).values()
+    kept = dp._asdict().values()
     assert not [v for v in kept if isinstance(v, np.ndarray) and v.size >= dp.q]
     assert not [v for v in kept if isinstance(v, tuple) and v and isinstance(v[0], int)]
 
@@ -619,8 +638,8 @@ def test_base_set_check_agrees_with_the_sort_on_the_grid():
 
 def test_derive_params_traces_little_memory():
     # at (3,9), n = 9841: the base-set check marks residues in a bool array
-    # of (q-1)/(p-1) entries, a block at a time, and no class count is
-    # formed until one is read
+    # of (q-1)/(p-1) entries, and the class count reads the trace table, each
+    # a block at a time; N2 = 1, so Z_0 = (q/p - 1)/(p - 1) = 3280, read-only
     import tracemalloc
 
     field = Field(3, 9)
@@ -632,7 +651,7 @@ def test_derive_params_traces_little_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 100_000, peak
-    assert "class_counts" not in vars(dp)
+    assert dp.class_counts.tolist() == [(3**8 - 1) // 2] and not dp.class_counts.flags.writeable
 
 
 def test_analyze_keeps_no_q_length_array_outside_the_field(monkeypatch, capsys):
@@ -653,7 +672,7 @@ def test_analyze_keeps_no_q_length_array_outside_the_field(monkeypatch, capsys):
     [dp] = captured
     field = dp.field
     tables = (field._exp_np, field._log_np, field._trace_np)
-    held = [(name, value) for name, value in (vars(dp) | vars(field)).items()
+    held = [(name, value) for name, value in (dp._asdict() | vars(field)).items()
             if isinstance(value, np.ndarray) and value.size >= field.q - 1]
     assert held and all(any(np.shares_memory(value, t) for t in tables) for _, value in held)
     assert dp.class_counts.shape == (1,)

@@ -73,6 +73,16 @@ def test_import_tracecodes_cli_loads_the_whole_engine():
             "tracecodes.field", "tracecodes.ring", "tracecodes.limits"} <= modules
 
 
+def test_the_cli_loads_no_dataclasses():
+    # the records of the reports are NamedTuples: @dataclass would compile
+    # and exec their generated methods in every process that runs the CLI
+    assert "dataclasses" not in _modules_after("import tracecodes.cli")
+    code, out, err, imports = _process(["analyze", "-p", "3", "-m", "2", "--threads", "1"])
+    assert (code, err, json.loads(out)["command"]) == (0, "", "analyze")
+    assert _loads_numpy(imports)
+    assert not [line for line in imports if "dataclasses" in line]
+
+
 def test_import_tracecodes_loads_no_submodule():
     modules = _modules_after("import tracecodes")
     loaded = [m for m in modules if m == "numpy" or m.startswith(("numpy.", "tracecodes."))]

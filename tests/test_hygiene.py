@@ -220,6 +220,7 @@ NOT_RUN_BY_THE_CLI = {
     "field.Field.__hash__": "Field defines __eq__, so it stays hashable through this",
     "field.Field.mul_table": "bench/tracer.py binds it by name",
     "field.Field.trmul_flat": "bench/tracer.py binds it by name",
+    "ring.RingElem.__rmul__": "refuses k * r, which a tuple would repeat; tests/test_ring.py checks it",
     "ring.RingElem.__sub__": "ring subtraction, which the demos and tests use",
     "ring.RingElem.__str__": "the text form of an element",
 }

@@ -377,3 +377,21 @@ def test_str_renders_coefficient_tuples(f9):
     text = str(RingElem(f9, 1, f9.xi, 0, 2))
     assert "u" in text and "uv" in text
     assert str(f9.coeffs(f9.xi)) in text
+
+
+def test_an_int_times_an_element_is_refused_not_repeated(f3):
+    # a RingElem is a tuple, whose k * r would repeat its five fields
+    r = RingElem(f3, 1, 2, 0, 1)
+    for k in (0, 1, 3):
+        with pytest.raises(TypeError, match="'int' and 'RingElem'"):
+            k * r
+    assert RingElem(f3, 1, 0, 0, 0) * r == r
+
+
+def test_equality_and_hash_over_every_element_of_f3s_ring(f3, f9):
+    elems = [RingElem(f3, *c) for c in itertools.product(range(3), repeat=4)]
+    copies = [RingElem(f3, *r.coords()) for r in elems]
+    assert all(a == b and hash(a) == hash(b) for a, b in zip(elems, copies))
+    assert sum(a == b for a in elems for b in copies) == 81
+    assert len(set(elems) | set(copies)) == 81
+    assert RingElem(f9, 1, 0, 0, 0) != RingElem(f3, 1, 0, 0, 0)
