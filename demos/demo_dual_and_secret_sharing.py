@@ -21,8 +21,7 @@ from tracecodes import (
     minimality_check,
     sphere_packing_excludes,
 )
-from tracecodes.bounds import syndrome
-from tracecodes.oracles import eval_field_subcode, minimal_codewords_bruteforce
+from tracecodes.oracles import eval_field_subcode, minimal_codewords_bruteforce, syndrome
 from tracecodes.ring import lee_weight
 
 field = Field(3, 2)

@@ -24,7 +24,7 @@ _EXPORTS = {
     "bounds": ("DualDistanceResult", "GriesmerVerdict", "SssVerdict", "dual_lee_distance",
                "griesmer_optimal", "griesmer_sum", "minimality_check",
                "sphere_packing_excludes"),
-    "construction": ("CodeParams", "DerivedParams", "Variant", "coord_at", "coord_index",
+    "construction": ("CodeParams", "DerivedParams", "Variant", "coord_at",
                      "derive_params", "subcode_distribution"),
     "errors": ("ParameterError", "WorkBudgetExceeded"),
     "field": ("Field", "gauss_sums"),

@@ -64,8 +64,9 @@ from .construction import (
     uv_slot_counts,
 )
 from .errors import ParameterError, WorkBudgetExceeded
-from .field import Field, gauss_sums, multiplicative_order, roots_of_unity
+from .field import Field, gauss_sums, roots_of_unity
 from .limits import DEFAULT_SEED, check_trials, resolve_budget
+from .modulus import multiplicative_order
 
 #: The identity suite reports a residual above this as a breach.
 TOLERANCE = 1e-6

@@ -16,23 +16,17 @@ has such an x' in the coordinate set.  For the lift, alpha and beta with
 Gray images (1, 0, 0, 0) and (0, 1, 0, 0) give lam = 1 - u, which keeps
 the constant coordinate of x; for the units, alpha = beta gives lam = -1.
 So the dual Lee distance is 2 for both variants, and the witness is built
-at coordinate 0 instead of searched for.
+at coordinate 0 instead of searched for.  As x = 1 and lam is in R, it is
+computed over a ring.PrimeField, with no field table and no numpy.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .construction import DerivedParams, Variant, contains, coord_at, coord_index
 from .errors import ParameterError
-from .ring import (
-    RingElem,
-    gray_inverse,
-    is_unit,
-    lee_weight,
-    ring_inv,
-    zero as ring_zero,
-)
+from .params import Variant
+from .ring import PrimeField, gray_inverse, is_unit, lee_weight, ring_inv
 
 # ---------------------------------------------------------------------------
 # Griesmer bound
@@ -98,54 +92,48 @@ class DualDistanceResult(NamedTuple):
     verified: bool
 
 
-def syndrome(dp: DerivedParams, support) -> RingElem:
-    """Ring sum of y_x * x over a sparse vector given as
-    (coordinate index, base ring value over dp.field) pairs."""
-    total = ring_zero(dp.field)
-    for index, value in support:
-        total = total + value * coord_at(dp, index)
-    return total
-
-
-def dual_lee_distance(dp: DerivedParams) -> DualDistanceResult:
+def dual_lee_distance(dp) -> DualDistanceResult:
     """Exact dual Lee distance, which is 2, with a witness at coordinate 0.
 
-    Weight 1 (and the single-coordinate slice of weight 2) is impossible:
-    every coordinate is a unit, and a unit times a unit is a unit.  The
-    4(p-1) Lee-weight-1 values are the s*e_k for the Gray basis words e_k
-    and s in F_p*; gray_inverse is F_p-linear, so the constant coordinate
-    of s*e_k is s times that of e_k, and checking that the four e_k are
-    units certifies all of them.
+    `dp` is a DerivedParams or an IntegerParams; p, m, q and the variant
+    are read.  Weight 1 (and the single-coordinate slice of weight 2) is
+    impossible: every coordinate is a unit, and a unit times a unit is a
+    unit.  The 4(p-1) Lee-weight-1 values are the s*e_k for the Gray basis
+    words e_k and s in F_p*; gray_inverse is F_p-linear, so the constant
+    coordinate of s*e_k is s times that of e_k, and checking that the four
+    e_k are units certifies all of them.
     The weight-2 witness is the closed form of the module docstring: alpha
     is the Lee-weight-1 value with Gray image (1, 0, 0, 0), beta has Gray
     image (0, 1, 0, 0) for the lift and equals alpha for the units, and
-    x' = -beta^-1 * alpha * x with x the coordinate at index 0.  x' must be
-    a coordinate, its syndrome must vanish and its Lee weight must equal 2;
-    each failure is an AssertionError.
+    x' = lam*x with lam = -beta^-1 * alpha and x = 1, coordinate 0.  x' is
+    in the stream at xi^0 = 1 or, for the units only, xi^((q-1)/2) = -1,
+    and a code c < p sits at lex(c) = c*p^(m-1).  The syndrome
+    alpha*x + beta*x' must vanish and the Lee weight must equal 2; each
+    failure is an AssertionError.
     """
-    field = dp.field
+    p, q = dp.p, dp.q
+    base = PrimeField(p)
 
     # Weight-1 phase: certify emptiness through unit-ness of the Gray basis words.
     for k in range(4):
-        if not is_unit(gray_inverse(field, tuple(int(i == k) for i in range(4)))):
+        if not is_unit(gray_inverse(base, tuple(int(i == k) for i in range(4)))):
             raise AssertionError("a Lee-weight-1 value failed to be a unit")
 
-    x = coord_at(dp, 0)
-    alpha = gray_inverse(field, (1, 0, 0, 0))
-    beta = alpha if dp.variant is Variant.UNITS else gray_inverse(field, (0, 1, 0, 0))
+    alpha = gray_inverse(base, (1, 0, 0, 0))
+    beta = alpha if dp.variant is Variant.UNITS else gray_inverse(base, (0, 1, 0, 0))
     lam = -(ring_inv(beta) * alpha)
-    x_prime = lam * x
-    if not contains(dp, x_prime):
+    starts = {1: 0} if dp.variant is Variant.LIFT else {1: 0, p - 1: (q - 1) // 2}
+    if lam.a not in starts:
         raise AssertionError(
             "no Lee-weight-2 dual witness at coordinate 0: a scaling lam = 1 - u "
             "(lift) or lam = -1 (units) should keep it in the coordinate set"
         )
-    support = ((0, alpha), (coord_index(dp, x_prime), beta))
-    sigma = syndrome(dp, support)
-    weight = lee_weight(alpha) + lee_weight(beta)
-    if sigma or weight != 2:
+    if alpha + beta * lam or lee_weight(alpha) + lee_weight(beta) != 2:
         raise AssertionError("weight-2 witness failed re-verification")
-    witness = tuple((idx, val.coords()) for idx, val in support)
+    index = starts[lam.a]
+    for c in lam.coords()[1:]:
+        index = index * q + c * p ** (dp.m - 1)
+    witness = ((0, alpha.coords()), (index, beta.coords()))
     return DualDistanceResult(distance=2, lower_bound=2,
                               witness=witness, verified=True)
 

@@ -16,22 +16,26 @@ analysis.compare_with_predictions.  This module is the only one that
 shapes JSON: each report section is the _asdict() of the record the
 library returns, so a verify breach carries its witness.  Handlers read
 the parsed argparse.Namespace directly; the parser is the one list of
-options and defaults.  The module holds the parser before the engine's
-imports: run as ``python -m tracecodes.cli`` it refuses a request that
-argparse or limits.check_request rejects before numpy is imported, while
-``import tracecodes.cli`` loads the whole engine.
+options and defaults.  The parser, the report writer and cmd_dual, which
+reads no field table, come before the engine's imports: run as ``python -m
+tracecodes.cli`` it refuses a request that argparse or limits.check_request
+rejects, and answers ``dual``, before numpy is imported, while ``import
+tracecodes.cli`` loads the whole engine.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
 from typing import NoReturn
 
-from . import limits
+from . import bounds, limits
 from .errors import ParameterError, WorkBudgetExceeded
+from .modulus import field_modulus
+from .params import Variant, integer_params
 
 REPORT_VERSION = 6
 
@@ -99,56 +103,116 @@ def _usage_error(exc: ParameterError) -> int:
     return EXIT_USAGE
 
 
+#: The integer keys of a report's params section, read off the run's
+#: DerivedParams or, for dual, its IntegerParams.
+_PARAM_KEYS = ("p", "m", "N", "q", "N1", "N2", "n", "length", "gray_length", "dimension",
+               "note")
+
+
+def _report_head(command: str, cfg: argparse.Namespace, dp, modulus,
+                 flags: list[str]) -> dict:
+    """The keys every report shares; the dimension flag joins `flags`
+    whenever r -> c(r) has a kernel (dimension below 4m)."""
+    if dp.dimension < 4 * dp.m:
+        flags = [*flags, FLAG_DIM]
+    params = {key: getattr(dp, key) for key in _PARAM_KEYS}
+    return {"report_version": REPORT_VERSION, "command": command, "seed": cfg.seed,
+            "params": params | {"variant": dp.variant.value, "modulus": list(modulus)},
+            "threads": cfg.threads, "erratum_flags": sorted(flags)}
+
+
+def _supplied_modulus(cfg: argparse.Namespace) -> tuple[int, ...] | None:
+    return limits.parse_modulus(cfg.modulus) if cfg.modulus is not None else None
+
+
+def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
+    """The dual distance from the modulus, the integer parameters and the
+    witness over F_p, none of which reads a field table or numpy."""
+    modulus = field_modulus(cfg.p, cfg.m, _supplied_modulus(cfg))
+    dp = integer_params(cfg.p, cfg.m, cfg.N, Variant(cfg.variant))
+    result = bounds.dual_lee_distance(dp)
+    excluded = bounds.sphere_packing_excludes(dp.gray_length, dp.dimension, dp.p)
+    report = _report_head("dual", cfg, dp, modulus, [FLAG_LEE]) | {
+        "dual_distance": result._asdict(),
+        "sphere_packing_excludes_distance_3": excluded,
+    }
+    return report, EXIT_OK
+
+
+def _emit(report: dict, cfg: argparse.Namespace, runtime_ms: int) -> None:
+    report["runtime_ms"] = runtime_ms
+    if cfg.fmt == "csv":
+        lines = ["weight,frequency", *(f"{r['weight']},{r['frequency']}" for r in report["rows"])]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if cfg.out is not None:
+        with open(cfg.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+
+
+def _execute(cfg: argparse.Namespace, handler) -> int:
+    """Run a request that limits.check_request has passed through its
+    handler and write its report; the exit code."""
+    start = time.monotonic()
+    try:
+        report, code = handler(cfg)
+    except ParameterError as exc:
+        return _usage_error(exc)
+    except WorkBudgetExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    runtime_ms = int((time.monotonic() - start) * 1000)
+    try:
+        _emit(report, cfg, runtime_ms)
+    except OSError as exc:  # the -o path, or stdout (a full device, a closed pipe), refused it
+        print(f"error: cannot write the report to {cfg.out or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def run(request: argparse.Namespace, handler) -> NoReturn:
+    """The process entry, which the ``__main__`` block below calls under
+    ``python -m tracecodes.cli`` and under the ``tracecodes`` script
+    (tracecodes.main): `_execute` of the `request` that limits.check_request
+    passed before the engine's imports, through its handler (cmd_dual
+    before the engine loads), stderr flushed, then the process ends at once
+    with its exit code.  The interpreter's teardown (a final
+    GC and module cleanup over numpy's heap, about 40 ms) writes nothing, so
+    it is skipped.  `_emit` flushed the report inside `_execute`, where a
+    failure is caught and reported; flushing stdout again would retry the
+    bytes that failed.  An exception escaping `_execute` still leaves
+    through the interpreter, with its traceback and exit 1."""
+    code = _execute(request, handler)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
     # python -m tracecodes.cli: a request that a table-free check refuses,
-    # or that argparse rejects, ends here, before the engine and numpy load;
-    # one that passes is the request run() hands to its handler
+    # or that argparse rejects, ends here, before the engine and numpy load,
+    # and so does dual; another that passes is run() below
     _request = build_parser().parse_args()
     try:
         limits.check_request(_request)
     except ParameterError as exc:
         os._exit(_usage_error(exc))
+    if _request.command == "dual":
+        run(_request, cmd_dual)
 
-import json
-
-from . import analysis, bounds
-from .construction import CodeParams, DerivedParams, Variant, derive_params
+from . import analysis
+from .construction import CodeParams, DerivedParams, derive_params
 from .field import Field
 
 
 def _build_params(cfg: argparse.Namespace) -> DerivedParams:
     """The run's one derived parameter set; every handler passes it on."""
-    modulus = limits.parse_modulus(cfg.modulus) if cfg.modulus is not None else None
-    field = Field(cfg.p, cfg.m, modulus=modulus)
+    field = Field(cfg.p, cfg.m, modulus=_supplied_modulus(cfg))
     return derive_params(CodeParams(field, cfg.N, Variant(cfg.variant)))
-
-
-def _params_section(dp) -> dict:
-    return {
-        "p": dp.p,
-        "m": dp.m,
-        "N": dp.params.N,
-        "variant": dp.variant.value,
-        "modulus": list(dp.field.modulus),
-        "q": dp.q,
-        "N1": dp.N1,
-        "N2": dp.N2,
-        "n": dp.n,
-        "length": dp.length,
-        "gray_length": dp.gray_length,
-        "dimension": dp.dimension,
-        "note": dp.note,
-    }
-
-
-def _report_head(command: str, cfg: argparse.Namespace, dp, flags: list[str]) -> dict:
-    """The keys every report shares; the dimension flag joins `flags`
-    whenever r -> c(r) has a kernel (dimension below 4m)."""
-    if dp.dimension < 4 * dp.m:
-        flags = [*flags, FLAG_DIM]
-    return {"report_version": REPORT_VERSION, "command": command,
-            "params": _params_section(dp), "seed": cfg.seed, "threads": cfg.threads,
-            "erratum_flags": sorted(flags)}
 
 
 def _rows_section(entries: dict[int, int]) -> list[dict]:
@@ -181,7 +245,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
     if any(p.regime.startswith("three_weight") for p in preds):
         flags.append(FLAG_FREQ)
 
-    report = _report_head("analyze", cfg, dp, flags) | {
+    report = _report_head("analyze", cfg, dp, dp.field.modulus, flags) | {
         "method": dist.method,
         "rows": _rows_section(dist.entries),
         "detail": dist.detail,
@@ -195,21 +259,10 @@ def cmd_analyze(cfg: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_MISMATCH if comparison.ok is False else EXIT_OK
 
 
-def cmd_dual(cfg: argparse.Namespace) -> tuple[dict, int]:
-    dp = _build_params(cfg)
-    result = bounds.dual_lee_distance(dp)
-    excluded = bounds.sphere_packing_excludes(dp.gray_length, dp.dimension, dp.p)
-    report = _report_head("dual", cfg, dp, [FLAG_LEE]) | {
-        "dual_distance": result._asdict(),
-        "sphere_packing_excludes_distance_3": excluded,
-    }
-    return report, EXIT_OK
-
-
 def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
     dp = _build_params(cfg)
     identities = analysis.verify_identities(dp, trials=cfg.trials, seed=cfg.seed)
-    report = _report_head("verify", cfg, dp, [FLAG_LEE]) | identities._asdict()
+    report = _report_head("verify", cfg, dp, dp.field.modulus, [FLAG_LEE]) | identities._asdict()
     ok = identities.ok
     if cfg.subcode:
         sub = analysis.subcode_report(dp)
@@ -217,23 +270,6 @@ def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
         report["subcode"] = _compared(sub | {"rows": rows})
         ok = ok and sub["ok"] is not False
     return report, EXIT_OK if ok else EXIT_MISMATCH
-
-
-def _emit(report: dict, cfg: argparse.Namespace, runtime_ms: int) -> None:
-    report["runtime_ms"] = runtime_ms
-    if cfg.fmt == "csv":
-        lines = ["weight,frequency"]
-        for row in report["rows"]:
-            lines.append(f"{row['weight']},{row['frequency']}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.out is not None:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()
 
 
 _HANDLERS = {"analyze": cmd_analyze, "dual": cmd_dual, "verify": cmd_verify}
@@ -245,45 +281,8 @@ def main(argv=None) -> int:
         limits.check_request(cfg)
     except ParameterError as exc:
         return _usage_error(exc)
-    return _execute(cfg)
-
-
-def _execute(cfg: argparse.Namespace) -> int:
-    """Run a request that limits.check_request has passed and write its
-    report; the exit code."""
-    start = time.monotonic()
-    try:
-        report, code = _HANDLERS[cfg.command](cfg)
-    except ParameterError as exc:
-        return _usage_error(exc)
-    except WorkBudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    runtime_ms = int((time.monotonic() - start) * 1000)
-    try:
-        _emit(report, cfg, runtime_ms)
-    except OSError as exc:  # the -o path, or stdout (a full device, a closed pipe), refused it
-        print(f"error: cannot write the report to {cfg.out or 'stdout'}: {exc.strerror}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    return code
-
-
-def run(request: argparse.Namespace) -> NoReturn:
-    """The process entry, which the ``__main__`` block below calls under
-    ``python -m tracecodes.cli`` and under the ``tracecodes`` script
-    (tracecodes.main): `_execute` of the `request` that limits.check_request
-    passed before the engine's imports, stderr flushed, then the process
-    ends at once with its exit code.  The interpreter's teardown (a final
-    GC and module cleanup over numpy's heap, about 40 ms) writes nothing, so
-    it is skipped.  `_emit` flushed the report inside `_execute`, where a
-    failure is caught and reported; flushing stdout again would retry the
-    bytes that failed.  An exception escaping `_execute` still leaves
-    through the interpreter, with its traceback and exit 1."""
-    code = _execute(request)
-    sys.stderr.flush()
-    os._exit(code)
+    return _execute(cfg, _HANDLERS[cfg.command])
 
 
 if __name__ == "__main__":
-    run(_request)
+    run(_request, _HANDLERS[_request.command])

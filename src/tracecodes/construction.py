@@ -18,33 +18,23 @@ through D or through xi-powers, then each nilpotent coordinate ascending
 in coefficient-vector lexicographic order) so exports
 (oracles.export_gray_words) are reproducible; weight data never depends on
 the order.  Streams are restartable: each block is decoded from its own stream
-position, so nothing is materialized beyond one block.  A code's position
-among the constant coordinates is read off the field's log table: dlog(c)
-for the units; dlog(c)/N for the lift's xi^(N*j), j < n, when N divides
-dlog(c) and the quotient is below n; -1 otherwise.
+position, so nothing is materialized beyond one block.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
-from .field import Field, multiplicative_order
-from .limits import check_codeword_count_guard, check_divisor
-from .ring import SLOT_TERMS, RingElem, is_unit
+from .field import Field
+from .params import Variant, integer_params
+from .ring import SLOT_TERMS, RingElem
 
 #: Stream positions per block of coord_blocks and (rounded down to whole
 #: x3 axes) of oracles.gray_symbols.
 _BLOCK_POSITIONS = 1 << 14
-
-
-class Variant(enum.Enum):
-    LIFT = "lift"
-    UNITS = "units"
 
 
 class CodeParams(NamedTuple):
@@ -65,12 +55,12 @@ class DerivedParams(NamedTuple):
     F_p-span is the subfield of degree e = ord of p modulo (q-1)/N2, so
     k = 3m + e and p^(m-e) codewords weigh 0; for the units, k = 4m.
     `base_set` is the lift's x0_codes(), a read-only view; no q-entry table
-    is kept: x0_position reads dlog(c) (over N for the lift, when N divides
-    it with quotient below n, else -1), and zero traces are `class_counts`:
-    Z_r, r < N2 (read-only int64), so every c != 0 has Z[dlog(c) mod N2]
-    zeros among Tr(c*x0), x0 in x0_codes().  derive_params forms them: the
-    lift's are lift_class_counts, one O(q) pass; the units' are q/p - 1,
-    from no table (Lidl & Niederreiter, Sec. 2.3).  Two DerivedParams are
+    is kept: zero traces are `class_counts`: Z_r, r < N2 (read-only int64),
+    so every c != 0 has Z[dlog(c) mod N2] zeros among Tr(c*x0), x0 in
+    x0_codes().  derive_params forms them: the lift's are
+    lift_class_counts, one O(q) pass; the units' are q/p - 1, from no table
+    (Lidl & Niederreiter, Sec. 2.3).  The integer fields (N1 to note) are
+    params.integer_params, which reads no table.  Two DerivedParams are
     never compared: equality would compare the arrays.
     """
 
@@ -94,6 +84,10 @@ class DerivedParams(NamedTuple):
         return self.params.variant
 
     @property
+    def N(self) -> int:
+        return self.params.N
+
+    @property
     def p(self) -> int:
         return self.field.p
 
@@ -113,16 +107,6 @@ class DerivedParams(NamedTuple):
         """The constant coordinates in stream order: the base set, or every
         unit for the units variant (a read-only int64 array, no copy)."""
         return self.field.unit_codes() if self.variant is Variant.UNITS else self.base_set
-
-    def x0_position(self, code: int) -> int:
-        """Stream position of a code in x0_codes(), -1 off the set, read off
-        the log table by the rule in the module docstring."""
-        if code == 0:
-            return -1
-        if self.variant is Variant.UNITS:
-            return self.field.dlog(code)
-        j, r = divmod(self.field.dlog(code), self.params.N)
-        return j if r == 0 and j < self.n else -1
 
 
 def lift_class_counts(field: Field, n2: int) -> np.ndarray:
@@ -158,27 +142,16 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
     if isinstance(params, DerivedParams):
         return params
     field = params.field
-    p, m, q = field.p, field.m, field.q
-    N = params.N
-    check_divisor(p, m, N)
-    check_codeword_count_guard(p, m)
-    k = (q - 1) // (p - 1)
-    N1 = math.lcm(N, k)
-    N2 = math.gcd(N, k)
-    n = N1 // N
-    base = coset_representatives(field, N, n)
+    ints = integer_params(field.p, field.m, params.N, params.variant)
+    base = coset_representatives(field, params.N, ints.n)
     if params.variant is Variant.UNITS:
-        length, dimension = (q - 1) * q**3, 4 * m
-        counts = np.full(N2, q // p - 1)
-        note = "units variant: the coordinate set is the full unit group and N is ignored"
+        counts = np.full(ints.N2, field.q // field.p - 1)
     else:
-        length, dimension = n * q**3, 3 * m + multiplicative_order(p, (q - 1) // N2)
-        counts = lift_class_counts(field, N2)
-        note = ""
+        counts = lift_class_counts(field, ints.N2)
     counts.flags.writeable = False
-    return DerivedParams(params=params, N1=N1, N2=N2, n=n, base_set=base, length=length,
-                         gray_length=4 * length, dimension=dimension, class_counts=counts,
-                         note=note)
+    return DerivedParams(params=params, N1=ints.N1, N2=ints.N2, n=ints.n, base_set=base,
+                         length=ints.length, gray_length=ints.gray_length,
+                         dimension=ints.dimension, class_counts=counts, note=ints.note)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +161,7 @@ def derive_params(params: CodeParams | DerivedParams) -> DerivedParams:
 def _decode(dp: DerivedParams, flat):
     """Codes (x0, x1, x2, x3) at flat stream positions, an int or an int64
     array: x0 major through x0_codes(), then x1, x2 and x3 by
-    Field.lex_code.  The one decoder of the order; coord_index is its inverse."""
+    Field.lex_code.  The one decoder of the order."""
     q, lex = dp.q, dp.field.lex_code
     i0, rest = divmod(flat, q**3)
     i1, rest = divmod(rest, q**2)
@@ -201,21 +174,6 @@ def coord_at(dp: DerivedParams, index: int) -> RingElem:
     if not 0 <= index < dp.length:
         raise IndexError(f"coordinate index {index} outside [0, {dp.length})")
     return RingElem(dp.field, *(int(code) for code in _decode(dp, index)))
-
-
-def coord_index(dp: DerivedParams, x: RingElem) -> int:
-    """Flat stream position of a coordinate element; inverse of coord_at."""
-    q = dp.q
-    pos0 = dp.x0_position(x.a)
-    if pos0 < 0:
-        raise ValueError("element is not in the coordinate set")
-    lex = dp.field.lex_code  # its own inverse: the position of each code
-    return ((pos0 * q + lex(x.b)) * q + lex(x.c)) * q + lex(x.d)
-
-
-def contains(dp: DerivedParams, x: RingElem) -> bool:
-    """Membership test for the coordinate set (O(1): one log-table read)."""
-    return is_unit(x) and dp.x0_position(x.a) >= 0
 
 
 def coord_blocks(dp: DerivedParams, block_size: int = _BLOCK_POSITIONS):

@@ -17,10 +17,8 @@ no second copy; a trace is trace_table[a].  Negation comes from the same
 two tables: -1 = xi^((q-1)/2), so -a = xi^(log a + (q-1)/2).  Addition
 and lex_code work on the base-p digits of the codes, computed when needed.
 
-Before any table exists, the facts of the modulus f (the order of x, its
-irreducibility, the basis traces) and the build's first doubling step come
-from one form: an element's matrix of multiplication, from f's companion
-matrix, in int64 mod p.
+The modulus f, its facts and the build's first doubling step, the matrix
+of multiplication by xi, come from tracecodes.modulus, with no numpy.
 
 gauss_sums(field) forms the q - 1 Gaussian sums of the order-(q - 1)
 character by one FFT; those of any order dividing q - 1 are a slice.
@@ -38,6 +36,12 @@ import numpy as np
 
 from .errors import ParameterError
 from .limits import check_field_params
+from .modulus import (basis_traces, field_modulus, first_primitive_modulus, has_full_order,
+                      is_irreducible, multiplication_rows)
+
+#: Bound in this module, where bench/tracer.py wraps them by name; Field
+#: reaches them through field_modulus.
+TRACED_MODULUS_FACTS = (first_primitive_modulus, is_irreducible)
 
 #: The test oracles' full q*q product tables (mul_table, trmul_flat) are
 #: only built up to this q; no computation in the package reads them, and
@@ -49,164 +53,6 @@ _BUILD_ROWS = 2**12
 
 #: Rows per int64 code product inside a build block.
 _WEIGHT_ROWS = 2**10
-
-
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Smallest e >= 1 with a^e = 1 modulo n, for a coprime to n."""
-    e, power = 1, a % n
-    while power != 1 % n:
-        e, power = e + 1, power * a % n
-    return e
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic before the tables exist: an element of F_p[x]/(f) is its int64
-# matrix of multiplication mod p, row i x^i times it; x's is the companion
-# matrix M of f.  The order test, Rabin's test, the basis traces and the
-# build's first doubling step are powers and sums of M.  Products stay exact
-# while m*(p-1)^2 < 2^63, far past the table range.
-# ---------------------------------------------------------------------------
-
-def _companion(mod: list[int] | tuple[int, ...], p: int) -> np.ndarray:
-    """Matrix of multiplication by x modulo the monic `mod` over F_p: row i
-    is x^(i+1) mod f, e_(i+1) above the last row and -(c0, ..., c_{m-1}) in
-    it, so a constant-first coefficient row times it is that element times x."""
-    comp = np.eye(len(mod) - 1, k=1, dtype=np.int64)
-    comp[-1] = [-c % p for c in mod[:-1]]
-    return comp
-
-
-def _element_matrix(coeffs, comp: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of multiplication by sum c_i x^i, the sum of c_i M^i over the
-    companion matrix M, by Horner's rule: row j is x^j times the element."""
-    eye, mat = np.eye(len(comp), dtype=np.int64), np.zeros_like(comp)
-    for c in reversed(coeffs):
-        mat = (mat @ comp + c * eye) % p
-    return mat
-
-
-def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a^e mod p by square and multiply."""
-    out = np.eye(len(a), dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out @ a % p
-        a, e = a @ a % p, e >> 1
-    return out
-
-
-def _is_invertible(a: np.ndarray, p: int) -> bool:
-    """Whether a square matrix is invertible mod the prime p, by Gaussian
-    elimination; a row scaled by its pivot, a unit mod p, keeps the rank."""
-    a = a % p
-    for col in range(len(a)):
-        rows = col + np.flatnonzero(a[col:, col])
-        if not rows.size:
-            return False
-        a[[col, rows[0]]] = a[[rows[0], col]]
-        a[col + 1:] = (a[col, col] * a[col + 1:] - np.outer(a[col + 1:, col], a[col])) % p
-    return True
-
-
-def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial f over F_p, on its
-    companion matrix M: x^(p^m) = x mod f is M^(p^m) = M, and
-    gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m is that
-    M^(p^(m/l)) - M, the matrix of x^(p^(m/l)) - x, is invertible mod p."""
-    poly = [c % p for c in poly]
-    m = len(poly) - 1
-    if m < 1 or poly[-1] != 1:
-        return False
-    comp = _companion(poly, p)
-    if not np.array_equal(_matpow(comp, p**m, p), comp):
-        return False
-    return all(_is_invertible(_matpow(comp, p ** (m // ell), p) - comp, p)
-               for ell in _distinct_prime_factors(m))
-
-
-def _x_class_order_is_full(poly: list[int] | tuple[int, ...], p: int, m: int,
-                           element=(0, 1)) -> bool:
-    """Whether the class of `element` (constant-first coefficients, default
-    x) modulo the monic degree-m `poly` has multiplicative order q - 1: its
-    matrix E has E^(q-1) = I and E^((q-1)/l) != I for every prime l
-    dividing q - 1.  E^(q-1) = I rules out a class that is no unit (a
-    modulus divisible by x).  When it holds, poly is irreducible: a
-    quotient ring that is not a field has fewer than q - 1 units, so no
-    element of order q - 1."""
-    q1, eye = p**m - 1, np.eye(m, dtype=np.int64)
-    mat = _element_matrix(element, _companion(poly, p), p)
-    return np.array_equal(_matpow(mat, q1, p), eye) and not any(
-        np.array_equal(_matpow(mat, q1 // ell, p), eye) for ell in _distinct_prime_factors(q1))
-
-
-def _basis_traces(mod: list[int] | tuple[int, ...], p: int) -> np.ndarray:
-    """trace(x^i) for i < m (int64).  The field trace of an element is the
-    trace of its multiplication map (Lidl & Niederreiter, Ch. 2), so
-    trace(x^i) = trace(M^i) mod p for the companion matrix M of `mod`."""
-    comp = _companion(mod, p)
-    return np.array([np.trace(_matpow(comp, i, p)) % p for i in range(len(comp))],
-                    dtype=np.int64)
-
-
-def _has_root(poly: list[int], p: int) -> bool:
-    """Whether the constant-first polynomial vanishes at some nonzero residue."""
-    for a in range(1, p):
-        value = 0
-        for c in reversed(poly):
-            value = (value * a + c) % p
-        if value == 0:
-            return True
-    return False
-
-
-def _sieved_candidates(p: int, m: int):
-    """Monic degree-m polynomials in search order, minus those that fail a
-    cheap necessary condition for primitivity: x divides f when c0 = 0; a
-    root of f has norm (-1)^m * c0, which must generate F_p^* (tested on
-    the one factorization of p - 1); and for m >= 2 a root in F_p makes f
-    reducible."""
-    group, sign = p - 1, -1 if m % 2 else 1
-    factors = _distinct_prime_factors(group)
-    for c0 in range(1, p):
-        if any(pow(sign * c0 % p, group // ell, p) == 1 for ell in factors):
-            continue
-        for rest in range(p ** (m - 1)):
-            poly = [c0] + [(rest // p ** (m - 1 - i)) % p for i in range(1, m)] + [1]
-            if m >= 2 and _has_root(poly, p):
-                continue
-            yield poly
-
-
-def first_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically first monic degree-m primitive polynomial over F_p.
-
-    Candidates are ordered by their non-leading coefficient vector
-    (c0, ..., c_{m-1}), constant term compared first.  Candidates that fail
-    a necessary condition (c0 = 0; (-1)^m * c0, the norm of a root, not a
-    primitive root mod p; for m >= 2 a root in F_p) are skipped before the
-    order test, which every other candidate gets, so the first modulus
-    found is the same as an unsieved scan's.  A full order of x implies
-    irreducibility (_x_class_order_is_full), so no separate irreducibility
-    test runs.  Deterministic, so repeated builds agree bit for bit.
-    """
-    for poly in _sieved_candidates(p, m):
-        if _x_class_order_is_full(poly, p, m):
-            return tuple(poly)
-    raise ParameterError(f"no primitive polynomial found for p={p}, m={m}")
 
 
 class Field:
@@ -229,9 +75,8 @@ class Field:
     narrow buffer.  The powers of xi are filled by doubling; only the digit
     rows a later pass reads are kept, in the narrowest dtype that holds
     p - 1, and they are freed before the log table is made.  The trace,
-    F_p-linear, is each row times the traces of the basis x^i (the traces
-    of the companion matrix's powers), written straight into the
-    code-indexed table.  The log
+    F_p-linear, is each row times the traces of the basis x^i
+    (modulus.basis_traces), written straight into the code-indexed table.  The log
     table and two whole-table checks, the powers of xi are every nonzero
     code once and the trace is constant on Frobenius orbits, run a block at
     a time.
@@ -245,25 +90,15 @@ class Field:
         self.q = p**m
         self.order = self.q - 1
 
-        if modulus is None:
-            self.modulus = first_primitive_modulus(p, m)
-            xi_is_x = True
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ParameterError("modulus must be monic of degree m")
-            if not is_irreducible(modulus, p):
-                raise ParameterError("supplied modulus is reducible")
-            self.modulus = modulus
-            xi_is_x = _x_class_order_is_full(modulus, p, m)
+        self.modulus = field_modulus(p, m, modulus)
+        xi_is_x = modulus is None or has_full_order(self.modulus, p, m)
 
         self._pow_weights = tuple(p**i for i in range(m))
-        # row 0 of the companion matrix is x mod f: x itself, or -c0 at m = 1;
-        # else the smallest code of full order (no tables exist yet)
-        comp = _companion(self.modulus, p)
-        self.xi = self.encode(comp[0]) if xi_is_x else next(
+        # x mod f: x itself, code p, or -c0 at m = 1; else the smallest code
+        # of full order (no tables exist yet)
+        self.xi = (p if m > 1 else -self.modulus[0] % p) if xi_is_x else next(
             code for code in range(2, self.q)
-            if _x_class_order_is_full(self.modulus, p, m, self.coeffs(code)))
+            if has_full_order(self.modulus, p, m, self.coeffs(code)))
 
         # exp table: row k of `digits` is the coefficient vector of xi^k.
         # Rows [0, L) times `step`, the matrix of multiplication by xi^L,
@@ -278,9 +113,10 @@ class Field:
         # are formed _WEIGHT_ROWS rows at a time, so the int64 copy of the
         # block numpy makes for them stays small.
         buffer = np.empty((_BUILD_ROWS, m), dtype=np.min_scalar_type(-1 - m * (p - 1) ** 2))
-        step = _element_matrix(self.coeffs(self.xi), comp, p).astype(buffer.dtype)
+        step = np.array(multiplication_rows(self.coeffs(self.xi), self.modulus, p),
+                        dtype=buffer.dtype)
         weights = np.asarray(self._pow_weights, dtype=np.int64)
-        basis_traces = _basis_traces(self.modulus, p).astype(buffer.dtype)
+        traces = np.array(basis_traces(self.modulus, p), dtype=buffer.dtype)
         passes = [2**i for i in range((self.order - 1).bit_length())]
         read = max(min(filled, self.order - filled) for filled in passes)
         digits = np.zeros((read, m), dtype=np.min_scalar_type(p - 1))
@@ -288,7 +124,7 @@ class Field:
         exp = np.empty(self.order, dtype=np.int64)
         exp[0] = 1
         trace = np.zeros(self.q, dtype=np.int32)
-        trace[1] = basis_traces[0]
+        trace[1] = traces[0]
         for filled in passes:
             count = min(filled, self.order - filled)
             for lo in range(0, count, _BUILD_ROWS):
@@ -299,7 +135,7 @@ class Field:
                 codes = exp[filled + lo:filled + hi]
                 for sub in range(0, hi - lo, _WEIGHT_ROWS):
                     codes[sub:sub + _WEIGHT_ROWS] = block[sub:sub + _WEIGHT_ROWS] @ weights
-                trace[codes] = (block @ basis_traces % p).astype(np.int32)
+                trace[codes] = (block @ traces % p).astype(np.int32)
             step = step @ step % p
         del digits, block, buffer
 
@@ -352,9 +188,6 @@ class Field:
         """Coordinate vector of a code, constant term first."""
         p = self.p
         return tuple((code // p**i) % p for i in range(self.m))
-
-    def encode(self, coeffs) -> int:
-        return sum((int(c) % self.p) * w for c, w in zip(coeffs, self._pow_weights))
 
     def unit_codes(self) -> np.ndarray:
         """All nonzero codes in xi-power order: xi^0, xi^1, ... (a read-only view)."""

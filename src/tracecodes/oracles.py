@@ -20,10 +20,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .construction import _BLOCK_POSITIONS, DerivedParams, coord_blocks
+from .construction import _BLOCK_POSITIONS, DerivedParams, coord_at, coord_blocks
 from .errors import ParameterError
 from .field import Field
-from .ring import GRAY, SUBSETS, RingElem, gray, lee_weight
+from .ring import GRAY, SUBSETS, RingElem, gray, lee_weight, zero as ring_zero
 
 
 class RingClass(enum.Enum):
@@ -219,6 +219,16 @@ def export_gray_words(dp: DerivedParams, rs, path) -> tuple[str, str]:
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
     return path, sidecar_path
+
+
+def syndrome(dp: DerivedParams, support) -> RingElem:
+    """Ring sum of y_x * x over a sparse vector given as (coordinate index,
+    base ring value over dp.field) pairs: zero exactly when the vector is
+    dual to the code (the syndrome characterization in tracecodes.bounds)."""
+    total = ring_zero(dp.field)
+    for index, value in support:
+        total = total + value * coord_at(dp, index)
+    return total
 
 
 def eval_field_subcode(b: int, dp: DerivedParams) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ The alphabet is R = F_p + uF_p + vF_p + uvF_p with u^2 = v^2 = 0 and
 uv = vu; evaluation points live in the extension with F_{p^m} coordinates.
 Both are covered by one element type: four field codes (a, b, c, d)
 standing for a + b*u + c*v + d*uv over a shared :class:`~tracecodes.field.Field`.
-R is the subring of base ring elements, coordinates in F_p (the codes below p).
+R is the subring of base ring elements, coordinates in F_p (the codes below p);
+over a PrimeField, F_p with no table, the same rules compute in R and no numpy loads.
 
 Coordinate i is the monomial with bitmask i (1, u, v, uv), so the product
 and the Gray map are subset rules, written once as SUBSETS and GRAY and
@@ -20,10 +21,12 @@ symbol is the Hamming weight of its Gray image.
 from __future__ import annotations
 
 from functools import reduce
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParameterError
-from .field import Field
+
+if TYPE_CHECKING:
+    from .field import Field
 
 #: SUBSETS[s]: the subsets t of s; (r*x)_s sums r_(s^t) * x_t over them.
 SUBSETS = tuple(tuple(t for t in range(4) if t & s == t) for s in range(4))
@@ -34,6 +37,24 @@ SLOT_TERMS = tuple(tuple(tuple(j for j in range(4) if j & t == 0 and j | t | k =
                          for k in range(4)) for t in range(4))
 
 
+class PrimeField(NamedTuple):
+    """F_p, the codes below p of any Field, with the operations RingElem reads."""
+
+    p: int
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+
 class RingElem(NamedTuple):
     """a + b*u + c*v + d*uv with coordinates in the attached field.
 
@@ -41,7 +62,7 @@ class RingElem(NamedTuple):
     operand that is not a ring element, the tuple repetition included.
     """
 
-    field: Field
+    field: Field | PrimeField
     a: int
     b: int
     c: int

@@ -12,9 +12,10 @@ import numpy as np
 
 from tracecodes import Field, RingElem
 from tracecodes.analysis import _weights_serial
-from tracecodes.construction import DerivedParams, coord_at
-from tracecodes.oracles import big_trace
-from tracecodes.ring import gray_inverse, zero as ring_zero
+from tracecodes.construction import DerivedParams, Variant, coord_at
+from tracecodes.modulus import distinct_prime_factors
+from tracecodes.oracles import big_trace, syndrome
+from tracecodes.ring import gray_inverse, is_unit, lee_weight, ring_inv, zero as ring_zero
 
 
 def add_codes(field: Field, a, b) -> np.ndarray:
@@ -63,7 +64,8 @@ def spread_class_counts(dp: DerivedParams) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Dense polynomial arithmetic over F_p on coefficient lists, constant term
-# first: the reference of the companion-matrix arithmetic in field.py.
+# first: a second reference of tracecodes.modulus, by powers and gcds of
+# whole polynomials.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -120,9 +122,8 @@ def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def is_irreducible_by_gcd(poly: list[int], p: int) -> bool:
     """Rabin's test on coefficient lists: x^(p^m) = x mod f, and
-    gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m.  The
-    reference of field.is_irreducible, which runs it on the companion
-    matrix."""
+    gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m.  A
+    reference of modulus.is_irreducible."""
     poly = [c % p for c in poly]
     m = len(poly) - 1
     if m < 1 or poly[-1] != 1:
@@ -140,13 +141,94 @@ def is_irreducible_by_gcd(poly: list[int], p: int) -> bool:
 
 def order_is_full_by_powers(poly: list[int], p: int) -> bool:
     """Whether x has order q - 1 modulo the monic `poly`, by powering x to
-    every proper divisor of q - 1: the reference of
-    field._x_class_order_is_full."""
+    every proper divisor of q - 1: a reference of modulus.has_full_order."""
     q1 = p ** (len(poly) - 1) - 1
     one = poly_mod([1], poly, p)
     return (poly_powmod([0, 1], q1, poly, p) == one
             and all(poly_powmod([0, 1], d, poly, p) != one
                     for d in range(1, q1) if q1 % d == 0))
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic on matrices of multiplication: an element of F_p[x]/(f) is its
+# int64 matrix mod p, row i x^i times it; x's is the companion matrix M of
+# f.  The reference of the polynomial arithmetic of tracecodes.modulus.
+# ---------------------------------------------------------------------------
+
+def companion(mod, p: int) -> np.ndarray:
+    """Matrix of multiplication by x modulo the monic `mod` over F_p: row i
+    is x^(i+1) mod f, e_(i+1) above the last row and -(c0, ..., c_{m-1}) in
+    it, so a constant-first coefficient row times it is that element times x."""
+    comp = np.eye(len(mod) - 1, k=1, dtype=np.int64)
+    comp[-1] = [-c % p for c in mod[:-1]]
+    return comp
+
+
+def element_matrix(coeffs, mod, p: int) -> np.ndarray:
+    """Matrix of multiplication by sum c_i x^i, the sum of c_i M^i, by
+    Horner's rule: row j is x^j times the element.  The reference of
+    modulus.multiplication_rows."""
+    comp = companion(mod, p)
+    eye, mat = np.eye(len(comp), dtype=np.int64), np.zeros_like(comp)
+    for c in reversed(coeffs):
+        mat = (mat @ comp + c * eye) % p
+    return mat
+
+
+def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p by square and multiply."""
+    out = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ a % p
+        a, e = a @ a % p, e >> 1
+    return out
+
+
+def is_invertible(a: np.ndarray, p: int) -> bool:
+    """Whether a square matrix is invertible mod the prime p, by Gaussian
+    elimination; a row scaled by its pivot, a unit mod p, keeps the rank."""
+    a = a % p
+    for col in range(len(a)):
+        rows = col + np.flatnonzero(a[col:, col])
+        if not rows.size:
+            return False
+        a[[col, rows[0]]] = a[[rows[0], col]]
+        a[col + 1:] = (a[col, col] * a[col + 1:] - np.outer(a[col + 1:, col], a[col])) % p
+    return True
+
+
+def is_irreducible_by_matrix(poly: list[int], p: int) -> bool:
+    """Rabin's test on the companion matrix M of a monic f: M^(p^m) = M,
+    and M^(p^(m/l)) - M, the matrix of x^(p^(m/l)) - x, invertible mod p
+    for every prime l dividing m.  The reference of modulus.is_irreducible."""
+    poly = [c % p for c in poly]
+    m = len(poly) - 1
+    if m < 1 or poly[-1] != 1:
+        return False
+    comp = companion(poly, p)
+    if not np.array_equal(matpow(comp, p**m, p), comp):
+        return False
+    return all(is_invertible(matpow(comp, p ** (m // ell), p) - comp, p)
+               for ell in distinct_prime_factors(m))
+
+
+def order_is_full_by_matrix(poly: list[int], p: int, element=(0, 1)) -> bool:
+    """Whether the matrix E of `element` modulo the monic `poly` has
+    E^(q-1) = I and E^((q-1)/l) != I for every prime l dividing q - 1.  The
+    reference of modulus.has_full_order."""
+    m = len(poly) - 1
+    q1, eye = p**m - 1, np.eye(m, dtype=np.int64)
+    mat = element_matrix(element, poly, p)
+    return np.array_equal(matpow(mat, q1, p), eye) and not any(
+        np.array_equal(matpow(mat, q1 // ell, p), eye) for ell in distinct_prime_factors(q1))
+
+
+def basis_traces_by_matrix(mod, p: int) -> list[int]:
+    """trace(M^i) mod p for i < m, the trace of multiplication by x^i: the
+    reference of modulus.basis_traces."""
+    comp = companion(mod, p)
+    return [int(np.trace(matpow(comp, i, p)) % p) for i in range(len(comp))]
 
 
 def cosets_distinct_by_sort(field: Field, N: int, n: int) -> bool:
@@ -187,15 +269,57 @@ def distribution_by_enumeration(dp: DerivedParams) -> dict[int, int]:
     return {int(w): int(c) for w, c in zip(weights, counts)}
 
 
+def x0_position(dp: DerivedParams, code: int) -> int:
+    """Stream position of a code in dp.x0_codes(), -1 off the set, read off
+    the log table: dlog(c) for the units; dlog(c)/N for the lift's
+    xi^(N*j), j < n, when N divides dlog(c) and the quotient is below n."""
+    if code == 0:
+        return -1
+    if dp.variant is Variant.UNITS:
+        return dp.field.dlog(code)
+    j, r = divmod(dp.field.dlog(code), dp.N)
+    return j if r == 0 and j < dp.n else -1
+
+
+def coord_index(dp: DerivedParams, x: RingElem) -> int:
+    """Flat stream position of a coordinate element; the inverse of
+    construction.coord_at."""
+    q = dp.q
+    pos0 = x0_position(dp, x.a)
+    if pos0 < 0:
+        raise ValueError("element is not in the coordinate set")
+    lex = dp.field.lex_code  # its own inverse: the position of each code
+    return ((pos0 * q + lex(x.b)) * q + lex(x.c)) * q + lex(x.d)
+
+
+def contains(dp: DerivedParams, x: RingElem) -> bool:
+    """Membership test for the coordinate set (O(1): one log-table read)."""
+    return is_unit(x) and x0_position(dp, x.a) >= 0
+
+
+def dual_witness_holds(dp: DerivedParams, witness) -> bool:
+    """The F_q re-check of a witness of bounds.dual_lee_distance, which
+    builds it over F_p from integer positions: its first coordinate is
+    coordinate 0; x' = -beta^-1 * alpha * x lies in the coordinate set, at
+    the witness's second position; the syndrome vanishes; and the Lee
+    weights sum to 2."""
+    (i0, a), (i1, b) = witness
+    alpha, beta = RingElem(dp.field, *a), RingElem(dp.field, *b)
+    x_prime = -(ring_inv(beta) * alpha) * coord_at(dp, 0)
+    support = ((i0, alpha), (i1, beta))
+    return (i0 == 0 and contains(dp, x_prime) and coord_index(dp, x_prime) == i1
+            and not syndrome(dp, support) and lee_weight(alpha) + lee_weight(beta) == 2)
+
+
 def orthogonality_direct(dp: DerivedParams, support) -> bool:
     """Direct check against a generating set of codewords: orthogonal to
     every evaluation iff orthogonal to the evaluations of the m field-basis
     elements (base ring coefficients factor out of the trace).  The oracle
-    of the one-equation syndrome test (bounds.syndrome) behind
+    of the one-equation syndrome test (syndrome) behind
     bounds.dual_lee_distance."""
     field = dp.field
     for i in range(dp.m):
-        gen = RingElem(field, field.encode([0] * i + [1]), 0, 0, 0)
+        gen = RingElem(field, field.p**i, 0, 0, 0)
         total = ring_zero(field)
         for index, value in support:
             total = total + value * big_trace(gen * coord_at(dp, index))

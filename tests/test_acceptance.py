@@ -26,9 +26,8 @@ from tracecodes import (
     subcode_distribution,
     verify_identities,
 )
-from tracecodes.bounds import syndrome
 from tracecodes.cli import main
-from tracecodes.oracles import big_trace, gray_word, lee_weight_word, random_element
+from tracecodes.oracles import big_trace, gray_word, lee_weight_word, random_element, syndrome
 from tracecodes.ring import lee_weight
 
 

@@ -16,11 +16,11 @@ from tracecodes import (
     sphere_packing_excludes,
 )
 from tracecodes import bounds, ring
-from tracecodes.bounds import syndrome
-from tracecodes.oracles import eval_field_subcode, minimal_codewords_bruteforce
+from tracecodes.oracles import eval_field_subcode, minimal_codewords_bruteforce, syndrome
+from tracecodes.params import integer_params
 from tracecodes.ring import gray_inverse, lee_weight
 
-from oracles import lee_one_elements, orthogonality_direct
+from oracles import dual_witness_holds, lee_one_elements, orthogonality_direct
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +159,46 @@ def test_dual_witness_needs_no_pair_table(monkeypatch, variant):
 
 
 def test_dual_witness_is_built_not_searched(monkeypatch):
-    # the witness is built from the closed form, so exactly one candidate x'
-    # is tested for membership, however large p is
+    # the witness is built from the closed form over F_p, so exactly one
+    # inversion runs, however large p is, and it reads no field: the
+    # integer parameters alone give the report's witness
     calls = []
-    member = bounds.contains
-    monkeypatch.setattr(bounds, "contains", lambda dp, x: calls.append(x) or member(dp, x))
+    inverse = bounds.ring_inv
+    monkeypatch.setattr(bounds, "ring_inv", lambda x: calls.append(x) or inverse(x))
     dp = derive_params(CodeParams(Field(4093, 1), 1, Variant.LIFT))
-    assert dual_lee_distance(dp).distance == 2
-    assert len(calls) == 1
+    result = dual_lee_distance(dp)
+    assert result.distance == 2 and len(calls) == 1
+    assert dual_lee_distance(integer_params(4093, 1, 1, Variant.LIFT)) == result
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (9, 1), (3, 0)])
+def test_integer_params_refuse_a_field_that_field_refuses(p, m):
+    # the integer parameters exist only where Field could build F_q, so the
+    # F_p witness never reads p = 2 (where dlog(-1) = dlog(1)) or a non-prime p
+    with pytest.raises(ParameterError):
+        integer_params(p, m, 1, Variant.UNITS)
+
+
+#: Every odd prime p <= 29 with q <= 729, every N | q - 1, both variants.
+WITNESS_GRID = [(p, m, N, variant) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)
+                for m in range(1, 7) if p**m <= 729
+                for N in range(1, p**m) if (p**m - 1) % N == 0
+                for variant in Variant]
+
+
+def test_dual_witness_over_f_p_passes_the_f_q_recheck_on_the_grid():
+    # the F_p witness, with its integer position, against coordinate 0 and
+    # the coordinate set over F_q: membership, position, zero syndrome and
+    # Lee weight 2, at every point; the IntegerParams that dual reads give
+    # the same result as the DerivedParams
+    fields = {}
+    for p, m, N, variant in WITNESS_GRID:
+        field = fields.setdefault((p, m), Field(p, m))
+        dp = derive_params(CodeParams(field, N, variant))
+        result = dual_lee_distance(dp)
+        assert dual_witness_holds(dp, result.witness), (p, m, N, variant)
+        assert dual_lee_distance(integer_params(p, m, N, variant)) == result
+    assert len(WITNESS_GRID) == 460
 
 
 def test_syndrome_matches_direct_orthogonality(f9):

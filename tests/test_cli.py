@@ -47,18 +47,19 @@ def test_analyze_exhaustive(tmp_path):
     assert "lee-weight-is-gray-image-weight" in report["erratum_flags"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("analyze", "-p", "3", "-m", "2", "--threads", "1"),
-    ("dual", "-p", "3", "-m", "9", "--threads", "1"),
+@pytest.mark.parametrize("argv,fields", [
+    (("analyze", "-p", "3", "-m", "2", "--threads", "1"), 1),
+    (("dual", "-p", "3", "-m", "9", "--threads", "1"), 0),
 ], ids=["analyze-3-2", "dual-3-9"])
-def test_one_field_per_run(tmp_path, monkeypatch, argv):
-    # the base ring lives in the code's own field, so no second Field is built
+def test_one_field_per_run(tmp_path, monkeypatch, argv, fields):
+    # the base ring lives in the code's own field, so no second Field is
+    # built; dual computes over F_p and builds none
     builds = []
     init = Field.__init__
     monkeypatch.setattr(Field, "__init__",
                         lambda self, *a, **k: builds.append(a) or init(self, *a, **k))
     assert run(tmp_path, *argv)[0] == 0
-    assert len(builds) == 1
+    assert len(builds) == fields
 
 
 def test_analyze_class_method(tmp_path):
@@ -826,15 +827,16 @@ def test_empty_modulus_or_output_exits_two_before_any_field(extra, monkeypatch, 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["dual"], ["verify", "--subcode"]])
 def test_one_run_derives_its_parameters_once(argv, monkeypatch, capsys):
-    # every library function takes the DerivedParams the run derived: count
-    # the calls of derive_params through every tracecodes module that binds it
-    from tracecodes import construction
+    # every library function takes the parameters the run derived: count
+    # the calls of the numpy-free integer_params, which derive_params makes
+    # once and dual makes alone, through every tracecodes module that binds it
+    from tracecodes import params
 
-    real, calls = construction.derive_params, []
+    real, calls = params.integer_params, []
 
-    def counted(params):
-        calls.append(params)
-        return real(params)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
     for name, module in list(sys.modules.items()):
         if name == "tracecodes" or name.startswith("tracecodes."):
             for attr, value in list(vars(module).items()):

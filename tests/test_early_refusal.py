@@ -5,10 +5,13 @@ limits.check_request before it imports numpy and the engine, so an
 argparse error, --help and every refusal that needs no field table (a
 bad -N among them: N >= 1 and N | p^m - 1 read only p and m) end at the
 cost of interpreter start-up, and a request that passes is the one its
-handler runs, parsed once.  Each such run must exit and print as an
-in-process ``cli.main`` call does; a refusal that needs the field (a
-supplied modulus of the wrong degree or reducible, or verify's budget)
-must still come after it is built; the installed
+handler runs, parsed once.  ``dual`` needs no field table at all (its
+modulus, integer parameters and witness over F_p), so it answers, or
+refuses a supplied modulus, before numpy loads as well.  Each such run
+must exit and print as an in-process ``cli.main`` call does; a refusal
+that needs the field (analyze's or verify's supplied modulus of the
+wrong degree or reducible, or verify's budget) must still come after it
+is built; the installed
 script's entry, tracecodes.main, must run as ``python -m`` does;
 ``import tracecodes`` must load no submodule; and ``import tracecodes.cli``
 must still load the whole engine, which the benchmark tracer's
@@ -40,7 +43,7 @@ REEXPORTS = {
     "bounds": ["DualDistanceResult", "GriesmerVerdict", "SssVerdict", "dual_lee_distance",
                "griesmer_optimal", "griesmer_sum", "minimality_check",
                "sphere_packing_excludes"],
-    "construction": ["CodeParams", "DerivedParams", "Variant", "coord_at", "coord_index",
+    "construction": ["CodeParams", "DerivedParams", "Variant", "coord_at",
                      "derive_params", "subcode_distribution"],
     "errors": ["ParameterError", "WorkBudgetExceeded"],
     "field": ["Field", "gauss_sums"],
@@ -148,18 +151,57 @@ def test_table_free_refusals_load_no_numpy(argv, monkeypatch, capsys):
     assert code == (0 if argv == ["--help"] else 2)
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["analyze", "-p", "5", "-m", "7", "--threads", "1"], 2),  # the benchmark's guard job
-    (["dual", "-p", "3", "-m", "2", "--threads", "1"], 0),
-], ids=["guard", "pass"])
-def test_script_entry_runs_as_python_m(argv, code):
-    runtime = re.compile(r'"runtime_ms": \d+')
+RUNTIME = re.compile(r'"runtime_ms": \d+')
+
+
+@pytest.mark.parametrize("argv,code,numpy", [
+    (["analyze", "-p", "5", "-m", "7", "--threads", "1"], 2, False),  # the guard job
+    (["dual", "-p", "3", "-m", "2", "--threads", "1"], 0, False),
+    (["analyze", "-p", "3", "-m", "2", "--threads", "1"], 0, True),
+], ids=["guard", "pass", "analyze"])
+def test_script_entry_runs_as_python_m(argv, code, numpy):
     script_code, script_out, script_err, imports = _process(argv, entry=SCRIPT_ENTRY)
     module_code, module_out, module_err, _ = _process(argv)
-    assert (script_code, runtime.sub("", script_out), script_err) == (
-        module_code, runtime.sub("", module_out), module_err)
+    assert (script_code, RUNTIME.sub("", script_out), script_err) == (
+        module_code, RUNTIME.sub("", module_out), module_err)
     assert script_code == code
-    assert _loads_numpy(imports) is (code == 0)
+    assert _loads_numpy(imports) is numpy
+
+
+#: dual runs: the benchmark's two field-setup jobs, a units run, a
+#: degenerate point whose report keeps evaluation-map-not-injective, and a
+#: pinned modulus whose x is not primitive.
+DUAL_RUNS = [
+    ["dual", "-p", "3", "-m", "9", "-N", "1", "--threads", "1"],
+    ["dual", "-p", "5", "-m", "6", "-N", "1", "--threads", "1"],
+    ["dual", "-p", "5", "-m", "6", "-N", "1", "--variant", "units"],
+    ["dual", "-p", "3", "-m", "2", "-N", "4"],
+    ["dual", "-p", "3", "-m", "2", "--modulus", "1,0,1"],
+]
+
+
+@pytest.mark.parametrize("argv", DUAL_RUNS, ids=[" ".join(argv[1:]) for argv in DUAL_RUNS])
+def test_dual_loads_no_numpy_and_prints_as_main_does(argv, monkeypatch, capsys):
+    code, out, err, imports = _process(argv)
+    assert imports and not _loads_numpy(imports)
+    in_code, in_out, in_err = _in_process(argv, monkeypatch, capsys)
+    assert (code, RUNTIME.sub("", out), err) == (in_code, RUNTIME.sub("", in_out), in_err)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["dual_distance"]["verified"]
+    assert ("evaluation-map-not-injective" in report["erratum_flags"]) is (argv == DUAL_RUNS[3])
+
+
+def test_every_module_dual_loads_imports_no_numpy():
+    # each tracecodes module the dual run loads, imported alone in a fresh
+    # interpreter, leaves numpy unloaded
+    *_, imports = _process(DUAL_RUNS[0])
+    loaded = {line.split("|")[-1].strip() for line in imports}
+    package = sorted(name for name in loaded if name.startswith("tracecodes."))
+    assert {"tracecodes.bounds", "tracecodes.modulus", "tracecodes.params",
+            "tracecodes.ring"} <= set(package)
+    for name in package:
+        assert "numpy" not in _modules_after(f"import {name}"), name
 
 
 def test_guard_job_refusal_bytes():
@@ -216,7 +258,10 @@ REFUSALS = [
      "error: TRACECODES_WORK_BUDGET must be an integer, got 'abc'", False),
     (["verify", "-p", "3", "-m", "2"], "-1",
      "error: TRACECODES_WORK_BUDGET must be >= 0, got -1", False),
+    # dual checks a supplied modulus before numpy loads, analyze after
     (["dual", "-p", "3", "-m", "2", "--modulus", "1,1,1"], None,
+     "error: supplied modulus is reducible", True),
+    (["analyze", "-p", "3", "-m", "2", "--modulus", "1,1,1"], None,
      "error: supplied modulus is reducible", False),
     (["analyze", "-p", "3", "-m", "2", "--method", "class", "--samples", "0"], None,
      "tracecodes: error: unrecognized arguments: --samples 0", True),
@@ -252,7 +297,7 @@ runpy.run_module("tracecodes.cli", run_name="__main__", alter_sys=True)
 @pytest.mark.parametrize("argv,code", [
     (["dual", "-p", "3", "-m", "2", "--threads", "1"], 0),
     (["analyze", "-p", "5", "-m", "7"], 2),
-    (["dual", "-p", "3", "-m", "2", "--modulus", "1,1,1"], 2),
+    (["analyze", "-p", "3", "-m", "2", "--modulus", "1,1,1"], 2),
 ], ids=["pass", "early-refusal", "late-refusal"])
 def test_process_entry_builds_one_parser(argv, code):
     out = subprocess.run([sys.executable, "-c", COUNTED_ENTRY, *argv], env=_env(),

@@ -12,19 +12,25 @@ from tracecodes import (
     gauss_sums,
     parse_modulus,
 )
-from tracecodes.field import (
-    _basis_traces,
-    first_primitive_modulus,
-    is_irreducible,
-    roots_of_unity,
-)
+from tracecodes.field import roots_of_unity
 from tracecodes.limits import _is_prime
+from tracecodes.modulus import (
+    basis_traces,
+    first_primitive_modulus,
+    has_full_order,
+    is_irreducible,
+    multiplication_rows,
+)
 from tracecodes.oracles import MultChar, cyclotomic_class
 
 from oracles import (
     add_codes,
+    basis_traces_by_matrix,
+    element_matrix,
     gauss_sum,
     is_irreducible_by_gcd,
+    is_irreducible_by_matrix,
+    order_is_full_by_matrix,
     order_is_full_by_powers,
     poly_powmod,
     spread_class_counts,
@@ -142,17 +148,41 @@ def test_sieved_search_equals_unsieved_scan(p, m):
 def test_matrix_rabin_test_matches_the_gcd_reference():
     # every monic polynomial with p = 3 and m <= 5, or p in {5, 7} and
     # m <= 3: 917 of them, 275 irreducible, as Gauss's formula
-    # (1/m) * sum over d | m of mu(d) * p^(m/d) counts per degree
+    # (1/m) * sum over d | m of mu(d) * p^(m/d) counts per degree; Rabin's
+    # test on lists agrees with the gcd reference, the two together take
+    # under 2 s for all of them, and the companion-matrix oracle agrees
+    # too (untimed, in a second pass)
+    polys = [(p, [idx // p**i % p for i in range(m)] + [1])
+             for p, top in ((3, 5), (5, 3), (7, 3))
+             for m in range(1, top + 1) for idx in range(p**m)]
     start, irreducible = time.perf_counter(), 0
-    for p, top in ((3, 5), (5, 3), (7, 3)):
+    for p, poly in polys:
+        expected = is_irreducible_by_gcd(poly, p)
+        assert is_irreducible(poly, p) == expected, (p, poly)
+        irreducible += expected
+    assert irreducible == 275
+    assert time.perf_counter() - start < 2
+    for p, poly in polys:
+        assert is_irreducible_by_matrix(poly, p) == is_irreducible(poly, p), (p, poly)
+
+
+def test_polynomial_arithmetic_matches_the_companion_matrices():
+    # every monic polynomial with p = 3 and m <= 4, or p in {5, 7} and
+    # m <= 2: the order test (of x and of a second element), the basis
+    # traces and the matrix of multiplication that starts a table build,
+    # each against its form on f's companion matrix
+    for p, top in ((3, 4), (5, 2), (7, 2)):
         for m in range(1, top + 1):
             for idx in range(p**m):
                 poly = [idx // p**i % p for i in range(m)] + [1]
-                expected = is_irreducible_by_gcd(poly, p)
-                assert is_irreducible(poly, p) == expected, (p, poly)
-                irreducible += expected
-    assert irreducible == 275
-    assert time.perf_counter() - start < 2
+                element = [(idx + 2 * i + 1) % p for i in range(m)]
+                assert has_full_order(poly, p, m) == order_is_full_by_matrix(
+                    poly, p, [0, 1] if m > 1 else [-poly[0] % p]), (p, poly)
+                assert has_full_order(poly, p, m, element) == order_is_full_by_matrix(
+                    poly, p, element), (p, poly, element)
+                assert basis_traces(poly, p) == basis_traces_by_matrix(poly, p), (p, poly)
+                assert multiplication_rows(element, poly, p) == element_matrix(
+                    element, poly, p).tolist(), (p, poly, element)
 
 
 @pytest.mark.parametrize("p,m,modulus", [
@@ -254,7 +284,7 @@ TRACE_GRID = [(p, m) for p in range(3, 62, 2) if _is_prime(p)
 
 @pytest.mark.parametrize("p,m", TRACE_GRID)
 def test_basis_traces_match_the_defining_sum(p, m):
-    # trace(M^i) against Tr(x^i) = sum over j < m of x^(i*p^j) mod f
+    # trace(x^i) against Tr(x^i) = sum over j < m of x^(i*p^j) mod f
     mod = list(first_primitive_modulus(p, m))
     expected = []
     for i in range(m):
@@ -264,7 +294,7 @@ def test_basis_traces_match_the_defining_sum(p, m):
             total = [(s + c) % p for s, c in zip(total, conj)]
         assert not any(total[1:])
         expected.append(total[0])
-    assert _basis_traces(mod, p).tolist() == expected
+    assert basis_traces(mod, p) == expected
 
 
 #: sha256 prefixes of the int64 little-endian bytes of each table, taken
@@ -329,8 +359,7 @@ def test_field_build_refuses_a_trace_off_frobenius_orbits(monkeypatch):
     # the Frobenius orbit of x at (3,2), and the whole-table check says so
     from tracecodes import field as field_module
 
-    monkeypatch.setattr(field_module, "_basis_traces",
-                        lambda mod, p: np.array([0, 1], dtype=np.int64))
+    monkeypatch.setattr(field_module, "basis_traces", lambda mod, p: [0, 1])
     with pytest.raises(AssertionError, match="Frobenius orbits"):
         Field(3, 2)
 
@@ -342,8 +371,8 @@ def test_field_build_refuses_a_functional_off_frobenius_orbits(p, m, monkeypatch
     # reads it at the code-indexed table through exp, p runs of exponents
     from tracecodes import field as field_module
 
-    real = field_module._basis_traces
-    monkeypatch.setattr(field_module, "_basis_traces",
+    real = field_module.basis_traces
+    monkeypatch.setattr(field_module, "basis_traces",
                         lambda mod, p: (real(mod, p) + np.eye(len(mod) - 1, dtype=np.int64)[1]) % p)
     with pytest.raises(AssertionError, match="Frobenius orbits"):
         Field(p, m)
@@ -354,7 +383,7 @@ def test_field_build_refuses_a_xi_that_is_no_generator(monkeypatch):
     # repeat, so they miss nonzero codes and the log table shows it
     from tracecodes import field as field_module
 
-    monkeypatch.setattr(field_module, "_x_class_order_is_full", lambda *a: True)
+    monkeypatch.setattr(field_module, "has_full_order", lambda *a: True)
     with pytest.raises(AssertionError, match="not the nonzero codes"):
         Field(3, 2, modulus=(1, 0, 1))
 

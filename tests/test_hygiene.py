@@ -215,14 +215,24 @@ CENSUS_RUNS = {
 NOT_RUN_BY_THE_CLI = {
     "analysis._bulk_worker": "bench/tracer.py binds it by name",
     "cli.run": "the process entry; it ends the process, so the census calls main",
+    "construction._decode": "the stream decoder of coord_blocks and coord_at",
+    "construction.coord_at": "one coordinate of the stream, which demos and test oracles read",
     "construction.coord_blocks": "bench/tracer.py binds it; oracles.enumerate_coords reads it",
+    "field.Field.__eq__": "ring elements over a Field compare their fields in the oracles",
     "field.Field.__repr__": "the debug text of a field",
     "field.Field.__hash__": "Field defines __eq__, so it stays hashable through this",
+    "field.Field.add": "F_q arithmetic of RingElem over a Field, for oracles, demos and tests",
+    "field.Field.dlog": "the log lookup of the oracles' Frobenius and characters, and the demos",
+    "field.Field.inv": "F_q arithmetic of RingElem over a Field, for oracles, demos and tests",
+    "field.Field.lex_code": "the digit reversal of _decode and oracles.gray_symbols",
+    "field.Field.mul": "F_q arithmetic of RingElem over a Field, for oracles, demos and tests",
     "field.Field.mul_table": "bench/tracer.py binds it by name",
+    "field.Field.neg": "F_q arithmetic of RingElem over a Field, for oracles, demos and tests",
     "field.Field.trmul_flat": "bench/tracer.py binds it by name",
     "ring.RingElem.__rmul__": "refuses k * r, which a tuple would repeat; tests/test_ring.py checks it",
     "ring.RingElem.__sub__": "ring subtraction, which the demos and tests use",
     "ring.RingElem.__str__": "the text form of an element",
+    "ring.zero": "the zero element, which the demos and test oracles build",
 }
 
 CENSUS_SCRIPT = """
